@@ -1,7 +1,7 @@
 # Local workflows and CI invoke these identical targets (.github/workflows/ci.yml).
 GO ?= go
 
-.PHONY: all build test bench lint fusion-bench service-bench noise-bench dm-bench sweep-bench cluster-bench obs-bench bench-all benchdiff serve-smoke cluster-smoke clean
+.PHONY: all build test bench lint fusion-bench service-bench noise-bench dm-bench sweep-bench cluster-bench obs-bench bench-all benchdiff benchmark-smoke serve-smoke cluster-smoke clean
 
 # Where the *-bench targets write their BENCH_*.json artifacts. The
 # committed baselines live at the repo root; point BENCH_DIR at a scratch
@@ -93,6 +93,15 @@ obs-bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=$(OBS_BENCHTIME) -benchmem ./internal/obs/ | tee $(BENCH_DIR)/BENCH_obs.txt
 	$(GO) test -run='^$$' -bench='CacheHitSample|ServiceInstrumented' -benchtime=$(OBS_BENCHTIME) -benchmem ./internal/service/ | tee -a $(BENCH_DIR)/BENCH_obs.txt
 	$(GO) run ./cmd/benchtables -only obs -obs-in $(BENCH_DIR)/BENCH_obs.txt -obs-out $(BENCH_DIR)/BENCH_obs.json
+
+# Runs the repository benchmark (BENCHMARK.json, ./benchmark) at unit-test
+# scale, traced, on both cold workloads: a change to an API the benchmark
+# calls, or a failed fidelity check, fails here instead of in the acceptance
+# run. The numbers are not gated — the process exits nonzero on any failed
+# check.
+benchmark-smoke:
+	$(GO) run ./benchmark -workload cold-default -toy -seconds 1 -trace 1
+	$(GO) run ./benchmark -workload cold-hier -toy -seconds 1 -trace 1
 
 # Boots hisvsimd and exercises submit → poll → sample over HTTP (curl + jq).
 serve-smoke:

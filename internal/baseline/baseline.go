@@ -102,13 +102,9 @@ func Run(c *circuit.Circuit, cfg Config) (*Result, error) {
 
 	// Pre-fuse the runs of fully-local gates between communication points
 	// once; the fused schedule is rank-independent and shared read-only.
-	type fusedRun struct {
-		blocks []fuse.Block
-		plans  []*sv.FusedPlan
-	}
-	var localRuns map[int]fusedRun // keyed by index of the run's first gate
+	var localRuns map[int][]sv.Op // lowered run, keyed by index of its first gate
 	if cfg.Fuse {
-		localRuns = map[int]fusedRun{}
+		localRuns = map[int][]sv.Op{}
 		runStart := -1
 		flush := func(end int) error {
 			if runStart < 0 {
@@ -118,9 +114,9 @@ func Run(c *circuit.Circuit, cfg Config) (*Result, error) {
 			if err != nil {
 				return err
 			}
-			localRuns[runStart] = fusedRun{blocks: blocks, plans: fuse.Plan(blocks, l)}
+			localRuns[runStart], err = fuse.Plan(blocks, l)
 			runStart = -1
-			return nil
+			return err
 		}
 		for gi, g := range gates {
 			if fullyLocal(g, l) {
@@ -186,9 +182,7 @@ func Run(c *circuit.Circuit, cfg Config) (*Result, error) {
 			if run, ok := localRuns[gi]; ok {
 				// Fused run of fully-local gates: skip past the whole run.
 				t0 := time.Now()
-				if err := fuse.ApplyPlanned(st, run.blocks, run.plans); err != nil {
-					return err
-				}
+				st.ApplyOps(run)
 				cm.RecordCompute(time.Since(t0).Seconds())
 				for gi < len(gates) && fullyLocal(gates[gi], l) {
 					gi++

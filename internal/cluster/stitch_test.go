@@ -15,14 +15,17 @@ import (
 )
 
 // stitchBody is a fan-out ensemble heavy enough that per-sub-job wall time
-// dwarfs coordinator↔worker HTTP overhead, so the 5% tiling bound on
-// stitched worker stages is meaningful rather than noise-dominated.
+// dwarfs coordinator↔worker HTTP overhead (tens of milliseconds when three
+// workers and the coordinator share two CPUs), so the 5% tiling bound on
+// stitched worker stages is meaningful rather than noise-dominated: 2048
+// trajectories keep each sub-job near a second at the kernels' current
+// speed (512 did before the run-walking kernels).
 const stitchBody = `{
 	"circuit": {"family": "ising", "qubits": 13},
 	"kind": "run",
 	"noise": {"rules": [{"channel": "depolarizing", "p": 0.02}]},
 	"readouts": {
-		"shots": 2048, "seed": 7, "trajectories": 512,
+		"shots": 2048, "seed": 7, "trajectories": 2048,
 		"observables": [{"name": "zz01", "paulis": "ZZ", "qubits": [0, 1]}]
 	}
 }`

@@ -68,8 +68,7 @@ type Result struct {
 type step struct {
 	oldPos, newPos []int // non-nil when this part needs a relayout
 	gates          []gate.Gate
-	blocks         []fuse.Block    // fused form of gates (nil when fusion off)
-	plans          []*sv.FusedPlan // kernel tables for the l-qubit slab
+	ops            []sv.Op         // fused form of gates, lowered for the l-qubit slab (nil when fusion off)
 	subPlan        *partition.Plan // second-level plan (nil when single-level)
 }
 
@@ -157,10 +156,8 @@ func Run(pl *partition.Plan, cfg Config) (*Result, error) {
 				}); err != nil {
 					return err
 				}
-			} else if st.blocks != nil {
-				if err := fuse.ApplyPlanned(slab, st.blocks, st.plans); err != nil {
-					return err
-				}
+			} else if st.ops != nil {
+				slab.ApplyOps(st.ops)
 			} else if err := slab.ApplyGates(st.gates); err != nil {
 				return err
 			}
@@ -267,8 +264,9 @@ func schedule(pl *partition.Plan, l int, cfg Config) ([]step, []int, int, error)
 			if err != nil {
 				return nil, nil, 0, fmt.Errorf("dist: part %d: %w", part.Index, err)
 			}
-			st.blocks = blocks
-			st.plans = fuse.Plan(blocks, l)
+			if st.ops, err = fuse.Plan(blocks, l); err != nil {
+				return nil, nil, 0, fmt.Errorf("dist: part %d: %w", part.Index, err)
+			}
 		}
 		steps = append(steps, st)
 	}

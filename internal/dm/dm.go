@@ -128,19 +128,26 @@ func (d *Density) shift(qs []int) []int {
 	return out
 }
 
-// ApplyGate applies the (possibly controlled) gate as ρ → UρU†: the ket
-// side through the ordinary gate kernels (diagonal/swap fast paths intact),
-// the bra side as the conjugated base matrix with structural controls.
+// ApplyGate applies the (possibly controlled) gate as ρ → UρU†: the gate's
+// kernel op (diagonal/swap/dense with structural controls) on the ket bits,
+// and the same op with a conjugated payload on the bra bits.
 func (d *Density) ApplyGate(g gate.Gate) error {
 	for _, q := range g.Qubits {
 		if q < 0 || q >= d.N {
 			return fmt.Errorf("dm: gate %s qubit %d out of range [0,%d)", g.Name, q, d.N)
 		}
 	}
-	if err := d.vec.ApplyGate(g); err != nil {
+	ket, err := sv.GateOp(2*d.N, g)
+	if err != nil {
 		return err
 	}
-	d.vec.ApplyControlledMatrixK(d.shift(g.Targets()), d.shift(g.Controls()), g.BaseMatrix().Conj())
+	bra, err := sv.GateOp(2*d.N, g.Remap(func(q int) int { return q + d.N }))
+	if err != nil {
+		return err
+	}
+	bra = bra.Conj()
+	d.vec.Apply(&ket)
+	d.vec.Apply(&bra)
 	return nil
 }
 
@@ -171,11 +178,12 @@ func (d *Density) resumeProf(rec *prof.Recorder, k prof.Kind, width int, t0 time
 // qubits (little-endian over the list, like the sv kernels).
 func (d *Density) ApplyMatrix(qubits []int, m gate.Matrix) {
 	rec, t0 := d.suppressProf()
-	d.vec.ApplyMatrixK(qubits, m)
-	d.vec.ApplyMatrixK(d.shift(qubits), m.Conj())
+	ket := sv.DenseOp(2*d.N, qubits, nil, m, prof.Dense)
+	bra := sv.DenseOp(2*d.N, d.shift(qubits), nil, m.Conj(), prof.Dense)
+	d.vec.Apply(&ket)
+	d.vec.Apply(&bra)
 	n := int64(len(d.vec.Amps))
-	k := len(qubits)
-	d.resumeProf(rec, prof.Dense, k, t0, 2*n, 2*n*32, 4*d.vec.SweepChunks(len(d.vec.Amps)>>uint(k)))
+	d.resumeProf(rec, prof.Dense, len(qubits), t0, 2*n, 2*n*32, d.vec.ScratchAllocs(&ket)+d.vec.ScratchAllocs(&bra))
 }
 
 // ApplyDiagonal applies ρ → DρD† for a diagonal operator over the listed
@@ -186,10 +194,11 @@ func (d *Density) ApplyDiagonal(qubits []int, diag []complex128) {
 	for i, v := range diag {
 		conj[i] = cmplx.Conj(v)
 	}
-	d.vec.ApplyFusedDiagonal(qubits, diag)
-	d.vec.ApplyFusedDiagonal(d.shift(qubits), conj)
+	ket, bra := sv.DiagonalOp(2*d.N, qubits, diag), sv.DiagonalOp(2*d.N, d.shift(qubits), conj)
+	d.vec.Apply(&ket)
+	d.vec.Apply(&bra)
 	n := int64(len(d.vec.Amps))
-	d.resumeProf(rec, prof.Diagonal, len(qubits), t0, 2*n, 2*n*32, 1)
+	d.resumeProf(rec, prof.Diagonal, len(qubits), t0, 2*n, 2*n*32, 0)
 }
 
 // Superoperator returns the vectorized form of the channel: the 2k-qubit
@@ -223,9 +232,10 @@ func (d *Density) applySuper(qubits []int, super gate.Matrix) {
 	targets = append(targets, qubits...)
 	targets = append(targets, d.shift(qubits)...)
 	rec, t0 := d.suppressProf()
-	d.vec.ApplyMatrixK(targets, super)
+	op := sv.DenseOp(2*d.N, targets, nil, super, prof.Super)
+	d.vec.Apply(&op)
 	n := int64(len(d.vec.Amps))
-	d.resumeProf(rec, prof.Super, 2*len(qubits), t0, n, n*32, 2*d.vec.SweepChunks(len(d.vec.Amps)>>uint(2*len(qubits))))
+	d.resumeProf(rec, prof.Super, 2*len(qubits), t0, n, n*32, d.vec.ScratchAllocs(&op))
 }
 
 // Options configures Run.

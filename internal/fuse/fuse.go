@@ -16,7 +16,8 @@
 //     memory traffic).
 //
 // A block of one gate stays a passthrough so the simulator's dedicated
-// fast paths (diagonal sweep, swap, 2×2 kernel) keep applying.
+// kernels (diagonal sweep, swap, 1- and 2-qubit fast paths with structural
+// controls) keep applying.
 package fuse
 
 import (
@@ -25,6 +26,7 @@ import (
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/gate"
+	"hisvsim/internal/prof"
 	"hisvsim/internal/sv"
 )
 
@@ -32,7 +34,7 @@ import (
 type Kind int
 
 const (
-	// Single is a passthrough block: one gate applied via State.ApplyGate.
+	// Single is a passthrough block: one gate, lowered by sv.GateOp.
 	Single Kind = iota
 	// Dense is a fused 2^k×2^k unitary over Qubits.
 	Dense
@@ -272,50 +274,54 @@ func buildMatrix(qs []int, gates []gate.Gate) gate.Matrix {
 	return u
 }
 
-// Plan precomputes the per-block kernel index tables for applying blocks to
-// n-qubit states (nil entries for passthrough blocks). Executors that sweep
-// the same blocks many times build the plan once and use ApplyPlanned; the
-// result is read-only and safe to share across goroutines.
-func Plan(blocks []Block, n int) []*sv.FusedPlan {
-	plans := make([]*sv.FusedPlan, len(blocks))
-	for i := range blocks {
-		if blocks[i].Kind != Single {
-			plans[i] = sv.PrepareFused(n, blocks[i].Qubits)
-		}
-	}
-	return plans
-}
-
-// Apply executes the blocks against the state in order.
-func Apply(st *sv.State, blocks []Block) error {
-	return ApplyPlanned(st, blocks, nil)
-}
-
-// ApplyPlanned is Apply with kernel plans from Plan (nil plans fall back to
-// per-call table construction).
-func ApplyPlanned(st *sv.State, blocks []Block, plans []*sv.FusedPlan) error {
+// Plan lowers every block — fused dense and diagonal blocks and Single
+// passthroughs alike — to a kernel op for n-qubit states: index tables built
+// once, payload attached. Executors that sweep the same blocks many times
+// lower once and replay with State.ApplyOps, so their hot loops never
+// revisit a gate; the result is read-only and safe to share across
+// goroutines.
+func Plan(blocks []Block, n int) ([]sv.Op, error) {
+	ops := make([]sv.Op, len(blocks))
 	for i := range blocks {
 		b := &blocks[i]
-		var p *sv.FusedPlan
-		if plans != nil {
-			p = plans[i]
-		}
-		if p == nil && b.Kind != Single {
-			p = sv.PrepareFused(st.N, b.Qubits)
-		}
+		var err error
 		switch b.Kind {
 		case Single:
-			if err := st.ApplyGate(b.Gates[0]); err != nil {
-				return err
-			}
-		case Diagonal:
-			st.ApplyFusedDiagonalPlan(p, b.Diag)
+			ops[i], err = sv.GateOp(n, b.Gates[0])
 		case Dense:
-			st.ApplyFusedPlan(p, b.Matrix)
+			ops[i] = sv.DenseOp(n, b.Qubits, nil, b.Matrix, prof.Dense)
+		case Diagonal:
+			ops[i] = sv.DiagonalOp(n, b.Qubits, b.Diag)
 		default:
-			return fmt.Errorf("fuse: unknown block kind %d", b.Kind)
+			err = fmt.Errorf("fuse: unknown block kind %d", b.Kind)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
+	return ops, nil
+}
+
+// Rebind returns op — lowered from a block of the same structure — with
+// this block's payload: the index tables stay shared, only the numbers
+// change. It is the per-binding step of a parameterized template.
+func (b *Block) Rebind(op sv.Op) sv.Op {
+	switch b.Kind {
+	case Dense:
+		return op.WithMatrix(b.Matrix)
+	case Diagonal:
+		return op.WithDiagonal(b.Diag)
+	}
+	return op.WithGate(b.Gates[0])
+}
+
+// Apply lowers the blocks for the state and executes them in order.
+func Apply(st *sv.State, blocks []Block) error {
+	ops, err := Plan(blocks, st.N)
+	if err != nil {
+		return err
+	}
+	st.ApplyOps(ops)
 	return nil
 }
 

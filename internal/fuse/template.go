@@ -15,7 +15,8 @@ import (
 // placeholder angles has exactly the right block boundaries, supports, and
 // kernel index tables for every binding. Only the numeric payloads (dense
 // matrices, diagonal tables, Single gates) of symbol-touched blocks need
-// re-materializing per binding; everything else is shared read-only.
+// re-materializing — and their ops re-binding — per binding; everything else
+// is shared read-only.
 
 // Parametric reports whether any source gate of the block carries a
 // symbolic parameter (i.e. its Matrix/Diag depend on the binding).
@@ -55,15 +56,15 @@ func (b *Block) Specialize(env map[string]float64) (Block, error) {
 }
 
 // Template is a parameterized circuit compiled once: fused blocks built at
-// placeholder angles, shared kernel plans, and the indices of the blocks a
-// binding actually has to rebuild. Specialize produces per-binding block
+// placeholder angles, their lowered kernel ops, and the indices of the blocks
+// a binding actually has to rebuild. Specialize produces per-binding block
 // lists in O(touched blocks) instead of re-running fusion.
 type Template struct {
-	N       int             // qubit count
-	Blocks  []Block         // compiled at placeholder angles; Gates keep their symbolic Args
-	Plans   []*sv.FusedPlan // read-only kernel index tables, shared by every binding
-	Symbols []string        // sorted symbols the circuit references
-	touched []int           // indices into Blocks of parametric blocks
+	N       int      // qubit count
+	Blocks  []Block  // compiled at placeholder angles; Gates keep their symbolic Args
+	Ops     []sv.Op  // Blocks lowered once; every binding shares their index tables
+	Symbols []string // sorted symbols the circuit references
+	touched []int    // indices into Blocks of parametric blocks
 }
 
 // CompileTemplate fuses a (possibly parameterized) circuit into a reusable
@@ -77,12 +78,11 @@ func CompileTemplate(c *circuit.Circuit, opts Options) (*Template, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Template{
-		N:       c.NumQubits,
-		Blocks:  blocks,
-		Plans:   Plan(blocks, c.NumQubits),
-		Symbols: c.Symbols(),
+	ops, err := Plan(blocks, c.NumQubits)
+	if err != nil {
+		return nil, err
 	}
+	t := &Template{N: c.NumQubits, Blocks: blocks, Ops: ops, Symbols: c.Symbols()}
 	for i := range blocks {
 		if blocks[i].Parametric() {
 			t.touched = append(t.touched, i)
@@ -97,9 +97,9 @@ func (t *Template) TouchedBlocks() int { return len(t.touched) }
 
 // Specialize returns the concrete block list for one binding: a fresh slice
 // whose symbol-touched entries are rebuilt for env and whose remaining
-// entries alias the template's read-only blocks. The result pairs with the
-// template's shared Plans for ApplyPlanned. Callers on different bindings
-// may specialize concurrently: the template itself is never mutated.
+// entries alias the template's read-only blocks. Callers on different
+// bindings may specialize concurrently: the template itself is never
+// mutated.
 func (t *Template) Specialize(env map[string]float64) ([]Block, error) {
 	if len(t.touched) == 0 {
 		return t.Blocks, nil
@@ -122,12 +122,17 @@ func (t *Template) Run(env map[string]float64, workers int) (*sv.State, error) {
 	if err != nil {
 		return nil, err
 	}
+	ops := t.Ops
+	if len(t.touched) > 0 {
+		ops = append([]sv.Op(nil), t.Ops...)
+		for _, i := range t.touched {
+			ops[i] = blocks[i].Rebind(ops[i])
+		}
+	}
 	st := sv.NewState(t.N)
 	if workers > 0 {
 		st.Workers = workers
 	}
-	if err := ApplyPlanned(st, blocks, t.Plans); err != nil {
-		return nil, err
-	}
+	st.ApplyOps(ops)
 	return st, nil
 }

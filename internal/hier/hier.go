@@ -126,21 +126,21 @@ func Run(c *circuit.Circuit, lm int, s partition.Strategy, opts Options) (*sv.St
 	return outer, m, nil
 }
 
-// prepared is one part's precomputed execution recipe: gates remapped onto
-// inner slots, fused blocks (fusion on, single level), or the prepared
-// second-level sub-parts. Preparing once per part keeps fusion and
-// second-level partitioning out of the 2^(n-w) sweep loop.
+// prepared is one part's precomputed execution recipe: its gates remapped
+// onto inner slots and lowered to kernel ops (one per fused block, or one per
+// gate with fusion off), or the prepared second-level sub-parts. Preparing
+// once per part keeps fusion, gate lowering and second-level partitioning
+// out of the 2^(n-w) sweep loop.
 type prepared struct {
 	part   partition.Part
-	gates  []gate.Gate     // remapped onto slots 0..w-1
-	offs   []int           // offs[s] = spread(s, part.Qubits), gather/scatter table
-	blocks []fuse.Block    // fused form (nil when fusion off or multi-level)
-	plans  []*sv.FusedPlan // per-block kernel tables for w-qubit inner states
-	sub    []prepared      // second-level prepared parts
+	offs   []int      // offs[s] = spread(s, part.Qubits), gather/scatter table
+	ops    []sv.Op    // lowered for w-qubit inner states (nil when multi-level)
+	blocks int        // fused blocks per sweep (0 when fusion off or multi-level)
+	sub    []prepared // second-level prepared parts
 }
 
 // preparePart remaps the part's gates onto inner slots and precomputes the
-// fused blocks or the second-level plan.
+// kernel ops or the second-level plan.
 func preparePart(c *circuit.Circuit, part partition.Part, opts Options) (prepared, error) {
 	w := part.WorkingSetSize()
 	pp := prepared{part: part}
@@ -163,7 +163,6 @@ func preparePart(c *circuit.Circuit, part partition.Part, opts Options) (prepare
 	for _, gi := range part.GateIndices {
 		gates = append(gates, c.Gates[gi].Remap(func(q int) int { return slot[q] }))
 	}
-	pp.gates = gates
 
 	if opts.SecondLevelLm > 0 && opts.SecondLevelLm < w {
 		sub := circuit.New(fmt.Sprintf("%s_part%d", c.Name, part.Index), w)
@@ -187,15 +186,18 @@ func preparePart(c *circuit.Circuit, part partition.Part, opts Options) (prepare
 		}
 		return pp, nil
 	}
-	if opts.Fuse {
-		blocks, err := fuse.Fuse(gates, fuse.Options{MaxQubits: opts.MaxFuseQubits})
-		if err != nil {
-			return pp, err
-		}
-		pp.blocks = blocks
-		pp.plans = fuse.Plan(blocks, w)
+	if !opts.Fuse {
+		var err error
+		pp.ops, err = sv.GateOps(w, gates)
+		return pp, err
 	}
-	return pp, nil
+	blocks, err := fuse.Fuse(gates, fuse.Options{MaxQubits: opts.MaxFuseQubits})
+	if err != nil {
+		return pp, err
+	}
+	pp.blocks = len(blocks)
+	pp.ops, err = fuse.Plan(blocks, w)
+	return pp, err
 }
 
 // applyPrepared runs one prepared part's compute against an inner state
@@ -211,10 +213,8 @@ func applyPrepared(pp *prepared, inner *sv.State, workers int) error {
 		}
 		return nil
 	}
-	if pp.blocks != nil {
-		return fuse.ApplyPlanned(inner, pp.blocks, pp.plans)
-	}
-	return inner.ApplyGates(pp.gates)
+	inner.ApplyOps(pp.ops)
+	return nil
 }
 
 // executePart performs the Gather-Execute-Scatter cycle of Algorithm 1 for
@@ -224,7 +224,7 @@ func executePart(pp prepared, outer *sv.State, opts Options) (PartStats, error) 
 	w := part.WorkingSetSize()
 	n := outer.N
 	ps := PartStats{Index: part.Index, Gates: len(part.GateIndices), Qubits: w,
-		SubParts: 1, Blocks: len(pp.blocks)}
+		SubParts: 1, Blocks: pp.blocks}
 	if pp.sub != nil {
 		ps.SubParts = len(pp.sub)
 	}

@@ -222,3 +222,28 @@ func TestQuickHierEqualsFlat(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAllocationsIndependentOfSweepCount pins that the gather/execute/
+// scatter loop itself allocates nothing: every part is lowered to kernel ops
+// once, so running the same plan on a wider outer state — 16× the sweeps per
+// part — costs exactly the same allocations, fused or not.
+func TestAllocationsIndependentOfSweepCount(t *testing.T) {
+	c := circuit.QFT(12)
+	pl, err := dagp.Partitioner{}.Partition(dag.FromCircuit(c), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fuse := range []bool{false, true} {
+		allocs := func(n int) float64 {
+			st := sv.NewState(n)
+			return testing.AllocsPerRun(3, func() {
+				if _, err := ExecutePlan(pl, st, Options{Fuse: fuse, Workers: 1}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if narrow, wide := allocs(12), allocs(16); wide != narrow {
+			t.Errorf("fuse=%v: %v allocations at 2^6 sweeps per part, %v at 2^10", fuse, narrow, wide)
+		}
+	}
+}

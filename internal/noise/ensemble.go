@@ -344,6 +344,8 @@ func runTrajectories(ctx context.Context, cfg RunConfig, p *Plan) (*Ensemble, er
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			st := sv.NewState(p.n) // reused by every trajectory of this worker
+			st.Workers, st.Prof = 1, rec
 			for t := lo; t < hi; t++ {
 				if err := ctx.Err(); err != nil {
 					errs[t] = err
@@ -353,7 +355,7 @@ func runTrajectories(ctx context.Context, cfg RunConfig, p *Plan) (*Ensemble, er
 				// and shot split their trajectories have in the full ensemble.
 				g := cfg.Offset + t
 				rng := trajRNG(cfg.Seed, g)
-				st, stats, err := p.runTrajectory(rng, rec)
+				stats, err := p.replay(st, rng)
 				if err != nil {
 					errs[t] = err
 					return

@@ -5,6 +5,7 @@ import (
 
 	"hisvsim/internal/fuse"
 	"hisvsim/internal/gate"
+	"hisvsim/internal/sv"
 )
 
 // Trajectory plans compiled from a parameterized circuit specialize the
@@ -61,6 +62,7 @@ func (p *Plan) Specialize(env map[string]float64) (*Plan, error) {
 				continue
 			}
 			blocks := append([]fuse.Block(nil), s.blocks...)
+			ops := append([]sv.Op(nil), s.ops...)
 			for bi := range blocks {
 				if !blocks[bi].Parametric() {
 					continue
@@ -70,8 +72,9 @@ func (p *Plan) Specialize(env map[string]float64) (*Plan, error) {
 					return nil, fmt.Errorf("noise: %w", err)
 				}
 				blocks[bi] = b
+				ops[bi] = b.Rebind(ops[bi]) // index tables stay shared: supports are unchanged
 			}
-			s.blocks = blocks // plans stay shared: supports are unchanged
+			s.blocks, s.ops = blocks, ops
 		case s.gates != nil:
 			touched := false
 			for _, g := range s.gates {
@@ -84,14 +87,15 @@ func (p *Plan) Specialize(env map[string]float64) (*Plan, error) {
 				continue
 			}
 			gs := make([]gate.Gate, len(s.gates))
+			ops := make([]sv.Op, len(s.gates))
 			for gi, g := range s.gates {
 				bg, err := g.Bind(env)
 				if err != nil {
 					return nil, fmt.Errorf("noise: %w", err)
 				}
-				gs[gi] = bg
+				gs[gi], ops[gi] = bg, s.ops[gi].WithGate(bg)
 			}
-			s.gates = gs
+			s.gates, s.ops = gs, ops
 		}
 	}
 	return &out, nil

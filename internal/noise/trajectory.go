@@ -28,15 +28,17 @@ type CompileOptions struct {
 	ForceKraus bool
 }
 
-// step is one unit of a compiled trajectory plan: either a fused gate run
-// (blocks non-nil) or a single channel insertion (ch non-nil).
+// step is one unit of a compiled trajectory plan: either a gate run (ops
+// non-nil; fused into blocks, or kept as gates when CompileOptions.Fuse is
+// off) or a single channel insertion (ch non-nil).
 type step struct {
 	blocks []fuse.Block
-	plans  []*sv.FusedPlan
-	gates  []gate.Gate // unfused fallback when CompileOptions.Fuse is off
+	gates  []gate.Gate
+	ops    []sv.Op // the run lowered once: one kernel op per block / gate
 
 	ch     *Channel
-	qubits []int // the channel's target qubits (len = ch.NumQubits())
+	qubits []int   // the channel's target qubits (len = ch.NumQubits())
+	kraus  []sv.Op // ch.Kraus lowered onto qubits (exact-selection path only)
 }
 
 // Plan is a compiled noisy circuit: the gate sequence pre-fused between
@@ -46,8 +48,9 @@ type step struct {
 type Plan struct {
 	n          int
 	steps      []step
-	locations  int // channel-insertion count per trajectory
-	blocks     int // fused blocks per trajectory
+	pauli      [][4]sv.Op // pauli[q][p]: single-qubit Pauli p on qubit q (fast path)
+	locations  int        // channel-insertion count per trajectory
+	blocks     int        // fused blocks per trajectory
 	gateCount  int
 	readout    *Readout
 	forceKraus bool
@@ -80,10 +83,8 @@ func (p *Plan) MemoryBytes() int64 {
 			b += int64(len(blk.Matrix.Data))*16 + int64(len(blk.Diag))*16
 			b += int64(len(blk.Gates)) * 64
 		}
-		for _, fp := range st.plans {
-			if fp != nil {
-				b += int64(1) << uint(len(fp.Qubits)+3) // scatter-offset table
-			}
+		for _, op := range st.ops {
+			b += op.TableBytes()
 		}
 		b += int64(len(st.gates)) * 64
 		if st.ch != nil {
@@ -118,21 +119,20 @@ func Compile(c *circuit.Circuit, m *Model, opts CompileOptions) (*Plan, error) {
 			return nil
 		}
 		st := step{}
+		var err error
 		if opts.Fuse {
-			blocks, err := fuse.Fuse(run, fuse.Options{MaxQubits: opts.MaxFuseQubits})
-			if err != nil {
+			if st.blocks, err = fuse.Fuse(run, fuse.Options{MaxQubits: opts.MaxFuseQubits}); err != nil {
 				return err
 			}
-			st.blocks = blocks
-			st.plans = fuse.Plan(blocks, c.NumQubits)
-			p.blocks += len(blocks)
+			st.ops, err = fuse.Plan(st.blocks, c.NumQubits)
 		} else {
 			st.gates = run
-			p.blocks += len(run)
+			st.ops, err = sv.GateOps(c.NumQubits, run)
 		}
+		p.blocks += len(st.ops)
 		p.steps = append(p.steps, st)
 		run = nil
-		return nil
+		return err
 	}
 
 	for gi, g := range c.Gates {
@@ -147,6 +147,9 @@ func Compile(c *circuit.Circuit, m *Model, opts CompileOptions) (*Plan, error) {
 		if err := flush(); err != nil {
 			return nil, err
 		}
+		for i := range insertions {
+			p.lowerChannel(&insertions[i])
+		}
 		p.steps = append(p.steps, insertions...)
 		p.locations += len(insertions)
 	}
@@ -154,6 +157,28 @@ func Compile(c *circuit.Circuit, m *Model, opts CompileOptions) (*Plan, error) {
 		return nil, err
 	}
 	return p, nil
+}
+
+// lowerChannel precomputes the kernel ops a channel step replays in every
+// trajectory: the single-qubit Pauli injections of the fast path (one table
+// per plan, built on first use), or the channel's Kraus operators on the step's qubits
+// for exact norm-weighted selection.
+func (p *Plan) lowerChannel(s *step) {
+	if s.ch.Pauli != nil && !p.forceKraus {
+		if p.pauli == nil {
+			p.pauli = make([][4]sv.Op, p.n)
+			for q := range p.pauli {
+				for pi := gate.PauliX; pi <= gate.PauliZ; pi++ {
+					p.pauli[q][pi] = sv.DenseOp(p.n, []int{q}, nil, gate.PauliMatrix(pi), prof.Kraus)
+				}
+			}
+		}
+		return
+	}
+	s.kraus = make([]sv.Op, len(s.ch.Kraus))
+	for i, k := range s.ch.Kraus {
+		s.kraus[i] = sv.DenseOp(p.n, s.qubits, nil, k, prof.Kraus)
+	}
 }
 
 // insertionsFor returns the channel-insertion steps gate g triggers under
@@ -251,53 +276,54 @@ func (a *TrajStats) add(b TrajStats) {
 // sampling layer makes afterwards), so a trajectory's randomness is fully
 // determined by its RNG seed.
 func (p *Plan) RunTrajectory(rng *rand.Rand) (*sv.State, TrajStats, error) {
-	return p.runTrajectory(rng, nil)
-}
-
-// runTrajectory is RunTrajectory with an optional kernel recorder attached
-// to the trajectory state (the ensemble runner threads the job's recorder
-// through here; kernel times from concurrent trajectories sum, so they can
-// exceed the stage's wall time when trajectory workers > 1).
-func (p *Plan) runTrajectory(rng *rand.Rand, rec *prof.Recorder) (*sv.State, TrajStats, error) {
 	st := sv.NewState(p.n)
 	st.Workers = 1 // parallelism is trajectory-level (RunEnsemble)
-	st.Prof = rec
+	stats, err := p.replay(st, rng)
+	if err != nil {
+		return nil, stats, err
+	}
+	return st, stats, nil
+}
+
+// replay resets st to |0…0⟩ and runs one trajectory on it. The ensemble
+// runner hands each of its workers one state and replays every trajectory
+// into it (its read-outs are copied out before the next one starts), so an
+// ensemble allocates one 2^n buffer per worker, not one per trajectory;
+// kernel times recorded through st.Prof sum across concurrent workers, so
+// they can exceed the stage's wall time when trajectory workers > 1.
+func (p *Plan) replay(st *sv.State, rng *rand.Rand) (TrajStats, error) {
+	clear(st.Amps)
+	st.Amps[0] = 1
 	var stats TrajStats
 	for i := range p.steps {
 		s := &p.steps[i]
-		switch {
-		case s.ch != nil:
-			stats.Locations++
-			if err := p.applyChannel(st, s.ch, s.qubits, rng, &stats); err != nil {
-				return nil, stats, err
-			}
-		case s.blocks != nil:
-			if err := fuse.ApplyPlanned(st, s.blocks, s.plans); err != nil {
-				return nil, stats, err
-			}
-		default:
-			if err := st.ApplyGates(s.gates); err != nil {
-				return nil, stats, err
-			}
+		if s.ch == nil {
+			st.ApplyOps(s.ops)
+			continue
+		}
+		stats.Locations++
+		if err := p.applyChannel(st, s, rng, &stats); err != nil {
+			return stats, err
 		}
 	}
-	return st, stats, nil
+	return stats, nil
 }
 
 // applyPauliK applies the k-factor Pauli product idx (gate.PauliMatrixK
 // numbering: factor j on qubits[j]) through the single-qubit kernel — a
 // product of Paulis never needs the dense 2^k kernel.
-func applyPauliK(st *sv.State, qubits []int, idx int) {
+func (p *Plan) applyPauliK(st *sv.State, qubits []int, idx int) {
 	for j, q := range qubits {
-		if p := (idx >> uint(2*j)) & 3; p != gate.PauliI {
-			st.ApplyMatrix1(q, gate.PauliMatrix(p))
+		if pi := (idx >> uint(2*j)) & 3; pi != gate.PauliI {
+			st.Apply(&p.pauli[q][pi])
 		}
 	}
 }
 
-// applyChannel draws one branch of the channel and applies it to the listed
-// qubits (len = channel arity).
-func (p *Plan) applyChannel(st *sv.State, ch *Channel, qubits []int, rng *rand.Rand, stats *TrajStats) error {
+// applyChannel draws one branch of the step's channel and applies it to the
+// step's qubits through the ops lowerChannel prepared.
+func (p *Plan) applyChannel(st *sv.State, s *step, rng *rand.Rand, stats *TrajStats) error {
+	ch := s.ch
 	u := rng.Float64()
 	if ch.Pauli != nil && !p.forceKraus {
 		// Pauli fast path: fixed probabilities, unitary insertions, no
@@ -308,7 +334,7 @@ func (p *Plan) applyChannel(st *sv.State, ch *Channel, qubits []int, rng *rand.R
 			if u < acc || i == len(ch.Pauli)-1 {
 				if i != 0 {
 					stats.PauliApplied++
-					applyPauliK(st, qubits, i)
+					p.applyPauliK(st, s.qubits, i)
 				}
 				return nil
 			}
@@ -323,7 +349,7 @@ func (p *Plan) applyChannel(st *sv.State, ch *Channel, qubits []int, rng *rand.R
 	var pc float64
 	acc := 0.0
 	for i := 0; i < last; i++ {
-		pi := st.KrausKNorm2(qubits, ch.Kraus[i])
+		pi := st.Norm2(&s.kraus[i])
 		if u < acc+pi {
 			chosen, pc = i, pi
 			break
@@ -331,23 +357,23 @@ func (p *Plan) applyChannel(st *sv.State, ch *Channel, qubits []int, rng *rand.R
 		acc += pi
 	}
 	if chosen == last {
-		pc = st.KrausKNorm2(qubits, ch.Kraus[last])
+		pc = st.Norm2(&s.kraus[last])
 	}
 	if pc <= 0 {
 		// A zero-probability branch can only be reached through floating-
 		// point rounding of the accumulated probabilities; applying it would
 		// annihilate the state. Fall back to the likeliest branch.
-		for i, k := range ch.Kraus {
-			if pi := st.KrausKNorm2(qubits, k); pi > pc {
+		for i := range s.kraus {
+			if pi := st.Norm2(&s.kraus[i]); pi > pc {
 				chosen, pc = i, pi
 			}
 		}
 		if pc <= 0 {
-			return fmt.Errorf("noise: channel %s on qubits %v has no positive-probability branch", ch.Name, qubits)
+			return fmt.Errorf("noise: channel %s on qubits %v has no positive-probability branch", ch.Name, s.qubits)
 		}
 	}
 	stats.KrausApplied++
-	st.ApplyMatrixK(qubits, ch.Kraus[chosen])
+	st.Apply(&s.kraus[chosen])
 	st.Scale(complex(1/math.Sqrt(pc), 0))
 	return nil
 }

@@ -25,8 +25,7 @@ const (
 	Dense Kind = iota
 	// Diagonal is an in-place phase sweep (2^k diagonal, no gather).
 	Diagonal
-	// Controlled is a dense sweep with structural control bits (including
-	// the density-matrix engine's bra-side conjugate applications).
+	// Controlled is a dense sweep with structural control bits.
 	Controlled
 	// Kraus covers the noise layer's raw-matrix entry points: Kraus
 	// applications, norm-probability reductions and renormalization.

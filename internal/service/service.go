@@ -1091,6 +1091,10 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	j.finished = now
 	j.result = res
 	j.err = err
+	// Nothing reads a terminal job's circuit again (Job/finish use req.Kind
+	// only); dropping it keeps the retained set from pinning every parsed
+	// gate list for up to RetainJobs jobs.
+	j.req.Circuit = nil
 	switch {
 	case err == nil:
 		j.status = StatusDone

@@ -1,9 +1,6 @@
 package sv
 
 import (
-	"fmt"
-	"sync"
-
 	"hisvsim/internal/gate"
 	"hisvsim/internal/prof"
 )
@@ -13,238 +10,43 @@ import (
 // computing the squared norm such an application would produce without
 // mutating the state, and rescaling amplitudes. Together they implement exact
 // norm-weighted Kraus selection: p_i = ‖K_i ψ‖², apply the chosen K_i, then
-// scale by 1/√p_i. The 1-qubit forms keep their dedicated kernels (the hot
-// path of single-qubit channels); ApplyMatrixK/KrausKNorm2 generalize both to
-// k qubits for correlated multi-qubit channels and the density-matrix engine.
+// scale by 1/√p_i. Each lowers its operator to a kernel op per call; the
+// trajectory engine lowers its Kraus operators once and uses Apply/Norm2.
 
 // ApplyMatrix1 applies an arbitrary 2×2 matrix to qubit t. Unlike ApplyGate
 // it does not require a named gate and does not assume unitarity, so the
 // state's norm may change (Kraus operators, projectors).
-func (s *State) ApplyMatrix1(t int, m gate.Matrix) {
-	if t < 0 || t >= s.N {
-		panic(fmt.Sprintf("sv: qubit %d out of range [0,%d)", t, s.N))
-	}
-	if m.K != 1 {
-		panic(fmt.Sprintf("sv: ApplyMatrix1 got a %d-qubit matrix", m.K))
-	}
-	s.Ops++
-	t0 := s.profStart()
-	s.apply1(t, 0, m)
-	s.profRecord(prof.Kraus, 1, t0, int64(len(s.Amps)), int64(len(s.Amps))*bytesPerAmpRW, 0)
-}
+func (s *State) ApplyMatrix1(t int, m gate.Matrix) { s.ApplyMatrixK([]int{t}, m) }
 
 // Kraus1Norm2 returns ‖Kψ‖² for the 2×2 operator K on qubit t without
 // mutating the state — the branch probability of selecting K in a
 // trajectory unraveling (1 for unitary K on a normalized state).
-func (s *State) Kraus1Norm2(t int, m gate.Matrix) float64 {
-	if t < 0 || t >= s.N {
-		panic(fmt.Sprintf("sv: qubit %d out of range [0,%d)", t, s.N))
-	}
-	if m.K != 1 {
-		panic(fmt.Sprintf("sv: Kraus1Norm2 got a %d-qubit matrix", m.K))
-	}
-	t0 := s.profStart()
-	m00, m01, m10, m11 := m.At(0, 0), m.At(0, 1), m.At(1, 0), m.At(1, 1)
-	tbit := 1 << uint(t)
-	half := len(s.Amps) >> 1
-	abs2 := func(c complex128) float64 { return real(c)*real(c) + imag(c)*imag(c) }
-	sumRange := func(lo, hi int) float64 {
-		p := 0.0
-		for f := lo; f < hi; f++ {
-			i0 := insertBit(f, t)
-			a0, a1 := s.Amps[i0], s.Amps[i0|tbit]
-			p += abs2(m00*a0+m01*a1) + abs2(m10*a0+m11*a1)
-		}
-		return p
-	}
-	// Small states dominate trajectory workloads: serial below the same
-	// threshold the sweep kernels use. The parallel reduction owns its
-	// chunking (it must map chunks to partial slots, which parallelFor's
-	// callback contract does not expose).
-	w := s.workers()
-	if w <= 1 || half < parallelThreshold {
-		p := sumRange(0, half)
-		s.profRecord(prof.Kraus, 1, t0, int64(len(s.Amps)), int64(len(s.Amps))*bytesPerAmpRead, 0)
-		return p
-	}
-	if w > half {
-		w = half
-	}
-	chunk := (half + w - 1) / w
-	partial := make([]float64, (half+chunk-1)/chunk)
-	var wg sync.WaitGroup
-	for i, lo := 0, 0; lo < half; i, lo = i+1, lo+chunk {
-		hi := min(lo+chunk, half)
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			partial[i] = sumRange(lo, hi)
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	// Fixed chunk-ordered reduction: bit-identical for a given worker count.
-	total := 0.0
-	for _, p := range partial {
-		total += p
-	}
-	s.profRecord(prof.Kraus, 1, t0, int64(len(s.Amps)), int64(len(s.Amps))*bytesPerAmpRead, 1)
-	return total
-}
-
-// checkTargets validates a k-qubit raw-matrix application: matching matrix
-// arity, in-range and pairwise-distinct targets.
-func (s *State) checkTargets(name string, targets []int, m gate.Matrix) {
-	if m.K != len(targets) {
-		panic(fmt.Sprintf("sv: %s got a %d-qubit matrix for %d targets", name, m.K, len(targets)))
-	}
-	var mask int
-	for _, t := range targets {
-		if t < 0 || t >= s.N {
-			panic(fmt.Sprintf("sv: qubit %d out of range [0,%d)", t, s.N))
-		}
-		if mask&(1<<uint(t)) != 0 {
-			panic(fmt.Sprintf("sv: %s target qubit %d repeats", name, t))
-		}
-		mask |= 1 << uint(t)
-	}
-}
+func (s *State) Kraus1Norm2(t int, m gate.Matrix) float64 { return s.KrausKNorm2([]int{t}, m) }
 
 // ApplyMatrixK applies an arbitrary 2^k×2^k matrix to the listed target
 // qubits (targets[j] is bit j of the matrix index, little-endian; the
-// targets need not be sorted). Like ApplyMatrix1 it assumes nothing about
-// unitarity, so Kraus operators and superoperators apply through it.
+// targets need not be sorted). It assumes nothing about unitarity, so Kraus
+// operators and superoperators apply through it.
 func (s *State) ApplyMatrixK(targets []int, m gate.Matrix) {
-	s.checkTargets("ApplyMatrixK", targets, m)
-	s.Ops++
-	t0 := s.profStart()
-	if m.K == 1 {
-		s.apply1(targets[0], 0, m)
-		s.profRecord(prof.Kraus, 1, t0, int64(len(s.Amps)), int64(len(s.Amps))*bytesPerAmpRW, 0)
-		return
-	}
-	s.applyK(targets, 0, m)
-	s.profRecord(prof.Kraus, len(targets), t0, int64(len(s.Amps)),
-		int64(len(s.Amps))*bytesPerAmpRW, 2*s.sweepChunks(1<<uint(s.N-len(targets))))
-}
-
-// ApplyControlledMatrixK is ApplyMatrixK with structural control qubits:
-// the matrix acts on the targets only where every listed control bit is 1
-// (controls are never materialized into a bigger matrix, exactly like
-// ApplyGate). The density-matrix engine uses it to apply the conjugated
-// base matrix of a controlled gate on the bra index bits.
-func (s *State) ApplyControlledMatrixK(targets, controls []int, m gate.Matrix) {
-	s.checkTargets("ApplyControlledMatrixK", targets, m)
-	var ctrlMask int
-	for _, c := range controls {
-		if c < 0 || c >= s.N {
-			panic(fmt.Sprintf("sv: control qubit %d out of range [0,%d)", c, s.N))
-		}
-		ctrlMask |= 1 << uint(c)
-	}
-	for _, t := range targets {
-		if ctrlMask&(1<<uint(t)) != 0 {
-			panic(fmt.Sprintf("sv: qubit %d is both control and target", t))
-		}
-	}
-	s.Ops++
-	t0 := s.profStart()
-	if m.K == 1 {
-		s.apply1(targets[0], ctrlMask, m)
-		s.profRecord(prof.Controlled, 1, t0, int64(len(s.Amps)), int64(len(s.Amps))*bytesPerAmpRW, 0)
-		return
-	}
-	s.applyK(targets, ctrlMask, m)
-	s.profRecord(prof.Controlled, len(targets), t0, int64(len(s.Amps)),
-		int64(len(s.Amps))*bytesPerAmpRW, 2*s.sweepChunks(1<<uint(s.N-len(targets)-len(controls))))
+	op := DenseOp(s.N, targets, nil, m, prof.Kraus)
+	s.Apply(&op)
 }
 
 // KrausKNorm2 returns ‖Kψ‖² for the 2^k×2^k operator K on the listed target
 // qubits without mutating the state — the branch probability of selecting K
-// in a k-qubit trajectory unraveling. It is the k-qubit form of Kraus1Norm2
-// (which keeps its dedicated 2×2 kernel for the single-qubit hot path).
+// in a k-qubit trajectory unraveling.
 func (s *State) KrausKNorm2(targets []int, m gate.Matrix) float64 {
-	s.checkTargets("KrausKNorm2", targets, m)
-	if m.K == 1 {
-		return s.Kraus1Norm2(targets[0], m)
-	}
-	t0 := s.profStart()
-	k := len(targets)
-	fixed := append([]int(nil), targets...)
-	sortInts(fixed)
-	free := s.N - k
-	tbits := make([]int, k)
-	for j, t := range targets {
-		tbits[j] = 1 << uint(t)
-	}
-	dim := 1 << uint(k)
-	sumRange := func(lo, hi int) float64 {
-		sub := make([]complex128, dim)
-		p := 0.0
-		for f := lo; f < hi; f++ {
-			base := f
-			for _, q := range fixed {
-				base = insertBit(base, q)
-			}
-			for sIdx := 0; sIdx < dim; sIdx++ {
-				idx := base
-				for j := 0; j < k; j++ {
-					if sIdx>>uint(j)&1 == 1 {
-						idx |= tbits[j]
-					}
-				}
-				sub[sIdx] = s.Amps[idx]
-			}
-			for r := 0; r < dim; r++ {
-				var acc complex128
-				row := m.Data[r*dim : (r+1)*dim]
-				for c := 0; c < dim; c++ {
-					acc += row[c] * sub[c]
-				}
-				p += real(acc)*real(acc) + imag(acc)*imag(acc)
-			}
-		}
-		return p
-	}
-	n := 1 << uint(free)
-	w := s.workers()
-	if w <= 1 || n < parallelThreshold {
-		p := sumRange(0, n)
-		s.profRecord(prof.Kraus, k, t0, int64(len(s.Amps)), int64(len(s.Amps))*bytesPerAmpRead, 1)
-		return p
-	}
-	if w > n {
-		w = n
-	}
-	chunk := (n + w - 1) / w
-	partial := make([]float64, (n+chunk-1)/chunk)
-	var wg sync.WaitGroup
-	for i, lo := 0, 0; lo < n; i, lo = i+1, lo+chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			partial[i] = sumRange(lo, hi)
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	total := 0.0
-	for _, p := range partial {
-		total += p
-	}
-	s.profRecord(prof.Kraus, k, t0, int64(len(s.Amps)), int64(len(s.Amps))*bytesPerAmpRead,
-		1+s.sweepChunks(n))
-	return total
+	op := DenseOp(s.N, targets, nil, m, prof.Kraus)
+	return s.Norm2(&op)
 }
 
 // Scale multiplies every amplitude by c (used to renormalize after a Kraus
-// application: c = 1/√p).
+// application: c = 1/√p). Its callers hold single-worker trajectory states,
+// so the sweep is serial.
 func (s *State) Scale(c complex128) {
 	t0 := s.profStart()
-	s.parallelFor(len(s.Amps), func(lo, hi int) {
-		amps := s.Amps
-		for i := lo; i < hi; i++ {
-			amps[i] *= c
-		}
-	})
+	for i := range s.Amps {
+		s.Amps[i] *= c
+	}
 	s.profRecord(prof.Kraus, 0, t0, int64(len(s.Amps)), int64(len(s.Amps))*bytesPerAmpRW, 0)
 }

@@ -2,251 +2,560 @@ package sv
 
 import (
 	"fmt"
+	"math/bits"
+	"math/cmplx"
+	"sync"
 
 	"hisvsim/internal/gate"
 	"hisvsim/internal/prof"
 )
 
-// ApplyGate applies one (possibly controlled) gate to the state, selecting
-// the fastest kernel: diagonal phase sweep, dedicated 1-/2-target paths, or
-// the general k-target gather/scatter kernel. Control qubits are handled
-// structurally (never materialized into a bigger matrix).
-func (s *State) ApplyGate(g gate.Gate) error {
+// This file is the one kernel family every state update runs through. An Op
+// is a lowered kernel invocation: an index plan built once (fixed bits =
+// targets ∪ controls, control mask, bit-insertion masks, scatter offsets, or
+// the low-bits table of a diagonal) plus its numeric payload. Executors lower
+// their gates and fused blocks to ops once and replay them with State.Apply;
+// ApplyGate and the raw-matrix entry points lower per call and take the same
+// path. Dense ops dispatch on k: k=1 and k=2 hold the matrix in locals and
+// walk the free index by whole runs of equally spaced groups (contiguous
+// above the lowest fixed bit; adjacent pairs or quads when the low bits are
+// the targets), k≥3 gathers into stack scratch (heap only above maxStackK).
+// Every amplitude's arithmetic expression is fixed by the op alone — never
+// by worker count, chunk boundary or run length — so results are
+// bit-identical across them.
+
+// maxStackK is the widest dense kernel whose gather/result scratch lives on
+// the stack (2·2^5 amplitudes = 1 KiB).
+const maxStackK = 5
+
+// diagLowBits caps the low-bits table of a diagonal plan at 2^10 entries
+// (4 KiB, L1-resident beside the amplitude stream).
+const diagLowBits = 10
+
+// plan is the index recipe of one kernel on an n-qubit state. Its tables
+// are immutable after construction; copies of a plan (ops are values) share
+// them read-only across goroutines and across re-bound payloads (templates).
+type plan struct {
+	n      int
+	qubits []int // targets; qubits[j] is bit j of the matrix / diagonal index
+	ctrl   int   // control bits, pinned to 1
+	// Dense and swap plans.
+	below []int // 2^q − 1 per fixed bit q, ascending: where next inserts a bit
+	offs  []int // 2^k target offsets in matrix-index order
+	run   int   // free indices per run: consecutive ones address amplitudes step apart
+	step  int   // 1, or 2^j when the j lowest bits are all fixed (adjacent groups)
+	// Diagonal plans: the state is streamed in 2^lowBits blocks of
+	// 2^runBits-amplitude runs that share one diagonal entry; lowTab maps a
+	// run's index within its block to the low bits' share of the diagonal
+	// index (−1 where a low control bit is clear), the high share is
+	// computed once per block.
+	lowBits, runBits uint
+	lowTab           []int32
+}
+
+// newPlan validates the qubit lists (in range, pairwise distinct) and
+// builds the tables for a dense (or swap) kernel, or for a diagonal one.
+func newPlan(n int, targets, controls []int, diagonal bool) plan {
+	p := plan{n: n, qubits: targets}
+	var seen int
+	claim := func(q int) {
+		if q < 0 || q >= n {
+			panic(fmt.Sprintf("sv: qubit %d out of range [0,%d)", q, n))
+		}
+		if seen>>uint(q)&1 == 1 {
+			panic(fmt.Sprintf("sv: qubit %d repeats in targets %v controls %v", q, targets, controls))
+		}
+		seen |= 1 << uint(q)
+	}
+	for _, q := range targets {
+		claim(q)
+	}
+	for _, q := range controls {
+		claim(q)
+		p.ctrl |= 1 << uint(q)
+	}
+	if diagonal {
+		// Below the lowest qubit the diagonal touches, amplitudes come in runs
+		// sharing one entry; runs shorter than four are walked per amplitude.
+		p.lowBits = uint(min(n, diagLowBits))
+		if r := uint(bits.TrailingZeros(uint(seen))); r >= 2 {
+			p.runBits = min(r, p.lowBits)
+		}
+		var bitOf [diagLowBits]int32 // diagonal-index bit contributed by each run-index bit
+		for j, q := range targets {
+			if uint(q) < p.lowBits {
+				bitOf[uint(q)-p.runBits] = 1 << uint(j)
+			}
+		}
+		lowCtrl := p.ctrl & (1<<p.lowBits - 1) >> p.runBits
+		p.lowTab = make([]int32, 1<<(p.lowBits-p.runBits))
+		for i := 1; i < len(p.lowTab); i++ {
+			p.lowTab[i] = p.lowTab[i&(i-1)] | bitOf[bits.TrailingZeros(uint(i))]
+		}
+		for i := range p.lowTab {
+			if i&lowCtrl != lowCtrl {
+				p.lowTab[i] = -1
+			}
+		}
+		return p
+	}
+	// Bits 0..j-1 are fixed and q is the next fixed bit above them: the free
+	// indices below it address amplitudes 2^j apart.
+	j := 0
+	for seen>>uint(j)&1 == 1 {
+		j++
+	}
+	q := j
+	for q < n && seen>>uint(q)&1 == 0 {
+		q++
+	}
+	p.step, p.run = 1<<uint(j), 1<<uint(q-j)
+	nb := bits.OnesCount(uint(seen))
+	tables := make([]int, nb+1<<uint(len(targets))) // one allocation: below, then offs
+	p.below, p.offs = tables[:0:nb], tables[nb:]
+	for q := 0; q < n; q++ {
+		if seen>>uint(q)&1 == 1 {
+			p.below = append(p.below, 1<<uint(q)-1)
+		}
+	}
+	for s := range p.offs {
+		for j, q := range targets {
+			p.offs[s] |= (s >> uint(j) & 1) << uint(q)
+		}
+	}
+	return p
+}
+
+// next is one step of the free-index walk: from f (below hi) it returns how
+// many consecutive free indices share a run — their groups sit p.step
+// amplitudes apart — and the amplitude index of the first one's group base:
+// f with a zero inserted at every target bit and a one at every control bit.
+func (p *plan) next(f, hi int) (r, base int) {
+	base = f
+	for _, low := range p.below {
+		base = base&^low<<1 | base&low
+	}
+	return min(p.run-f&(p.run-1), hi-f), base | p.ctrl
+}
+
+// Op is one lowered kernel invocation: an index plan plus the numeric
+// payload (a dense matrix, a diagonal, or neither for a swap) and the
+// profile class it reports under. Ops are values; copies share the plan and
+// payload read-only, so one lowered op list serves concurrent states.
+type Op struct {
+	plan  plan
+	mat   []complex128 // dense: row-major 2^k×2^k over plan.qubits
+	diag  []complex128 // diagonal: 2^k entries over plan.qubits
+	kind  prof.Kind
+	width int
+}
+
+// DenseOp lowers a 2^k×2^k matrix (not necessarily unitary) on the listed
+// targets — targets[j] is bit j of the matrix index, in any order — acting
+// only where every control bit is 1. kind is the profile class it reports.
+func DenseOp(n int, targets, controls []int, m gate.Matrix, kind prof.Kind) Op {
+	if m.K != len(targets) || m.K == 0 {
+		panic(fmt.Sprintf("sv: %d-qubit matrix lowered onto %d targets", m.K, len(targets)))
+	}
+	return Op{plan: newPlan(n, targets, controls, false), mat: m.Data, kind: kind, width: m.K}
+}
+
+// DiagonalOp lowers a 2^k diagonal over the listed qubits (qubits[j] is bit
+// j of the diagonal index).
+func DiagonalOp(n int, qubits []int, d []complex128) Op {
+	op := Op{plan: newPlan(n, qubits, nil, true), kind: prof.Diagonal, width: len(qubits)}
+	return op.WithDiagonal(d)
+}
+
+// GateOp lowers one (possibly controlled) gate: phase-only gates to a
+// diagonal op, an uncontrolled swap to the exchange kernel, everything else
+// to a dense op on the base matrix. Controls stay structural throughout.
+func GateOp(n int, g gate.Gate) (Op, error) {
 	for _, q := range g.Qubits {
-		if q < 0 || q >= s.N {
-			return fmt.Errorf("sv: gate %s qubit %d out of range [0,%d)", g.Name, q, s.N)
+		if q < 0 || q >= n {
+			return Op{}, fmt.Errorf("sv: gate %s qubit %d out of range [0,%d)", g.Name, q, n)
 		}
 	}
 	if err := g.Validate(); err != nil {
-		return fmt.Errorf("sv: %w", err)
+		return Op{}, fmt.Errorf("sv: %w", err)
 	}
-	s.Ops++
-
-	var ctrlMask int
-	for _, c := range g.Controls() {
-		ctrlMask |= 1 << uint(c)
-	}
-	targets := g.Targets()
-
-	n := int64(len(s.Amps))
-	if d, ok := diagonalOf(g); ok {
-		t0 := s.profStart()
-		s.applyDiagonal(targets, ctrlMask, d)
-		s.profRecord(prof.Diagonal, len(targets), t0, n, n*bytesPerAmpRW, 0)
-		return nil
-	}
-	if g.Name == "swap" && ctrlMask == 0 {
-		t0 := s.profStart()
-		s.applySwap(targets[0], targets[1])
-		// A swap exchanges the two mixed-bit quarters: half the amplitudes move.
-		s.profRecord(prof.Dense, 2, t0, n/2, n/2*bytesPerAmpRW, 0)
-		return nil
-	}
-	kind := prof.Dense
-	if ctrlMask != 0 {
-		kind = prof.Controlled
-	}
-	m := g.BaseMatrix()
-	t0 := s.profStart()
-	switch len(targets) {
-	case 1:
-		s.apply1(targets[0], ctrlMask, m)
-		s.profRecord(kind, 1, t0, n, n*bytesPerAmpRW, 0)
+	op := Op{kind: prof.Dense, width: len(g.Targets())}
+	switch {
+	case gate.IsDiagonal(g):
+		op.kind = prof.Diagonal
+		op.plan = newPlan(n, g.Targets(), g.Controls(), true)
+		op.diag = baseDiagonal(g)
+	case g.Name == "swap" && g.Ctrl == 0:
+		op.plan = newPlan(n, g.Targets(), nil, false)
 	default:
-		s.applyK(targets, ctrlMask, m)
-		if s.Prof != nil {
-			var ctrls int
-			for b := 0; b < s.N; b++ {
-				if ctrlMask>>uint(b)&1 == 1 {
-					ctrls++
-				}
-			}
-			s.profRecord(kind, len(targets), t0, n, n*bytesPerAmpRW,
-				2*s.sweepChunks(1<<uint(s.N-len(targets)-ctrls)))
+		if g.Ctrl > 0 {
+			op.kind = prof.Controlled
+		}
+		op.plan = newPlan(n, g.Targets(), g.Controls(), false)
+		op.mat = g.BaseMatrix().Data
+	}
+	return op, nil
+}
+
+// GateOps lowers a gate list for n-qubit states, one op per gate — the
+// unfused counterpart of fuse.Plan for executors that replay the same gates
+// across many sweeps or trajectories.
+func GateOps(n int, gates []gate.Gate) ([]Op, error) {
+	ops := make([]Op, len(gates))
+	for i, g := range gates {
+		var err error
+		if ops[i], err = GateOp(n, g); err != nil {
+			return nil, err
 		}
 	}
+	return ops, nil
+}
+
+// baseDiagonal returns the diagonal of a phase-only gate's base matrix.
+func baseDiagonal(g gate.Gate) []complex128 {
+	m := g.BaseMatrix()
+	d := make([]complex128, m.Dim())
+	for i := range d {
+		d[i] = m.At(i, i)
+	}
+	return d
+}
+
+// WithGate returns the op with its payload recomputed from g, which must
+// have the structure (name, qubits) of the gate the op was lowered from —
+// the re-binding step of a parameterized template.
+func (op Op) WithGate(g gate.Gate) Op {
+	if op.diag != nil {
+		op.diag = baseDiagonal(g)
+	} else if op.mat != nil {
+		op.mat = g.BaseMatrix().Data
+	}
+	return op
+}
+
+// WithMatrix returns the dense op re-bound to another matrix of its width.
+func (op Op) WithMatrix(m gate.Matrix) Op {
+	if len(m.Data) != len(op.plan.offs)*len(op.plan.offs) {
+		panic(fmt.Sprintf("sv: %d-qubit matrix bound to a %d-target op", m.K, len(op.plan.qubits)))
+	}
+	op.mat = m.Data
+	return op
+}
+
+// WithDiagonal returns the diagonal op re-bound to another diagonal.
+func (op Op) WithDiagonal(d []complex128) Op {
+	if len(d) != 1<<uint(len(op.plan.qubits)) {
+		panic(fmt.Sprintf("sv: diagonal has %d entries for %d qubits", len(d), len(op.plan.qubits)))
+	}
+	op.diag = d
+	return op
+}
+
+// Conj returns the op with a complex-conjugated payload (the bra-side
+// application of the density-matrix engine).
+func (op Op) Conj() Op {
+	conj := func(v []complex128) []complex128 {
+		if v == nil {
+			return nil
+		}
+		out := make([]complex128, len(v))
+		for i, c := range v {
+			out[i] = cmplx.Conj(c)
+		}
+		return out
+	}
+	op.mat, op.diag = conj(op.mat), conj(op.diag)
+	return op
+}
+
+// TableBytes estimates the resident size of the op's index tables.
+func (op Op) TableBytes() int64 {
+	return int64(8*(len(op.plan.below)+len(op.plan.offs)) + 4*len(op.plan.lowTab))
+}
+
+// items is the op's sweep length: 2^lowBits blocks for a diagonal, free
+// indices (one group of 2^k amplitudes each) otherwise.
+func (op *Op) items() int {
+	p := &op.plan
+	if p.lowTab != nil {
+		return 1 << (uint(p.n) - p.lowBits)
+	}
+	return 1 << uint(p.n-bits.OnesCount(uint(p.ctrl))-len(p.qubits))
+}
+
+// sweep runs the op's kernel over items [lo, hi).
+func (op *Op) sweep(amps []complex128, lo, hi int) {
+	switch p := &op.plan; {
+	case op.diag != nil:
+		p.diagonal(amps, op.diag, lo, hi)
+	case op.mat == nil:
+		p.swap(amps, lo, hi)
+	case len(op.mat) == 4:
+		p.dense1(amps, op.mat, lo, hi)
+	case len(op.mat) == 16:
+		p.dense2(amps, op.mat, lo, hi)
+	default:
+		p.denseK(amps, op.mat, lo, hi, false)
+	}
+}
+
+// chunks is how many goroutine shares an n-item sweep splits into.
+func (s *State) chunks(n int) int {
+	chunk := s.chunkSize(n)
+	return (n + chunk - 1) / chunk
+}
+
+// ScratchAllocs reports what one Apply of op heap-allocates on this state
+// for gather scratch — one buffer per chunk above maxStackK targets, nothing
+// otherwise — the figure the kernels report to the profile. Engines that
+// re-attribute kernel calls at their own layer (dm) reuse it.
+func (s *State) ScratchAllocs(op *Op) int64 {
+	if len(op.plan.qubits) > maxStackK && op.mat != nil {
+		return int64(s.chunks(op.items()))
+	}
+	return 0
+}
+
+// chunkSize returns the per-goroutine share of an n-item sweep, or n when
+// the sweep runs serially (one worker, or a state too small to pay for
+// goroutines).
+func (s *State) chunkSize(n int) int {
+	w := min(s.workers(), n)
+	if w <= 1 || len(s.Amps) < parallelThreshold {
+		return n
+	}
+	return (n + w - 1) / w
+}
+
+func (s *State) checkOp(op *Op) {
+	if op.plan.n != s.N {
+		panic(fmt.Sprintf("sv: op lowered for %d qubits applied to a %d-qubit state", op.plan.n, s.N))
+	}
+}
+
+// Apply runs one lowered op against the state, split across the state's
+// workers, and counts it in Ops. The serial path allocates nothing.
+func (s *State) Apply(op *Op) {
+	s.checkOp(op)
+	s.Ops++
+	t0 := s.profStart()
+	n := op.items()
+	chunk := s.chunkSize(n)
+	if chunk >= n {
+		op.sweep(s.Amps, 0, n)
+	} else {
+		var wg sync.WaitGroup
+		for lo := 0; lo < n; lo += chunk {
+			wg.Add(1)
+			go func(op Op, amps []complex128, lo, hi int) {
+				defer wg.Done()
+				op.sweep(amps, lo, hi)
+			}(*op, s.Amps, lo, min(lo+chunk, n))
+		}
+		wg.Wait()
+	}
+	touched := int64(len(s.Amps))
+	if op.mat == nil && op.diag == nil {
+		touched /= 2 // a swap moves only the two mixed-bit quarters
+	}
+	s.profRecord(op.kind, op.width, t0, touched, touched*bytesPerAmpRW, s.ScratchAllocs(op))
+}
+
+// ApplyOps runs the lowered ops in order.
+func (s *State) ApplyOps(ops []Op) {
+	for i := range ops {
+		s.Apply(&ops[i])
+	}
+}
+
+// ApplyGate applies one (possibly controlled) gate to the state. It lowers
+// the gate to a kernel op (GateOp: diagonal phase sweep, swap exchange, or
+// the dense kernel with structural controls) and runs it; executors that
+// replay the same gates many times lower once and call Apply instead.
+func (s *State) ApplyGate(g gate.Gate) error {
+	op, err := GateOp(s.N, g)
+	if err != nil {
+		return err
+	}
+	s.Apply(&op)
 	return nil
 }
 
-// applySwap exchanges the amplitudes of |…1_a…0_b…⟩ and |…0_a…1_b…⟩ — no
-// arithmetic needed, so it avoids the general gather/scatter kernel.
-func (s *State) applySwap(a, b int) {
-	abit, bbit := 1<<uint(a), 1<<uint(b)
-	diff := abit | bbit
-	quarter := len(s.Amps) >> 2
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
+// Norm2 returns ‖Mψ‖² for a dense op's matrix without mutating the state —
+// the branch probability of a Kraus operator in a trajectory unraveling. It
+// is the read-only form of the dense kernel; the parallel reduction sums
+// per-chunk partials in chunk order, so it is bit-identical for a given
+// worker count.
+func (s *State) Norm2(op *Op) float64 {
+	s.checkOp(op)
+	if op.mat == nil {
+		panic("sv: Norm2 needs a dense op")
 	}
-	s.parallelFor(quarter, func(from, to int) {
-		amps := s.Amps
-		for f := from; f < to; f++ {
-			// Insert 0 at both swap positions, then set bit a.
-			i := insertBit(insertBit(f, lo), hi) | abit
-			j := i ^ diff
+	t0 := s.profStart()
+	n := op.items()
+	chunk, chunks := s.chunkSize(n), s.chunks(n)
+	var total float64
+	if chunks == 1 {
+		total = op.plan.denseK(s.Amps, op.mat, 0, n, true)
+	} else {
+		partial := make([]float64, chunks)
+		var wg sync.WaitGroup
+		for i := range partial {
+			wg.Add(1)
+			go func(op Op, amps []complex128, i int) {
+				defer wg.Done()
+				partial[i] = op.plan.denseK(amps, op.mat, i*chunk, min((i+1)*chunk, n), true)
+			}(*op, s.Amps, i)
+		}
+		wg.Wait()
+		for _, p := range partial {
+			total += p
+		}
+	}
+	allocs := s.ScratchAllocs(op)
+	if chunks > 1 {
+		allocs++ // the partial-sum slice
+	}
+	s.profRecord(prof.Kraus, op.width, t0, int64(len(s.Amps)), int64(len(s.Amps))*bytesPerAmpRead, allocs)
+	return total
+}
+
+// dense1 is the k=1 fast path: the 2×2 matrix lives in locals and the free
+// index advances by whole contiguous runs. Real matrices (H, X, RY and every
+// controlled-X) take half the arithmetic.
+func (p *plan) dense1(amps, m []complex128, lo, hi int) {
+	m00, m01, m10, m11 := m[0], m[1], m[2], m[3]
+	t := p.offs[1]
+	if imag(m00) == 0 && imag(m01) == 0 && imag(m10) == 0 && imag(m11) == 0 {
+		r00, r01, r10, r11 := real(m00), real(m01), real(m10), real(m11)
+		for f := lo; f < hi; {
+			r, b := p.next(f, hi)
+			for i := b; i < b+r*p.step; i += p.step {
+				x, y := amps[i], amps[i+t]
+				amps[i] = complex(r00*real(x)+r01*real(y), r00*imag(x)+r01*imag(y))
+				amps[i+t] = complex(r10*real(x)+r11*real(y), r10*imag(x)+r11*imag(y))
+			}
+			f += r
+		}
+		return
+	}
+	for f := lo; f < hi; {
+		r, b := p.next(f, hi)
+		for i := b; i < b+r*p.step; i += p.step {
+			x, y := amps[i], amps[i+t]
+			amps[i], amps[i+t] = m00*x+m01*y, m10*x+m11*y
+		}
+		f += r
+	}
+}
+
+// dense2 is the k=2 fast path: four operand streams per run.
+func (p *plan) dense2(amps, m []complex128, lo, hi int) {
+	var mm [16]complex128
+	copy(mm[:], m)
+	o1, o2, o3 := p.offs[1], p.offs[2], p.offs[3]
+	for f := lo; f < hi; {
+		r, b := p.next(f, hi)
+		for i := b; i < b+r*p.step; i += p.step {
+			x0, x1, x2, x3 := amps[i], amps[i+o1], amps[i+o2], amps[i+o3]
+			amps[i] = mm[0]*x0 + mm[1]*x1 + mm[2]*x2 + mm[3]*x3
+			amps[i+o1] = mm[4]*x0 + mm[5]*x1 + mm[6]*x2 + mm[7]*x3
+			amps[i+o2] = mm[8]*x0 + mm[9]*x1 + mm[10]*x2 + mm[11]*x3
+			amps[i+o3] = mm[12]*x0 + mm[13]*x1 + mm[14]*x2 + mm[15]*x3
+		}
+		f += r
+	}
+}
+
+// denseK is the general dense kernel — the one gather → mat-vec → scatter
+// loop nest: for every free index it gathers the 2^k amplitudes addressed
+// by the target bits, multiplies by the matrix and scatters back. With norm
+// set it accumulates ‖row result‖² instead of scattering (the read-only
+// Kraus reduction) and returns the sum.
+func (p *plan) denseK(amps, m []complex128, lo, hi int, norm bool) float64 {
+	offs := p.offs
+	dim := len(offs)
+	var stack [2 << maxStackK]complex128
+	buf := stack[:]
+	if 2*dim > len(buf) {
+		buf = make([]complex128, 2*dim)
+	}
+	sub, res := buf[:dim], buf[dim:2*dim]
+	sum := 0.0
+	for f := lo; f < hi; f++ {
+		_, b := p.next(f, hi)
+		for i, o := range offs {
+			sub[i] = amps[b+o]
+		}
+		for r := 0; r < dim; r += 2 { // two rows at a time: independent accumulator chains
+			row0, row1 := m[r*dim:(r+1)*dim], m[(r+1)*dim:(r+2)*dim]
+			var acc0, acc1 complex128
+			for c, x := range sub {
+				acc0 += row0[c] * x
+				acc1 += row1[c] * x
+			}
+			res[r], res[r+1] = acc0, acc1
+		}
+		if norm {
+			for _, v := range res {
+				sum += real(v)*real(v) + imag(v)*imag(v)
+			}
+			continue
+		}
+		for i, o := range offs {
+			amps[b+o] = res[i]
+		}
+	}
+	return sum
+}
+
+// swap exchanges the amplitudes of |…1_a…0_b…⟩ and |…0_a…1_b…⟩ run by run —
+// no arithmetic, and only half the state moves.
+func (p *plan) swap(amps []complex128, lo, hi int) {
+	for f := lo; f < hi; {
+		r, b := p.next(f, hi)
+		for i, j := b+p.offs[1], b+p.offs[2]; i < b+p.offs[1]+r*p.step; i, j = i+p.step, j+p.step {
 			amps[i], amps[j] = amps[j], amps[i]
 		}
-	})
+		f += r
+	}
 }
 
-// diagonalOf returns the 2^k diagonal of the gate's base matrix when the
-// gate is phase-only (z, s, sdg, t, tdg, rz, p/u1, rzz and their controlled
-// forms), enabling the in-place phase sweep.
-func diagonalOf(g gate.Gate) ([]complex128, bool) {
-	if !gate.IsDiagonal(g) {
-		return nil, false
-	}
-	m := g.BaseMatrix()
-	n := m.Dim()
-	d := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		d[i] = m.At(i, i)
-	}
-	return d, true
-}
-
-// applyDiagonal multiplies each amplitude whose control bits are all set by
-// the diagonal entry selected by its target bits.
-func (s *State) applyDiagonal(targets []int, ctrlMask int, d []complex128) {
-	// Fast path: single target, no controls.
-	if len(targets) == 1 && ctrlMask == 0 {
-		bit := 1 << uint(targets[0])
-		d0, d1 := d[0], d[1]
-		s.parallelFor(len(s.Amps), func(lo, hi int) {
-			amps := s.Amps
-			for i := lo; i < hi; i++ {
-				if i&bit == 0 {
-					amps[i] *= d0
-				} else {
-					amps[i] *= d1
-				}
-			}
-		})
-		return
-	}
-	s.parallelFor(len(s.Amps), func(lo, hi int) {
-		amps := s.Amps
-		for i := lo; i < hi; i++ {
-			if i&ctrlMask != ctrlMask {
-				continue
-			}
-			sub := 0
-			for j, t := range targets {
-				if i>>uint(t)&1 == 1 {
-					sub |= 1 << uint(j)
-				}
-			}
-			amps[i] *= d[sub]
+// diagonal is the streaming phase sweep over blocks [lo, hi) of 2^lowBits
+// amplitudes: amps[i] *= d[high(i) | lowTab[run of i in its block]], with the high
+// share of the diagonal index (and the high control bits) resolved once per
+// block.
+func (p *plan) diagonal(amps, d []complex128, lo, hi int) {
+	hiCtrl := p.ctrl &^ (1<<p.lowBits - 1)
+	for blk := lo; blk < hi; blk++ {
+		start := blk << p.lowBits
+		if start&hiCtrl != hiCtrl {
+			continue
 		}
-	})
-}
-
-// insertBit returns f with a zero bit inserted at position p.
-func insertBit(f, p int) int {
-	low := f & ((1 << uint(p)) - 1)
-	return ((f &^ ((1 << uint(p)) - 1)) << 1) | low
-}
-
-// apply1 applies a 2x2 unitary to one target with an optional control mask.
-func (s *State) apply1(t, ctrlMask int, m gate.Matrix) {
-	m00, m01, m10, m11 := m.At(0, 0), m.At(0, 1), m.At(1, 0), m.At(1, 1)
-	tbit := 1 << uint(t)
-	if ctrlMask == 0 {
-		half := len(s.Amps) >> 1
-		s.parallelFor(half, func(lo, hi int) {
-			amps := s.Amps
-			for f := lo; f < hi; f++ {
-				i0 := insertBit(f, t)
-				i1 := i0 | tbit
-				a0, a1 := amps[i0], amps[i1]
-				amps[i0] = m00*a0 + m01*a1
-				amps[i1] = m10*a0 + m11*a1
-			}
-		})
-		return
-	}
-	// Controlled: sweep pairs, act only when controls are set. (The control
-	// bits are disjoint from the target bit by gate validation.)
-	half := len(s.Amps) >> 1
-	s.parallelFor(half, func(lo, hi int) {
-		amps := s.Amps
-		for f := lo; f < hi; f++ {
-			i0 := insertBit(f, t)
-			if i0&ctrlMask != ctrlMask {
-				continue
-			}
-			i1 := i0 | tbit
-			a0, a1 := amps[i0], amps[i1]
-			amps[i0] = m00*a0 + m01*a1
-			amps[i1] = m10*a0 + m11*a1
-		}
-	})
-}
-
-// applyK is the general kernel: it gathers the 2^k amplitudes addressed by
-// the target bits for every assignment of the remaining bits (with control
-// bits pinned to 1), multiplies by the base matrix, and scatters back.
-func (s *State) applyK(targets []int, ctrlMask int, m gate.Matrix) {
-	k := len(targets)
-	nFixed := k
-	fixed := append([]int(nil), targets...)
-	for b := 0; b < s.N; b++ {
-		if ctrlMask>>uint(b)&1 == 1 {
-			fixed = append(fixed, b)
-			nFixed++
-		}
-	}
-	sortInts(fixed)
-	freeBits := s.N - nFixed
-	tbits := make([]int, k)
-	for j, t := range targets {
-		tbits[j] = 1 << uint(t)
-	}
-	dim := 1 << uint(k)
-	s.parallelFor(1<<uint(freeBits), func(lo, hi int) {
-		amps := s.Amps
-		sub := make([]complex128, dim)
-		res := make([]complex128, dim)
-		for f := lo; f < hi; f++ {
-			base := f
-			for _, p := range fixed {
-				base = insertBit(base, p)
-			}
-			base |= ctrlMask
-			for sIdx := 0; sIdx < dim; sIdx++ {
-				idx := base
-				for j := 0; j < k; j++ {
-					if sIdx>>uint(j)&1 == 1 {
-						idx |= tbits[j]
-					}
-				}
-				sub[sIdx] = amps[idx]
-			}
-			for r := 0; r < dim; r++ {
-				var acc complex128
-				row := m.Data[r*dim : (r+1)*dim]
-				for cIdx := 0; cIdx < dim; cIdx++ {
-					acc += row[cIdx] * sub[cIdx]
-				}
-				res[r] = acc
-			}
-			for sIdx := 0; sIdx < dim; sIdx++ {
-				idx := base
-				for j := 0; j < k; j++ {
-					if sIdx>>uint(j)&1 == 1 {
-						idx |= tbits[j]
-					}
-				}
-				amps[idx] = res[sIdx]
+		h := 0
+		for j, q := range p.qubits {
+			if uint(q) >= p.lowBits {
+				h |= (start >> uint(q) & 1) << uint(j)
 			}
 		}
-	})
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
+		dd := d[h:]
+		if p.runBits == 0 {
+			a := amps[start : start+len(p.lowTab)]
+			for i, t := range p.lowTab {
+				if t >= 0 {
+					a[i] *= dd[t]
+				}
+			}
+			continue
+		}
+		for r, t := range p.lowTab {
+			if t >= 0 {
+				c := dd[t]
+				run := amps[start+r<<p.runBits : start+(r+1)<<p.runBits]
+				for i := range run {
+					run[i] *= c
+				}
+			}
 		}
 	}
 }

@@ -16,8 +16,9 @@ import (
 // read only (16 bytes). These are the asymptotic per-sweep numbers — the
 // effective GB/s derived from them is exactly what reveals cache locality
 // and latency stalls to the kernel-overhaul work. Scratch allocations are
-// self-reported from the known per-chunk buffers (gather/scatter kernels
-// allocate two 2^k slices per parallel chunk).
+// what the kernel itself heap-allocates: nothing up to maxStackK targets,
+// one gather buffer per chunk above it, one partial-sum slice for a
+// parallel norm reduction.
 
 const (
 	// bytesPerAmpRW is one read-modify-write of a complex128.
@@ -41,25 +42,4 @@ func (s *State) profRecord(k prof.Kind, width int, t0 time.Time, amps, bytes, al
 		return
 	}
 	s.Prof.Record(k, width, time.Since(t0), amps, bytes, allocs)
-}
-
-// SweepChunks reports how many chunks (and hence per-chunk scratch
-// allocations) a parallel sweep over n items splits into under the state's
-// worker bound. Engines that suppress the inner kernel recording and
-// re-attribute at their own layer (the dm superoperator path) use it to
-// reproduce the kernels' scratch-allocation estimate.
-func (s *State) SweepChunks(n int) int64 { return s.sweepChunks(n) }
-
-// sweepChunks mirrors parallelFor's chunking: how many chunks (and hence
-// per-chunk scratch allocations) a sweep over n items produces.
-func (s *State) sweepChunks(n int) int64 {
-	w := s.workers()
-	if w <= 1 || n < parallelThreshold {
-		return 1
-	}
-	if w > n {
-		w = n
-	}
-	chunk := (n + w - 1) / w
-	return int64((n + chunk - 1) / chunk)
 }

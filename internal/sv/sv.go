@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/cmplx"
 	"runtime"
-	"sync"
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/gate"
@@ -144,34 +143,9 @@ func (s *State) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// parallelThreshold is the minimum sweep size that spawns goroutines.
+// parallelThreshold is the smallest state (in amplitudes) whose sweeps are
+// split across goroutines.
 const parallelThreshold = 1 << 14
-
-// parallelFor runs f over [0, n) in contiguous chunks.
-func (s *State) parallelFor(n int, f func(lo, hi int)) {
-	w := s.workers()
-	if w <= 1 || n < parallelThreshold {
-		f(0, n)
-		return
-	}
-	if w > n {
-		w = n
-	}
-	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // ApplyCircuit applies every gate of the circuit in order.
 func (s *State) ApplyCircuit(c *circuit.Circuit) error {

@@ -7,8 +7,8 @@
 //	benchtables -only fig5,table2
 //	benchtables -base 12 -ranks 2,4,8
 //
-// See EXPERIMENTS.md for the mapping from paper tables/figures to outputs
-// and the expected qualitative shapes.
+// The -only flag lists the table and figure names; internal/experiments
+// documents each one's expected qualitative shape.
 package main
 
 import (

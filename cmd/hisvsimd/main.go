@@ -21,7 +21,7 @@
 //	GET    /healthz              liveness
 //	GET    /readyz               readiness (503 once drain begins)
 //
-// The v2 surface is kind "run": one "readouts" spec asks for any mix of
+// The core kind is "run": one "readouts" spec asks for any mix of
 // statevector, seeded shots, marginal distributions and weighted
 // Pauli-string observables, and one cached simulation answers all of them;
 // "options.backend" picks the execution engine. Example:
@@ -38,13 +38,9 @@
 //	  "options": {"strategy": "dagp"}
 //	}'
 //
-// The v1 kinds (statevector/sample/expectation/probabilities and the noisy
-// pair) remain as deprecated shims with byte-compatible responses.
-//
 // Noisy trajectory ensembles ride the same queue (kind "run" plus a
-// "noise" spec, or the legacy noisy kinds); channel probabilities, readout
-// rates and trajectory counts are bounds-checked at submit and rejected
-// with 400s. Compiled trajectory plans cache in their own small LRU
+// "noise" spec); channel probabilities, readout rates and trajectory
+// counts are bounds-checked at submit and rejected with 400s. Compiled trajectory plans cache in their own small LRU
 // (-plan-cache-mb) so statevector entries cannot evict them.
 //
 // Observability: GET /metrics exposes the service and HTTP metric series

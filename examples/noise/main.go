@@ -67,8 +67,8 @@ func main() {
 	defer svc.Close()
 	for i, seed := range []int64{1, 2} {
 		res, err := svc.Do(context.Background(), hisvsim.ServiceRequest{
-			Circuit: ghz, Kind: hisvsim.KindNoisySample,
-			Shots: 2048, Seed: seed, Trajectories: 100, Noise: model,
+			Circuit: ghz, Kind: hisvsim.KindRun, Noise: model,
+			Readouts: hisvsim.ReadoutSpec{Shots: 2048, Seed: seed, Trajectories: 100},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -382,8 +382,8 @@ type Service = service.Service
 // job retention, qubit limit). The zero value selects sensible defaults.
 type ServiceConfig = service.Config
 
-// ServiceRequest describes one job: the circuit, the read-out kind, and
-// kind-specific fields (shots + seed, qubits) plus simulation Options.
+// ServiceRequest describes one job: the circuit, the kind, its read-out
+// spec (or binding grid / optimize spec) plus simulation Options.
 type ServiceRequest = service.Request
 
 // ServiceResult is a completed job's payload.
@@ -401,19 +401,10 @@ type RequestKind = service.Kind
 
 // Request kinds for ServiceRequest.Kind.
 const (
-	// KindRun is the v2 unified kind: ServiceRequest.Readouts holds a
-	// ReadoutSpec and one cached simulation answers every listed read-out.
+	// KindRun is the unified kind: ServiceRequest.Readouts holds a
+	// ReadoutSpec and one cached simulation (or, under ServiceRequest.Noise,
+	// one trajectory ensemble) answers every listed read-out.
 	KindRun = service.KindRun
-
-	// Deprecated single-readout kinds (thin shims over KindRun's path;
-	// responses stay byte-compatible with the v1 surface).
-	KindStatevector   = service.KindStatevector   // full amplitude vector
-	KindSample        = service.KindSample        // seeded shot sampling
-	KindExpectation   = service.KindExpectation   // ⟨∏ Z_q⟩ Pauli-Z string
-	KindProbabilities = service.KindProbabilities // marginal distribution
-
-	KindNoisySample      = service.KindNoisySample      // trajectory-ensemble counts
-	KindNoisyExpectation = service.KindNoisyExpectation // trajectory-mean ⟨∏ Z_q⟩ ± stderr
 )
 
 // NewService starts the asynchronous simulation service with its worker
@@ -422,9 +413,9 @@ const (
 //	svc := hisvsim.NewService(hisvsim.ServiceConfig{Workers: 4})
 //	defer svc.Close()
 //	res, err := svc.Do(ctx, hisvsim.ServiceRequest{
-//		Circuit: hisvsim.MustCircuit("qft", 18),
-//		Kind:    hisvsim.KindSample,
-//		Shots:   1000, Seed: 7,
+//		Circuit:  hisvsim.MustCircuit("qft", 18),
+//		Kind:     hisvsim.KindRun,
+//		Readouts: hisvsim.ReadoutSpec{Shots: 1000, Seed: 7},
 //	})
 func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 

@@ -152,7 +152,7 @@ func TestFacadeService(t *testing.T) {
 	defer svc.Close()
 	c := MustCircuit("qft", 8)
 	res, err := svc.Do(context.Background(), ServiceRequest{
-		Circuit: c, Kind: KindSample, Shots: 64, Seed: 3,
+		Circuit: c, Kind: KindRun, Readouts: ReadoutSpec{Shots: 64, Seed: 3},
 		Options: Options{Strategy: "dagp", Lm: 5},
 	})
 	if err != nil {
@@ -164,7 +164,7 @@ func TestFacadeService(t *testing.T) {
 	// Second request on a freshly built but identical circuit hits the
 	// cache via the content fingerprint.
 	warm, err := svc.Do(context.Background(), ServiceRequest{
-		Circuit: MustCircuit("qft", 8), Kind: KindSample, Shots: 64, Seed: 3,
+		Circuit: MustCircuit("qft", 8), Kind: KindRun, Readouts: ReadoutSpec{Shots: 64, Seed: 3},
 		Options: Options{Strategy: "dagp", Lm: 5},
 	})
 	if err != nil {
@@ -247,12 +247,12 @@ func TestFacadeSimulateNoisy(t *testing.T) {
 		t.Fatal("ideal ensemble missed the noise-free fast path")
 	}
 
-	// The service speaks the noisy kinds too.
+	// The service runs noisy ensembles too.
 	svc := NewService(ServiceConfig{Workers: 2})
 	defer svc.Close()
 	res, err := svc.Do(context.Background(), ServiceRequest{
-		Circuit: c, Kind: KindNoisySample, Shots: 200, Trajectories: 10,
-		Noise: model,
+		Circuit: c, Kind: KindRun, Noise: model,
+		Readouts: ReadoutSpec{Shots: 200, Trajectories: 10},
 	})
 	if err != nil {
 		t.Fatal(err)

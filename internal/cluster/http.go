@@ -41,14 +41,14 @@ func NewHandler(c *Coordinator) http.Handler {
 	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, r *http.Request) { handleCluster(c, w, r) })
 	mux.HandleFunc("GET /metrics/federate", func(w http.ResponseWriter, r *http.Request) { handleFederate(c, w, r) })
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+		service.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if c.Draining() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
+			service.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]bool{"ready": true})
+		service.WriteJSON(w, http.StatusOK, map[string]bool{"ready": true})
 	})
 	mux.Handle("GET /metrics", c.Metrics().Handler())
 	return mux
@@ -71,7 +71,7 @@ type wireJob struct {
 func handleSubmit(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Honor an incoming X-Request-ID even when the handler is mounted
@@ -86,18 +86,18 @@ func handleSubmit(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	id, err := c.Submit(ctx, body)
 	switch {
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err)
+		service.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case errors.Is(err, ErrNoWorkers):
 		// The fleet may come back; tell the client when to re-try.
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err)
+		service.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": string(service.StatusQueued)})
+	service.WriteJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": string(service.StatusQueued)})
 }
 
 func toWireJob(j *cjob) wireJob {
@@ -119,13 +119,13 @@ func toWireJob(j *cjob) wireJob {
 func handleJob(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	j, ok := c.job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound)
+		service.WriteError(w, http.StatusNotFound, ErrNotFound)
 		return
 	}
 	c.mu.Lock()
 	out := toWireJob(j)
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	service.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleResult long-polls like the worker endpoint: 200 with the merged
@@ -137,7 +137,7 @@ func handleResult(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("wait"); raw != "" {
 		d, err := time.ParseDuration(raw)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q: %w", raw, err))
+			service.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q: %w", raw, err))
 			return
 		}
 		wait = min(max(d, 0), 5*time.Minute)
@@ -146,12 +146,12 @@ func handleResult(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	err := c.Wait(ctx, id)
 	if errors.Is(err, ErrNotFound) {
-		writeError(w, http.StatusNotFound, err)
+		service.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	j, ok := c.job(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound)
+		service.WriteError(w, http.StatusNotFound, ErrNotFound)
 		return
 	}
 	c.mu.Lock()
@@ -161,7 +161,7 @@ func handleResult(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	if !service.Status(out.Status).Terminal() {
 		code = http.StatusAccepted
 	}
-	writeJSON(w, code, out)
+	service.WriteJSON(w, code, out)
 }
 
 // wireTrace is the coordinator trace body: the plan/fanout/merge stages
@@ -172,21 +172,15 @@ func handleResult(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 // one nested span tree (job → stages → sub-jobs → attempts → worker
 // stages).
 type wireTrace struct {
-	ID        string       `json:"id"`
-	Kind      string       `json:"kind"`
-	Status    string       `json:"status"`
-	Mode      string       `json:"mode,omitempty"`
-	RequestID string       `json:"request_id,omitempty"`
-	WallMS    float64      `json:"wall_ms"`
-	Stages    []wireStage  `json:"stages"`
-	SubJobs   []wireSubJob `json:"subjobs,omitempty"`
-	Tree      *obs.Node    `json:"tree,omitempty"`
-}
-
-type wireStage struct {
-	Stage      string  `json:"stage"`
-	StartMS    float64 `json:"start_ms"`
-	DurationMS float64 `json:"duration_ms"`
+	ID        string              `json:"id"`
+	Kind      string              `json:"kind"`
+	Status    string              `json:"status"`
+	Mode      string              `json:"mode,omitempty"`
+	RequestID string              `json:"request_id,omitempty"`
+	WallMS    float64             `json:"wall_ms"`
+	Stages    []service.WireStage `json:"stages"`
+	SubJobs   []wireSubJob        `json:"subjobs,omitempty"`
+	Tree      *obs.Node           `json:"tree,omitempty"`
 }
 
 type wireSubJob struct {
@@ -211,13 +205,13 @@ type wireSubAttempt struct {
 	// fetched after completion. Its stage offsets are relative to the
 	// worker's own submit instant (worker clocks are not comparable to the
 	// coordinator's); its parent_span echoes this attempt's span.
-	WorkerTrace *workerTrace `json:"worker_trace,omitempty"`
+	WorkerTrace *service.WireTrace `json:"worker_trace,omitempty"`
 }
 
 func handleTrace(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	j, ok := c.job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound)
+		service.WriteError(w, http.StatusNotFound, ErrNotFound)
 		return
 	}
 	c.mu.Lock()
@@ -228,7 +222,7 @@ func handleTrace(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	out := wireTrace{
 		ID: j.id, Kind: j.kind, Status: string(j.status), Mode: j.mode,
 		RequestID: j.requestID,
-		WallMS:    durationMS(wall),
+		WallMS:    service.DurationMS(wall),
 	}
 	for _, sub := range j.subs {
 		ws := wireSubJob{Index: sub.index, Worker: sub.worker, RemoteID: sub.remoteID}
@@ -237,8 +231,8 @@ func handleTrace(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 				Worker:      a.worker,
 				Span:        a.span,
 				RemoteID:    a.remoteID,
-				StartMS:     durationMS(a.start.Sub(j.submitted)),
-				DurationMS:  durationMS(a.end.Sub(a.start)),
+				StartMS:     service.DurationMS(a.start.Sub(j.submitted)),
+				DurationMS:  service.DurationMS(a.end.Sub(a.start)),
 				Outcome:     a.outcome,
 				Status:      a.status,
 				WorkerTrace: a.wtrace,
@@ -247,13 +241,9 @@ func handleTrace(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 		out.SubJobs = append(out.SubJobs, ws)
 	}
 	c.mu.Unlock()
-	for _, sp := range j.trace.Spans() {
-		out.Stages = append(out.Stages, wireStage{
-			Stage: sp.Name, StartMS: durationMS(sp.Start), DurationMS: durationMS(sp.Dur),
-		})
-	}
+	out.Stages = service.WireStages(j.trace.Spans())
 	out.Tree = traceTree(&out)
-	writeJSON(w, http.StatusOK, out)
+	service.WriteJSON(w, http.StatusOK, out)
 }
 
 // traceTree folds a rendered wireTrace into one nested span tree. Every
@@ -344,7 +334,7 @@ type wireWorkerProfile struct {
 func handleProfile(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	j, ok := c.job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound)
+		service.WriteError(w, http.StatusNotFound, ErrNotFound)
 		return
 	}
 	c.mu.Lock()
@@ -355,7 +345,7 @@ func handleProfile(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	out := wireClusterProfile{
 		ID: j.id, Kind: j.kind, Status: string(j.status), Mode: j.mode,
 		RequestID: j.requestID,
-		WallMS:    durationMS(wall),
+		WallMS:    service.DurationMS(wall),
 		Kernels:   []prof.KernelStat{},
 	}
 	merged := map[[2]any]*prof.KernelStat{}
@@ -399,7 +389,7 @@ func handleProfile(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 		}
 		return out.Kernels[i].Width < out.Kernels[j].Width
 	})
-	writeJSON(w, http.StatusOK, out)
+	service.WriteJSON(w, http.StatusOK, out)
 }
 
 // wireCluster is the GET /v1/cluster body: live membership with per-worker
@@ -452,7 +442,7 @@ func handleCluster(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	for _, wk := range c.workers {
 		ww := wireWorker{
 			URL: wk.url, State: wk.state, Fails: wk.fails,
-			LastProbeMS:         durationMS(wk.lastProbe),
+			LastProbeMS:         service.DurationMS(wk.lastProbe),
 			ConsecutiveFailures: wk.fails,
 		}
 		if wk.backoffUntil.After(now) {
@@ -480,17 +470,5 @@ func handleCluster(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	sort.Slice(out.Workers, func(i, j int) bool { return out.Workers[i].URL < out.Workers[j].URL })
-	writeJSON(w, http.StatusOK, out)
-}
-
-func durationMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	service.WriteJSON(w, http.StatusOK, out)
 }

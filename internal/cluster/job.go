@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"hisvsim/internal/obs"
-	"hisvsim/internal/prof"
 	"hisvsim/internal/service"
 )
 
@@ -82,31 +81,8 @@ type attempt struct {
 	// bounced or timed out — so there is nothing to stitch) or "failed"
 	// (permanent rejection).
 	status string
-	wtrace *workerTrace   // stitched worker trace (ok attempts, best effort)
-	wprof  *workerProfile // stitched worker kernel profile (ditto)
-}
-
-// workerTrace is the decoded worker GET /v1/jobs/{id}/trace body.
-type workerTrace struct {
-	ID         string      `json:"id"`
-	RequestID  string      `json:"request_id,omitempty"`
-	ParentSpan string      `json:"parent_span,omitempty"`
-	Backend    string      `json:"backend,omitempty"`
-	WallMS     float64     `json:"wall_ms"`
-	Stages     []wireStage `json:"stages"`
-}
-
-// workerProfile is the decoded worker GET /v1/jobs/{id}/profile body.
-type workerProfile struct {
-	ID             string            `json:"id"`
-	RequestID      string            `json:"request_id,omitempty"`
-	ParentSpan     string            `json:"parent_span,omitempty"`
-	Backend        string            `json:"backend,omitempty"`
-	WallMS         float64           `json:"wall_ms"`
-	WindowMS       float64           `json:"window_ms"`
-	KernelMS       float64           `json:"kernel_ms"`
-	UnattributedMS float64           `json:"unattributed_ms"`
-	Kernels        []prof.KernelStat `json:"kernels"`
+	wtrace *service.WireTrace   // stitched worker GET /v1/jobs/{id}/trace body (ok attempts, best effort)
+	wprof  *service.WireProfile // stitched worker GET /v1/jobs/{id}/profile body (ditto)
 }
 
 // Submit plans, fans out and (asynchronously) merges one client
@@ -326,13 +302,13 @@ func (c *Coordinator) dispatch(ctx context.Context, j *cjob, sub *subjob, a *att
 func (c *Coordinator) stitch(ctx context.Context, a *attempt) {
 	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	var wt workerTrace
+	var wt service.WireTrace
 	if err := c.getJSON(ctx, fmt.Sprintf("%s/v1/jobs/%s/trace", a.worker, a.remoteID), &wt); err == nil {
 		a.wtrace = &wt
 	} else {
 		c.log.Warn("cluster trace stitch failed", "worker", a.worker, "remote", a.remoteID, "err", err)
 	}
-	var wp workerProfile
+	var wp service.WireProfile
 	if err := c.getJSON(ctx, fmt.Sprintf("%s/v1/jobs/%s/profile", a.worker, a.remoteID), &wp); err == nil {
 		a.wprof = &wp
 	} else {

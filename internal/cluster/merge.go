@@ -5,83 +5,14 @@ import (
 	"fmt"
 
 	"hisvsim/internal/noise"
+	"hisvsim/internal/service"
 )
 
-// subResult is the slice of a worker's wire result the merge needs.
-// Everything it does not model (samples, amplitudes, …) is excluded from
-// split jobs by planFor, so nothing is silently dropped.
-type subResult struct {
-	Kind          string          `json:"kind"`
-	NumQubits     int             `json:"num_qubits"`
-	CacheHit      bool            `json:"cache_hit"`
-	Parts         int             `json:"parts"`
-	ElapsedMS     float64         `json:"elapsed_ms"`
-	WaitedMS      float64         `json:"waited_ms"`
-	Backend       string          `json:"backend,omitempty"`
-	Counts        map[string]int  `json:"counts,omitempty"`
-	Trajectories  int             `json:"trajectories,omitempty"`
-	Marginals     [][]float64     `json:"marginals,omitempty"`
-	Observables   []subObsValue   `json:"observables,omitempty"`
-	Moments       *subMoments     `json:"moments,omitempty"`
-	Sweep         *subSweepResult `json:"sweep,omitempty"`
-	Probabilities []float64       `json:"probabilities,omitempty"`
-	Samples       []int           `json:"samples,omitempty"`
-	Amplitudes    [][2]float64    `json:"amplitudes,omitempty"`
-}
-
-type subObsValue struct {
-	Name   string  `json:"name,omitempty"`
-	Value  float64 `json:"value"`
-	StdErr float64 `json:"stderr,omitempty"`
-}
-
-type subMoments struct {
-	ChunkSize int `json:"chunk_size"`
-	Chunks    []struct {
-		Chunk int          `json:"chunk"`
-		Count int          `json:"count"`
-		Obs   [][2]float64 `json:"obs,omitempty"`
-		Marg  [][]float64  `json:"marg,omitempty"`
-	} `json:"chunks"`
-}
-
-// subSweepResult keeps per-point payloads as raw JSON: merged sweep
-// points are the workers' own bytes concatenated in grid order, so the
-// per-point results are byte-identical to what each worker computed —
-// and, because per-point ensembles use point-local trajectory indices,
-// identical to the single-node run.
-type subSweepResult struct {
-	Compiles      int               `json:"compiles"`
-	TouchedBlocks int               `json:"touched_blocks"`
-	SharedBlocks  int               `json:"shared_blocks"`
-	Trajectories  int               `json:"trajectories,omitempty"`
-	Points        []json.RawMessage `json:"points"`
-}
-
-// mergedResult mirrors the worker wire result shape (service.wireResult)
-// so clients cannot tell a merged job from a routed one.
-type mergedResult struct {
-	Kind         string             `json:"kind"`
-	NumQubits    int                `json:"num_qubits"`
-	CacheHit     bool               `json:"cache_hit"`
-	Parts        int                `json:"parts"`
-	ElapsedMS    float64            `json:"elapsed_ms"`
-	WaitedMS     float64            `json:"waited_ms"`
-	Backend      string             `json:"backend,omitempty"`
-	Counts       map[string]int     `json:"counts,omitempty"`
-	Trajectories int                `json:"trajectories,omitempty"`
-	Marginals    [][]float64        `json:"marginals,omitempty"`
-	Observables  []subObsValue      `json:"observables,omitempty"`
-	Sweep        *mergedSweepResult `json:"sweep,omitempty"`
-}
-
-type mergedSweepResult struct {
-	Compiles      int               `json:"compiles"`
-	TouchedBlocks int               `json:"touched_blocks"`
-	SharedBlocks  int               `json:"shared_blocks"`
-	Trajectories  int               `json:"trajectories,omitempty"`
-	Points        []json.RawMessage `json:"points"`
-}
+// The merge decodes worker bodies into, and encodes merged bodies from,
+// service.WireResult itself — the one declaration of the result schema —
+// so clients cannot tell a merged job from a routed one. Everything a
+// merge does not fold (samples, amplitudes, …) is excluded from split
+// jobs by planFor, so nothing is silently dropped.
 
 // mergeJob folds a job's sub-results into one client-facing result.
 // Routed jobs pass the worker's bytes through verbatim.
@@ -98,6 +29,17 @@ func mergeJob(j *cjob) (json.RawMessage, error) {
 	}
 }
 
+// foldHeader folds one sub-result's envelope into the merged one: every
+// sub-job must have hit for the merged job to count as a hit, trajectory
+// tallies sum, and parts and the timings report the slowest slice.
+func foldHeader(out, p *service.WireResult) {
+	out.CacheHit = out.CacheHit && p.CacheHit
+	out.Trajectories += p.Trajectories
+	out.Parts = max(out.Parts, p.Parts)
+	out.ElapsedMS = max(out.ElapsedMS, p.ElapsedMS)
+	out.WaitedMS = max(out.WaitedMS, p.WaitedMS)
+}
+
 // mergeEnsemble reduces trajectory sub-range results: counts and
 // trajectory tallies sum exactly (integers), and the statistics re-fold
 // from the workers' per-chunk partial sums via noise.AggregateMoments —
@@ -106,34 +48,24 @@ func mergeJob(j *cjob) (json.RawMessage, error) {
 // ranges in ascending offset order) — so mean ± stderr and marginals
 // come out bit-identical to the unsplit run.
 func mergeEnsemble(subs []*subjob) (json.RawMessage, error) {
-	parts := make([]*subResult, len(subs))
+	var out *service.WireResult
+	var names []service.WireObsValue
+	var moments []noise.Moment
 	for i, s := range subs {
-		var r subResult
-		if err := json.Unmarshal(s.result, &r); err != nil {
+		var p service.WireResult
+		if err := json.Unmarshal(s.result, &p); err != nil {
 			return nil, fmt.Errorf("cluster: sub-result %d: %w", i, err)
 		}
-		if r.Moments == nil {
+		if p.Moments == nil {
 			return nil, fmt.Errorf("cluster: sub-result %d carries no moments (worker too old to merge?)", i)
 		}
-		parts[i] = &r
-	}
-	out := &mergedResult{
-		Kind: parts[0].Kind, NumQubits: parts[0].NumQubits,
-		Backend: parts[0].Backend, CacheHit: true,
-	}
-	var moments []noise.Moment
-	for _, p := range parts {
-		out.CacheHit = out.CacheHit && p.CacheHit
-		out.Trajectories += p.Trajectories
-		if p.Parts > out.Parts {
-			out.Parts = p.Parts
+		if out == nil {
+			// Names come from the first part (spec order is identical across
+			// sub-jobs; only the trajectory range differs).
+			out = &service.WireResult{Kind: p.Kind, NumQubits: p.NumQubits, Backend: p.Backend, CacheHit: true}
+			names = p.Observables
 		}
-		if p.ElapsedMS > out.ElapsedMS {
-			out.ElapsedMS = p.ElapsedMS
-		}
-		if p.WaitedMS > out.WaitedMS {
-			out.WaitedMS = p.WaitedMS
-		}
+		foldHeader(out, &p)
 		if p.Counts != nil && out.Counts == nil {
 			out.Counts = make(map[string]int)
 		}
@@ -153,49 +85,42 @@ func mergeEnsemble(subs []*subjob) (json.RawMessage, error) {
 	}
 	out.Marginals = agg.Marginals
 	for k, st := range agg.Observables {
-		// Names come from the first part (spec order is identical across
-		// sub-jobs; only the trajectory range differs).
 		name := ""
-		if k < len(parts[0].Observables) {
-			name = parts[0].Observables[k].Name
+		if k < len(names) {
+			name = names[k].Name
 		}
-		out.Observables = append(out.Observables, subObsValue{Name: name, Value: st.Mean, StdErr: st.StdErr})
+		out.Observables = append(out.Observables, service.WireObsValue{Name: name, Value: st.Mean, StdErr: st.StdErr})
 	}
 	return json.Marshal(out)
 }
 
 // mergeSweep concatenates per-point payloads in grid order and sums the
 // compile-amortization ledger. Summed compiles honestly report that each
-// worker compiled the template once — the price of the fan-out.
+// worker compiled the template once — the price of the fan-out. Points
+// round-trip through service.WireSweepPoint exactly (encoding/json emits
+// the shortest float form that parses back to the same float64, and map
+// keys in sorted order), so each is byte-identical to what its worker
+// computed — and, because per-point ensembles use point-local trajectory
+// indices, identical to the single-node run.
 func mergeSweep(subs []*subjob) (json.RawMessage, error) {
-	out := &mergedResult{Sweep: &mergedSweepResult{Points: []json.RawMessage{}}, CacheHit: true}
+	out := &service.WireResult{Sweep: &service.WireSweepResult{Points: []service.WireSweepPoint{}}, CacheHit: true}
 	for i, s := range subs {
-		var r subResult
-		if err := json.Unmarshal(s.result, &r); err != nil {
+		var p service.WireResult
+		if err := json.Unmarshal(s.result, &p); err != nil {
 			return nil, fmt.Errorf("cluster: sub-result %d: %w", i, err)
 		}
-		if r.Sweep == nil {
+		if p.Sweep == nil {
 			return nil, fmt.Errorf("cluster: sub-result %d carries no sweep payload", i)
 		}
 		if i == 0 {
-			out.Kind, out.NumQubits, out.Backend = r.Kind, r.NumQubits, r.Backend
-			out.Sweep.Trajectories = r.Sweep.Trajectories
+			out.Kind, out.NumQubits, out.Backend = p.Kind, p.NumQubits, p.Backend
+			out.Sweep.Trajectories = p.Sweep.Trajectories
 		}
-		out.CacheHit = out.CacheHit && r.CacheHit
-		out.Trajectories += r.Trajectories
-		if r.Parts > out.Parts {
-			out.Parts = r.Parts
-		}
-		if r.ElapsedMS > out.ElapsedMS {
-			out.ElapsedMS = r.ElapsedMS
-		}
-		if r.WaitedMS > out.WaitedMS {
-			out.WaitedMS = r.WaitedMS
-		}
-		out.Sweep.Compiles += r.Sweep.Compiles
-		out.Sweep.TouchedBlocks += r.Sweep.TouchedBlocks
-		out.Sweep.SharedBlocks += r.Sweep.SharedBlocks
-		out.Sweep.Points = append(out.Sweep.Points, r.Sweep.Points...)
+		foldHeader(out, &p)
+		out.Sweep.Compiles += p.Sweep.Compiles
+		out.Sweep.TouchedBlocks += p.Sweep.TouchedBlocks
+		out.Sweep.SharedBlocks += p.Sweep.SharedBlocks
+		out.Sweep.Points = append(out.Sweep.Points, p.Sweep.Points...)
 	}
 	return json.Marshal(out)
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hisvsim/internal/obs"
+	"hisvsim/internal/service"
 )
 
 // stitchBody is a fan-out ensemble heavy enough that per-sub-job wall time
@@ -206,7 +207,7 @@ func TestClusterStitchedTraceAndProfile(t *testing.T) {
 	var workerSecs float64
 	for _, sub := range trace.SubJobs {
 		a := sub.Attempts[len(sub.Attempts)-1]
-		var wp workerProfile
+		var wp service.WireProfile
 		fetchJSON(t, fmt.Sprintf("%s/v1/jobs/%s/profile", a.Worker, a.RemoteID), &wp)
 		for _, k := range wp.Kernels {
 			workerSecs += k.Seconds
@@ -292,7 +293,7 @@ func TestClusterRequestIDPropagation(t *testing.T) {
 	}
 	for _, sub := range trace.SubJobs {
 		a := sub.Attempts[len(sub.Attempts)-1]
-		var wt workerTrace
+		var wt service.WireTrace
 		fetchJSON(t, fmt.Sprintf("%s/v1/jobs/%s/trace", a.Worker, a.RemoteID), &wt)
 		if wt.RequestID != rid {
 			t.Fatalf("worker job %s request_id %q, want the client's %q", a.RemoteID, wt.RequestID, rid)

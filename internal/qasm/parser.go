@@ -52,6 +52,11 @@ func ParseToCircuit(src string) (*circuit.Circuit, error) {
 	return prog.Circuit, nil
 }
 
+// MaxQubits bounds the total declared register width of a parsed program:
+// far beyond anything simulable, generous enough for partition-only
+// analysis of wide circuits.
+const MaxQubits = 1 << 16
+
 type qreg struct {
 	offset, size int
 }
@@ -190,6 +195,11 @@ func (p *parser) parseQreg() error {
 	}
 	if _, dup := p.qregs[name.text]; dup {
 		return p.errorf(name, "duplicate qreg %q", name.text)
+	}
+	// A declaration costs nothing to write but O(qubits) to validate and
+	// broadcast over, so bound it before anything allocates by it.
+	if size > MaxQubits-p.nextQubit {
+		return p.errorf(name, "qreg %q[%d] exceeds the %d-qubit parser limit", name.text, size, MaxQubits)
 	}
 	p.qregs[name.text] = qreg{offset: p.nextQubit, size: size}
 	p.nextQubit += size

@@ -169,6 +169,8 @@ func TestParseErrors(t *testing.T) {
 		`qreg q[2]; rz() q[0];`,
 		`x q[0];`, // no qreg
 		`qreg q[2]; qreg q[3];`,
+		`qreg q[2000000000]; h q;`,              // over the parser's register limit
+		`qreg a[40000]; qreg b[40000]; h a[0];`, // … also in total
 		`qreg q[2]; rz(1/0) q[0];`,
 		`qreg q[2]; rz(foo*bar) q[0];`,                 // nonlinear in symbols
 		`qreg q[2]; rz(sin(foo)) q[0];`,                // symbol under a function

@@ -113,15 +113,15 @@ func TestDMNoisyJobExactDeterministicCached(t *testing.T) {
 	}
 }
 
-// TestDMLegacyNoisyKindsServedExactly: the deprecated noisy kinds run on
-// the exact engine too — counts still sum, expectation is exact (no
+// TestDMNoisyReadoutsServedExactly: noisy shot and Z-string read-outs run
+// on the exact engine too — counts still sum, the expectation is exact (no
 // stderr), and no trajectories execute.
-func TestDMLegacyNoisyKindsServedExactly(t *testing.T) {
+func TestDMNoisyReadoutsServedExactly(t *testing.T) {
 	s := newTest(t, Config{Workers: 1})
 	c := circuit.MustNamed("ising", 5)
 	model := noise.Global(noise.Depolarizing(0.02))
 	sam, err := s.Do(context.Background(), Request{
-		Circuit: c, Kind: KindNoisySample, Shots: 200, Seed: 3,
+		Circuit: c, Kind: KindRun, Readouts: shots(200, 3),
 		Noise: model, Options: core.Options{Backend: "dm"},
 	})
 	if err != nil {
@@ -132,20 +132,20 @@ func TestDMLegacyNoisyKindsServedExactly(t *testing.T) {
 		total += n
 	}
 	if total != 200 || sam.Trajectories != 0 {
-		t.Fatalf("dm noisy_sample: %d shots, %d trajectories (want 200, 0)", total, sam.Trajectories)
+		t.Fatalf("dm noisy shots: %d shots, %d trajectories (want 200, 0)", total, sam.Trajectories)
 	}
 	exp, err := s.Do(context.Background(), Request{
-		Circuit: c, Kind: KindNoisyExpectation, Qubits: []int{0, 1},
+		Circuit: c, Kind: KindRun, Readouts: zString(0, 1),
 		Noise: model, Options: core.Options{Backend: "dm"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exp.StdErr != 0 {
-		t.Fatalf("dm noisy_expectation stderr = %g, want 0", exp.StdErr)
+	if exp.Observables[0].StdErr != 0 || exp.Trajectories != 0 {
+		t.Fatalf("dm noisy expectation stderr = %g, trajectories = %d, want 0 and 0", exp.Observables[0].StdErr, exp.Trajectories)
 	}
-	if st := s.Stats(); st.Trajectories != 0 {
-		t.Fatalf("legacy kinds on dm ran %d trajectories", st.Trajectories)
+	if st := s.Stats(); st.Trajectories != 0 || st.Simulations != 1 {
+		t.Fatalf("dm noisy read-outs ran %d trajectories and %d simulations, want 0 and 1 (second job hits the ρ cache)", st.Trajectories, st.Simulations)
 	}
 }
 
@@ -166,9 +166,10 @@ func TestCapabilityEnforcementAtSubmit(t *testing.T) {
 			Readouts: core.ReadoutSpec{Shots: 10},
 			Options:  core.Options{Backend: "baseline"},
 		}, "no noisy path"},
-		{"noisy legacy kind on dist", Request{
-			Circuit: small, Kind: KindNoisySample, Shots: 10, Noise: model,
-			Options: core.Options{Backend: "dist", Ranks: 2},
+		{"noisy on dist", Request{
+			Circuit: small, Kind: KindRun, Noise: model,
+			Readouts: core.ReadoutSpec{Shots: 10},
+			Options:  core.Options{Backend: "dist", Ranks: 2},
 		}, "no noisy path"},
 		{"dm over the qubit cap", Request{
 			Circuit: circuit.MustNamed("cat_state", dm.MaxQubits+1), Kind: KindRun,
@@ -179,10 +180,6 @@ func TestCapabilityEnforcementAtSubmit(t *testing.T) {
 			Circuit: small, Kind: KindRun,
 			Readouts: core.ReadoutSpec{Statevector: true},
 			Options:  core.Options{Backend: "dm"},
-		}, "statevector"},
-		{"legacy statevector kind on dm", Request{
-			Circuit: small, Kind: KindStatevector,
-			Options: core.Options{Backend: "dm"},
 		}, "statevector"},
 		{"dm multi-rank", Request{
 			Circuit: small, Kind: KindRun,
@@ -245,7 +242,7 @@ func TestHTTPDMNoisyRunAndCapability400s(t *testing.T) {
 	for name, reqBody := range map[string]string{
 		"noisy on baseline": `{
 			"circuit": {"family": "ising", "qubits": 6},
-			"kind": "noisy_sample", "shots": 10,
+			"kind": "run", "readouts": {"shots": 10},
 			"noise": {"rules": [{"channel": "depolarizing", "p": 0.01}]},
 			"options": {"backend": "baseline"}
 		}`,

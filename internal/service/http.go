@@ -34,14 +34,13 @@ import (
 //	GET    /readyz              readiness (503 once graceful drain begins)
 //
 // The submit body names the circuit either inline ("qasm") or by generator
-// family ("family" + "qubits"), plus kind/shots/seed/qubits and the
-// simulation options; see wireRequest. Kind "run" instead carries a
-// "readouts" spec — any mix of statevector, shots, marginals and Pauli
-// observables answered by one simulation; "options.backend" picks the
-// execution engine. Sample counts are keyed by bitstring (most-significant
-// qubit first).
+// family ("family" + "qubits"), plus the kind and the simulation options;
+// see wireRequest. Kind "run" carries a "readouts" spec — any mix of
+// statevector, shots, marginals and Pauli observables answered by one
+// simulation; "options.backend" picks the execution engine. Sample counts
+// are keyed by bitstring (most-significant qubit first).
 //
-// The v3 parameterized surface rides the same endpoint: QASM may leave
+// The parameterized surface rides the same endpoint: QASM may leave
 // gate angles symbolic (rz(gamma) q[0];), kind "run" binds them via
 // "params", kind "sweep" evaluates a binding grid ("sweep": bindings or
 // grid+zip) against one compiled template, and kind "optimize" runs a
@@ -57,23 +56,23 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/profile", func(w http.ResponseWriter, r *http.Request) { handleProfile(s, w, r) })
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) { handleCancel(s, w, r) })
 	mux.HandleFunc("GET /v1/backends", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, core.Backends())
+		WriteJSON(w, http.StatusOK, core.Backends())
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
+		WriteJSON(w, http.StatusOK, s.Stats())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+		WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		// Readiness is distinct from liveness: once graceful shutdown
 		// begins the process is still alive (healthz 200, in-flight jobs
 		// finishing) but must stop receiving new traffic.
 		if s.Draining() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]bool{"ready": true})
+		WriteJSON(w, http.StatusOK, map[string]bool{"ready": true})
 	})
 	mux.Handle("GET /metrics", s.Metrics().Handler())
 	return mux
@@ -104,18 +103,14 @@ type wireRequest struct {
 		Family string `json:"family,omitempty"`
 		Qubits int    `json:"qubits,omitempty"`
 	} `json:"circuit"`
-	Kind         string             `json:"kind"`
-	Shots        int                `json:"shots,omitempty"`
-	Seed         int64              `json:"seed,omitempty"`
-	Qubits       []int              `json:"qubits,omitempty"`
-	Readouts     *wireReadouts      `json:"readouts,omitempty"`
-	Params       map[string]float64 `json:"params,omitempty"`
-	Sweep        *wireSweep         `json:"sweep,omitempty"`
-	Optimize     *wireOptimize      `json:"optimize,omitempty"`
-	Noise        *wireNoise         `json:"noise,omitempty"`
-	Trajectories int                `json:"trajectories,omitempty"`
-	Options      wireOptions        `json:"options"`
-	TimeoutMS    int64              `json:"timeout_ms,omitempty"`
+	Kind      string             `json:"kind"`
+	Readouts  *wireReadouts      `json:"readouts,omitempty"`
+	Params    map[string]float64 `json:"params,omitempty"`
+	Sweep     *wireSweep         `json:"sweep,omitempty"`
+	Optimize  *wireOptimize      `json:"optimize,omitempty"`
+	Noise     *wireNoise         `json:"noise,omitempty"`
+	Options   wireOptions        `json:"options"`
+	TimeoutMS int64              `json:"timeout_ms,omitempty"`
 }
 
 // wireSweep is the kind-"sweep" binding grid:
@@ -224,7 +219,7 @@ func toObservables(wobs []wireObservable) ([]core.Observable, error) {
 	return out, nil
 }
 
-// wireNoise is the JSON noise-model spec for the noisy kinds:
+// wireNoise is the JSON noise-model spec:
 //
 //	"noise": {
 //	  "rules": [
@@ -237,7 +232,7 @@ func toObservables(wobs []wireObservable) ([]core.Observable, error) {
 //
 // Channel probabilities, readout probabilities and rule qubits are bounds-
 // checked here (and again by the service), so a bad model is a 400 at
-// submit, mirroring the qubits/shots validation.
+// submit, mirroring the readout-spec validation.
 type wireNoise struct {
 	Rules   []wireNoiseRule `json:"rules,omitempty"`
 	Readout *wireReadout    `json:"readout,omitempty"`
@@ -317,6 +312,10 @@ func (o wireOptions) toCore() (core.Options, error) {
 	return out, nil
 }
 
+// maxFamilyQubits bounds "family" circuits on the wire: no state vector
+// reaches 2^64 amplitudes, whatever Config.MaxQubits says.
+const maxFamilyQubits = 64
+
 func (w wireRequest) toRequest() (Request, error) {
 	var req Request
 	switch {
@@ -329,6 +328,11 @@ func (w wireRequest) toRequest() (Request, error) {
 		}
 		req.Circuit = c
 	case w.Circuit.Family != "":
+		// Generators emit up to O(n²) gates before the service's MaxQubits
+		// check ever sees the circuit, so bound the width here.
+		if w.Circuit.Qubits > maxFamilyQubits {
+			return req, fmt.Errorf("circuit: %d qubits exceeds the %d-qubit generator limit", w.Circuit.Qubits, maxFamilyQubits)
+		}
 		c, err := circuit.Named(w.Circuit.Family, w.Circuit.Qubits)
 		if err != nil {
 			return req, err
@@ -350,9 +354,6 @@ func (w wireRequest) toRequest() (Request, error) {
 		return req, err
 	}
 	req.Kind = Kind(w.Kind)
-	req.Shots = w.Shots
-	req.Seed = w.Seed
-	req.Qubits = w.Qubits
 	req.Readouts = spec
 	req.Params = w.Params
 	if w.Sweep != nil {
@@ -371,16 +372,13 @@ func (w wireRequest) toRequest() (Request, error) {
 		}
 	}
 	req.Noise = model
-	req.Trajectories = w.Trajectories
 	req.Options = opts
 	req.Timeout = time.Duration(w.TimeoutMS) * time.Millisecond
 	return req, nil
 }
 
-// wireJob is the poll/cancel response body. Backend (the executing engine)
-// is populated for kind-"run" jobs only: deprecated-kind job bodies stay
-// byte-compatible with the v1 surface (the engine for those is still
-// visible in the /v1/stats backends counters and the Go JobInfo).
+// wireJob is the poll/cancel response body. Backend is the executing
+// engine (empty while queued).
 type wireJob struct {
 	ID        string      `json:"id"`
 	Kind      string      `json:"kind"`
@@ -390,82 +388,79 @@ type wireJob struct {
 	Submitted time.Time   `json:"submitted"`
 	Started   *time.Time  `json:"started,omitempty"`
 	Finished  *time.Time  `json:"finished,omitempty"`
-	Result    *wireResult `json:"result,omitempty"`
+	Result    *WireResult `json:"result,omitempty"`
 }
 
-// wireResult is the result body; only the kind's fields are populated.
-// The backend/marginals/observables fields are part of the v2 (kind "run")
-// surface and stay absent on deprecated-kind responses, keeping those
-// byte-compatible with the v1 wire format.
-type wireResult struct {
-	Kind          string         `json:"kind"`
-	NumQubits     int            `json:"num_qubits"`
-	CacheHit      bool           `json:"cache_hit"`
-	Parts         int            `json:"parts"`
-	ElapsedMS     float64        `json:"elapsed_ms"`
-	WaitedMS      float64        `json:"waited_ms"`
-	Backend       string         `json:"backend,omitempty"`
-	Samples       []int          `json:"samples,omitempty"`
-	Counts        map[string]int `json:"counts,omitempty"`
-	Expectation   *float64       `json:"expectation,omitempty"`
-	StdErr        *float64       `json:"stderr,omitempty"`
-	Trajectories  int            `json:"trajectories,omitempty"`
-	Probabilities []float64      `json:"probabilities,omitempty"`
-	Marginals     [][]float64    `json:"marginals,omitempty"`
-	Observables   []wireObsValue `json:"observables,omitempty"`
-	Amplitudes    [][2]float64   `json:"amplitudes,omitempty"`
-	// Sweep and Optimize are the v3 payloads (kinds "sweep"/"optimize").
-	Sweep    *wireSweepResult    `json:"sweep,omitempty"`
-	Optimize *wireOptimizeResult `json:"optimize,omitempty"`
+// WireResult is the result body; only the kind's fields are populated.
+// The Wire* types are exported because the cluster coordinator decodes,
+// merges and re-encodes worker bodies with them: one declaration of the
+// schema is what keeps a merged job byte-identical to a routed one.
+type WireResult struct {
+	Kind         string         `json:"kind"`
+	NumQubits    int            `json:"num_qubits"`
+	CacheHit     bool           `json:"cache_hit"`
+	Parts        int            `json:"parts"`
+	ElapsedMS    float64        `json:"elapsed_ms"`
+	WaitedMS     float64        `json:"waited_ms"`
+	Backend      string         `json:"backend,omitempty"`
+	Samples      []int          `json:"samples,omitempty"`
+	Counts       map[string]int `json:"counts,omitempty"`
+	Trajectories int            `json:"trajectories,omitempty"`
+	Marginals    [][]float64    `json:"marginals,omitempty"`
+	Observables  []WireObsValue `json:"observables,omitempty"`
+	Amplitudes   [][2]float64   `json:"amplitudes,omitempty"`
+	// Sweep and Optimize are the template-kind payloads ("sweep"/"optimize").
+	Sweep    *WireSweepResult    `json:"sweep,omitempty"`
+	Optimize *WireOptimizeResult `json:"optimize,omitempty"`
 	// Moments is the optional kind-"run" merge surface ("readouts":
 	// {"moments": true} on an effective-noise ensemble): per-chunk partial
 	// sums behind the mean ± stderr readouts, in chunk order.
-	Moments *wireMoments `json:"moments,omitempty"`
+	Moments *WireMoments `json:"moments,omitempty"`
 }
 
-// wireMoments carries the per-chunk partial sums a cluster coordinator
+// WireMoments carries the per-chunk partial sums a cluster coordinator
 // folds with the canonical chunked reduction to reproduce single-node
 // statistics bit-for-bit. Floats survive the JSON round trip exactly
 // (encoding/json emits the shortest representation that parses back to
 // the same float64).
-type wireMoments struct {
+type WireMoments struct {
 	ChunkSize int               `json:"chunk_size"`
-	Chunks    []wireMomentChunk `json:"chunks"`
+	Chunks    []WireMomentChunk `json:"chunks"`
 }
 
-// wireMomentChunk is one chunk's partials: [sum, sum-of-squares] per
+// WireMomentChunk is one chunk's partials: [sum, sum-of-squares] per
 // observable (readout-spec order) and per-entry probability sums per
 // marginal.
-type wireMomentChunk struct {
+type WireMomentChunk struct {
 	Chunk int          `json:"chunk"`
 	Count int          `json:"count"`
 	Obs   [][2]float64 `json:"obs,omitempty"`
 	Marg  [][]float64  `json:"marg,omitempty"`
 }
 
-// wireSweepResult is the kind-"sweep" payload: the compile-amortization
+// WireSweepResult is the kind-"sweep" payload: the compile-amortization
 // ledger plus one readout set per grid point, in request order.
-type wireSweepResult struct {
+type WireSweepResult struct {
 	Compiles      int              `json:"compiles"`
 	TouchedBlocks int              `json:"touched_blocks"`
 	SharedBlocks  int              `json:"shared_blocks"`
 	Trajectories  int              `json:"trajectories,omitempty"`
-	Points        []wireSweepPoint `json:"points"`
+	Points        []WireSweepPoint `json:"points"`
 }
 
-// wireSweepPoint is one evaluated grid point.
-type wireSweepPoint struct {
+// WireSweepPoint is one evaluated grid point.
+type WireSweepPoint struct {
 	Params      map[string]float64 `json:"params"`
 	Samples     []int              `json:"samples,omitempty"`
 	Counts      map[string]int     `json:"counts,omitempty"`
 	Marginals   [][]float64        `json:"marginals,omitempty"`
-	Observables []wireObsValue     `json:"observables,omitempty"`
+	Observables []WireObsValue     `json:"observables,omitempty"`
 	Amplitudes  [][2]float64       `json:"amplitudes,omitempty"`
 }
 
-// wireOptimizeResult is the kind-"optimize" payload: the best binding and
+// WireOptimizeResult is the kind-"optimize" payload: the best binding and
 // its objective, plus the per-iteration trace.
-type wireOptimizeResult struct {
+type WireOptimizeResult struct {
 	Method       string             `json:"method"`
 	Best         map[string]float64 `json:"best"`
 	BestValue    float64            `json:"best_value"`
@@ -473,18 +468,18 @@ type wireOptimizeResult struct {
 	Compiles     int                `json:"compiles"`
 	Converged    bool               `json:"converged"`
 	Trajectories int                `json:"trajectories,omitempty"`
-	Trace        []wireOptIter      `json:"trace,omitempty"`
+	Trace        []WireOptIter      `json:"trace,omitempty"`
 }
 
-// wireOptIter is one optimization trace entry.
-type wireOptIter struct {
+// WireOptIter is one optimization trace entry.
+type WireOptIter struct {
 	Iter   int                `json:"iter"`
 	Params map[string]float64 `json:"params"`
 	Value  float64            `json:"value"`
 }
 
-// wireObsValue is one evaluated observable.
-type wireObsValue struct {
+// WireObsValue is one evaluated observable.
+type WireObsValue struct {
 	Name   string  `json:"name,omitempty"`
 	Value  float64 `json:"value"`
 	StdErr float64 `json:"stderr,omitempty"`
@@ -493,10 +488,7 @@ type wireObsValue struct {
 func toWireJob(info JobInfo) wireJob {
 	out := wireJob{
 		ID: info.ID, Kind: string(info.Kind), Status: string(info.Status),
-		Error: info.Err, Submitted: info.Submitted,
-	}
-	if info.Kind == KindRun || info.Kind.Parameterized() {
-		out.Backend = info.Backend
+		Backend: info.Backend, Error: info.Err, Submitted: info.Submitted,
 	}
 	if !info.Started.IsZero() {
 		t := info.Started
@@ -512,103 +504,53 @@ func toWireJob(info JobInfo) wireJob {
 	return out
 }
 
-func toWireResult(r *Result) *wireResult {
-	out := &wireResult{
+func toWireResult(r *Result) *WireResult {
+	ro := toWireSweepPoint(nil, &r.Readouts, r.NumQubits)
+	out := &WireResult{
 		Kind: string(r.Kind), NumQubits: r.NumQubits, CacheHit: r.CacheHit,
 		Parts:     r.Parts,
-		ElapsedMS: float64(r.Elapsed) / float64(time.Millisecond),
-		WaitedMS:  float64(r.Waited) / float64(time.Millisecond),
+		ElapsedMS: DurationMS(r.Elapsed), WaitedMS: DurationMS(r.Waited),
+		Backend: r.Backend, Trajectories: r.Trajectories,
+		Samples: ro.Samples, Counts: ro.Counts, Marginals: ro.Marginals,
+		Observables: ro.Observables, Amplitudes: ro.Amplitudes,
 	}
-	switch r.Kind {
-	case KindRun:
-		out.Backend = r.Backend
-		out.Trajectories = r.Trajectories
-		out.Samples = r.Samples
-		if r.Counts != nil {
-			out.Counts = make(map[string]int, len(r.Counts))
-			for basis, n := range r.Counts {
-				out.Counts[bitstring(basis, r.NumQubits)] = n
-			}
+	if len(r.Moments) > 0 {
+		out.Moments = &WireMoments{ChunkSize: noise.MomentChunk,
+			Chunks: make([]WireMomentChunk, 0, len(r.Moments))}
+		for _, m := range r.Moments {
+			out.Moments.Chunks = append(out.Moments.Chunks, WireMomentChunk{
+				Chunk: m.Chunk, Count: m.Count, Obs: m.Obs, Marg: m.Marg,
+			})
 		}
-		out.Marginals = r.Marginals
-		for _, ov := range r.Observables {
-			out.Observables = append(out.Observables, wireObsValue{Name: ov.Name, Value: ov.Value, StdErr: ov.StdErr})
+	}
+	if r.Sweep != nil {
+		out.Sweep = &WireSweepResult{
+			Compiles: r.Sweep.Compiles, TouchedBlocks: r.Sweep.TouchedBlocks,
+			SharedBlocks: r.Sweep.SharedBlocks, Trajectories: r.Sweep.Trajectories,
+			Points: make([]WireSweepPoint, 0, len(r.Sweep.Points)),
 		}
-		if r.Amplitudes != nil {
-			out.Amplitudes = make([][2]float64, len(r.Amplitudes))
-			for i, a := range r.Amplitudes {
-				out.Amplitudes[i] = [2]float64{real(a), imag(a)}
-			}
+		for _, p := range r.Sweep.Points {
+			out.Sweep.Points = append(out.Sweep.Points, toWireSweepPoint(p.Binding, p.Readouts, r.NumQubits))
 		}
-		if len(r.Moments) > 0 {
-			wm := &wireMoments{ChunkSize: noise.MomentChunk,
-				Chunks: make([]wireMomentChunk, 0, len(r.Moments))}
-			for _, m := range r.Moments {
-				wm.Chunks = append(wm.Chunks, wireMomentChunk{
-					Chunk: m.Chunk, Count: m.Count, Obs: m.Obs, Marg: m.Marg,
-				})
-			}
-			out.Moments = wm
+	}
+	if r.Optimize != nil {
+		out.Optimize = &WireOptimizeResult{
+			Method: r.Optimize.Method, Best: r.Optimize.Best, BestValue: r.Optimize.BestValue,
+			Evaluations: r.Optimize.Evaluations, Compiles: r.Optimize.Compiles,
+			Converged: r.Optimize.Converged, Trajectories: r.Optimize.Trajectories,
 		}
-	case KindSweep:
-		out.Backend = r.Backend
-		out.Trajectories = r.Trajectories
-		if r.Sweep != nil {
-			ws := &wireSweepResult{
-				Compiles: r.Sweep.Compiles, TouchedBlocks: r.Sweep.TouchedBlocks,
-				SharedBlocks: r.Sweep.SharedBlocks, Trajectories: r.Sweep.Trajectories,
-				Points: make([]wireSweepPoint, 0, len(r.Sweep.Points)),
-			}
-			for _, p := range r.Sweep.Points {
-				ws.Points = append(ws.Points, toWireSweepPoint(p, r.NumQubits))
-			}
-			out.Sweep = ws
-		}
-	case KindOptimize:
-		out.Backend = r.Backend
-		out.Trajectories = r.Trajectories
-		if r.Optimize != nil {
-			wo := &wireOptimizeResult{
-				Method: r.Optimize.Method, Best: r.Optimize.Best, BestValue: r.Optimize.BestValue,
-				Evaluations: r.Optimize.Evaluations, Compiles: r.Optimize.Compiles,
-				Converged: r.Optimize.Converged, Trajectories: r.Optimize.Trajectories,
-			}
-			for _, it := range r.Optimize.Trace {
-				wo.Trace = append(wo.Trace, wireOptIter{Iter: it.Iter, Params: it.Params, Value: it.Value})
-			}
-			out.Optimize = wo
-		}
-	case KindSample, KindNoisySample:
-		out.Samples = r.Samples
-		out.Counts = make(map[string]int, len(r.Counts))
-		for basis, n := range r.Counts {
-			out.Counts[bitstring(basis, r.NumQubits)] = n
-		}
-		out.Trajectories = r.Trajectories
-	case KindExpectation, KindNoisyExpectation:
-		e := r.Expectation
-		out.Expectation = &e
-		if r.Kind == KindNoisyExpectation {
-			se := r.StdErr
-			out.StdErr = &se
-			out.Trajectories = r.Trajectories
-		}
-	case KindProbabilities:
-		out.Probabilities = r.Probabilities
-	case KindStatevector:
-		out.Amplitudes = make([][2]float64, len(r.Amplitudes))
-		for i, a := range r.Amplitudes {
-			out.Amplitudes[i] = [2]float64{real(a), imag(a)}
+		for _, it := range r.Optimize.Trace {
+			out.Optimize.Trace = append(out.Optimize.Trace, WireOptIter{Iter: it.Iter, Params: it.Params, Value: it.Value})
 		}
 	}
 	return out
 }
 
-// toWireSweepPoint renders one grid point's read-outs (bitstring count
-// keys and [re, im] amplitudes, matching the kind-"run" conventions).
-func toWireSweepPoint(p core.SweepPoint, n int) wireSweepPoint {
-	out := wireSweepPoint{Params: p.Binding}
-	ro := p.Readouts
+// toWireSweepPoint renders one evaluated readout set — a grid point's, or a
+// run result's (binding nil) — with bitstring count keys and [re, im]
+// amplitudes.
+func toWireSweepPoint(binding map[string]float64, ro *core.Readouts, n int) WireSweepPoint {
+	out := WireSweepPoint{Params: binding}
 	if ro == nil {
 		return out
 	}
@@ -621,7 +563,7 @@ func toWireSweepPoint(p core.SweepPoint, n int) wireSweepPoint {
 	}
 	out.Marginals = ro.Marginals
 	for _, ov := range ro.Observables {
-		out.Observables = append(out.Observables, wireObsValue{Name: ov.Name, Value: ov.Value, StdErr: ov.StdErr})
+		out.Observables = append(out.Observables, WireObsValue{Name: ov.Name, Value: ov.Value, StdErr: ov.StdErr})
 	}
 	if ro.Amplitudes != nil {
 		out.Amplitudes = make([][2]float64, len(ro.Amplitudes))
@@ -650,12 +592,12 @@ func handleSubmit(s *Service, w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&wr); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	req, err := wr.toRequest()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// When the handler is mounted without obs.InstrumentHTTP (embedded
@@ -679,25 +621,25 @@ func handleSubmit(s *Service, w http.ResponseWriter, r *http.Request) {
 		// back. The cluster coordinator parses this when dispatching
 		// sub-jobs and backs the worker off for that long.
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err)
+		WriteError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": string(StatusQueued)})
+	WriteJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": string(StatusQueued)})
 }
 
 func handleJob(s *Service, w http.ResponseWriter, r *http.Request) {
 	info, err := s.Job(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toWireJob(info))
+	WriteJSON(w, http.StatusOK, toWireJob(info))
 }
 
 // handleResult long-polls: it waits up to ?wait (default 30s, capped at
@@ -710,7 +652,7 @@ func handleResult(s *Service, w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("wait"); raw != "" {
 		d, err := time.ParseDuration(raw)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q: %w", raw, err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q: %w", raw, err))
 			return
 		}
 		wait = min(max(d, 0), 5*time.Minute)
@@ -719,7 +661,7 @@ func handleResult(s *Service, w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	res, werr := s.Wait(ctx, id)
 	if errors.Is(werr, ErrNotFound) {
-		writeError(w, http.StatusNotFound, werr)
+		WriteError(w, http.StatusNotFound, werr)
 		return
 	}
 	info, jerr := s.Job(id)
@@ -729,32 +671,32 @@ func handleResult(s *Service, w http.ResponseWriter, r *http.Request) {
 		if !info.Status.Terminal() {
 			code = http.StatusAccepted // still running: client re-arms the poll
 		}
-		writeJSON(w, code, toWireJob(info))
+		WriteJSON(w, code, toWireJob(info))
 	case werr == nil:
 		// Retention evicted the job between Wait and Job — serve the
 		// result Wait already handed us rather than 404ing a success.
-		writeJSON(w, http.StatusOK, wireJob{
+		WriteJSON(w, http.StatusOK, wireJob{
 			ID: id, Kind: string(res.Kind), Status: string(StatusDone),
 			Result: toWireResult(res),
 		})
 	case ctx.Err() != nil:
 		// Our long-poll timer expired and the job is gone: truly unknown.
-		writeError(w, http.StatusNotFound, ErrNotFound)
+		WriteError(w, http.StatusNotFound, ErrNotFound)
 	default:
 		// Evicted terminal failure/cancel: synthesize the snapshot.
 		status := StatusFailed
 		if errors.Is(werr, context.Canceled) || errors.Is(werr, context.DeadlineExceeded) {
 			status = StatusCanceled
 		}
-		writeJSON(w, http.StatusOK, wireJob{ID: id, Status: string(status), Error: werr.Error()})
+		WriteJSON(w, http.StatusOK, wireJob{ID: id, Status: string(status), Error: werr.Error()})
 	}
 }
 
-// wireTrace is the GET /v1/jobs/{id}/trace body: the job's sequential
+// WireTrace is the GET /v1/jobs/{id}/trace body: the job's sequential
 // stage spans. For terminal jobs the stage durations sum to wall_ms (the
 // spans tile the submitted→finished window); live jobs include the open
 // stage measured to now.
-type wireTrace struct {
+type WireTrace struct {
 	ID         string      `json:"id"`
 	Kind       string      `json:"kind"`
 	Status     string      `json:"status"`
@@ -762,41 +704,45 @@ type wireTrace struct {
 	ParentSpan string      `json:"parent_span,omitempty"`
 	Backend    string      `json:"backend,omitempty"`
 	WallMS     float64     `json:"wall_ms"`
-	Stages     []wireStage `json:"stages"`
+	Stages     []WireStage `json:"stages"`
 }
 
-// wireStage is one stage span: its offset from submit and its duration.
-type wireStage struct {
+// WireStage is one stage span: its offset from submit and its duration.
+type WireStage struct {
 	Stage      string  `json:"stage"`
 	StartMS    float64 `json:"start_ms"`
 	DurationMS float64 `json:"duration_ms"`
 }
 
+// WireStages renders a stage trace for the wire.
+func WireStages(spans []obs.Span) []WireStage {
+	out := make([]WireStage, 0, len(spans))
+	for _, sp := range spans {
+		out = append(out, WireStage{Stage: sp.Name, StartMS: DurationMS(sp.Start), DurationMS: DurationMS(sp.Dur)})
+	}
+	return out
+}
+
 func handleTrace(s *Service, w http.ResponseWriter, r *http.Request) {
 	info, err := s.Job(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	wall := time.Since(info.Submitted)
 	if !info.Finished.IsZero() {
 		wall = info.Finished.Sub(info.Submitted)
 	}
-	out := wireTrace{
+	out := WireTrace{
 		ID: info.ID, Kind: string(info.Kind), Status: string(info.Status),
 		RequestID: info.RequestID, ParentSpan: info.ParentSpan, Backend: info.Backend,
-		WallMS: durationMS(wall),
-		Stages: make([]wireStage, 0, len(info.Trace)),
+		WallMS: DurationMS(wall),
+		Stages: WireStages(info.Trace),
 	}
-	for _, sp := range info.Trace {
-		out.Stages = append(out.Stages, wireStage{
-			Stage: sp.Name, StartMS: durationMS(sp.Start), DurationMS: durationMS(sp.Dur),
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
-// wireProfile is the GET /v1/jobs/{id}/profile body: the job's kernel-level
+// WireProfile is the GET /v1/jobs/{id}/profile body: the job's kernel-level
 // execution profile nested under its stage trace. window_ms sums the engine
 // stages (simulate + trajectories) — the wall time the kernels could have
 // been attributed to — and kernel_ms sums the attributed kernel rows.
@@ -804,7 +750,7 @@ func handleTrace(s *Service, w http.ResponseWriter, r *http.Request) {
 // instrumented kernels (fusion compile, state allocation, scheduling); it
 // goes NEGATIVE when trajectory workers > 1, because concurrent
 // trajectories' kernel seconds sum while the stage clock does not.
-type wireProfile struct {
+type WireProfile struct {
 	ID             string            `json:"id"`
 	Kind           string            `json:"kind"`
 	Status         string            `json:"status"`
@@ -815,68 +761,69 @@ type wireProfile struct {
 	WindowMS       float64           `json:"window_ms"`
 	KernelMS       float64           `json:"kernel_ms"`
 	UnattributedMS float64           `json:"unattributed_ms"`
-	Stages         []wireStage       `json:"stages"`
+	Stages         []WireStage       `json:"stages"`
 	Kernels        []prof.KernelStat `json:"kernels"`
 }
 
 func handleProfile(s *Service, w http.ResponseWriter, r *http.Request) {
 	info, err := s.Job(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	wall := time.Since(info.Submitted)
 	if !info.Finished.IsZero() {
 		wall = info.Finished.Sub(info.Submitted)
 	}
-	out := wireProfile{
+	out := WireProfile{
 		ID: info.ID, Kind: string(info.Kind), Status: string(info.Status),
 		RequestID: info.RequestID, ParentSpan: info.ParentSpan, Backend: info.Backend,
-		WallMS:  durationMS(wall),
-		Stages:  make([]wireStage, 0, len(info.Trace)),
+		WallMS:  DurationMS(wall),
+		Stages:  WireStages(info.Trace),
 		Kernels: info.Profile,
 	}
 	if out.Kernels == nil {
 		out.Kernels = []prof.KernelStat{} // render [] rather than null
 	}
 	for _, sp := range info.Trace {
-		out.Stages = append(out.Stages, wireStage{
-			Stage: sp.Name, StartMS: durationMS(sp.Start), DurationMS: durationMS(sp.Dur),
-		})
 		if sp.Name == stageSimulate || sp.Name == stageTrajectories {
-			out.WindowMS += durationMS(sp.Dur)
+			out.WindowMS += DurationMS(sp.Dur)
 		}
 	}
 	for _, ks := range info.Profile {
 		out.KernelMS += ks.Seconds * 1e3
 	}
 	out.UnattributedMS = out.WindowMS - out.KernelMS
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
-func durationMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+// DurationMS renders a duration as the fractional milliseconds every
+// *_ms wire field carries.
+func DurationMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func handleCancel(s *Service, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := s.Cancel(id); err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	info, err := s.Job(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toWireJob(info))
+	WriteJSON(w, http.StatusOK, toWireJob(info))
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the JSON response body with the given status.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+// WriteError writes the {"error": …} body every non-2xx response carries.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }

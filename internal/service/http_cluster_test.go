@@ -19,7 +19,7 @@ func TestHTTPQueueFullRetryAfter(t *testing.T) {
 	// Saturate the single worker and the one queue slot with slow jobs.
 	blocker := `{
 		"circuit": {"family": "qft", "qubits": 16},
-		"kind": "statevector",
+		"kind": "run", "readouts": {"statevector": true},
 		"options": {"strategy": "dagp", "lm": 8}
 	}`
 	var sawFull bool

@@ -53,7 +53,7 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 	_, srv := newHTTPTest(t)
 	resp, body := postJSON(t, srv.URL+"/v1/jobs", `{
 		"circuit": {"family": "qft", "qubits": 8},
-		"kind": "sample", "shots": 64, "seed": 5,
+		"kind": "run", "readouts": {"shots": 64, "seed": 5},
 		"options": {"strategy": "dagp", "lm": 5}
 	}`)
 	if resp.StatusCode != http.StatusAccepted {
@@ -97,8 +97,9 @@ func TestHTTPQASMCircuitAndExpectation(t *testing.T) {
 	src := qasm.Write(circuit.MustNamed("bv", 6))
 	payload, _ := json.Marshal(map[string]any{
 		"circuit": map[string]string{"qasm": src},
-		"kind":    "expectation",
-		"qubits":  []int{0, 1},
+		"kind":    "run",
+		"readouts": map[string]any{"observables": []map[string]any{
+			{"paulis": "ZZ", "qubits": []int{0, 1}}}},
 	})
 	resp, body := postJSON(t, srv.URL+"/v1/jobs", string(payload))
 	if resp.StatusCode != http.StatusAccepted {
@@ -110,8 +111,12 @@ func TestHTTPQASMCircuitAndExpectation(t *testing.T) {
 		t.Fatalf("result: %d %v", resp.StatusCode, body)
 	}
 	result := body["result"].(map[string]any)
-	if _, ok := result["expectation"].(float64); !ok {
+	obs, _ := result["observables"].([]any)
+	if len(obs) != 1 {
 		t.Fatalf("no expectation in %v", result)
+	}
+	if _, ok := obs[0].(map[string]any)["value"].(float64); !ok {
+		t.Fatalf("no expectation value in %v", result)
 	}
 }
 
@@ -119,12 +124,15 @@ func TestHTTPBadRequests(t *testing.T) {
 	_, srv := newHTTPTest(t)
 	cases := []string{
 		`{not json`,
-		`{"kind": "sample"}`, // no circuit
-		`{"circuit": {"family": "nope", "qubits": 4}, "kind": "sample"}`,                // bad family
-		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "destroy"}`,                 // bad kind
-		`{"circuit": {"qasm": "bogus", "family": "bv", "qubits": 4}, "kind": "sample"}`, // both sources
-		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "sample", "unknown": true}`, // unknown field
-		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "sample",
+		`{"kind": "run", "readouts": {"shots": 4}}`,                                                                    // no circuit
+		`{"circuit": {"family": "nope", "qubits": 4}, "kind": "run", "readouts": {"shots": 4}}`,                        // bad family
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "destroy", "readouts": {"shots": 4}}`,                      // bad kind
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run"}`,                                                    // no read-outs
+		`{"circuit": {"family": "qft", "qubits": 2000000}, "kind": "run", "readouts": {"shots": 4}}`,                   // generator too wide to even build
+		`{"circuit": {"qasm": "OPENQASM 2.0;\nqreg q[2000000000];\nh q;\n"}, "kind": "run", "readouts": {"shots": 4}}`, // register too wide to even parse
+		`{"circuit": {"qasm": "bogus", "family": "bv", "qubits": 4}, "kind": "run", "readouts": {"shots": 4}}`,         // both sources
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run", "readouts": {"shots": 4}, "unknown": true}`,         // unknown field
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run", "readouts": {"shots": 4},
 		  "options": {"fuse": "sometimes"}}`, // bad fuse policy
 	}
 	for _, body := range cases {
@@ -141,12 +149,39 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPRemovedV1BodiesAre400: the six single-readout kinds and their
+// top-level read-out fields are gone — a v1 body is rejected at submit, and
+// the kind error names what to send instead.
+func TestHTTPRemovedV1BodiesAre400(t *testing.T) {
+	_, srv := newHTTPTest(t)
+	circuitStanza := `"circuit": {"family": "bv", "qubits": 4}`
+	for _, kind := range []string{"statevector", "sample", "expectation", "probabilities", "noisy_sample", "noisy_expectation"} {
+		resp, body := postJSON(t, srv.URL+"/v1/jobs", `{`+circuitStanza+`, "kind": "`+kind+`", "readouts": {"shots": 4}}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("kind %q: status %d, want 400", kind, resp.StatusCode)
+		}
+		msg, _ := body["error"].(string)
+		for _, want := range []string{"run", "sweep", "optimize"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("kind %q: error %q does not name %q", kind, msg, want)
+			}
+		}
+	}
+	for _, field := range []string{`"shots": 4`, `"seed": 1`, `"qubits": [0]`, `"trajectories": 8`} {
+		resp, body := postJSON(t, srv.URL+"/v1/jobs", `{`+circuitStanza+`, "kind": "run", "readouts": {"shots": 4}, `+field+`}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("top-level %s: status %d (%v), want 400", field, resp.StatusCode, body)
+		}
+	}
+}
+
 func TestHTTPCancelAndStats(t *testing.T) {
 	_, srv := newHTTPTest(t)
 	// A heavy job to cancel plus a quick one to completion.
 	_, body := postJSON(t, srv.URL+"/v1/jobs", `{
 		"circuit": {"family": "qft", "qubits": 16},
-		"kind": "statevector", "options": {"strategy": "dagp", "lm": 10}
+		"kind": "run", "readouts": {"statevector": true},
+		"options": {"strategy": "dagp", "lm": 10}
 	}`)
 	heavy := body["id"].(string)
 	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs/"+heavy, nil)
@@ -160,14 +195,14 @@ func TestHTTPCancelAndStats(t *testing.T) {
 	}
 
 	_, body = postJSON(t, srv.URL+"/v1/jobs", `{
-		"circuit": {"family": "bv", "qubits": 6}, "kind": "probabilities", "qubits": [0, 5]
+		"circuit": {"family": "bv", "qubits": 6}, "kind": "run", "readouts": {"marginals": [[0, 5]]}
 	}`)
 	quick := body["id"].(string)
 	resp, body = getJSON(t, srv.URL+"/v1/jobs/"+quick+"/result")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("quick result: %d %v", resp.StatusCode, body)
 	}
-	probs := body["result"].(map[string]any)["probabilities"].([]any)
+	probs := body["result"].(map[string]any)["marginals"].([]any)[0].([]any)
 	if len(probs) != 4 {
 		t.Fatalf("marginal over 2 qubits has %d entries", len(probs))
 	}
@@ -187,7 +222,7 @@ func TestHTTPCancelAndStats(t *testing.T) {
 func TestHTTPStatevectorRoundTrip(t *testing.T) {
 	_, srv := newHTTPTest(t)
 	_, body := postJSON(t, srv.URL+"/v1/jobs", `{
-		"circuit": {"family": "cat_state", "qubits": 3}, "kind": "statevector"
+		"circuit": {"family": "cat_state", "qubits": 3}, "kind": "run", "readouts": {"statevector": true}
 	}`)
 	id := body["id"].(string)
 	resp, body := getJSON(t, srv.URL+"/v1/jobs/"+id+"/result")
@@ -212,7 +247,7 @@ func TestHTTPNoisySampleEndToEnd(t *testing.T) {
 	_, srv := newHTTPTest(t)
 	resp, body := postJSON(t, srv.URL+"/v1/jobs", `{
 		"circuit": {"family": "ising", "qubits": 6},
-		"kind": "noisy_sample", "shots": 200, "seed": 9, "trajectories": 10,
+		"kind": "run", "readouts": {"shots": 200, "seed": 9, "trajectories": 10},
 		"noise": {
 			"rules": [
 				{"channel": "depolarizing", "p": 0.02},
@@ -249,9 +284,10 @@ func TestHTTPNoisySampleEndToEnd(t *testing.T) {
 func TestHTTPNoisyExpectationEndToEnd(t *testing.T) {
 	_, srv := newHTTPTest(t)
 	resp, body := postJSON(t, srv.URL+"/v1/jobs", `{
-		"circuit": {"family": "qft", "qubits": 6},
-		"kind": "noisy_expectation", "qubits": [0, 2], "trajectories": 16,
-		"noise": {"rules": [{"channel": "phase_damping", "p": 0.05}]}
+		"circuit": {"family": "ising", "qubits": 6},
+		"kind": "run",
+		"readouts": {"observables": [{"paulis": "ZZ", "qubits": [0, 2]}], "trajectories": 16},
+		"noise": {"rules": [{"channel": "amplitude_damping", "p": 0.05}]}
 	}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %v", resp.StatusCode, body)
@@ -262,43 +298,47 @@ func TestHTTPNoisyExpectationEndToEnd(t *testing.T) {
 		t.Fatalf("result: %d %v", resp.StatusCode, body)
 	}
 	result := body["result"].(map[string]any)
-	if _, ok := result["expectation"].(float64); !ok {
+	zz := result["observables"].([]any)[0].(map[string]any)
+	if _, ok := zz["value"].(float64); !ok {
 		t.Fatalf("no expectation in %v", result)
 	}
-	if se, ok := result["stderr"].(float64); !ok || se < 0 {
+	if se, ok := zz["stderr"].(float64); !ok || se <= 0 {
 		t.Fatalf("bad stderr in %v", result)
+	}
+	if result["trajectories"].(float64) != 16 {
+		t.Fatalf("trajectories = %v, want 16", result["trajectories"])
 	}
 }
 
 func TestHTTPNoisyValidation(t *testing.T) {
 	// Out-of-bounds noise probabilities and trajectory counts must be 400s
-	// at the HTTP layer, mirroring the qubits/shots validation.
+	// at the HTTP layer, mirroring the readout-spec validation.
 	_, srv := newHTTPTest(t)
-	circuitStanza := `"circuit": {"family": "bv", "qubits": 5}`
+	stanza := `"circuit": {"family": "bv", "qubits": 5}, "kind": "run"`
 	cases := []string{
-		`{` + circuitStanza + `, "kind": "noisy_sample",
+		`{` + stanza + `, "readouts": {"shots": 10},
 		  "noise": {"rules": [{"channel": "depolarizing", "p": 1.5}]}}`, // p > 1
-		`{` + circuitStanza + `, "kind": "noisy_sample",
+		`{` + stanza + `, "readouts": {"shots": 10},
 		  "noise": {"rules": [{"channel": "depolarizing", "p": -0.1}]}}`, // p < 0
-		`{` + circuitStanza + `, "kind": "noisy_sample",
+		`{` + stanza + `, "readouts": {"shots": 10},
 		  "noise": {"rules": [{"channel": "warp", "p": 0.1}]}}`, // unknown channel
-		`{` + circuitStanza + `, "kind": "noisy_sample",
+		`{` + stanza + `, "readouts": {"shots": 10},
 		  "noise": {"readout": {"p01": 2, "p10": 0}}}`, // readout out of bounds
-		`{` + circuitStanza + `, "kind": "noisy_sample", "trajectories": 1000000,
+		`{` + stanza + `, "readouts": {"shots": 10, "trajectories": 1000000},
 		  "noise": {"rules": [{"channel": "bit_flip", "p": 0.1}]}}`, // over trajectory cap
-		`{` + circuitStanza + `, "kind": "noisy_sample", "trajectories": -5,
+		`{` + stanza + `, "readouts": {"shots": 10, "trajectories": -5},
 		  "noise": {"rules": [{"channel": "bit_flip", "p": 0.1}]}}`, // negative trajectories
-		`{` + circuitStanza + `, "kind": "noisy_expectation", "qubits": [7],
+		`{` + stanza + `, "readouts": {"observables": [{"paulis": "Z", "qubits": [7]}]},
 		  "noise": {"rules": [{"channel": "bit_flip", "p": 0.1}]}}`, // qubit out of range
-		`{` + circuitStanza + `, "kind": "sample",
-		  "noise": {"rules": [{"channel": "bit_flip", "p": 0.1}]}}`, // noise on ideal kind
-		`{` + circuitStanza + `, "kind": "noisy_sample",
+		`{` + stanza + `, "readouts": {"statevector": true},
+		  "noise": {"rules": [{"channel": "bit_flip", "p": 0.1}]}}`, // no single state under noise
+		`{` + stanza + `, "readouts": {"shots": 10},
 		  "noise": {"rules": [{"channel": "bit_flip", "p": 0.1, "qubits": [9]}]}}`, // rule qubit out of range
 	}
 	for _, body := range cases {
 		resp, got := postJSON(t, srv.URL+"/v1/jobs", body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %.60q: status %d (%v), want 400", body, resp.StatusCode, got)
+			t.Errorf("body %.90q: status %d (%v), want 400", body, resp.StatusCode, got)
 		}
 	}
 }

@@ -56,7 +56,6 @@ type serviceMetrics struct {
 	simulations      *obs.Counter
 	trajectories     *obs.Counter
 	templateCompiles *obs.Counter
-	shimHits         *obs.CounterVec // {kind}
 	backendJobs      *obs.CounterVec // {backend}
 
 	cacheHits      *obs.CounterVec // {cache}
@@ -126,8 +125,6 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		"Stochastic trajectories executed across all noisy ensembles.")
 	m.templateCompiles = reg.Counter("hisvsim_template_compiles_total",
 		"Parameterized-template fusion compiles (the sweep amortization ledger).")
-	m.shimHits = reg.CounterVec("hisvsim_shim_hits_total",
-		"Submissions through the deprecated v1 kinds, by kind.", "kind")
 	m.backendJobs = reg.CounterVec("hisvsim_backend_jobs_total",
 		"Executed jobs per engine (registry names plus \"trajectory\").", "backend")
 	m.cacheHits = reg.CounterVec("hisvsim_cache_hits_total",

@@ -23,7 +23,7 @@ func TestJobTraceTiles(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	c := circuit.MustNamed("cat_state", 6)
-	id, err := s.Submit(Request{Circuit: c, Kind: KindSample, Shots: 100, Options: core.Options{Strategy: "dagp"}})
+	id, err := s.Submit(Request{Circuit: c, Kind: KindRun, Readouts: shots(100, 0), Options: core.Options{Strategy: "dagp"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +69,16 @@ func TestJobTraceTiles(t *testing.T) {
 	if info.RequestID == "" {
 		t.Error("job has no request ID")
 	}
+
+	// Do submits through the caller's context too: the request ID on ctx is
+	// the job's, not a freshly minted one.
+	ctx := obs.WithRequestID(context.Background(), "rid-do-7")
+	if _, err := s.Do(ctx, Request{Circuit: c, Kind: KindRun, Readouts: shots(10, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if info, err = s.Job("j000002"); err != nil || info.RequestID != "rid-do-7" {
+		t.Errorf("Do job request ID = %q (%v), want the ID on the caller's context", info.RequestID, err)
+	}
 }
 
 // TestStatsFromRegistry pins the Stats() rebase: the JSON-visible
@@ -79,29 +89,22 @@ func TestStatsFromRegistry(t *testing.T) {
 	defer s.Close()
 	c := circuit.MustNamed("cat_state", 5)
 	opts := core.Options{Strategy: "dagp"}
-	// Two sample jobs (one miss + one hit) through a deprecated shim kind,
-	// and one v2 run job sharing the same cache entry.
-	for i := 0; i < 2; i++ {
-		if _, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindSample, Shots: 10, Seed: int64(i), Options: opts}); err != nil {
+	// Three differently-seeded shot jobs (one miss + two hits) sharing one
+	// cache entry.
+	for i := 0; i < 3; i++ {
+		if _, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindRun, Readouts: shots(10, int64(i)), Options: opts}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindRun,
-		Readouts: core.ReadoutSpec{Shots: 10}, Options: opts}); err != nil {
-		t.Fatal(err)
 	}
 	st := s.Stats()
 	if st.Submitted != 3 || st.Completed != 3 || st.Failed != 0 || st.Canceled != 0 {
 		t.Errorf("job counts = %d/%d/%d/%d, want 3/3/0/0", st.Submitted, st.Completed, st.Failed, st.Canceled)
 	}
 	if st.Simulations != 1 {
-		t.Errorf("simulations = %d, want 1 (two jobs share the cache entry)", st.Simulations)
+		t.Errorf("simulations = %d, want 1 (the jobs share the cache entry)", st.Simulations)
 	}
 	if st.CacheHits != 2 || st.CacheMisses != 1 {
 		t.Errorf("cache hits/misses = %d/%d, want 2/1", st.CacheHits, st.CacheMisses)
-	}
-	if st.ShimHits != 2 {
-		t.Errorf("shim hits = %d, want 2 (the two deprecated-kind submits)", st.ShimHits)
 	}
 	if st.Backends["hier"] != 3 {
 		t.Errorf("backends = %v, want hier:3", st.Backends)
@@ -114,12 +117,10 @@ func TestStatsFromRegistry(t *testing.T) {
 	}
 	out := sb.String()
 	for _, line := range []string{
-		`hisvsim_jobs_submitted_total{kind="sample"} 2`,
-		`hisvsim_jobs_submitted_total{kind="run"} 1`,
-		`hisvsim_jobs_finished_total{kind="sample",status="done"} 2`,
+		`hisvsim_jobs_submitted_total{kind="run"} 3`,
+		`hisvsim_jobs_finished_total{kind="run",status="done"} 3`,
 		`hisvsim_cache_hits_total{cache="state"} 2`,
 		`hisvsim_cache_misses_total{cache="state"} 1`,
-		`hisvsim_shim_hits_total{kind="sample"} 2`,
 		`hisvsim_backend_jobs_total{backend="hier"} 3`,
 		`hisvsim_simulations_total 1`,
 		`hisvsim_queue_depth 0`,
@@ -130,8 +131,8 @@ func TestStatsFromRegistry(t *testing.T) {
 		}
 	}
 	// Stage histograms observed at least one queue_wait per job.
-	if !strings.Contains(out, `hisvsim_stage_duration_seconds_count{stage="queue_wait",kind="sample",backend="hier"} 2`) {
-		t.Errorf("metrics missing sample queue_wait stage count:\n%s", grepLines(out, "stage_duration_seconds_count"))
+	if !strings.Contains(out, `hisvsim_stage_duration_seconds_count{stage="queue_wait",kind="run",backend="hier"} 3`) {
+		t.Errorf("metrics missing run queue_wait stage count:\n%s", grepLines(out, "stage_duration_seconds_count"))
 	}
 }
 
@@ -243,7 +244,7 @@ func TestCacheGaugesTrackResidency(t *testing.T) {
 	defer s.Close()
 	for _, fam := range []string{"qft", "bv", "cat_state"} {
 		c := circuit.MustNamed(fam, 14)
-		if _, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindSample, Shots: 4, Options: core.Options{Strategy: "dagp"}}); err != nil {
+		if _, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindRun, Readouts: shots(4, 0), Options: core.Options{Strategy: "dagp"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,20 +275,20 @@ func TestStatsJSONShape(t *testing.T) {
 	}
 	want := `{"submitted":0,"completed":0,"failed":0,"canceled":0,"simulations":0,` +
 		`"trajectories":0,"cache_hits":0,"cache_misses":0,"template_compiles":0,` +
-		`"shim_hits":0,"cache_entries":0,"cache_bytes":0,"plan_cache_entries":0,` +
+		`"cache_entries":0,"cache_bytes":0,"plan_cache_entries":0,` +
 		`"plan_cache_bytes":0,"queue_length":0,"workers":1}`
 	if string(b) != want {
 		t.Errorf("stats JSON drifted:\n got %s\nwant %s", b, want)
 	}
 }
 
-// TestTraceNotInResultJSON guards the v1 wire format: the stage trace is
+// TestTraceNotInResultJSON guards the result wire format: the stage trace is
 // served only by /v1/jobs/{id}/trace, never inlined into result bodies.
 func TestTraceNotInResultJSON(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	c := circuit.MustNamed("cat_state", 4)
-	id, err := s.Submit(Request{Circuit: c, Kind: KindSample, Shots: 5, Options: core.Options{Strategy: "dagp"}})
+	id, err := s.Submit(Request{Circuit: c, Kind: KindRun, Readouts: shots(5, 0), Options: core.Options{Strategy: "dagp"}})
 	if err != nil {
 		t.Fatal(err)
 	}

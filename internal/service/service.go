@@ -21,11 +21,8 @@
 //     any mix of amplitudes, seeded shots, marginal distributions and
 //     general Pauli-string observables, and — with or without a noise
 //     model — pays for exactly one simulation (or one trajectory
-//     ensemble). The pre-v2 one-readout-per-job kinds (statevector,
-//     sample, expectation, probabilities, noisy_sample,
-//     noisy_expectation) remain as thin shims over the same spec with
-//     byte-compatible results. Per-request Options.Backend selects the
-//     execution engine from the backend registry.
+//     ensemble). Per-request Options.Backend selects the execution engine
+//     from the backend registry.
 //
 // Compiled trajectory plans live in their own small LRU (Config.
 // PlanCacheBytes) beside the plan/state cache, so giant statevector
@@ -59,12 +56,11 @@ type Kind string
 
 // Request kinds.
 const (
-	// KindRun is the v2 unified kind: Request.Readouts (core.ReadoutSpec)
+	// KindRun is the unified kind: Request.Readouts (core.ReadoutSpec)
 	// names any mix of statevector, seeded shots, marginal distributions
 	// and weighted Pauli-string observables, all derived from ONE
 	// simulation (or, when Request.Noise is effective, one trajectory
-	// ensemble). Every other kind is a deprecated single-readout shim over
-	// this path.
+	// ensemble).
 	KindRun Kind = "run"
 
 	// KindSweep is the v3 grid kind: one parameterized circuit template,
@@ -79,26 +75,6 @@ const (
 	// observable sum over the template's symbols, with a per-iteration
 	// trace in the result — the whole VQE/QAOA outer loop in one job.
 	KindOptimize Kind = "optimize"
-
-	// Deprecated single-readout kinds (v1 surface). They execute through
-	// the same unified readout path as KindRun and keep byte-compatible
-	// results (see shim.go for the whole translation table); new callers
-	// should send KindRun with a ReadoutSpec. Stats.ShimHits counts their
-	// use so the removal decision can be data-driven.
-	KindStatevector   Kind = "statevector"   // full amplitude vector
-	KindSample        Kind = "sample"        // Shots seeded basis-state samples
-	KindExpectation   Kind = "expectation"   // ⟨∏ Z_q⟩ over Qubits
-	KindProbabilities Kind = "probabilities" // marginal distribution over Qubits
-
-	// KindNoisySample and KindNoisyExpectation (also deprecated: KindRun
-	// plus Request.Noise subsumes both) run a stochastic trajectory
-	// ensemble under Request.Noise instead of a single ideal simulation:
-	// trajectory batches fan out across the worker-pool width, the compiled
-	// (circuit + noise) plan is cached and reused across requests, and the
-	// results aggregate counts (noisy_sample) or the trajectory-mean
-	// ⟨∏ Z_q⟩ with its standard error (noisy_expectation).
-	KindNoisySample      Kind = "noisy_sample"
-	KindNoisyExpectation Kind = "noisy_expectation"
 )
 
 // BackendTrajectory is the backend name reported for jobs whose effective
@@ -108,13 +84,8 @@ const BackendTrajectory = "trajectory"
 
 // Kinds lists the accepted request kinds.
 func Kinds() []Kind {
-	return []Kind{KindRun, KindSweep, KindOptimize,
-		KindStatevector, KindSample, KindExpectation, KindProbabilities,
-		KindNoisySample, KindNoisyExpectation}
+	return []Kind{KindRun, KindSweep, KindOptimize}
 }
-
-// Noisy reports whether the kind runs a trajectory ensemble.
-func (k Kind) Noisy() bool { return k == KindNoisySample || k == KindNoisyExpectation }
 
 // Parameterized reports whether the kind is a v3 template job (binding
 // grids or optimization loops over a parameterized circuit).
@@ -126,20 +97,9 @@ type Request struct {
 	Circuit *circuit.Circuit
 	// Kind of read-out (required).
 	Kind Kind
-	// Shots is the sample count for KindSample (default 1024).
-	Shots int
-	// Seed drives the sampling RNG for KindSample; a fixed (circuit,
-	// options, seed) triple reproduces the exact shot sequence. It is NOT
-	// part of the cache key — differently-seeded sample requests share one
-	// simulated state.
-	Seed int64
-	// Qubits are the Z-string qubits (KindExpectation, KindNoisyExpectation)
-	// or the marginal qubits, little-endian (KindProbabilities).
-	Qubits []int
-	// Readouts is the unified multi-readout spec for KindRun and KindSweep
-	// (rejected on the deprecated kinds, which carry their read-out in the
-	// fields above). Its Seed/Trajectories fields take over the role of the
-	// request-level ones for those kinds.
+	// Readouts is the multi-readout spec for KindRun and KindSweep. Its
+	// Seed drives the sampling (and trajectory) RNGs and is NOT part of any
+	// cache key — differently-seeded requests share one simulated state.
 	Readouts core.ReadoutSpec
 	// Params binds the circuit's symbols for KindRun (v3): a parameterized
 	// circuit template plus a complete binding runs exactly like the bound
@@ -154,14 +114,9 @@ type Request struct {
 	// Optimize is the optimization spec for KindOptimize (required there,
 	// rejected elsewhere).
 	Optimize *core.OptimizeSpec
-	// Noise is the noise model (nil = ideal: the trajectory layer reduces
-	// to one cached simulation plus sampling). Accepted by KindRun and the
-	// noisy kinds; rejected when effective on the deprecated ideal kinds.
+	// Noise is the noise model (nil = ideal). The ensemble size is
+	// Readouts.Trajectories (default 256, capped by Config.MaxTrajectories).
 	Noise *noise.Model
-	// Trajectories is the ensemble size for the deprecated noisy kinds
-	// (default 256, capped by Config.MaxTrajectories); KindRun uses
-	// Readouts.Trajectories.
-	Trajectories int
 	// Options forwards to core.Simulate (backend, strategy, Lm, ranks,
 	// fusion, …). Options.Backend selects the execution engine per request
 	// (validated against the registry at submit).
@@ -187,32 +142,17 @@ func (s Status) Terminal() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCanceled
 }
 
-// Result is a completed job's payload. Exactly the fields implied by Kind
-// are populated.
+// Result is a completed job's payload.
 type Result struct {
 	Kind Kind
-	// Amplitudes is the final state (KindStatevector). It is a copy of the
-	// cached state made once per job, shared by every observer of that job
-	// (Wait, Job, the HTTP snapshot): mutating it never corrupts the
-	// cache, but treat it as read-only unless you are the job's sole
-	// reader.
-	Amplitudes []complex128
-	// Samples are the drawn basis-state indices and Counts their histogram
-	// (KindSample).
-	Samples []int
-	Counts  map[int]int
-	// Expectation is ⟨∏ Z_q⟩ (KindExpectation), or its trajectory mean
-	// (KindNoisyExpectation) with StdErr the standard error of that mean.
-	Expectation float64
-	StdErr      float64
-	// Trajectories is the executed ensemble size (noisy kinds).
-	Trajectories int
-	// Probabilities is the marginal distribution (KindProbabilities).
-	Probabilities []float64
-	// Marginals and Observables are the KindRun multi-readout payloads, in
-	// ReadoutSpec order.
-	Marginals   [][]float64
-	Observables []core.ObservableValue
+	// Readouts are the KindRun read-outs, in ReadoutSpec order. Amplitudes
+	// is a copy of the cached state made once per job, shared by every
+	// observer of that job (Wait, Job, the HTTP snapshot): mutating it never
+	// corrupts the cache, but treat it as read-only unless you are the
+	// job's sole reader. Trajectories is the executed ensemble size (per
+	// grid point or objective evaluation on the template kinds; 0 for ideal
+	// and exact density-matrix runs).
+	core.Readouts
 	// Moments are the per-chunk partial sums behind the ensemble's mean ±
 	// stderr readouts (KindRun with Readouts.Moments on an effective-noise
 	// ensemble): the deterministic-merge surface a cluster coordinator
@@ -400,9 +340,6 @@ type Stats struct {
 	// is the compile-amortization scoreboard: a sweep of M bindings over a
 	// cold template bumps it by exactly 1.
 	TemplateCompiles int64 `json:"template_compiles"`
-	// ShimHits counts submissions through the deprecated v1 kinds (the
-	// shim.go table), informing the eventual removal.
-	ShimHits int64 `json:"shim_hits"`
 
 	CacheEntries int   `json:"cache_entries"`
 	CacheBytes   int64 `json:"cache_bytes"`
@@ -602,12 +539,6 @@ func (s *Service) Submit(req Request) (string, error) {
 // The context is NOT a cancellation scope for the job; job lifetime is
 // still bounded by the service root and Request.Timeout.
 func (s *Service) SubmitContext(ctx context.Context, req Request) (string, error) {
-	if (req.Kind == KindSample || req.Kind == KindNoisySample) && req.Shots == 0 {
-		req.Shots = min(1024, s.cfg.MaxShots)
-	}
-	if req.Kind.Noisy() && req.Trajectories == 0 {
-		req.Trajectories = min(256, s.cfg.MaxTrajectories)
-	}
 	if (req.Kind == KindRun || req.Kind == KindSweep) && !req.Noise.IsZero() && req.Readouts.Trajectories == 0 {
 		req.Readouts.Trajectories = min(256, s.cfg.MaxTrajectories)
 	}
@@ -624,25 +555,21 @@ func (s *Service) SubmitContext(ctx context.Context, req Request) (string, error
 	if err := s.validate(req); err != nil {
 		return "", err
 	}
-	if _, ok := v1Shims[req.Kind]; ok {
-		s.m.shimHits.With(string(req.Kind)).Inc()
-	}
 	// Capability enforcement happens here, at submit: an unknown backend, a
 	// rank/width mismatch, a noisy request on an engine with no noisy path,
 	// or a register over the engine's qubit cap is a submit error (an HTTP
 	// 400), never a worker-time failure.
-	noisy := req.Kind.Noisy() || !req.Noise.IsZero()
 	if req.Kind.Parameterized() && req.Options.Backend == "" {
 		// Template jobs default to the engine that runs them; only an
 		// explicit non-flat backend is a submit error below.
 		req.Options.Backend = "flat"
 	}
-	idealBackend, caps, err := core.ResolveBackendFor(req.Options.Backend, req.Options.Ranks, req.Circuit.NumQubits, noisy)
+	idealBackend, caps, err := core.ResolveBackendFor(req.Options.Backend, req.Options.Ranks, req.Circuit.NumQubits, !req.Noise.IsZero())
 	if err != nil {
 		return "", fmt.Errorf("service: %w", err)
 	}
 	exact := caps.Noise == backend.NoiseExact
-	if exact && (req.Kind == KindStatevector || req.Readouts.Statevector) {
+	if exact && req.Readouts.Statevector {
 		return "", fmt.Errorf("service: statevector readout is not available on backend %q (ρ has no single amplitude vector)", idealBackend)
 	}
 	if req.Kind.Parameterized() && (exact || idealBackend != "flat") {
@@ -759,13 +686,7 @@ func (s *Service) validate(req Request) error {
 			return fmt.Errorf("service: kind %q needs a parameterized circuit (circuit %s has no symbols)", req.Kind, req.Circuit.Name)
 		}
 	default:
-		if len(req.Params) > 0 {
-			return fmt.Errorf("service: kind %q does not accept params (use %q)", req.Kind, KindRun)
-		}
-		if req.Circuit.Parametric() {
-			return fmt.Errorf("service: %w (bind via %q Params or submit a %q/%q job)",
-				req.Circuit.CheckBinding(nil), KindRun, KindSweep, KindOptimize)
-		}
+		return fmt.Errorf("service: unknown kind %q (want one of %v)", req.Kind, Kinds())
 	}
 	if req.Sweep != nil && req.Kind != KindSweep {
 		return fmt.Errorf("service: kind %q does not accept a sweep spec (use %q)", req.Kind, KindSweep)
@@ -773,52 +694,24 @@ func (s *Service) validate(req Request) error {
 	if req.Optimize != nil && req.Kind != KindOptimize {
 		return fmt.Errorf("service: kind %q does not accept an optimize spec (use %q)", req.Kind, KindOptimize)
 	}
-	if req.Kind != KindRun && req.Kind != KindSweep && !req.Readouts.Empty() {
-		return fmt.Errorf("service: kind %q does not accept a readout spec (use %q)", req.Kind, KindRun)
-	}
-	if req.Kind.Noisy() {
-		if req.Trajectories < 0 {
-			return fmt.Errorf("service: negative trajectory count %d", req.Trajectories)
-		}
-		if req.Trajectories > s.cfg.MaxTrajectories {
-			return fmt.Errorf("service: %d trajectories exceeds limit %d", req.Trajectories, s.cfg.MaxTrajectories)
-		}
+	if req.Noise != nil {
 		if err := req.Noise.Validate(req.Circuit.NumQubits); err != nil {
 			return fmt.Errorf("service: %w", err)
 		}
-	} else if !req.Noise.IsZero() && req.Kind != KindRun && !req.Kind.Parameterized() {
-		return fmt.Errorf("service: kind %q does not accept a noise model (use %q or %q)",
-			req.Kind, KindRun, KindNoisySample)
+		if !req.Noise.IsZero() && req.Readouts.Statevector {
+			return fmt.Errorf("service: statevector readout is undefined under an effective noise model")
+		}
 	}
-	switch req.Kind {
-	case KindRun:
-		// The legacy top-level read-out fields have no meaning on the v2
-		// kind; silently dropping them would let a half-migrated client
-		// believe its shots/seed were honored.
-		if req.Shots != 0 || req.Seed != 0 || len(req.Qubits) != 0 || req.Trajectories != 0 {
-			return fmt.Errorf("service: kind %q takes its read-outs from Readouts (move shots/seed/qubits/trajectories into the readout spec)", KindRun)
+	if req.Kind == KindOptimize {
+		if !req.Readouts.Empty() {
+			return fmt.Errorf("service: kind %q drives its objective from the optimize spec, not a readout spec", KindOptimize)
 		}
-		if err := req.Readouts.Validate(req.Circuit.NumQubits); err != nil {
-			return fmt.Errorf("service: %w", err)
+		if req.Optimize == nil {
+			return fmt.Errorf("service: optimize needs an optimize spec (observables + method)")
 		}
-		if req.Readouts.Shots > s.cfg.MaxShots {
-			return fmt.Errorf("service: %d shots exceeds limit %d", req.Readouts.Shots, s.cfg.MaxShots)
-		}
-		if req.Readouts.Trajectories > s.cfg.MaxTrajectories {
-			return fmt.Errorf("service: %d trajectories exceeds limit %d", req.Readouts.Trajectories, s.cfg.MaxTrajectories)
-		}
-		if req.Noise != nil {
-			if err := req.Noise.Validate(req.Circuit.NumQubits); err != nil {
-				return fmt.Errorf("service: %w", err)
-			}
-			if !req.Noise.IsZero() && req.Readouts.Statevector {
-				return fmt.Errorf("service: statevector readout is undefined under an effective noise model")
-			}
-		}
-	case KindSweep:
-		if req.Shots != 0 || req.Seed != 0 || len(req.Qubits) != 0 || req.Trajectories != 0 {
-			return fmt.Errorf("service: kind %q takes its read-outs from Readouts (move shots/seed/qubits/trajectories into the readout spec)", KindSweep)
-		}
+		return s.validateOptimize(req)
+	}
+	if req.Kind == KindSweep {
 		if req.Readouts.TrajOffset != 0 || req.Readouts.TrajTotal != 0 || req.Readouts.Moments {
 			return fmt.Errorf("service: kind %q is split by sweep points, not trajectory ranges (drop traj_offset/traj_total/moments)", KindSweep)
 		}
@@ -833,56 +726,18 @@ func (s *Service) validate(req Request) error {
 				return fmt.Errorf("service: binding %d: %w", i, err)
 			}
 		}
-		if err := req.Readouts.Validate(req.Circuit.NumQubits); err != nil {
-			return fmt.Errorf("service: %w", err)
-		}
-		if req.Readouts.Shots > s.cfg.MaxShots {
-			return fmt.Errorf("service: %d shots exceeds limit %d", req.Readouts.Shots, s.cfg.MaxShots)
-		}
-		if req.Readouts.Trajectories > s.cfg.MaxTrajectories {
-			return fmt.Errorf("service: %d trajectories exceeds limit %d", req.Readouts.Trajectories, s.cfg.MaxTrajectories)
-		}
-		if req.Noise != nil {
-			if err := req.Noise.Validate(req.Circuit.NumQubits); err != nil {
-				return fmt.Errorf("service: %w", err)
-			}
-			if !req.Noise.IsZero() && req.Readouts.Statevector {
-				return fmt.Errorf("service: statevector readout is undefined under an effective noise model")
-			}
-		}
-	case KindOptimize:
-		if req.Shots != 0 || req.Seed != 0 || len(req.Qubits) != 0 || req.Trajectories != 0 {
-			return fmt.Errorf("service: kind %q drives its objective from the optimize spec (drop shots/seed/qubits/trajectories)", KindOptimize)
-		}
-		if req.Optimize == nil {
-			return fmt.Errorf("service: optimize needs an optimize spec (observables + method)")
-		}
-		if err := s.validateOptimize(req); err != nil {
-			return err
-		}
-	case KindStatevector:
-	case KindSample, KindNoisySample:
-		if req.Shots < 0 {
-			return fmt.Errorf("service: negative shot count %d", req.Shots)
-		}
-		if req.Shots > s.cfg.MaxShots {
-			return fmt.Errorf("service: %d shots exceeds limit %d", req.Shots, s.cfg.MaxShots)
-		}
-	case KindExpectation, KindProbabilities, KindNoisyExpectation:
-		seen := map[int]bool{}
-		for _, q := range req.Qubits {
-			if q < 0 || q >= req.Circuit.NumQubits {
-				return fmt.Errorf("service: qubit %d out of range [0,%d)", q, req.Circuit.NumQubits)
-			}
-			// Repeats are meaningful for Z strings (Z² = I) but would only
-			// amplify the marginal's 2^k result, so reject them there.
-			if req.Kind == KindProbabilities && seen[q] {
-				return fmt.Errorf("service: duplicate marginal qubit %d", q)
-			}
-			seen[q] = true
-		}
-	default:
-		return fmt.Errorf("service: unknown kind %q (want one of %v)", req.Kind, Kinds())
+	}
+	// KindRun and KindSweep share one read-out spec. ReadoutSpec.Validate
+	// rejects negative counts, out-of-range qubits and duplicate marginal
+	// qubits (Z-only observable strings may repeat a qubit: Z² = I).
+	if err := req.Readouts.Validate(req.Circuit.NumQubits); err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
+	if req.Readouts.Shots > s.cfg.MaxShots {
+		return fmt.Errorf("service: %d shots exceeds limit %d", req.Readouts.Shots, s.cfg.MaxShots)
+	}
+	if req.Readouts.Trajectories > s.cfg.MaxTrajectories {
+		return fmt.Errorf("service: %d trajectories exceeds limit %d", req.Readouts.Trajectories, s.cfg.MaxTrajectories)
 	}
 	return nil
 }
@@ -948,10 +803,11 @@ func (s *Service) Wait(ctx context.Context, id string) (*Result, error) {
 	return j.result, nil
 }
 
-// Do is the synchronous convenience: Submit then Wait. If ctx expires
-// while waiting, the job itself is canceled too.
+// Do is the synchronous convenience: SubmitContext then Wait, so the
+// request ID and parent span on ctx reach the job. If ctx expires while
+// waiting, the job itself is canceled too.
 func (s *Service) Do(ctx context.Context, req Request) (*Result, error) {
-	id, err := s.Submit(req)
+	id, err := s.SubmitContext(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -993,7 +849,6 @@ func (s *Service) Stats() Stats {
 	})
 	s.m.cacheHits.Each(func(_ []string, v int64) { st.CacheHits += v })
 	s.m.cacheMisses.Each(func(_ []string, v int64) { st.CacheMisses += v })
-	s.m.shimHits.Each(func(_ []string, v int64) { st.ShimHits += v })
 	s.m.backendJobs.Each(func(labels []string, v int64) {
 		if st.Backends == nil {
 			st.Backends = map[string]int64{}
@@ -1151,12 +1006,7 @@ func resultBytes(r *Result) int64 {
 	if r == nil {
 		return 0
 	}
-	b := int64(len(r.Amplitudes))*16 + int64(len(r.Samples))*8 +
-		int64(len(r.Counts))*16 + int64(len(r.Probabilities))*8
-	for _, m := range r.Marginals {
-		b += int64(len(m)) * 8
-	}
-	b += int64(len(r.Observables)) * 48
+	b := readoutsBytes(&r.Readouts)
 	for _, m := range r.Moments {
 		b += 32 + int64(len(m.Obs))*16
 		for _, mg := range m.Marg {
@@ -1176,8 +1026,8 @@ func resultBytes(r *Result) int64 {
 	return b
 }
 
-// readoutsBytes estimates one evaluated readout set's retained payload
-// (the per-point unit of a sweep result).
+// readoutsBytes estimates one evaluated readout set's retained payload (a
+// run result's, or the per-point unit of a sweep result).
 func readoutsBytes(ro *core.Readouts) int64 {
 	if ro == nil {
 		return 0
@@ -1199,9 +1049,40 @@ func (s *Service) setBackend(j *job, name string) {
 	s.m.backendJobs.With(name).Inc()
 }
 
-// execute resolves the cache entry (simulating on miss) and derives every
-// read-out the job's spec names. All kinds — KindRun, the v3 template
-// kinds and the deprecated shims — pass through here.
+// source is what a job's read-outs derive from. Every execution shape — a
+// cached ideal state, a bound-template state, an exact density matrix, a
+// trajectory ensemble — resolves to one of these, and one read-out step
+// (readouts) serves them all.
+type source struct {
+	backend string // engine that produced it
+	hit     bool   // no simulation ran on this job's behalf
+	parts   int    // partition plan's part count (0 when unpartitioned)
+
+	// Exactly one of entry, rho and ens is set.
+	entry   *cacheEntry     // simulated state plus its lazily built sampler
+	rho     *dm.Density     // exact density matrix …
+	readout *noise.Readout  // … and the measurement error its shots see
+	ens     *noise.Ensemble // executed trajectory ensemble
+}
+
+// readouts derives every read-out the spec names from the source.
+func (src source) readouts(spec core.ReadoutSpec) *core.Readouts {
+	switch {
+	case src.ens != nil:
+		return core.ReadoutsFromEnsemble(src.ens, spec)
+	case src.rho != nil:
+		return core.EvaluateDensity(src.rho, src.readout, spec)
+	}
+	var sampler *sv.Sampler
+	if spec.Shots > 0 {
+		sampler = src.entry.getSampler() // reuse the cached CDF across jobs
+	}
+	return core.EvaluateState(src.entry.state, sampler, spec)
+}
+
+// execute runs the job: the template kinds have their own executors; a
+// KindRun job resolves its source (simulating on a cache miss) and derives
+// every read-out its spec names from it.
 func (s *Service) execute(j *job) (*Result, error) {
 	switch j.req.Kind {
 	case KindSweep:
@@ -1209,246 +1090,234 @@ func (s *Service) execute(j *job) (*Result, error) {
 	case KindOptimize:
 		return s.executeOptimize(j)
 	}
-	spec := specForJob(j.req)
-	if j.exact {
-		// Exact-noise engines serve every request shape — ideal, noisy,
-		// legacy kinds — from one cached density-matrix evolution.
-		return s.executeDM(j, spec)
-	}
-	if j.req.Kind.Noisy() || !j.req.Noise.IsZero() {
-		// Legacy noisy kinds keep the ensemble path even for zero-effect
-		// models: their counts come from per-trajectory split RNGs, not the
-		// single sampling stream of the ideal kinds.
-		return s.executeNoisy(j, spec)
-	}
-	if j.req.Circuit.Parametric() {
-		// Bound template run (KindRun + Params on the flat engine): the
-		// compiled template is shared across bindings; only the bound
-		// state is per-binding (keyed by the binding digest).
-		return s.executeParamRun(j, spec)
-	}
-	s.setBackend(j, j.idealBackend)
 	start := time.Now()
-	entry, hit, err := s.entryFor(j)
+	src, err := s.resolve(j)
 	if err != nil {
 		return nil, err
 	}
+	j.trace.Begin(stageSample)
+	spec := j.req.Readouts
 	res := &Result{
-		Kind: j.req.Kind, Backend: j.idealBackend, NumQubits: entry.state.N,
-		CacheHit: hit, Parts: entry.parts(),
+		Kind: KindRun, Readouts: *src.readouts(spec),
+		NumQubits: j.req.Circuit.NumQubits, Backend: src.backend,
+		CacheHit: src.hit, Parts: src.parts,
 		Waited: j.started.Sub(j.submitted),
 	}
-	j.trace.Begin(stageSample)
-	var sampler *sv.Sampler
-	if spec.Shots > 0 {
-		sampler = entry.getSampler() // reuse the cached CDF across jobs
+	if src.ens != nil {
+		// The result echoes the executed ensemble size even when a
+		// zero-effect model took the noise-free fast path.
+		res.Trajectories = src.ens.Trajectories
+		if spec.Moments {
+			res.Moments = src.ens.Moments
+		}
 	}
-	legacyProject(res, core.EvaluateState(entry.state, sampler, spec))
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
-// entryFor returns the cached simulation for the job's (circuit, options)
-// key, running it via single-flight on a miss. The returned hit flag is
-// true when no simulation ran on behalf of this job.
-func (s *Service) entryFor(j *job) (*cacheEntry, bool, error) {
-	return s.entryForCircuit(j, j.req.Circuit)
+// resolve produces a KindRun job's source, recording the executing engine
+// before any heavy work starts.
+func (s *Service) resolve(j *job) (source, error) {
+	req := j.req
+	if !j.exact && !req.Noise.IsZero() {
+		return s.resolveEnsemble(j)
+	}
+	s.setBackend(j, j.idealBackend)
+	src := source{backend: j.idealBackend}
+	var err error
+	switch {
+	case j.exact:
+		// Exact-noise engines serve every request — ideal or noisy — from
+		// one deterministic superoperator evolution, never an ensemble (the
+		// trajectories stat stays untouched). The compiled plan comes from
+		// the same digest-keyed plan cache the trajectory path uses, and the
+		// evolved ρ is cached like an ideal state: repeat jobs — any seed,
+		// any readout mix — cost sampling only.
+		j.trace.Begin(stageCompile)
+		var plan *noise.Plan
+		if plan, _, err = s.noisePlanFor(j); err != nil {
+			return src, err
+		}
+		src.readout = plan.Readout()
+		src.rho, src.hit, err = s.densityFor(j, plan)
+	case req.Circuit.Parametric():
+		// Bound template run (Params on the flat engine): the compiled
+		// template is shared across bindings; only the bound state is
+		// per-binding (keyed by the binding digest).
+		src.entry, src.hit, err = s.templateEntryFor(j, req.Params)
+	default:
+		src.entry, src.hit, err = s.stateFor(j, req.Circuit)
+	}
+	if err == nil && src.entry != nil {
+		src.parts = src.entry.parts()
+	}
+	return src, err
 }
 
-// entryForCircuit is entryFor over an explicit circuit: the noisy path
-// passes the bound form of a parameterized request here so cache keys stay
-// per-binding.
-func (s *Service) entryForCircuit(j *job, c *circuit.Circuit) (*cacheEntry, bool, error) {
-	key := cacheKey(c, j.req.Options, j.idealBackend)
-	v, hit, err := s.cachedCompute(j, key, func() (costed, error) {
-		e, err := s.simulate(j, c)
+// resolveEnsemble runs a KindRun job's trajectory ensemble. The compiled
+// (circuit + noise model) plan is cached in the dedicated plan LRU and
+// shared across requests — fuse and plan once, then every request replays
+// it for its own seeded trajectories — and the trajectory batch fans out
+// across the service's worker-pool width. Models with no gate noise
+// (readout error only) degrade gracefully to the ideal plan/state cache:
+// the ensemble then costs sampling only.
+func (s *Service) resolveEnsemble(j *job) (source, error) {
+	req := j.req
+	width, release := s.widenTrajectories()
+	defer release()
+	run := req.Readouts.NoisyRunConfig(width)
+	j.trace.Begin(stageCompile)
+	plan, hit, err := s.noisePlanFor(j)
+	if err != nil {
+		return source{}, err
+	}
+	if plan.NoiseFree() {
+		// One ideal simulation serves every trajectory; the executing
+		// engine is the job's resolved ideal backend. A parameterized
+		// request binds here so the state cache keys on the bound circuit.
+		s.setBackend(j, j.idealBackend)
+		c := req.Circuit
+		if c.Parametric() {
+			if c, err = c.Bind(req.Params); err != nil {
+				return source{}, err
+			}
+		}
+		// The simulation, not the plan, is the cost the hit flag reports.
+		entry, hit, err := s.stateFor(j, c)
+		if err != nil {
+			return source{}, err
+		}
+		ens, err := noise.RunEnsembleFromState(j.ctx, entry.state, plan.Readout(), run)
+		return source{backend: j.idealBackend, hit: hit, parts: entry.parts(), ens: ens}, err
+	}
+	s.setBackend(j, BackendTrajectory)
+	if plan.Parametric() {
+		// The cached plan is the shared template; only the touched gate
+		// runs re-materialize for this request's binding.
+		j.trace.Begin(stageSpecialize)
+		if plan, err = plan.Specialize(req.Params); err != nil {
+			return source{}, err
+		}
+	}
+	ens, err := s.runEnsemble(j, plan, run)
+	return source{backend: BackendTrajectory, hit: hit, ens: ens}, err
+}
+
+// runEnsemble executes one seeded trajectory ensemble over a concrete plan
+// and credits its trajectories to the stats ledger.
+func (s *Service) runEnsemble(j *job, plan *noise.Plan, run noise.RunConfig) (*noise.Ensemble, error) {
+	ens, err := noise.RunEnsemble(j.ctx, plan, run)
+	if err != nil {
+		return nil, err
+	}
+	s.m.trajectories.Add(int64(ens.Trajectories))
+	return ens, nil
+}
+
+// widenTrajectories sizes a noisy job's trajectory fan-out: its own worker
+// slot plus however many tokens it can grab from the shared pool, so
+// concurrent noisy jobs cannot multiply into Workers² live trajectory
+// states. release hands the tokens back when the job's ensembles are done.
+func (s *Service) widenTrajectories() (width int, release func()) {
+	width = 1
+grab:
+	for width < s.cfg.Workers {
+		select {
+		case <-s.trajTokens:
+			width++
+		default:
+			break grab
+		}
+	}
+	return width, func() {
+		for i := 1; i < width; i++ {
+			s.trajTokens <- struct{}{}
+		}
+	}
+}
+
+// stateFor returns the cached simulation of c under the job's options,
+// running it via single-flight on a miss. The circuit is explicit because
+// the noise-free ensemble path passes the bound form of a parameterized
+// request, keeping cache keys per-binding.
+func (s *Service) stateFor(j *job, c *circuit.Circuit) (*cacheEntry, bool, error) {
+	return cachedCompute(s, j, s.cache, cacheKey(c, j.req.Options, j.idealBackend), func() (*cacheEntry, error) {
+		s.m.simulations.Inc()
+		opts := j.req.Options
+		opts.SkipState = false // the cache entry IS the state
+		res, err := core.SimulateContext(j.ctx, c, opts)
 		if err != nil {
 			return nil, err
 		}
-		return e, nil
+		return &cacheEntry{plan: res.Plan, state: res.State}, nil
 	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.(*cacheEntry), hit, nil
 }
 
 // cachedCompute returns the cached payload for key, running compute at
 // most once across concurrent misses: the first claimant publishes a
 // flight, everyone else waits on it (or loops to claim the key themselves
 // when the owner was canceled — that says nothing about their own job;
-// a real compute failure would fail them identically).
-func (s *Service) cachedCompute(j *job, key string, compute func() (costed, error)) (costed, bool, error) {
-	// The cache label (state vs rho) is keyed by the entry's key prefix,
-	// so one LRU serves two logically distinct metric series.
-	cacheName := mainCacheName(key)
+// a real compute failure would fail them identically). It serves both
+// LRUs: simulated states and density matrices in s.cache, compiled
+// trajectory plans and templates in s.planCache (key prefixes keep the two
+// apart in the shared flight table). The returned hit flag is true when
+// no compute ran on behalf of this job.
+func cachedCompute[T costed](s *Service, j *job, cache *lru.Cache, key string, compute func() (T, error)) (T, bool, error) {
+	// One LRU can serve several metric series: the main cache labels its
+	// entries state vs rho by key prefix.
+	cacheName := cachePlan
+	if cache == s.cache {
+		cacheName = mainCacheName(key)
+	}
+	var zero T
 	for {
 		s.mu.Lock()
-		if v, ok := s.cache.Get(key); ok {
+		if v, ok := cache.Get(key); ok {
 			s.mu.Unlock()
 			s.m.cacheHits.With(cacheName).Inc()
-			return v.(costed), true, nil
+			return v.(T), true, nil
 		}
 		if fl, ok := s.inflight[key]; ok {
 			s.mu.Unlock()
 			select {
 			case <-fl.done:
 			case <-j.ctx.Done():
-				return nil, false, j.ctx.Err()
+				return zero, false, j.ctx.Err()
 			}
 			if fl.err != nil {
 				if errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded) {
 					continue
 				}
-				return nil, false, fl.err
+				return zero, false, fl.err
 			}
 			s.m.cacheHits.With(cacheName).Inc()
-			return fl.val, true, nil
+			return fl.val.(T), true, nil
 		}
 		fl := &flight{done: make(chan struct{})}
 		s.inflight[key] = fl
 		s.mu.Unlock()
 
 		s.m.cacheMisses.With(cacheName).Inc()
-		fl.val, fl.err = compute()
+		val, err := compute()
 		s.mu.Lock()
 		delete(s.inflight, key)
-		if fl.err == nil {
-			if s.cache.Put(key, fl.val, fl.val.cost()) {
-				s.m.cachePut(cacheName, fl.val.cost())
+		if fl.err = err; err == nil {
+			fl.val = val
+			if cache.Put(key, val, val.cost()) {
+				s.m.cachePut(cacheName, val.cost())
 			}
 		}
 		s.mu.Unlock()
 		close(fl.done)
-		return fl.val, false, fl.err
+		return val, false, err
 	}
 }
 
-// executeNoisy runs a trajectory-ensemble job (any kind carrying a noise
-// model, plus the legacy noisy kinds even when their model is zero-effect).
-// The compiled (circuit + noise model) plan is cached in the dedicated
-// plan LRU and shared across requests — fuse and plan once, then every
-// request replays it for its own seeded trajectories — and the trajectory
-// batch fans out across the service's worker-pool width. Zero-effect
-// models degrade gracefully to the ideal plan/state cache: the ensemble
-// then costs sampling only, exactly like KindSample.
-func (s *Service) executeNoisy(j *job, spec core.ReadoutSpec) (*Result, error) {
-	start := time.Now()
-	req := j.req
-	// Widen beyond this job's own worker slot only by tokens from the
-	// shared pool, so concurrent noisy jobs cannot multiply into
-	// Workers² live trajectory states; tokens return when the job ends.
-	width := 1
-	for width < s.cfg.Workers {
-		select {
-		case <-s.trajTokens:
-			width++
-			continue
-		default:
-		}
-		break
-	}
-	defer func() {
-		for i := 1; i < width; i++ {
-			s.trajTokens <- struct{}{}
-		}
-	}()
-	run := spec.NoisyRunConfig(width)
-	j.trace.Begin(stageCompile)
-	plan, hit, err := s.noisePlanFor(j)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Kind: req.Kind, NumQubits: req.Circuit.NumQubits,
-		Waited: j.started.Sub(j.submitted),
-	}
-	var ens *noise.Ensemble
-	if plan.NoiseFree() {
-		// One ideal simulation serves every trajectory; the executing
-		// engine is the job's resolved ideal backend. A parameterized
-		// request binds here so the state cache keys on the bound circuit.
-		s.setBackend(j, j.idealBackend)
-		res.Backend = j.idealBackend
-		c := req.Circuit
-		if c.Parametric() {
-			if c, err = c.Bind(req.Params); err != nil {
-				return nil, err
-			}
-		}
-		entry, stateHit, err := s.entryForCircuit(j, c)
-		if err != nil {
-			return nil, err
-		}
-		hit = stateHit // the simulation, not the plan, is the cost that matters
-		res.Parts = entry.parts()
-		ens, err = noise.RunEnsembleFromState(j.ctx, entry.state, plan.Readout(), run)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		s.setBackend(j, BackendTrajectory)
-		res.Backend = BackendTrajectory
-		if plan.Parametric() {
-			// The cached plan is the shared template; only the touched gate
-			// runs re-materialize for this request's binding.
-			j.trace.Begin(stageSpecialize)
-			if plan, err = plan.Specialize(req.Params); err != nil {
-				return nil, err
-			}
-		}
-		ens, err = noise.RunEnsemble(j.ctx, plan, run)
-		if err != nil {
-			return nil, err
-		}
-		s.m.trajectories.Add(int64(ens.Trajectories))
-	}
-	res.CacheHit = hit
-	res.Trajectories = ens.Trajectories
-	if spec.Moments {
-		res.Moments = ens.Moments
-	}
-	j.trace.Begin(stageSample)
-	legacyProject(res, core.ReadoutsFromEnsemble(ens, spec))
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// executeDM runs a job on the exact density-matrix engine: one deterministic
-// superoperator evolution (never an ensemble — the trajectories stat stays
-// untouched and Result.Trajectories stays 0) answers every read-out the
-// spec names. The compiled plan comes from the same digest-keyed plan cache
-// the trajectory path uses, and the evolved ρ is cached like an ideal
-// state: repeat DM jobs — any seed, any readout mix — cost sampling only.
-func (s *Service) executeDM(j *job, spec core.ReadoutSpec) (*Result, error) {
-	start := time.Now()
-	s.setBackend(j, j.idealBackend)
-	j.trace.Begin(stageCompile)
-	plan, _, err := s.noisePlanFor(j)
-	if err != nil {
-		return nil, err
-	}
-	entry, hit, err := s.dmEntryFor(j, plan)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Kind: j.req.Kind, Backend: j.idealBackend, NumQubits: j.req.Circuit.NumQubits,
-		CacheHit: hit,
-		Waited:   j.started.Sub(j.submitted),
-	}
-	j.trace.Begin(stageSample)
-	legacyProject(res, core.EvaluateDensity(entry.d, plan.Readout(), spec))
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// dmEntryFor returns the evolved density matrix for the job's (circuit,
-// noise, fusion) key, evolving on miss — single-flighted like entryFor, and
+// densityFor returns the evolved density matrix for the job's (circuit,
+// noise, fusion) key, evolving on miss — single-flighted like stateFor, and
 // counted as a simulation (one DM evolution is the engine's whole run).
-func (s *Service) dmEntryFor(j *job, plan *noise.Plan) (*dmEntry, bool, error) {
-	key := dmKey(j.req.Circuit, j.req.Options, j.req.Noise)
-	v, hit, err := s.cachedCompute(j, key, func() (costed, error) {
+func (s *Service) densityFor(j *job, plan *noise.Plan) (*dm.Density, bool, error) {
+	e, hit, err := cachedCompute(s, j, s.cache, dmKey(j.req.Circuit, j.req.Options, j.req.Noise), func() (*dmEntry, error) {
 		s.m.simulations.Inc()
 		j.trace.Begin(stageSimulate)
 		d, err := dm.Evolve(j.ctx, plan, j.req.Options.Workers)
@@ -1460,7 +1329,7 @@ func (s *Service) dmEntryFor(j *job, plan *noise.Plan) (*dmEntry, bool, error) {
 	if err != nil {
 		return nil, hit, err
 	}
-	return v.(*dmEntry), hit, nil
+	return e.d, hit, nil
 }
 
 // dmKey is the content address of one density-matrix evolution: the circuit
@@ -1477,35 +1346,27 @@ type noisePlanEntry struct {
 	plan *noise.Plan
 }
 
+func (e *noisePlanEntry) cost() int64 { return e.plan.MemoryBytes() }
+
 // noisePlanFor returns the compiled trajectory plan for the job's
 // (circuit, noise, fusion) key, compiling on miss. Plans live in their own
 // small LRU (Config.PlanCacheBytes), not the plan/state cache: they are a
 // few KiB but hot, and sharing a budget with 2^n-amplitude states let one
-// burst of statevector jobs evict every compiled plan. Unlike entryFor,
-// misses are not single-flighted: compilation is plan construction, not
-// simulation, so a duplicated compile under a request burst is benign.
+// burst of statevector jobs evict every compiled plan.
 func (s *Service) noisePlanFor(j *job) (*noise.Plan, bool, error) {
-	key := noisePlanKey(j.req.Circuit, j.req.Options, j.req.Noise)
-	s.mu.Lock()
-	if v, ok := s.planCache.Get(key); ok {
-		s.mu.Unlock()
-		s.m.cacheHits.With(cachePlan).Inc()
-		return v.(*noisePlanEntry).plan, true, nil
-	}
-	s.mu.Unlock()
-	s.m.cacheMisses.With(cachePlan).Inc()
-	plan, err := noise.Compile(j.req.Circuit, j.req.Noise, noise.CompileOptions{
-		Fuse: j.req.Options.Fuse.Enabled(), MaxFuseQubits: j.req.Options.MaxFuseQubits,
+	e, hit, err := cachedCompute(s, j, s.planCache, noisePlanKey(j.req.Circuit, j.req.Options, j.req.Noise), func() (*noisePlanEntry, error) {
+		plan, err := noise.Compile(j.req.Circuit, j.req.Noise, noise.CompileOptions{
+			Fuse: j.req.Options.Fuse.Enabled(), MaxFuseQubits: j.req.Options.MaxFuseQubits,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &noisePlanEntry{plan: plan}, nil
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, hit, err
 	}
-	s.mu.Lock()
-	if s.planCache.Put(key, &noisePlanEntry{plan: plan}, plan.MemoryBytes()) {
-		s.m.cachePut(cachePlan, plan.MemoryBytes())
-	}
-	s.mu.Unlock()
-	return plan, false, nil
+	return e.plan, hit, nil
 }
 
 // noisePlanKey is the content address of a compiled trajectory plan: the
@@ -1516,17 +1377,6 @@ func (s *Service) noisePlanFor(j *job) (*noise.Plan, bool, error) {
 // separately by cacheKey).
 func noisePlanKey(c *circuit.Circuit, o core.Options, m *noise.Model) string {
 	return fmt.Sprintf("noise|%s|f=%t mf=%d", c.FingerprintWith(m.Hash()), o.Fuse.Enabled(), o.MaxFuseQubits)
-}
-
-func (s *Service) simulate(j *job, c *circuit.Circuit) (*cacheEntry, error) {
-	s.m.simulations.Inc()
-	opts := j.req.Options
-	opts.SkipState = false // the cache entry IS the state
-	res, err := core.SimulateContext(j.ctx, c, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &cacheEntry{plan: res.Plan, state: res.State}, nil
 }
 
 // cacheKey is the content address of one simulation: the circuit

@@ -159,58 +159,52 @@ type templateEntry struct {
 	tpl *fuse.Template
 }
 
-// templateCost estimates a template's resident bytes: the fused payloads
-// plus the shared kernel index tables (roughly one int per amplitude
-// touched, approximated by the payload size again).
-func templateCost(t *fuse.Template) int64 {
+// cost estimates a template's resident bytes: the fused payloads plus the
+// shared kernel index tables (roughly one int per amplitude touched,
+// approximated by the payload size again).
+func (e *templateEntry) cost() int64 {
 	var b int64 = 1024
-	for i := range t.Blocks {
-		b += int64(len(t.Blocks[i].Diag)) * 16
-		b += int64(len(t.Blocks[i].Matrix.Data)) * 16
-		b += int64(len(t.Blocks[i].Gates)) * 256
+	for i := range e.tpl.Blocks {
+		b += int64(len(e.tpl.Blocks[i].Diag)) * 16
+		b += int64(len(e.tpl.Blocks[i].Matrix.Data)) * 16
+		b += int64(len(e.tpl.Blocks[i].Gates)) * 256
 	}
 	return 2 * b
 }
 
-// templateFor returns the compiled template for the circuit's TEMPLATE
+// templateFor returns the compiled template for the job circuit's TEMPLATE
 // fingerprint (structure + symbol names, not binding values), compiling on
 // miss. Templates live beside trajectory plans in the dedicated plan LRU:
 // they are small, hot, and must survive bursts of giant state entries.
 // Every real compile bumps Stats.TemplateCompiles — the counter the sweep
-// acceptance gate watches.
-func (s *Service) templateFor(c *circuit.Circuit, o core.Options) (*fuse.Template, bool, error) {
-	key := fmt.Sprintf("tpl|%s|mf=%d", c.Fingerprint(), o.MaxFuseQubits)
-	s.mu.Lock()
-	if v, ok := s.planCache.Get(key); ok {
-		s.mu.Unlock()
-		s.m.cacheHits.With(cachePlan).Inc()
-		return v.(*templateEntry).tpl, true, nil
-	}
-	s.mu.Unlock()
-	s.m.cacheMisses.With(cachePlan).Inc()
-	s.m.templateCompiles.Inc()
-	tpl, err := fuse.CompileTemplate(c, fuse.Options{MaxQubits: o.MaxFuseQubits})
+// acceptance gate watches — and concurrent misses share one compile.
+func (s *Service) templateFor(j *job) (*fuse.Template, bool, error) {
+	mf := j.req.Options.MaxFuseQubits
+	e, hit, err := cachedCompute(s, j, s.planCache, fmt.Sprintf("tpl|%s|mf=%d", j.req.Circuit.Fingerprint(), mf), func() (*templateEntry, error) {
+		s.m.templateCompiles.Inc()
+		tpl, err := fuse.CompileTemplate(j.req.Circuit, fuse.Options{MaxQubits: mf})
+		if err != nil {
+			return nil, err
+		}
+		return &templateEntry{tpl: tpl}, nil
+	})
 	if err != nil {
-		return nil, false, err
+		return nil, hit, err
 	}
-	s.mu.Lock()
-	if s.planCache.Put(key, &templateEntry{tpl: tpl}, templateCost(tpl)) {
-		s.m.cachePut(cachePlan, templateCost(tpl))
-	}
-	s.mu.Unlock()
-	return tpl, false, nil
+	return e.tpl, hit, nil
 }
 
 // templateEntryFor returns the cached bound state for (template, binding):
 // the template compiles once per fingerprint, the state once per binding
 // digest, and repeats of the same bound run cost sampling only — the same
-// economics entryFor gives concrete circuits.
+// economics stateFor gives concrete circuits. Options.Workers is not part
+// of the key: every kernel is bit-identical across worker counts.
 func (s *Service) templateEntryFor(j *job, env map[string]float64) (*cacheEntry, bool, error) {
-	key := fmt.Sprintf("tplrun|%s|%s|mf=%d w=%d",
-		j.req.Circuit.Fingerprint(), circuit.BindingDigest(env), j.req.Options.MaxFuseQubits, j.req.Options.Workers)
-	v, hit, err := s.cachedCompute(j, key, func() (costed, error) {
+	key := fmt.Sprintf("tplrun|%s|%s|mf=%d",
+		j.req.Circuit.Fingerprint(), circuit.BindingDigest(env), j.req.Options.MaxFuseQubits)
+	return cachedCompute(s, j, s.cache, key, func() (*cacheEntry, error) {
 		j.trace.Begin(stageCompile)
-		tpl, _, err := s.templateFor(j.req.Circuit, j.req.Options)
+		tpl, _, err := s.templateFor(j)
 		if err != nil {
 			return nil, err
 		}
@@ -222,36 +216,6 @@ func (s *Service) templateEntryFor(j *job, env map[string]float64) (*cacheEntry,
 		}
 		return &cacheEntry{state: st}, nil
 	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.(*cacheEntry), hit, nil
-}
-
-// executeParamRun serves KindRun with a bound parameterized circuit on the
-// flat engine: the shared template is specialized for the request's Params
-// and the result is indistinguishable from running the bound concrete
-// circuit.
-func (s *Service) executeParamRun(j *job, spec core.ReadoutSpec) (*Result, error) {
-	start := time.Now()
-	s.setBackend(j, j.idealBackend)
-	entry, hit, err := s.templateEntryFor(j, j.req.Params)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Kind: j.req.Kind, Backend: j.idealBackend, NumQubits: entry.state.N,
-		CacheHit: hit,
-		Waited:   j.started.Sub(j.submitted),
-	}
-	j.trace.Begin(stageSample)
-	if spec.Shots > 0 {
-		legacyProject(res, core.EvaluateState(entry.state, entry.getSampler(), spec))
-	} else {
-		legacyProject(res, core.EvaluateState(entry.state, nil, spec))
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
 }
 
 // executeSweep evaluates a binding grid against one compiled template.
@@ -263,127 +227,83 @@ func (s *Service) executeParamRun(j *job, spec core.ReadoutSpec) (*Result, error
 func (s *Service) executeSweep(j *job) (*Result, error) {
 	start := time.Now()
 	req := j.req
-	spec := req.Readouts
-	bindings := req.Sweep.Bindings
 	res := &Result{
-		Kind: KindSweep, NumQubits: req.Circuit.NumQubits,
+		Kind: KindSweep, Backend: j.idealBackend, NumQubits: req.Circuit.NumQubits,
 		Waited: j.started.Sub(j.submitted),
 	}
-	rep := &core.SweepReport{Points: make([]core.SweepPoint, 0, len(bindings))}
+	rep := &core.SweepReport{Points: make([]core.SweepPoint, 0, len(req.Sweep.Bindings))}
+	j.trace.Begin(stageCompile)
 
+	// The sweep shapes differ only in how one binding becomes a source.
+	var point func(env map[string]float64) (source, error)
+	var plan *noise.Plan // nil for ideal sweeps
+	var run noise.RunConfig
+	workers := req.Options.Workers
 	if !req.Noise.IsZero() {
-		// Trajectory-ensemble sweep: widen across the shared token pool
-		// exactly like executeNoisy, then run one seeded ensemble per point
-		// over the shared compiled plan.
-		width := 1
-		for width < s.cfg.Workers {
-			select {
-			case <-s.trajTokens:
-				width++
-				continue
-			default:
-			}
-			break
+		var release func()
+		workers, release = s.widenTrajectories()
+		defer release()
+		run = req.Readouts.NoisyRunConfig(workers)
+		var err error
+		if plan, res.CacheHit, err = s.noisePlanFor(j); err != nil {
+			return nil, err
 		}
-		defer func() {
-			for i := 1; i < width; i++ {
-				s.trajTokens <- struct{}{}
+		if !res.CacheHit {
+			rep.Compiles++
+		}
+	}
+	if plan != nil && !plan.NoiseFree() {
+		res.Backend = BackendTrajectory
+		point = func(env map[string]float64) (source, error) {
+			bound, err := plan.Specialize(env)
+			if err != nil {
+				return source{}, err
 			}
-		}()
-		run := spec.NoisyRunConfig(width)
-		j.trace.Begin(stageCompile)
-		plan, hit, err := s.noisePlanFor(j)
+			ens, err := s.runEnsemble(j, bound, run)
+			return source{ens: ens}, err
+		}
+	} else {
+		tpl, hit, err := s.templateFor(j)
 		if err != nil {
 			return nil, err
 		}
 		if !hit {
 			rep.Compiles++
 		}
-		res.CacheHit = hit
-		if plan.NoiseFree() {
+		if plan == nil {
+			res.CacheHit = hit
+		}
+		rep.TouchedBlocks = tpl.TouchedBlocks()
+		rep.SharedBlocks = len(tpl.Blocks) - tpl.TouchedBlocks()
+		point = func(env map[string]float64) (source, error) {
+			st, err := tpl.Run(env, workers)
+			if err != nil || plan == nil {
+				return source{entry: &cacheEntry{state: st}}, err
+			}
 			// Zero-effect model: ideal template runs with readout error
 			// applied at sampling, mirroring the concrete-circuit fast path.
-			tpl, thit, err := s.templateFor(req.Circuit, req.Options)
-			if err != nil {
-				return nil, err
-			}
-			if !thit {
-				rep.Compiles++
-			}
-			s.setBackend(j, j.idealBackend)
-			res.Backend = j.idealBackend
-			rep.TouchedBlocks = tpl.TouchedBlocks()
-			rep.SharedBlocks = len(tpl.Blocks) - tpl.TouchedBlocks()
-			j.trace.Begin(stageExecute)
-			for i, env := range bindings {
-				if err := j.ctx.Err(); err != nil {
-					return nil, err
-				}
-				st, err := tpl.Run(env, width)
-				if err != nil {
-					return nil, fmt.Errorf("binding %d: %w", i, err)
-				}
-				ens, err := noise.RunEnsembleFromState(j.ctx, st, plan.Readout(), run)
-				if err != nil {
-					return nil, err
-				}
-				rep.Trajectories = ens.Trajectories
-				rep.Points = append(rep.Points, core.SweepPoint{Binding: env, Readouts: core.ReadoutsFromEnsemble(ens, spec)})
-			}
-		} else {
-			s.setBackend(j, BackendTrajectory)
-			res.Backend = BackendTrajectory
-			j.trace.Begin(stageExecute)
-			for i, env := range bindings {
-				if err := j.ctx.Err(); err != nil {
-					return nil, err
-				}
-				sp, err := plan.Specialize(env)
-				if err != nil {
-					return nil, fmt.Errorf("binding %d: %w", i, err)
-				}
-				ens, err := noise.RunEnsemble(j.ctx, sp, run)
-				if err != nil {
-					return nil, err
-				}
-				rep.Trajectories = ens.Trajectories
-				s.m.trajectories.Add(int64(ens.Trajectories))
-				rep.Points = append(rep.Points, core.SweepPoint{Binding: env, Readouts: core.ReadoutsFromEnsemble(ens, spec)})
-			}
+			ens, err := noise.RunEnsembleFromState(j.ctx, st, plan.Readout(), run)
+			return source{ens: ens}, err
 		}
-		rep.Elapsed = time.Since(start)
-		res.Sweep = rep
-		res.Trajectories = rep.Trajectories
-		res.Elapsed = time.Since(start)
-		return res, nil
 	}
-
-	s.setBackend(j, j.idealBackend)
-	res.Backend = j.idealBackend
-	j.trace.Begin(stageCompile)
-	tpl, hit, err := s.templateFor(req.Circuit, req.Options)
-	if err != nil {
-		return nil, err
-	}
-	if !hit {
-		rep.Compiles++
-	}
-	res.CacheHit = hit
-	rep.TouchedBlocks = tpl.TouchedBlocks()
-	rep.SharedBlocks = len(tpl.Blocks) - tpl.TouchedBlocks()
+	s.setBackend(j, res.Backend)
 	j.trace.Begin(stageExecute)
-	for i, env := range bindings {
+	for i, env := range req.Sweep.Bindings {
 		if err := j.ctx.Err(); err != nil {
 			return nil, err
 		}
-		st, err := tpl.Run(env, req.Options.Workers)
+		src, err := point(env)
 		if err != nil {
 			return nil, fmt.Errorf("binding %d: %w", i, err)
 		}
-		rep.Points = append(rep.Points, core.SweepPoint{Binding: env, Readouts: core.EvaluateState(st, nil, spec)})
+		if src.ens != nil {
+			rep.Trajectories = src.ens.Trajectories
+		}
+		rep.Points = append(rep.Points, core.SweepPoint{Binding: env, Readouts: src.readouts(req.Readouts)})
 	}
 	rep.Elapsed = time.Since(start)
 	res.Sweep = rep
+	res.Trajectories = rep.Trajectories
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
@@ -412,9 +332,9 @@ func (s *Service) executeOptimize(j *job) (*Result, error) {
 	}
 	return &Result{
 		Kind: KindOptimize, Backend: backendName, NumQubits: req.Circuit.NumQubits,
-		Optimize:     rep,
-		Trajectories: rep.Trajectories,
-		Waited:       j.started.Sub(j.submitted),
-		Elapsed:      time.Since(start),
+		Optimize: rep,
+		Readouts: core.Readouts{Trajectories: rep.Trajectories},
+		Waited:   j.started.Sub(j.submitted),
+		Elapsed:  time.Since(start),
 	}, nil
 }

@@ -111,7 +111,7 @@ func TestSweepBindingErrorsNameSymbol(t *testing.T) {
 			Params: map[string]float64{"gamma0": 1}}, "beta0"},
 		{"run-unknown", Request{Circuit: circuit.MustNamed("ising", 3), Kind: KindRun, Readouts: spec,
 			Params: map[string]float64{"theta": 1}}, "theta"},
-		{"legacy-parametric", Request{Circuit: c, Kind: KindStatevector}, "unbound symbol"},
+		{"run-no-params", Request{Circuit: c, Kind: KindRun, Readouts: spec}, "unbound symbol"},
 		{"optimize-unknown-init", Request{Circuit: c, Kind: KindOptimize,
 			Optimize: &core.OptimizeSpec{Observables: []core.Observable{{Paulis: "Z", Qubits: []int{0}}},
 				Init: map[string]float64{"omega": 1}}}, "omega"},
@@ -173,6 +173,22 @@ func TestRunWithParamsMatchesBoundCircuit(t *testing.T) {
 	}
 	if st.Simulations != 2 {
 		t.Fatalf("simulations = %d, want 2 (envA cached on repeat)", st.Simulations)
+	}
+
+	// Workers is speed, never amplitudes: the same bound run at another
+	// worker count is the same cache entry, not a second 2^n state.
+	res, err := s.Do(context.Background(), Request{
+		Circuit: c, Kind: KindRun, Readouts: spec, Params: envB,
+		Options: core.Options{Backend: "flat", Workers: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.CacheHit {
+		t.Fatal("bound run differing only in Options.Workers missed the state cache")
+	}
+	if got := s.Stats().Simulations; got != 2 {
+		t.Fatalf("simulations = %d after a workers-only variation, want still 2", got)
 	}
 }
 
@@ -273,32 +289,6 @@ func TestOptimizeJob(t *testing.T) {
 	}
 	if st := s.Stats(); st.TemplateCompiles != 1 {
 		t.Fatalf("template_compiles = %d", st.TemplateCompiles)
-	}
-}
-
-// TestShimHitCounting: deprecated kinds bump shim_hits; v2/v3 kinds don't.
-func TestShimHitCounting(t *testing.T) {
-	s := newTest(t, Config{Workers: 1})
-	c := circuit.MustNamed("ising", 4)
-	for _, req := range []Request{
-		{Circuit: c, Kind: KindStatevector},
-		{Circuit: c, Kind: KindSample, Shots: 16},
-		{Circuit: c, Kind: KindExpectation, Qubits: []int{0}},
-		{Circuit: c, Kind: KindProbabilities, Qubits: []int{0}},
-	} {
-		if _, err := s.Do(context.Background(), req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Stats(); st.ShimHits != 4 {
-		t.Fatalf("shim_hits = %d, want 4", st.ShimHits)
-	}
-	if _, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindRun,
-		Readouts: core.ReadoutSpec{Shots: 16}}); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.ShimHits != 4 {
-		t.Fatalf("shim_hits after KindRun = %d, want still 4", st.ShimHits)
 	}
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # serve_smoke.sh — boot hisvsimd, exercise submit → poll → sample over HTTP
-# (including a v2 multi-readout "run" job and a deprecated-kind shim),
+# (including a multi-readout "run" job and the 400 a removed v1 kind gets),
 # verify the plan/state cache actually amortizes, and shut down gracefully.
 # Also smokes the hisvsim CLI backend listing. Used by `make serve-smoke`
 # and the CI workflow. Needs curl + jq.
@@ -52,7 +52,7 @@ fi
 submit() {
     curl -fsS "$BASE/v1/jobs" -d '{
         "circuit": {"family": "qft", "qubits": 12},
-        "kind": "sample", "shots": 100, "seed": 7,
+        "kind": "run", "readouts": {"shots": 100, "seed": 7},
         "options": {"strategy": "dagp"}
     }' | jq -r .id
 }
@@ -103,7 +103,7 @@ case "$NB" in
     ;;
 esac
 
-# A v2 multi-readout "run" job: shots + two Pauli observables + a marginal,
+# A multi-readout "run" job: shots + two Pauli observables + a marginal,
 # answered by EXACTLY one additional simulation (the cached qft-12 state
 # belongs to a different circuit, so this adds one).
 SIMS_BEFORE="$(curl -fsS "$BASE/v1/stats" | jq .simulations)"
@@ -137,28 +137,45 @@ if [ "$((SIMS_AFTER - SIMS_BEFORE))" != 1 ]; then
     exit 1
 fi
 
-# A deprecated-kind request over the same circuit: the shim must keep the
-# old JSON shape — expectation present, none of the v2-only fields leaking
-# in — and reuse the run job's cached simulation.
-ERES="$(curl -fsS "$BASE/v1/jobs" -d '{
+# A single-readout job over the same circuit reuses the run job's cached
+# simulation.
+EID="$(curl -fsS "$BASE/v1/jobs" -d '{
     "circuit": {"family": "ising", "qubits": 10},
-    "kind": "expectation", "qubits": [0, 1],
+    "kind": "run", "readouts": {"observables": [{"paulis": "ZZ", "qubits": [0, 1]}]},
     "options": {"strategy": "dagp"}
 }' | jq -r .id)"
-EJOB="$(curl -fsS "$BASE/v1/jobs/$ERES/result?wait=30s")"
-EVAL="$(printf '%s' "$EJOB" | jq .result.expectation)"
-ELEAK="$(printf '%s' "$EJOB" | jq '[.result.backend, .result.observables, .result.marginals] | map(select(. != null)) | length')"
+EJOB="$(curl -fsS "$BASE/v1/jobs/$EID/result?wait=30s")"
+EVAL="$(printf '%s' "$EJOB" | jq '.result.observables[0].value')"
 EHIT="$(printf '%s' "$EJOB" | jq .result.cache_hit)"
-if [ "$EVAL" = null ] || [ "$ELEAK" != 0 ] || [ "$EHIT" != true ]; then
-    echo "serve-smoke: deprecated expectation shim broke (value=$EVAL leaks=$ELEAK hit=$EHIT)" >&2
+if [ "$EVAL" = null ] || [ "$EHIT" != true ]; then
+    echo "serve-smoke: single-observable run missed the cache (value=$EVAL hit=$EHIT)" >&2
     printf '%s\n' "$EJOB" >&2
     exit 1
 fi
 
+# The v1 single-readout kinds are gone: the old body shape is a 400 naming
+# the kinds that exist, and /v1/stats no longer carries shim_hits.
+V1BODY="$(mktemp)"
+V1CODE="$(curl -s -o "$V1BODY" -w '%{http_code}' "$BASE/v1/jobs" -d '{
+    "circuit": {"family": "ising", "qubits": 10},
+    "kind": "expectation", "qubits": [0, 1]
+}')"
+V1KIND="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/jobs" -d '{
+    "circuit": {"family": "ising", "qubits": 10},
+    "kind": "expectation", "readouts": {"shots": 10}
+}')"
+SHIM="$(curl -fsS "$BASE/v1/stats" | jq 'has("shim_hits")')"
+if [ "$V1CODE" != 400 ] || [ "$V1KIND" != 400 ] || [ "$SHIM" != false ]; then
+    echo "serve-smoke: v1 surface not gone (v1 body=$V1CODE, v1 kind=$V1KIND, shim_hits present=$SHIM):" >&2
+    cat "$V1BODY" >&2
+    exit 1
+fi
+rm -f "$V1BODY"
+
 # A noisy trajectory-ensemble job: counts add up and the shot total holds.
 NID="$(curl -fsS "$BASE/v1/jobs" -d '{
     "circuit": {"family": "ising", "qubits": 8},
-    "kind": "noisy_sample", "shots": 200, "seed": 7, "trajectories": 20,
+    "kind": "run", "readouts": {"shots": 200, "seed": 7, "trajectories": 20},
     "noise": {"rules": [{"channel": "depolarizing", "p": 0.01}],
               "readout": {"p01": 0.01, "p10": 0.01}}
 }' | jq -r .id)"
@@ -209,7 +226,7 @@ fi
 # no noisy path, and a dm register over the qubit cap.
 CCODE="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/jobs" -d '{
     "circuit": {"family": "ising", "qubits": 8},
-    "kind": "noisy_sample", "shots": 10,
+    "kind": "run", "readouts": {"shots": 10},
     "noise": {"rules": [{"channel": "depolarizing", "p": 0.01}]},
     "options": {"backend": "baseline"}
 }')"
@@ -226,7 +243,7 @@ fi
 # Out-of-bounds noise probabilities are 400s.
 NCODE="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/jobs" -d '{
     "circuit": {"family": "ising", "qubits": 8},
-    "kind": "noisy_sample",
+    "kind": "run", "readouts": {"shots": 10},
     "noise": {"rules": [{"channel": "depolarizing", "p": 1.5}]}
 }')"
 if [ "$NCODE" != 400 ]; then
@@ -234,7 +251,7 @@ if [ "$NCODE" != 400 ]; then
     exit 1
 fi
 
-# A v3 parameterized sweep job: a symbolic QASM template swept over a
+# A parameterized sweep job: a symbolic QASM template swept over a
 # 3×2 binding grid must cost EXACTLY one template compile (visible in
 # /v1/stats) and return per-point observable readouts.
 TC_BEFORE="$(curl -fsS "$BASE/v1/stats" | jq .template_compiles)"
@@ -285,11 +302,11 @@ msum() {
     # Sum the values of every sample whose name (incl. labels) matches $1.
     grep "^$1" "$METRICS" | awk '{s += $NF} END {printf "%d\n", s}'
 }
-SUBMITTED_SAMPLE="$(msum 'hisvsim_jobs_submitted_total{kind="sample"}')"
+SUBMITTED_RUN="$(msum 'hisvsim_jobs_submitted_total{kind="run"}')"
 STATE_HITS="$(msum 'hisvsim_cache_hits_total{cache="state"}')"
 STAGE_OBS="$(msum 'hisvsim_stage_duration_seconds_count')"
-if [ "$SUBMITTED_SAMPLE" -lt 2 ] || [ "$STATE_HITS" -lt 1 ] || [ "$STAGE_OBS" -lt 1 ]; then
-    echo "serve-smoke: /metrics counters wrong (sample submits=$SUBMITTED_SAMPLE state hits=$STATE_HITS stage obs=$STAGE_OBS)" >&2
+if [ "$SUBMITTED_RUN" -lt 2 ] || [ "$STATE_HITS" -lt 1 ] || [ "$STAGE_OBS" -lt 1 ]; then
+    echo "serve-smoke: /metrics counters wrong (run submits=$SUBMITTED_RUN state hits=$STATE_HITS stage obs=$STAGE_OBS)" >&2
     grep ^hisvsim_ "$METRICS" >&2
     exit 1
 fi
@@ -353,4 +370,4 @@ if ! wait "$PID"; then
     exit 1
 fi
 trap - EXIT
-echo "serve-smoke: OK (backends listing, readyz, submit, poll, sample, cache hit, multi-readout run, deprecated shim, noisy ensemble, exact dm run, capability 400s, parameterized sweep, unbound-symbol 400, /metrics scrape, stage trace, kernel profile, graceful shutdown)"
+echo "serve-smoke: OK (backends listing, readyz, submit, poll, sample, cache hit, multi-readout run, v1 kinds 400, noisy ensemble, exact dm run, capability 400s, parameterized sweep, unbound-symbol 400, /metrics scrape, stage trace, kernel profile, graceful shutdown)"

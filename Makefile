@@ -1,7 +1,7 @@
 # Local workflows and CI invoke these identical targets (.github/workflows/ci.yml).
 GO ?= go
 
-.PHONY: all build test bench lint fusion-bench service-bench noise-bench dm-bench sweep-bench cluster-bench obs-bench bench-all benchdiff benchmark-smoke serve-smoke cluster-smoke clean
+.PHONY: all build test bench lint fusion-bench service-bench noise-bench dm-bench sweep-bench cluster-bench hier-bench obs-bench bench-all benchdiff benchmark-smoke serve-smoke cluster-smoke clean
 
 # Where the *-bench targets write their BENCH_*.json artifacts. The
 # committed baselines live at the repo root; point BENCH_DIR at a scratch
@@ -68,12 +68,21 @@ CLUSTER_FLEETS ?= 1,2,3
 cluster-bench:
 	$(GO) run ./cmd/benchtables -only cluster -cluster-traj $(CLUSTER_TRAJ) -cluster-fleets $(CLUSTER_FLEETS) -cluster-out $(BENCH_DIR)/BENCH_cluster.json
 
+# Regenerates BENCH_hier.json (the paper's claim as a wall clock: time to
+# solution of hier+dagP against DFS, Nat, the one-part default and the flat
+# sweep on qft/ising, same-process ratios plus exact work counts; Lm is 16
+# from 20 qubits up and 12 below). CI smokes the small sizes:
+# make hier-bench HIER_QUBITS=16,18.
+HIER_QUBITS ?= 16,18,20,21
+hier-bench:
+	$(GO) run ./cmd/benchtables -only hier -hier-qubits $(HIER_QUBITS) -hier-out $(BENCH_DIR)/BENCH_hier.json
+
 # Regenerates every normalized BENCH_*.json artifact. Point BENCH_DIR at a
 # scratch directory and gate with benchdiff:
 #
 #	make bench-all BENCH_DIR=/tmp/bench FUSION_REPS=1
 #	make benchdiff BENCH_DIR=/tmp/bench
-bench-all: fusion-bench service-bench noise-bench dm-bench sweep-bench cluster-bench obs-bench
+bench-all: fusion-bench service-bench noise-bench dm-bench sweep-bench cluster-bench hier-bench obs-bench
 
 # Compares the artifacts under BENCH_DIR against the committed baselines
 # at the repo root; exits nonzero on any out-of-tolerance regression.

@@ -251,6 +251,7 @@ func BenchmarkAblationDagP(b *testing.B) {
 func benchPartitioner(b *testing.B, s partition.Strategy) {
 	c := circuit.QFT(16)
 	g := dag.FromCircuit(c)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pl, err := s.Partition(g, 10)
@@ -294,6 +295,7 @@ func BenchmarkGatherExecuteScatter(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(pl.NumParts()) * (32 << 16))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := sv.NewState(c.NumQubits)

@@ -29,7 +29,7 @@ func main() {
 		bigR       = flag.String("big-ranks", "8,16", "rank counts for the large circuits")
 		seed       = flag.Int64("seed", 1, "partitioner seed")
 		lm2        = flag.Int("second-lm", 8, "second-level limit for the multi-level experiment")
-		only       = flag.String("only", "", "comma-separated subset: table1,table2,table3,table4,fig5,fig6,fig7,fig8,fig9,fig10,optimality,threads,ablation,fusion,service,noise,dm,sweep,cluster,obs")
+		only       = flag.String("only", "", "comma-separated subset: table1,table2,table3,table4,fig5,fig6,fig7,fig8,fig9,fig10,optimality,threads,ablation,fusion,service,noise,dm,sweep,cluster,hier,obs")
 		fusionOut  = flag.String("fusion-out", "", "also write the fusion benchmark as JSON to this path (e.g. BENCH_fusion.json)")
 		fusionN    = flag.String("fusion-qubits", "16,18,20", "register sizes for the fusion benchmark")
 		fusionRep  = flag.Int("fusion-reps", 3, "repetitions per fusion benchmark point (fastest kept)")
@@ -50,6 +50,9 @@ func main() {
 		clusterN   = flag.Int("cluster-qubits", 10, "register size for the cluster benchmark ensemble")
 		clusterT   = flag.Int("cluster-traj", 512, "trajectories in the cluster benchmark ensemble")
 		clusterFl  = flag.String("cluster-fleets", "1,2,3", "worker fleet sizes for the cluster benchmark")
+		hierOut    = flag.String("hier-out", "", "also write the hierarchical time-to-solution benchmark as JSON to this path (e.g. BENCH_hier.json)")
+		hierN      = flag.String("hier-qubits", "16,18,20,21", "register sizes for the hierarchical benchmark")
+		hierReps   = flag.Int("hier-reps", 9, "interleaved passes per hierarchical benchmark point (medians kept)")
 		obsIn      = flag.String("obs-in", "BENCH_obs.txt", "go test -bench text output to normalize for the obs section")
 		obsOut     = flag.String("obs-out", "", "write the normalized observability benchmark as JSON to this path (e.g. BENCH_obs.json)")
 	)
@@ -204,6 +207,19 @@ func main() {
 			check(err)
 			check(os.WriteFile(*clusterOut, b, 0o644))
 			fmt.Printf("wrote %s\n", *clusterOut)
+		}
+	}
+	if sel("hier") || *hierOut != "" {
+		rep, err := experiments.HierBench(experiments.HierConfig{
+			Qubits: parseInts(*hierN), Reps: *hierReps, Seed: *seed,
+		})
+		check(err)
+		fmt.Println(rep.Table())
+		if *hierOut != "" {
+			b, err := rep.JSON()
+			check(err)
+			check(os.WriteFile(*hierOut, b, 0o644))
+			fmt.Printf("wrote %s\n", *hierOut)
 		}
 	}
 	if sel("obs") || *obsOut != "" {

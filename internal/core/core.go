@@ -113,8 +113,8 @@ func Simulate(c *circuit.Circuit, opts Options) (*Result, error) {
 }
 
 // SimulateContext is Simulate under a context: cancellation or deadline
-// expiry aborts the run at the next part (single-node) or step (distributed)
-// boundary with the context's error. Options.Seed makes the randomized
+// expiry aborts the run at the next batch of sweeps within a part
+// (single-node) or step boundary (distributed) with the context's error. Options.Seed makes the randomized
 // partitioners — and therefore the produced plan and state — deterministic
 // for a fixed (circuit, options) pair.
 //

@@ -312,3 +312,37 @@ func TestStrongScalingShape(t *testing.T) {
 		t.Errorf("%d/%d series grew with rank count", bad, total)
 	}
 }
+
+// The hier benchmark's exact rows must obey the executor's accounting: every
+// part either copies the whole vector twice or, as a view, nothing.
+func TestHierBenchWorkRows(t *testing.T) {
+	rep, err := HierBench(HierConfig{Qubits: []int{13}, Reps: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, err := rep.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]float64{}
+	for _, r := range norm.Rows {
+		rows[r.Metric] = r.Value
+	}
+	for _, fam := range []string{"qft", "ising"} {
+		p := fam + "-13/lm12/"
+		for _, m := range []string{"dagp_vs_flat", "dagp_vs_dfs", "dagp_vs_default", "partition_share", "tts_dagp_ms"} {
+			if _, ok := rows[p+m]; !ok {
+				t.Errorf("missing row %s", p+m)
+			}
+		}
+		for _, s := range []string{"dagp", "dfs", "nat"} {
+			parts, views := rows[p+s+"/parts"], rows[p+s+"/view_parts"]
+			if parts < 2 || views > parts {
+				t.Errorf("%s%s: %v parts, %v views", p, s, parts, views)
+			}
+			if want := (parts - views) * 2 * 16 * (1 << 13); rows[p+s+"/bytes_moved"] != want {
+				t.Errorf("%s%s: bytes_moved %v, want %v", p, s, rows[p+s+"/bytes_moved"], want)
+			}
+		}
+	}
+}

@@ -11,15 +11,36 @@
 // gather/execute/scatter cycle sweeps the inner vector once per block
 // instead of once per gate. Independent sweeps of one part are executed in
 // parallel across Workers goroutines (they touch disjoint slices of the
-// outer vector), and a part whose working set spans the whole register is
-// applied directly to the outer state through the parallel kernels.
+// outer vector); a part with fewer sweeps than workers hands the spare
+// workers to its inner states' kernels.
+//
+// Gather and scatter are one run-based routine whose shape is fixed per part
+// by where the part's qubits sit (see prepared):
+//
+//   - view: the part's qubits are exactly 0..w-1, so each sweep's
+//     amplitudes are already contiguous and the inner state is a slice of the
+//     outer vector. Nothing is copied. A part spanning the whole register is
+//     the one-sweep case of this.
+//   - runs: the part holds qubits 0..j-1 (0 < j < w), so a sweep is
+//     2^(w-j) runs of 2^j contiguous amplitudes, moved with copy().
+//   - batched: runs shorter than a 64-byte cache line with free qubits just
+//     above them; the 2 or 4 sweeps that share each line are gathered,
+//     executed and scattered together, so every line of the outer vector is
+//     read and written once per part instead of once per sweep.
+//
+// The layouts only move data: the ops, their order and every amplitude's
+// arithmetic are the same in all three, so results do not depend on them or
+// on Workers. Metrics.BytesMoved counts the bytes actually copied — zero for
+// a view part.
 package hier
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/dag"
@@ -32,10 +53,10 @@ import (
 
 // Options configures hierarchical execution.
 type Options struct {
-	// Ctx, when non-nil, is polled at part boundaries: a cancelled or
-	// timed-out context aborts the run with the context's error. Carried in
-	// Options (rather than a parameter) so the existing ExecutePlan/Run call
-	// surface stays stable.
+	// Ctx, when non-nil, is polled before every part and every batch of
+	// sweeps within one: a cancelled or timed-out context aborts the run with
+	// the context's error. Carried in Options (rather than a parameter) so
+	// the existing ExecutePlan/Run call surface stays stable.
 	Ctx context.Context
 	// SecondLevelLm, when > 0, re-partitions each part's gates with this
 	// tighter working-set limit and executes them through a second
@@ -67,7 +88,7 @@ type PartStats struct {
 	Gates      int
 	Qubits     int
 	Sweeps     int64 // gather/scatter iterations = 2^(n-w)
-	BytesMoved int64 // gather + scatter traffic over the outer vector
+	BytesMoved int64 // bytes gather and scatter copied, nested levels included; 0 for a view
 	SubParts   int   // second-level part count (1 when single-level)
 	Blocks     int   // fused blocks per sweep (0 when fusion off or multi-level)
 }
@@ -87,18 +108,20 @@ func ExecutePlan(pl *partition.Plan, outer *sv.State, opts Options) (*Metrics, e
 	if pl.Circuit.NumQubits > outer.N {
 		return nil, fmt.Errorf("hier: circuit needs %d qubits, state has %d", pl.Circuit.NumQubits, outer.N)
 	}
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	m := &Metrics{Parts: pl.NumParts()}
 	for _, part := range pl.Parts {
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				return nil, err
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		pp, err := preparePart(pl.Circuit, part, opts)
 		if err != nil {
 			return nil, fmt.Errorf("hier: part %d: %w", part.Index, err)
 		}
-		ps, err := executePart(pp, outer, opts)
+		ps, err := executePart(ctx, pp, outer, opts.workers())
 		if err != nil {
 			return nil, fmt.Errorf("hier: part %d: %w", part.Index, err)
 		}
@@ -126,30 +149,61 @@ func Run(c *circuit.Circuit, lm int, s partition.Strategy, opts Options) (*sv.St
 	return outer, m, nil
 }
 
+// lineAmps is how many amplitudes share one 64-byte cache line.
+const lineAmps = 4
+
 // prepared is one part's precomputed execution recipe: its gates remapped
 // onto inner slots and lowered to kernel ops (one per fused block, or one per
-// gate with fusion off), or the prepared second-level sub-parts. Preparing
-// once per part keeps fusion, gate lowering and second-level partitioning
-// out of the 2^(n-w) sweep loop.
+// gate with fusion off), or the prepared second-level sub-parts, plus the
+// gather/scatter layout. Preparing once per part keeps fusion, gate lowering
+// and second-level partitioning out of the 2^(n-w) sweep loop.
+//
+// The layout follows from how many of the part's qubits are exactly
+// 0..j-1: those bits of an inner index are the same bits of the outer
+// index, so a sweep's amplitudes lie in runs of 2^j contiguous outer
+// amplitudes, one run per assignment of the part's remaining w-j qubits.
+//   - j == w: one run is the whole sweep — the inner state is a view of
+//     the outer vector and nothing is copied (offs is nil).
+//   - 0 < j < w: gather and scatter copy() 2^(w-j) runs.
+//   - runs shorter than a cache line (j < 2) with free qubits right above
+//     them: the sweeps that differ only in those free qubits interleave
+//     within the same lines, so batch of them are moved together and each
+//     line of the outer vector is read and written once.
 type prepared struct {
 	part   partition.Part
-	offs   []int      // offs[s] = spread(s, part.Qubits), gather/scatter table
+	run    int        // 2^j: contiguous amplitudes per run
+	offs   []int      // outer offset of each run (nil for a view)
+	batch  int        // adjacent sweeps moved together (1, 2 or 4)
 	ops    []sv.Op    // lowered for w-qubit inner states (nil when multi-level)
 	blocks int        // fused blocks per sweep (0 when fusion off or multi-level)
 	sub    []prepared // second-level prepared parts
 }
 
+// isView reports whether sweeps run in place on slices of the outer vector.
+func (pp *prepared) isView() bool { return pp.run == 1<<uint(len(pp.part.Qubits)) }
+
 // preparePart remaps the part's gates onto inner slots and precomputes the
-// kernel ops or the second-level plan.
+// layout and the kernel ops or the second-level plan.
 func preparePart(c *circuit.Circuit, part partition.Part, opts Options) (prepared, error) {
 	w := part.WorkingSetSize()
-	pp := prepared{part: part}
-	if w < c.NumQubits {
-		// Parts that span their whole circuit never gather/scatter (they
-		// apply directly), so the offset table would be pure waste there.
-		pp.offs = make([]int, 1<<uint(w))
-		for s := range pp.offs {
-			pp.offs[s] = spread(s, part.Qubits)
+	pp := prepared{part: part, batch: 1}
+	j := 0
+	for j < w && part.Qubits[j] == j {
+		j++
+	}
+	pp.run = 1 << uint(j)
+	if j < w { // a view copies nothing and needs no offset table
+
+		high := part.Qubits[j:]
+		// offs[r] spreads the bits of r onto the high qubits: r's lowest set
+		// bit on top of the entry for r without it.
+		pp.offs = make([]int, 1<<uint(w-j))
+		for r := 1; r < len(pp.offs); r++ {
+			low := bits.TrailingZeros(uint(r))
+			pp.offs[r] = pp.offs[r&(r-1)] | 1<<uint(high[low])
+		}
+		for free := high[0] - j; pp.run*pp.batch < lineAmps && free > 0; free-- {
+			pp.batch *= 2
 		}
 	}
 
@@ -201,28 +255,29 @@ func preparePart(c *circuit.Circuit, part partition.Part, opts Options) (prepare
 }
 
 // applyPrepared runs one prepared part's compute against an inner state
-// whose qubits are the part's slots. workers bounds sub-part sweep
-// parallelism: 1 inside a per-sweep inner vector (parallelism is already
-// sweep-level there), the full worker count when inner is the outer state.
-func applyPrepared(pp *prepared, inner *sv.State, workers int) error {
-	if pp.sub != nil {
-		for i := range pp.sub {
-			if err := executeSweeps(&pp.sub[i], inner, workers); err != nil {
-				return err
-			}
-		}
-		return nil
+// whose qubits are the part's slots and returns the bytes its second-level
+// sweeps copied. workers bounds sub-part sweep parallelism.
+func applyPrepared(ctx context.Context, pp *prepared, inner *sv.State, workers int) (int64, error) {
+	if pp.sub == nil {
+		inner.ApplyOps(pp.ops)
+		return 0, nil
 	}
-	inner.ApplyOps(pp.ops)
-	return nil
+	var moved int64
+	for i := range pp.sub {
+		b, err := executeSweeps(ctx, &pp.sub[i], inner, workers)
+		moved += b
+		if err != nil {
+			return moved, err
+		}
+	}
+	return moved, nil
 }
 
 // executePart performs the Gather-Execute-Scatter cycle of Algorithm 1 for
 // one prepared part.
-func executePart(pp prepared, outer *sv.State, opts Options) (PartStats, error) {
+func executePart(ctx context.Context, pp prepared, outer *sv.State, workers int) (PartStats, error) {
 	part := pp.part
 	w := part.WorkingSetSize()
-	n := outer.N
 	ps := PartStats{Index: part.Index, Gates: len(part.GateIndices), Qubits: w,
 		SubParts: 1, Blocks: pp.blocks}
 	if pp.sub != nil {
@@ -231,123 +286,157 @@ func executePart(pp prepared, outer *sv.State, opts Options) (PartStats, error) 
 	if w == 0 {
 		return ps, nil
 	}
-	ps.Sweeps = int64(1) << uint(n-w)
-
-	if w == n {
-		// The part spans the whole register: apply directly to the outer
-		// state through the parallel kernels — no gather/scatter copies, so
-		// no bytes are charged.
-		if err := applyPrepared(&pp, outer, opts.workers()); err != nil {
-			return ps, err
-		}
-		return ps, nil
-	}
-	ps.BytesMoved = 2 * int64(outer.Dim()) * 16
-	if err := executeSweeps(&pp, outer, opts.workers()); err != nil {
-		return ps, err
-	}
-	return ps, nil
+	ps.Sweeps = int64(1) << uint(outer.N-w)
+	var err error
+	ps.BytesMoved, err = executeSweeps(ctx, &pp, outer, workers)
+	return ps, err
 }
 
 // executeSweeps runs the 2^(n-w) gather/execute/scatter iterations of one
-// prepared part against the outer state, splitting independent sweeps
-// (disjoint outer slices) across workers goroutines.
-func executeSweeps(pp *prepared, outer *sv.State, workers int) error {
-	part := pp.part
-	w := part.WorkingSetSize()
+// prepared part against the outer state and returns the bytes it copied
+// (here and in nested levels). Independent sweeps touch disjoint slices of
+// the outer vector, so up to workers goroutines claim them a few batches at
+// a time from a shared counter — a goroutine whose CPU is slow or preempted
+// takes fewer, instead of holding a fixed half back; workers left over when
+// there are fewer sweeps than that go to the inner states' kernels. A part
+// spanning the whole outer register is its one sweep, applied in place. ctx
+// is polled once per batch of sweeps.
+func executeSweeps(ctx context.Context, pp *prepared, outer *sv.State, workers int) (int64, error) {
+	w := pp.part.WorkingSetSize()
 	sweeps := 1 << uint(outer.N-w)
-	offs := pp.offs
-	if offs == nil { // defensive: preparePart builds it for every swept part
-		offs = make([]int, 1<<uint(w))
-		for s := range offs {
-			offs[s] = spread(s, part.Qubits)
-		}
+	batch := pp.batch
+	for batch > 1 && sweeps/batch < workers {
+		batch /= 2 // never trade sweep-level parallelism for wider batches
 	}
+	ranges := min(workers, sweeps/batch)
+	innerWorkers := workers / ranges
+	// About eight claims per goroutine: the last one to finish overruns the
+	// others by at most an eighth of a share.
+	claim := max(1, sweeps/batch/(8*ranges)) * batch
+	var next atomic.Int64
 
-	runRange := func(lo, hi int) (int64, error) {
-		inner := sv.NewState(w)
-		inner.Workers = 1 // inner vectors are small; parallelism is sweep-level
-		inner.Prof = outer.Prof
-		dimInner := inner.Dim()
-		for f := lo; f < hi; f++ {
-			base := f
-			for _, q := range part.Qubits { // ascending: insert zeros at part qubits
-				base = insertBit(base, q)
-			}
-			for s := 0; s < dimInner; s++ {
-				inner.Amps[s] = outer.Amps[base|offs[s]]
-			}
-			if err := applyPrepared(pp, inner, 1); err != nil {
-				return inner.Ops, err
-			}
-			for s := 0; s < dimInner; s++ {
-				outer.Amps[base|offs[s]] = inner.Amps[s]
+	work := func() (ops, moved int64, err error) {
+		inners := make([]sv.State, batch)
+		for t := range inners {
+			inners[t] = sv.State{N: w, Workers: innerWorkers, Prof: outer.Prof}
+		}
+		view := pp.isView()
+		var vectors [lineAmps][]complex128
+		amps := vectors[:batch] // the inner vectors, as the transfer loops want them
+		if !view {
+			buf := make([]complex128, batch<<uint(w))
+			for t := range inners {
+				amps[t] = buf[t<<uint(w) : (t+1)<<uint(w)]
+				inners[t].Amps = amps[t]
 			}
 		}
-		return inner.Ops, nil
+	sweeping:
+		for {
+			lo := int(next.Add(int64(claim))) - claim
+			if lo >= sweeps {
+				break
+			}
+			for f := lo; f < min(lo+claim, sweeps); f += batch {
+				select {
+				case <-ctx.Done():
+					err = ctx.Err()
+					break sweeping
+				default:
+				}
+				base := f
+				for _, q := range pp.part.Qubits { // ascending: insert zeros at part qubits
+					base = insertBit(base, q)
+				}
+				if view {
+					inners[0].Amps = outer.Amps[base : base+pp.run]
+				} else {
+					moved += pp.transfer(outer.Amps, base, amps, false)
+				}
+				for t := range inners {
+					var nested int64
+					nested, err = applyPrepared(ctx, pp, &inners[t], innerWorkers)
+					moved += nested
+					if err != nil {
+						break sweeping
+					}
+				}
+				if !view {
+					moved += pp.transfer(outer.Amps, base, amps, true)
+				}
+			}
+		}
+		for t := range inners {
+			ops += inners[t].Ops
+		}
+		return ops, moved, err
 	}
 
-	if workers <= 1 || sweeps < 2*workers {
-		ops, err := runRange(0, sweeps)
+	if ranges == 1 {
+		ops, moved, err := work()
 		outer.Ops += ops
-		return err
+		return moved, err
 	}
-	if workers > sweeps {
-		workers = sweeps
-	}
-	chunk := (sweeps + workers - 1) / workers
 	var wg sync.WaitGroup
 	var mu sync.Mutex
+	var total int64
 	var firstErr error
-	for lo := 0; lo < sweeps; lo += chunk {
-		hi := lo + chunk
-		if hi > sweeps {
-			hi = sweeps
-		}
+	for g := 0; g < ranges; g++ {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			ops, err := runRange(lo, hi)
+			ops, moved, err := work()
 			mu.Lock()
 			outer.Ops += ops
+			total += moved
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
 			mu.Unlock()
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
-	return firstErr
+	return total, firstErr
+}
+
+// transfer is the one gather/scatter routine: it copies len(inners)
+// adjacent sweeps — sweep t has base | t*run — between the outer vector and
+// their inner vectors, run by run, and returns the bytes copied. With runs of
+// one amplitude the batch's amplitudes for an offset are adjacent in the
+// outer vector, so a line is consumed whole.
+func (pp *prepared) transfer(outer []complex128, base int, inners [][]complex128, scatter bool) int64 {
+	run := pp.run
+	switch {
+	case run == 1 && scatter:
+		for r, off := range pp.offs {
+			line := outer[base|off:][:len(inners)]
+			for t, inner := range inners {
+				line[t] = inner[r]
+			}
+		}
+	case run == 1:
+		for r, off := range pp.offs {
+			line := outer[base|off:][:len(inners)]
+			for t, inner := range inners {
+				inner[r] = line[t]
+			}
+		}
+	default:
+		for r, off := range pp.offs {
+			for t, inner := range inners {
+				in, out := inner[r*run:][:run], outer[base|off+t*run:][:run]
+				if scatter {
+					copy(out, in)
+				} else {
+					copy(in, out)
+				}
+			}
+		}
+	}
+	return int64(len(inners)) * int64(len(inners[0])) * 16
 }
 
 // insertBit returns f with a zero bit inserted at position p.
 func insertBit(f, p int) int {
 	low := f & ((1 << uint(p)) - 1)
 	return ((f &^ ((1 << uint(p)) - 1)) << 1) | low
-}
-
-// spread distributes the bits of s onto the (ascending) qubit positions.
-func spread(s int, qubits []int) int {
-	out := 0
-	for j, q := range qubits {
-		if s>>uint(j)&1 == 1 {
-			out |= 1 << uint(q)
-		}
-	}
-	return out
-}
-
-// Gather extracts the 2^w inner amplitudes for a given free-bit assignment;
-// exported for reuse by the distributed executor and tests.
-func Gather(outer []complex128, qubits []int, base int, inner []complex128) {
-	for s := range inner {
-		inner[s] = outer[base|spread(s, qubits)]
-	}
-}
-
-// Scatter writes inner amplitudes back to their outer positions.
-func Scatter(outer []complex128, qubits []int, base int, inner []complex128) {
-	for s := range inner {
-		outer[base|spread(s, qubits)] = inner[s]
-	}
 }

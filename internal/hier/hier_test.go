@@ -1,12 +1,20 @@
 package hier
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/dag"
+	"hisvsim/internal/gate"
 	"hisvsim/internal/partition"
 	"hisvsim/internal/partition/dagp"
 	"hisvsim/internal/sv"
@@ -115,8 +123,12 @@ func TestMultiLevelWithDagPSecondLevel(t *testing.T) {
 }
 
 func TestMetricsAccounting(t *testing.T) {
-	c := circuit.BV(8, -1)
-	_, m, err := Run(c, 4, partition.Nat{}, Options{})
+	c := circuit.CC(8) // Nat at Lm=4 cuts it into view, run and batched parts
+	pl, err := partition.Nat{}.Partition(dag.FromCircuit(c), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ExecutePlan(pl, sv.NewState(c.NumQubits), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +136,22 @@ func TestMetricsAccounting(t *testing.T) {
 		t.Fatalf("per-part stats %d vs parts %d", len(m.PerPart), m.Parts)
 	}
 	var bytes int64
-	gates := 0
+	gates, views := 0, 0
 	for _, ps := range m.PerPart {
 		// sweeps = 2^(n - w)
 		if want := int64(1) << uint(c.NumQubits-ps.Qubits); ps.Sweeps != want {
 			t.Errorf("part %d sweeps = %d, want %d", ps.Index, ps.Sweeps, want)
 		}
-		if ps.BytesMoved != 2*16*int64(1)<<uint(c.NumQubits) {
-			t.Errorf("part %d bytes = %d", ps.Index, ps.BytesMoved)
+		// Gather plus scatter copy the whole vector once each, except for
+		// a part on qubits 0..w-1: its sweeps are slices of the outer
+		// vector and nothing is copied.
+		want := 2 * 16 * int64(1) << uint(c.NumQubits)
+		if part := pl.Parts[ps.Index]; part.Qubits[len(part.Qubits)-1] == len(part.Qubits)-1 {
+			want = 0
+			views++
+		}
+		if ps.BytesMoved != want {
+			t.Errorf("part %d bytes = %d, want %d", ps.Index, ps.BytesMoved, want)
 		}
 		bytes += ps.BytesMoved
 		gates += ps.Gates
@@ -139,11 +159,39 @@ func TestMetricsAccounting(t *testing.T) {
 	if bytes != m.BytesMoved {
 		t.Error("bytes totals disagree")
 	}
+	if views == 0 || views == m.Parts {
+		t.Errorf("%d of %d parts are views; the test needs both kinds", views, m.Parts)
+	}
 	if gates != c.NumGates() {
 		t.Errorf("parts cover %d gates, circuit has %d", gates, c.NumGates())
 	}
 	if m.InnerOps < int64(c.NumGates()) {
 		t.Errorf("inner ops %d < gate count", m.InnerOps)
+	}
+}
+
+// spread distributes the bits of s onto the (ascending) qubit positions.
+func spread(s int, qubits []int) int {
+	out := 0
+	for j, q := range qubits {
+		if s>>uint(j)&1 == 1 {
+			out |= 1 << uint(q)
+		}
+	}
+	return out
+}
+
+// gather and scatter are Algorithm 1 written out literally, one amplitude
+// at a time: the oracle the executor's run-based transfer is held against.
+func gather(outer []complex128, qubits []int, base int, inner []complex128) {
+	for s := range inner {
+		inner[s] = outer[base|spread(s, qubits)]
+	}
+}
+
+func scatter(outer []complex128, qubits []int, base int, inner []complex128) {
+	for s := range inner {
+		outer[base|spread(s, qubits)] = inner[s]
 	}
 }
 
@@ -161,8 +209,8 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 		for _, q := range qubits {
 			base = insertBit(base, q)
 		}
-		Gather(outer, qubits, base, inner)
-		Scatter(outer, qubits, base, inner)
+		gather(outer, qubits, base, inner)
+		scatter(outer, qubits, base, inner)
 	}
 	for i := range outer {
 		if outer[i] != orig[i] {
@@ -244,6 +292,197 @@ func TestAllocationsIndependentOfSweepCount(t *testing.T) {
 		}
 		if narrow, wide := allocs(12), allocs(16); wide != narrow {
 			t.Errorf("fuse=%v: %v allocations at 2^6 sweeps per part, %v at 2^10", fuse, narrow, wide)
+		}
+	}
+}
+
+// oracleSweeps is executeSweeps the slow way: every sweep of the prepared
+// part through gather and scatter, one amplitude at a time, on one
+// goroutine. It shares the prepared ops with the executor, so the two must
+// agree bit for bit.
+func oracleSweeps(pp *prepared, outer *sv.State) {
+	qubits := pp.part.Qubits
+	inner := sv.NewState(len(qubits))
+	inner.Workers = 1
+	for f := 0; f < 1<<uint(outer.N-len(qubits)); f++ {
+		base := f
+		for _, q := range qubits {
+			base = insertBit(base, q)
+		}
+		gather(outer.Amps, qubits, base, inner.Amps)
+		if pp.sub == nil {
+			inner.ApplyOps(pp.ops)
+		}
+		for i := range pp.sub {
+			oracleSweeps(&pp.sub[i], inner)
+		}
+		scatter(outer.Amps, qubits, base, inner.Amps)
+	}
+}
+
+func oracleExecute(t *testing.T, pl *partition.Plan, outer *sv.State, opts Options) {
+	t.Helper()
+	for _, part := range pl.Parts {
+		pp, err := preparePart(pl.Circuit, part, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracleSweeps(&pp, outer)
+	}
+}
+
+// onQubits builds a one-part plan whose working set is exactly qubits: a
+// random circuit on len(qubits) slots, moved onto those qubits of an
+// n-qubit register.
+func onQubits(n int, qubits []int, seed int64) *partition.Plan {
+	small := circuit.Random(len(qubits), 24, seed)
+	c := circuit.New(fmt.Sprintf("on%v", qubits), n)
+	all := make([]int, len(small.Gates))
+	for i, g := range small.Gates {
+		c.Gates = append(c.Gates, g.Remap(func(q int) int { return qubits[q] }))
+		all[i] = i
+	}
+	return &partition.Plan{Circuit: c, Lm: len(qubits), Strategy: "hand",
+		Parts: []partition.Part{partition.NewPart(c, 0, all)}}
+}
+
+func randomState(n int, seed int64) *sv.State {
+	rng := rand.New(rand.NewSource(seed))
+	st := sv.NewState(n)
+	for i := range st.Amps {
+		st.Amps[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	return st
+}
+
+// TestExecutorMatchesOracle drives every gather/scatter layout — view, runs,
+// batches of 2 and 4, parts with only two sweeps, second-level plans — at
+// every worker split and with fusion on and off. The executor must equal the
+// literal Algorithm 1 loop amplitude for amplitude (==: the layouts move
+// data, they do not change arithmetic) and the per-gate flat sweep to 1e-12.
+func TestExecutorMatchesOracle(t *testing.T) {
+	const n = 9
+	type tc struct {
+		name   string
+		pl     *partition.Plan
+		second int
+		batch  int  // expected batch of the first part, 0 = don't check
+		view   bool // expected layout of the first part
+	}
+	qft, err := dagp.Partitioner{}.Partition(dag.FromCircuit(circuit.QFT(n)), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []tc{
+		{name: "prefix", pl: onQubits(n, []int{0, 1, 2, 3}, 1), batch: 1, view: true},
+		{name: "low run of 2 + high", pl: onQubits(n, []int{0, 1, 5, 7}, 2), batch: 1},
+		{name: "low run of 1 + high, one free bit above", pl: onQubits(n, []int{0, 2, 6}, 3), batch: 2},
+		{name: "low run of 1 + high, three free bits above", pl: onQubits(n, []int{0, 4, 6}, 4), batch: 2},
+		{name: "one free low bit", pl: onQubits(n, []int{1, 4, 6}, 5), batch: 2},
+		{name: "two free low bits", pl: onQubits(n, []int{2, 5, 7}, 6), batch: 4},
+		{name: "four free low bits", pl: onQubits(n, []int{4, 6, 8}, 7), batch: 4},
+		{name: "w = n-1 prefix", pl: onQubits(n, []int{0, 1, 2, 3, 4, 5, 6, 7}, 8), batch: 1, view: true},
+		{name: "w = n-1 top", pl: onQubits(n, []int{1, 2, 3, 4, 5, 6, 7, 8}, 9), batch: 2},
+		{name: "w = n-1 hole", pl: onQubits(n, []int{0, 1, 2, 4, 5, 6, 7, 8}, 10), batch: 1},
+		{name: "w = n", pl: onQubits(n, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, 11), batch: 1, view: true},
+		{name: "qft dagp", pl: qft},
+		{name: "qft dagp second level", pl: qft, second: 3},
+		{name: "second level under a view", pl: onQubits(n, []int{0, 1, 2, 3, 4, 5}, 12), second: 3, view: true, batch: 1},
+		{name: "second level under a batch", pl: onQubits(n, []int{2, 3, 5, 6, 7, 8}, 13), second: 4, batch: 4},
+	}
+	for _, c := range cases {
+		if c.batch != 0 {
+			pp, err := preparePart(c.pl.Circuit, c.pl.Parts[0], Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pp.batch != c.batch || pp.isView() != c.view {
+				t.Errorf("%s: layout batch=%d view=%v, want batch=%d view=%v", c.name, pp.batch, pp.isView(), c.batch, c.view)
+			}
+		}
+		start := randomState(n, 42)
+		flat := start.Clone()
+		if err := flat.ApplyCircuit(c.pl.Circuit); err != nil {
+			t.Fatal(err)
+		}
+		for _, fused := range []bool{false, true} {
+			opts := Options{Fuse: fused, SecondLevelLm: c.second}
+			want := start.Clone()
+			oracleExecute(t, c.pl, want, opts)
+			for i := range want.Amps {
+				if d := want.Amps[i] - flat.Amps[i]; math.Hypot(real(d), imag(d)) > 1e-12 {
+					t.Fatalf("%s fuse=%v: oracle amplitude %d off the flat sweep by %g", c.name, fused, i, math.Hypot(real(d), imag(d)))
+				}
+			}
+			for workers := 1; workers <= 3; workers++ {
+				opts.Workers = workers
+				got := start.Clone()
+				if _, err := ExecutePlan(c.pl, got, opts); err != nil {
+					t.Fatalf("%s fuse=%v workers=%d: %v", c.name, fused, workers, err)
+				}
+				for i := range want.Amps {
+					if got.Amps[i] != want.Amps[i] {
+						t.Fatalf("%s fuse=%v workers=%d: amplitude %d = %v, oracle %v",
+							c.name, fused, workers, i, got.Amps[i], want.Amps[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// pollCountingCtx cancels itself once Done has been asked cancelAt times, so
+// a test can cancel a run at an exact point inside a part's sweep loop.
+type pollCountingCtx struct {
+	context.Context
+	cancel   context.CancelFunc
+	polls    atomic.Int64
+	cancelAt int64
+}
+
+func (c *pollCountingCtx) Done() <-chan struct{} {
+	if c.polls.Add(1) == c.cancelAt {
+		c.cancel()
+	}
+	return c.Context.Done()
+}
+
+// A context cancelled while a part is sweeping stops that part at its
+// workers' next batch — not at the next part boundary — returns the
+// context's error and leaves no goroutine running.
+func TestCancelInsideAPart(t *testing.T) {
+	const n = 12
+	// Two parts of 2^9 sweeps each, in batches of 4: 128 polls per part.
+	c := circuit.New("two-parts", n)
+	c.Gates = append(c.Gates, gate.H(9), gate.CX(9, 10), gate.H(11), gate.H(4), gate.CX(4, 5), gate.H(6))
+	pl := &partition.Plan{Circuit: c, Lm: 3, Strategy: "hand", Parts: []partition.Part{
+		partition.NewPart(c, 0, []int{0, 1, 2}), partition.NewPart(c, 1, []int{3, 4, 5}),
+	}}
+	for workers := 1; workers <= 3; workers++ {
+		before := runtime.NumGoroutine()
+		base, cancel := context.WithCancel(context.Background())
+		ctx := &pollCountingCtx{Context: base, cancel: cancel, cancelAt: 40}
+		st := sv.NewState(n)
+		_, err := ExecutePlan(pl, st, Options{Ctx: ctx, Workers: workers})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		// Every worker sees the cancellation at its next poll.
+		if polls := ctx.polls.Load(); polls > ctx.cancelAt+int64(workers) {
+			t.Errorf("workers=%d: %d polls after cancelling at poll %d", workers, polls-ctx.cancelAt, ctx.cancelAt)
+		}
+		for i := range st.Amps {
+			// The second part's Hadamards never ran: qubits 4 and 6 are still 0.
+			if st.Amps[i] != 0 && i&(1<<4|1<<6) != 0 {
+				t.Fatalf("workers=%d: second part ran after cancellation (amplitude %d set)", workers, i)
+			}
+		}
+		for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("workers=%d: %d goroutines before, %d after", workers, before, after)
 		}
 	}
 }

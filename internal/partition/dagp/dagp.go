@@ -6,12 +6,29 @@
 // recursive bisection until each subgraph's working set fits the limit, and
 // a final part-graph merge phase (the paper's addition to the original
 // algorithm).
+//
+// Restart policy: the pipeline runs up to Options.Restarts times, each with
+// its own imbalance tolerance and tie-breaking seed, and the plan with the
+// fewest parts wins, the earliest restart on a tie. The first restart runs
+// alone; if it already meets the ⌈|Q|/Lm⌉ lower bound no other can beat it
+// and the call returns (so Lm ≥ |Q| costs one pass), otherwise the rest run
+// concurrently. Neither the early stop nor the concurrency can change the
+// winner.
+//
+// Same-plan guarantee: for a given (circuit, Lm, Options) the plan is a pure
+// function of its inputs — the data structures (flat adjacency arenas,
+// incremental FM gains, bitset reachability in the merge phase) are chosen
+// for speed but replay exactly the decisions, scan orders and random draws
+// of the straightforward formulation. testdata/golden_plans.txt pins the
+// plans of five circuit families; a change that alters any of them is a
+// change of algorithm, not of implementation, and must say so.
 package dagp
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"runtime"
+	"sync"
 	"time"
 
 	"hisvsim/internal/circuit"
@@ -32,9 +49,9 @@ type Options struct {
 	CoarsenMinNodes int
 	// Seed drives tie-breaking in refinement.
 	Seed int64
-	// Restarts runs the pipeline this many times with varied imbalance
-	// tolerances and refinement tie-breaking, keeping the plan with the
-	// fewest parts (default 3; 1 disables restarts).
+	// Restarts runs the pipeline up to this many times with varied
+	// imbalance tolerances and refinement tie-breaking, keeping the plan
+	// with the fewest parts (default 3; 1 disables restarts).
 	Restarts int
 	// DisableCoarsen, DisableRefine and DisableMerge switch off pipeline
 	// phases for ablation studies.
@@ -74,8 +91,11 @@ type Partitioner struct {
 func (Partitioner) Name() string { return "dagp" }
 
 // Partition implements partition.Strategy. It runs the multilevel pipeline
-// Restarts times with varied imbalance tolerances and keeps the plan with
-// the fewest parts.
+// up to Restarts times with varied imbalance tolerances and keeps the plan
+// with the fewest parts, the earliest restart winning a tie. No plan can
+// have fewer than ⌈|Q|/Lm⌉ parts (|Q| = qubits the circuit touches), so
+// the first restart runs alone and, when it already meets that bound, is
+// the answer; otherwise the remaining restarts run concurrently.
 func (p Partitioner) Partition(g *dag.Graph, lm int) (*partition.Plan, error) {
 	start := time.Now()
 	opts := p.Opts.withDefaults()
@@ -86,27 +106,58 @@ func (p Partitioner) Partition(g *dag.Graph, lm int) (*partition.Plan, error) {
 				gi, gt.Name, gt.Arity(), lm)
 		}
 	}
+	wg := buildWGraph(c) // read-only from here on: shared by every restart
+	bound := 0
+	if lm > 0 {
+		bound = (wg.totalWset() + lm - 1) / lm
+	}
 	eps := restartEpsilons(opts.Epsilon)
-	var best *partition.Plan
-	for r := 0; r < opts.Restarts; r++ {
+	restart := func(r int) ([][]int, error) {
 		ro := opts
 		ro.Epsilon = eps[r%len(eps)]
 		ro.Seed = opts.Seed + int64(r)*7919
-		pl, err := runPipeline(c, lm, ro)
-		if err != nil {
-			return nil, err
+		return runPipeline(c, wg, lm, ro)
+	}
+	best, err := restart(0)
+	if err != nil {
+		return nil, err
+	}
+	if len(best) > bound && opts.Restarts > 1 {
+		results := make([][][]int, opts.Restarts)
+		errs := make([]error, opts.Restarts)
+		results[0] = best
+		var pending sync.WaitGroup
+		slots := make(chan struct{}, runtime.GOMAXPROCS(0)) // semaphore: one running restart per CPU
+		for r := 1; r < opts.Restarts; r++ {
+			pending.Add(1)
+			go func() {
+				defer pending.Done()
+				slots <- struct{}{}
+				results[r], errs[r] = restart(r)
+				<-slots
+			}()
 		}
-		if best == nil || pl.NumParts() < best.NumParts() {
-			best = pl
+		pending.Wait()
+		for r := 1; r < opts.Restarts; r++ {
+			if errs[r] != nil {
+				return nil, errs[r]
+			}
+			if len(results[r]) < len(best) {
+				best = results[r]
+			}
 		}
 	}
-	best.Elapsed = time.Since(start)
-	return best, nil
+	parts := make([]partition.Part, len(best))
+	for i, grp := range best {
+		parts[i] = partition.NewPart(c, i, grp)
+	}
+	return &partition.Plan{Circuit: c, Lm: lm, Strategy: "dagp", Parts: parts, Elapsed: time.Since(start)}, nil
 }
 
-// runPipeline executes one coarsen/bisect/refine/merge pass.
-func runPipeline(c *circuit.Circuit, lm int, opts Options) (*partition.Plan, error) {
-	wg := buildWGraph(c)
+// runPipeline executes one coarsen/bisect/refine/merge pass over the
+// circuit's gate graph and returns the parts as ordered groups of ascending
+// gate indices.
+func runPipeline(c *circuit.Circuit, wg *wgraph, lm int, opts Options) ([][]int, error) {
 	rng := rand.New(rand.NewSource(opts.Seed + 1))
 
 	var groups [][]int // each group = original gate indices of one part
@@ -127,12 +178,7 @@ func runPipeline(c *circuit.Circuit, lm int, opts Options) (*partition.Plan, err
 		if a.n == 0 || b.n == 0 {
 			// Bisection failed to make progress; fall back to a
 			// topological-order greedy cut of this subgraph.
-			order := sub.topoOrder()
-			var gis []int
-			for _, v := range order {
-				gis = append(gis, sub.orig[v]...)
-			}
-			parts, err := partition.Segment(c, sortedCopy(gis), lm)
+			parts, err := partition.Segment(c, sub.allOrig(), lm)
 			if err != nil {
 				return err
 			}
@@ -149,24 +195,8 @@ func runPipeline(c *circuit.Circuit, lm int, opts Options) (*partition.Plan, err
 	if err := recurse(wg); err != nil {
 		return nil, err
 	}
-
-	parts := make([]partition.Part, 0, len(groups))
-	for i, grp := range groups {
-		parts = append(parts, partition.NewPart(c, i, grp))
+	if opts.DisableMerge {
+		return groups, nil
 	}
-	pl := &partition.Plan{Circuit: c, Lm: lm, Strategy: "dagp", Parts: parts}
-	if !opts.DisableMerge {
-		merged, err := mergeParts(pl)
-		if err != nil {
-			return nil, err
-		}
-		pl = merged
-	}
-	return pl, nil
-}
-
-func sortedCopy(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	return out
+	return mergeGroups(wg, lm, groups)
 }

@@ -221,3 +221,33 @@ func TestSplitPartitionsNodes(t *testing.T) {
 		t.Fatal("split lost weight")
 	}
 }
+
+// TestPartitionAllocationCeiling pins the partitioner's allocation count on
+// the cold-hier benchmark circuit: flat backing arrays and bitsets keep one
+// call in the thousands (407 252 before they replaced the per-call maps).
+func TestPartitionAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	g := dag.FromCircuit(circuit.QFT(21))
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := (Partitioner{}).Partition(g, 16); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 20000 {
+		t.Errorf("%v allocations per Partition(qft-21, Lm=16), ceiling 20000", got)
+	}
+}
+
+// The restarts after the first run concurrently; the plan must not depend
+// on how they interleave.
+func TestDagPConcurrentRestartsDeterministic(t *testing.T) {
+	c := circuit.QFT(14)
+	want := planHash(plan(t, c, 6, Options{Seed: 3}))
+	for i := 0; i < 8; i++ {
+		if got := planHash(plan(t, c, 6, Options{Seed: 3})); got != want {
+			t.Fatalf("run %d: plan hash %s, first run %s", i, got, want)
+		}
+	}
+}

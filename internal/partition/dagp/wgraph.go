@@ -1,6 +1,7 @@
 package dagp
 
 import (
+	"slices"
 	"sort"
 
 	"hisvsim/internal/circuit"
@@ -10,45 +11,86 @@ import (
 // per gate (or per cluster of gates after coarsening), with deduplicated
 // dependency edges, node weights (number of contained gates) and the union
 // of qubits each node touches.
+//
+// Every per-node slice is carved out of a few flat backing arrays sized
+// before they are filled, so building a graph costs a handful of allocations
+// whatever its size. The qubits and orig slices are never written after
+// construction; induced and coarsened graphs share them with their source.
 type wgraph struct {
 	n      int
 	succ   [][]int
 	pred   [][]int
 	weight []int
 	qubits [][]int // sorted distinct qubits per node
-	orig   [][]int // original gate indices per node
+	orig   [][]int // original gate indices per node, ascending
 	nq     int     // qubit count of the underlying circuit
 }
 
-// buildWGraph builds the gate-level dependency graph of the circuit.
+func newWGraph(n, nq int) *wgraph {
+	hdr := make([][]int, 4*n)
+	return &wgraph{
+		n:      n,
+		succ:   hdr[0:n:n],
+		pred:   hdr[n : 2*n : 2*n],
+		qubits: hdr[2*n : 3*n : 3*n],
+		orig:   hdr[3*n : 4*n : 4*n],
+		weight: make([]int, n),
+		nq:     nq,
+	}
+}
+
+// carve returns an empty slice with room for k ints at the end of arena, and
+// the arena grown past it. The arena's capacity must cover every carve, so
+// slices handed out earlier are never moved.
+func carve(arena []int, k int) (slot, grown []int) {
+	l := len(arena)
+	return arena[l : l : l+k], arena[:l+k]
+}
+
+// buildWGraph builds the gate-level dependency graph of the circuit: an edge
+// p -> g for the previous gate p on each qubit of g. pred[g] lists them in
+// g's qubit order — the circuit's direct dependency pairs.
 func buildWGraph(c *circuit.Circuit) *wgraph {
 	n := len(c.Gates)
-	wg := &wgraph{
-		n:      n,
-		succ:   make([][]int, n),
-		pred:   make([][]int, n),
-		weight: make([]int, n),
-		qubits: make([][]int, n),
-		orig:   make([][]int, n),
-		nq:     c.NumQubits,
+	total := 0
+	for _, g := range c.Gates {
+		total += len(g.Qubits)
 	}
-	last := make([]int, c.NumQubits)
+	wg := newWGraph(n, c.NumQubits)
+	// The arena holds sorted qubits, then preds, then succs (≤ total ints
+	// each), then the n one-element orig lists.
+	arena := make([]int, 0, 3*total+n)
+	scratch := make([]int, c.NumQubits+n)
+	last, outdeg := scratch[:c.NumQubits], scratch[c.NumQubits:] // last gate per qubit; out-degree per gate
 	for q := range last {
 		last[q] = -1
 	}
-	type key struct{ u, v int }
-	seen := map[key]bool{}
 	for gi, g := range c.Gates {
 		wg.weight[gi] = 1
-		wg.orig[gi] = []int{gi}
-		wg.qubits[gi] = g.SortedQubits()
+		start := len(arena)
+		arena = append(arena, g.Qubits...)
+		wg.qubits[gi] = arena[start:len(arena):len(arena)]
+		sort.Ints(wg.qubits[gi])
+	}
+	for gi, g := range c.Gates {
+		start := len(arena)
 		for _, q := range g.Qubits {
-			if p := last[q]; p >= 0 && p != gi && !seen[key{p, gi}] {
-				seen[key{p, gi}] = true
-				wg.succ[p] = append(wg.succ[p], gi)
-				wg.pred[gi] = append(wg.pred[gi], p)
+			if p := last[q]; p >= 0 && p != gi && !slices.Contains(arena[start:], p) {
+				arena = append(arena, p)
+				outdeg[p]++
 			}
 			last[q] = gi
+		}
+		wg.pred[gi] = arena[start:len(arena):len(arena)]
+	}
+	for gi := range c.Gates {
+		wg.succ[gi], arena = carve(arena, outdeg[gi])
+	}
+	for gi := range c.Gates {
+		arena = append(arena, gi)
+		wg.orig[gi] = arena[len(arena)-1 : len(arena) : len(arena)]
+		for _, p := range wg.pred[gi] { // ascending gi keeps succ lists in gate order
+			wg.succ[p] = append(wg.succ[p], gi)
 		}
 	}
 	return wg
@@ -80,7 +122,7 @@ func (wg *wgraph) totalWeight() int {
 
 // allOrig returns every contained original gate index, sorted.
 func (wg *wgraph) allOrig() []int {
-	var out []int
+	out := make([]int, 0, wg.totalWeight())
 	for v := 0; v < wg.n; v++ {
 		out = append(out, wg.orig[v]...)
 	}
@@ -90,12 +132,10 @@ func (wg *wgraph) allOrig() []int {
 
 // topoOrder returns a deterministic topological order (Kahn, smallest first).
 func (wg *wgraph) topoOrder() []int {
-	indeg := make([]int, wg.n)
+	buf := make([]int, 2*wg.n)
+	indeg, ready := buf[:wg.n], buf[wg.n:wg.n]
 	for v := 0; v < wg.n; v++ {
 		indeg[v] = len(wg.pred[v])
-	}
-	var ready []int
-	for v := 0; v < wg.n; v++ {
 		if indeg[v] == 0 {
 			ready = append(ready, v)
 		}
@@ -129,7 +169,8 @@ func (wg *wgraph) topoOrder() []int {
 // Returns the coarser graph and the fine→coarse node map, or (nil, nil) if
 // no contraction was possible.
 func (wg *wgraph) coarsen(maxClusterWeight int) (*wgraph, []int) {
-	cluster := make([]int, wg.n)
+	buf := make([]int, 2*wg.n)
+	cluster, coarseID := buf[:wg.n], buf[wg.n:]
 	for v := range cluster {
 		cluster[v] = -1
 	}
@@ -170,10 +211,6 @@ func (wg *wgraph) coarsen(maxClusterWeight int) (*wgraph, []int) {
 	// Assign coarse ids: singleton nodes and cluster heads get ids in node
 	// order (keeping topological compatibility is not required; the coarse
 	// graph's own topoOrder handles ordering).
-	coarseID := make([]int, wg.n)
-	for v := range coarseID {
-		coarseID[v] = -1
-	}
 	next := 0
 	for v := 0; v < wg.n; v++ {
 		switch cluster[v] {
@@ -187,89 +224,126 @@ func (wg *wgraph) coarsen(maxClusterWeight int) (*wgraph, []int) {
 			coarseID[v] = coarseID[cluster[v]]
 		}
 	}
-	out := &wgraph{
-		n:      next,
-		succ:   make([][]int, next),
-		pred:   make([][]int, next),
-		weight: make([]int, next),
-		qubits: make([][]int, next),
-		orig:   make([][]int, next),
-		nq:     wg.nq,
+	// A coarse node has one or two members; keep them in fine-node order so
+	// its successor list reads exactly as a scan over the fine nodes would
+	// emit it (coarsening picks the first eligible successor).
+	tmp := make([]int, 4*next)
+	first, second := tmp[:next], tmp[next:2*next]
+	mark, indeg := tmp[2*next:3*next], tmp[3*next:] // mark[cv] == cu+1: edge cu -> cv emitted
+	for cv := range first {
+		first[cv], second[cv] = -1, -1
 	}
-	qsets := make([]map[int]bool, next)
+	pairInts, edges := 0, 0
 	for v := 0; v < wg.n; v++ {
 		cv := coarseID[v]
-		out.weight[cv] += wg.weight[v]
-		out.orig[cv] = append(out.orig[cv], wg.orig[v]...)
-		if qsets[cv] == nil {
-			qsets[cv] = map[int]bool{}
+		if first[cv] == -1 {
+			first[cv] = v
+		} else {
+			second[cv] = v
 		}
-		for _, q := range wg.qubits[v] {
-			qsets[cv][q] = true
+		if cluster[v] != -1 {
+			pairInts += len(wg.qubits[v]) + len(wg.orig[v])
 		}
+		edges += len(wg.succ[v])
 	}
-	for cv, qs := range qsets {
-		for q := range qs {
-			out.qubits[cv] = append(out.qubits[cv], q)
+	out := newWGraph(next, wg.nq)
+	arena := make([]int, 0, pairInts+2*edges)
+	for cu := 0; cu < next; cu++ {
+		a, b := first[cu], second[cu]
+		if b == -1 {
+			out.weight[cu], out.qubits[cu], out.orig[cu] = wg.weight[a], wg.qubits[a], wg.orig[a]
+		} else {
+			out.weight[cu] = wg.weight[a] + wg.weight[b]
+			out.qubits[cu], arena = mergeSorted(arena, wg.qubits[a], wg.qubits[b])
+			out.orig[cu], arena = mergeSorted(arena, wg.orig[a], wg.orig[b])
 		}
-		sort.Ints(out.qubits[cv])
-		sort.Ints(out.orig[cv])
-	}
-	type key struct{ u, v int }
-	seen := map[key]bool{}
-	for u := 0; u < wg.n; u++ {
-		cu := coarseID[u]
-		for _, v := range wg.succ[u] {
-			cv := coarseID[v]
-			if cu != cv && !seen[key{cu, cv}] {
-				seen[key{cu, cv}] = true
-				out.succ[cu] = append(out.succ[cu], cv)
-				out.pred[cv] = append(out.pred[cv], cu)
+		start := len(arena)
+		for _, u := range [2]int{a, b} {
+			if u == -1 {
+				continue
 			}
+			for _, v := range wg.succ[u] {
+				if cv := coarseID[v]; cv != cu && mark[cv] != cu+1 {
+					mark[cv] = cu + 1
+					arena = append(arena, cv)
+					indeg[cv]++
+				}
+			}
+		}
+		out.succ[cu] = arena[start:len(arena):len(arena)]
+	}
+	for cv := 0; cv < next; cv++ {
+		out.pred[cv], arena = carve(arena, indeg[cv])
+	}
+	for cu := 0; cu < next; cu++ {
+		for _, cv := range out.succ[cu] {
+			out.pred[cv] = append(out.pred[cv], cu)
 		}
 	}
 	return out, coarseID
 }
 
-// split divides the graph into two induced subgraphs by side assignment.
-func (wg *wgraph) split(side []int) (*wgraph, *wgraph) {
-	return wg.induce(side, 0), wg.induce(side, 1)
+// mergeSorted appends the sorted union of two sorted lists to arena and
+// returns it as its own slice; an element present in both is kept once.
+func mergeSorted(arena, a, b []int) (merged, grown []int) {
+	start := len(arena)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			arena = append(arena, a[i])
+			i++
+			j++
+		case a[i] < b[j]:
+			arena = append(arena, a[i])
+			i++
+		default:
+			arena = append(arena, b[j])
+			j++
+		}
+	}
+	arena = append(append(arena, a[i:]...), b[j:]...)
+	return arena[start:len(arena):len(arena)], arena
 }
 
-func (wg *wgraph) induce(side []int, s int) *wgraph {
-	idx := make([]int, wg.n)
-	n := 0
+// split divides the graph into the two subgraphs induced by a side
+// assignment (0 or 1 per node), keeping node and edge order within each.
+func (wg *wgraph) split(side []int) (*wgraph, *wgraph) {
+	buf := make([]int, 2*wg.n)
+	idx, indeg := buf[:wg.n], buf[wg.n:]
+	var n [2]int
+	edges := 0
 	for v := 0; v < wg.n; v++ {
-		if side[v] == s {
-			idx[v] = n
-			n++
-		} else {
-			idx[v] = -1
-		}
-	}
-	out := &wgraph{
-		n:      n,
-		succ:   make([][]int, n),
-		pred:   make([][]int, n),
-		weight: make([]int, n),
-		qubits: make([][]int, n),
-		orig:   make([][]int, n),
-		nq:     wg.nq,
-	}
-	for v := 0; v < wg.n; v++ {
-		if idx[v] == -1 {
-			continue
-		}
-		nv := idx[v]
-		out.weight[nv] = wg.weight[v]
-		out.qubits[nv] = append([]int(nil), wg.qubits[v]...)
-		out.orig[nv] = append([]int(nil), wg.orig[v]...)
+		idx[v] = n[side[v]]
+		n[side[v]]++
 		for _, u := range wg.succ[v] {
-			if idx[u] != -1 {
-				out.succ[nv] = append(out.succ[nv], idx[u])
-				out.pred[idx[u]] = append(out.pred[idx[u]], nv)
+			if side[u] == side[v] {
+				indeg[u]++
+				edges++
 			}
 		}
 	}
-	return out
+	outs := [2]*wgraph{newWGraph(n[0], wg.nq), newWGraph(n[1], wg.nq)}
+	arena := make([]int, 0, 2*edges)
+	for v := 0; v < wg.n; v++ {
+		out, nv := outs[side[v]], idx[v]
+		out.weight[nv], out.qubits[nv], out.orig[nv] = wg.weight[v], wg.qubits[v], wg.orig[v]
+		start := len(arena)
+		for _, u := range wg.succ[v] {
+			if side[u] == side[v] {
+				arena = append(arena, idx[u])
+			}
+		}
+		out.succ[nv] = arena[start:len(arena):len(arena)]
+	}
+	for v := 0; v < wg.n; v++ {
+		outs[side[v]].pred[idx[v]], arena = carve(arena, indeg[v])
+	}
+	for v := 0; v < wg.n; v++ {
+		out := outs[side[v]]
+		for _, nu := range out.succ[idx[v]] {
+			out.pred[nu] = append(out.pred[nu], idx[v])
+		}
+	}
+	return outs[0], outs[1]
 }

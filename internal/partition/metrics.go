@@ -32,7 +32,7 @@ func ComputeMetrics(pl *Plan) PlanMetrics {
 		m.MinGates, m.MinWorkingSet = 0, 0
 		return m
 	}
-	prev := map[int]bool{}
+	var prev []int
 	for _, part := range pl.Parts {
 		g := len(part.GateIndices)
 		w := part.WorkingSetSize()
@@ -49,15 +49,8 @@ func ComputeMetrics(pl *Plan) PlanMetrics {
 		if w > m.MaxWorkingSet {
 			m.MaxWorkingSet = w
 		}
-		for _, q := range part.Qubits {
-			if !prev[q] {
-				m.QubitChurn++
-			}
-		}
-		prev = map[int]bool{}
-		for _, q := range part.Qubits {
-			prev[q] = true
-		}
+		m.QubitChurn += countMissing(part.Qubits, prev)
+		prev = part.Qubits
 	}
 	m.MeanGates = float64(m.Gates) / float64(m.Parts)
 	sumW := 0
@@ -82,6 +75,21 @@ func ComputeMetrics(pl *Plan) PlanMetrics {
 	return m
 }
 
+// countMissing returns how many entries of qs are absent from prev; both
+// are sorted working sets.
+func countMissing(qs, prev []int) int {
+	n, j := 0, 0
+	for _, q := range qs {
+		for j < len(prev) && prev[j] < q {
+			j++
+		}
+		if j == len(prev) || prev[j] != q {
+			n++
+		}
+	}
+	return n
+}
+
 // String renders a compact summary.
 func (m PlanMetrics) String() string {
 	return fmt.Sprintf("parts=%d gates/part=[%d..%d] wset=[%d..%d] churn=%d cut=%d",
@@ -97,21 +105,12 @@ func RelayoutBytes(pl *Plan, ranks int) int64 {
 		return 0
 	}
 	relayouts := int64(0)
-	prev := map[int]bool{}
+	var prev []int
 	for _, part := range pl.Parts {
-		moved := false
-		for _, q := range part.Qubits {
-			if len(prev) > 0 && !prev[q] {
-				moved = true
-			}
-		}
-		if len(prev) == 0 || moved {
+		if len(prev) == 0 || countMissing(part.Qubits, prev) > 0 {
 			relayouts++
 		}
-		prev = map[int]bool{}
-		for _, q := range part.Qubits {
-			prev[q] = true
-		}
+		prev = part.Qubits
 	}
 	stateBytes := int64(16) << uint(pl.Circuit.NumQubits)
 	frac := float64(ranks-1) / float64(ranks)

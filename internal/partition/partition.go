@@ -8,6 +8,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -44,17 +45,22 @@ func (pl *Plan) String() string {
 
 // WorkingSet returns the sorted distinct qubits touched by the given gates.
 func WorkingSet(c *circuit.Circuit, gateIndices []int) []int {
-	seen := map[int]bool{}
+	seen := make([]bool, c.NumQubits)
+	n := 0
 	for _, gi := range gateIndices {
 		for _, q := range c.Gates[gi].Qubits {
-			seen[q] = true
+			if !seen[q] {
+				seen[q] = true
+				n++
+			}
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for q := range seen {
-		out = append(out, q)
+	out := make([]int, 0, n)
+	for q, s := range seen {
+		if s {
+			out = append(out, q)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -72,16 +78,21 @@ func gateDeps(c *circuit.Circuit) [][]int {
 	for q := range last {
 		last[q] = -1
 	}
+	total := 0
+	for _, g := range c.Gates {
+		total += len(g.Qubits)
+	}
+	flat := make([]int, 0, total) // backs every deps[gi]; never regrown
 	deps := make([][]int, len(c.Gates))
 	for gi, g := range c.Gates {
-		seen := map[int]bool{}
+		start := len(flat)
 		for _, q := range g.Qubits {
-			if p := last[q]; p >= 0 && !seen[p] {
-				deps[gi] = append(deps[gi], p)
-				seen[p] = true
+			if p := last[q]; p >= 0 && !slices.Contains(flat[start:], p) {
+				flat = append(flat, p)
 			}
 			last[q] = gi
 		}
+		deps[gi] = flat[start:len(flat):len(flat)]
 	}
 	return deps
 }
@@ -167,27 +178,22 @@ func BuildPartGraph(pl *Plan) *PartGraph {
 			owner[gi] = pi
 		}
 	}
-	adj := make([]map[int]bool, n)
-	for i := range adj {
-		adj[i] = map[int]bool{}
-	}
+	adj := make([]bool, n*n) // adj[i*n+j] = edge i -> j
 	for gi, deps := range gateDeps(pl.Circuit) {
 		for _, d := range deps {
 			if owner[d] != owner[gi] {
-				adj[owner[d]][owner[gi]] = true
+				adj[owner[d]*n+owner[gi]] = true
 			}
 		}
 	}
 	pg := &PartGraph{N: n, Succ: make([][]int, n), Pred: make([][]int, n)}
-	for i, m := range adj {
-		for j := range m {
-			pg.Succ[i] = append(pg.Succ[i], j)
-			pg.Pred[j] = append(pg.Pred[j], i)
+	for i := 0; i < n; i++ { // ascending scan keeps Succ and Pred sorted
+		for j := 0; j < n; j++ {
+			if adj[i*n+j] {
+				pg.Succ[i] = append(pg.Succ[i], j)
+				pg.Pred[j] = append(pg.Pred[j], i)
+			}
 		}
-		sort.Ints(pg.Succ[i])
-	}
-	for i := range pg.Pred {
-		sort.Ints(pg.Pred[i])
 	}
 	pg.Reach = make([][]bool, n)
 	for i := n - 1; i >= 0; i-- {
@@ -230,13 +236,13 @@ func (pg *PartGraph) EdgeCount() int {
 // an error if a single gate exceeds Lm.
 func Segment(c *circuit.Circuit, order []int, lm int) ([]Part, error) {
 	var parts []Part
-	cur := []int{}
-	qubits := map[int]bool{}
+	var cur []int                      // NewPart copies it, so it is reused across parts
+	inPart := make([]int, c.NumQubits) // inPart[q] == len(parts)+1: q is in the open part
+	width := 0
 	flush := func() {
 		if len(cur) > 0 {
 			parts = append(parts, NewPart(c, len(parts), cur))
-			cur = nil
-			qubits = map[int]bool{}
+			cur, width = cur[:0], 0
 		}
 	}
 	for _, gi := range order {
@@ -247,15 +253,18 @@ func Segment(c *circuit.Circuit, order []int, lm int) ([]Part, error) {
 		}
 		grown := 0
 		for _, q := range g.Qubits {
-			if !qubits[q] {
+			if inPart[q] != len(parts)+1 {
 				grown++
 			}
 		}
-		if len(qubits)+grown > lm {
+		if width+grown > lm {
 			flush()
 		}
 		for _, q := range g.Qubits {
-			qubits[q] = true
+			if inPart[q] != len(parts)+1 {
+				inPart[q] = len(parts) + 1
+				width++
+			}
 		}
 		cur = append(cur, gi)
 	}
@@ -267,6 +276,9 @@ func Segment(c *circuit.Circuit, order []int, lm int) ([]Part, error) {
 type Strategy interface {
 	// Name identifies the strategy ("nat", "dfs", "dagp", "exact").
 	Name() string
-	// Partition produces a validated plan for the circuit with limit Lm.
+	// Partition produces a plan for the circuit with limit Lm: parts in
+	// dependency order, working sets within Lm. Strategies do not run
+	// Validate themselves; the façade's hisvsim.Partition and the tests
+	// do, and a caller holding a plan from elsewhere should.
 	Partition(g *dag.Graph, lm int) (*Plan, error)
 }

@@ -11,6 +11,7 @@ import (
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/fuse"
 	"hisvsim/internal/noise"
+	"hisvsim/internal/sv"
 )
 
 // This file is the v3 optimize surface: a server-side variational loop
@@ -241,10 +242,10 @@ func buildObjective(ctx context.Context, c *circuit.Circuit, opts Options, roSpe
 	if err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
+	st := sv.NewState(tpl.N)
+	st.Workers = opts.Workers
 	return func(env map[string]float64) (float64, error) {
-		st, err := tpl.Run(env, workers)
-		if err != nil {
+		if err := tpl.Replay(st, env); err != nil {
 			return 0, err
 		}
 		return sum(EvaluateState(st, nil, roSpec)), nil

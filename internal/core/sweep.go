@@ -8,6 +8,7 @@ import (
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/fuse"
 	"hisvsim/internal/noise"
+	"hisvsim/internal/sv"
 )
 
 // This file is the v3 sweep surface: evaluate one parameterized circuit
@@ -117,12 +118,13 @@ func SweepContext(ctx context.Context, c *circuit.Circuit, opts Options, spec Re
 			}
 			rep.TouchedBlocks = tpl.TouchedBlocks()
 			rep.SharedBlocks = len(tpl.Blocks) - tpl.TouchedBlocks()
+			st := sv.NewState(tpl.N)
+			st.Workers = opts.Workers
 			for i, env := range bindings {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				st, err := tpl.Run(env, opts.Workers)
-				if err != nil {
+				if err := tpl.Replay(st, env); err != nil {
 					return nil, fmt.Errorf("core: binding %d: %w", i, err)
 				}
 				ens, err := noise.RunEnsembleFromState(ctx, st, plan.Readout(), cfg)
@@ -160,12 +162,13 @@ func SweepContext(ctx context.Context, c *circuit.Circuit, opts Options, spec Re
 	}
 	rep.TouchedBlocks = tpl.TouchedBlocks()
 	rep.SharedBlocks = len(tpl.Blocks) - tpl.TouchedBlocks()
+	st := sv.NewState(tpl.N)
+	st.Workers = opts.Workers
 	for i, env := range bindings {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		st, err := tpl.Run(env, opts.Workers)
-		if err != nil {
+		if err := tpl.Replay(st, env); err != nil {
 			return nil, fmt.Errorf("core: binding %d: %w", i, err)
 		}
 		rep.Points = append(rep.Points, SweepPoint{Binding: cloneEnv(env), Readouts: EvaluateState(st, nil, spec)})

@@ -6,10 +6,15 @@
 // (§II-C); here it multiplies with it: every executor fuses within the
 // partition-bounded working sets it already has in cache.
 //
-// Fusion is greedy over the gate sequence with two guards:
+// Fusion is greedy over the gate sequence with three rules:
 //
+//   - a structural diagonal rule: a window of monomial gates (permutation ×
+//     phase — the diagonal gates plus x/cx/ccx/mcx/y/cy/swap/cswap) whose
+//     permutations compose to the identity, such as the cx·rz·cx phase
+//     gadget, is diagonal whatever its angles, so it joins diagonal runs as
+//     one diagonal gate. The rule reads gate names only, never a matrix;
 //   - a support cap (MaxQubits for dense blocks, MaxDiagQubits for diagonal
-//     runs, which cost one multiply per amplitude regardless of k), and
+//     runs, which cost one multiply per amplitude regardless of k); and
 //   - a per-amplitude cost model that only extends a dense block when the
 //     grown 2^k matrix kernel is estimated to beat applying the incoming
 //     gate in its own sweep (charging sweepOverhead per extra pass to model
@@ -38,7 +43,8 @@ const (
 	Single Kind = iota
 	// Dense is a fused 2^k×2^k unitary over Qubits.
 	Dense
-	// Diagonal is a fused 2^k diagonal over Qubits.
+	// Diagonal is a fused 2^k diagonal over Qubits: a run of diagonal gates
+	// and closed monomial windows.
 	Diagonal
 )
 
@@ -157,11 +163,27 @@ func Fuse(gates []gate.Gate, opts Options) ([]Block, error) {
 		run, support = nil, nil
 	}
 
-	for _, g := range gates {
-		qs := g.SortedQubits()
-		d := gate.IsDiagonal(g)
+	// A window has to fit a block of either kind: it becomes a diagonal
+	// run's item, or is absorbed whole into a dense block.
+	windowCap := min(opts.MaxQubits, opts.MaxDiagQubits)
+	for i := 0; i < len(gates); {
+		// The next item is one gate, or a closed monomial window standing
+		// as one diagonal gate over the window's support.
+		item, d := gates[i:i+1], gate.IsDiagonal(gates[i])
+		if w := closedWindow(gates[i:], windowCap); w > 0 {
+			item, d = gates[i:i+w], true
+		}
+		i += len(item)
+		var qs []int
+		for _, g := range item {
+			qs = unionSorted(qs, g.Qubits)
+		}
+		cost := gateCost(item[0])
+		if d {
+			cost = 1 + sweepOverhead
+		}
 		if len(run) == 0 {
-			run, support, allDiag = []gate.Gate{g}, qs, d
+			run, support, allDiag = append(run, item...), qs, d
 			continue
 		}
 		u := unionSorted(support, qs)
@@ -169,19 +191,18 @@ func Fuse(gates []gate.Gate, opts Options) ([]Block, error) {
 		switch {
 		case allDiag && d && len(u) <= opts.MaxDiagQubits:
 			// Diagonal runs extend freely: cost stays one multiply/amp.
-			run, support = append(run, g), u
+			run, support = append(run, item...), u
 		case noGrowth:
-			// The gate fits inside a dense block's existing support: the
-			// kernel size is unchanged, so absorbing it saves g's whole sweep
-			// for free (e.g. the cx·rz·cx phase gadget collapses to one
-			// 2-qubit block).
-			run = append(run, g)
-		case len(u) <= opts.MaxQubits && denseCost(len(u)) <= curCost()+gateCost(g):
-			run, support = append(run, g), u
+			// The item fits inside a dense block's existing support: the
+			// kernel size is unchanged, so absorbing it saves its whole
+			// sweep for free (h·cx·h on one pair stays one 2-qubit block).
+			run = append(run, item...)
+		case len(u) <= opts.MaxQubits && denseCost(len(u)) <= curCost()+cost:
+			run, support = append(run, item...), u
 			allDiag = allDiag && d
 		default:
 			flush()
-			run, support, allDiag = []gate.Gate{g}, qs, d
+			run, support, allDiag = append(run, item...), qs, d
 		}
 	}
 	flush()
@@ -201,39 +222,162 @@ func materialize(run []gate.Gate, support []int, allDiag bool) Block {
 	return Block{Kind: Dense, Qubits: qs, Matrix: buildMatrix(qs, gs), Gates: gs}
 }
 
-// buildDiagonal multiplies the gates' full diagonals (controls pin entries
-// to 1) over the block support.
+// monomial reports whether the gate's full unitary is a permutation times a
+// phase. Like gate.IsDiagonal the test is purely name-based, so whether a
+// window of monomial gates is diagonal never depends on an angle.
+func monomial(g gate.Gate) bool {
+	switch g.Name {
+	case "x", "cx", "ccx", "mcx", "y", "cy", "swap", "cswap":
+		return true
+	}
+	return gate.IsDiagonal(g)
+}
+
+// image is the action of monomial gate g on basis state s, whose bit at[j]
+// holds g.Qubits[j]: the state it maps to, and the (row, col) entry of g's
+// base matrix that carries the phase. Where a control bit is clear the state
+// is unchanged and on is false.
+func image(g gate.Gate, at []uint, s int) (next, row, col int, on bool) {
+	for _, c := range at[:g.Ctrl] {
+		if s>>c&1 == 0 {
+			return s, 0, 0, false
+		}
+	}
+	targets := at[g.Ctrl:]
+	for j, t := range targets {
+		col |= (s >> t & 1) << uint(j)
+	}
+	switch g.Name {
+	case "x", "cx", "ccx", "mcx", "y", "cy":
+		row = col ^ 1
+	case "swap", "cswap":
+		row = col>>1 | col&1<<1
+	default:
+		row = col
+	}
+	next = s
+	for j, t := range targets {
+		next = next&^(1<<t) | (row>>uint(j)&1)<<t
+	}
+	return next, row, col, true
+}
+
+// numbering assigns bit positions to qubits in order of first appearance.
+type numbering []int
+
+// at returns the bit positions of g's qubits, numbering new ones.
+func (nb *numbering) at(g gate.Gate) []uint {
+	out := make([]uint, len(g.Qubits))
+	for j, q := range g.Qubits {
+		p := 0
+		for p < len(*nb) && (*nb)[p] != q {
+			p++
+		}
+		if p == len(*nb) {
+			*nb = append(*nb, q)
+		}
+		out[j] = uint(p)
+	}
+	return out
+}
+
+// maxWindowGates bounds the scan for a window's closing gate; a k-qubit
+// parity gadget closes after 2k−1 gates.
+const maxWindowGates = 32
+
+// closedWindow returns the length of the shortest prefix of gates that is
+// made of monomial gates on at most maxQubits qubits, starts with a
+// non-diagonal one and whose permutations compose to the identity — a
+// structurally diagonal window — or 0 when there is none within
+// maxWindowGates.
+func closedWindow(gates []gate.Gate, maxQubits int) int {
+	if len(gates) == 0 || gate.IsDiagonal(gates[0]) {
+		return 0
+	}
+	var qubits numbering
+	perm := []int{0} // perm[s]: where the gates so far send basis state s
+	for i, g := range gates[:min(len(gates), maxWindowGates)] {
+		if !monomial(g) {
+			return 0
+		}
+		at := qubits.at(g)
+		if len(qubits) > maxQubits {
+			return 0
+		}
+		for hi := len(perm); hi < 1<<uint(len(qubits)); hi = len(perm) {
+			for _, s := range perm[:hi] { // a new qubit is a new high bit, so far untouched
+				perm = append(perm, s|hi)
+			}
+		}
+		if gate.IsDiagonal(g) {
+			continue
+		}
+		closed := true
+		for s := range perm {
+			perm[s], _, _, _ = image(g, at, perm[s])
+			closed = closed && perm[s] == s
+		}
+		if closed {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// windowDiagonal pushes every basis state of a closed window's support
+// through its gates, collecting the phases: the window's diagonal over
+// qubits (qubits[j] is bit j of the index), with no 2^k×2^k matrix built.
+func windowDiagonal(window []gate.Gate) (qubits []int, d []complex128) {
+	var nb numbering
+	ats := make([][]uint, len(window))
+	mats := make([]gate.Matrix, len(window))
+	for i, g := range window {
+		ats[i], mats[i] = nb.at(g), g.BaseMatrix()
+	}
+	d = make([]complex128, 1<<uint(len(nb)))
+	for s := range d {
+		cur, phase := s, complex128(1)
+		for i, g := range window {
+			next, row, col, on := image(g, ats[i], cur)
+			if on {
+				phase *= mats[i].At(row, col)
+			}
+			cur = next
+		}
+		d[s] = phase
+	}
+	return nb, d
+}
+
+// buildDiagonal is the one diagonal builder: the run splits into its closed
+// windows (a diagonal gate is a window of one), each contributes the small
+// diagonal over its own support, and the block diagonal is their product —
+// O(2^k · windows), which is what a template pays per binding.
 func buildDiagonal(qs []int, gates []gate.Gate) []complex128 {
 	pos := positionOf(qs)
 	d := make([]complex128, 1<<uint(len(qs)))
 	for i := range d {
 		d[i] = 1
 	}
-	for _, g := range gates {
-		m := g.BaseMatrix()
-		base := make([]complex128, m.Dim())
-		for i := range base {
-			base[i] = m.At(i, i)
+	for len(gates) > 0 {
+		w := 1
+		if !gate.IsDiagonal(gates[0]) {
+			if w = closedWindow(gates, len(qs)); w == 0 {
+				panic(fmt.Sprintf("fuse: diagonal block holds an open window at %s", gates[0]))
+			}
 		}
-		cmask := 0
-		for _, c := range g.Controls() {
-			cmask |= 1 << uint(pos[c])
-		}
-		tpos := make([]int, 0, len(g.Targets()))
-		for _, t := range g.Targets() {
-			tpos = append(tpos, pos[t])
+		wq, wd := windowDiagonal(gates[:w])
+		gates = gates[w:]
+		at := make([]uint, len(wq)) // block-index bit of each window-index bit
+		for j, q := range wq {
+			at[j] = uint(pos[q])
 		}
 		for idx := range d {
-			if idx&cmask != cmask {
-				continue
-			}
 			sub := 0
-			for j, tp := range tpos {
-				if idx>>uint(tp)&1 == 1 {
-					sub |= 1 << uint(j)
-				}
+			for j, p := range at {
+				sub |= (idx >> p & 1) << uint(j)
 			}
-			d[idx] *= base[sub]
+			d[idx] *= wd[sub]
 		}
 	}
 	return d

@@ -10,13 +10,15 @@ import (
 
 // This file compiles parameterized circuits once and re-binds them cheaply.
 // The key invariant making that sound: fusion structure is angle-independent.
-// Diagonality (gate.IsDiagonal) and the fusion cost model consult only gate
-// names and qubit supports, never Params — so a plan built at the template's
-// placeholder angles has exactly the right block boundaries, supports, and
-// kernel index tables for every binding. Only the numeric payloads (dense
-// matrices, diagonal tables, Single gates) of symbol-touched blocks need
-// re-materializing — and their ops re-binding — per binding; everything else
-// is shared read-only.
+// Diagonality (gate.IsDiagonal), the monomial rule that turns a closed
+// permutation window such as cx·rz·cx into a diagonal, and the fusion cost
+// model all consult only gate names and qubit supports, never Params or a
+// matrix entry — a placeholder angle at which rx is numerically the identity
+// changes nothing — so a plan built at the template's placeholder angles has
+// exactly the right block boundaries, supports, and kernel index tables for
+// every binding. Only the numeric payloads (dense matrices, diagonal tables,
+// Single gates) of symbol-touched blocks need re-materializing — and their
+// ops re-binding — per binding; everything else is shared read-only.
 
 // Parametric reports whether any source gate of the block carries a
 // symbolic parameter (i.e. its Matrix/Diag depend on the binding).
@@ -115,12 +117,17 @@ func (t *Template) Specialize(env map[string]float64) ([]Block, error) {
 	return blocks, nil
 }
 
-// Run specializes the template for env and applies it to a fresh |0…0⟩
-// state with the given worker bound, returning the final state.
-func (t *Template) Run(env map[string]float64, workers int) (*sv.State, error) {
+// Replay specializes the template for env and replays it into st, which it
+// first resets to |0…0⟩ — the form for callers that evaluate many bindings
+// and read each state out before the next (a sweep, an optimizer loop): one
+// 2^n buffer serves them all.
+func (t *Template) Replay(st *sv.State, env map[string]float64) error {
+	if st.N != t.N {
+		return fmt.Errorf("fuse: %d-qubit template replayed into a %d-qubit state", t.N, st.N)
+	}
 	blocks, err := t.Specialize(env)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ops := t.Ops
 	if len(t.touched) > 0 {
@@ -129,10 +136,19 @@ func (t *Template) Run(env map[string]float64, workers int) (*sv.State, error) {
 			ops[i] = blocks[i].Rebind(ops[i])
 		}
 	}
-	st := sv.NewState(t.N)
-	if workers > 0 {
-		st.Workers = workers
-	}
+	clear(st.Amps)
+	st.Amps[0] = 1
 	st.ApplyOps(ops)
+	return nil
+}
+
+// Run replays the template for env into a fresh state with the given worker
+// bound and returns it.
+func (t *Template) Run(env map[string]float64, workers int) (*sv.State, error) {
+	st := sv.NewState(t.N)
+	st.Workers = workers
+	if err := t.Replay(st, env); err != nil {
+		return nil, err
+	}
 	return st, nil
 }

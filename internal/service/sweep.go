@@ -10,6 +10,7 @@ import (
 	"hisvsim/internal/core"
 	"hisvsim/internal/fuse"
 	"hisvsim/internal/noise"
+	"hisvsim/internal/sv"
 )
 
 // This file is the service half of the v3 template surface: binding-grid
@@ -275,8 +276,12 @@ func (s *Service) executeSweep(j *job) (*Result, error) {
 		}
 		rep.TouchedBlocks = tpl.TouchedBlocks()
 		rep.SharedBlocks = len(tpl.Blocks) - tpl.TouchedBlocks()
+		// One state serves every point: each point's read-outs are taken
+		// before the next binding is replayed into it.
+		st := sv.NewState(tpl.N)
+		st.Workers = workers
 		point = func(env map[string]float64) (source, error) {
-			st, err := tpl.Run(env, workers)
+			err := tpl.Replay(st, env)
 			if err != nil || plan == nil {
 				return source{entry: &cacheEntry{state: st}}, err
 			}

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/bits"
 	"math/cmplx"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"hisvsim/internal/gate"
 	"hisvsim/internal/prof"
@@ -14,14 +17,17 @@ import (
 // is a lowered kernel invocation: an index plan built once (fixed bits =
 // targets ∪ controls, control mask, bit-insertion masks, scatter offsets, or
 // the low-bits table of a diagonal) plus its numeric payload. Executors lower
-// their gates and fused blocks to ops once and replay them with State.Apply;
+// their gates and fused blocks to ops once and replay them with
+// State.ApplyOps, which walks runs of ops confined below the tile boundary
+// tile by tile so a 512 KiB tile stays cache-resident across the run;
 // ApplyGate and the raw-matrix entry points lower per call and take the same
-// path. Dense ops dispatch on k: k=1 and k=2 hold the matrix in locals and
-// walk the free index by whole runs of equally spaced groups (contiguous
-// above the lowest fixed bit; adjacent pairs or quads when the low bits are
-// the targets), k≥3 gathers into stack scratch (heap only above maxStackK).
+// replay routine as a one-op group. Dense ops dispatch on k: k=1 and k=2 hold
+// the matrix in locals and walk the free index by whole runs of equally
+// spaced groups (contiguous above the lowest fixed bit; adjacent pairs or
+// quads when the low bits are the targets), k≥3 gathers into stack scratch
+// (heap only above maxStackK).
 // Every amplitude's arithmetic expression is fixed by the op alone — never
-// by worker count, chunk boundary or run length — so results are
+// by worker count, share or tile boundary, or run length — so results are
 // bit-identical across them.
 
 // maxStackK is the widest dense kernel whose gather/result scratch lives on
@@ -39,6 +45,7 @@ type plan struct {
 	n      int
 	qubits []int // targets; qubits[j] is bit j of the matrix / diagonal index
 	ctrl   int   // control bits, pinned to 1
+	fixed  int   // targets ∪ controls, as a bit mask
 	// Dense and swap plans.
 	below []int // 2^q − 1 per fixed bit q, ascending: where next inserts a bit
 	offs  []int // 2^k target offsets in matrix-index order
@@ -74,6 +81,7 @@ func newPlan(n int, targets, controls []int, diagonal bool) plan {
 		claim(q)
 		p.ctrl |= 1 << uint(q)
 	}
+	p.fixed = seen
 	if diagonal {
 		// Below the lowest qubit the diagonal touches, amplitudes come in runs
 		// sharing one entry; runs shorter than four are walked per amplitude.
@@ -299,32 +307,31 @@ func (op *Op) sweep(amps []complex128, lo, hi int) {
 	}
 }
 
-// chunks is how many goroutine shares an n-item sweep splits into.
-func (s *State) chunks(n int) int {
-	chunk := s.chunkSize(n)
-	return (n + chunk - 1) / chunk
+// shares is how many worker shares a whole-state sweep of n items splits
+// into: one when the sweep runs serially (one worker, or a state too small
+// to pay for goroutines).
+func (s *State) shares(n int) int {
+	if len(s.Amps) < parallelThreshold {
+		return 1
+	}
+	return min(s.workers(), n)
 }
 
 // ScratchAllocs reports what one Apply of op heap-allocates on this state
-// for gather scratch — one buffer per chunk above maxStackK targets, nothing
+// for gather scratch — one buffer per share above maxStackK targets, nothing
 // otherwise — the figure the kernels report to the profile. Engines that
 // re-attribute kernel calls at their own layer (dm) reuse it.
 func (s *State) ScratchAllocs(op *Op) int64 {
-	if len(op.plan.qubits) > maxStackK && op.mat != nil {
-		return int64(s.chunks(op.items()))
-	}
-	return 0
+	return op.scratchAllocs(s.shares(op.items()))
 }
 
-// chunkSize returns the per-goroutine share of an n-item sweep, or n when
-// the sweep runs serially (one worker, or a state too small to pay for
-// goroutines).
-func (s *State) chunkSize(n int) int {
-	w := min(s.workers(), n)
-	if w <= 1 || len(s.Amps) < parallelThreshold {
-		return n
+// scratchAllocs is the gather scratch a replay of the op in the given number
+// of sweep calls heap-allocates.
+func (op *Op) scratchAllocs(sweeps int) int64 {
+	if len(op.plan.qubits) > maxStackK && op.mat != nil {
+		return int64(sweeps)
 	}
-	return (n + w - 1) / w
+	return 0
 }
 
 func (s *State) checkOp(op *Op) {
@@ -333,38 +340,124 @@ func (s *State) checkOp(op *Op) {
 	}
 }
 
+// tileBits sizes the tile of the blocked replay: 2^15 amplitudes, 512 KiB —
+// a quarter of this class of machine's per-core L2, so a tile stays resident
+// while a whole run of ops passes over it.
+const tileBits = 15
+
+// tiles is how many tiles a tiled op group of this state is replayed in, or
+// 1 when the state is too small to block: under four tiles it is L2-sized
+// already, and under two tiles per worker the shared counter cannot balance
+// the workers.
+func (s *State) tiles() int {
+	t := len(s.Amps) >> tileBits
+	if t < 4 || t < 2*s.shares(t) {
+		return 1
+	}
+	return t
+}
+
+// tileable reports whether the op's items split by tile: item range
+// [t·items/tiles, (t+1)·items/tiles) touches tile t and nothing else. A
+// dense or swap op does when every fixed bit lies below the tile boundary
+// (the high bits of the free index are then the tile number); a diagonal op
+// always does — it streams 2^lowBits-amplitude blocks in address order.
+func (op *Op) tileable() bool {
+	return op.diag != nil || op.plan.fixed>>tileBits == 0
+}
+
 // Apply runs one lowered op against the state, split across the state's
 // workers, and counts it in Ops. The serial path allocates nothing.
 func (s *State) Apply(op *Op) {
-	s.checkOp(op)
-	s.Ops++
-	t0 := s.profStart()
-	n := op.items()
-	chunk := s.chunkSize(n)
-	if chunk >= n {
-		op.sweep(s.Amps, 0, n)
+	one := [1]Op{*op}
+	s.replay(one[:], s.shares(op.items()))
+}
+
+// ApplyOps runs the lowered ops in order. Consecutive tileable ops form a
+// group that is replayed tile by tile — every op of the group on one
+// cache-resident tile before the next tile is touched, one barrier per group
+// — and every other op is a group of its own over the whole state. Each
+// amplitude's arithmetic is the op's alone, so the result is == whatever the
+// grouping.
+func (s *State) ApplyOps(ops []Op) {
+	tiles := s.tiles()
+	for len(ops) > 0 {
+		n, parts := 1, s.shares(ops[0].items())
+		if tiles > 1 && ops[0].tileable() {
+			for n < len(ops) && ops[n].tileable() {
+				n++
+			}
+			parts = tiles
+		}
+		s.replay(ops[:n], parts)
+		ops = ops[n:]
+	}
+}
+
+// replay is the one replay routine: it applies a group of ops part by part,
+// part t of an op being its items [t·items/parts, (t+1)·items/parts) — a
+// tile of a tiled group, a worker's share of a whole-state op. Workers claim
+// parts from a shared counter and meet at one barrier. With a profile
+// attached every op's sweep of every part is timed; the op reports the sum
+// divided by the workers that ran, its share of the group's wall time.
+func (s *State) replay(ops []Op, parts int) {
+	for i := range ops {
+		s.checkOp(&ops[i])
+	}
+	s.Ops += int64(len(ops))
+	var nanos []atomic.Int64
+	if s.Prof != nil {
+		nanos = make([]atomic.Int64, len(ops))
+	}
+	workers := s.shares(parts)
+	if workers == 1 {
+		for t := 0; t < parts; t++ {
+			sweepPart(s.Amps, ops, t, parts, nanos)
+		}
 	} else {
+		// The workers get their own copy of the group, so a caller's
+		// stack-held op (Apply) stays off the heap on the serial path.
+		amps, ops, nanos := s.Amps, slices.Clone(ops), nanos
+		var next atomic.Int64
 		var wg sync.WaitGroup
-		for lo := 0; lo < n; lo += chunk {
+		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(op Op, amps []complex128, lo, hi int) {
+			go func() {
 				defer wg.Done()
-				op.sweep(amps, lo, hi)
-			}(*op, s.Amps, lo, min(lo+chunk, n))
+				for t := int(next.Add(1)) - 1; t < parts; t = int(next.Add(1)) - 1 {
+					sweepPart(amps, ops, t, parts, nanos)
+				}
+			}()
 		}
 		wg.Wait()
 	}
-	touched := int64(len(s.Amps))
-	if op.mat == nil && op.diag == nil {
-		touched /= 2 // a swap moves only the two mixed-bit quarters
+	for i := range nanos {
+		op := &ops[i]
+		touched := int64(len(s.Amps))
+		if op.mat == nil && op.diag == nil {
+			touched /= 2 // a swap moves only the two mixed-bit quarters
+		}
+		s.Prof.Record(op.kind, op.width, time.Duration(nanos[i].Load()/int64(workers)),
+			touched, touched*bytesPerAmpRW, op.scratchAllocs(parts))
 	}
-	s.profRecord(op.kind, op.width, t0, touched, touched*bytesPerAmpRW, s.ScratchAllocs(op))
 }
 
-// ApplyOps runs the lowered ops in order.
-func (s *State) ApplyOps(ops []Op) {
+// sweepPart runs part t of parts of every op of the group, in order, adding
+// each op's sweep time to its nanos cell when the replay is profiled.
+func sweepPart(amps []complex128, ops []Op, t, parts int, nanos []atomic.Int64) {
+	var t0 time.Time
+	if nanos != nil {
+		t0 = time.Now()
+	}
 	for i := range ops {
-		s.Apply(&ops[i])
+		op := &ops[i]
+		n := op.items()
+		op.sweep(amps, t*n/parts, (t+1)*n/parts)
+		if nanos != nil {
+			t1 := time.Now()
+			nanos[i].Add(int64(t1.Sub(t0)))
+			t0 = t1
+		}
 	}
 }
 
@@ -384,7 +477,7 @@ func (s *State) ApplyGate(g gate.Gate) error {
 // Norm2 returns ‖Mψ‖² for a dense op's matrix without mutating the state —
 // the branch probability of a Kraus operator in a trajectory unraveling. It
 // is the read-only form of the dense kernel; the parallel reduction sums
-// per-chunk partials in chunk order, so it is bit-identical for a given
+// per-share partials in share order, so it is bit-identical for a given
 // worker count.
 func (s *State) Norm2(op *Op) float64 {
 	s.checkOp(op)
@@ -393,18 +486,18 @@ func (s *State) Norm2(op *Op) float64 {
 	}
 	t0 := s.profStart()
 	n := op.items()
-	chunk, chunks := s.chunkSize(n), s.chunks(n)
+	shares := s.shares(n)
 	var total float64
-	if chunks == 1 {
+	if shares == 1 {
 		total = op.plan.denseK(s.Amps, op.mat, 0, n, true)
 	} else {
-		partial := make([]float64, chunks)
+		partial := make([]float64, shares)
 		var wg sync.WaitGroup
 		for i := range partial {
 			wg.Add(1)
 			go func(op Op, amps []complex128, i int) {
 				defer wg.Done()
-				partial[i] = op.plan.denseK(amps, op.mat, i*chunk, min((i+1)*chunk, n), true)
+				partial[i] = op.plan.denseK(amps, op.mat, i*n/shares, (i+1)*n/shares, true)
 			}(*op, s.Amps, i)
 		}
 		wg.Wait()
@@ -413,7 +506,7 @@ func (s *State) Norm2(op *Op) float64 {
 		}
 	}
 	allocs := s.ScratchAllocs(op)
-	if chunks > 1 {
+	if shares > 1 {
 		allocs++ // the partial-sum slice
 	}
 	s.profRecord(prof.Kraus, op.width, t0, int64(len(s.Amps)), int64(len(s.Amps))*bytesPerAmpRead, allocs)
@@ -421,8 +514,11 @@ func (s *State) Norm2(op *Op) float64 {
 }
 
 // dense1 is the k=1 fast path: the 2×2 matrix lives in locals and the free
-// index advances by whole contiguous runs. Real matrices (H, X, RY and every
-// controlled-X) take half the arithmetic.
+// index advances by whole contiguous runs. Two matrix shapes take half the
+// arithmetic of a complex multiply-add pair: all-real (H, X, RY and every
+// controlled-X) and axis-aligned — real diagonal, imaginary off-diagonal (RX,
+// Y, CRX). The branch is read off the payload, so a re-bound template picks
+// it per binding.
 func (p *plan) dense1(amps, m []complex128, lo, hi int) {
 	m00, m01, m10, m11 := m[0], m[1], m[2], m[3]
 	t := p.offs[1]
@@ -434,6 +530,19 @@ func (p *plan) dense1(amps, m []complex128, lo, hi int) {
 				x, y := amps[i], amps[i+t]
 				amps[i] = complex(r00*real(x)+r01*real(y), r00*imag(x)+r01*imag(y))
 				amps[i+t] = complex(r10*real(x)+r11*real(y), r10*imag(x)+r11*imag(y))
+			}
+			f += r
+		}
+		return
+	}
+	if imag(m00) == 0 && real(m01) == 0 && real(m10) == 0 && imag(m11) == 0 {
+		r00, i01, i10, r11 := real(m00), imag(m01), imag(m10), real(m11)
+		for f := lo; f < hi; {
+			r, b := p.next(f, hi)
+			for i := b; i < b+r*p.step; i += p.step {
+				x, y := amps[i], amps[i+t]
+				amps[i] = complex(r00*real(x)-i01*imag(y), r00*imag(x)+i01*real(y))
+				amps[i+t] = complex(r11*real(y)-i10*imag(x), r11*imag(y)+i10*real(x))
 			}
 			f += r
 		}

@@ -6,10 +6,12 @@ import (
 	"hisvsim/internal/prof"
 )
 
-// This file holds the kernel-profiling guards. Every public kernel entry
-// point brackets its sweep with profStart/profRecord; with s.Prof nil
-// (the default) both are branch-only — no clock reads, no atomics — so
-// unprofiled callers pay nothing measurable.
+// This file holds the kernel-profiling guards. The replay routine times
+// every op's sweep of every part (tile or worker share) itself; the other
+// kernel entry points (Norm2, Scale) bracket their sweep with
+// profStart/profRecord. With s.Prof nil (the default) all of it is
+// branch-only — no clock reads, no atomics — so unprofiled callers pay
+// nothing measurable.
 //
 // Traffic model: a full dense or diagonal sweep reads and writes every
 // amplitude once (32 bytes per complex128 round trip); norm reductions
@@ -17,8 +19,8 @@ import (
 // effective GB/s derived from them is exactly what reveals cache locality
 // and latency stalls to the kernel-overhaul work. Scratch allocations are
 // what the kernel itself heap-allocates: nothing up to maxStackK targets,
-// one gather buffer per chunk above it, one partial-sum slice for a
-// parallel norm reduction.
+// one gather buffer per sweep call (tile or worker share) above it, one
+// partial-sum slice for a parallel norm reduction.
 
 const (
 	// bytesPerAmpRW is one read-modify-write of a complex128.

@@ -104,13 +104,16 @@ obs-bench:
 	$(GO) run ./cmd/benchtables -only obs -obs-in $(BENCH_DIR)/BENCH_obs.txt -obs-out $(BENCH_DIR)/BENCH_obs.json
 
 # Runs the repository benchmark (BENCHMARK.json, ./benchmark) at unit-test
-# scale, traced, on both cold workloads: a change to an API the benchmark
-# calls, or a failed fidelity check, fails here instead of in the acceptance
-# run. The numbers are not gated — the process exits nonzero on any failed
-# check.
+# scale: both cold workloads traced, and the two ensemble workloads, whose
+# checks are the seeded reproduction of every noisy job and the bit-identical
+# cluster merge. A change to an API the benchmark calls, or a failed check,
+# fails here instead of in the acceptance run. The numbers are not gated —
+# the process exits nonzero on any failed check.
 benchmark-smoke:
 	$(GO) run ./benchmark -workload cold-default -toy -seconds 1 -trace 1
 	$(GO) run ./benchmark -workload cold-hier -toy -seconds 1 -trace 1
+	$(GO) run ./benchmark -workload service-noisy -toy -seconds 1
+	$(GO) run ./benchmark -workload cluster-fanout -toy -seconds 1
 
 # Boots hisvsimd and exercises submit → poll → sample over HTTP (curl + jq).
 serve-smoke:

@@ -444,6 +444,12 @@ func runNoisy(c *hisvsim.Circuit, opts hisvsim.Options, traj, shots int, zString
 	fmt.Printf("noisy ensemble: %s in %s\n", ens, ens.Elapsed)
 	fmt.Printf("  channel draws: %d (pauli insertions %d, kraus applications %d)\n",
 		ens.Stats.Locations, ens.Stats.PauliApplied, ens.Stats.KrausApplied)
+	if !ens.NoiseFree {
+		// What forking off the shared ideal evolution saved: only the ops
+		// after a trajectory's first event run on a state of its own.
+		fmt.Printf("  gate ops on forked states: %d of %d (%d blocks × %d trajectories), %d event-free trajectories\n",
+			ens.Stats.GateOps, ens.Blocks*ens.Trajectories, ens.Blocks, ens.Trajectories, ens.Stats.EventFree)
+	}
 	if ens.HasExpectation {
 		fmt.Printf("  ⟨∏ Z_%v⟩ = %.6f ± %.6f\n", run.Qubits, ens.Expectation, ens.StdErr)
 	}

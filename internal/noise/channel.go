@@ -21,7 +21,8 @@
 // trajectory stays a pure state, so the 2^n state-vector machinery (fusion,
 // samplers, expectation kernels) is reused unchanged. Trajectories are
 // embarrassingly parallel: Compile builds one fused plan, RunEnsemble reuses
-// it across every trajectory with per-trajectory seeded RNGs.
+// it across every trajectory with per-trajectory seeded RNGs — and shares
+// the noise-free prefix of the evolution between them (ensemble.go).
 package noise
 
 import (

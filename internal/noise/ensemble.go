@@ -1,3 +1,25 @@
+// The ensemble runner. An ensemble of T trajectories is not T replays of the
+// plan. Under a Pauli-type channel the branch drawn at a location does not
+// depend on the state, so where a trajectory first leaves the ideal
+// evolution — its first EVENT, the first location that draws a non-identity
+// branch — follows from its rng alone. The runner finds every trajectory's
+// event in a state-free pre-pass (Plan.firstEvent), sorts the trajectories
+// by it, and lets each worker advance one ideal state through the plan,
+// forking each claimed trajectory off it at its event: only the ops after
+// the event run on a state of the trajectory's own (TrajStats.GateOps), and
+// a trajectory without an event is read straight off the finished ideal
+// state (TrajStats.EventFree). A location that needs Kraus selection is
+// always an event — its outcome depends on the state — so a model made of
+// such channels shares its first gate run and nothing more; it runs through
+// the same loop.
+//
+// Nothing observable changes: the rng draw order is the private replay's
+// (location draws in step order, then sampling draws), every op applied to a
+// forked state is the op a private replay applies at that point, and kernel
+// arithmetic per amplitude depends on the op alone. Every ensemble is
+// therefore bit-identical to T independent RunTrajectory replays, whatever
+// the worker count (TestEnsembleEqualsIndependentReplays).
+
 package noise
 
 import (
@@ -7,6 +29,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hisvsim/internal/obs"
@@ -147,6 +170,10 @@ type Ensemble struct {
 	Moments []Moment
 	// Stats sums the stochastic work across trajectories.
 	Stats TrajStats
+	// Blocks is Plan.Blocks() of the plan that ran — the gate ops one private
+	// replay applies, so Blocks × Trajectories is what Stats.GateOps would be
+	// with no shared prefix (0 on the noise-free fast path: no plan ran).
+	Blocks int
 	// NoiseFree reports the ensemble came from the ideal-state fast path
 	// (zero effective channels): one simulation served every trajectory.
 	NoiseFree bool
@@ -172,9 +199,16 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// trajRNG returns trajectory t's private RNG.
+// trajSeed is the source seed of global trajectory t's private RNG.
+func trajSeed(seed int64, t int) int64 {
+	return int64(mix64(uint64(seed) ^ mix64(uint64(t)+1)))
+}
+
+// trajRNG returns trajectory t's private RNG. The ensemble runner reseeds
+// one source per worker with trajSeed instead — the same stream without the
+// 5 KB source allocation per trajectory.
 func trajRNG(seed int64, t int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(mix64(uint64(seed) ^ mix64(uint64(t)+1)))))
+	return rand.New(rand.NewSource(trajSeed(seed, t)))
 }
 
 // shotsFor splits cfg.Shots across trajectories: the first Shots%T
@@ -203,6 +237,17 @@ func applyReadout(x, n int, ro *Readout, rng *rand.Rand) int {
 		}
 	}
 	return x
+}
+
+// sampleCounts draws one trajectory's shots through the sampler, flips each
+// per the readout error (nil = none) and adds them to counts.
+func sampleCounts(counts map[int]int, sp *sv.Sampler, shots, n int, ro *Readout, rng *rand.Rand) {
+	for _, x := range sp.Sample(shots, rng) {
+		if ro != nil {
+			x = applyReadout(x, n, ro, rng)
+		}
+		counts[x]++
+	}
 }
 
 // validateReadouts rejects malformed observables/marginals up front with
@@ -274,13 +319,7 @@ func RunEnsembleFromState(ctx context.Context, st *sv.State, ro *Readout, cfg Ru
 				continue
 			}
 			ens.Shots += shots
-			rng := trajRNG(cfg.Seed, g)
-			for _, x := range sampler.Sample(shots, rng) {
-				if ro != nil {
-					x = applyReadout(x, st.N, ro, rng)
-				}
-				ens.Counts[x]++
-			}
+			sampleCounts(ens.Counts, sampler, shots, st.N, ro, trajRNG(cfg.Seed, g))
 		}
 	}
 	if cfg.Qubits != nil {
@@ -307,114 +346,250 @@ func RunEnsembleFromState(ctx context.Context, st *sv.State, ro *Readout, cfg Ru
 	return ens, nil
 }
 
-// trajResult is one trajectory's contribution, merged in trajectory order.
+// trajResult is one trajectory's read-outs, folded in trajectory order.
+// Event-free trajectories of one worker alias the same obs/marg slices (the
+// ideal state's), so the fold only reads them.
 type trajResult struct {
-	counts map[int]int
-	exp    float64
-	obs    []float64
-	marg   [][]float64
-	stats  TrajStats
+	exp   float64
+	obs   []float64
+	marg  [][]float64
+	stats TrajStats
 }
 
-// runTrajectories drives the ensemble: trajectories are chunked across
-// workers, each with a seed-derived private RNG, and merged deterministically.
+// event is where one trajectory first leaves the ideal evolution
+// (Plan.firstEvent): the channel step, or len(steps) when nothing fires,
+// and the rng draws consumed before it.
+type event struct {
+	step, draws int32
+}
+
+// findEvents runs the state-free pre-pass over the whole local range and
+// returns each trajectory's event plus the trajectory indices counting-
+// sorted by event step, ties in index order. Ascending event step is
+// descending remaining work, so claiming in this order is also the load
+// balance; event-free trajectories come last.
+func findEvents(cfg RunConfig, p *Plan) (events []event, order []int32) {
+	T := cfg.Trajectories
+	events = make([]event, T)
+	start := make([]int32, len(p.steps)+2)
+	src := rand.NewSource(0)
+	rng := rand.New(src)
+	for t := range events {
+		src.Seed(trajSeed(cfg.Seed, cfg.Offset+t))
+		step, draws := p.firstEvent(rng)
+		events[t] = event{int32(step), int32(draws)}
+		start[step+1]++
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	order = make([]int32, T)
+	for t, ev := range events {
+		order[start[ev.step]] = int32(t)
+		start[ev.step]++
+	}
+	return events, order
+}
+
+// ensembleWorker is one trajectory goroutine's private memory, allocated
+// once per ensemble whatever the trajectory count: the ideal state it
+// advances, the state it forks trajectories into, one reseedable rng, one
+// CDF buffer and one counts histogram.
+type ensembleWorker struct {
+	p   *Plan
+	cfg *RunConfig
+
+	// ideal holds |0…0⟩ advanced through every gate run of steps[:pos], with
+	// every channel on the way taken as its identity branch. It only moves
+	// forward: trajectories are claimed in ascending event step.
+	ideal *sv.State
+	pos   int
+	// atEnd is set once ideal is the finished ideal state, sampler holds its
+	// CDF and idealRead its read-outs — shared by every event-free
+	// trajectory this worker claims (they sort last, so the sampler is never
+	// rebuilt afterwards).
+	atEnd     bool
+	idealRead trajResult
+
+	fork    *sv.State // the claimed trajectory's own state (first event onwards)
+	src     rand.Source
+	rng     *rand.Rand
+	sampler sv.Sampler
+	counts  map[int]int
+	shots   int
+}
+
+func newEnsembleWorker(p *Plan, cfg *RunConfig, rec *prof.Recorder) *ensembleWorker {
+	w := &ensembleWorker{p: p, cfg: cfg, ideal: sv.NewState(p.n), fork: sv.NewState(p.n)}
+	w.ideal.Workers, w.ideal.Prof = 1, rec
+	w.fork.Workers, w.fork.Prof = 1, rec
+	w.src = rand.NewSource(0)
+	w.rng = rand.New(w.src)
+	if cfg.Shots > 0 {
+		w.counts = make(map[int]int)
+	}
+	return w
+}
+
+// advance moves the ideal state forward to just before step to.
+func (w *ensembleWorker) advance(to int) {
+	for ; w.pos < to; w.pos++ {
+		if s := &w.p.steps[w.pos]; s.ch == nil {
+			w.ideal.ApplyOps(s.ops)
+		}
+	}
+}
+
+// run executes local trajectory t, whose first event is ev: every draw, op
+// and read-out is the one a private RunTrajectory(trajRNG(seed, g)) replay
+// followed by the same sampling calls would make, in the same order.
+func (w *ensembleWorker) run(t int, ev event) (trajResult, error) {
+	p, cfg := w.p, w.cfg
+	// Global index: sub-range runs replay exactly the RNG streams and shot
+	// split their trajectories have in the full ensemble.
+	g := cfg.Offset + t
+	w.src.Seed(trajSeed(cfg.Seed, g))
+	for i := int32(0); i < ev.draws; i++ {
+		w.rng.Float64() // the identity branches the pre-pass already saw
+	}
+	w.advance(int(ev.step))
+	shots := shotsFor(cfg.Shots, cfg.Total, g)
+	stats := TrajStats{Locations: int64(ev.draws)}
+	var r trajResult
+	if int(ev.step) == len(p.steps) {
+		stats.EventFree = 1
+		if !w.atEnd {
+			w.atEnd = true
+			w.idealRead = w.measure(w.ideal)
+			if cfg.Shots > 0 {
+				w.sampler.Reset(w.ideal)
+			}
+		}
+		r = w.idealRead
+	} else {
+		copy(w.fork.Amps, w.ideal.Amps)
+		if err := p.replayFrom(w.fork, int(ev.step), w.rng, &stats); err != nil {
+			return trajResult{}, err
+		}
+		if shots > 0 {
+			w.sampler.Reset(w.fork)
+		}
+		r = w.measure(w.fork) // draws nothing, so measuring before sampling is free
+	}
+	if shots > 0 {
+		sampleCounts(w.counts, &w.sampler, shots, p.n, p.Readout(), w.rng)
+		w.shots += shots
+	}
+	r.stats = stats
+	return r, nil
+}
+
+// measure evaluates the configured read-outs on one trajectory's final
+// state (they draw nothing from the rng).
+func (w *ensembleWorker) measure(st *sv.State) trajResult {
+	cfg := w.cfg
+	var r trajResult
+	if cfg.Qubits != nil {
+		r.exp = st.ExpectationPauliZString(cfg.Qubits)
+	}
+	if len(cfg.Observables) > 0 {
+		r.obs = make([]float64, len(cfg.Observables))
+		for k, ob := range cfg.Observables {
+			r.obs[k] = st.ExpectationPauliString(ob)
+		}
+	}
+	if len(cfg.Marginals) > 0 {
+		r.marg = make([][]float64, len(cfg.Marginals))
+		for k, qs := range cfg.Marginals {
+			r.marg[k] = st.Marginal(qs)
+		}
+	}
+	return r
+}
+
+// runTrajectories drives the ensemble event-first. A state-free pre-pass
+// finds each trajectory's first event and sorts the trajectories by it;
+// workers then claim them in that order from a shared counter, each
+// advancing one ideal state that every claimed trajectory forks from. The
+// per-trajectory read-outs land in trajectory-indexed slots and are merged
+// deterministically, so nothing depends on which worker ran what.
 func runTrajectories(ctx context.Context, cfg RunConfig, p *Plan) (*Ensemble, error) {
 	// Mark the trajectories stage on a context-carried trace (no-op
 	// without one); consecutive ensembles in a sweep coalesce into one span.
 	obs.TraceFromContext(ctx).Begin("trajectories")
 	start := time.Now()
-	rec := prof.FromContext(ctx)
-	ro := p.Readout()
 	T := cfg.Trajectories
-	wantExp := cfg.Qubits != nil
+	events, order := findEvents(cfg, p)
 	results := make([]trajResult, T)
-	errs := make([]error, T)
 
-	workers := cfg.Workers
-	if workers > T {
-		workers = T
+	workers := min(cfg.Workers, T)
+	// The workers' kernels run concurrently: they record into a recorder of
+	// this ensemble's own, folded into the job's as their share of the wall
+	// time, so a profile's kernel time never exceeds its stage window.
+	jobRec := prof.FromContext(ctx)
+	var rec *prof.Recorder
+	if jobRec != nil {
+		rec = prof.NewRecorder()
 	}
-	chunk := (T + workers - 1) / workers
+	ws := make([]*ensembleWorker, workers)
+	errs := make([]error, workers)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for lo := 0; lo < T; lo += chunk {
-		hi := lo + chunk
-		if hi > T {
-			hi = T
-		}
+	for i := range ws {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			st := sv.NewState(p.n) // reused by every trajectory of this worker
-			st.Workers, st.Prof = 1, rec
-			for t := lo; t < hi; t++ {
-				if err := ctx.Err(); err != nil {
-					errs[t] = err
+			w := newEnsembleWorker(p, &cfg, rec)
+			ws[i] = w
+			for k := int(next.Add(1)) - 1; k < T; k = int(next.Add(1)) - 1 {
+				t := int(order[k])
+				if errs[i] = ctx.Err(); errs[i] == nil {
+					results[t], errs[i] = w.run(t, events[t])
+				}
+				if errs[i] != nil {
+					next.Store(int64(T)) // nothing more to claim: the ensemble has failed
 					return
 				}
-				// Global index: sub-range runs replay exactly the RNG streams
-				// and shot split their trajectories have in the full ensemble.
-				g := cfg.Offset + t
-				rng := trajRNG(cfg.Seed, g)
-				stats, err := p.replay(st, rng)
-				if err != nil {
-					errs[t] = err
-					return
-				}
-				r := trajResult{stats: stats}
-				if shots := shotsFor(cfg.Shots, cfg.Total, g); shots > 0 {
-					samples := st.Sample(shots, rng)
-					r.counts = make(map[int]int, len(samples))
-					for _, x := range samples {
-						if ro != nil {
-							x = applyReadout(x, p.n, ro, rng)
-						}
-						r.counts[x]++
-					}
-				}
-				if wantExp {
-					r.exp = st.ExpectationPauliZString(cfg.Qubits)
-				}
-				if len(cfg.Observables) > 0 {
-					r.obs = make([]float64, len(cfg.Observables))
-					for k, ob := range cfg.Observables {
-						r.obs[k] = st.ExpectationPauliString(ob)
-					}
-				}
-				if len(cfg.Marginals) > 0 {
-					r.marg = make([][]float64, len(cfg.Marginals))
-					for k, qs := range cfg.Marginals {
-						r.marg[k] = st.Marginal(qs)
-					}
-				}
-				results[t] = r
 			}
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
+	jobRec.Fold(rec, workers)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	// Fold the per-trajectory readouts into canonical chunk moments,
-	// walking the local range in order (which IS global order: the offset
-	// is chunk-aligned, so chunk boundaries land inside the range). The
-	// integer payloads (counts, stats) merge exactly by addition and need
-	// no chunking.
-	ens := &Ensemble{Trajectories: T}
+	ens := foldResults(cfg, results)
+	ens.Blocks = p.blocks
 	if cfg.Shots > 0 {
-		ens.Counts = make(map[int]int)
+		// Integer payloads merge exactly by addition, whatever the order.
+		ens.Counts, ens.Shots = ws[0].counts, ws[0].shots
+		for _, w := range ws[1:] {
+			for x, c := range w.counts {
+				ens.Counts[x] += c
+			}
+			ens.Shots += w.shots
+		}
 	}
+	ens.Elapsed = time.Since(start)
+	return ens, nil
+}
+
+// foldResults folds the per-trajectory read-outs into canonical chunk
+// moments and reduces them, walking the local range in order (which IS
+// global order: the offset is chunk-aligned, so chunk boundaries land
+// inside the range). The stats merge exactly by addition and need no
+// chunking; the caller adds the counts.
+func foldResults(cfg RunConfig, results []trajResult) *Ensemble {
+	ens := &Ensemble{Trajectories: len(results)}
+	wantExp := cfg.Qubits != nil
 	numObs := len(cfg.Observables)
 	var cur *Moment
 	for t := range results {
 		r := &results[t]
 		ens.Stats.add(r.stats)
-		for x, c := range r.counts {
-			ens.Counts[x] += c
-			ens.Shots += c
-		}
 		g := cfg.Offset + t
 		if cur == nil || g/MomentChunk != cur.Chunk {
 			m := Moment{Chunk: g / MomentChunk}
@@ -454,8 +629,7 @@ func runTrajectories(ctx context.Context, cfg RunConfig, p *Plan) (*Ensemble, er
 	}
 	ens.Observables = agg.Observables
 	ens.Marginals = agg.Marginals
-	ens.Elapsed = time.Since(start)
-	return ens, nil
+	return ens
 }
 
 // MomentStats is the readout statistics AggregateMoments reduces from a
@@ -555,7 +729,7 @@ func MergeEnsembles(parts []*Ensemble) (*Ensemble, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("noise: merge of zero ensembles")
 	}
-	out := &Ensemble{NoiseFree: parts[0].NoiseFree}
+	out := &Ensemble{NoiseFree: parts[0].NoiseFree, Blocks: parts[0].Blocks}
 	lastChunk := -1
 	for i, p := range parts {
 		if p == nil {

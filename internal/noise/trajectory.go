@@ -164,7 +164,7 @@ func Compile(c *circuit.Circuit, m *Model, opts CompileOptions) (*Plan, error) {
 // per plan, built on first use), or the channel's Kraus operators on the step's qubits
 // for exact norm-weighted selection.
 func (p *Plan) lowerChannel(s *step) {
-	if s.ch.Pauli != nil && !p.forceKraus {
+	if p.pauliStep(s) {
 		if p.pauli == nil {
 			p.pauli = make([][4]sv.Op, p.n)
 			for q := range p.pauli {
@@ -262,51 +262,98 @@ type TrajStats struct {
 	PauliApplied int64
 	// KrausApplied counts norm-weighted Kraus applications (general path).
 	KrausApplied int64
+	// GateOps counts the gate-run kernel ops applied to the trajectory's own
+	// state: Plan.Blocks() for a RunTrajectory replay, and in an ensemble
+	// only the ops after the trajectory's first event (everything before it
+	// is read off a shared ideal state). Seeded, independent of Workers.
+	GateOps int64
+	// EventFree counts ensemble trajectories in which no channel fired, so
+	// their read-outs came off the ideal state and GateOps counted nothing.
+	EventFree int64
 }
 
 func (a *TrajStats) add(b TrajStats) {
 	a.Locations += b.Locations
 	a.PauliApplied += b.PauliApplied
 	a.KrausApplied += b.KrausApplied
+	a.GateOps += b.GateOps
+	a.EventFree += b.EventFree
 }
 
 // RunTrajectory executes one stochastic trajectory from |0…0⟩: gate blocks
 // replay the fused plan, channel steps draw one branch each from rng.
 // Exactly one rng draw is consumed per channel location (plus the draws the
 // sampling layer makes afterwards), so a trajectory's randomness is fully
-// determined by its RNG seed.
+// determined by its RNG seed. This private full replay is what every
+// ensemble trajectory must equal bit for bit.
 func (p *Plan) RunTrajectory(rng *rand.Rand) (*sv.State, TrajStats, error) {
 	st := sv.NewState(p.n)
 	st.Workers = 1 // parallelism is trajectory-level (RunEnsemble)
-	stats, err := p.replay(st, rng)
-	if err != nil {
+	var stats TrajStats
+	if err := p.replayFrom(st, 0, rng, &stats); err != nil {
 		return nil, stats, err
 	}
 	return st, stats, nil
 }
 
-// replay resets st to |0…0⟩ and runs one trajectory on it. The ensemble
-// runner hands each of its workers one state and replays every trajectory
-// into it (its read-outs are copied out before the next one starts), so an
-// ensemble allocates one 2^n buffer per worker, not one per trajectory;
-// kernel times recorded through st.Prof sum across concurrent workers, so
-// they can exceed the stage's wall time when trajectory workers > 1.
-func (p *Plan) replay(st *sv.State, rng *rand.Rand) (TrajStats, error) {
-	clear(st.Amps)
-	st.Amps[0] = 1
-	var stats TrajStats
-	for i := range p.steps {
+// replayFrom runs steps[from:] of one trajectory on st, which must hold the
+// trajectory's state before step from, with rng positioned at that step's
+// draw: the whole trajectory from |0…0⟩ when from is 0, or its tail on a
+// copy of the ideal state when every channel before from drew the identity.
+func (p *Plan) replayFrom(st *sv.State, from int, rng *rand.Rand, stats *TrajStats) error {
+	for i := from; i < len(p.steps); i++ {
 		s := &p.steps[i]
 		if s.ch == nil {
+			stats.GateOps += int64(len(s.ops))
 			st.ApplyOps(s.ops)
 			continue
 		}
 		stats.Locations++
-		if err := p.applyChannel(st, s, rng, &stats); err != nil {
-			return stats, err
+		if err := p.applyChannel(st, s, rng, stats); err != nil {
+			return err
 		}
 	}
-	return stats, nil
+	return nil
+}
+
+// pauliStep reports whether the channel step takes the Pauli fast path: its
+// branch is drawn from fixed probabilities, whatever the state.
+func (p *Plan) pauliStep(s *step) bool { return s.ch.Pauli != nil && !p.forceKraus }
+
+// pauliBranch maps one uniform draw to a branch of a Pauli mixture: the
+// first index whose cumulative probability exceeds u (the last one when
+// rounding leaves the sum short of u). Branch 0 is the identity.
+func pauliBranch(probs []float64, u float64) int {
+	acc := 0.0
+	for i, prob := range probs {
+		acc += prob
+		if u < acc {
+			return i
+		}
+	}
+	return len(probs) - 1
+}
+
+// firstEvent finds where the trajectory drawn from rng first leaves the
+// ideal evolution, without touching a state: it walks the channel steps,
+// consuming one draw per Pauli-type step exactly as applyChannel does, and
+// stops at the first step that draws a non-identity branch — or, before
+// drawing, at the first step that needs Kraus selection, whose outcome
+// depends on the state. It returns that step's index (len(steps) when no
+// channel fires) and the draws consumed before it; a replayFrom at that step
+// with a fresh rng advanced by that many draws redraws the same branch.
+func (p *Plan) firstEvent(rng *rand.Rand) (step, draws int) {
+	for i := range p.steps {
+		s := &p.steps[i]
+		if s.ch == nil {
+			continue
+		}
+		if !p.pauliStep(s) || pauliBranch(s.ch.Pauli, rng.Float64()) != 0 {
+			return i, draws
+		}
+		draws++
+	}
+	return len(p.steps), draws
 }
 
 // applyPauliK applies the k-factor Pauli product idx (gate.PauliMatrixK
@@ -325,19 +372,12 @@ func (p *Plan) applyPauliK(st *sv.State, qubits []int, idx int) {
 func (p *Plan) applyChannel(st *sv.State, s *step, rng *rand.Rand, stats *TrajStats) error {
 	ch := s.ch
 	u := rng.Float64()
-	if ch.Pauli != nil && !p.forceKraus {
+	if p.pauliStep(s) {
 		// Pauli fast path: fixed probabilities, unitary insertions, no
 		// renormalization. The identity branch applies nothing.
-		acc := 0.0
-		for i, prob := range ch.Pauli {
-			acc += prob
-			if u < acc || i == len(ch.Pauli)-1 {
-				if i != 0 {
-					stats.PauliApplied++
-					p.applyPauliK(st, s.qubits, i)
-				}
-				return nil
-			}
+		if i := pauliBranch(ch.Pauli, u); i != 0 {
+			stats.PauliApplied++
+			p.applyPauliK(st, s.qubits, i)
 		}
 		return nil
 	}

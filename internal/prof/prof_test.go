@@ -66,6 +66,34 @@ func TestRecordAndSnapshot(t *testing.T) {
 	}
 }
 
+// Fold adds another recorder's cells with the time divided by the workers
+// that recorded concurrently; every count stays exact.
+func TestFoldDividesTimeOnly(t *testing.T) {
+	job, stage := NewRecorder(), NewRecorder()
+	job.Record(Dense, 2, 4*time.Millisecond, 16, 512, 0)
+	stage.Record(Dense, 2, 6*time.Millisecond, 16, 512, 1)
+	stage.Record(Dense, 2, 6*time.Millisecond, 16, 512, 1)
+	stage.Record(Kraus, 1, 3*time.Millisecond, 8, 128, 0)
+	job.Fold(stage, 3)
+	job.Fold(nil, 3)                // inert
+	job.Fold(NewRecorder(), 3)      // empty source: nothing to add
+	(*Recorder)(nil).Fold(stage, 3) // nil receiver: inert
+	stats := job.Snapshot()
+	if len(stats) != 2 {
+		t.Fatalf("snapshot = %+v, want dense + kraus rows", stats)
+	}
+	d := stats[0]
+	if d.Calls != 3 || d.Amps != 48 || d.Bytes != 1536 || d.Allocs != 2 {
+		t.Fatalf("dense counts = %+v, want exact sums", d)
+	}
+	if want := 0.004 + 0.012/3; d.Seconds < want-1e-9 || d.Seconds > want+1e-9 {
+		t.Fatalf("dense seconds = %v, want %v", d.Seconds, want)
+	}
+	if k := stats[1]; k.Calls != 1 || k.Seconds < 0.001-1e-9 || k.Seconds > 0.001+1e-9 {
+		t.Fatalf("kraus row = %+v, want 1 call of 1ms", k)
+	}
+}
+
 func TestContextRoundTrip(t *testing.T) {
 	r := NewRecorder()
 	ctx := WithRecorder(context.Background(), r)

@@ -63,6 +63,34 @@ func (r *Recorder) Record(k Kind, width int, d time.Duration, amps, bytes, alloc
 	c.allocs.Add(allocs)
 }
 
+// Fold adds src's cells into r with the time divided by workers: a stage
+// that ran its kernels on that many concurrent goroutines records them into
+// a recorder of its own and folds it here, so the seconds r reports are the
+// kernels' share of the stage's wall time (the rule State.ApplyOps applies
+// to its own shares) while calls, amps, bytes and allocs stay exact.
+func (r *Recorder) Fold(src *Recorder, workers int) {
+	if r == nil || src == nil {
+		return
+	}
+	from := src.b.Load()
+	if from == nil {
+		return
+	}
+	to := r.table()
+	for i := range from {
+		c := &from[i]
+		calls := c.calls.Load()
+		if calls == 0 {
+			continue
+		}
+		to[i].nanos.Add(c.nanos.Load() / int64(max(workers, 1)))
+		to[i].calls.Add(calls)
+		to[i].amps.Add(c.amps.Load())
+		to[i].bytes.Add(c.bytes.Load())
+		to[i].allocs.Add(c.allocs.Load())
+	}
+}
+
 // KernelStat is one populated (kernel class, width) aggregate.
 type KernelStat struct {
 	Kernel  string  `json:"kernel"`

@@ -747,9 +747,10 @@ func handleTrace(s *Service, w http.ResponseWriter, r *http.Request) {
 // stages (simulate + trajectories) — the wall time the kernels could have
 // been attributed to — and kernel_ms sums the attributed kernel rows.
 // unattributed_ms = window_ms − kernel_ms is the engine time spent outside
-// instrumented kernels (fusion compile, state allocation, scheduling); it
-// goes NEGATIVE when trajectory workers > 1, because concurrent
-// trajectories' kernel seconds sum while the stage clock does not.
+// instrumented kernels (fusion compile, state allocation, scheduling).
+// Kernels that ran on concurrent workers — the shares of one sweep, the
+// trajectory workers of one ensemble — report their share of the wall time
+// (summed seconds ÷ workers), so it is never negative.
 type WireProfile struct {
 	ID             string            `json:"id"`
 	Kind           string            `json:"kind"`

@@ -90,6 +90,44 @@ func TestKernelProfileTilesSimulate(t *testing.T) {
 	}
 }
 
+// TestEnsembleProfileStaysInsideItsStage pins the other side of the tiling
+// check: a noisy job whose trajectories run on two workers reports kernel
+// seconds that are its workers' share of the trajectories stage, so the
+// profile's unattributed time (window − kernel) is never negative.
+func TestEnsembleProfileStaysInsideItsStage(t *testing.T) {
+	s := newTest(t, Config{Workers: 2})
+	id, err := s.Submit(Request{Circuit: circuit.Ising(12, 3), Kind: KindRun,
+		Noise:    noise.Global(noise.Depolarizing(0.02)),
+		Readouts: core.ReadoutSpec{Shots: 256, Trajectories: 256, Seed: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Wait(context.Background(), id); err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.Job(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var window, kernel time.Duration
+	for _, sp := range info.Trace {
+		if sp.Name == stageTrajectories {
+			window += sp.Dur
+		}
+	}
+	var calls int64
+	for _, ks := range info.Profile {
+		kernel += time.Duration(ks.Seconds * float64(time.Second))
+		calls += ks.Calls
+	}
+	if calls == 0 || kernel <= 0 {
+		t.Fatalf("noisy job attributed no kernel time: %+v", info.Profile)
+	}
+	if kernel > window {
+		t.Fatalf("kernel seconds %v exceed the trajectories stage %v: unattributed_ms would be negative", kernel, window)
+	}
+}
+
 // TestProfileEndpoint exercises GET /v1/jobs/{id}/profile over HTTP: the
 // body nests the kernel rows under the stage trace, the derived window /
 // kernel / unattributed milliseconds are mutually consistent, and the

@@ -211,6 +211,36 @@ func TestSamplerMatchesStateSample(t *testing.T) {
 	}
 }
 
+// A Reset sampler draws what a fresh one over the same state draws, and
+// rebuilding over a state no larger than the last one allocates nothing.
+func TestSamplerResetReusesItsBuffer(t *testing.T) {
+	a, err := Run(circuit.Random(7, 60, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(circuit.Random(6, 40, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := NewSampler(a)
+	for _, s := range []*State{b, a} {
+		sp.Reset(s)
+		if sp.NumQubits() != s.N {
+			t.Fatalf("reset sampler width %d, want %d", sp.NumQubits(), s.N)
+		}
+		want := NewSampler(s).Sample(200, rand.New(rand.NewSource(9)))
+		got := sp.Sample(200, rand.New(rand.NewSource(9)))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%d qubits: reset sampler diverged from a fresh one at shot %d", s.N, i)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { sp.Reset(b); sp.Reset(a) }); allocs != 0 {
+		t.Fatalf("Reset allocated %v times per run over states it has room for", allocs)
+	}
+}
+
 func TestNormalize(t *testing.T) {
 	s := NewState(2)
 	for i := range s.Amps {

@@ -9,7 +9,7 @@ import (
 // distribution. The cumulative distribution is built once at construction
 // (one O(2^n) pass, no copy of the amplitudes) and every subsequent draw is
 // O(log 2^n), so a cached state can serve many independent shot requests at
-// sampling cost only. A Sampler is immutable after construction: concurrent
+// sampling cost only. Between Resets a Sampler is read-only: concurrent
 // Sample/Counts calls with distinct RNGs are safe.
 type Sampler struct {
 	n     int
@@ -20,13 +20,27 @@ type Sampler struct {
 // NewSampler snapshots the state's distribution. Later mutation of the
 // state does not affect the sampler (the CDF is derived, not aliased).
 func NewSampler(s *State) *Sampler {
-	cdf := make([]float64, len(s.Amps))
+	sp := new(Sampler)
+	sp.Reset(s)
+	return sp
+}
+
+// Reset re-snapshots the sampler over the state's current distribution,
+// reusing the CDF buffer when it is large enough: a caller that samples one
+// state after another (a trajectory worker) holds one Sampler and pays one
+// 2^n allocation in all, not one per state. Must not run concurrently with
+// Sample/Counts.
+func (sp *Sampler) Reset(s *State) {
+	if cap(sp.cdf) < len(s.Amps) {
+		sp.cdf = make([]float64, len(s.Amps))
+	}
+	sp.cdf = sp.cdf[:len(s.Amps)]
 	acc := 0.0
 	for i, a := range s.Amps {
 		acc += real(a)*real(a) + imag(a)*imag(a)
-		cdf[i] = acc
+		sp.cdf[i] = acc
 	}
-	return &Sampler{n: s.N, cdf: cdf, total: acc}
+	sp.n, sp.total = s.N, acc
 }
 
 // NewSamplerFromProbs builds a sampler over an explicit probability vector

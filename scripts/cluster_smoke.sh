@@ -134,9 +134,11 @@ echo "cluster-smoke: metrics federation OK"
 
 # Fault injection: submit a long ensemble, kill -9 one worker while its
 # sub-job is in flight, and require the coordinator to finish the job by
-# retrying the lost range on the survivor.
+# retrying the lost range on the survivor. The register is wide enough that
+# a sub-job outlasts the 0.5 s before the kill by seconds, not by luck (at
+# 12 qubits the event-first runner finishes 1024 trajectories in ≈ 0.2 s).
 FAULT_BODY='{
-    "circuit": {"family": "ising", "qubits": 12},
+    "circuit": {"family": "ising", "qubits": 16},
     "kind": "run",
     "noise": {"rules": [{"channel": "depolarizing", "p": 0.01}]},
     "readouts": {"shots": 1000, "seed": 9, "trajectories": 2048,

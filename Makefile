@@ -50,8 +50,9 @@ DM_TRAJ ?= 50
 dm-bench:
 	$(GO) run ./cmd/benchtables -only dm -dm-qubits $(DM_QUBITS) -dm-traj $(DM_TRAJ) -dm-out $(BENCH_DIR)/BENCH_dm.json
 
-# Regenerates BENCH_sweep.json (one compiled template specialized across a
-# binding grid vs. per-point bind + fusion + run; speedup and block sharing).
+# Regenerates BENCH_sweep.json (one compiled template swept across a binding
+# grid by the sweep runner vs. per-point bind + fusion + run; speedup, block
+# sharing and the exact replayed_blocks / rebuilt_payloads / readout_passes).
 # CI smokes it narrow: make sweep-bench SWEEP_QUBITS=10 SWEEP_POINTS=20.
 SWEEP_QUBITS ?= 12
 SWEEP_POINTS ?= 50
@@ -104,16 +105,19 @@ obs-bench:
 	$(GO) run ./cmd/benchtables -only obs -obs-in $(BENCH_DIR)/BENCH_obs.txt -obs-out $(BENCH_DIR)/BENCH_obs.json
 
 # Runs the repository benchmark (BENCHMARK.json, ./benchmark) at unit-test
-# scale: both cold workloads traced, and the two ensemble workloads, whose
+# scale: both cold workloads traced, the two ensemble workloads, whose
 # checks are the seeded reproduction of every noisy job and the bit-identical
-# cluster merge. A change to an API the benchmark calls, or a failed check,
-# fails here instead of in the acceptance run. The numbers are not gated —
-# the process exits nonzero on any failed check.
+# cluster merge, and the sweep workload, which checks 9-point tables against
+# the flat reference and that the template compiled exactly once. A change to
+# an API the benchmark calls, or a failed check, fails here instead of in the
+# acceptance run. The numbers are not gated — the process exits nonzero on
+# any failed check.
 benchmark-smoke:
 	$(GO) run ./benchmark -workload cold-default -toy -seconds 1 -trace 1
 	$(GO) run ./benchmark -workload cold-hier -toy -seconds 1 -trace 1
 	$(GO) run ./benchmark -workload service-noisy -toy -seconds 1
 	$(GO) run ./benchmark -workload cluster-fanout -toy -seconds 1
+	$(GO) run ./benchmark -workload service-sweep -toy -seconds 1
 
 # Boots hisvsimd and exercises submit → poll → sample over HTTP (curl + jq).
 serve-smoke:

@@ -627,25 +627,29 @@ func runSweep(c *hisvsim.Circuit, opts hisvsim.Options, obs []hisvsim.PauliStrin
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("sweep: %d points over symbols %v in %s\n", len(rep.Points), c.Symbols(), rep.Elapsed)
+	fmt.Printf("sweep: %d points over symbols %v in %s\n", rep.Points, rep.Symbols, rep.Elapsed)
 	fmt.Printf("template: %d compile(s), %d symbol-touched / %d shared fused blocks\n",
 		rep.Compiles, rep.TouchedBlocks, rep.SharedBlocks)
 	if rep.Trajectories > 0 {
 		fmt.Printf("noise: %d trajectories per point\n", rep.Trajectories)
 	}
-	syms := c.Symbols()
+	if blocks := rep.TouchedBlocks + rep.SharedBlocks; blocks > 0 {
+		fmt.Printf("replayed_blocks: %d of %d (%d points × %d blocks), %d-block prefix checkpointed, %d point worker(s), rebuilt_payloads %d of %d\n",
+			rep.ReplayedBlocks, rep.Points*blocks, rep.Points, blocks, rep.Checkpoint, rep.Workers,
+			rep.RebuiltPayloads, rep.Points*rep.TouchedBlocks)
+	}
 	best, bestE := -1, math.Inf(1)
-	for i, pt := range rep.Points {
+	for i := 0; i < rep.Points; i++ {
 		var e float64
-		for _, ov := range pt.Readouts.Observables {
-			e += ov.Value
+		for _, v := range rep.Row(i) {
+			e += v
 		}
 		if e < bestE {
 			best, bestE = i, e
 		}
 		var b strings.Builder
-		for _, name := range syms {
-			fmt.Fprintf(&b, " %s=%.6g", name, pt.Binding[name])
+		for s, name := range rep.Symbols {
+			fmt.Fprintf(&b, " %s=%.6g", name, rep.Params[i*len(rep.Symbols)+s])
 		}
 		fmt.Printf("  point %3d:%s  energy = %.9f\n", i, b.String(), e)
 	}

@@ -52,19 +52,21 @@ func main() {
 		log.Fatal(err)
 	}
 	best, bestE := 0, math.Inf(1)
-	for i, pt := range rep.Points {
+	for i := 0; i < rep.Points; i++ {
 		e := 0.0
-		for _, ov := range pt.Readouts.Observables {
-			e += ov.Value
+		for _, v := range rep.Row(i) {
+			e += v
 		}
 		if e < bestE {
 			best, bestE = i, e
 		}
 	}
 	fmt.Printf("swept %d points with %d template compile(s): %d symbol-touched / %d shared blocks\n",
-		len(rep.Points), rep.Compiles, rep.TouchedBlocks, rep.SharedBlocks)
-	fmt.Printf("grid minimum: γ=%.3f β=%.3f with ⟨H⟩ = %.6f\n",
-		rep.Points[best].Binding["gamma0"], rep.Points[best].Binding["beta0"], bestE)
+		rep.Points, rep.Compiles, rep.TouchedBlocks, rep.SharedBlocks)
+	fmt.Printf("replayed %d blocks instead of %d: the first %d blocks are shared by the points of one γ\n",
+		rep.ReplayedBlocks, rep.Points*(rep.TouchedBlocks+rep.SharedBlocks), rep.Checkpoint)
+	bestAt := rep.Point(best).Binding
+	fmt.Printf("grid minimum: γ=%.3f β=%.3f with ⟨H⟩ = %.6f\n", bestAt["gamma0"], bestAt["beta0"], bestE)
 
 	// Service form: the same grid as one KindSweep job. The stats show the
 	// whole grid cost one template compile.
@@ -82,7 +84,7 @@ func main() {
 	}
 	st := svc.Stats()
 	fmt.Printf("service sweep: %d points, stats report %d template compile(s)\n",
-		len(res.Sweep.Points), st.TemplateCompiles)
+		res.Sweep.Points, st.TemplateCompiles)
 
 	// Server-side optimization: SPSA refines the angles from the grid's
 	// best cell, reporting the per-iteration trace.
@@ -91,7 +93,7 @@ func main() {
 		Optimize: &hisvsim.OptimizeSpec{
 			Observables: obs,
 			Method:      hisvsim.MethodSPSA,
-			Init:        rep.Points[best].Binding,
+			Init:        bestAt,
 			MaxIters:    60, Seed: 7, A: 0.3, C: 0.1,
 		},
 	})

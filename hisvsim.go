@@ -449,13 +449,17 @@ func Affine(scale float64, name string, offset float64) Param {
 // KindOptimize.
 func QAOAAnsatz(n, layers int) *Circuit { return circuit.QAOAAnsatz(n, layers) }
 
-// SweepPoint is one grid point of a parameter sweep: the binding plus its
-// read-outs.
+// SweepPoint is one grid point of a parameter sweep, rendered from the
+// report's table by SweepReport.Point: the binding plus its read-outs.
 type SweepPoint = core.SweepPoint
 
-// SweepReport aggregates a sweep: per-point read-outs plus the evidence
-// that the template amortized (Compiles == 1 regardless of point count,
-// symbol-touched vs shared fused blocks).
+// SweepReport is a sweep's result as a table — Points rows in request
+// order, binding columns (Symbols, Params) and observable columns
+// (Observables, Values, StdErr under noise), Row(i)/Point(i) to read one
+// point — plus the evidence that the template amortized (Compiles == 1
+// regardless of point count, symbol-touched vs shared fused blocks) and the
+// runner's exact work (ReplayedBlocks against Points × blocks,
+// RebuiltPayloads, the Checkpoint prefix it shared, Workers).
 type SweepReport = core.SweepReport
 
 // OptimizeSpec configures a server-side variational optimization: the
@@ -479,9 +483,13 @@ const (
 
 // Sweep evaluates a parameterized circuit at every binding: the template
 // compiles ONCE (fused blocks untouched by any symbol are shared
-// read-only; symbol-touched blocks re-specialize per point) and each point
-// reports the full ReadoutSpec. Under Options.Noise each point runs a
-// trajectory ensemble from the same re-bound plan.
+// read-only; symbol-touched blocks re-specialize when a symbol they read
+// changes) and each point reports the full ReadoutSpec. Points, not
+// kernels, are split across Options.Workers, and the prefix of the circuit
+// that a group of points shares is replayed once per group; every point is
+// still bit-identical to a private run of its bound circuit. Under
+// Options.Noise each point runs a trajectory ensemble from the same
+// re-bound plan.
 //
 //	c := hisvsim.QAOAAnsatz(6, 1)
 //	rep, err := hisvsim.Sweep(c, hisvsim.Options{}, spec, []map[string]float64{
@@ -492,8 +500,8 @@ func Sweep(c *Circuit, opts Options, spec ReadoutSpec, bindings []map[string]flo
 	return core.Sweep(c, opts, spec, bindings)
 }
 
-// SweepContext is Sweep under a context: cancellation aborts at the next
-// grid point.
+// SweepContext is Sweep under a context: cancellation stops every point
+// worker at its next grid point.
 func SweepContext(ctx context.Context, c *Circuit, opts Options, spec ReadoutSpec, bindings []map[string]float64) (*SweepReport, error) {
 	return core.SweepContext(ctx, c, opts, spec, bindings)
 }

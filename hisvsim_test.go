@@ -297,11 +297,12 @@ func TestFacadeParameterizedSweepOptimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Compiles != 1 || len(rep.Points) != 3 {
-		t.Fatalf("sweep: %d compiles, %d points", rep.Compiles, len(rep.Points))
+	if rep.Compiles != 1 || rep.Points != 3 {
+		t.Fatalf("sweep: %d compiles, %d points", rep.Compiles, rep.Points)
 	}
 	// Each point matches an independent concrete evaluation.
-	for i, p := range rep.Points {
+	for i := range bindings {
+		p := rep.Point(i)
 		bound, err := c.Bind(bindings[i])
 		if err != nil {
 			t.Fatal(err)
@@ -341,7 +342,7 @@ func TestFacadeParameterizedSweepOptimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sweep == nil || len(res.Sweep.Points) != 6 || res.Sweep.Compiles != 1 {
+	if res.Sweep == nil || res.Sweep.Points != 6 || res.Sweep.Compiles != 1 {
 		t.Fatalf("service sweep: %+v", res.Sweep)
 	}
 	run, err := svc.Do(context.Background(), ServiceRequest{
@@ -350,8 +351,8 @@ func TestFacadeParameterizedSweepOptimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := run.Observables[0].Value - rep.Points[0].Readouts.Observables[0].Value; math.Abs(d) > 1e-9 {
-		t.Fatalf("KindRun+Params %v vs sweep point %v", run.Observables[0].Value, rep.Points[0].Readouts.Observables[0].Value)
+	if d := run.Observables[0].Value - rep.Row(0)[0]; math.Abs(d) > 1e-9 {
+		t.Fatalf("KindRun+Params %v vs sweep point %v", run.Observables[0].Value, rep.Row(0)[0])
 	}
 	if st := svc.Stats(); st.TemplateCompiles != 1 {
 		t.Fatalf("template compiles = %d, want 1 across sweep+run", st.TemplateCompiles)

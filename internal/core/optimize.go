@@ -11,13 +11,13 @@ import (
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/fuse"
 	"hisvsim/internal/noise"
-	"hisvsim/internal/sv"
 )
 
 // This file is the v3 optimize surface: a server-side variational loop
 // that minimizes the summed weighted Pauli observables (the energy
 // ⟨H⟩ = Σ c_k⟨P_k⟩) over a parameterized circuit's symbols. The template
-// compiles once; every objective evaluation is a cheap specialization, so
+// compiles once; every objective evaluation is the sweep runner's
+// single-binding replay (memoised re-binding, one-pass diagonal read-out), so
 // the whole loop costs 1 compile + E evaluations — the request pattern a
 // VQE/QAOA client would otherwise drive with E round trips of concrete
 // circuits.
@@ -242,13 +242,20 @@ func buildObjective(ctx context.Context, c *circuit.Circuit, opts Options, roSpe
 	if err != nil {
 		return nil, err
 	}
-	st := sv.NewState(tpl.N)
-	st.Workers = opts.Workers
+	// One sweep worker, one binding at a time: the payload memo pays when
+	// consecutive evaluations share symbol values (Nelder–Mead's initial
+	// simplex moves one coordinate per vertex; an SPSA ±Δ probe changes
+	// every symbol).
+	w := newSweepWorker(tpl, opts.Workers, nil, false)
+	vals := make([]float64, len(tpl.Symbols))
 	return func(env map[string]float64) (float64, error) {
-		if err := tpl.Replay(st, env); err != nil {
+		for s, name := range tpl.Symbols {
+			vals[s] = env[name]
+		}
+		if err := w.replay(vals, 0, false); err != nil {
 			return 0, err
 		}
-		return sum(EvaluateState(st, nil, roSpec)), nil
+		return sum(EvaluateState(w.st, nil, roSpec)), nil
 	}, nil
 }
 

@@ -174,7 +174,14 @@ type Readouts struct {
 // callers holding a prebuilt sampler for the state (the service cache)
 // pass it to skip the CDF pass. The state is never mutated.
 func EvaluateState(st *sv.State, sampler *sv.Sampler, spec ReadoutSpec) *Readouts {
-	out := &Readouts{}
+	out, _ := evaluateState(st, sampler, spec)
+	return out
+}
+
+// evaluateState is EvaluateState that also reports how many passes over the
+// amplitudes it spent on the observables (the sweep runner's ReadoutPasses).
+func evaluateState(st *sv.State, sampler *sv.Sampler, spec ReadoutSpec) (out *Readouts, passes int) {
+	out = &Readouts{}
 	if spec.Statevector {
 		out.Amplitudes = append([]complex128(nil), st.Amps...)
 	}
@@ -196,12 +203,36 @@ func EvaluateState(st *sv.State, sampler *sv.Sampler, spec ReadoutSpec) *Readout
 		}
 	}
 	if len(spec.Observables) > 0 {
+		// Every Z/I-only string is answered by one shared pass over the
+		// amplitudes (bit-identical to its own ExpectationPauliString pass:
+		// same additions, same order); the others take a pass each.
 		out.Observables = make([]ObservableValue, len(spec.Observables))
+		masks := make([]int, 0, len(spec.Observables))
+		at := make([]int, 0, len(spec.Observables))
 		for k, ob := range spec.Observables {
-			out.Observables[k] = ObservableValue{Name: ob.Name, Value: st.ExpectationPauliString(ob.pauli())}
+			out.Observables[k].Name = ob.Name
+			if mask, ok := ob.zMask(); ok {
+				masks, at = append(masks, mask), append(at, k)
+			} else {
+				out.Observables[k].Value = st.ExpectationPauliString(ob.pauli())
+				passes++
+			}
+		}
+		if len(masks) > 0 {
+			for j, e := range st.ExpectationZMasks(masks) {
+				out.Observables[at[j]].Value = spec.Observables[at[j]].pauli().Coefficient() * e
+			}
+			passes++
 		}
 	}
-	return out
+	return out, passes
+}
+
+// zMask returns the sign mask of a Z/I-only observable (the set bits are the
+// qubits under an odd number of Zs), ok false when the string has an X or Y.
+func (o Observable) zMask() (mask int, ok bool) {
+	flip, sign, _ := o.pauli().Masks()
+	return sign, flip == 0
 }
 
 // NoisyRunConfig lowers the spec to the trajectory-ensemble config (the

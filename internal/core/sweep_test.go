@@ -99,10 +99,11 @@ func TestSweepMatchesConcreteRuns(t *testing.T) {
 	if rep.Compiles != 1 {
 		t.Fatalf("compiles = %d, want 1", rep.Compiles)
 	}
-	if len(rep.Points) != len(bindings) {
-		t.Fatalf("points = %d, want %d", len(rep.Points), len(bindings))
+	if rep.Points != len(bindings) {
+		t.Fatalf("points = %d, want %d", rep.Points, len(bindings))
 	}
-	for i, p := range rep.Points {
+	for i := range bindings {
+		p := rep.Point(i)
 		bound, err := c.Bind(bindings[i])
 		if err != nil {
 			t.Fatal(err)
@@ -147,7 +148,8 @@ func TestSweepNoisyMatchesConcrete(t *testing.T) {
 	if rep.Trajectories != 64 {
 		t.Fatalf("trajectories = %d", rep.Trajectories)
 	}
-	for i, p := range rep.Points {
+	for i := range bindings {
+		p := rep.Point(i)
 		bound, err := c.Bind(bindings[i])
 		if err != nil {
 			t.Fatal(err)

@@ -405,7 +405,7 @@ func (d *Density) ExpectationPauliString(p sv.PauliString) float64 {
 	var re, im float64
 	for r := 0; r < d.Dim(); r++ {
 		v := d.vec.Amps[r|(r^flip)<<uint(d.N)]
-		if parity(r & sign) {
+		if sv.Parity(r & sign) {
 			re -= real(v)
 			im -= imag(v)
 		} else {
@@ -495,13 +495,4 @@ func (d *Density) SampleCounts(shots int, seed int64, ro *noise.Readout) map[int
 		counts[x]++
 	}
 	return counts
-}
-
-func parity(x int) bool {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n%2 == 1
 }

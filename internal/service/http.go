@@ -527,10 +527,11 @@ func toWireResult(r *Result) *WireResult {
 		out.Sweep = &WireSweepResult{
 			Compiles: r.Sweep.Compiles, TouchedBlocks: r.Sweep.TouchedBlocks,
 			SharedBlocks: r.Sweep.SharedBlocks, Trajectories: r.Sweep.Trajectories,
-			Points: make([]WireSweepPoint, 0, len(r.Sweep.Points)),
+			Points: make([]WireSweepPoint, r.Sweep.Points),
 		}
-		for _, p := range r.Sweep.Points {
-			out.Sweep.Points = append(out.Sweep.Points, toWireSweepPoint(p.Binding, p.Readouts, r.NumQubits))
+		for i := range out.Sweep.Points {
+			p := r.Sweep.Point(i)
+			out.Sweep.Points[i] = toWireSweepPoint(p.Binding, p.Readouts, r.NumQubits)
 		}
 	}
 	if r.Optimize != nil {
@@ -745,12 +746,14 @@ func handleTrace(s *Service, w http.ResponseWriter, r *http.Request) {
 // WireProfile is the GET /v1/jobs/{id}/profile body: the job's kernel-level
 // execution profile nested under its stage trace. window_ms sums the engine
 // stages (simulate + trajectories) — the wall time the kernels could have
-// been attributed to — and kernel_ms sums the attributed kernel rows.
+// been attributed to; for a sweep job also execute, the stage its point
+// workers replay in — and kernel_ms sums the attributed kernel rows.
 // unattributed_ms = window_ms − kernel_ms is the engine time spent outside
-// instrumented kernels (fusion compile, state allocation, scheduling).
-// Kernels that ran on concurrent workers — the shares of one sweep, the
-// trajectory workers of one ensemble — report their share of the wall time
-// (summed seconds ÷ workers), so it is never negative.
+// instrumented kernels (fusion compile, state allocation, scheduling,
+// re-binding and read-outs of a sweep). Kernels that ran on concurrent
+// workers — the shares of one kernel sweep, the trajectory workers of one
+// ensemble, the point workers of one parameter sweep — report their share
+// of the wall time (summed seconds ÷ workers), so it is never negative.
 type WireProfile struct {
 	ID             string            `json:"id"`
 	Kind           string            `json:"kind"`
@@ -787,7 +790,10 @@ func handleProfile(s *Service, w http.ResponseWriter, r *http.Request) {
 		out.Kernels = []prof.KernelStat{} // render [] rather than null
 	}
 	for _, sp := range info.Trace {
-		if sp.Name == stageSimulate || sp.Name == stageTrajectories {
+		// A sweep job's execute stage is its runner: the point workers'
+		// replays happen there, not inside a simulate stage.
+		if sp.Name == stageSimulate || sp.Name == stageTrajectories ||
+			(info.Kind == KindSweep && sp.Name == stageExecute) {
 			out.WindowMS += DurationMS(sp.Dur)
 		}
 	}

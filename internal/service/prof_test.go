@@ -128,6 +128,47 @@ func TestEnsembleProfileStaysInsideItsStage(t *testing.T) {
 	}
 }
 
+// TestSweepProfileHasKernelRows: a sweep job's point workers record into a
+// recorder of their own, folded into the job's with the seconds divided by
+// the worker count, so GET /v1/jobs/{id}/profile of a 2-worker sweep shows
+// one dense or diagonal call per replayed block and kernel time inside the
+// execute stage (it used to show no rows: all of it unattributed).
+func TestSweepProfileHasKernelRows(t *testing.T) {
+	s := newTest(t, Config{Workers: 2})
+	h := NewHandler(s)
+	id, err := s.Submit(benchSweepRequest(12, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Wait(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sweep.Workers != 2 || res.Sweep.ReplayedBlocks == 0 {
+		t.Fatalf("sweep ran on %d point workers, replayed %d blocks", res.Sweep.Workers, res.Sweep.ReplayedBlocks)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/"+id+"/profile", nil))
+	var p WireProfile
+	if err := json.Unmarshal(rec.Body.Bytes(), &p); rec.Code != 200 || err != nil {
+		t.Fatalf("profile: %d %v %s", rec.Code, err, rec.Body.String())
+	}
+	calls := map[string]int64{}
+	for _, ks := range p.Kernels {
+		calls[ks.Kernel] += ks.Calls
+	}
+	if calls["dense"] == 0 || calls["diagonal"] == 0 || len(calls) != 2 ||
+		calls["dense"]+calls["diagonal"] != int64(res.Sweep.ReplayedBlocks) {
+		t.Fatalf("kernel calls %v, want dense + diagonal = %d replayed blocks", calls, res.Sweep.ReplayedBlocks)
+	}
+	if p.KernelMS <= 0 || p.UnattributedMS < 0 || p.WindowMS < p.KernelMS {
+		t.Fatalf("window %g ms, kernels %g ms, unattributed %g ms", p.WindowMS, p.KernelMS, p.UnattributedMS)
+	}
+	if len(res.Profile) != len(p.Kernels) {
+		t.Fatalf("result carries %d profile rows, endpoint %d", len(res.Profile), len(p.Kernels))
+	}
+}
+
 // TestProfileEndpoint exercises GET /v1/jobs/{id}/profile over HTTP: the
 // body nests the kernel rows under the stage trace, the derived window /
 // kernel / unattributed milliseconds are mutually consistent, and the

@@ -67,7 +67,8 @@ const (
 	// one ReadoutSpec, and a binding grid (Request.Sweep). The template
 	// compiles ONCE (asserted by Stats.TemplateCompiles) and every grid
 	// point re-binds the compiled plan, so M bindings cost one fusion
-	// compile plus M cheap runs. Results are keyed per grid point.
+	// compile plus M cheap runs, split across the job's width by point.
+	// The result is one table, rows in request order.
 	KindSweep Kind = "sweep"
 
 	// KindOptimize is the v3 variational kind: a server-side SPSA or
@@ -158,7 +159,8 @@ type Result struct {
 	// ensemble): the deterministic-merge surface a cluster coordinator
 	// reduces sub-range results with.
 	Moments []noise.Moment
-	// Sweep is the per-grid-point readout table (KindSweep).
+	// Sweep is the readout table over the grid (KindSweep): the runner's own
+	// report, which is also all a finished sweep job retains of its points.
 	Sweep *core.SweepReport
 	// Optimize is the optimization outcome with its iteration trace
 	// (KindOptimize).
@@ -374,11 +376,11 @@ type Service struct {
 	// so load balancers stop routing, while /healthz stays 200 until the
 	// process exits (liveness vs readiness).
 	draining atomic.Bool
-	// trajTokens bounds trajectory-level parallelism ACROSS noisy jobs:
-	// every noisy job runs at least one trajectory lane (its own worker
-	// slot) and widens by however many shared tokens it can grab, so the
-	// total live trajectory goroutines — each holding a 2^n state — stay
-	// O(Workers) no matter how many noisy jobs run concurrently (a per-job
+	// trajTokens bounds in-job parallelism ACROSS jobs (widen): every
+	// noisy run or sweep has at least one lane (its own worker slot) and
+	// widens by however many shared tokens it can grab, so the total live
+	// trajectory and point workers — each holding a 2^n state — stay
+	// O(Workers) no matter how many such jobs run concurrently (a per-job
 	// width of cfg.Workers would square that).
 	trajTokens chan struct{}
 
@@ -428,8 +430,10 @@ type job struct {
 	trace      *obs.Trace
 	// profr accumulates the job's kernel-level profile: the engines record
 	// into it through the job context, lock-free, so snapshots are safe at
-	// any time.
-	profr *prof.Recorder
+	// any time. finish keeps the last snapshot in profile and releases the
+	// recorder's cell table, which a retained job would otherwise pin.
+	profr   *prof.Recorder
+	profile []prof.KernelStat
 
 	status    Status
 	result    *Result
@@ -759,7 +763,10 @@ func (s *Service) snapshotLocked(j *job) JobInfo {
 		Result:    j.result,
 		Submitted: j.submitted, Started: j.started, Finished: j.finished,
 		RequestID: j.requestID, ParentSpan: j.parentSpan,
-		Trace: j.trace.Spans(), Profile: j.profr.Snapshot(),
+		Trace: j.trace.Spans(), Profile: j.profile,
+	}
+	if !j.status.Terminal() {
+		info.Profile = j.profr.Snapshot()
 	}
 	if j.err != nil {
 		info.Err = j.err.Error()
@@ -945,11 +952,13 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	}
 	j.finished = now
 	j.result = res
+	j.profile = profile
 	j.err = err
-	// Nothing reads a terminal job's circuit again (Job/finish use req.Kind
-	// only); dropping it keeps the retained set from pinning every parsed
-	// gate list for up to RetainJobs jobs.
-	j.req.Circuit = nil
+	// Nothing reads a terminal job's request again but for its kind (a sweep
+	// result carries its own binding columns); dropping the rest keeps the
+	// retained set from pinning every parsed gate list, expanded binding map,
+	// observable list and noise model for up to RetainJobs jobs.
+	j.req = Request{Kind: j.req.Kind}
 	switch {
 	case err == nil:
 		j.status = StatusDone
@@ -972,6 +981,7 @@ func (s *Service) finish(j *job, res *Result, err error) {
 		s.retained = s.retained[1:]
 	}
 	s.mu.Unlock()
+	j.profr.Release() // observers read j.profile from here on
 	// Metrics and logging happen off the lock: the stage histograms are
 	// the worker-utilization ledger (per stage/kind/backend; jobs that
 	// never reached an engine are labeled backend "none").
@@ -1013,10 +1023,10 @@ func resultBytes(r *Result) int64 {
 			b += int64(len(mg)) * 8
 		}
 	}
-	if r.Sweep != nil {
-		for _, p := range r.Sweep.Points {
-			b += int64(len(p.Binding)) * 32
-			b += readoutsBytes(p.Readouts)
+	if sw := r.Sweep; sw != nil {
+		b += int64(len(sw.Params)+len(sw.Values)+len(sw.StdErr)) * 8
+		for i := range sw.Detail {
+			b += readoutsBytes(&sw.Detail[i])
 		}
 	}
 	if r.Optimize != nil {
@@ -1163,7 +1173,7 @@ func (s *Service) resolve(j *job) (source, error) {
 // the ensemble then costs sampling only.
 func (s *Service) resolveEnsemble(j *job) (source, error) {
 	req := j.req
-	width, release := s.widenTrajectories()
+	width, release := s.widen(0)
 	defer release()
 	run := req.Readouts.NoisyRunConfig(width)
 	j.trace.Begin(stageCompile)
@@ -1214,14 +1224,19 @@ func (s *Service) runEnsemble(j *job, plan *noise.Plan, run noise.RunConfig) (*n
 	return ens, nil
 }
 
-// widenTrajectories sizes a noisy job's trajectory fan-out: its own worker
-// slot plus however many tokens it can grab from the shared pool, so
-// concurrent noisy jobs cannot multiply into Workers² live trajectory
-// states. release hands the tokens back when the job's ensembles are done.
-func (s *Service) widenTrajectories() (width int, release func()) {
+// widen sizes a job's fan-out — trajectory lanes of a noisy run, point
+// workers and kernel shares of a sweep: its own worker slot plus however many
+// tokens it can grab from the shared pool, up to limit when limit > 0, so
+// concurrent wide jobs cannot multiply into Workers² live 2^n states or
+// each assume the whole machine. release hands the tokens back when the
+// job's parallel work is done.
+func (s *Service) widen(limit int) (width int, release func()) {
+	if limit <= 0 || limit > s.cfg.Workers {
+		limit = s.cfg.Workers
+	}
 	width = 1
 grab:
-	for width < s.cfg.Workers {
+	for width < limit {
 		select {
 		case <-s.trajTokens:
 			width++

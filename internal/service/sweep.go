@@ -9,14 +9,16 @@ import (
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/core"
 	"hisvsim/internal/fuse"
-	"hisvsim/internal/noise"
-	"hisvsim/internal/sv"
 )
 
 // This file is the service half of the v3 template surface: binding-grid
 // expansion (SweepSpec), the template-fingerprint-keyed compile cache that
 // makes "M bindings = 1 fusion compile" hold ACROSS jobs as well as within
-// one, and the executors for KindSweep, KindOptimize and bound KindRun.
+// one, and the executors for KindSweep, KindOptimize and bound KindRun. A
+// sweep job owns no loop: it resolves its cached template or trajectory plan
+// and a width from the token pool, and hands both to core.RunSweep; what it
+// retains when it finishes is the runner's table (core.SweepReport), from
+// which the wire encoder renders points.
 
 // SweepSpec names a sweep job's binding grid. Exactly one of Bindings or
 // Grid must be set.
@@ -219,12 +221,14 @@ func (s *Service) templateEntryFor(j *job, env map[string]float64) (*cacheEntry,
 	})
 }
 
-// executeSweep evaluates a binding grid against one compiled template.
-// Ideal sweeps replay the fused template per point; effective-noise sweeps
-// re-bind one cached trajectory plan and run a full seeded ensemble per
-// point. Result.Sweep.Compiles counts the fusion compiles THIS job caused
-// (0 when the template was already cached), which with a cold cache is
-// exactly 1 for any grid size.
+// executeSweep evaluates a binding grid through core.RunSweep against the
+// cached template (ideal and zero-effect-noise sweeps) or the cached
+// trajectory plan (effective noise: one full seeded ensemble per point).
+// The job's width — its own worker slot plus what the shared token pool can
+// spare, capped by Options.Workers — is the runner's to divide between point
+// workers and the kernels inside each. Result.Sweep.Compiles counts the
+// fusion compiles THIS job caused (0 when the template was already cached),
+// which with a cold cache is exactly 1 for any grid size.
 func (s *Service) executeSweep(j *job) (*Result, error) {
 	start := time.Now()
 	req := j.req
@@ -232,80 +236,46 @@ func (s *Service) executeSweep(j *job) (*Result, error) {
 		Kind: KindSweep, Backend: j.idealBackend, NumQubits: req.Circuit.NumQubits,
 		Waited: j.started.Sub(j.submitted),
 	}
-	rep := &core.SweepReport{Points: make([]core.SweepPoint, 0, len(req.Sweep.Bindings))}
 	j.trace.Begin(stageCompile)
+	width, release := s.widen(req.Options.Workers)
+	defer release()
 
-	// The sweep shapes differ only in how one binding becomes a source.
-	var point func(env map[string]float64) (source, error)
-	var plan *noise.Plan // nil for ideal sweeps
-	var run noise.RunConfig
-	workers := req.Options.Workers
+	var eng core.SweepEngine
+	compiles := 0
 	if !req.Noise.IsZero() {
-		var release func()
-		workers, release = s.widenTrajectories()
-		defer release()
-		run = req.Readouts.NoisyRunConfig(workers)
 		var err error
-		if plan, res.CacheHit, err = s.noisePlanFor(j); err != nil {
+		if eng.Plan, res.CacheHit, err = s.noisePlanFor(j); err != nil {
 			return nil, err
 		}
 		if !res.CacheHit {
-			rep.Compiles++
+			compiles++
 		}
 	}
-	if plan != nil && !plan.NoiseFree() {
+	if eng.Plan != nil && !eng.Plan.NoiseFree() {
 		res.Backend = BackendTrajectory
-		point = func(env map[string]float64) (source, error) {
-			bound, err := plan.Specialize(env)
-			if err != nil {
-				return source{}, err
-			}
-			ens, err := s.runEnsemble(j, bound, run)
-			return source{ens: ens}, err
-		}
 	} else {
 		tpl, hit, err := s.templateFor(j)
 		if err != nil {
 			return nil, err
 		}
 		if !hit {
-			rep.Compiles++
+			compiles++
 		}
-		if plan == nil {
+		if eng.Plan == nil {
 			res.CacheHit = hit
 		}
-		rep.TouchedBlocks = tpl.TouchedBlocks()
-		rep.SharedBlocks = len(tpl.Blocks) - tpl.TouchedBlocks()
-		// One state serves every point: each point's read-outs are taken
-		// before the next binding is replayed into it.
-		st := sv.NewState(tpl.N)
-		st.Workers = workers
-		point = func(env map[string]float64) (source, error) {
-			err := tpl.Replay(st, env)
-			if err != nil || plan == nil {
-				return source{entry: &cacheEntry{state: st}}, err
-			}
-			// Zero-effect model: ideal template runs with readout error
-			// applied at sampling, mirroring the concrete-circuit fast path.
-			ens, err := noise.RunEnsembleFromState(j.ctx, st, plan.Readout(), run)
-			return source{ens: ens}, err
-		}
+		eng.Template = tpl
 	}
 	s.setBackend(j, res.Backend)
 	j.trace.Begin(stageExecute)
-	for i, env := range req.Sweep.Bindings {
-		if err := j.ctx.Err(); err != nil {
-			return nil, err
-		}
-		src, err := point(env)
-		if err != nil {
-			return nil, fmt.Errorf("binding %d: %w", i, err)
-		}
-		if src.ens != nil {
-			rep.Trajectories = src.ens.Trajectories
-		}
-		rep.Points = append(rep.Points, core.SweepPoint{Binding: env, Readouts: src.readouts(req.Readouts)})
+	rep, err := core.RunSweep(j.ctx, eng, req.Readouts, req.Sweep.Bindings, width)
+	if err != nil {
+		return nil, err
 	}
+	if eng.Template == nil {
+		s.m.trajectories.Add(int64(rep.Trajectories) * int64(rep.Points))
+	}
+	rep.Compiles = compiles
 	rep.Elapsed = time.Since(start)
 	res.Sweep = rep
 	res.Trajectories = rep.Trajectories

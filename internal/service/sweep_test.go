@@ -52,8 +52,8 @@ func TestSweep50BindingsOneCompile(t *testing.T) {
 	if res.Sweep == nil || res.Sweep.Compiles != 1 {
 		t.Fatalf("result compiles = %+v, want 1", res.Sweep)
 	}
-	if len(res.Sweep.Points) != 50 {
-		t.Fatalf("points = %d, want 50", len(res.Sweep.Points))
+	if res.Sweep.Points != 50 {
+		t.Fatalf("points = %d, want 50", res.Sweep.Points)
 	}
 	if res.Sweep.TouchedBlocks == 0 || res.Sweep.SharedBlocks == 0 {
 		t.Fatalf("block ledger: touched=%d shared=%d, want both > 0",
@@ -61,7 +61,7 @@ func TestSweep50BindingsOneCompile(t *testing.T) {
 	}
 	// Differential: spot-check points against one-off concrete evaluations.
 	for _, i := range []int{0, 17, 49} {
-		p := res.Sweep.Points[i]
+		p := res.Sweep.Point(i)
 		bound, err := c.Bind(p.Binding)
 		if err != nil {
 			t.Fatal(err)
@@ -247,7 +247,8 @@ func TestSweepNoisyService(t *testing.T) {
 	if res.Sweep.Trajectories != 48 {
 		t.Fatalf("trajectories = %d", res.Sweep.Trajectories)
 	}
-	for i, p := range res.Sweep.Points {
+	for i := range bindings {
+		p := res.Sweep.Point(i)
 		bound, err := c.Bind(bindings[i])
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package sv
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -87,7 +88,7 @@ func (s *State) ExpectationPauliZString(qubits []int) float64 {
 	e := 0.0
 	for i, amp := range s.Amps {
 		p := real(amp)*real(amp) + imag(amp)*imag(amp)
-		if parity(i & mask) {
+		if Parity(i & mask) {
 			e -= p
 		} else {
 			e += p
@@ -96,14 +97,35 @@ func (s *State) ExpectationPauliZString(qubits []int) float64 {
 	return e
 }
 
-func parity(x int) bool {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
+// ExpectationZMasks returns Σ_i (−1)^{popcount(i & mask)}·|a_i|² for every
+// mask — the value of ExpectationPauliZString for the Z-string whose qubits
+// are the mask's set bits (PauliString.Masks folds a Z/I-only string to its
+// sign mask) — from ONE pass over the amplitudes: |a_i|² is computed once
+// and added to or subtracted from every term's accumulator in index order.
+// Those are the additions ExpectationPauliZString performs, in its order, so
+// each value is bit-identical to the per-string kernel's (x − p and x + (−p)
+// are the same IEEE operation; the sign is applied by flipping p's sign bit,
+// which keeps the loop free of unpredictable branches). A read-out of k
+// diagonal terms costs one read of the state instead of k.
+func (s *State) ExpectationZMasks(masks []int) []float64 {
+	out := make([]float64, len(masks))
+	if len(masks) == 0 {
+		return out
 	}
-	return n%2 == 1
+	for i, amp := range s.Amps {
+		p := math.Float64bits(real(amp)*real(amp) + imag(amp)*imag(amp))
+		for k, m := range masks {
+			odd := uint64(bits.OnesCount64(uint64(i&m))) & 1
+			out[k] += math.Float64frombits(p ^ odd<<63)
+		}
+	}
+	return out
 }
+
+// Parity reports whether x has an odd number of set bits: the sign
+// (−1)^{popcount} every Z-type read-out applies per basis index, here, in
+// the Pauli-string kernel and in the density-matrix engine.
+func Parity(x int) bool { return bits.OnesCount64(uint64(x))&1 == 1 }
 
 // Normalize rescales the amplitudes to unit norm (useful after numerical
 // drift in long circuits); returns the pre-normalization norm.

@@ -153,6 +153,53 @@ func TestExpectationPauliZStringRepeatedQubits(t *testing.T) {
 	}
 }
 
+// TestExpectationZMasksEqualsPerStringKernel: the one-pass kernel's value
+// for every term is == the per-string kernel's — same additions in the same
+// order — on random states of 3…16 qubits (a few amplitudes zeroed, so ±0
+// terms occur), including repeated qubits (Z² = I), the empty string and no
+// terms at all; and it allocates the result slice, nothing else.
+func TestExpectationZMasksEqualsPerStringKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for n := 3; n <= 16; n++ {
+		s := randomState(n, int64(n))
+		for k := 0; k < 4; k++ {
+			s.Amps[rng.Intn(len(s.Amps))] = 0
+		}
+		strings := [][]int{{}, {0}, {n - 1}, {0, 0}, {0, 1, 0}, {1, 2, n - 1, 1}}
+		for k := 0; k < 12; k++ {
+			var qs []int
+			for len(qs) < 1+rng.Intn(n+2) {
+				qs = append(qs, rng.Intn(n))
+			}
+			strings = append(strings, qs)
+		}
+		masks := make([]int, len(strings))
+		for k, qs := range strings {
+			ops := make([]byte, len(qs))
+			for j := range ops {
+				ops[j] = 'Z'
+			}
+			flip, sign, _ := PauliString{Ops: string(ops), Qubits: qs}.Masks()
+			if flip != 0 {
+				t.Fatalf("Z string %v has flip mask %b", qs, flip)
+			}
+			masks[k] = sign
+		}
+		got := s.ExpectationZMasks(masks)
+		for k, qs := range strings {
+			if want := s.ExpectationPauliZString(qs); got[k] != want || math.Signbit(got[k]) != math.Signbit(want) {
+				t.Fatalf("n=%d string %v: one pass %x, per-string kernel %x", n, qs, got[k], want)
+			}
+		}
+		if none := s.ExpectationZMasks(nil); len(none) != 0 {
+			t.Fatalf("no terms gave %v", none)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { s.ExpectationZMasks(masks) }); allocs != 1 {
+			t.Fatalf("n=%d: %v allocations per call, want 1 (the result slice)", n, allocs)
+		}
+	}
+}
+
 func TestSampleSeededDeterminism(t *testing.T) {
 	c := circuit.Random(6, 40, 11)
 	s, err := Run(c)

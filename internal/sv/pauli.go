@@ -203,7 +203,7 @@ func (s *State) ExpectationPauliString(p PauliString) float64 {
 		if useIm {
 			v = real(b)*imag(a) - imag(b)*real(a)
 		}
-		if parity(i & sign) {
+		if Parity(i & sign) {
 			acc -= v
 		} else {
 			acc += v

@@ -41,6 +41,12 @@ func NewState(n int) *State {
 	return s
 }
 
+// Reset returns the state to |0…0⟩ in place.
+func (s *State) Reset() {
+	clear(s.Amps)
+	s.Amps[0] = 1
+}
+
 // NewStateRaw wraps existing amplitudes (length must be a power of two).
 func NewStateRaw(amps []complex128) *State {
 	n := 0

@@ -105,16 +105,20 @@ obs-bench:
 	$(GO) run ./cmd/benchtables -only obs -obs-in $(BENCH_DIR)/BENCH_obs.txt -obs-out $(BENCH_DIR)/BENCH_obs.json
 
 # Runs the repository benchmark (BENCHMARK.json, ./benchmark) at unit-test
-# scale: both cold workloads traced, the two ensemble workloads, whose
-# checks are the seeded reproduction of every noisy job and the bit-identical
-# cluster merge, and the sweep workload, which checks 9-point tables against
-# the flat reference and that the template compiled exactly once. A change to
-# an API the benchmark calls, or a failed check, fails here instead of in the
-# acceptance run. The numbers are not gated — the process exits nonzero on
-# any failed check.
+# scale, all seven workloads: both cold ones traced, the two cached-circuit
+# ones, whose checks are every shot accounted for, the observable on the flat
+# reference and (hot) a cache hit on every timed job, the two ensemble ones,
+# whose checks are the seeded reproduction of every noisy job and the
+# bit-identical cluster merge, and the sweep one, which checks 9-point tables
+# against the flat reference and that the template compiled exactly once. A
+# change to an API the benchmark calls, or a failed check, fails here instead
+# of in the acceptance run. The numbers are not gated — the process exits
+# nonzero on any failed check.
 benchmark-smoke:
 	$(GO) run ./benchmark -workload cold-default -toy -seconds 1 -trace 1
 	$(GO) run ./benchmark -workload cold-hier -toy -seconds 1 -trace 1
+	$(GO) run ./benchmark -workload service-hot -toy -seconds 1
+	$(GO) run ./benchmark -workload service-churn -toy -seconds 1
 	$(GO) run ./benchmark -workload service-noisy -toy -seconds 1
 	$(GO) run ./benchmark -workload cluster-fanout -toy -seconds 1
 	$(GO) run ./benchmark -workload service-sweep -toy -seconds 1

@@ -456,35 +456,29 @@ func runNoisy(c *hisvsim.Circuit, opts hisvsim.Options, traj, shots int, zString
 	for k, st := range ens.Observables {
 		fmt.Printf("  observable %s = %.6f ± %.6f\n", obs[k], st.Mean, st.StdErr)
 	}
-	printTopCounts(c, ens.Counts, ens.Shots)
+	counts := make(hisvsim.Histogram, 0, len(ens.Counts))
+	for b, n := range ens.Counts {
+		counts = append(counts, hisvsim.Outcome{Basis: b, N: n})
+	}
+	printTopCounts(c, counts, ens.Shots)
 }
 
-// printTopCounts prints the 8 most frequent sampled outcomes.
-func printTopCounts(c *hisvsim.Circuit, counts map[int]int, shots int) {
+// printTopCounts prints the 8 most frequent sampled outcomes (it reorders
+// counts).
+func printTopCounts(c *hisvsim.Circuit, counts hisvsim.Histogram, shots int) {
 	if len(counts) == 0 {
 		return
 	}
-	type kv struct {
-		basis int
-		n     int
-	}
-	top := make([]kv, 0, len(counts))
-	for b, n := range counts {
-		top = append(top, kv{b, n})
-	}
-	sort.Slice(top, func(i, j int) bool {
-		if top[i].n != top[j].n {
-			return top[i].n > top[j].n
+	sort.Slice(counts, func(i, j int) bool {
+		if counts[i].N != counts[j].N {
+			return counts[i].N > counts[j].N
 		}
-		return top[i].basis < top[j].basis
+		return counts[i].Basis < counts[j].Basis
 	})
-	if len(top) > 8 {
-		top = top[:8]
-	}
 	fmt.Println("  top outcomes:")
-	for _, e := range top {
-		fmt.Printf("    |%0*b⟩ %6d  (%.4f)\n", c.NumQubits, e.basis, e.n,
-			float64(e.n)/float64(shots))
+	for _, oc := range counts[:min(len(counts), 8)] {
+		fmt.Printf("    |%0*b⟩ %6d  (%.4f)\n", c.NumQubits, oc.Basis, oc.N,
+			float64(oc.N)/float64(shots))
 	}
 }
 

@@ -309,6 +309,13 @@ type ObservableValue = core.ObservableValue
 // Readouts bundles every read-out a ReadoutSpec produced.
 type Readouts = core.Readouts
 
+// Histogram is Readouts.Counts: the sampled outcomes ascending by basis
+// index, each Outcome a basis state with the number of shots that drew it.
+type (
+	Histogram = core.Histogram
+	Outcome   = core.Outcome
+)
+
 // DensityMatrix is an exact n-qubit density matrix ρ — the "dm" backend's
 // execution artifact (RunReport.Density). Probabilities, marginals,
 // Tr(ρP) observables, purity and seeded sampling read directly from it.

@@ -66,11 +66,12 @@ func mergeEnsemble(subs []*subjob) (json.RawMessage, error) {
 			names = p.Observables
 		}
 		foldHeader(out, &p)
-		if p.Counts != nil && out.Counts == nil {
-			out.Counts = make(map[string]int)
-		}
-		for bits, n := range p.Counts {
-			out.Counts[bits] += n
+		switch {
+		case p.Counts == nil:
+		case out.Counts == nil:
+			out.Counts = p.Counts
+		default:
+			out.Counts.Outcomes = out.Counts.Outcomes.Add(p.Counts.Outcomes)
 		}
 		for _, ch := range p.Moments.Chunks {
 			moments = append(moments, noise.Moment{

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -78,10 +79,8 @@ func TestEvaluateDMMatchesIdealReadouts(t *testing.T) {
 			t.Fatalf("sample %d: dm %d vs flat %d (same seed must draw identically)", i, got.Samples[i], want.Samples[i])
 		}
 	}
-	for basis, n := range want.Counts {
-		if got.Counts[basis] != n {
-			t.Fatalf("counts[%d]: dm %d vs flat %d", basis, got.Counts[basis], n)
-		}
+	if !reflect.DeepEqual(got.Counts, want.Counts) {
+		t.Fatalf("counts: dm %v vs flat %v", got.Counts, want.Counts)
 	}
 }
 

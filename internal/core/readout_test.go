@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"hisvsim/internal/circuit"
@@ -71,8 +73,8 @@ func TestEvaluateMatchesSingleReadouts(t *testing.T) {
 		t.Fatalf("amplitudes: got %d", len(rep.Amplitudes))
 	}
 	total := 0
-	for _, n := range rep.Counts {
-		total += n
+	for _, oc := range rep.Counts {
+		total += oc.N
 	}
 	if total != 200 || len(rep.Samples) != 200 {
 		t.Fatalf("shots: %d samples, counts sum %d", len(rep.Samples), total)
@@ -228,4 +230,41 @@ func TestEvaluateZeroNoiseIsIdeal(t *testing.T) {
 // (IsZero must hold so Evaluate takes the ideal branch).
 func zeroModelNoReadout() *noise.Model {
 	return noise.NewModel(noise.Rule{Channel: noise.Depolarizing(0)})
+}
+
+// TestHistogramForms: sort + run-length of the samples, the ordered form of
+// a map tally and the sum of the two halves' histograms are one histogram —
+// ascending, one outcome per basis, nothing spare behind it.
+func TestHistogramForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	samples := make([]int, 500)
+	tally, low, high := map[int]int{}, map[int]int{}, map[int]int{}
+	for i := range samples {
+		x := rng.Intn(64) * rng.Intn(64)
+		samples[i] = x
+		tally[x]++
+		if i < 200 {
+			low[x]++
+		} else {
+			high[x]++
+		}
+	}
+	h := histogramOf(samples)
+	if len(h) != len(tally) || cap(h) != len(h) {
+		t.Fatalf("%d outcomes in a slice of %d, want %d", len(h), cap(h), len(tally))
+	}
+	for i, oc := range h {
+		if oc.N != tally[oc.Basis] || (i > 0 && oc.Basis <= h[i-1].Basis) {
+			t.Fatalf("outcome %d = %+v, tally says %d", i, oc, tally[oc.Basis])
+		}
+	}
+	if !reflect.DeepEqual(h, HistogramFromMap(tally)) {
+		t.Fatal("HistogramFromMap(tally) differs from histogramOf(samples)")
+	}
+	if sum := HistogramFromMap(low).Add(HistogramFromMap(high)); !reflect.DeepEqual(sum, h) {
+		t.Fatalf("sum of the halves differs: %v vs %v", sum, h)
+	}
+	if HistogramFromMap(nil) != nil || len(histogramOf(nil)) != 0 {
+		t.Fatal("no samples must stay no histogram")
+	}
 }

@@ -199,10 +199,11 @@ func privateReadouts(t *testing.T, tpl *fuse.Template, env map[string]float64, s
 	}
 	if spec.Shots > 0 {
 		out.Samples = sv.NewSampler(st).Sample(spec.Shots, rand.New(rand.NewSource(spec.Seed)))
-		out.Counts = map[int]int{}
+		tally := map[int]int{}
 		for _, x := range out.Samples {
-			out.Counts[x]++
+			tally[x]++
 		}
+		out.Counts = HistogramFromMap(tally)
 	}
 	for _, qs := range spec.Marginals {
 		out.Marginals = append(out.Marginals, st.Marginal(qs))

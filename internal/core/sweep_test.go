@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -161,10 +162,8 @@ func TestSweepNoisyMatchesConcrete(t *testing.T) {
 		if math.Abs(p.Readouts.Observables[0].Value-want.Observables[0].Value) > 1e-9 {
 			t.Fatalf("point %d noisy ⟨ZZ⟩: %v vs %v", i, p.Readouts.Observables[0].Value, want.Observables[0].Value)
 		}
-		for b, n := range want.Counts {
-			if p.Readouts.Counts[b] != n {
-				t.Fatalf("point %d counts differ at basis %d", i, b)
-			}
+		if !reflect.DeepEqual(p.Readouts.Counts, want.Counts) {
+			t.Fatalf("point %d counts differ: %v vs %v", i, p.Readouts.Counts, want.Counts)
 		}
 	}
 }

@@ -5,13 +5,18 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"time"
 
 	"hisvsim/internal/bench"
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/core"
+	"hisvsim/internal/qasm"
 	"hisvsim/internal/service"
 )
 
@@ -84,6 +89,9 @@ type ServiceReport struct {
 
 	Throughput  []ServiceThroughputRow `json:"throughput"`
 	Simulations int64                  `json:"simulations"` // across the whole benchmark
+	// Parses counts the programs the HTTP submit path parsed over WarmBatch
+	// submits of one QASM text: the distinct programs, 1.
+	Parses int64 `json:"parses"`
 }
 
 // ServiceBench measures the service layer end to end. The cold number is a
@@ -137,6 +145,10 @@ func ServiceBench(cfg ServiceConfig) (*ServiceReport, error) {
 	}
 	rep.WarmMS = time.Since(start).Seconds() * 1e3 / float64(cfg.WarmRequests)
 	rep.HitSpeedup = safeDiv(rep.ColdMS, rep.WarmMS)
+	if rep.Parses, err = httpParses(ctx, svc, qasm.Write(c), cfg); err != nil {
+		svc.Close()
+		return nil, err
+	}
 	rep.Simulations += svc.Stats().Simulations
 	svc.Close()
 
@@ -176,6 +188,35 @@ func ServiceBench(cfg ServiceConfig) (*ServiceReport, error) {
 	return rep, nil
 }
 
+// httpParses submits cfg.WarmRequests differently-seeded sample jobs for one
+// program text through the service's HTTP handler and returns how many times
+// the submit path parsed it.
+func httpParses(ctx context.Context, svc *service.Service, src string, cfg ServiceConfig) (int64, error) {
+	h := service.NewHandler(svc)
+	for i := 1; i <= cfg.WarmRequests; i++ {
+		body, err := json.Marshal(map[string]any{
+			"circuit": map[string]string{"qasm": src}, "kind": "run",
+			"readouts": map[string]any{"shots": cfg.Shots, "seed": i},
+			"options":  map[string]any{"strategy": cfg.Strategy, "seed": cfg.Seed},
+		})
+		if err != nil {
+			return 0, err
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		var acc struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &acc); err != nil || rec.Code != http.StatusAccepted {
+			return 0, fmt.Errorf("service bench: HTTP submit %d: %d %s", i, rec.Code, rec.Body)
+		}
+		if _, err := svc.Wait(ctx, acc.ID); err != nil {
+			return 0, err
+		}
+	}
+	return svc.Metrics().Counter("hisvsim_program_cache_misses_total", "").Value(), nil
+}
+
 // Table renders the report as the benchtables ASCII tables.
 func (r *ServiceReport) Table() *bench.Table {
 	t := bench.NewTable(fmt.Sprintf("Service: %s-%d, %d shots (%s)",
@@ -188,12 +229,14 @@ func (r *ServiceReport) Table() *bench.Table {
 		t.AddRow(fmt.Sprintf("jobs/sec @ %d workers", row.Workers), row.JobsPerSec)
 	}
 	t.AddRow("simulations", r.Simulations)
+	t.AddRow("programs parsed (HTTP)", r.Parses)
 	return t
 }
 
 // Normalize flattens the report into the comparable BENCH schema. The
 // simulation count is deterministic under the fixed config (one cold miss
-// plus one cache prime per worker-sweep point), so it gates exactly.
+// plus one cache prime per worker-sweep point), so it gates exactly, and so
+// does the parse count (one program text, however often it is submitted).
 func (r *ServiceReport) Normalize() (*bench.Report, error) {
 	rep, err := bench.NewReport("service", r)
 	if err != nil {
@@ -208,6 +251,7 @@ func (r *ServiceReport) Normalize() (*bench.Report, error) {
 			row.JobsPerSec, "jobs/s", bench.BetterHigher, tolTime)
 	}
 	rep.Add(p+"simulations", float64(r.Simulations), "count", bench.BetterExact, 0)
+	rep.Add(p+"parses", float64(r.Parses), "count", bench.BetterExact, 0)
 	return rep, nil
 }
 

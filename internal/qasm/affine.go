@@ -115,5 +115,7 @@ func paramOf(e expr) (gate.Param, error) {
 	if sym == "" {
 		return gate.Lit(off), nil
 	}
-	return gate.Affine(scale, sym, off), nil
+	// off+0 turns a −0 offset into +0: -2*g and 0-2*g are one template (the
+	// first folds to offset 0·(−2) = −0), and the fingerprint hashes the bits.
+	return gate.Affine(scale, sym, off+0), nil
 }

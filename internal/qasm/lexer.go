@@ -129,19 +129,3 @@ scan:
 func isIdentChar(c byte) bool {
 	return unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c)) || c == '_'
 }
-
-// tokenize scans the whole source.
-func tokenize(src string) ([]token, error) {
-	l := newLexer(src)
-	var out []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.kind == tokEOF {
-			return out, nil
-		}
-	}
-}

@@ -31,13 +31,22 @@ type Program struct {
 // parameter expressions, register broadcast, barrier and measure. The
 // unsupported statements (if, reset, opaque) yield errors.
 func Parse(src string) (*Program, error) {
-	toks, err := tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, prog: &Program{CRegs: map[string]int{}},
+	p := &parser{lex: newLexer(src), prog: &Program{CRegs: map[string]int{}},
 		qregs: map[string]qreg{}, userGates: map[string]*gateDef{}}
-	if err := p.run(); err != nil {
+	p.tok = p.scan()
+	err := p.run()
+	if err != nil {
+		// A character the lexer rejects anywhere in the source is reported
+		// before any error of the grammar, as when the source was tokenized
+		// up front.
+		for p.tok.kind != tokEOF {
+			p.tok = p.scan()
+		}
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	if err != nil {
 		return nil, err
 	}
 	return p.prog, nil
@@ -57,6 +66,21 @@ func ParseToCircuit(src string) (*circuit.Circuit, error) {
 // analysis of wide circuits.
 const MaxQubits = 1 << 16
 
+// MaxGates bounds the gate applications a program expands to (user gates
+// count, with every statement of their bodies), and maxGateNesting how deep
+// user gates may call one another: a definition costs a line to write, but k
+// doubling definitions expand to 2^k applications and a gate naming itself
+// never stops, so both are errors before they are time or memory.
+const (
+	MaxGates       = 1 << 20
+	maxGateNesting = 64
+)
+
+// maxExprDepth bounds parenthesis, call and ^ nesting in an angle expression:
+// the expression parser recurses per level, and a request body of open
+// parentheses must be an error, not a stack the runtime refuses to grow.
+const maxExprDepth = 256
+
 type qreg struct {
 	offset, size int
 }
@@ -73,20 +97,36 @@ type bodyStmt struct {
 	qargs  []string // names referencing the enclosing def's qargs
 }
 
+// parser reads the source one token ahead: a token is 32 bytes for a byte
+// or two of source, so a materialized token list would be the largest thing
+// a parse allocates.
 type parser struct {
-	toks      []token
-	pos       int
+	lex       *lexer
+	tok       token // the lookahead
+	lexErr    error // the lexer's first error; the lookahead is then EOF
 	prog      *Program
 	qregs     map[string]qreg
 	nextQubit int
 	userGates map[string]*gateDef
+	emits     int // emit calls so far, bounded by MaxGates
+	exprDepth int // live expression recursion, bounded by maxExprDepth
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+func (p *parser) peek() token { return p.tok }
 func (p *parser) advance() token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.kind != tokEOF {
-		p.pos++
+		p.tok = p.scan()
+	}
+	return t
+}
+
+// scan lexes the next token; a lexer error ends the token stream.
+func (p *parser) scan() token {
+	t, err := p.lex.next()
+	if err != nil {
+		p.lexErr = err
+		return token{kind: tokEOF, line: p.lex.line}
 	}
 	return t
 }
@@ -493,7 +533,7 @@ func (p *parser) parseApplication() error {
 				qubits[i] = a.reg.offset + a.idx
 			}
 		}
-		if err := p.emit(name, name.text, params, qubits); err != nil {
+		if err := p.emit(name, name.text, params, qubits, 0); err != nil {
 			return err
 		}
 	}
@@ -504,8 +544,14 @@ func (p *parser) parseApplication() error {
 // Symbolic params survive on builtin parametric gates (they attach as a
 // gate.Args overlay); user-defined gates evaluate their bodies numerically
 // and therefore only accept concrete angles.
-func (p *parser) emit(tok token, name string, params []gate.Param, qubits []int) error {
+func (p *parser) emit(tok token, name string, params []gate.Param, qubits []int, depth int) error {
+	if p.emits++; p.emits > MaxGates {
+		return p.errorf(tok, "program expands to more than %d gate applications", MaxGates)
+	}
 	if def, ok := p.userGates[name]; ok {
+		if depth == maxGateNesting {
+			return p.errorf(tok, "gate %q nests more than %d definitions deep (does it call itself?)", name, maxGateNesting)
+		}
 		if len(params) != len(def.params) {
 			return p.errorf(tok, "gate %q wants %d params, got %d", name, len(def.params), len(params))
 		}
@@ -537,7 +583,7 @@ func (p *parser) emit(tok token, name string, params []gate.Param, qubits []int)
 			for i, qn := range stmt.qargs {
 				qs[i] = qmap[qn]
 			}
-			if err := p.emit(tok, stmt.name, sub, qs); err != nil {
+			if err := p.emit(tok, stmt.name, sub, qs, depth+1); err != nil {
 				return err
 			}
 		}
@@ -549,6 +595,12 @@ func (p *parser) emit(tok token, name string, params []gate.Param, qubits []int)
 		vals[i] = prm.Placeholder()
 		if prm.Symbolic() {
 			symbolic = true
+		}
+		// A NaN or ±Inf angle is a NaN state, and neither has a QASM spelling.
+		for _, v := range [...]float64{prm.Value, prm.Scale, prm.Offset} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return p.errorf(tok, "gate %q: parameter %d is not finite", name, i)
+			}
 		}
 	}
 	g, err := builtinGate(name, vals, qubits)
@@ -565,19 +617,22 @@ func (p *parser) emit(tok token, name string, params []gate.Param, qubits []int)
 	return nil
 }
 
+// builtinArity is the qelib1 vocabulary: name → {angle parameters, qubits}.
+// It is the one arity check builtinGate makes before indexing either list.
+var builtinArity = map[string][2]int{
+	"id": {0, 1}, "x": {0, 1}, "y": {0, 1}, "z": {0, 1}, "h": {0, 1},
+	"s": {0, 1}, "sdg": {0, 1}, "t": {0, 1}, "tdg": {0, 1}, "sx": {0, 1},
+	"rx": {1, 1}, "ry": {1, 1}, "rz": {1, 1}, "p": {1, 1}, "u1": {1, 1},
+	"u2": {2, 1}, "u3": {3, 1}, "u": {3, 1}, "U": {3, 1},
+	"cx": {0, 2}, "CX": {0, 2}, "cy": {0, 2}, "cz": {0, 2}, "ch": {0, 2},
+	"swap": {0, 2}, "cp": {1, 2}, "cu1": {1, 2}, "crx": {1, 2},
+	"cry": {1, 2}, "crz": {1, 2}, "cu3": {3, 2}, "rzz": {1, 2},
+	"ccx": {0, 3}, "cswap": {0, 3},
+}
+
 // builtinGate maps a qelib1 name to an internal gate.Gate.
 func builtinGate(name string, params []float64, qubits []int) (gate.Gate, error) {
-	arity := map[string][2]int{
-		"id": {0, 1}, "x": {0, 1}, "y": {0, 1}, "z": {0, 1}, "h": {0, 1},
-		"s": {0, 1}, "sdg": {0, 1}, "t": {0, 1}, "tdg": {0, 1}, "sx": {0, 1},
-		"rx": {1, 1}, "ry": {1, 1}, "rz": {1, 1}, "p": {1, 1}, "u1": {1, 1},
-		"u2": {2, 1}, "u3": {3, 1}, "u": {3, 1}, "U": {3, 1},
-		"cx": {0, 2}, "CX": {0, 2}, "cy": {0, 2}, "cz": {0, 2}, "ch": {0, 2},
-		"swap": {0, 2}, "cp": {1, 2}, "cu1": {1, 2}, "crx": {1, 2},
-		"cry": {1, 2}, "crz": {1, 2}, "cu3": {3, 2}, "rzz": {1, 2},
-		"ccx": {0, 3}, "cswap": {0, 3},
-	}
-	want, known := arity[name]
+	want, known := builtinArity[name]
 	if !known {
 		return gate.Gate{}, fmt.Errorf("unknown gate %q", name)
 	}
@@ -587,102 +642,65 @@ func builtinGate(name string, params []float64, qubits []int) (gate.Gate, error)
 	if len(qubits) != want[1] {
 		return gate.Gate{}, fmt.Errorf("gate %q wants %d qubits, got %d", name, want[1], len(qubits))
 	}
-	need := func(np, nq int) error { return nil }
 	switch name {
 	case "id":
-		return gate.ID(qubits[0]), need(0, 1)
+		return gate.ID(qubits[0]), nil
 	case "x":
-		return gate.X(qubits[0]), need(0, 1)
+		return gate.X(qubits[0]), nil
 	case "y":
-		return gate.Y(qubits[0]), need(0, 1)
+		return gate.Y(qubits[0]), nil
 	case "z":
-		return gate.Z(qubits[0]), need(0, 1)
+		return gate.Z(qubits[0]), nil
 	case "h":
-		return gate.H(qubits[0]), need(0, 1)
+		return gate.H(qubits[0]), nil
 	case "s":
-		return gate.S(qubits[0]), need(0, 1)
+		return gate.S(qubits[0]), nil
 	case "sdg":
-		return gate.Sdg(qubits[0]), need(0, 1)
+		return gate.Sdg(qubits[0]), nil
 	case "t":
-		return gate.T(qubits[0]), need(0, 1)
+		return gate.T(qubits[0]), nil
 	case "tdg":
-		return gate.Tdg(qubits[0]), need(0, 1)
+		return gate.Tdg(qubits[0]), nil
 	case "sx":
-		return gate.SX(qubits[0]), need(0, 1)
+		return gate.SX(qubits[0]), nil
 	case "rx":
-		if err := need(1, 1); err != nil {
-			return gate.Gate{}, err
-		}
 		return gate.RX(params[0], qubits[0]), nil
 	case "ry":
-		if err := need(1, 1); err != nil {
-			return gate.Gate{}, err
-		}
 		return gate.RY(params[0], qubits[0]), nil
 	case "rz":
-		if err := need(1, 1); err != nil {
-			return gate.Gate{}, err
-		}
 		return gate.RZ(params[0], qubits[0]), nil
 	case "p", "u1":
-		if err := need(1, 1); err != nil {
-			return gate.Gate{}, err
-		}
 		return gate.P(params[0], qubits[0]), nil
 	case "u2":
-		if err := need(2, 1); err != nil {
-			return gate.Gate{}, err
-		}
 		return gate.U2(params[0], params[1], qubits[0]), nil
 	case "u3", "u", "U":
-		if err := need(3, 1); err != nil {
-			return gate.Gate{}, err
-		}
 		return gate.U3(params[0], params[1], params[2], qubits[0]), nil
 	case "cx", "CX":
-		return gate.CX(qubits[0], qubits[1]), need(0, 2)
+		return gate.CX(qubits[0], qubits[1]), nil
 	case "cy":
-		return gate.CY(qubits[0], qubits[1]), need(0, 2)
+		return gate.CY(qubits[0], qubits[1]), nil
 	case "cz":
-		return gate.CZ(qubits[0], qubits[1]), need(0, 2)
+		return gate.CZ(qubits[0], qubits[1]), nil
 	case "ch":
-		return gate.CH(qubits[0], qubits[1]), need(0, 2)
+		return gate.CH(qubits[0], qubits[1]), nil
 	case "swap":
-		return gate.SWAP(qubits[0], qubits[1]), need(0, 2)
+		return gate.SWAP(qubits[0], qubits[1]), nil
 	case "cp", "cu1":
-		if err := need(1, 2); err != nil {
-			return gate.Gate{}, err
-		}
 		return gate.CP(params[0], qubits[0], qubits[1]), nil
 	case "crx":
-		if err := need(1, 2); err != nil {
-			return gate.Gate{}, err
-		}
 		return gate.CRX(params[0], qubits[0], qubits[1]), nil
 	case "cry":
-		if err := need(1, 2); err != nil {
-			return gate.Gate{}, err
-		}
 		return gate.CRY(params[0], qubits[0], qubits[1]), nil
 	case "crz":
-		if err := need(1, 2); err != nil {
-			return gate.Gate{}, err
-		}
 		return gate.CRZ(params[0], qubits[0], qubits[1]), nil
 	case "cu3":
-		if err := need(3, 2); err != nil {
-			return gate.Gate{}, err
-		}
 		return gate.CU3(params[0], params[1], params[2], qubits[0], qubits[1]), nil
 	case "rzz":
-		if err := need(1, 2); err != nil {
-			return gate.Gate{}, err
-		}
 		return gate.RZZ(params[0], qubits[0], qubits[1]), nil
 	case "ccx":
-		return gate.CCX(qubits[0], qubits[1], qubits[2]), need(0, 3)
+		return gate.CCX(qubits[0], qubits[1], qubits[2]), nil
 	case "cswap":
-		return gate.CSWAP(qubits[0], qubits[1], qubits[2]), need(0, 3)
+		return gate.CSWAP(qubits[0], qubits[1], qubits[2]), nil
 	default:
 		return gate.Gate{}, fmt.Errorf("unknown gate %q", name)
 	}
@@ -832,6 +850,11 @@ func (p *parser) parseMultiplicative(kp []string) (expr, error) {
 }
 
 func (p *parser) parsePower(kp []string) (expr, error) {
+	// Every nesting — parentheses, calls, a ^ chain — recurses through here.
+	if p.exprDepth++; p.exprDepth > maxExprDepth {
+		return nil, p.errorf(p.peek(), "expression nests deeper than %d levels", maxExprDepth)
+	}
+	defer func() { p.exprDepth-- }()
 	l, err := p.parseUnary(kp)
 	if err != nil {
 		return nil, err
@@ -848,21 +871,19 @@ func (p *parser) parsePower(kp []string) (expr, error) {
 	return l, nil
 }
 
+// parseUnary folds a run of signs into at most one negation (−−x is x, bit
+// for bit), so a run of any length costs no stack.
 func (p *parser) parseUnary(kp []string) (expr, error) {
-	t := p.peek()
-	if t.kind == tokSymbol && t.text == "-" {
+	neg := false
+	for t := p.peek(); t.kind == tokSymbol && (t.text == "-" || t.text == "+"); t = p.peek() {
 		p.advance()
-		x, err := p.parseUnary(kp)
-		if err != nil {
-			return nil, err
-		}
-		return unaryExpr{op: '-', x: x}, nil
+		neg = neg != (t.text == "-")
 	}
-	if t.kind == tokSymbol && t.text == "+" {
-		p.advance()
-		return p.parseUnary(kp)
+	x, err := p.parseAtom(kp)
+	if err != nil || !neg {
+		return x, err
 	}
-	return p.parseAtom(kp)
+	return unaryExpr{op: '-', x: x}, nil
 }
 
 func (p *parser) parseAtom(kp []string) (expr, error) {

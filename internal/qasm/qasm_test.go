@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -277,6 +278,22 @@ func TestWriteGrover(t *testing.T) {
 	}
 }
 
+// tokenize scans the whole source.
+func tokenize(src string) ([]token, error) {
+	l := newLexer(src)
+	var out []token
+	for {
+		t, err := l.next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.kind == tokEOF {
+			return out, nil
+		}
+	}
+}
+
 func TestLexerErrors(t *testing.T) {
 	if _, err := tokenize(`x @;`); err == nil {
 		t.Error("bad rune accepted")
@@ -302,5 +319,32 @@ func TestLexerArrowAndNumbers(t *testing.T) {
 	}
 	if !arrow || !num {
 		t.Fatalf("arrow=%v num=%v toks=%v", arrow, num, toks)
+	}
+}
+
+// TestParseBounds: sources that cost a line to write and unbounded time,
+// memory or stack to expand are errors that say so.
+func TestParseBounds(t *testing.T) {
+	doubling := "gate g0 a { }\n"
+	for i := 1; i <= 40; i++ {
+		doubling += fmt.Sprintf("gate g%d a { g%d a; g%d a; }\n", i, i-1, i-1)
+	}
+	for want, stmts := range map[string]string{
+		"gate applications": doubling + "g40 q[0];",
+		"call itself":       "gate loop a { loop a; }\nloop q[0];",
+		"nests deeper":      "rz(" + strings.Repeat("(", 4096) + "1" + strings.Repeat(")", 4096) + ") q[0];",
+		"deeper than":       "rz(2" + strings.Repeat("^1", 4096) + ") q[0];",
+		"not finite":        "rz(ln(0)) q[0];",
+		"is not finite":     "rz(exp(1000)*theta) q[0];",
+	} {
+		_, err := Parse("OPENQASM 2.0;\nqreg q[1];\n" + stmts + "\n")
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%.40q…: error %v, want one naming %q", stmts, err, want)
+		}
+	}
+	// A run of signs is a loop, not a recursion: any length folds to one.
+	p := mustParse(t, "OPENQASM 2.0;\nqreg q[1];\nrz("+strings.Repeat("-", 100001)+"+-+2) q[0];\n")
+	if got := p.Circuit.Gates[0].Params[0]; got != 2 {
+		t.Fatalf("100002 minus signs over 2 = %v", got)
 	}
 }

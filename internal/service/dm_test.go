@@ -45,8 +45,8 @@ func TestDMNoisyJobExactDeterministicCached(t *testing.T) {
 		t.Fatalf("Trajectories = %d, want 0 (exact evolution has no ensemble)", a.Trajectories)
 	}
 	total := 0
-	for _, n := range a.Counts {
-		total += n
+	for _, oc := range a.Counts {
+		total += oc.N
 	}
 	if total != 300 {
 		t.Fatalf("counts sum to %d, want 300", total)
@@ -128,8 +128,8 @@ func TestDMNoisyReadoutsServedExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, n := range sam.Counts {
-		total += n
+	for _, oc := range sam.Counts {
+		total += oc.N
 	}
 	if total != 200 || sam.Trajectories != 0 {
 		t.Fatalf("dm noisy shots: %d shots, %d trajectories (want 200, 0)", total, sam.Trajectories)

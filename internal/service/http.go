@@ -89,7 +89,7 @@ func ParseRequest(body []byte) (*Request, error) {
 	if err := dec.Decode(&wr); err != nil {
 		return nil, err
 	}
-	req, err := wr.toRequest()
+	req, err := wr.toRequest(qasm.ParseToCircuit)
 	if err != nil {
 		return nil, err
 	}
@@ -316,13 +316,15 @@ func (o wireOptions) toCore() (core.Options, error) {
 // reaches 2^64 amplitudes, whatever Config.MaxQubits says.
 const maxFamilyQubits = 64
 
-func (w wireRequest) toRequest() (Request, error) {
+// toRequest lowers the body to a Request; parse turns its QASM text into a
+// circuit (the plain parser, or a service's program memo).
+func (w wireRequest) toRequest(parse func(src string) (*circuit.Circuit, error)) (Request, error) {
 	var req Request
 	switch {
 	case w.Circuit.QASM != "" && w.Circuit.Family != "":
 		return req, errors.New("circuit: give either qasm or family, not both")
 	case w.Circuit.QASM != "":
-		c, err := qasm.ParseToCircuit(w.Circuit.QASM)
+		c, err := parse(w.Circuit.QASM)
 		if err != nil {
 			return req, err
 		}
@@ -404,7 +406,7 @@ type WireResult struct {
 	WaitedMS     float64        `json:"waited_ms"`
 	Backend      string         `json:"backend,omitempty"`
 	Samples      []int          `json:"samples,omitempty"`
-	Counts       map[string]int `json:"counts,omitempty"`
+	Counts       *WireCounts    `json:"counts,omitempty"`
 	Trajectories int            `json:"trajectories,omitempty"`
 	Marginals    [][]float64    `json:"marginals,omitempty"`
 	Observables  []WireObsValue `json:"observables,omitempty"`
@@ -452,7 +454,7 @@ type WireSweepResult struct {
 type WireSweepPoint struct {
 	Params      map[string]float64 `json:"params"`
 	Samples     []int              `json:"samples,omitempty"`
-	Counts      map[string]int     `json:"counts,omitempty"`
+	Counts      *WireCounts        `json:"counts,omitempty"`
 	Marginals   [][]float64        `json:"marginals,omitempty"`
 	Observables []WireObsValue     `json:"observables,omitempty"`
 	Amplitudes  [][2]float64       `json:"amplitudes,omitempty"`
@@ -547,6 +549,67 @@ func toWireResult(r *Result) *WireResult {
 	return out
 }
 
+// WireCounts is the "counts" object — bitstring → shots, qubit Qubits−1
+// leftmost (the usual ket convention; qubit 0 is the least-significant bit of
+// the index) — over the histogram a result already holds: no per-response
+// copy, and the coordinator merges sub-results on the integers. Keys of one
+// width sort like the indices they spell, so writing the outcomes in order is
+// byte for byte the sorted-key object encoding/json makes of a
+// map[string]int.
+type WireCounts struct {
+	Qubits   int // key width
+	Outcomes core.Histogram
+}
+
+// MarshalJSON writes the keys straight from the indices.
+func (c *WireCounts) MarshalJSON() ([]byte, error) {
+	n := max(c.Qubits, 1)
+	b := make([]byte, 0, 2+len(c.Outcomes)*(n+12))
+	b = append(b, '{')
+	for i, oc := range c.Outcomes {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		for q := n - 1; q >= 0; q-- {
+			b = append(b, byte('0'+(oc.Basis>>uint(q))&1))
+		}
+		b = append(b, '"', ':')
+		b = strconv.AppendInt(b, int64(oc.N), 10)
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON reads what MarshalJSON writes: keys of one width, ascending.
+func (c *WireCounts) UnmarshalJSON(data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return fmt.Errorf("counts: want an object, got %v (%v)", tok, err)
+	}
+	*c = WireCounts{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		key, _ := tok.(string) // an object key is always a string
+		basis, err := strconv.ParseUint(key, 2, 62)
+		if err != nil {
+			return fmt.Errorf("counts: key %q is not a bitstring", key)
+		}
+		oc := core.Outcome{Basis: int(basis)}
+		if err := dec.Decode(&oc.N); err != nil {
+			return fmt.Errorf("counts: key %q: %w", key, err)
+		}
+		if k := len(c.Outcomes); k > 0 && (len(key) != c.Qubits || oc.Basis <= c.Outcomes[k-1].Basis) {
+			return fmt.Errorf("counts: key %q breaks the ascending %d-bit order", key, c.Qubits)
+		}
+		c.Qubits = len(key)
+		c.Outcomes = append(c.Outcomes, oc)
+	}
+	return nil
+}
+
 // toWireSweepPoint renders one evaluated readout set — a grid point's, or a
 // run result's (binding nil) — with bitstring count keys and [re, im]
 // amplitudes.
@@ -556,11 +619,8 @@ func toWireSweepPoint(binding map[string]float64, ro *core.Readouts, n int) Wire
 		return out
 	}
 	out.Samples = ro.Samples
-	if ro.Counts != nil {
-		out.Counts = make(map[string]int, len(ro.Counts))
-		for basis, c := range ro.Counts {
-			out.Counts[bitstring(basis, n)] = c
-		}
+	if len(ro.Counts) > 0 {
+		out.Counts = &WireCounts{Qubits: n, Outcomes: ro.Counts}
 	}
 	out.Marginals = ro.Marginals
 	for _, ov := range ro.Observables {
@@ -575,19 +635,6 @@ func toWireSweepPoint(binding map[string]float64, ro *core.Readouts, n int) Wire
 	return out
 }
 
-// bitstring renders a basis index with qubit n−1 leftmost (the usual ket
-// convention; qubit 0 is the least-significant bit of the index).
-func bitstring(basis, n int) string {
-	if n <= 0 {
-		return strconv.Itoa(basis)
-	}
-	b := make([]byte, n)
-	for i := 0; i < n; i++ {
-		b[n-1-i] = byte('0' + (basis>>uint(i))&1)
-	}
-	return string(b)
-}
-
 func handleSubmit(s *Service, w http.ResponseWriter, r *http.Request) {
 	var wr wireRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
@@ -596,7 +643,7 @@ func handleSubmit(s *Service, w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := wr.toRequest()
+	req, err := wr.toRequest(s.parseProgram)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return

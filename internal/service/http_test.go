@@ -16,9 +16,15 @@ import (
 func newHTTPTest(t *testing.T) (*Service, *httptest.Server) {
 	t.Helper()
 	s := New(Config{Workers: 2})
+	return s, newHTTPServer(t, s)
+}
+
+// newHTTPServer serves s over loopback HTTP and closes both with the test.
+func newHTTPServer(t *testing.T, s *Service) *httptest.Server {
+	t.Helper()
 	srv := httptest.NewServer(NewHandler(s))
 	t.Cleanup(func() { srv.Close(); s.Close() })
-	return s, srv
+	return srv
 }
 
 func postJSON(t *testing.T, url string, body string) (*http.Response, map[string]any) {

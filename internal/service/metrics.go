@@ -58,6 +58,8 @@ type serviceMetrics struct {
 	templateCompiles *obs.Counter
 	backendJobs      *obs.CounterVec // {backend}
 
+	programHits    *obs.Counter    // parseProgram served a parsed circuit
+	programMisses  *obs.Counter    // parseProgram parsed
 	cacheHits      *obs.CounterVec // {cache}
 	cacheMisses    *obs.CounterVec // {cache}
 	cacheEvictions *obs.CounterVec // {cache}
@@ -127,6 +129,10 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		"Parameterized-template fusion compiles (the sweep amortization ledger).")
 	m.backendJobs = reg.CounterVec("hisvsim_backend_jobs_total",
 		"Executed jobs per engine (registry names plus \"trajectory\").", "backend")
+	m.programHits = reg.Counter("hisvsim_program_cache_hits_total",
+		"QASM programs submitted over HTTP whose parsed circuit was reused.")
+	m.programMisses = reg.Counter("hisvsim_program_cache_misses_total",
+		"QASM programs submitted over HTTP that were parsed (distinct texts, plus re-parses after eviction).")
 	m.cacheHits = reg.CounterVec("hisvsim_cache_hits_total",
 		"Content-addressed cache hits by cache (state, plan, rho).", "cache")
 	m.cacheMisses = reg.CounterVec("hisvsim_cache_misses_total",

@@ -35,8 +35,8 @@ func TestRunKindOneSimulationManyReadouts(t *testing.T) {
 		t.Fatalf("simulations = %d, want exactly 1 for a multi-readout request", st.Simulations)
 	}
 	total := 0
-	for _, n := range res.Counts {
-		total += n
+	for _, oc := range res.Counts {
+		total += oc.N
 	}
 	if total != 500 {
 		t.Errorf("counts sum to %d, want 500", total)
@@ -113,8 +113,8 @@ func TestRunKindNoisyMultiReadout(t *testing.T) {
 		t.Errorf("trajectories = %d, want 24", res.Trajectories)
 	}
 	total := 0
-	for _, n := range res.Counts {
-		total += n
+	for _, oc := range res.Counts {
+		total += oc.N
 	}
 	if total != 300 {
 		t.Errorf("noisy counts sum to %d, want 300", total)

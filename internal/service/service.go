@@ -24,16 +24,19 @@
 //     ensemble). Per-request Options.Backend selects the execution engine
 //     from the backend registry.
 //
-// Compiled trajectory plans live in their own small LRU (Config.
+// Compiled trajectory plans, fused templates and the parsed circuits of
+// QASM programs submitted over HTTP live in their own small LRU (Config.
 // PlanCacheBytes) beside the plan/state cache, so giant statevector
 // entries can never evict every hot plan.
 package service
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -48,6 +51,7 @@ import (
 	"hisvsim/internal/obs"
 	"hisvsim/internal/partition"
 	"hisvsim/internal/prof"
+	"hisvsim/internal/qasm"
 	"hisvsim/internal/sv"
 )
 
@@ -238,17 +242,21 @@ type Config struct {
 	// CacheBytes budgets the plan/state cache (default 256 MiB; negative
 	// disables caching).
 	CacheBytes int64
-	// PlanCacheBytes budgets the separate compiled-trajectory-plan cache
-	// (default 16 MiB; negative disables it). Plans are tiny but hot —
-	// keeping them out of the state cache means a burst of giant
-	// statevector entries can never evict every compiled plan.
+	// PlanCacheBytes budgets the separate cache of compiled trajectory
+	// plans, fused templates and parsed QASM programs (default 16 MiB;
+	// negative disables it). They are tiny but hot — keeping them out of the
+	// state cache means a burst of giant statevector entries can never evict
+	// every compiled plan.
 	PlanCacheBytes int64
 	// RetainJobs bounds how many terminal jobs stay pollable (default
 	// 4096); older ones are forgotten FIFO.
 	RetainJobs int
 	// RetainBytes bounds the summed result payload of retained terminal
 	// jobs (default 256 MiB): big statevector results age out of the job
-	// store long before the count bound so they cannot pin memory.
+	// store long before the count bound so they cannot pin memory. The
+	// payload is counted as held — 16 bytes an amplitude or histogram
+	// outcome, 8 a sample — so at the defaults this bound binds before
+	// RetainJobs from 64 KiB a result (≈ 2700 shots with their samples).
 	RetainBytes int64
 	// MaxQubits rejects circuits wider than this at submit (default 26,
 	// a 1 GiB state).
@@ -345,8 +353,8 @@ type Stats struct {
 
 	CacheEntries int   `json:"cache_entries"`
 	CacheBytes   int64 `json:"cache_bytes"`
-	// PlanCacheEntries/Bytes snapshot the separate compiled-trajectory-plan
-	// LRU (see Config.PlanCacheBytes).
+	// PlanCacheEntries/Bytes snapshot the separate plan LRU: compiled
+	// trajectory plans, templates, parsed programs (see Config.PlanCacheBytes).
 	PlanCacheEntries int   `json:"plan_cache_entries"`
 	PlanCacheBytes   int64 `json:"plan_cache_bytes"`
 	QueueLength      int   `json:"queue_length"`
@@ -444,18 +452,92 @@ type job struct {
 }
 
 // cacheEntry is one simulated circuit: the plan, the final state (shared
-// read-only by every hit) and a lazily built sampler over it.
+// read-only by every hit), a lazily built sampler over it and the observable
+// values it has already been asked for.
 type cacheEntry struct {
 	plan  *partition.Plan
 	state *sv.State
 
 	samplerOnce sync.Once
 	sampler     *sv.Sampler
+
+	// obs remembers evaluated observables by appendObsKey, so a repeated
+	// string costs a lookup instead of a pass over the amplitudes. It stops
+	// taking new strings at obsMemoBytes, which cost() charges up front.
+	obsMu    sync.Mutex
+	obs      map[string]float64
+	obsBytes int
 }
+
+// obsMemoBytes bounds one entry's observable memo: the keys plus obsMemoSlot
+// bytes of value and map overhead per remembered string.
+const (
+	obsMemoBytes = 4 << 10
+	obsMemoSlot  = 48
+)
 
 func (e *cacheEntry) getSampler() *sv.Sampler {
 	e.samplerOnce.Do(func() { e.sampler = sv.NewSampler(e.state) })
 	return e.sampler
+}
+
+// appendObsKey appends what determines a (validated) observable's value on a
+// fixed state: the coefficient's bits, the Pauli letters and the qubits.
+func appendObsKey(b []byte, ob core.Observable) []byte {
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ob.Coeff))
+	b = append(append(b, ob.Paulis...), 0)
+	for _, q := range ob.Qubits {
+		b = binary.AppendUvarint(b, uint64(q))
+	}
+	return b
+}
+
+// readouts derives the spec's read-outs from the cached state, evaluating
+// only the observables this entry has not answered before. A remembered
+// value is the float a fresh evaluation returns: a Z/I-only string's share
+// of the one shared pass, like any other string's own pass, does not depend
+// on which strings ride along.
+func (e *cacheEntry) readouts(spec core.ReadoutSpec) *core.Readouts {
+	var sampler *sv.Sampler
+	if spec.Shots > 0 {
+		sampler = e.getSampler() // reuse the cached CDF across jobs
+	}
+	if len(spec.Observables) == 0 {
+		return core.EvaluateState(e.state, sampler, spec)
+	}
+	vals := make([]core.ObservableValue, len(spec.Observables))
+	var unseen []core.Observable
+	var at []int // unseen[i] is the request's observable at[i]
+	var keyBuf [64]byte
+	e.obsMu.Lock()
+	for k, ob := range spec.Observables {
+		vals[k].Name = ob.Name
+		if v, ok := e.obs[string(appendObsKey(keyBuf[:0], ob))]; ok {
+			vals[k].Value = v
+		} else {
+			unseen, at = append(unseen, ob), append(at, k)
+		}
+	}
+	e.obsMu.Unlock()
+	spec.Observables = unseen
+	out := core.EvaluateState(e.state, sampler, spec)
+	if len(unseen) > 0 {
+		e.obsMu.Lock()
+		if e.obs == nil {
+			e.obs = map[string]float64{}
+		}
+		for i, ov := range out.Observables {
+			vals[at[i]].Value = ov.Value
+			key := appendObsKey(keyBuf[:0], unseen[i])
+			if _, dup := e.obs[string(key)]; !dup && e.obsBytes+len(key)+obsMemoSlot <= obsMemoBytes {
+				e.obs[string(key)] = ov.Value
+				e.obsBytes += len(key) + obsMemoSlot
+			}
+		}
+		e.obsMu.Unlock()
+	}
+	out.Observables = vals
+	return out
 }
 
 // parts returns the plan's part count (0 for unpartitioned backends such
@@ -471,7 +553,8 @@ func (e *cacheEntry) cost() int64 {
 	// Charge the lazily built sampler CDF (8 bytes/amplitude) up front:
 	// it attaches to the entry after Put, so budgeting only the 16-byte
 	// amplitudes would let a sampled cache overshoot its budget by ~50%.
-	return int64(len(e.state.Amps))*(16+8) + 1024 // + 1 KiB plan slack
+	// The observable memo fills after Put as well and is charged at its bound.
+	return int64(len(e.state.Amps))*(16+8) + 1024 + obsMemoBytes // + 1 KiB plan slack
 }
 
 // costed is a cacheable single-flight payload (cacheEntry's simulated
@@ -1036,8 +1119,9 @@ func resultBytes(r *Result) int64 {
 	return b
 }
 
-// readoutsBytes estimates one evaluated readout set's retained payload (a
-// run result's, or the per-point unit of a sweep result).
+// readoutsBytes is one evaluated readout set's retained payload (a run
+// result's, or the per-point unit of a sweep result): exact for the
+// amplitudes, the samples and the 16-byte outcomes of the histogram.
 func readoutsBytes(ro *core.Readouts) int64 {
 	if ro == nil {
 		return 0
@@ -1083,11 +1167,7 @@ func (src source) readouts(spec core.ReadoutSpec) *core.Readouts {
 	case src.rho != nil:
 		return core.EvaluateDensity(src.rho, src.readout, spec)
 	}
-	var sampler *sv.Sampler
-	if spec.Shots > 0 {
-		sampler = src.entry.getSampler() // reuse the cached CDF across jobs
-	}
-	return core.EvaluateState(src.entry.state, sampler, spec)
+	return src.entry.readouts(spec)
 }
 
 // execute runs the job: the template kinds have their own executors; a
@@ -1382,6 +1462,36 @@ func (s *Service) noisePlanFor(j *job) (*noise.Plan, bool, error) {
 		return nil, hit, err
 	}
 	return e.plan, hit, nil
+}
+
+// parseProgram is the HTTP submit path's parser: each distinct program text
+// is parsed once and its circuit kept in the plan LRU under the text itself
+// (no other key there — "noise|…", "tpl|…" — is a program that parses), so
+// resubmitting a program, which every cache hit does, costs a lookup. Jobs
+// share the circuit and never write it: binding parameters copies the gates.
+// The traffic has its own two counters; Stats' cache hits and misses keep
+// meaning "a simulation was reused".
+func (s *Service) parseProgram(src string) (*circuit.Circuit, error) {
+	s.mu.Lock()
+	v, _ := s.planCache.Get(src)
+	s.mu.Unlock()
+	if c, ok := v.(*circuit.Circuit); ok {
+		s.m.programHits.Inc()
+		return c, nil
+	}
+	s.m.programMisses.Inc()
+	c, err := qasm.ParseToCircuit(src)
+	if err != nil {
+		return nil, err
+	}
+	// The key, and per gate the 96-byte struct with its qubit and angle lists.
+	cost := int64(len(src) + 160*len(c.Gates))
+	s.mu.Lock()
+	if s.planCache.Put(src, c, cost) {
+		s.m.cachePut(cachePlan, cost)
+	}
+	s.mu.Unlock()
+	return c, nil
 }
 
 // noisePlanKey is the content address of a compiled trajectory plan: the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -63,8 +64,8 @@ func TestSampleMatchesDirectSimulation(t *testing.T) {
 		}
 	}
 	total := 0
-	for _, n := range res.Counts {
-		total += n
+	for _, oc := range res.Counts {
+		total += oc.N
 	}
 	if total != 500 {
 		t.Fatalf("counts sum to %d", total)
@@ -520,8 +521,8 @@ func TestNoisySampleDeterministicAndPlanCached(t *testing.T) {
 		t.Fatalf("Trajectories = %d, want 20", a.Trajectories)
 	}
 	total := 0
-	for _, n := range a.Counts {
-		total += n
+	for _, oc := range a.Counts {
+		total += oc.N
 	}
 	if total != 400 {
 		t.Fatalf("counts sum to %d, want 400", total)
@@ -536,13 +537,8 @@ func TestNoisySampleDeterministicAndPlanCached(t *testing.T) {
 	if !b.CacheHit {
 		t.Fatal("repeat noisy request missed the plan cache")
 	}
-	if len(a.Counts) != len(b.Counts) {
-		t.Fatal("seeded noisy counts not reproducible")
-	}
-	for k, v := range a.Counts {
-		if b.Counts[k] != v {
-			t.Fatalf("count[%d] = %d vs %d", k, v, b.Counts[k])
-		}
+	if !reflect.DeepEqual(a.Counts, b.Counts) {
+		t.Fatalf("seeded noisy counts not reproducible: %v vs %v", a.Counts, b.Counts)
 	}
 	// No ideal simulation ran; trajectories were executed and counted.
 	st := s.Stats()
@@ -664,13 +660,8 @@ func TestConcurrentNoisyJobsShareTrajectoryTokens(t *testing.T) {
 	// each happened to grab.
 	for i := 2; i < len(results); i++ {
 		want := results[i%2]
-		if len(results[i].Counts) != len(want.Counts) {
+		if !reflect.DeepEqual(results[i].Counts, want.Counts) {
 			t.Fatalf("job %d counts differ from its seed group", i)
-		}
-		for k, v := range want.Counts {
-			if results[i].Counts[k] != v {
-				t.Fatalf("job %d count[%d] = %d, want %d", i, k, results[i].Counts[k], v)
-			}
 		}
 	}
 }

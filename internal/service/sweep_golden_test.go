@@ -1,12 +1,10 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"regexp"
 	"testing"
@@ -89,20 +87,7 @@ func TestHTTPSweepBodyUnchanged(t *testing.T) {
 				t.Fatalf("submit: %d %v", resp.StatusCode, sub)
 			}
 			got := resultBody(t, srv.URL+"/v1/jobs/"+sub["id"].(string)+"/result?wait=30s")
-			path := filepath.Join("testdata", "sweep_"+tc.name+".json")
-			if *updateSweepGolden {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("result body differs from %s:\n got: %s\nwant: %s", path, got, want)
-			}
+			checkGolden(t, filepath.Join("testdata", "sweep_"+tc.name+".json"), got, *updateSweepGolden)
 		})
 	}
 }

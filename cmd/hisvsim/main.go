@@ -446,9 +446,11 @@ func runNoisy(c *hisvsim.Circuit, opts hisvsim.Options, traj, shots int, zString
 		ens.Stats.Locations, ens.Stats.PauliApplied, ens.Stats.KrausApplied)
 	if !ens.NoiseFree {
 		// What forking off the shared ideal evolution saved: only the ops
-		// after a trajectory's first event run on a state of its own.
-		fmt.Printf("  gate ops on forked states: %d of %d (%d blocks × %d trajectories), %d event-free trajectories\n",
-			ens.Stats.GateOps, ens.Blocks*ens.Trajectories, ens.Blocks, ens.Trajectories, ens.Stats.EventFree)
+		// after a trajectory's first event run on a state of its own, and
+		// there each segment whose sites all drew the identity ran fused.
+		fmt.Printf("  gate ops on forked states: %d of %d (%d blocks × %d trajectories), %d event-free trajectories, segments %d fused / %d replayed\n",
+			ens.Stats.GateOps, ens.Blocks*ens.Trajectories, ens.Blocks, ens.Trajectories, ens.Stats.EventFree,
+			ens.Stats.SegmentsFused, ens.Stats.SegmentsReplayed)
 	}
 	if ens.HasExpectation {
 		fmt.Printf("  ⟨∏ Z_%v⟩ = %.6f ± %.6f\n", run.Qubits, ens.Expectation, ens.StdErr)

@@ -44,8 +44,9 @@ func main() {
 		100*float64(ideal)/float64(ens.Shots))
 	fmt.Printf("  stochastic work: %d channel draws, %d Pauli insertions, %d Kraus applications\n",
 		ens.Stats.Locations, ens.Stats.PauliApplied, ens.Stats.KrausApplied)
-	fmt.Printf("  shared ideal prefix: %d of %d gate ops ran on forked states, %d of %d trajectories never left the ideal state\n",
-		ens.Stats.GateOps, ens.Blocks*ens.Trajectories, ens.Stats.EventFree, ens.Trajectories)
+	fmt.Printf("  shared ideal prefix: %d of %d gate ops ran on forked states (segments %d fused / %d replayed), %d of %d trajectories never left the ideal state\n",
+		ens.Stats.GateOps, ens.Blocks*ens.Trajectories, ens.Stats.SegmentsFused, ens.Stats.SegmentsReplayed,
+		ens.Stats.EventFree, ens.Trajectories)
 
 	// Analytic check: k depolarizing hits on one qubit decay ⟨Z⟩ by
 	// (1 − 4p/3)^k. Trajectory estimate vs. closed form:

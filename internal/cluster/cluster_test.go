@@ -156,9 +156,15 @@ func TestClusterEnsembleBitIdentical(t *testing.T) {
 		t.Fatalf("split into %d sub-jobs, want ≥ 2", len(split.subs))
 	}
 	workers := map[string]bool{}
+	coord.mu.Lock()
 	for _, sub := range split.subs {
 		workers[sub.worker] = true
+		// A finished job keeps its merged result, not its slices' bytes.
+		if sub.body != nil || sub.result != nil {
+			t.Errorf("finished sub-job %d still holds %d request and %d result bytes", sub.index, len(sub.body), len(sub.result))
+		}
 	}
+	coord.mu.Unlock()
 	if len(workers) < 2 {
 		t.Fatalf("all sub-jobs ran on one worker: %v", workers)
 	}

@@ -194,6 +194,11 @@ func (c *Coordinator) run(j *cjob) {
 		j.status = service.StatusDone
 		j.result = result
 	}
+	// Only dispatch and mergeJob read a sub-job's request and result bytes;
+	// a retained terminal job keeps its merged result and attempt history.
+	for _, sub := range j.subs {
+		sub.body, sub.result = nil, nil
+	}
 	c.mu.Unlock()
 	j.trace.FinishAt(j.finished)
 	close(j.done)

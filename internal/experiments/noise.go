@@ -71,11 +71,15 @@ type NoiseReport struct {
 	Blocks       int     `json:"blocks"`    // fused blocks per trajectory
 	CompileMS    float64 `json:"compile_ms"`
 	// GateOps is the gate ops the Pauli-path ensemble applied to forked
-	// states — against Blocks × Trajectories for private replays — and
-	// EventFree the trajectories served from the ideal state. Seeded, so
-	// exact for a fixed (circuit, p, trajectories, seed).
-	GateOps   int64 `json:"gate_ops"`
-	EventFree int64 `json:"event_free"`
+	// states — against Blocks × Trajectories for step-by-step private
+	// replays — and EventFree the trajectories served from the ideal state;
+	// SegmentsFused and SegmentsReplayed count the segments of forked tails
+	// that ran as one fused op or step by step around a fired site. Seeded,
+	// so exact for a fixed (circuit, p, trajectories, seed).
+	GateOps          int64 `json:"gate_ops"`
+	EventFree        int64 `json:"event_free"`
+	SegmentsFused    int64 `json:"segments_fused"`
+	SegmentsReplayed int64 `json:"segments_replayed"`
 
 	// Pauli fast path vs. forced norm-weighted Kraus selection on the SAME
 	// depolarizing model and plan structure (1 worker each).
@@ -153,6 +157,7 @@ func NoiseBench(cfg NoiseConfig) (*NoiseReport, error) {
 			best = min(best, time.Since(start))
 			if p == plan {
 				rep.GateOps, rep.EventFree = ens.Stats.GateOps, ens.Stats.EventFree
+				rep.SegmentsFused, rep.SegmentsReplayed = ens.Stats.SegmentsFused, ens.Stats.SegmentsReplayed
 			}
 		}
 		return float64(cfg.Trajectories) / best.Seconds(), best.Seconds() * 1e3, nil
@@ -193,6 +198,8 @@ func (r *NoiseReport) Table() *bench.Table {
 	t.AddRow("pauli speedup", r.PauliSpeedup)
 	t.AddRow(fmt.Sprintf("gate ops on forked states (of %d)", r.Blocks*r.Trajectories), r.GateOps)
 	t.AddRow("event-free trajectories", r.EventFree)
+	t.AddRow("segments fused", r.SegmentsFused)
+	t.AddRow("segments replayed", r.SegmentsReplayed)
 	for _, row := range r.Scaling {
 		t.AddRow(fmt.Sprintf("traj/sec @ %d workers", row.Workers), row.TrajPerSec)
 	}
@@ -221,6 +228,8 @@ func (r *NoiseReport) Normalize() (*bench.Report, error) {
 	rep.Add(p+"blocks", float64(r.Blocks), "count", bench.BetterExact, 0)
 	rep.Add(p+"gate_ops", float64(r.GateOps), "count", bench.BetterExact, 0)
 	rep.Add(p+"event_free", float64(r.EventFree), "count", bench.BetterExact, 0)
+	rep.Add(p+"segments_fused", float64(r.SegmentsFused), "count", bench.BetterExact, 0)
+	rep.Add(p+"segments_replayed", float64(r.SegmentsReplayed), "count", bench.BetterExact, 0)
 	return rep, nil
 }
 

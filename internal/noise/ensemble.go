@@ -6,7 +6,9 @@
 // event in a state-free pre-pass (Plan.firstEvent), sorts the trajectories
 // by it, and lets each worker advance one ideal state through the plan,
 // forking each claimed trajectory off it at its event: only the ops after
-// the event run on a state of the trajectory's own (TrajStats.GateOps), and
+// the event run on a state of the trajectory's own (TrajStats.GateOps) —
+// there, every segment whose sites all draw the identity runs as its one
+// fused op (Plan.replayFrom, the rule a private replay follows too) — and
 // a trajectory without an event is read straight off the finished ideal
 // state (TrajStats.EventFree). A location that needs Kraus selection is
 // always an event — its outcome depends on the state — so a model made of
@@ -170,9 +172,10 @@ type Ensemble struct {
 	Moments []Moment
 	// Stats sums the stochastic work across trajectories.
 	Stats TrajStats
-	// Blocks is Plan.Blocks() of the plan that ran — the gate ops one private
-	// replay applies, so Blocks × Trajectories is what Stats.GateOps would be
-	// with no shared prefix (0 on the noise-free fast path: no plan ran).
+	// Blocks is Plan.Blocks() of the plan that ran — the gate ops a replay
+	// applies step by step, so Blocks × Trajectories is what Stats.GateOps
+	// would be with no shared prefix and no fused segment (0 on the
+	// noise-free fast path: no plan ran).
 	Blocks int
 	// NoiseFree reports the ensemble came from the ideal-state fast path
 	// (zero effective channels): one simulation served every trajectory.
@@ -412,6 +415,7 @@ type ensembleWorker struct {
 	idealRead trajResult
 
 	fork    *sv.State // the claimed trajectory's own state (first event onwards)
+	ahead   []float64 // a segment's look-ahead draws (Plan.replayFrom)
 	src     rand.Source
 	rng     *rand.Rand
 	sampler sv.Sampler
@@ -420,7 +424,7 @@ type ensembleWorker struct {
 }
 
 func newEnsembleWorker(p *Plan, cfg *RunConfig, rec *prof.Recorder) *ensembleWorker {
-	w := &ensembleWorker{p: p, cfg: cfg, ideal: sv.NewState(p.n), fork: sv.NewState(p.n)}
+	w := &ensembleWorker{p: p, cfg: cfg, ideal: sv.NewState(p.n), fork: sv.NewState(p.n), ahead: make([]float64, p.maxSites)}
 	w.ideal.Workers, w.ideal.Prof = 1, rec
 	w.fork.Workers, w.fork.Prof = 1, rec
 	w.src = rand.NewSource(0)
@@ -468,7 +472,7 @@ func (w *ensembleWorker) run(t int, ev event) (trajResult, error) {
 		r = w.idealRead
 	} else {
 		copy(w.fork.Amps, w.ideal.Amps)
-		if err := p.replayFrom(w.fork, int(ev.step), w.rng, &stats); err != nil {
+		if err := p.replayFrom(w.fork, int(ev.step), w.rng, w.ahead, &stats); err != nil {
 			return trajResult{}, err
 		}
 		if shots > 0 {

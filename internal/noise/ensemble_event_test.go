@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/cmplx"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,11 +17,13 @@ import (
 	"hisvsim/internal/sv"
 )
 
-// eventTestModels are the three shapes the event-first runner must treat
-// alike: every location Pauli-type (the prefix is shared up to the first
-// fired one), every location Kraus-type (the first location is the event)
-// and a mix, where the pre-pass must stop at the first Kraus step without
-// drawing for it.
+// eventTestModels are the shapes the event-first runner must treat alike:
+// every location Pauli-type (the prefix is shared up to the first fired one,
+// and the rzz chains form segments), every location Kraus-type (the first
+// location is the event, and no segment forms), and two mixes, where the
+// pre-pass must stop at the first Kraus step without drawing for it — one
+// whose Kraus sites cut every Pauli stretch short of a segment, and one whose
+// rzz chains form segments between Kraus sites.
 func eventTestModels(p float64) map[string]*Model {
 	return map[string]*Model{
 		"pauli": Global(Depolarizing(p)),
@@ -26,6 +31,10 @@ func eventTestModels(p float64) map[string]*Model {
 		"mixed": NewModel(
 			Rule{Channel: Depolarizing(p), Gates: []string{"rx"}},
 			Rule{Channel: AmplitudeDamping(p), Gates: []string{"rzz"}},
+		),
+		"bounded": NewModel(
+			Rule{Channel: Depolarizing(p), Gates: []string{"rzz"}},
+			Rule{Channel: AmplitudeDamping(p), Gates: []string{"rx"}},
 		),
 	}
 }
@@ -115,10 +124,58 @@ func TestEnsembleEqualsIndependentReplays(t *testing.T) {
 	}
 }
 
-// TestGateOpsFollowFromThePrePass: the ops applied to forked states are
-// exactly the gate ops after each trajectory's first event — a number the
-// state-free pre-pass alone determines — and a trajectory without an event
-// applies none.
+// predictCounts derives, from trajectory rng's draws alone, what an
+// ensemble counts for it. Every site takes exactly one draw, in step order,
+// whether it replays step by step or is drawn ahead at a segment start, so
+// the draws fix where the first event falls, which segments after it run
+// fused, and how many gate ops reach the forked state — without a state.
+func predictCounts(p *Plan, rng *rand.Rand) TrajStats {
+	us := make([]float64, p.Locations())
+	for k := range us {
+		us[k] = rng.Float64()
+	}
+	fires := func(s *step, u float64) bool { return !p.pauliStep(s) || pauliBranch(s.ch.Pauli, u) != 0 }
+	var st TrajStats
+	fired, k := false, 0
+	for i := 0; i < len(p.steps); i++ {
+		s := &p.steps[i]
+		if s.ch != nil {
+			fired = fired || fires(s, us[k])
+			k++
+			continue
+		}
+		if !fired {
+			continue // read off the shared ideal state
+		}
+		if s.seg != 0 {
+			sg := &p.segments[s.seg-1]
+			quiet, next := true, k
+			for j := i; j < sg.end; j++ {
+				if c := &p.steps[j]; c.ch != nil {
+					quiet = quiet && !fires(c, us[next])
+					next++
+				}
+			}
+			if quiet {
+				st.GateOps++
+				st.SegmentsFused++
+				k, i = next, sg.end-1
+				continue
+			}
+			st.SegmentsReplayed++
+		}
+		st.GateOps += int64(len(s.ops))
+	}
+	if !fired {
+		st.EventFree = 1
+	}
+	return st
+}
+
+// TestGateOpsFollowFromThePrePass: the ops applied to forked states and the
+// fused/replayed segment counts are exactly what a state-free walk of each
+// trajectory's draws predicts, for every worker count, and a trajectory
+// without an event applies none.
 func TestGateOpsFollowFromThePrePass(t *testing.T) {
 	c := circuit.Ising(6, 2)
 	for name, model := range eventTestModels(0.01) {
@@ -127,15 +184,9 @@ func TestGateOpsFollowFromThePrePass(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := eventTestConfig(0, 96, 96, 1).withDefaults()
-		events, _ := findEvents(cfg, plan)
-		var wantOps, wantFree int64
-		for _, ev := range events {
-			if int(ev.step) == len(plan.steps) {
-				wantFree++
-			}
-			for _, s := range plan.steps[ev.step:] {
-				wantOps += int64(len(s.ops))
-			}
+		var want TrajStats
+		for i := 0; i < cfg.Trajectories; i++ {
+			want.add(predictCounts(plan, trajRNG(cfg.Seed, cfg.Offset+i)))
 		}
 		for workers := 1; workers <= 3; workers++ {
 			cfg.Workers = workers
@@ -143,16 +194,22 @@ func TestGateOpsFollowFromThePrePass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ens.Stats.GateOps != wantOps || ens.Stats.EventFree != wantFree {
-				t.Fatalf("%s workers=%d: GateOps/EventFree = %d/%d, pre-pass says %d/%d",
-					name, workers, ens.Stats.GateOps, ens.Stats.EventFree, wantOps, wantFree)
+			got := ens.Stats
+			if got.GateOps != want.GateOps || got.EventFree != want.EventFree ||
+				got.SegmentsFused != want.SegmentsFused || got.SegmentsReplayed != want.SegmentsReplayed {
+				t.Fatalf("%s workers=%d: GateOps/EventFree/SegmentsFused/SegmentsReplayed = %d/%d/%d/%d, the draws say %d/%d/%d/%d",
+					name, workers, got.GateOps, got.EventFree, got.SegmentsFused, got.SegmentsReplayed,
+					want.GateOps, want.EventFree, want.SegmentsFused, want.SegmentsReplayed)
 			}
 		}
-		if full := int64(plan.Blocks() * cfg.Trajectories); name == "pauli" && (wantOps >= full || wantFree == 0) {
-			t.Fatalf("pauli: %d of %d gate ops on forked states, %d event-free: nothing was shared", wantOps, full, wantFree)
+		if full := int64(plan.Blocks() * cfg.Trajectories); name == "pauli" && (want.GateOps >= full || want.EventFree == 0) {
+			t.Fatalf("pauli: %d of %d gate ops on forked states, %d event-free: nothing was shared", want.GateOps, full, want.EventFree)
 		}
-		if name == "kraus" && wantFree != 0 {
-			t.Fatalf("kraus: %d event-free trajectories, want 0 (every location is an event)", wantFree)
+		if (name == "pauli" || name == "bounded") && want.SegmentsFused == 0 {
+			t.Fatalf("%s: no segment ran fused (%d segments in the plan)", name, len(plan.segments))
+		}
+		if name == "kraus" && want.EventFree != 0 {
+			t.Fatalf("kraus: %d event-free trajectories, want 0 (every location is an event)", want.EventFree)
 		}
 	}
 
@@ -171,6 +228,93 @@ func TestGateOpsFollowFromThePrePass(t *testing.T) {
 	}
 	if want := int64(40 * plan.Locations()); ens.Stats.Locations != want {
 		t.Fatalf("never-firing channel: %d draws, want %d", ens.Stats.Locations, want)
+	}
+}
+
+// stepwiseTrajectory is the reference replay: every step of the plan as its
+// own ops, whatever fires — RunTrajectory before plans carried segments. A
+// fused tail must agree with it to rounding, and a plan without segments
+// exactly.
+func stepwiseTrajectory(p *Plan, rng *rand.Rand) (*sv.State, TrajStats, error) {
+	st := sv.NewState(p.n)
+	st.Workers = 1
+	var stats TrajStats
+	for i := range p.steps {
+		s := &p.steps[i]
+		if s.ch == nil {
+			stats.GateOps += int64(len(s.ops))
+			st.ApplyOps(s.ops)
+			continue
+		}
+		stats.Locations++
+		if _, err := p.applyChannel(st, s, rng.Float64(), &stats); err != nil {
+			return nil, stats, err
+		}
+	}
+	return st, stats, nil
+}
+
+// tailTol bounds how far a fused tail's amplitudes may sit from the stepwise
+// replay's: the rounding of fused ops against their gates, far below any
+// wrong gate or draw.
+const tailTol = 1e-12
+
+// checkAgainstStepwise runs trajectory seed both ways and fails unless the
+// draws and insertions match and the states agree within tailTol — or
+// exactly, stats included, when the plan has no segment to fuse.
+func checkAgainstStepwise(t *testing.T, label string, plan *Plan, seed int64) TrajStats {
+	t.Helper()
+	got, gs, err := plan.RunTrajectory(trajRNG(seed, 0))
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want, ws, err := stepwiseTrajectory(plan, trajRNG(seed, 0))
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if gs.Locations != ws.Locations || gs.PauliApplied != ws.PauliApplied || gs.KrausApplied != ws.KrausApplied {
+		t.Fatalf("%s: draws/pauli/kraus = %d/%d/%d, stepwise %d/%d/%d", label,
+			gs.Locations, gs.PauliApplied, gs.KrausApplied, ws.Locations, ws.PauliApplied, ws.KrausApplied)
+	}
+	if len(plan.segments) == 0 {
+		if gs != ws || !slices.Equal(got.Amps, want.Amps) {
+			t.Fatalf("%s: a plan without segments differs from the stepwise replay (stats %+v vs %+v)", label, gs, ws)
+		}
+		return gs
+	}
+	for i := range got.Amps {
+		if d := cmplx.Abs(got.Amps[i] - want.Amps[i]); d > tailTol {
+			t.Fatalf("%s: amplitude %d off the stepwise replay by %g", label, i, d)
+		}
+	}
+	return gs
+}
+
+// TestFusedTailMatchesStepwise: a RunTrajectory whose tail runs fused
+// segments takes the stepwise replay's draws and insertions and lands within
+// tailTol of its state, for every model shape and error rate; Kraus-only
+// plans form no segment and are == it.
+func TestFusedTailMatchesStepwise(t *testing.T) {
+	c := circuit.Ising(6, 2)
+	var fused, replayed int64
+	for _, p := range []float64{1e-4, 0.01, 0.5} {
+		for name, model := range eventTestModels(p) {
+			plan, err := Compile(c, model, CompileOptions{Fuse: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == "kraus" && len(plan.segments) != 0 {
+				t.Fatalf("kraus p=%g: %d segments, want none", p, len(plan.segments))
+			}
+			for seed := int64(0); seed < 64; seed++ {
+				st := checkAgainstStepwise(t, fmt.Sprintf("%s p=%g seed=%d", name, p, seed), plan, seed)
+				fused += st.SegmentsFused
+				replayed += st.SegmentsReplayed
+			}
+		}
+	}
+	if fused == 0 || replayed == 0 {
+		t.Fatalf("%d segments ran fused and %d replayed: both paths must be covered", fused, replayed)
 	}
 }
 

@@ -36,16 +36,29 @@ func (p *Plan) Parametric() bool {
 }
 
 // Specialize returns a concrete plan for one binding: a shallow copy whose
-// symbol-touched gate runs are rebuilt (fused blocks re-materialized, plain
-// gate runs re-bound) and whose untouched steps — including every channel
-// insertion and all kernel index tables — alias the template plan
-// read-only. Concrete plans are returned unchanged. The receiver is never
-// mutated, so one template plan serves concurrent specializations.
+// symbol-touched gate runs and segments are rebuilt (fused blocks
+// re-materialized, plain gate runs re-bound) and whose untouched steps —
+// including every channel insertion and all kernel index tables — alias the
+// template plan read-only. Concrete plans are returned unchanged. The
+// receiver is never mutated, so one template plan serves concurrent
+// specializations.
 func (p *Plan) Specialize(env map[string]float64) (*Plan, error) {
 	if !p.Parametric() {
 		return p, nil
 	}
 	out := *p
+	out.segments = append([]segment(nil), p.segments...)
+	for i := range out.segments {
+		sg := &out.segments[i]
+		if !sg.block.Parametric() {
+			continue
+		}
+		b, err := sg.block.Specialize(env)
+		if err != nil {
+			return nil, fmt.Errorf("noise: %w", err)
+		}
+		sg.block, sg.ops = b, []sv.Op{b.Rebind(sg.ops[0])}
+	}
 	out.steps = append([]step(nil), p.steps...)
 	for i := range out.steps {
 		s := &out.steps[i]

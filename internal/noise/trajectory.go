@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/fuse"
@@ -39,6 +40,19 @@ type step struct {
 	ch     *Channel
 	qubits []int   // the channel's target qubits (len = ch.NumQubits())
 	kraus  []sv.Op // ch.Kraus lowered onto qubits (exact-selection path only)
+
+	seg int // 1 + the index in Plan.segments of the segment starting here; 0 if none
+}
+
+// segment is a stretch of steps — gate runs and the Pauli-type sites between
+// them — whose gates one fused block covers exactly. Once a trajectory's first
+// event has happened, a replay reaching the segment's first step draws its
+// sites ahead and, when none fires, applies ops in place of the steps.
+type segment struct {
+	end   int        // one past the segment's last gate step
+	sites int        // channel steps inside the segment
+	block fuse.Block // every covered step's gates, fused in order
+	ops   []sv.Op    // block lowered: one kernel op
 }
 
 // Plan is a compiled noisy circuit: the gate sequence pre-fused between
@@ -48,6 +62,8 @@ type step struct {
 type Plan struct {
 	n          int
 	steps      []step
+	segments   []segment  // fused stretches across Pauli-type sites, in step order
+	maxSites   int        // the most sites any segment holds (look-ahead buffer size)
 	pauli      [][4]sv.Op // pauli[q][p]: single-qubit Pauli p on qubit q (fast path)
 	locations  int        // channel-insertion count per trajectory
 	blocks     int        // fused blocks per trajectory
@@ -75,17 +91,23 @@ func (p *Plan) NoiseFree() bool { return p.locations == 0 }
 func (p *Plan) Readout() *Readout { return p.readout }
 
 // MemoryBytes estimates the plan's resident size (fused matrices, diagonal
-// and index tables, Kraus operators) for cache budgeting.
+// and index tables, Kraus operators, segments) for cache budgeting.
 func (p *Plan) MemoryBytes() int64 {
 	var b int64 = 256
-	for _, st := range p.steps {
-		for _, blk := range st.blocks {
+	blockBytes := func(ops []sv.Op, blks ...fuse.Block) {
+		for _, blk := range blks {
 			b += int64(len(blk.Matrix.Data))*16 + int64(len(blk.Diag))*16
 			b += int64(len(blk.Gates)) * 64
 		}
-		for _, op := range st.ops {
+		for _, op := range ops {
 			b += op.TableBytes()
 		}
+	}
+	for _, sg := range p.segments {
+		blockBytes(sg.ops, sg.block)
+	}
+	for _, st := range p.steps {
+		blockBytes(st.ops, st.blocks...)
 		b += int64(len(st.gates)) * 64
 		if st.ch != nil {
 			for _, k := range st.ch.Kraus {
@@ -100,7 +122,9 @@ func (p *Plan) MemoryBytes() int64 {
 // gates in order, collect the channel insertions each gate triggers, and
 // fuse every maximal insertion-free gate run into dense/diagonal blocks.
 // Zero-probability channels are elided, so a structurally noisy model with
-// p = 0 compiles to exactly the ideal plan.
+// p = 0 compiles to exactly the ideal plan. With Fuse on, the plan also
+// carries segments: fused blocks reaching across Pauli-type sites, which a
+// trajectory's tail runs whenever none of their sites fires.
 func Compile(c *circuit.Circuit, m *Model, opts CompileOptions) (*Plan, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -156,7 +180,71 @@ func Compile(c *circuit.Circuit, m *Model, opts CompileOptions) (*Plan, error) {
 	if err := flush(); err != nil {
 		return nil, err
 	}
+	if opts.Fuse {
+		if err := p.segment(opts.MaxFuseQubits); err != nil {
+			return nil, err
+		}
+	}
 	return p, nil
+}
+
+// segment finds the plan's segments. A Pauli-type site draws its branch
+// whatever the state, so only Kraus-type sites bound a stretch: each stretch
+// of gate steps between them is fused in gate order, and every fused block
+// that starts and ends on gate-step boundaries and spans two or more gate
+// steps — so Pauli-type sites lie between its gates — becomes a segment.
+func (p *Plan) segment(maxQubits int) error {
+	var gates []gate.Gate
+	var at, bounds []int // a stretch's gate steps, and where each one's gates start in gates
+	stretch := func() error {
+		defer func() { gates, at, bounds = nil, nil, nil }()
+		if len(at) < 2 {
+			return nil
+		}
+		bounds = append(bounds, len(gates))
+		blocks, err := fuse.Fuse(gates, fuse.Options{MaxQubits: maxQubits, NoReorder: true})
+		if err != nil {
+			return err
+		}
+		off := 0
+		for _, b := range blocks {
+			lo, hi := off, off+len(b.Gates)
+			off = hi
+			first, okLo := slices.BinarySearch(bounds, lo)
+			last, okHi := slices.BinarySearch(bounds, hi)
+			if !okLo || !okHi || last-first < 2 {
+				continue
+			}
+			sg := segment{end: at[last-1] + 1, block: b}
+			if sg.ops, err = fuse.Plan([]fuse.Block{b}, p.n); err != nil {
+				return err
+			}
+			for j := at[first]; j < sg.end; j++ {
+				if p.steps[j].ch != nil {
+					sg.sites++
+				}
+			}
+			p.segments = append(p.segments, sg)
+			p.steps[at[first]].seg = len(p.segments)
+			p.maxSites = max(p.maxSites, sg.sites)
+		}
+		return nil
+	}
+	for i := range p.steps {
+		s := &p.steps[i]
+		switch {
+		case s.ch == nil:
+			at, bounds = append(at, i), append(bounds, len(gates))
+			for _, b := range s.blocks {
+				gates = append(gates, b.Gates...)
+			}
+		case !p.pauliStep(s):
+			if err := stretch(); err != nil {
+				return err
+			}
+		}
+	}
+	return stretch()
 }
 
 // lowerChannel precomputes the kernel ops a channel step replays in every
@@ -263,13 +351,20 @@ type TrajStats struct {
 	// KrausApplied counts norm-weighted Kraus applications (general path).
 	KrausApplied int64
 	// GateOps counts the gate-run kernel ops applied to the trajectory's own
-	// state: Plan.Blocks() for a RunTrajectory replay, and in an ensemble
-	// only the ops after the trajectory's first event (everything before it
-	// is read off a shared ideal state). Seeded, independent of Workers.
+	// state, a fused segment counting as one: every op of a RunTrajectory
+	// replay, and in an ensemble only the ops after the trajectory's first
+	// event (everything before it is read off a shared ideal state). Seeded,
+	// independent of Workers.
 	GateOps int64
 	// EventFree counts ensemble trajectories in which no channel fired, so
 	// their read-outs came off the ideal state and GateOps counted nothing.
 	EventFree int64
+	// SegmentsFused counts segments reached after a trajectory's first event
+	// whose sites all drew the identity, so one fused op ran in place of
+	// their steps; SegmentsReplayed counts those where a site fired and the
+	// steps replayed one by one.
+	SegmentsFused    int64
+	SegmentsReplayed int64
 }
 
 func (a *TrajStats) add(b TrajStats) {
@@ -278,6 +373,8 @@ func (a *TrajStats) add(b TrajStats) {
 	a.KrausApplied += b.KrausApplied
 	a.GateOps += b.GateOps
 	a.EventFree += b.EventFree
+	a.SegmentsFused += b.SegmentsFused
+	a.SegmentsReplayed += b.SegmentsReplayed
 }
 
 // RunTrajectory executes one stochastic trajectory from |0…0⟩: gate blocks
@@ -290,7 +387,7 @@ func (p *Plan) RunTrajectory(rng *rand.Rand) (*sv.State, TrajStats, error) {
 	st := sv.NewState(p.n)
 	st.Workers = 1 // parallelism is trajectory-level (RunEnsemble)
 	var stats TrajStats
-	if err := p.replayFrom(st, 0, rng, &stats); err != nil {
+	if err := p.replayFrom(st, 0, rng, make([]float64, p.maxSites), &stats); err != nil {
 		return nil, stats, err
 	}
 	return st, stats, nil
@@ -300,20 +397,68 @@ func (p *Plan) RunTrajectory(rng *rand.Rand) (*sv.State, TrajStats, error) {
 // trajectory's state before step from, with rng positioned at that step's
 // draw: the whole trajectory from |0…0⟩ when from is 0, or its tail on a
 // copy of the ideal state when every channel before from drew the identity.
-func (p *Plan) replayFrom(st *sv.State, from int, rng *rand.Rand, stats *TrajStats) error {
+//
+// Until the trajectory's first event every step replays as its own ops.
+// After it, a gate step that starts a segment draws the segment's sites
+// ahead into ahead (len ≥ Plan.maxSites): when none fires, the segment's
+// fused op runs in place of its steps; otherwise its steps replay one by one
+// and its sites take those draws. A Pauli-type branch never depends on the
+// state, so the draws are the ones step-by-step replay would make.
+func (p *Plan) replayFrom(st *sv.State, from int, rng *rand.Rand, ahead []float64, stats *TrajStats) error {
+	fired := false
+	var drawn []float64 // look-ahead draws the coming sites take, in order
 	for i := from; i < len(p.steps); i++ {
 		s := &p.steps[i]
-		if s.ch == nil {
-			stats.GateOps += int64(len(s.ops))
-			st.ApplyOps(s.ops)
+		if s.ch != nil {
+			var u float64
+			if len(drawn) > 0 {
+				u, drawn = drawn[0], drawn[1:]
+			} else {
+				u = rng.Float64()
+			}
+			stats.Locations++
+			event, err := p.applyChannel(st, s, u, stats)
+			if err != nil {
+				return err
+			}
+			fired = fired || event
 			continue
 		}
-		stats.Locations++
-		if err := p.applyChannel(st, s, rng, stats); err != nil {
-			return err
+		if fired && s.seg != 0 {
+			sg := &p.segments[s.seg-1]
+			if drawn = p.drawAhead(i, sg, rng, ahead); drawn == nil {
+				stats.Locations += int64(sg.sites)
+				stats.GateOps += int64(len(sg.ops))
+				stats.SegmentsFused++
+				st.ApplyOps(sg.ops)
+				i = sg.end - 1
+				continue
+			}
+			stats.SegmentsReplayed++
 		}
+		stats.GateOps += int64(len(s.ops))
+		st.ApplyOps(s.ops)
 	}
 	return nil
+}
+
+// drawAhead draws one value for each site of the segment starting at step
+// start into ahead. It returns nil when every site draws its identity
+// branch, and otherwise the draws, in site order.
+func (p *Plan) drawAhead(start int, sg *segment, rng *rand.Rand, ahead []float64) []float64 {
+	ahead = ahead[:sg.sites]
+	quiet, k := true, 0
+	for i := start; i < sg.end; i++ {
+		if ch := p.steps[i].ch; ch != nil {
+			ahead[k] = rng.Float64()
+			quiet = quiet && pauliBranch(ch.Pauli, ahead[k]) == 0
+			k++
+		}
+	}
+	if quiet {
+		return nil
+	}
+	return ahead
 }
 
 // pauliStep reports whether the channel step takes the Pauli fast path: its
@@ -367,19 +512,21 @@ func (p *Plan) applyPauliK(st *sv.State, qubits []int, idx int) {
 	}
 }
 
-// applyChannel draws one branch of the step's channel and applies it to the
-// step's qubits through the ops lowerChannel prepared.
-func (p *Plan) applyChannel(st *sv.State, s *step, rng *rand.Rand, stats *TrajStats) error {
+// applyChannel selects the branch of the step's channel that the uniform
+// draw u picks and applies it to the step's qubits through the ops
+// lowerChannel prepared. It reports whether the step was an event: a
+// non-identity Pauli branch, or any Kraus selection.
+func (p *Plan) applyChannel(st *sv.State, s *step, u float64, stats *TrajStats) (bool, error) {
 	ch := s.ch
-	u := rng.Float64()
 	if p.pauliStep(s) {
 		// Pauli fast path: fixed probabilities, unitary insertions, no
 		// renormalization. The identity branch applies nothing.
-		if i := pauliBranch(ch.Pauli, u); i != 0 {
+		i := pauliBranch(ch.Pauli, u)
+		if i != 0 {
 			stats.PauliApplied++
 			p.applyPauliK(st, s.qubits, i)
 		}
-		return nil
+		return i != 0, nil
 	}
 	// Exact norm-weighted selection: p_i = ‖K_i ψ‖². The last operator is
 	// selected by elimination (probabilities sum to 1), but its norm is
@@ -409,11 +556,11 @@ func (p *Plan) applyChannel(st *sv.State, s *step, rng *rand.Rand, stats *TrajSt
 			}
 		}
 		if pc <= 0 {
-			return fmt.Errorf("noise: channel %s on qubits %v has no positive-probability branch", ch.Name, s.qubits)
+			return false, fmt.Errorf("noise: channel %s on qubits %v has no positive-probability branch", ch.Name, s.qubits)
 		}
 	}
 	stats.KrausApplied++
 	st.Apply(&s.kraus[chosen])
 	st.Scale(complex(1/math.Sqrt(pc), 0))
-	return nil
+	return true, nil
 }

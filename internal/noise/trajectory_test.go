@@ -2,7 +2,9 @@ package noise
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"hisvsim/internal/circuit"
@@ -298,5 +300,82 @@ func TestEnsembleCancellation(t *testing.T) {
 	cancel()
 	if _, err := RunEnsemble(ctx, plan, RunConfig{Trajectories: 64}); err == nil {
 		t.Fatal("canceled ensemble returned no error")
+	}
+}
+
+// TestSegmentsCoverWholeSteps: every segment starts and ends on a gate step,
+// holds exactly the gates of the steps it covers, in order, and only
+// Pauli-type sites between them — so a fused block that cuts a gate step
+// forms none. ForceKraus and Fuse off form no segment at all.
+func TestSegmentsCoverWholeSteps(t *testing.T) {
+	check := func(label string, plan *Plan) {
+		t.Helper()
+		for k, sg := range plan.segments {
+			start := -1
+			for i := range plan.steps {
+				if plan.steps[i].seg == k+1 {
+					start = i
+				}
+			}
+			if start < 0 || plan.steps[start].ch != nil || plan.steps[sg.end-1].ch != nil {
+				t.Fatalf("%s: segment %d does not start and end on gate steps", label, k)
+			}
+			var gates []gate.Gate
+			sites := 0
+			for _, s := range plan.steps[start:sg.end] {
+				if s.ch != nil {
+					if !plan.pauliStep(&s) {
+						t.Fatalf("%s: segment %d holds a Kraus-type site", label, k)
+					}
+					sites++
+				}
+				for _, b := range s.blocks {
+					gates = append(gates, b.Gates...)
+				}
+			}
+			if sites == 0 || sites != sg.sites || !reflect.DeepEqual(gates, sg.block.Gates) {
+				t.Fatalf("%s: segment %d holds %v over %d sites, its steps %v over %d", label, k, sg.block.Gates, sg.sites, gates, sites)
+			}
+		}
+	}
+	for name, model := range eventTestModels(0.01) {
+		plan, err := Compile(circuit.Ising(6, 2), model, CompileOptions{Fuse: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, plan)
+	}
+
+	// Noise on rzz only: the first gate step is h·h·rzz(0,1), so the fused
+	// rzz chain starts inside it and is no segment; aligned to whole steps
+	// (no h in front) the same chain is one.
+	for _, lead := range []bool{true, false} {
+		c := circuit.New("cut", 3)
+		if lead {
+			c.Append(gate.H(0), gate.H(1))
+		}
+		c.Append(gate.RZZ(0.3, 0, 1), gate.RZZ(0.4, 1, 2), gate.RZZ(0.5, 0, 1))
+		plan, err := Compile(c, OnGates(Depolarizing(0.05), "rzz"), CompileOptions{Fuse: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("lead=%v", lead), plan)
+		want := 1
+		if lead {
+			want = 0
+		}
+		if len(plan.segments) != want {
+			t.Fatalf("lead=%v: %d segments, want %d", lead, len(plan.segments), want)
+		}
+	}
+
+	for _, opts := range []CompileOptions{{Fuse: true, ForceKraus: true}, {}} {
+		plan, err := Compile(circuit.Ising(6, 2), Global(Depolarizing(0.01)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.segments) != 0 {
+			t.Fatalf("%+v: %d segments, want none", opts, len(plan.segments))
+		}
 	}
 }

@@ -7,7 +7,8 @@
 //
 //	hisvsimd -addr :8080 -workers 4 -cache-mb 256
 //
-// Endpoints (see internal/service.NewHandler):
+// Endpoints (the job API of internal/service.Routes, served by a worker and
+// a coordinator alike, plus each mode's own):
 //
 //	POST   /v1/jobs              submit  → {"id": "j000001", ...}
 //	GET    /v1/jobs/{id}         poll
@@ -16,10 +17,12 @@
 //	GET    /v1/jobs/{id}/profile kernel-level execution profile
 //	DELETE /v1/jobs/{id}         cancel
 //	GET    /v1/backends          registered execution backends
-//	GET    /v1/stats             counters
 //	GET    /metrics              Prometheus text exposition
 //	GET    /healthz              liveness
 //	GET    /readyz               readiness (503 once drain begins)
+//	GET    /v1/stats             counters (worker)
+//	GET    /v1/cluster           ring membership and job listing (coordinator)
+//	GET    /metrics/federate     every live worker's /metrics (coordinator)
 //
 // The core kind is "run": one "readouts" spec asks for any mix of
 // statevector, seeded shots, marginal distributions and weighted
@@ -62,7 +65,9 @@
 // periodically), and the same /v1/jobs surface routes whole jobs to the
 // consistent-hash ring owner of the circuit fingerprint, splits large
 // ensembles/sweeps into sub-jobs across the fleet, merges results
-// bit-identically, and retries sub-jobs lost to dead workers:
+// bit-identically, retries sub-jobs lost to dead workers, and cancels on
+// their workers the sub-jobs of a job that ends early (DELETE, a failed
+// sibling). Both modes share one drain lifecycle and -debug-addr:
 //
 //	hisvsimd -coordinator -addr :8080 \
 //	    -workers http://n1:8081,http://n2:8081,http://n3:8081
@@ -130,12 +135,28 @@ func main() {
 	}
 
 	if *coordinator {
-		runCoordinator(logger, coordConfig{
-			addr: *addr, workers: *workers, workersFile: *workersFile,
-			splitTraj: *splitTraj, splitSweep: *splitSweep,
-			maxSubJobs: *maxSubJobs, healthEvery: *healthEvery,
-			grace: *grace,
+		var urls []string
+		for _, u := range strings.Split(*workers, ",") {
+			u = strings.TrimSpace(u)
+			// "0" is the -workers default (a pool size, meaningless here).
+			if u != "" && u != "0" {
+				urls = append(urls, strings.TrimRight(u, "/"))
+			}
+		}
+		coord, err := cluster.New(cluster.Config{
+			Workers: urls, WorkersFile: *workersFile,
+			SplitTrajectories: *splitTraj, SplitSweepPoints: *splitSweep,
+			MaxSubJobs: *maxSubJobs, HealthEvery: *healthEvery,
+			Logger: logger,
 		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		logger.Info("hisvsimd coordinator listening", "addr", *addr,
+			"workers", len(urls), "workers_file", *workersFile)
+		serve(logger, *addr, *debugAddr, *grace, coord, cluster.NewHandler(coord))
+		logger.Info("bye")
 		return
 	}
 
@@ -160,15 +181,33 @@ func main() {
 		RetainJobs: *retain,
 		Logger:     logger,
 	})
-	// The HTTP wrapper reports into the service's registry, so one
-	// GET /metrics scrape covers jobs, caches, queue and HTTP alike.
+	logger.Info("hisvsimd listening", "addr", *addr,
+		"workers", svc.Stats().Workers, "cache_mb", *cacheMB)
+	serve(logger, *addr, *debugAddr, *grace, svc, service.NewHandler(svc))
+	st := svc.Stats()
+	logger.Info("bye", "jobs_done", st.Completed,
+		"simulations", st.Simulations, "cache_hits", st.CacheHits)
+}
+
+// daemon is a *service.Service or a *cluster.Coordinator.
+type daemon interface {
+	Metrics() *obs.Registry
+	BeginDrain()
+	Close()
+}
+
+// serve runs h on addr (and pprof on debugAddr, when set) until SIGINT or
+// SIGTERM, then drains: readiness flips first, in-flight HTTP requests get
+// grace to finish, and d closes. A listener that fails exits the process.
+func serve(logger *slog.Logger, addr, debugAddr string, grace time.Duration, d daemon, h http.Handler) {
+	// The HTTP wrapper reports into d's registry, so one GET /metrics
+	// scrape covers the jobs and the HTTP series alike.
 	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           obs.InstrumentHTTP(svc.Metrics(), "hisvsim_", logger, service.NewHandler(svc)),
+		Addr:              addr,
+		Handler:           obs.InstrumentHTTP(d.Metrics(), "hisvsim_", logger, h),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-
-	if *debugAddr != "" {
+	if debugAddr != "" {
 		// pprof mounts on its own mux and listener — never the API port —
 		// so exposing profiling is an explicit deployment decision.
 		dmux := http.NewServeMux()
@@ -177,9 +216,9 @@ func main() {
 		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		dsrv := &http.Server{Addr: *debugAddr, Handler: dmux, ReadHeaderTimeout: 10 * time.Second}
+		dsrv := &http.Server{Addr: debugAddr, Handler: dmux, ReadHeaderTimeout: 10 * time.Second}
 		go func() {
-			logger.Info("debug server listening", "addr", *debugAddr)
+			logger.Info("debug server listening", "addr", debugAddr)
 			if derr := dsrv.ListenAndServe(); derr != nil && !errors.Is(derr, http.ErrServerClosed) {
 				logger.Error("debug serve", "err", derr)
 			}
@@ -188,9 +227,6 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	logger.Info("hisvsimd listening", "addr", *addr,
-		"workers", svc.Stats().Workers, "cache_mb", *cacheMB)
-
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
@@ -198,85 +234,18 @@ func main() {
 		// Flip readiness before touching the listener: a load balancer
 		// polling /readyz sees the 503 while the API still answers, instead
 		// of discovering the drain through connection errors.
-		svc.BeginDrain()
+		d.BeginDrain()
 		logger.Info("draining", "signal", sig.String(), "grace", grace.String())
 	case err := <-errc:
-		svc.Close()
+		d.Close()
 		logger.Error("serve", "err", err)
 		os.Exit(1)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *grace)
+	ctx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Warn("shutdown", "err", err)
 	}
-	svc.Close()
-	st := svc.Stats()
-	logger.Info("bye", "jobs_done", st.Completed,
-		"simulations", st.Simulations, "cache_hits", st.CacheHits)
-}
-
-// coordConfig is the flag subset coordinator mode consumes.
-type coordConfig struct {
-	addr        string
-	workers     string
-	workersFile string
-	splitTraj   int
-	splitSweep  int
-	maxSubJobs  int
-	healthEvery time.Duration
-	grace       time.Duration
-}
-
-// runCoordinator serves the cluster coordinator: same listen/drain
-// lifecycle as the single-node service, but jobs fan out to the worker
-// fleet instead of a local pool.
-func runCoordinator(logger *slog.Logger, cfg coordConfig) {
-	var urls []string
-	for _, u := range strings.Split(cfg.workers, ",") {
-		u = strings.TrimSpace(u)
-		// "0" is the -workers default (a pool size, meaningless here).
-		if u != "" && u != "0" {
-			urls = append(urls, strings.TrimRight(u, "/"))
-		}
-	}
-	coord, err := cluster.New(cluster.Config{
-		Workers: urls, WorkersFile: cfg.workersFile,
-		SplitTrajectories: cfg.splitTraj, SplitSweepPoints: cfg.splitSweep,
-		MaxSubJobs: cfg.maxSubJobs, HealthEvery: cfg.healthEvery,
-		Logger: logger,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	srv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           obs.InstrumentHTTP(coord.Metrics(), "hisvsim_", logger, cluster.NewHandler(coord)),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	logger.Info("hisvsimd coordinator listening", "addr", cfg.addr,
-		"workers", len(urls), "workers_file", cfg.workersFile)
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		coord.BeginDrain()
-		logger.Info("coordinator draining", "signal", sig.String(), "grace", cfg.grace.String())
-	case err := <-errc:
-		coord.Close()
-		logger.Error("serve", "err", err)
-		os.Exit(1)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.grace)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Warn("shutdown", "err", err)
-	}
-	coord.Close()
-	logger.Info("bye")
+	d.Close()
 }

@@ -23,7 +23,8 @@
 //     dead workers drop out of the ring, and lost sub-jobs are retried on
 //     surviving workers with capped exponential backoff + jitter. A 429
 //     from a worker's admission control backs that worker off for its
-//     Retry-After horizon instead of burning an attempt.
+//     Retry-After horizon instead of burning an attempt. A job that ends
+//     early cancels the sub-jobs it still has running on workers.
 package cluster
 
 import (
@@ -38,9 +39,11 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hisvsim/internal/obs"
+	"hisvsim/internal/service"
 )
 
 // Config tunes the coordinator. The zero value plus at least one worker
@@ -168,22 +171,33 @@ type Coordinator struct {
 	jobs     map[string]*cjob
 	order    []string // job ids in submit order, for retention
 	seq      int64
-	draining bool
+	draining atomic.Bool
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
 
-// Errors surfaced by Submit; the HTTP layer maps them to status codes.
+// Coordinator errors. Each matches (errors.Is) the service error that gives
+// its HTTP status in the shared job API, and keeps its own text.
 var (
-	// ErrNoWorkers means the ring is empty — no worker is ready.
-	ErrNoWorkers = errors.New("cluster: no ready workers")
+	// ErrNoWorkers means the ring is empty — no worker is ready (503 with
+	// Retry-After: the fleet may come back).
+	ErrNoWorkers error = &apiError{"cluster: no ready workers", service.ErrUnavailable}
 	// ErrNotFound means the job id is unknown (or evicted).
-	ErrNotFound = errors.New("cluster: job not found")
+	ErrNotFound error = &apiError{"cluster: job not found", service.ErrNotFound}
 	// ErrDraining means the coordinator is shutting down.
-	ErrDraining = errors.New("cluster: coordinator draining")
+	ErrDraining error = &apiError{"cluster: coordinator draining", service.ErrClosed}
 )
+
+// apiError is a coordinator error that unwraps to a service error.
+type apiError struct {
+	msg  string
+	kind error
+}
+
+func (e *apiError) Error() string { return e.msg }
+func (e *apiError) Unwrap() error { return e.kind }
 
 // New builds a coordinator over the configured workers, probing each one
 // synchronously so the first ring reflects live membership, then starts
@@ -225,24 +239,21 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) Metrics() *obs.Registry { return c.m.reg }
 
 // BeginDrain stops admission; in-flight jobs keep running.
-func (c *Coordinator) BeginDrain() {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
-}
+func (c *Coordinator) BeginDrain() { c.draining.Store(true) }
 
 // Draining reports whether BeginDrain has been called.
-func (c *Coordinator) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
-}
+func (c *Coordinator) Draining() bool { return c.draining.Load() }
 
-// Close drains and stops the background loops. In-flight jobs are not
-// awaited — their sub-jobs run on workers and the poll goroutines exit
-// with the process.
+// Close drains, cancels the jobs still running — and with them their
+// sub-jobs on the workers — stops the background loops and returns once
+// every job and loop goroutine has exited.
 func (c *Coordinator) Close() {
 	c.BeginDrain()
+	c.mu.Lock()
+	for _, j := range c.jobs {
+		j.cancel()
+	}
+	c.mu.Unlock()
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
 }

@@ -2,10 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -16,152 +13,47 @@ import (
 )
 
 // NewHandler exposes the coordinator over the same HTTP/JSON surface as a
-// worker, so clients (and the CLI) need no cluster awareness:
+// worker — the job API's routes (see service.Routes) — so clients (and the
+// CLI) need no cluster awareness. On a coordinator a submit is routed or
+// fanned out, a result is the merged one, DELETE cancels the sub-jobs on
+// their workers too, the trace is the stitched cluster trace (plan/fanout/
+// merge stages, per-sub-job attempt spans with nested worker traces, and the
+// whole thing as one tree) and the profile merges the workers' per-sub-job
+// kernel profiles. It adds
 //
-//	POST   /v1/jobs              submit → routed or fanned out  → 202 {id, status}
-//	GET    /v1/jobs/{id}         job snapshot (+ merged result when done)
-//	GET    /v1/jobs/{id}/result  long-poll for the merged result (?wait=30s)
-//	GET    /v1/jobs/{id}/trace   stitched cluster trace: plan/fanout/merge stages,
-//	                             per-sub-job attempt spans with nested worker traces,
-//	                             and the whole thing as one tree
-//	GET    /v1/jobs/{id}/profile cluster-wide kernel attribution merged from the
-//	                             workers' per-sub-job profiles
 //	GET    /v1/cluster           ring membership (with probe health) and job listings
-//	GET    /metrics              Prometheus text exposition (cluster_* series)
 //	GET    /metrics/federate     on-demand scrape of every live worker's /metrics,
 //	                             re-exposed with a worker label plus cluster rollups
-//	GET    /healthz, /readyz     liveness / drain-aware readiness
 func NewHandler(c *Coordinator) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) { handleSubmit(c, w, r) })
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) { handleJob(c, w, r) })
-	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) { handleResult(c, w, r) })
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) { handleTrace(c, w, r) })
-	mux.HandleFunc("GET /v1/jobs/{id}/profile", func(w http.ResponseWriter, r *http.Request) { handleProfile(c, w, r) })
+	mux := service.Routes(c)
 	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, r *http.Request) { handleCluster(c, w, r) })
 	mux.HandleFunc("GET /metrics/federate", func(w http.ResponseWriter, r *http.Request) { handleFederate(c, w, r) })
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		service.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if c.Draining() {
-			service.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
-			return
-		}
-		service.WriteJSON(w, http.StatusOK, map[string]bool{"ready": true})
-	})
-	mux.Handle("GET /metrics", c.Metrics().Handler())
 	return mux
 }
 
-// wireJob mirrors the worker job body; Result is the merged (or
-// passed-through) worker result, already in wire form.
-type wireJob struct {
-	ID        string          `json:"id"`
-	Kind      string          `json:"kind"`
-	Status    string          `json:"status"`
-	Mode      string          `json:"mode,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	Submitted time.Time       `json:"submitted"`
-	Started   *time.Time      `json:"started,omitempty"`
-	Finished  *time.Time      `json:"finished,omitempty"`
-	Result    json.RawMessage `json:"result,omitempty"`
-}
-
-func handleSubmit(c *Coordinator, w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err != nil {
-		service.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Honor an incoming X-Request-ID even when the handler is mounted
-	// without obs.InstrumentHTTP (embedded use, tests) so the client's
-	// correlation ID still reaches every sub-job.
-	ctx := r.Context()
-	if obs.RequestID(ctx) == "" {
-		if rid := r.Header.Get("X-Request-ID"); rid != "" {
-			ctx = obs.WithRequestID(ctx, rid)
-		}
-	}
-	id, err := c.Submit(ctx, body)
-	switch {
-	case errors.Is(err, ErrDraining):
-		service.WriteError(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, ErrNoWorkers):
-		// The fleet may come back; tell the client when to re-try.
-		w.Header().Set("Retry-After", "1")
-		service.WriteError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		service.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	service.WriteJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": string(service.StatusQueued)})
-}
-
-func toWireJob(j *cjob) wireJob {
-	out := wireJob{
-		ID: j.id, Kind: j.kind, Status: string(j.status), Mode: j.mode,
-		Error: j.err, Submitted: j.submitted, Result: j.result,
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		out.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		out.Finished = &t
-	}
-	return out
-}
-
-func handleJob(c *Coordinator, w http.ResponseWriter, r *http.Request) {
-	j, ok := c.job(r.PathValue("id"))
-	if !ok {
-		service.WriteError(w, http.StatusNotFound, ErrNotFound)
-		return
-	}
-	c.mu.Lock()
-	out := toWireJob(j)
-	c.mu.Unlock()
-	service.WriteJSON(w, http.StatusOK, out)
-}
-
-// handleResult long-polls like the worker endpoint: 200 with the merged
-// result on completion, 202 with the snapshot when the wait expires
-// first.
-func handleResult(c *Coordinator, w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	wait := 30 * time.Second
-	if raw := r.URL.Query().Get("wait"); raw != "" {
-		d, err := time.ParseDuration(raw)
-		if err != nil {
-			service.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q: %w", raw, err))
-			return
-		}
-		wait = min(max(d, 0), 5*time.Minute)
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), wait)
-	defer cancel()
-	err := c.Wait(ctx, id)
-	if errors.Is(err, ErrNotFound) {
-		service.WriteError(w, http.StatusNotFound, err)
-		return
-	}
+// ResultBody waits until the job is terminal or ctx expires, then snapshots
+// it — from the job it waited on, so retention dropping the job in between
+// costs nothing. Result is the merged (or passed-through) worker result,
+// already in wire form.
+func (c *Coordinator) ResultBody(ctx context.Context, id string) (service.WireJob, error) {
 	j, ok := c.job(id)
 	if !ok {
-		service.WriteError(w, http.StatusNotFound, ErrNotFound)
-		return
+		return service.WireJob{}, ErrNotFound
+	}
+	select {
+	case <-j.done:
+	case <-ctx.Done():
 	}
 	c.mu.Lock()
-	out := toWireJob(j)
-	c.mu.Unlock()
-	code := http.StatusOK
-	if !service.Status(out.Status).Terminal() {
-		code = http.StatusAccepted
+	defer c.mu.Unlock()
+	out := service.WireJob{
+		ID: j.id, Kind: j.kind, Status: string(j.status), Mode: j.mode, Error: j.err,
+		Submitted: j.submitted, Started: j.started, Finished: j.finished,
 	}
-	service.WriteJSON(w, code, out)
+	if j.result != nil {
+		out.Result = j.result
+	}
+	return out, nil
 }
 
 // wireTrace is the coordinator trace body: the plan/fanout/merge stages
@@ -199,7 +91,8 @@ type wireSubAttempt struct {
 	Outcome    string  `json:"outcome"`
 	// Status is the stitched-trace classification: "ok" (WorkerTrace
 	// nested below), "lost" (dispatch died; span retained, nothing to
-	// stitch) or "failed" (permanent rejection).
+	// stitch), "failed" (permanent rejection) or "canceled" (the job ended
+	// first and the worker job was canceled; nothing was lost).
 	Status string `json:"status,omitempty"`
 	// WorkerTrace is the worker-side trace of the job this attempt ran,
 	// fetched after completion. Its stage offsets are relative to the
@@ -208,21 +101,17 @@ type wireSubAttempt struct {
 	WorkerTrace *service.WireTrace `json:"worker_trace,omitempty"`
 }
 
-func handleTrace(c *Coordinator, w http.ResponseWriter, r *http.Request) {
-	j, ok := c.job(r.PathValue("id"))
+// TraceBody is the stitched cluster trace (a wireTrace).
+func (c *Coordinator) TraceBody(id string) (any, error) {
+	j, ok := c.job(id)
 	if !ok {
-		service.WriteError(w, http.StatusNotFound, ErrNotFound)
-		return
+		return nil, ErrNotFound
 	}
 	c.mu.Lock()
-	wall := time.Since(j.submitted)
-	if !j.finished.IsZero() {
-		wall = j.finished.Sub(j.submitted)
-	}
 	out := wireTrace{
 		ID: j.id, Kind: j.kind, Status: string(j.status), Mode: j.mode,
 		RequestID: j.requestID,
-		WallMS:    service.DurationMS(wall),
+		WallMS:    service.WallMS(j.submitted, j.finished),
 	}
 	for _, sub := range j.subs {
 		ws := wireSubJob{Index: sub.index, Worker: sub.worker, RemoteID: sub.remoteID}
@@ -243,7 +132,7 @@ func handleTrace(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 	out.Stages = service.WireStages(j.trace.Spans())
 	out.Tree = traceTree(&out)
-	service.WriteJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
 // traceTree folds a rendered wireTrace into one nested span tree. Every
@@ -331,21 +220,17 @@ type wireWorkerProfile struct {
 	WindowMS float64 `json:"window_ms"`
 }
 
-func handleProfile(c *Coordinator, w http.ResponseWriter, r *http.Request) {
-	j, ok := c.job(r.PathValue("id"))
+// ProfileBody is the cluster-wide kernel profile (a wireClusterProfile).
+func (c *Coordinator) ProfileBody(id string) (any, error) {
+	j, ok := c.job(id)
 	if !ok {
-		service.WriteError(w, http.StatusNotFound, ErrNotFound)
-		return
+		return nil, ErrNotFound
 	}
 	c.mu.Lock()
-	wall := time.Since(j.submitted)
-	if !j.finished.IsZero() {
-		wall = j.finished.Sub(j.submitted)
-	}
 	out := wireClusterProfile{
 		ID: j.id, Kind: j.kind, Status: string(j.status), Mode: j.mode,
 		RequestID: j.requestID,
-		WallMS:    service.DurationMS(wall),
+		WallMS:    service.WallMS(j.submitted, j.finished),
 		Kernels:   []prof.KernelStat{},
 	}
 	merged := map[[2]any]*prof.KernelStat{}
@@ -389,7 +274,7 @@ func handleProfile(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 		}
 		return out.Kernels[i].Width < out.Kernels[j].Width
 	})
-	service.WriteJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
 // wireCluster is the GET /v1/cluster body: live membership with per-worker

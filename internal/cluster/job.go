@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"time"
 
 	"hisvsim/internal/obs"
@@ -25,10 +27,15 @@ const (
 
 // Attempt statuses in the stitched trace (wire "status" field).
 const (
-	attemptOK     = "ok"     // delivered; worker trace/profile stitched below
-	attemptLost   = "lost"   // dispatch lost (worker died/bounced); span retained unstitched
-	attemptFailed = "failed" // permanent rejection
+	attemptOK       = "ok"       // delivered; worker trace/profile stitched below
+	attemptLost     = "lost"     // dispatch lost (worker died/bounced); span retained unstitched
+	attemptFailed   = "failed"   // permanent rejection
+	attemptCanceled = "canceled" // the job ended first; the worker job was canceled
 )
+
+// detachTimeout bounds the worker requests a job's end must not abort: the
+// submit whose id a cancel needs, the cancel itself and the stitch fetches.
+const detachTimeout = 10 * time.Second
 
 // cjob is one coordinator job: the fan-out of one client submission.
 type cjob struct {
@@ -36,6 +43,11 @@ type cjob struct {
 	kind string
 	mode string
 	key  string
+	// ctx is the job's cancel scope: cancel ends it — a client DELETE, a
+	// sub-job's failure, the job finishing — and every sub-job still running
+	// on a worker is canceled there (dispatch).
+	ctx    context.Context
+	cancel context.CancelFunc
 	// requestID is the job's cluster-wide correlation ID: taken from the
 	// submitting context (the instrumented HTTP front door mints one per
 	// request) or generated here, and forwarded to every sub-job dispatch
@@ -61,7 +73,6 @@ type subjob struct {
 	remoteID string
 	attempts []attempt
 	result   json.RawMessage
-	err      error
 }
 
 // attempt is one delivery try, rendered as a span in the job trace. Each
@@ -75,24 +86,27 @@ type attempt struct {
 	remoteID string // worker-side job id, once accepted
 	start    time.Time
 	end      time.Time
-	outcome  string // "ok", "retry", "backoff", "failed"
+	outcome  string // "ok", "retry", "failed", "canceled"
 	// status classifies the attempt for the stitched trace: "ok" (worker
 	// trace nested below), "lost" (the dispatch died — worker killed,
-	// bounced or timed out — so there is nothing to stitch) or "failed"
-	// (permanent rejection).
+	// bounced or timed out — so there is nothing to stitch), "failed"
+	// (permanent rejection) or "canceled" (the job ended while it ran).
 	status string
 	wtrace *service.WireTrace   // stitched worker GET /v1/jobs/{id}/trace body (ok attempts, best effort)
 	wprof  *service.WireProfile // stitched worker GET /v1/jobs/{id}/profile body (ditto)
 }
 
-// Submit plans, fans out and (asynchronously) merges one client
+// SubmitBody plans, fans out and (asynchronously) merges one client
 // submission, returning the coordinator job id.
-func (c *Coordinator) Submit(ctx context.Context, body []byte) (string, error) {
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
+func (c *Coordinator) SubmitBody(ctx context.Context, r io.Reader) (string, error) {
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return "", err
+	}
+	if c.Draining() {
 		return "", ErrDraining
 	}
+	c.mu.Lock()
 	c.seq++
 	id := fmt.Sprintf("c-%d", c.seq)
 	c.mu.Unlock()
@@ -118,8 +132,10 @@ func (c *Coordinator) Submit(ctx context.Context, body []byte) (string, error) {
 		c.m.jobs.With("local_error").Inc()
 		return "", ErrNoWorkers
 	}
-	req, _ := service.ParseRequest(body) // planFor already proved it parses
-	j.kind = string(req.Kind)
+	// The scope outlives the submit request; the request ID rides it into
+	// the job's log lines.
+	j.ctx, j.cancel = context.WithCancel(obs.WithRequestID(context.Background(), rid))
+	j.kind = string(p.kind)
 	j.mode = p.mode
 	j.key = p.key
 	for i, sub := range p.subs {
@@ -127,9 +143,15 @@ func (c *Coordinator) Submit(ctx context.Context, body []byte) (string, error) {
 	}
 
 	c.mu.Lock()
+	if c.Draining() { // Close began while the job was planned
+		c.mu.Unlock()
+		j.cancel()
+		return "", ErrDraining
+	}
 	c.jobs[id] = j
 	c.order = append(c.order, id)
 	c.evictLocked()
+	c.wg.Add(1) // under c.mu, so Close's cancel sweep sees every job it waits for
 	c.mu.Unlock()
 	c.m.jobs.With(p.mode).Inc()
 
@@ -157,54 +179,85 @@ func (c *Coordinator) evictLocked() {
 }
 
 // run drives a job to a terminal state: fan out every sub-job (each with
-// its own retry loop), then merge.
+// its own retry loop), then merge. However the job ends, its scope is
+// canceled, and with it whatever it still has running on a worker.
 func (c *Coordinator) run(j *cjob) {
+	defer c.wg.Done()
+	defer j.cancel()
 	c.mu.Lock()
 	j.status = service.StatusRunning
 	j.started = time.Now()
 	c.mu.Unlock()
-	j.trace.Begin(stageFanout)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	errs := make(chan error, len(j.subs))
-	for _, sub := range j.subs {
-		go func(sub *subjob) { errs <- c.runSub(ctx, j, sub) }(sub)
-	}
-	var firstErr error
-	for range j.subs {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-			cancel() // no point finishing the other slices of a failed job
-		}
-	}
-
-	j.trace.Begin(stageMerge)
-	var result json.RawMessage
-	if firstErr == nil {
-		result, firstErr = mergeJob(j)
-	}
+	result, firstErr := c.execute(j)
 
 	c.mu.Lock()
 	j.finished = time.Now()
-	if firstErr != nil {
-		j.status = service.StatusFailed
-		j.err = firstErr.Error()
-	} else {
+	switch {
+	case firstErr == nil:
 		j.status = service.StatusDone
 		j.result = result
+	case errors.Is(firstErr, context.Canceled):
+		// Only Cancel ends the scope before a sub-job has failed.
+		j.status = service.StatusCanceled
+		j.err = firstErr.Error()
+	default:
+		j.status = service.StatusFailed
+		j.err = firstErr.Error()
 	}
 	// Only dispatch and mergeJob read a sub-job's request and result bytes;
 	// a retained terminal job keeps its merged result and attempt history.
 	for _, sub := range j.subs {
 		sub.body, sub.result = nil, nil
 	}
+	status := j.status
 	c.mu.Unlock()
 	j.trace.FinishAt(j.finished)
 	close(j.done)
 	if firstErr != nil {
-		c.log.Warn("cluster job failed", "job", j.id, "mode", j.mode, "err", firstErr)
+		c.log.Warn("cluster job ended", "job", j.id, "mode", j.mode, "status", status, "err", firstErr)
 	}
+}
+
+// execute fans the sub-jobs out and merges them. The first sub-job to fail
+// cancels the job's scope, so its siblings are canceled on their workers
+// rather than run on for nothing. A panic fails the job alone instead of the
+// coordinator and every job it holds.
+func (c *Coordinator) execute(j *cjob) (result json.RawMessage, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			c.m.panics.Inc()
+			c.log.LogAttrs(j.ctx, slog.LevelError, "cluster job panicked", slog.String("job", j.id),
+				slog.Any("panic", p), slog.String("stack", string(debug.Stack())))
+			result, err = nil, fmt.Errorf("internal error: %v", p)
+		}
+	}()
+	j.trace.Begin(stageFanout)
+	errs := make(chan error, len(j.subs))
+	for _, sub := range j.subs {
+		go func(sub *subjob) { errs <- c.runSub(j.ctx, j, sub) }(sub)
+	}
+	for range j.subs {
+		if e := <-errs; e != nil && err == nil {
+			err = e
+			j.cancel()
+		}
+	}
+	j.trace.Begin(stageMerge)
+	if err != nil {
+		return nil, err
+	}
+	return mergeJob(j)
+}
+
+// Cancel ends a job: its sub-jobs still running are canceled on their
+// workers and the job reads canceled. A finished job is left as it is.
+func (c *Coordinator) Cancel(id string) error {
+	j, ok := c.job(id)
+	if !ok {
+		return ErrNotFound
+	}
+	j.cancel()
+	return nil
 }
 
 // errPermanent wraps worker errors that retrying cannot fix (400s,
@@ -216,58 +269,72 @@ func (e errPermanent) Error() string { return e.err.Error() }
 // runSub delivers one sub-job: pick a worker (ring owner first, then its
 // ring successors), submit, long-poll the result, and on any lost or
 // bounced dispatch retry elsewhere with capped exponential backoff.
+//
+// A sub-job the job's end overtakes is canceled, not lost: it counts once
+// under subjobs_total{status="canceled"}, never as a retry.
 func (c *Coordinator) runSub(ctx context.Context, j *cjob, sub *subjob) error {
 	var lastErr error
-	for att := 0; att < c.cfg.MaxAttempts; att++ {
+	for att := 0; ; att++ {
+		if att > 0 {
+			select {
+			case <-ctx.Done():
+			case <-time.After(c.backoffDelay(att - 1)):
+			}
+		}
+		switch {
+		case ctx.Err() != nil:
+			c.m.subjobs.With(subjobCanceled).Inc()
+			return ctx.Err()
+		case att == c.cfg.MaxAttempts:
+			c.m.subjobs.With(subjobFailed).Inc()
+			return fmt.Errorf("cluster: sub-job %d exhausted %d attempts: %w", sub.index, c.cfg.MaxAttempts, lastErr)
+		}
 		cands := c.candidates(j.key, att+len(j.subs)+1)
 		if len(cands) == 0 {
 			lastErr = ErrNoWorkers
-		} else {
-			// Spread slices across the owner's successor list, then rotate
-			// by attempt so a retry lands on a different live worker.
-			worker := cands[(sub.index+att)%len(cands)]
-			a := &attempt{
-				worker: worker,
-				span:   fmt.Sprintf("%s/s%d/a%d", j.id, sub.index, att),
-				start:  time.Now(),
-			}
-			res, err := c.dispatch(ctx, j, sub, a)
-			if a.end.IsZero() { // failed dispatches never reached the end stamp
-				a.end = time.Now()
-			}
-			switch {
-			case err == nil:
-				a.outcome, a.status = "ok", attemptOK
-				c.recordAttempt(j, sub, a)
-				sub.result = res
-				c.m.subjobs.With(subjobOK).Inc()
-				return nil
-			case errors.As(err, &errPermanent{}):
-				a.outcome, a.status = "failed", attemptFailed
-				c.recordAttempt(j, sub, a)
-				c.m.subjobs.With(subjobFailed).Inc()
-				return err
-			default:
-				// The dispatch was lost (worker died, bounced or timed
-				// out): the attempt span stays in the trace, unstitched and
-				// marked lost, and the sub-job re-dispatches elsewhere.
-				a.outcome, a.status = "retry", attemptLost
-				c.recordAttempt(j, sub, a)
-				lastErr = err
-				c.m.subjobs.With(subjobRetried).Inc()
-				c.m.retries.Inc()
-				c.log.Info("cluster sub-job retry", "job", j.id, "sub", sub.index,
-					"worker", worker, "attempt", att, "span", a.span, "err", err)
-			}
+			continue
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(c.backoffDelay(att)):
+		// Spread slices across the owner's successor list, then rotate by
+		// attempt so a retry lands on a different live worker.
+		worker := cands[(sub.index+att)%len(cands)]
+		a := &attempt{
+			worker: worker,
+			span:   fmt.Sprintf("%s/s%d/a%d", j.id, sub.index, att),
+			start:  time.Now(),
+		}
+		res, err := c.dispatch(ctx, j, sub, a)
+		if a.end.IsZero() { // failed dispatches never reached the end stamp
+			a.end = time.Now()
+		}
+		switch {
+		case err == nil:
+			a.outcome, a.status = "ok", attemptOK
+			c.recordAttempt(j, sub, a)
+			sub.result = res
+			c.m.subjobs.With(subjobOK).Inc()
+			return nil
+		case errors.As(err, &errPermanent{}):
+			a.outcome, a.status = "failed", attemptFailed
+			c.recordAttempt(j, sub, a)
+			c.m.subjobs.With(subjobFailed).Inc()
+			return err
+		case ctx.Err() != nil:
+			// dispatch canceled the worker job; the loop's head counts it.
+			a.outcome, a.status = "canceled", attemptCanceled
+			c.recordAttempt(j, sub, a)
+		default:
+			// The dispatch was lost (worker died, bounced or timed out): the
+			// attempt span stays in the trace, unstitched and marked lost,
+			// and the sub-job re-dispatches elsewhere.
+			a.outcome, a.status = "retry", attemptLost
+			c.recordAttempt(j, sub, a)
+			lastErr = err
+			c.m.subjobs.With(subjobRetried).Inc()
+			c.m.retries.Inc()
+			c.log.Info("cluster sub-job retry", "job", j.id, "sub", sub.index,
+				"worker", worker, "attempt", att, "span", a.span, "err", err)
 		}
 	}
-	c.m.subjobs.With(subjobFailed).Inc()
-	return fmt.Errorf("cluster: sub-job %d exhausted %d attempts: %w", sub.index, c.cfg.MaxAttempts, lastErr)
 }
 
 func (c *Coordinator) recordAttempt(j *cjob, sub *subjob, a *attempt) {
@@ -280,50 +347,68 @@ func (c *Coordinator) recordAttempt(j *cjob, sub *subjob, a *attempt) {
 // dispatch submits a sub-job body to one worker and long-polls it to a
 // terminal result, then (best effort) fetches the worker's trace and
 // kernel profile for stitching. Errors are retryable unless wrapped
-// errPermanent.
+// errPermanent. If the job ends first, the worker job is canceled: the
+// submit runs detached from ctx so that a worker that accepted the sub-job
+// always hands back the id the cancel needs.
 func (c *Coordinator) dispatch(ctx context.Context, j *cjob, sub *subjob, a *attempt) (json.RawMessage, error) {
-	id, err := c.submitTo(ctx, sub.body, a.worker, j.requestID, a.span)
+	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), detachTimeout)
+	defer cancel()
+	id, err := c.submitTo(dctx, sub.body, a.worker, j.requestID, a.span)
 	if err != nil {
 		return nil, err
 	}
 	a.remoteID = id
 	c.mu.Lock()
-	sub.remoteID = id
+	sub.worker, sub.remoteID = a.worker, id
 	c.mu.Unlock()
 	res, err := c.pollResult(ctx, a.worker, id)
 	if err != nil {
+		if ctx.Err() != nil {
+			c.cancelRemote(a)
+		}
 		return nil, err
 	}
 	// The attempt window closes when the result lands; the stitch fetch is
 	// post-hoc observability and must not pad the span it describes.
 	a.end = time.Now()
-	c.stitch(ctx, a)
+	c.stitch(a)
 	return res, nil
+}
+
+// cancelRemote cancels an attempt's worker job. Best effort: a worker that
+// cannot be reached has lost the sub-job anyway.
+func (c *Coordinator) cancelRemote(a *attempt) {
+	ctx, cancel := context.WithTimeout(context.Background(), detachTimeout)
+	defer cancel()
+	if err := c.call(ctx, http.MethodDelete, fmt.Sprintf("%s/v1/jobs/%s", a.worker, a.remoteID), nil); err != nil {
+		c.log.Warn("cluster sub-job cancel failed", "worker", a.worker, "remote", a.remoteID, "err", err)
+	}
 }
 
 // stitch pulls the finished worker job's trace and profile and attaches
 // them to the attempt. Best effort: a worker that dies between finishing
 // the job and the fetch loses its sub-trace, not the job.
-func (c *Coordinator) stitch(ctx context.Context, a *attempt) {
-	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+func (c *Coordinator) stitch(a *attempt) {
+	ctx, cancel := context.WithTimeout(context.Background(), detachTimeout)
 	defer cancel()
 	var wt service.WireTrace
-	if err := c.getJSON(ctx, fmt.Sprintf("%s/v1/jobs/%s/trace", a.worker, a.remoteID), &wt); err == nil {
+	if err := c.call(ctx, http.MethodGet, fmt.Sprintf("%s/v1/jobs/%s/trace", a.worker, a.remoteID), &wt); err == nil {
 		a.wtrace = &wt
 	} else {
 		c.log.Warn("cluster trace stitch failed", "worker", a.worker, "remote", a.remoteID, "err", err)
 	}
 	var wp service.WireProfile
-	if err := c.getJSON(ctx, fmt.Sprintf("%s/v1/jobs/%s/profile", a.worker, a.remoteID), &wp); err == nil {
+	if err := c.call(ctx, http.MethodGet, fmt.Sprintf("%s/v1/jobs/%s/profile", a.worker, a.remoteID), &wp); err == nil {
 		a.wprof = &wp
 	} else {
 		c.log.Warn("cluster profile stitch failed", "worker", a.worker, "remote", a.remoteID, "err", err)
 	}
 }
 
-// getJSON fetches one worker URL into out.
-func (c *Coordinator) getJSON(ctx context.Context, url string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// call sends one body-less request to a worker and decodes its 200 or 202
+// answer into out (nil discards it).
+func (c *Coordinator) call(ctx context.Context, method, url string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, url, nil)
 	if err != nil {
 		return err
 	}
@@ -332,10 +417,13 @@ func (c *Coordinator) getJSON(ctx context.Context, url string, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+		return fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
-	return json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(out)
+	if out == nil {
+		out = &struct{}{}
+	}
+	return json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(out)
 }
 
 // submitTo POSTs the body to one worker, honoring admission control: a
@@ -388,30 +476,12 @@ func (c *Coordinator) submitTo(ctx context.Context, body []byte, worker, request
 func (c *Coordinator) pollResult(ctx context.Context, worker, id string) (json.RawMessage, error) {
 	url := fmt.Sprintf("%s/v1/jobs/%s/result?wait=%s", worker, id, c.cfg.PollWait)
 	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			return nil, fmt.Errorf("poll %s on %s: %w", id, worker, err)
-		}
-		raw, rerr := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		resp.Body.Close()
-		switch {
-		case rerr != nil:
-			return nil, fmt.Errorf("poll %s on %s: %w", id, worker, rerr)
-		case resp.StatusCode == http.StatusAccepted:
-			continue // still running: re-arm the long poll
-		case resp.StatusCode != http.StatusOK:
-			return nil, fmt.Errorf("poll %s on %s: HTTP %d", id, worker, resp.StatusCode)
-		}
 		var job struct {
 			Status string          `json:"status"`
 			Error  string          `json:"error,omitempty"`
 			Result json.RawMessage `json:"result,omitempty"`
 		}
-		if err := json.Unmarshal(raw, &job); err != nil {
+		if err := c.call(ctx, http.MethodGet, url, &job); err != nil {
 			return nil, fmt.Errorf("poll %s on %s: %w", id, worker, err)
 		}
 		switch service.Status(job.Status) {
@@ -422,9 +492,8 @@ func (c *Coordinator) pollResult(ctx context.Context, worker, id string) (json.R
 		case service.StatusCanceled:
 			// A drain cancels queued jobs; treat as a lost dispatch.
 			return nil, fmt.Errorf("worker %s canceled job %s", worker, id)
-		default:
-			continue
 		}
+		// Still running (a 202 at the long-poll deadline): re-arm the poll.
 	}
 }
 
@@ -437,22 +506,6 @@ func readError(r io.Reader) string {
 		return e.Error
 	}
 	return string(raw)
-}
-
-// Wait blocks until the job reaches a terminal state or ctx expires.
-func (c *Coordinator) Wait(ctx context.Context, id string) error {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
-		return ErrNotFound
-	}
-	select {
-	case <-j.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 func (c *Coordinator) job(id string) (*cjob, bool) {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"hisvsim/internal/noise"
 	"hisvsim/internal/service"
@@ -74,9 +75,12 @@ func mergeEnsemble(subs []*subjob) (json.RawMessage, error) {
 			out.Counts.Outcomes = out.Counts.Outcomes.Add(p.Counts.Outcomes)
 		}
 		for _, ch := range p.Moments.Chunks {
-			moments = append(moments, noise.Moment{
-				Chunk: ch.Chunk, Count: ch.Count, Obs: ch.Obs, Marg: ch.Marg,
-			})
+			m := noise.Moment{Chunk: ch.Chunk, Count: ch.Count, Obs: ch.Obs, Marg: ch.Marg}
+			if len(moments) > 0 && !sameShape(moments[0], m) {
+				return nil, fmt.Errorf("cluster: sub-result %d: moment chunk %d is shaped unlike the first chunk (%d observable sums, %d marginals; want %d, %d)",
+					i, ch.Chunk, len(m.Obs), len(m.Marg), len(moments[0].Obs), len(moments[0].Marg))
+			}
+			moments = append(moments, m)
 		}
 	}
 	agg := noise.AggregateMoments(moments)
@@ -93,6 +97,14 @@ func mergeEnsemble(subs []*subjob) (json.RawMessage, error) {
 		out.Observables = append(out.Observables, service.WireObsValue{Name: name, Value: st.Mean, StdErr: st.StdErr})
 	}
 	return json.Marshal(out)
+}
+
+// sameShape reports whether a worker's moment chunk has the first chunk's
+// observable and marginal counts: the canonical fold sizes its sums from the
+// first chunk and would index past them.
+func sameShape(first, m noise.Moment) bool {
+	return len(m.Obs) == len(first.Obs) &&
+		slices.EqualFunc(m.Marg, first.Marg, func(a, b []float64) bool { return len(a) == len(b) })
 }
 
 // mergeSweep concatenates per-point payloads in grid order and sums the

@@ -7,9 +7,10 @@ import (
 
 // Sub-job outcome labels (hisvsim_cluster_subjobs_total{status}).
 const (
-	subjobOK      = "ok"      // completed (possibly after retries)
-	subjobFailed  = "failed"  // exhausted attempts or hit a permanent error
-	subjobRetried = "retried" // one dispatch lost and re-queued
+	subjobOK       = "ok"       // completed (possibly after retries)
+	subjobFailed   = "failed"   // exhausted attempts or hit a permanent error
+	subjobRetried  = "retried"  // one dispatch lost and re-queued
+	subjobCanceled = "canceled" // the job ended first (client cancel, a sibling's failure)
 )
 
 // metrics is the coordinator's metric surface. It reuses the service's
@@ -27,7 +28,8 @@ type metrics struct {
 	retries *obs.Counter
 	// jobs counts coordinator jobs by how they executed: "routed" whole
 	// to the ring owner, "split" across workers, or "local_error".
-	jobs *obs.CounterVec
+	jobs   *obs.CounterVec
+	panics *obs.Counter
 	// probeSeconds / probeFails surface per-worker health-probe telemetry
 	// (latest /readyz round trip, consecutive failures) — the same numbers
 	// /v1/cluster reports per worker and /metrics/federate rolls up.
@@ -49,6 +51,8 @@ func newMetrics() *metrics {
 			"Sub-job dispatch retries (lost, straggling or bounced sub-jobs re-sent)."),
 		jobs: reg.CounterVec("hisvsim_cluster_jobs_total",
 			"Coordinator jobs by execution mode.", "mode"),
+		panics: reg.Counter("hisvsim_cluster_job_panics_total",
+			"Coordinator jobs whose execution panicked; each failed alone and the coordinator kept serving."),
 		probeSeconds: reg.GaugeVec("hisvsim_cluster_worker_probe_seconds",
 			"Latest /readyz probe round-trip time per worker.", "worker"),
 		probeFails: reg.GaugeVec("hisvsim_cluster_worker_consecutive_failures",

@@ -20,6 +20,7 @@ const (
 // 1-part plan whose body is the client's bytes verbatim, so every mode
 // flows through the same dispatch/retry machinery.
 type plan struct {
+	kind service.Kind
 	mode string
 	key  string // ring key: the circuit/template fingerprint
 	subs [][]byte
@@ -34,7 +35,7 @@ func (c *Coordinator) planFor(body []byte) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &plan{mode: modeRouted, key: req.Circuit.Fingerprint(), subs: [][]byte{body}}
+	p := &plan{kind: req.Kind, mode: modeRouted, key: req.Circuit.Fingerprint(), subs: [][]byte{body}}
 
 	width := c.readyCount()
 	if width <= 1 {

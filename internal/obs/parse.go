@@ -76,8 +76,9 @@ type MetricFamily struct {
 // standard \\ \" \n escapes, +Inf/-Inf/NaN values, and optional trailing
 // timestamps (parsed and discarded). Histogram and summary series
 // (name_bucket, name_sum, name_count, quantiles) are attached to their
-// base family when a # TYPE line declared one; otherwise each sample name
-// becomes its own untyped family.
+// base family when a # TYPE line anywhere in the input declared one;
+// otherwise each sample name becomes its own untyped family, after the
+// families HELP or TYPE lines named.
 func ParseText(r io.Reader) ([]*MetricFamily, error) {
 	byName := map[string]*MetricFamily{}
 	var fams []*MetricFamily
@@ -106,6 +107,7 @@ func ParseText(r io.Reader) ([]*MetricFamily, error) {
 		return getFam(sample)
 	}
 
+	var samples []Sample
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
@@ -118,20 +120,14 @@ func ParseText(r io.Reader) ([]*MetricFamily, error) {
 		}
 		if strings.HasPrefix(trimmed, "#") {
 			fields := strings.SplitN(trimmed, " ", 4)
-			if len(fields) < 3 {
-				continue // free-form comment
+			if len(fields) < 4 {
+				continue // free-form comment, or HELP/TYPE with nothing to say
 			}
 			switch fields[1] {
 			case "HELP":
-				f := getFam(fields[2])
-				if len(fields) == 4 {
-					f.Help = unescapeHelp(fields[3])
-				}
+				getFam(fields[2]).Help = unescapeHelp(fields[3])
 			case "TYPE":
-				f := getFam(fields[2])
-				if len(fields) == 4 {
-					f.Type = fields[3]
-				}
+				getFam(fields[2]).Type = fields[3]
 			}
 			continue
 		}
@@ -139,11 +135,17 @@ func ParseText(r io.Reader) ([]*MetricFamily, error) {
 		if err != nil {
 			return nil, fmt.Errorf("obs: parse metrics line %d: %w", lineNo, err)
 		}
-		f := famFor(s.Name)
-		f.Samples = append(f.Samples, s)
+		samples = append(samples, s)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("obs: parse metrics: %w", err)
+	}
+	// Samples join their families once every # TYPE line is known, so where
+	// a histogram or summary series lands does not hang on line order, which
+	// WriteFamilies does not keep.
+	for _, s := range samples {
+		f := famFor(s.Name)
+		f.Samples = append(f.Samples, s)
 	}
 	return fams, nil
 }

@@ -483,27 +483,12 @@ func labelString(names, vals []string, leName string, le float64) string {
 	return b.String()
 }
 
-// escapeLabel escapes a label value per the exposition format: backslash,
-// double-quote and newline.
-func escapeLabel(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
-	}
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
+// labelEscaper escapes a label value per the exposition format: backslash,
+// double-quote and newline. It works byte by byte, so a value that is not
+// valid UTF-8 reads back unchanged.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+func escapeLabel(s string) string { return labelEscaper.Replace(s) }
 
 // escapeHelp escapes a HELP string: backslash and newline only.
 func escapeHelp(s string) string {

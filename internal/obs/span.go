@@ -38,7 +38,7 @@ func ParentSpan(ctx context.Context) string {
 type Node struct {
 	Name       string  `json:"name"`
 	SpanID     string  `json:"span,omitempty"`
-	Status     string  `json:"status,omitempty"` // ok | lost | failed ("" = structural)
+	Status     string  `json:"status,omitempty"` // attempts: ok | lost | failed | canceled; the root: its job status; "" = structural
 	StartMS    float64 `json:"start_ms"`
 	DurationMS float64 `json:"duration_ms"`
 	Children   []*Node `json:"children,omitempty"`

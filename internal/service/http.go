@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -19,19 +20,10 @@ import (
 	"hisvsim/internal/qasm"
 )
 
-// NewHandler exposes the service over HTTP/JSON:
+// NewHandler exposes the service over HTTP/JSON: the job API's routes (see
+// Routes) plus
 //
-//	POST   /v1/jobs             submit a job            → 202 {id, status}
-//	GET    /v1/jobs/{id}        poll a job snapshot     → 200 job JSON
-//	GET    /v1/jobs/{id}/result long-poll for the result (?wait=30s)
-//	GET    /v1/jobs/{id}/trace  per-stage timing trace  → 200 trace JSON
-//	GET    /v1/jobs/{id}/profile kernel-level execution profile → 200 profile JSON
-//	DELETE /v1/jobs/{id}        cancel                  → 200 job JSON
-//	GET    /v1/backends         registered execution backends
-//	GET    /v1/stats            service counters
-//	GET    /metrics             Prometheus text exposition
-//	GET    /healthz             liveness (200 until the process exits)
-//	GET    /readyz              readiness (503 once graceful drain begins)
+//	GET    /v1/stats             service counters
 //
 // The submit body names the circuit either inline ("qasm") or by generator
 // family ("family" + "qubits"), plus the kind and the simulation options;
@@ -48,33 +40,10 @@ import (
 // init, max_iters, …). Binding mistakes — unbound, unknown or non-finite
 // symbols, grid-size mismatches — are 400s naming the symbol.
 func NewHandler(s *Service) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) { handleSubmit(s, w, r) })
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) { handleJob(s, w, r) })
-	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) { handleResult(s, w, r) })
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) { handleTrace(s, w, r) })
-	mux.HandleFunc("GET /v1/jobs/{id}/profile", func(w http.ResponseWriter, r *http.Request) { handleProfile(s, w, r) })
-	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) { handleCancel(s, w, r) })
-	mux.HandleFunc("GET /v1/backends", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, core.Backends())
-	})
+	mux := Routes(s)
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, s.Stats())
 	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		// Readiness is distinct from liveness: once graceful shutdown
-		// begins the process is still alive (healthz 200, in-flight jobs
-		// finishing) but must stop receiving new traffic.
-		if s.Draining() {
-			WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
-			return
-		}
-		WriteJSON(w, http.StatusOK, map[string]bool{"ready": true})
-	})
-	mux.Handle("GET /metrics", s.Metrics().Handler())
 	return mux
 }
 
@@ -83,17 +52,33 @@ func NewHandler(s *Service) http.Handler {
 // decide whether a job is splittable; the original bytes — not the parsed
 // form — are what it forwards, so workers see the request verbatim.
 func ParseRequest(body []byte) (*Request, error) {
-	var wr wireRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wr); err != nil {
-		return nil, err
-	}
-	req, err := wr.toRequest(qasm.ParseToCircuit)
+	req, err := decodeRequest(bytes.NewReader(body), qasm.ParseToCircuit)
 	if err != nil {
 		return nil, err
 	}
 	return &req, nil
+}
+
+// decodeRequest streams a submit body into a Request, rejecting unknown
+// fields; parse turns its QASM text into a circuit.
+func decodeRequest(body io.Reader, parse func(src string) (*circuit.Circuit, error)) (Request, error) {
+	var wr wireRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&wr); err != nil {
+		return Request{}, err
+	}
+	return wr.toRequest(parse)
+}
+
+// SubmitBody decodes a submit body and enqueues the job (the JobAPI
+// submit): the service's program memo parses its QASM text.
+func (s *Service) SubmitBody(ctx context.Context, body io.Reader) (string, error) {
+	req, err := decodeRequest(body, s.parseProgram)
+	if err != nil {
+		return "", err
+	}
+	return s.SubmitContext(ctx, req)
 }
 
 // wireRequest is the submit body.
@@ -379,20 +364,6 @@ func (w wireRequest) toRequest(parse func(src string) (*circuit.Circuit, error))
 	return req, nil
 }
 
-// wireJob is the poll/cancel response body. Backend is the executing
-// engine (empty while queued).
-type wireJob struct {
-	ID        string      `json:"id"`
-	Kind      string      `json:"kind"`
-	Status    string      `json:"status"`
-	Backend   string      `json:"backend,omitempty"`
-	Error     string      `json:"error,omitempty"`
-	Submitted time.Time   `json:"submitted"`
-	Started   *time.Time  `json:"started,omitempty"`
-	Finished  *time.Time  `json:"finished,omitempty"`
-	Result    *WireResult `json:"result,omitempty"`
-}
-
 // WireResult is the result body; only the kind's fields are populated.
 // The Wire* types are exported because the cluster coordinator decodes,
 // merges and re-encodes worker bodies with them: one declaration of the
@@ -487,18 +458,11 @@ type WireObsValue struct {
 	StdErr float64 `json:"stderr,omitempty"`
 }
 
-func toWireJob(info JobInfo) wireJob {
-	out := wireJob{
+func toWireJob(info JobInfo) WireJob {
+	out := WireJob{
 		ID: info.ID, Kind: string(info.Kind), Status: string(info.Status),
-		Backend: info.Backend, Error: info.Err, Submitted: info.Submitted,
-	}
-	if !info.Started.IsZero() {
-		t := info.Started
-		out.Started = &t
-	}
-	if !info.Finished.IsZero() {
-		t := info.Finished
-		out.Finished = &t
+		Backend: info.Backend, Error: info.Err,
+		Submitted: info.Submitted, Started: info.Started, Finished: info.Finished,
 	}
 	if info.Result != nil {
 		out.Result = toWireResult(info.Result)
@@ -635,109 +599,23 @@ func toWireSweepPoint(binding map[string]float64, ro *core.Readouts, n int) Wire
 	return out
 }
 
-func handleSubmit(s *Service, w http.ResponseWriter, r *http.Request) {
-	var wr wireRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wr); err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
+// ResultBody waits for the job, then snapshots the job it waited on, so a
+// job that retention evicts in between is still served, not 404ed.
+func (s *Service) ResultBody(ctx context.Context, id string) (WireJob, error) {
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	s.mu.Unlock()
+	if !ok {
+		return WireJob{}, ErrNotFound
 	}
-	req, err := wr.toRequest(s.parseProgram)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
+	select {
+	case <-j.done:
+	case <-ctx.Done():
 	}
-	// When the handler is mounted without obs.InstrumentHTTP (embedded
-	// use, tests), honor the propagation headers directly so a cluster
-	// coordinator's X-Request-ID / X-Parent-Span still reach the job.
-	ctx := r.Context()
-	if obs.RequestID(ctx) == "" {
-		if rid := r.Header.Get("X-Request-ID"); rid != "" {
-			ctx = obs.WithRequestID(ctx, rid)
-		}
-	}
-	if obs.ParentSpan(ctx) == "" {
-		if span := r.Header.Get(obs.ParentSpanHeader); span != "" {
-			ctx = obs.WithParentSpan(ctx, span)
-		}
-	}
-	id, err := s.SubmitContext(ctx, req)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		// Admission control, not failure: tell the client when to come
-		// back. The cluster coordinator parses this when dispatching
-		// sub-jobs and backs the worker off for that long.
-		w.Header().Set("Retry-After", "1")
-		WriteError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, ErrClosed):
-		WriteError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	WriteJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": string(StatusQueued)})
-}
-
-func handleJob(s *Service, w http.ResponseWriter, r *http.Request) {
-	info, err := s.Job(r.PathValue("id"))
-	if err != nil {
-		WriteError(w, http.StatusNotFound, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, toWireJob(info))
-}
-
-// handleResult long-polls: it waits up to ?wait (default 30s, capped at
-// 5m) for the job to finish. A job still running at the deadline yields
-// 202 with the snapshot, so clients can re-arm the poll without treating
-// it as an error.
-func handleResult(s *Service, w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	wait := 30 * time.Second
-	if raw := r.URL.Query().Get("wait"); raw != "" {
-		d, err := time.ParseDuration(raw)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q: %w", raw, err))
-			return
-		}
-		wait = min(max(d, 0), 5*time.Minute)
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), wait)
-	defer cancel()
-	res, werr := s.Wait(ctx, id)
-	if errors.Is(werr, ErrNotFound) {
-		WriteError(w, http.StatusNotFound, werr)
-		return
-	}
-	info, jerr := s.Job(id)
-	switch {
-	case jerr == nil:
-		code := http.StatusOK
-		if !info.Status.Terminal() {
-			code = http.StatusAccepted // still running: client re-arms the poll
-		}
-		WriteJSON(w, code, toWireJob(info))
-	case werr == nil:
-		// Retention evicted the job between Wait and Job — serve the
-		// result Wait already handed us rather than 404ing a success.
-		WriteJSON(w, http.StatusOK, wireJob{
-			ID: id, Kind: string(res.Kind), Status: string(StatusDone),
-			Result: toWireResult(res),
-		})
-	case ctx.Err() != nil:
-		// Our long-poll timer expired and the job is gone: truly unknown.
-		WriteError(w, http.StatusNotFound, ErrNotFound)
-	default:
-		// Evicted terminal failure/cancel: synthesize the snapshot.
-		status := StatusFailed
-		if errors.Is(werr, context.Canceled) || errors.Is(werr, context.DeadlineExceeded) {
-			status = StatusCanceled
-		}
-		WriteJSON(w, http.StatusOK, wireJob{ID: id, Status: string(status), Error: werr.Error()})
-	}
+	s.mu.Lock()
+	info := s.snapshotLocked(j)
+	s.mu.Unlock()
+	return toWireJob(info), nil
 }
 
 // WireTrace is the GET /v1/jobs/{id}/trace body: the job's sequential
@@ -771,23 +649,18 @@ func WireStages(spans []obs.Span) []WireStage {
 	return out
 }
 
-func handleTrace(s *Service, w http.ResponseWriter, r *http.Request) {
-	info, err := s.Job(r.PathValue("id"))
+// TraceBody is the job's stage trace (a WireTrace).
+func (s *Service) TraceBody(id string) (any, error) {
+	info, err := s.Job(id)
 	if err != nil {
-		WriteError(w, http.StatusNotFound, err)
-		return
+		return nil, err
 	}
-	wall := time.Since(info.Submitted)
-	if !info.Finished.IsZero() {
-		wall = info.Finished.Sub(info.Submitted)
-	}
-	out := WireTrace{
+	return WireTrace{
 		ID: info.ID, Kind: string(info.Kind), Status: string(info.Status),
 		RequestID: info.RequestID, ParentSpan: info.ParentSpan, Backend: info.Backend,
-		WallMS: DurationMS(wall),
+		WallMS: WallMS(info.Submitted, info.Finished),
 		Stages: WireStages(info.Trace),
-	}
-	WriteJSON(w, http.StatusOK, out)
+	}, nil
 }
 
 // WireProfile is the GET /v1/jobs/{id}/profile body: the job's kernel-level
@@ -816,20 +689,16 @@ type WireProfile struct {
 	Kernels        []prof.KernelStat `json:"kernels"`
 }
 
-func handleProfile(s *Service, w http.ResponseWriter, r *http.Request) {
-	info, err := s.Job(r.PathValue("id"))
+// ProfileBody is the job's kernel profile (a WireProfile).
+func (s *Service) ProfileBody(id string) (any, error) {
+	info, err := s.Job(id)
 	if err != nil {
-		WriteError(w, http.StatusNotFound, err)
-		return
-	}
-	wall := time.Since(info.Submitted)
-	if !info.Finished.IsZero() {
-		wall = info.Finished.Sub(info.Submitted)
+		return nil, err
 	}
 	out := WireProfile{
 		ID: info.ID, Kind: string(info.Kind), Status: string(info.Status),
 		RequestID: info.RequestID, ParentSpan: info.ParentSpan, Backend: info.Backend,
-		WallMS:  DurationMS(wall),
+		WallMS:  WallMS(info.Submitted, info.Finished),
 		Stages:  WireStages(info.Trace),
 		Kernels: info.Profile,
 	}
@@ -848,36 +717,5 @@ func handleProfile(s *Service, w http.ResponseWriter, r *http.Request) {
 		out.KernelMS += ks.Seconds * 1e3
 	}
 	out.UnattributedMS = out.WindowMS - out.KernelMS
-	WriteJSON(w, http.StatusOK, out)
-}
-
-// DurationMS renders a duration as the fractional milliseconds every
-// *_ms wire field carries.
-func DurationMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-func handleCancel(s *Service, w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if err := s.Cancel(id); err != nil {
-		WriteError(w, http.StatusNotFound, err)
-		return
-	}
-	info, err := s.Job(id)
-	if err != nil {
-		WriteError(w, http.StatusNotFound, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, toWireJob(info))
-}
-
-// WriteJSON writes v as the JSON response body with the given status.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-// WriteError writes the {"error": …} body every non-2xx response carries.
-func WriteError(w http.ResponseWriter, code int, err error) {
-	WriteJSON(w, code, map[string]string{"error": err.Error()})
+	return out, nil
 }

@@ -53,6 +53,7 @@ type serviceMetrics struct {
 	stageSeconds  *obs.HistogramVec // {stage, kind, backend}
 
 	workersBusy      *obs.Gauge
+	jobPanics        *obs.Counter
 	simulations      *obs.Counter
 	trajectories     *obs.Counter
 	templateCompiles *obs.Counter
@@ -116,6 +117,8 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		"Accepted job submissions by request kind.", "kind")
 	m.jobsFinished = reg.CounterVec("hisvsim_jobs_finished_total",
 		"Terminal jobs by request kind and final status (done, failed, canceled).", "kind", "status")
+	m.jobPanics = reg.Counter("hisvsim_job_panics_total",
+		"Jobs whose execution panicked; each failed alone and the service kept serving.")
 	m.stageSeconds = reg.HistogramVec("hisvsim_stage_duration_seconds",
 		"Per-job stage latency by stage, request kind and executing backend. Stages tile the submitted-to-finished window.",
 		obs.DurationBuckets(), "stage", "kind", "backend")

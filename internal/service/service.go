@@ -38,6 +38,7 @@ import (
 	"log/slog"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -364,11 +365,13 @@ type Stats struct {
 	Backends map[string]int64 `json:"backends,omitempty"`
 }
 
-// Service errors.
+// Service errors. ErrUnavailable is a JobAPI's "nothing can run the job
+// right now" (a coordinator with no ready worker).
 var (
-	ErrQueueFull = errors.New("service: job queue full")
-	ErrClosed    = errors.New("service: closed")
-	ErrNotFound  = errors.New("service: no such job")
+	ErrQueueFull   = errors.New("service: job queue full")
+	ErrClosed      = errors.New("service: closed")
+	ErrNotFound    = errors.New("service: no such job")
+	ErrUnavailable = errors.New("service: unavailable")
 )
 
 // Service is the asynchronous simulation engine. Create with New, submit
@@ -1012,6 +1015,16 @@ func (s *Service) run(j *job) {
 		s.finish(j, nil, err)
 		return
 	}
+	// A panic — say in an engine added with backend.Register — fails this
+	// job alone, instead of the daemon and every job it has queued.
+	defer func() {
+		if p := recover(); p != nil {
+			s.m.jobPanics.Inc()
+			s.log.LogAttrs(j.ctx, slog.LevelError, "job panicked", slog.String("job", j.id),
+				slog.Any("panic", p), slog.String("stack", string(debug.Stack())))
+			s.finish(j, nil, fmt.Errorf("internal error: %v", p))
+		}
+	}()
 	res, err := s.execute(j)
 	s.finish(j, res, err)
 }
@@ -1388,22 +1401,27 @@ func cachedCompute[T costed](s *Service, j *job, cache *lru.Cache, key string, c
 			s.m.cacheHits.With(cacheName).Inc()
 			return fl.val.(T), true, nil
 		}
-		fl := &flight{done: make(chan struct{})}
+		// The flight lands deferred (this iteration always returns), so a
+		// compute that panics still frees the key: its err stays Canceled and
+		// waiters claim the key afresh, as after a canceled owner.
+		fl := &flight{done: make(chan struct{}), err: context.Canceled}
 		s.inflight[key] = fl
 		s.mu.Unlock()
+		defer func() {
+			s.mu.Lock()
+			delete(s.inflight, key)
+			if fl.err == nil && cache.Put(key, fl.val, fl.val.cost()) {
+				s.m.cachePut(cacheName, fl.val.cost())
+			}
+			s.mu.Unlock()
+			close(fl.done)
+		}()
 
 		s.m.cacheMisses.With(cacheName).Inc()
 		val, err := compute()
-		s.mu.Lock()
-		delete(s.inflight, key)
 		if fl.err = err; err == nil {
 			fl.val = val
-			if cache.Put(key, val, val.cost()) {
-				s.m.cachePut(cacheName, val.cost())
-			}
 		}
-		s.mu.Unlock()
-		close(fl.done)
 		return val, false, err
 	}
 }

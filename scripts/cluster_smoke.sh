@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # cluster_smoke.sh — boot a coordinator + two hisvsimd workers, verify
 # fingerprint routing and deterministic ensemble fan-out over real HTTP,
+# cancel a split ensemble and require every sub-job canceled on its worker,
 # then kill -9 one worker mid-ensemble and require the job to complete
 # anyway via sub-job retry on the survivor. Used by `make cluster-smoke`
 # and the CI workflow. Needs curl + jq.
@@ -132,6 +133,57 @@ if ! printf '%s\n' "$FED" | grep -q '^hisvsim_cluster_cache_hit_rate'; then
 fi
 echo "cluster-smoke: metrics federation OK"
 
+# The coordinator serves the whole job API, the backend listing included.
+BCODE="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/backends")"
+if [ "$BCODE" != 200 ]; then
+    echo "cluster-smoke: coordinator /v1/backends returned $BCODE, want 200" >&2
+    exit 1
+fi
+
+# Cancel: a split ensemble that runs for seconds, DELETEd on the coordinator
+# once every sub-job is placed, reads canceled — and so does every sub-job it
+# dispatched, on the worker running it.
+CANCEL_BODY='{
+    "circuit": {"family": "ising", "qubits": 16},
+    "kind": "run",
+    "noise": {"rules": [{"channel": "depolarizing", "p": 0.01}]},
+    "readouts": {"shots": 100, "seed": 11, "trajectories": 2048,
+                 "observables": [{"name": "zz01", "paulis": "ZZ", "qubits": [0, 1]}]}
+}'
+CID="$(curl -fsS "$BASE/v1/jobs" -d "$CANCEL_BODY" | jq -r .id)"
+placed() {
+    curl -fsS "$BASE/v1/cluster" | jq -r --arg id "$CID" \
+        '.recent_jobs[] | select(.id == $id) | .subjobs[]? | select((.remote_id // "") != "") | "\(.worker)/v1/jobs/\(.remote_id)"'
+}
+i=0
+until [ "$(placed | wc -l)" -ge 2 ]; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+        echo "cluster-smoke: job $CID never placed its sub-jobs" >&2
+        curl -fsS "$BASE/v1/cluster" >&2
+        exit 1
+    fi
+    sleep 0.05
+done
+DCODE="$(curl -s -o /dev/null -w '%{http_code}' -X DELETE "$BASE/v1/jobs/$CID")"
+CSTATUS="$(curl -fsS "$BASE/v1/jobs/$CID/result?wait=30s" | jq -r .status)"
+if [ "$DCODE" != 200 ] || [ "$CSTATUS" != canceled ]; then
+    echo "cluster-smoke: DELETE returned $DCODE and the job reads $CSTATUS, want 200 and canceled" >&2
+    exit 1
+fi
+for SUB in $(placed); do
+    i=0
+    until [ "$(curl -fsS "$SUB" | jq -r .status)" = canceled ]; do
+        i=$((i + 1))
+        if [ "$i" -gt 50 ]; then
+            echo "cluster-smoke: sub-job $SUB still $(curl -fsS "$SUB" | jq -r .status) 5 s after the cancel" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+done
+echo "cluster-smoke: cancel OK (every sub-job canceled on its worker)"
+
 # Fault injection: submit a long ensemble, kill -9 one worker while its
 # sub-job is in flight, and require the coordinator to finish the job by
 # retrying the lost range on the survivor. The register is wide enough that
@@ -196,4 +248,4 @@ fi
 kill -TERM "$W1_PID" 2>/dev/null || true
 wait "$W1_PID" 2>/dev/null || true
 trap - EXIT
-echo "cluster-smoke: OK (2-worker ring, split ensemble, stitched trace, sticky routing, metrics federation, mid-ensemble worker kill survived via retry, dead worker evicted, graceful drain)"
+echo "cluster-smoke: OK (2-worker ring, split ensemble, stitched trace, sticky routing, metrics federation, backends listing, cancel reaching every sub-job, mid-ensemble worker kill survived via retry, dead worker evicted, graceful drain)"

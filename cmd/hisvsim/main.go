@@ -215,8 +215,8 @@ func main() {
 	}
 	fmt.Printf("execution: %s\n", res.Elapsed)
 	if res.Hier != nil {
-		fmt.Printf("single-node: %d parts, %d gather/scatter sweeps, %.1f MB moved, %d inner kernel ops\n",
-			res.Hier.Parts, res.Hier.Sweeps, float64(res.Hier.BytesMoved)/(1<<20), res.Hier.InnerOps)
+		fmt.Printf("single-node: %d parts, %d gather/scatter sweeps, %.1f MB moved, %d sweeps skipped, %d inner kernel ops\n",
+			res.Hier.Parts, res.Hier.Sweeps, float64(res.Hier.BytesMoved)/(1<<20), res.Hier.SkippedSweeps, res.Hier.InnerOps)
 	}
 	if res.Dist != nil {
 		fmt.Printf("distributed: %d ranks, %d relayouts, %.1f MB over network\n",

@@ -1,10 +1,16 @@
 package experiments
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 
 	"hisvsim/internal/bench"
+	"hisvsim/internal/circuit"
+	"hisvsim/internal/core"
+	"hisvsim/internal/dag"
+	"hisvsim/internal/fuse"
+	"hisvsim/internal/gate"
 )
 
 // smallCfg keeps the test-time grid cheap.
@@ -313,8 +319,60 @@ func TestStrongScalingShape(t *testing.T) {
 	}
 }
 
+// supportWork is the state-free support formula for a plan executed fused
+// from |0…0⟩: the sweeps each part runs and the bytes gather and scatter
+// copy. A qubit stays clear until a fused dense block holds it or a
+// non-diagonal gate not controlled on a clear qubit targets it; a part runs
+// the sweeps that set no clear qubit outside it, and a non-view part copies
+// its 2^w amplitudes in and out per sweep run.
+func supportWork(t *testing.T, c *circuit.Circuit, strategy string, lm int, seed int64) (sweeps, moved float64) {
+	t.Helper()
+	s, err := core.NewStrategy(strategy, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := s.Partition(dag.FromCircuit(c), lm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask := func(qs []int) int {
+		m := 0
+		for _, q := range qs {
+			m |= 1 << uint(q)
+		}
+		return m
+	}
+	n, clear := c.NumQubits, 1<<uint(c.NumQubits)-1
+	for _, part := range pl.Parts {
+		w := len(part.Qubits)
+		live := float64(int(1) << uint(n-bits.OnesCount(uint(clear|mask(part.Qubits)))))
+		sweeps += live
+		if part.Qubits[w-1] != w-1 {
+			moved += 2 * 16 * live * float64(int(1)<<uint(w))
+		}
+		var gates []gate.Gate
+		for _, gi := range part.GateIndices {
+			gates = append(gates, c.Gates[gi])
+		}
+		blocks, err := fuse.Fuse(gates, fuse.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range blocks {
+			switch g := b.Gates[0]; {
+			case b.Kind == fuse.Dense:
+				clear &^= mask(b.Qubits)
+			case b.Kind == fuse.Single && mask(g.Controls())&clear == 0 && !gate.IsDiagonal(g):
+				clear &^= mask(g.Targets())
+			}
+		}
+	}
+	return sweeps, moved
+}
+
 // The hier benchmark's exact rows must obey the executor's accounting: every
-// part either copies the whole vector twice or, as a view, nothing.
+// part runs the sweeps its start state's support leaves live and copies
+// each one's amplitudes twice or, as a view, nothing.
 func TestHierBenchWorkRows(t *testing.T) {
 	rep, err := HierBench(HierConfig{Qubits: []int{13}, Reps: 1, Seed: 1})
 	if err != nil {
@@ -328,8 +386,8 @@ func TestHierBenchWorkRows(t *testing.T) {
 	for _, r := range norm.Rows {
 		rows[r.Metric] = r.Value
 	}
-	for _, fam := range []string{"qft", "ising"} {
-		p := fam + "-13/lm12/"
+	for _, c := range []*circuit.Circuit{circuit.QFT(13), circuit.Ising(13, 4)} {
+		p := c.Name + "-13/lm12/"
 		for _, m := range []string{"dagp_vs_flat", "dagp_vs_dfs", "dagp_vs_default", "partition_share", "tts_dagp_ms"} {
 			if _, ok := rows[p+m]; !ok {
 				t.Errorf("missing row %s", p+m)
@@ -340,8 +398,9 @@ func TestHierBenchWorkRows(t *testing.T) {
 			if parts < 2 || views > parts {
 				t.Errorf("%s%s: %v parts, %v views", p, s, parts, views)
 			}
-			if want := (parts - views) * 2 * 16 * (1 << 13); rows[p+s+"/bytes_moved"] != want {
-				t.Errorf("%s%s: bytes_moved %v, want %v", p, s, rows[p+s+"/bytes_moved"], want)
+			sweeps, moved := supportWork(t, c, s, 12, 1)
+			if rows[p+s+"/sweeps"] != sweeps || rows[p+s+"/bytes_moved"] != moved {
+				t.Errorf("%s%s: %v sweeps, bytes_moved %v; want %v, %v", p, s, rows[p+s+"/sweeps"], rows[p+s+"/bytes_moved"], sweeps, moved)
 			}
 		}
 	}

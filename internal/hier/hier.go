@@ -32,6 +32,15 @@
 // arithmetic are the same in all three, so results do not depend on them or
 // on Workers. Metrics.BytesMoved counts the bytes actually copied — zero for
 // a view part.
+//
+// Execution follows the state's support. A qubit that every nonzero
+// amplitude of the input has clear (sv.State.ClearQubits), and that no
+// non-diagonal op has targeted since, still reads 0 wherever the state is
+// nonzero. A sweep whose outer index sets such a qubit holds only zeros and
+// is never run (Metrics.SkippedSweeps), and each part's ops are pinned to
+// the support of its still-clear slots (sv.PinZero), so their kernels walk
+// only amplitudes that can be nonzero. Every amplitude that is computed gets
+// the arithmetic it gets without this, so results are == either way.
 package hier
 
 import (
@@ -84,26 +93,31 @@ func (o Options) workers() int {
 
 // PartStats records the execution footprint of one part.
 type PartStats struct {
-	Index      int
-	Gates      int
-	Qubits     int
-	Sweeps     int64 // gather/scatter iterations = 2^(n-w)
-	BytesMoved int64 // bytes gather and scatter copied, nested levels included; 0 for a view
-	SubParts   int   // second-level part count (1 when single-level)
-	Blocks     int   // fused blocks per sweep (0 when fusion off or multi-level)
+	Index  int
+	Gates  int
+	Qubits int
+	Sweeps int64 // gather/scatter iterations run: 2^(n-w) less the skipped ones
+	// SkippedSweeps are the sweeps whose outer index sets a qubit still
+	// clear at the part's start: they hold only zeros and are not run.
+	SkippedSweeps int64
+	BytesMoved    int64 // bytes gather and scatter copied, nested levels included; 0 for a view
+	SubParts      int   // second-level part count (1 when single-level)
+	Blocks        int   // fused blocks per sweep (0 when fusion off or multi-level)
 }
 
 // Metrics aggregates execution statistics.
 type Metrics struct {
-	Parts      int
-	BytesMoved int64
-	Sweeps     int64
-	InnerOps   int64
-	PerPart    []PartStats
+	Parts         int
+	BytesMoved    int64
+	Sweeps        int64
+	SkippedSweeps int64
+	InnerOps      int64
+	PerPart       []PartStats
 }
 
 // ExecutePlan runs every part of the plan against the given outer state.
-// The state must span the plan's circuit.
+// The state must span the plan's circuit; its support is read off its
+// amplitudes, so any state is a valid input.
 func ExecutePlan(pl *partition.Plan, outer *sv.State, opts Options) (*Metrics, error) {
 	if pl.Circuit.NumQubits > outer.N {
 		return nil, fmt.Errorf("hier: circuit needs %d qubits, state has %d", pl.Circuit.NumQubits, outer.N)
@@ -113,11 +127,12 @@ func ExecutePlan(pl *partition.Plan, outer *sv.State, opts Options) (*Metrics, e
 		ctx = context.Background()
 	}
 	m := &Metrics{Parts: pl.NumParts()}
+	clearBits := outer.ClearQubits()
 	for _, part := range pl.Parts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		pp, err := preparePart(pl.Circuit, part, opts)
+		pp, err := preparePart(pl.Circuit, part, clearBits, opts)
 		if err != nil {
 			return nil, fmt.Errorf("hier: part %d: %w", part.Index, err)
 		}
@@ -128,6 +143,8 @@ func ExecutePlan(pl *partition.Plan, outer *sv.State, opts Options) (*Metrics, e
 		m.PerPart = append(m.PerPart, ps)
 		m.BytesMoved += ps.BytesMoved
 		m.Sweeps += ps.Sweeps
+		m.SkippedSweeps += ps.SkippedSweeps
+		clearBits = pp.clearAfter
 	}
 	m.InnerOps = outer.Ops
 	return m, nil
@@ -154,9 +171,15 @@ const lineAmps = 4
 
 // prepared is one part's precomputed execution recipe: its gates remapped
 // onto inner slots and lowered to kernel ops (one per fused block, or one per
-// gate with fusion off), or the prepared second-level sub-parts, plus the
-// gather/scatter layout. Preparing once per part keeps fusion, gate lowering
-// and second-level partitioning out of the 2^(n-w) sweep loop.
+// gate with fusion off) pinned to the support of its clear slots, or the
+// prepared second-level sub-parts, plus the gather/scatter layout and the
+// live sweeps. Preparing once per part keeps fusion, gate lowering and
+// second-level partitioning out of the sweep loop.
+//
+// The live sweeps are those whose outer index sets no dead qubit — one that
+// is clear at the part's start and not the part's own. Live sweep f has the
+// base f with a zero inserted at every skip bit (the part's qubits and its
+// dead ones), so the loop counts live sweeps only.
 //
 // The layout follows from how many of the part's qubits are exactly
 // 0..j-1: those bits of an inner index are the same bits of the outer
@@ -165,28 +188,40 @@ const lineAmps = 4
 //   - j == w: one run is the whole sweep — the inner state is a view of
 //     the outer vector and nothing is copied (offs is nil).
 //   - 0 < j < w: gather and scatter copy() 2^(w-j) runs.
-//   - runs shorter than a cache line (j < 2) with free qubits right above
-//     them: the sweeps that differ only in those free qubits interleave
-//     within the same lines, so batch of them are moved together and each
-//     line of the outer vector is read and written once.
+//   - runs shorter than a cache line (j < 2) with live free qubits right
+//     above them: the sweeps that differ only in those free qubits
+//     interleave within the same lines, so batch of them are moved together
+//     and each line of the outer vector is read and written once.
 type prepared struct {
-	part   partition.Part
-	run    int        // 2^j: contiguous amplitudes per run
-	offs   []int      // outer offset of each run (nil for a view)
-	batch  int        // adjacent sweeps moved together (1, 2 or 4)
-	ops    []sv.Op    // lowered for w-qubit inner states (nil when multi-level)
-	blocks int        // fused blocks per sweep (0 when fusion off or multi-level)
-	sub    []prepared // second-level prepared parts
+	part       partition.Part
+	skip       int        // outer bits every live sweep holds at 0: the part's qubits and its dead ones
+	clearAfter int        // the qubits still clear after the part
+	run        int        // 2^j: contiguous amplitudes per run
+	offs       []int      // outer offset of each run (nil for a view)
+	batch      int        // adjacent sweeps moved together (1, 2 or 4)
+	ops        []sv.Op    // lowered for w-qubit inner states (nil when multi-level)
+	blocks     int        // fused blocks per sweep (0 when fusion off or multi-level)
+	sub        []prepared // second-level prepared parts
 }
 
 // isView reports whether sweeps run in place on slices of the outer vector.
 func (pp *prepared) isView() bool { return pp.run == 1<<uint(len(pp.part.Qubits)) }
 
+// sweeps is how many live sweeps the part runs on an n-qubit outer state.
+func (pp *prepared) sweeps(n int) int { return 1 << uint(n-bits.OnesCount(uint(pp.skip))) }
+
 // preparePart remaps the part's gates onto inner slots and precomputes the
-// layout and the kernel ops or the second-level plan.
-func preparePart(c *circuit.Circuit, part partition.Part, opts Options) (prepared, error) {
+// layout and the kernel ops or the second-level plan for a state whose
+// clear qubits are the bits of clearBits.
+func preparePart(c *circuit.Circuit, part partition.Part, clearBits int, opts Options) (prepared, error) {
 	w := part.WorkingSetSize()
 	pp := prepared{part: part, batch: 1}
+	own := 0
+	for _, q := range part.Qubits {
+		own |= 1 << uint(q)
+	}
+	dead := clearBits &^ own
+	pp.skip, pp.clearAfter = own|dead, dead
 	j := 0
 	for j < w && part.Qubits[j] == j {
 		j++
@@ -202,7 +237,10 @@ func preparePart(c *circuit.Circuit, part partition.Part, opts Options) (prepare
 			low := bits.TrailingZeros(uint(r))
 			pp.offs[r] = pp.offs[r&(r-1)] | 1<<uint(high[low])
 		}
-		for free := high[0] - j; pp.run*pp.batch < lineAmps && free > 0; free-- {
+		// Adjacent live sweeps differ in the free qubits from j up to the
+		// first part or dead qubit.
+		free := min(high[0], j+bits.TrailingZeros(uint(dead>>uint(j)))) - j
+		for ; pp.run*pp.batch < lineAmps && free > 0; free-- {
 			pp.batch *= 2
 		}
 	}
@@ -231,8 +269,8 @@ func preparePart(c *circuit.Circuit, part partition.Part, opts Options) (prepare
 		}
 		subOpts := opts
 		subOpts.SecondLevelLm = 0
-		for _, p2 := range pl2.Parts {
-			sp, err := preparePart(sub, p2, subOpts)
+		for _, p2 := range pl2.Parts { // sub-parts run unpinned
+			sp, err := preparePart(sub, p2, 0, subOpts)
 			if err != nil {
 				return pp, err
 			}
@@ -240,18 +278,29 @@ func preparePart(c *circuit.Circuit, part partition.Part, opts Options) (prepare
 		}
 		return pp, nil
 	}
+	var ops []sv.Op
+	var err error
 	if !opts.Fuse {
-		var err error
-		pp.ops, err = sv.GateOps(w, gates)
-		return pp, err
+		ops, err = sv.GateOps(w, gates)
+	} else {
+		var blocks []fuse.Block
+		if blocks, err = fuse.Fuse(gates, fuse.Options{MaxQubits: opts.MaxFuseQubits}); err == nil {
+			pp.blocks = len(blocks)
+			ops, err = fuse.Plan(blocks, w)
+		}
 	}
-	blocks, err := fuse.Fuse(gates, fuse.Options{MaxQubits: opts.MaxFuseQubits})
 	if err != nil {
 		return pp, err
 	}
-	pp.blocks = len(blocks)
-	pp.ops, err = fuse.Plan(blocks, w)
-	return pp, err
+	slots := 0 // the part's clear qubits, as inner slots
+	for s, q := range part.Qubits {
+		slots |= (clearBits >> uint(q) & 1) << uint(s)
+	}
+	pp.ops, slots = sv.PinZero(ops, slots)
+	for s, q := range part.Qubits {
+		pp.clearAfter |= (slots >> uint(s) & 1) << uint(q)
+	}
+	return pp, nil
 }
 
 // applyPrepared runs one prepared part's compute against an inner state
@@ -286,13 +335,14 @@ func executePart(ctx context.Context, pp prepared, outer *sv.State, workers int)
 	if w == 0 {
 		return ps, nil
 	}
-	ps.Sweeps = int64(1) << uint(outer.N-w)
+	ps.Sweeps = int64(pp.sweeps(outer.N))
+	ps.SkippedSweeps = int64(1)<<uint(outer.N-w) - ps.Sweeps
 	var err error
 	ps.BytesMoved, err = executeSweeps(ctx, &pp, outer, workers)
 	return ps, err
 }
 
-// executeSweeps runs the 2^(n-w) gather/execute/scatter iterations of one
+// executeSweeps runs the live gather/execute/scatter iterations of one
 // prepared part against the outer state and returns the bytes it copied
 // (here and in nested levels). Independent sweeps touch disjoint slices of
 // the outer vector, so up to workers goroutines claim them a few batches at
@@ -303,7 +353,7 @@ func executePart(ctx context.Context, pp prepared, outer *sv.State, workers int)
 // is polled once per batch of sweeps.
 func executeSweeps(ctx context.Context, pp *prepared, outer *sv.State, workers int) (int64, error) {
 	w := pp.part.WorkingSetSize()
-	sweeps := 1 << uint(outer.N-w)
+	sweeps := pp.sweeps(outer.N)
 	batch := pp.batch
 	for batch > 1 && sweeps/batch < workers {
 		batch /= 2 // never trade sweep-level parallelism for wider batches
@@ -344,8 +394,8 @@ func executeSweeps(ctx context.Context, pp *prepared, outer *sv.State, workers i
 				default:
 				}
 				base := f
-				for _, q := range pp.part.Qubits { // ascending: insert zeros at part qubits
-					base = insertBit(base, q)
+				for m := pp.skip; m != 0; m &= m - 1 { // ascending: insert zeros at skip bits
+					base = insertBit(base, bits.TrailingZeros(uint(m)))
 				}
 				if view {
 					inners[0].Amps = outer.Amps[base : base+pp.run]

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -128,45 +129,64 @@ func TestMetricsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ExecutePlan(pl, sv.NewState(c.NumQubits), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.PerPart) != m.Parts {
-		t.Fatalf("per-part stats %d vs parts %d", len(m.PerPart), m.Parts)
-	}
-	var bytes int64
-	gates, views := 0, 0
-	for _, ps := range m.PerPart {
-		// sweeps = 2^(n - w)
-		if want := int64(1) << uint(c.NumQubits-ps.Qubits); ps.Sweeps != want {
-			t.Errorf("part %d sweeps = %d, want %d", ps.Index, ps.Sweeps, want)
+	dense := sv.NewState(c.NumQubits) // H on every qubit: no qubit is clear
+	for q := 0; q < c.NumQubits; q++ {
+		if err := dense.ApplyGate(gate.H(q)); err != nil {
+			t.Fatal(err)
 		}
-		// Gather plus scatter copy the whole vector once each, except for
-		// a part on qubits 0..w-1: its sweeps are slices of the outer
-		// vector and nothing is copied.
-		want := 2 * 16 * int64(1) << uint(c.NumQubits)
-		if part := pl.Parts[ps.Index]; part.Qubits[len(part.Qubits)-1] == len(part.Qubits)-1 {
-			want = 0
-			views++
+	}
+	for _, start := range []struct {
+		name  string
+		state *sv.State
+	}{{"dense", dense}, {"|0⟩", sv.NewState(c.NumQubits)}} {
+		m, err := ExecutePlan(pl, start.state, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ps.BytesMoved != want {
-			t.Errorf("part %d bytes = %d, want %d", ps.Index, ps.BytesMoved, want)
+		if len(m.PerPart) != m.Parts {
+			t.Fatalf("%s: per-part stats %d vs parts %d", start.name, len(m.PerPart), m.Parts)
 		}
-		bytes += ps.BytesMoved
-		gates += ps.Gates
-	}
-	if bytes != m.BytesMoved {
-		t.Error("bytes totals disagree")
-	}
-	if views == 0 || views == m.Parts {
-		t.Errorf("%d of %d parts are views; the test needs both kinds", views, m.Parts)
-	}
-	if gates != c.NumGates() {
-		t.Errorf("parts cover %d gates, circuit has %d", gates, c.NumGates())
-	}
-	if m.InnerOps < int64(c.NumGates()) {
-		t.Errorf("inner ops %d < gate count", m.InnerOps)
+		var bytes, sweeps, skipped int64
+		gates, views := 0, 0
+		for _, ps := range m.PerPart {
+			// Every sweep runs or is skipped: 2^(n - w) of them, all run
+			// from a dense start.
+			total := int64(1) << uint(c.NumQubits-ps.Qubits)
+			if ps.Sweeps+ps.SkippedSweeps != total || start.name == "dense" && ps.SkippedSweeps != 0 {
+				t.Errorf("%s: part %d sweeps %d + skipped %d, want %d in all", start.name, ps.Index, ps.Sweeps, ps.SkippedSweeps, total)
+			}
+			// Gather plus scatter copy each run sweep's 2^w amplitudes once
+			// each (from a dense start: the whole vector once each), except
+			// for a part on qubits 0..w-1: its sweeps are slices of the
+			// outer vector and nothing is copied.
+			want := 2 * 16 * ps.Sweeps << uint(ps.Qubits)
+			if part := pl.Parts[ps.Index]; part.Qubits[len(part.Qubits)-1] == len(part.Qubits)-1 {
+				want = 0
+				views++
+			}
+			if ps.BytesMoved != want {
+				t.Errorf("%s: part %d bytes = %d, want %d", start.name, ps.Index, ps.BytesMoved, want)
+			}
+			bytes += ps.BytesMoved
+			sweeps += ps.Sweeps
+			skipped += ps.SkippedSweeps
+			gates += ps.Gates
+		}
+		if bytes != m.BytesMoved || sweeps != m.Sweeps || skipped != m.SkippedSweeps {
+			t.Errorf("%s: per-part totals disagree with the metrics", start.name)
+		}
+		if views == 0 || views == m.Parts {
+			t.Errorf("%s: %d of %d parts are views; the test needs both kinds", start.name, views, m.Parts)
+		}
+		if gates != c.NumGates() {
+			t.Errorf("%s: parts cover %d gates, circuit has %d", start.name, gates, c.NumGates())
+		}
+		if start.name == "dense" && m.InnerOps < int64(c.NumGates()) {
+			t.Errorf("%s: inner ops %d < gate count", start.name, m.InnerOps)
+		}
+		if start.name == "|0⟩" && m.SkippedSweeps == 0 {
+			t.Errorf("%s: no sweep skipped", start.name)
+		}
 	}
 }
 
@@ -323,7 +343,7 @@ func oracleSweeps(pp *prepared, outer *sv.State) {
 func oracleExecute(t *testing.T, pl *partition.Plan, outer *sv.State, opts Options) {
 	t.Helper()
 	for _, part := range pl.Parts {
-		pp, err := preparePart(pl.Circuit, part, opts)
+		pp, err := preparePart(pl.Circuit, part, 0, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,9 +377,13 @@ func randomState(n int, seed int64) *sv.State {
 
 // TestExecutorMatchesOracle drives every gather/scatter layout — view, runs,
 // batches of 2 and 4, parts with only two sweeps, second-level plans — at
-// every worker split and with fusion on and off. The executor must equal the
-// literal Algorithm 1 loop amplitude for amplitude (==: the layouts move
-// data, they do not change arithmetic) and the per-gate flat sweep to 1e-12.
+// every worker split and with fusion on and off, from a dense state, from
+// |0…0⟩, from a state with a few qubits clear and from one whose qubits 2
+// and 6 are never set alone (amplitudes 1<<2 and 1<<6 are zero, yet neither
+// qubit is clear). The executor must equal
+// the literal Algorithm 1 loop over unpinned ops and every sweep amplitude
+// for amplitude (==: the layouts move data and the support skips only
+// zeros, neither changes arithmetic) and the per-gate flat sweep to 1e-12.
 func TestExecutorMatchesOracle(t *testing.T) {
 	const n = 9
 	type tc struct {
@@ -390,9 +414,22 @@ func TestExecutorMatchesOracle(t *testing.T) {
 		{name: "second level under a view", pl: onQubits(n, []int{0, 1, 2, 3, 4, 5}, 12), second: 3, view: true, batch: 1},
 		{name: "second level under a batch", pl: onQubits(n, []int{2, 3, 5, 6, 7, 8}, 13), second: 4, batch: 4},
 	}
+	sparse := randomState(n, 43) // qubits 1, 3, 5 and 8 clear
+	for i := range sparse.Amps {
+		if i&(1<<1|1<<3|1<<5|1<<8) != 0 {
+			sparse.Amps[i] = 0
+		}
+	}
+	paired := randomState(n, 44) // qubit 3 clear, qubits 2 and 6 equal
+	for i := range paired.Amps {
+		if i&(1<<3) != 0 || i>>2&1 != i>>6&1 {
+			paired.Amps[i] = 0
+		}
+	}
+	starts := []*sv.State{randomState(n, 42), sv.NewState(n), sparse, paired}
 	for _, c := range cases {
 		if c.batch != 0 {
-			pp, err := preparePart(c.pl.Circuit, c.pl.Parts[0], Options{})
+			pp, err := preparePart(c.pl.Circuit, c.pl.Parts[0], 0, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -400,30 +437,31 @@ func TestExecutorMatchesOracle(t *testing.T) {
 				t.Errorf("%s: layout batch=%d view=%v, want batch=%d view=%v", c.name, pp.batch, pp.isView(), c.batch, c.view)
 			}
 		}
-		start := randomState(n, 42)
-		flat := start.Clone()
-		if err := flat.ApplyCircuit(c.pl.Circuit); err != nil {
-			t.Fatal(err)
-		}
-		for _, fused := range []bool{false, true} {
-			opts := Options{Fuse: fused, SecondLevelLm: c.second}
-			want := start.Clone()
-			oracleExecute(t, c.pl, want, opts)
-			for i := range want.Amps {
-				if d := want.Amps[i] - flat.Amps[i]; math.Hypot(real(d), imag(d)) > 1e-12 {
-					t.Fatalf("%s fuse=%v: oracle amplitude %d off the flat sweep by %g", c.name, fused, i, math.Hypot(real(d), imag(d)))
-				}
+		for si, start := range starts {
+			flat := start.Clone()
+			if err := flat.ApplyCircuit(c.pl.Circuit); err != nil {
+				t.Fatal(err)
 			}
-			for workers := 1; workers <= 3; workers++ {
-				opts.Workers = workers
-				got := start.Clone()
-				if _, err := ExecutePlan(c.pl, got, opts); err != nil {
-					t.Fatalf("%s fuse=%v workers=%d: %v", c.name, fused, workers, err)
-				}
+			for _, fused := range []bool{false, true} {
+				opts := Options{Fuse: fused, SecondLevelLm: c.second}
+				want := start.Clone()
+				oracleExecute(t, c.pl, want, opts)
 				for i := range want.Amps {
-					if got.Amps[i] != want.Amps[i] {
-						t.Fatalf("%s fuse=%v workers=%d: amplitude %d = %v, oracle %v",
-							c.name, fused, workers, i, got.Amps[i], want.Amps[i])
+					if d := want.Amps[i] - flat.Amps[i]; math.Hypot(real(d), imag(d)) > 1e-12 {
+						t.Fatalf("%s start %d fuse=%v: oracle amplitude %d off the flat sweep by %g", c.name, si, fused, i, math.Hypot(real(d), imag(d)))
+					}
+				}
+				for workers := 1; workers <= 3; workers++ {
+					opts.Workers = workers
+					got := start.Clone()
+					if _, err := ExecutePlan(c.pl, got, opts); err != nil {
+						t.Fatalf("%s fuse=%v workers=%d: %v", c.name, fused, workers, err)
+					}
+					for i := range want.Amps {
+						if got.Amps[i] != want.Amps[i] {
+							t.Fatalf("%s start %d fuse=%v workers=%d: amplitude %d = %v, oracle %v",
+								c.name, si, fused, workers, i, got.Amps[i], want.Amps[i])
+						}
 					}
 				}
 			}
@@ -432,15 +470,20 @@ func TestExecutorMatchesOracle(t *testing.T) {
 }
 
 // pollCountingCtx cancels itself once Done has been asked cancelAt times, so
-// a test can cancel a run at an exact point inside a part's sweep loop.
+// a test can cancel a run at an exact point inside a part's sweep loop. The
+// count and the cancel share a lock, so every poll after the cancelAt-th
+// sees the closed channel.
 type pollCountingCtx struct {
 	context.Context
 	cancel   context.CancelFunc
+	mu       sync.Mutex
 	polls    atomic.Int64
 	cancelAt int64
 }
 
 func (c *pollCountingCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.polls.Add(1) == c.cancelAt {
 		c.cancel()
 	}
@@ -452,7 +495,9 @@ func (c *pollCountingCtx) Done() <-chan struct{} {
 // context's error and leaves no goroutine running.
 func TestCancelInsideAPart(t *testing.T) {
 	const n = 12
-	// Two parts of 2^9 sweeps each, in batches of 4: 128 polls per part.
+	// Two parts of 2^9 sweeps each, in batches of 4, started from H on every
+	// qubit but 4 and 6: part 0 runs the 2^7 sweeps that keep those two
+	// qubits at 0 (32 polls), part 1 — on qubits 4..6 — all of its own (128).
 	c := circuit.New("two-parts", n)
 	c.Gates = append(c.Gates, gate.H(9), gate.CX(9, 10), gate.H(11), gate.H(4), gate.CX(4, 5), gate.H(6))
 	pl := &partition.Plan{Circuit: c, Lm: 3, Strategy: "hand", Parts: []partition.Part{
@@ -461,8 +506,15 @@ func TestCancelInsideAPart(t *testing.T) {
 	for workers := 1; workers <= 3; workers++ {
 		before := runtime.NumGoroutine()
 		base, cancel := context.WithCancel(context.Background())
-		ctx := &pollCountingCtx{Context: base, cancel: cancel, cancelAt: 40}
+		ctx := &pollCountingCtx{Context: base, cancel: cancel, cancelAt: 20}
 		st := sv.NewState(n)
+		for q := 0; q < n; q++ {
+			if q != 4 && q != 6 {
+				if err := st.ApplyGate(gate.H(q)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		_, err := ExecutePlan(pl, st, Options{Ctx: ctx, Workers: workers})
 		cancel()
 		if !errors.Is(err, context.Canceled) {

@@ -45,7 +45,8 @@ type plan struct {
 	n      int
 	qubits []int // targets; qubits[j] is bit j of the matrix / diagonal index
 	ctrl   int   // control bits, pinned to 1
-	fixed  int   // targets ∪ controls, as a bit mask
+	zero   int   // pinned-zero bits: amplitudes that set one are skipped (see PinZero)
+	fixed  int   // targets ∪ controls ∪ pinned-zero bits, as a bit mask
 	// Dense and swap plans.
 	below []int // 2^q − 1 per fixed bit q, ascending: where next inserts a bit
 	offs  []int // 2^k target offsets in matrix-index order
@@ -54,16 +55,17 @@ type plan struct {
 	// Diagonal plans: the state is streamed in 2^lowBits blocks of
 	// 2^runBits-amplitude runs that share one diagonal entry; lowTab maps a
 	// run's index within its block to the low bits' share of the diagonal
-	// index (−1 where a low control bit is clear), the high share is
-	// computed once per block.
+	// index (−1 where a low control bit is clear or a low pinned-zero bit
+	// set), the high share is computed once per block.
 	lowBits, runBits uint
 	lowTab           []int32
 }
 
 // newPlan validates the qubit lists (in range, pairwise distinct) and
-// builds the tables for a dense (or swap) kernel, or for a diagonal one.
-func newPlan(n int, targets, controls []int, diagonal bool) plan {
-	p := plan{n: n, qubits: targets}
+// builds the tables for a dense (or swap) kernel, or for a diagonal one,
+// walking only the amplitudes that hold every bit of zero at 0.
+func newPlan(n int, targets, controls []int, diagonal bool, zero int) plan {
+	p := plan{n: n, qubits: targets, zero: zero}
 	var seen int
 	claim := func(q int) {
 		if q < 0 || q >= n {
@@ -81,12 +83,13 @@ func newPlan(n int, targets, controls []int, diagonal bool) plan {
 		claim(q)
 		p.ctrl |= 1 << uint(q)
 	}
-	p.fixed = seen
+	p.fixed = seen | zero
 	if diagonal {
-		// Below the lowest qubit the diagonal touches, amplitudes come in runs
-		// sharing one entry; runs shorter than four are walked per amplitude.
+		// Below the lowest qubit the diagonal touches or pins, amplitudes come
+		// in runs sharing one entry; runs shorter than four are walked per
+		// amplitude.
 		p.lowBits = uint(min(n, diagLowBits))
-		if r := uint(bits.TrailingZeros(uint(seen))); r >= 2 {
+		if r := uint(bits.TrailingZeros(uint(p.fixed))); r >= 2 {
 			p.runBits = min(r, p.lowBits)
 		}
 		var bitOf [diagLowBits]int32 // diagonal-index bit contributed by each run-index bit
@@ -96,12 +99,13 @@ func newPlan(n int, targets, controls []int, diagonal bool) plan {
 			}
 		}
 		lowCtrl := p.ctrl & (1<<p.lowBits - 1) >> p.runBits
+		lowZero := zero & (1<<p.lowBits - 1) >> p.runBits
 		p.lowTab = make([]int32, 1<<(p.lowBits-p.runBits))
 		for i := 1; i < len(p.lowTab); i++ {
 			p.lowTab[i] = p.lowTab[i&(i-1)] | bitOf[bits.TrailingZeros(uint(i))]
 		}
 		for i := range p.lowTab {
-			if i&lowCtrl != lowCtrl {
+			if i&lowCtrl != lowCtrl || i&lowZero != 0 {
 				p.lowTab[i] = -1
 			}
 		}
@@ -109,6 +113,7 @@ func newPlan(n int, targets, controls []int, diagonal bool) plan {
 	}
 	// Bits 0..j-1 are fixed and q is the next fixed bit above them: the free
 	// indices below it address amplitudes 2^j apart.
+	seen = p.fixed
 	j := 0
 	for seen>>uint(j)&1 == 1 {
 		j++
@@ -137,7 +142,8 @@ func newPlan(n int, targets, controls []int, diagonal bool) plan {
 // next is one step of the free-index walk: from f (below hi) it returns how
 // many consecutive free indices share a run — their groups sit p.step
 // amplitudes apart — and the amplitude index of the first one's group base:
-// f with a zero inserted at every target bit and a one at every control bit.
+// f with a zero inserted at every target and pinned-zero bit and a one at
+// every control bit.
 func (p *plan) next(f, hi int) (r, base int) {
 	base = f
 	for _, low := range p.below {
@@ -165,13 +171,13 @@ func DenseOp(n int, targets, controls []int, m gate.Matrix, kind prof.Kind) Op {
 	if m.K != len(targets) || m.K == 0 {
 		panic(fmt.Sprintf("sv: %d-qubit matrix lowered onto %d targets", m.K, len(targets)))
 	}
-	return Op{plan: newPlan(n, targets, controls, false), mat: m.Data, kind: kind, width: m.K}
+	return Op{plan: newPlan(n, targets, controls, false, 0), mat: m.Data, kind: kind, width: m.K}
 }
 
 // DiagonalOp lowers a 2^k diagonal over the listed qubits (qubits[j] is bit
 // j of the diagonal index).
 func DiagonalOp(n int, qubits []int, d []complex128) Op {
-	op := Op{plan: newPlan(n, qubits, nil, true), kind: prof.Diagonal, width: len(qubits)}
+	op := Op{plan: newPlan(n, qubits, nil, true, 0), kind: prof.Diagonal, width: len(qubits)}
 	return op.WithDiagonal(d)
 }
 
@@ -191,15 +197,15 @@ func GateOp(n int, g gate.Gate) (Op, error) {
 	switch {
 	case gate.IsDiagonal(g):
 		op.kind = prof.Diagonal
-		op.plan = newPlan(n, g.Targets(), g.Controls(), true)
+		op.plan = newPlan(n, g.Targets(), g.Controls(), true, 0)
 		op.diag = baseDiagonal(g)
 	case g.Name == "swap" && g.Ctrl == 0:
-		op.plan = newPlan(n, g.Targets(), nil, false)
+		op.plan = newPlan(n, g.Targets(), nil, false, 0)
 	default:
 		if g.Ctrl > 0 {
 			op.kind = prof.Controlled
 		}
-		op.plan = newPlan(n, g.Targets(), g.Controls(), false)
+		op.plan = newPlan(n, g.Targets(), g.Controls(), false, 0)
 		op.mat = g.BaseMatrix().Data
 	}
 	return op, nil
@@ -217,6 +223,43 @@ func GateOps(n int, gates []gate.Gate) ([]Op, error) {
 		}
 	}
 	return ops, nil
+}
+
+// PinZero lowers ops onto the support of a state whose clear qubits (the
+// bits of clearBits) read 0 in every nonzero amplitude, walking them in order:
+// an op controlled on a clear qubit acts only where every amplitude is zero
+// and is dropped; a diagonal op skips every amplitude that sets a clear
+// qubit, its own included; a dense or swap op skips those that set a clear
+// qubit outside its targets and controls, and its targets stop being clear.
+// It returns the pinned ops and the qubits still clear after them. A pinned
+// op leaves alone only amplitudes that are zero and stay zero, and computes
+// every other one as the unpinned op does, so on such a state the pinned ops
+// replay == to the originals.
+func PinZero(ops []Op, clearBits int) ([]Op, int) {
+	if clearBits == 0 {
+		return ops, 0
+	}
+	out := make([]Op, 0, len(ops))
+	for _, op := range ops {
+		p := &op.plan
+		if p.ctrl&clearBits != 0 {
+			continue
+		}
+		pin := clearBits
+		if op.diag == nil {
+			pin &^= p.fixed
+			clearBits &^= p.fixed &^ p.ctrl &^ p.zero
+		}
+		if pin != 0 {
+			var controls []int
+			for c := p.ctrl; c != 0; c &= c - 1 {
+				controls = append(controls, bits.TrailingZeros(uint(c)))
+			}
+			op.plan = newPlan(p.n, p.qubits, controls, op.diag != nil, p.zero|pin)
+		}
+		out = append(out, op)
+	}
+	return out, clearBits
 }
 
 // baseDiagonal returns the diagonal of a phase-only gate's base matrix.
@@ -288,7 +331,7 @@ func (op *Op) items() int {
 	if p.lowTab != nil {
 		return 1 << (uint(p.n) - p.lowBits)
 	}
-	return 1 << uint(p.n-bits.OnesCount(uint(p.ctrl))-len(p.qubits))
+	return 1 << uint(p.n-bits.OnesCount(uint(p.fixed)))
 }
 
 // sweep runs the op's kernel over items [lo, hi).
@@ -433,7 +476,7 @@ func (s *State) replay(ops []Op, parts int) {
 	}
 	for i := range nanos {
 		op := &ops[i]
-		touched := int64(len(s.Amps))
+		touched := int64(len(s.Amps)) >> bits.OnesCount(uint(op.plan.zero))
 		if op.mat == nil && op.diag == nil {
 			touched /= 2 // a swap moves only the two mixed-bit quarters
 		}
@@ -632,13 +675,13 @@ func (p *plan) swap(amps []complex128, lo, hi int) {
 
 // diagonal is the streaming phase sweep over blocks [lo, hi) of 2^lowBits
 // amplitudes: amps[i] *= d[high(i) | lowTab[run of i in its block]], with the high
-// share of the diagonal index (and the high control bits) resolved once per
-// block.
+// share of the diagonal index (and the high control and pinned-zero bits)
+// resolved once per block.
 func (p *plan) diagonal(amps, d []complex128, lo, hi int) {
-	hiCtrl := p.ctrl &^ (1<<p.lowBits - 1)
+	hiCtrl, hiZero := p.ctrl&^(1<<p.lowBits-1), p.zero&^(1<<p.lowBits-1)
 	for blk := lo; blk < hi; blk++ {
 		start := blk << p.lowBits
-		if start&hiCtrl != hiCtrl {
+		if start&hiCtrl != hiCtrl || start&hiZero != 0 {
 			continue
 		}
 		h := 0

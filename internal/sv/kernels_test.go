@@ -160,7 +160,7 @@ func TestKernelsMatchOracle(t *testing.T) {
 							}
 							st = in.Clone()
 							st.Workers = 1
-							dop := Op{plan: newPlan(n, targets, controls, true), diag: d, kind: prof.Diagonal}
+							dop := Op{plan: newPlan(n, targets, controls, true, 0), diag: d, kind: prof.Diagonal}
 							st.Apply(&dop)
 							if diff := maxDiff(st.Amps, want); diff > tol {
 								t.Errorf("%s: diagonal kernel off by %g", name, diff)

@@ -59,6 +59,28 @@ func NewStateRaw(amps []complex128) *State {
 	return &State{N: n, Amps: amps}
 }
 
+// ClearQubits returns, as a bit mask, the qubits that read 0 in every
+// nonzero amplitude: all of them for |0…0⟩, none once every qubit is 1 in
+// some nonzero amplitude. It probes amps[1<<q] first, so a dense state costs N reads, and
+// otherwise makes one read pass that stops once every qubit has been seen
+// set. Amps is written directly by callers, so the answer is read off the
+// amplitudes each time rather than remembered.
+func (s *State) ClearQubits() int {
+	all := 1<<uint(s.N) - 1
+	set := 0
+	for q := 0; q < s.N; q++ {
+		if s.Amps[1<<uint(q)] != 0 {
+			set |= 1 << uint(q)
+		}
+	}
+	for i := 0; i < len(s.Amps) && set != all; i++ {
+		if s.Amps[i] != 0 {
+			set |= i
+		}
+	}
+	return all &^ set
+}
+
 // Clone deep-copies the state.
 func (s *State) Clone() *State {
 	out := &State{N: s.N, Amps: make([]complex128, len(s.Amps)), Workers: s.Workers, Prof: s.Prof}

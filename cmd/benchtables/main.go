@@ -28,7 +28,6 @@ func main() {
 		ranks      = flag.String("ranks", "2,4,8", "rank counts for standard circuits")
 		bigR       = flag.String("big-ranks", "8,16", "rank counts for the large circuits")
 		seed       = flag.Int64("seed", 1, "partitioner seed")
-		lm2        = flag.Int("second-lm", 8, "second-level limit for the multi-level experiment")
 		only       = flag.String("only", "", "comma-separated subset: table1,table2,table3,table4,fig5,fig6,fig7,fig8,fig9,fig10,optimality,threads,ablation,fusion,service,noise,dm,sweep,cluster,hier,obs")
 		fusionOut  = flag.String("fusion-out", "", "also write the fusion benchmark as JSON to this path (e.g. BENCH_fusion.json)")
 		fusionN    = flag.String("fusion-qubits", "16,18,20", "register sizes for the fusion benchmark")
@@ -60,7 +59,7 @@ func main() {
 
 	cfg := experiments.Config{
 		Base: *base, Ranks: parseInts(*ranks), BigRanks: parseInts(*bigR),
-		Seed: *seed, SecondLevelLm: *lm2,
+		Seed: *seed,
 	}.WithDefaults()
 
 	want := map[string]bool{}

@@ -58,7 +58,6 @@ func main() {
 		strategy  = flag.String("strategy", "dagp", "partitioner: "+strings.Join(hisvsim.Strategies(), ", "))
 		lm        = flag.Int("lm", 0, "working-set limit per part (0 = local qubit count)")
 		ranks     = flag.Int("ranks", 1, "simulated MPI ranks (power of two; 1 = single node)")
-		lm2       = flag.Int("second-lm", 0, "second-level (cache) working-set limit (0 = single level)")
 		seed      = flag.Int64("seed", 1, "seed for randomized partitioners")
 		fuse      = flag.String("fuse", "auto", "gate fusion: auto, on, off")
 		fuseMax   = flag.Int("fuse-max", 0, "max fused-block support in qubits (0 = default 5)")
@@ -188,8 +187,7 @@ func main() {
 		}
 		opts := hisvsim.Options{
 			Backend:  *backendN,
-			Strategy: *strategy, Lm: *lm, Ranks: *ranks,
-			SecondLevelLm: *lm2, Seed: *seed,
+			Strategy: *strategy, Lm: *lm, Ranks: *ranks, Seed: *seed,
 			Fuse: fp, MaxFuseQubits: *fuseMax, Noise: model,
 		}
 		if isExactBackend(*backendN) {
@@ -202,8 +200,7 @@ func main() {
 
 	res, err := hisvsim.Simulate(c, hisvsim.Options{
 		Backend:  *backendN,
-		Strategy: *strategy, Lm: *lm, Ranks: *ranks,
-		SecondLevelLm: *lm2, Seed: *seed,
+		Strategy: *strategy, Lm: *lm, Ranks: *ranks, Seed: *seed,
 		Fuse: fp, MaxFuseQubits: *fuseMax,
 	})
 	if err != nil {

@@ -77,25 +77,6 @@ func TestFusedMatchesUnfusedMaxFuseQubits(t *testing.T) {
 	}
 }
 
-// TestFusedMatchesUnfusedSecondLevel covers the multi-level executor with
-// fusion in the innermost level.
-func TestFusedMatchesUnfusedSecondLevel(t *testing.T) {
-	c := MustCircuit("qft", 10)
-	flat, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ranks := range []int{1, 4} {
-		res, err := Simulate(c, Options{Strategy: "dagp", Ranks: ranks, Lm: 6, SecondLevelLm: 3})
-		if err != nil {
-			t.Fatalf("ranks=%d: %v", ranks, err)
-		}
-		if !equalAmps(res.State, flat, 1e-9) {
-			t.Errorf("ranks=%d: multi-level fused state diverges", ranks)
-		}
-	}
-}
-
 // TestQuickFusedEqualsUnfused is the randomized-circuit differential fuzz:
 // seeded random circuits must execute identically fused and unfused across
 // the single-node and distributed paths.

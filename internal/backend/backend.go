@@ -44,12 +44,10 @@ type Spec struct {
 	// Strategy names the partitioner ("nat", "dfs", "dagp", "exact";
 	// "" = dagp). Only partitioned backends consult it.
 	Strategy string
-	// Lm is the first-level working-set limit (0 = local qubit count).
+	// Lm is the working-set limit of a part (0 = local qubit count).
 	Lm int
 	// Ranks is the simulated MPI rank count (0 or 1 = single node).
 	Ranks int
-	// SecondLevelLm enables multi-level execution when > 0.
-	SecondLevelLm int
 	// Workers bounds kernel parallelism (0 = GOMAXPROCS).
 	Workers int
 	// Seed drives the randomized partitioners.

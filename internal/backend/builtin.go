@@ -98,8 +98,8 @@ func (flatBackend) Run(ctx context.Context, c *circuit.Circuit, spec Spec) (*Exe
 }
 
 // hierBackend is the single-node hierarchical executor: partition into
-// working-set-bounded parts, gather/execute/scatter each part (optionally
-// through a second level), fusing gate runs between sweeps.
+// working-set-bounded parts, gather/execute/scatter each part, fusing gate
+// runs between sweeps.
 type hierBackend struct{}
 
 func (hierBackend) Name() string { return NameHier }
@@ -127,8 +127,7 @@ func (hierBackend) Run(ctx context.Context, c *circuit.Circuit, spec Spec) (*Exe
 	st.Workers = spec.Workers
 	st.Prof = prof.FromContext(ctx)
 	m, err := hier.ExecutePlan(pl, st, hier.Options{
-		Ctx:           ctx,
-		SecondLevelLm: spec.SecondLevelLm, Workers: spec.Workers,
+		Ctx: ctx, Workers: spec.Workers,
 		Fuse: spec.Fuse, MaxFuseQubits: spec.MaxFuseQubits,
 	})
 	if err != nil {
@@ -162,7 +161,7 @@ func (distBackend) Run(ctx context.Context, c *circuit.Circuit, spec Spec) (*Exe
 	start := time.Now()
 	dr, err := dist.Run(pl, dist.Config{
 		Ctx:   ctx,
-		Ranks: ranks, Model: spec.Model, SecondLevelLm: spec.SecondLevelLm,
+		Ranks: ranks, Model: spec.Model,
 		Workers: spec.Workers, GatherResult: !spec.SkipState,
 		NoFuse: !spec.Fuse, MaxFuseQubits: spec.MaxFuseQubits,
 	})

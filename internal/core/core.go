@@ -64,14 +64,12 @@ type Options struct {
 	Backend string
 	// Strategy is the partitioner name ("nat", "dfs", "dagp", "exact").
 	Strategy string
-	// Lm is the first-level working-set limit; 0 selects the local qubit
+	// Lm is the working-set limit of a part; 0 selects the local qubit
 	// count (distributed) or the full register (single node).
 	Lm int
 	// Ranks > 1 runs the distributed executor with that many simulated MPI
 	// ranks (must be a power of two). 0 or 1 runs single-node.
 	Ranks int
-	// SecondLevelLm enables multi-level execution when > 0.
-	SecondLevelLm int
 	// Workers bounds kernel parallelism (0 = GOMAXPROCS).
 	Workers int
 	// Seed drives the randomized partitioners.
@@ -157,8 +155,7 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Re
 func specFor(opts Options) backend.Spec {
 	return backend.Spec{
 		Strategy: opts.Strategy, Lm: opts.Lm, Ranks: opts.Ranks,
-		SecondLevelLm: opts.SecondLevelLm, Workers: opts.Workers,
-		Seed: opts.Seed, Model: opts.Model, SkipState: opts.SkipState,
+		Workers: opts.Workers, Seed: opts.Seed, Model: opts.Model, SkipState: opts.SkipState,
 		Fuse: opts.Fuse.Enabled(), MaxFuseQubits: opts.MaxFuseQubits,
 	}
 }
@@ -254,7 +251,7 @@ func (e Estimate) CommRatio() float64 {
 // EstimateHiSVSIM runs the distributed executor (metrics only) and composes
 // the end-to-end estimate under the given CPU model.
 func EstimateHiSVSIM(c *circuit.Circuit, strategyName string, ranks int, seed int64,
-	net mpi.CostModel, cpu perfmodel.CPUModel, secondLevelLm int) (Estimate, *partition.Plan, error) {
+	net mpi.CostModel, cpu perfmodel.CPUModel) (Estimate, *partition.Plan, error) {
 
 	strat, err := NewStrategy(strategyName, seed)
 	if err != nil {
@@ -265,7 +262,7 @@ func EstimateHiSVSIM(c *circuit.Circuit, strategyName string, ranks int, seed in
 	if err != nil {
 		return Estimate{}, nil, err
 	}
-	dr, err := dist.Run(pl, dist.Config{Ranks: ranks, Model: net, SecondLevelLm: secondLevelLm})
+	dr, err := dist.Run(pl, dist.Config{Ranks: ranks, Model: net})
 	if err != nil {
 		return Estimate{}, nil, err
 	}
@@ -273,24 +270,10 @@ func EstimateHiSVSIM(c *circuit.Circuit, strategyName string, ranks int, seed in
 	for i, p := range pl.Parts {
 		parts[i] = [2]int{p.WorkingSetSize(), len(p.GateIndices)}
 	}
-	compute := cpu.HierTime(l, parts)
-	if secondLevelLm > 0 {
-		// Second level shrinks the effective inner working set to the cache
-		// limit; model by capping w at the second-level limit.
-		capped := make([][2]int, len(parts))
-		for i, p := range parts {
-			w := p[0]
-			if w > secondLevelLm {
-				w = secondLevelLm
-			}
-			capped[i] = [2]int{w, p[1]}
-		}
-		compute = cpu.HierTime(l, capped)
-	}
 	est := Estimate{
 		Strategy: strategyName, Circuit: c.Name, Ranks: ranks, Parts: pl.NumParts(),
 		CommAvg: avgComm(dr.Stats), CommMax: mpi.MaxCommSeconds(dr.Stats),
-		ComputeSeconds: compute, BytesComm: dr.BytesComm,
+		ComputeSeconds: cpu.HierTime(l, parts), BytesComm: dr.BytesComm,
 	}
 	return est, pl, nil
 }

@@ -98,21 +98,6 @@ func TestSimulateDistributedSkipState(t *testing.T) {
 	}
 }
 
-func TestSimulateMultiLevel(t *testing.T) {
-	c := circuit.QFT(9)
-	want, err := sv.Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Simulate(c, Options{Strategy: "dagp", Ranks: 2, SecondLevelLm: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := res.State.Fidelity(want); math.Abs(f-1) > 1e-8 {
-		t.Fatalf("fidelity = %v", f)
-	}
-}
-
 func TestSimulateRejectsInvalid(t *testing.T) {
 	bad := circuit.New("bad", 2)
 	bad.Append(circuit.QFT(4).Gates...) // out-of-range gates
@@ -177,7 +162,7 @@ func TestEstimatesImprovementShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hi, pl, err := EstimateHiSVSIM(c, "dagp", 4, 1, net, cpu, 0)
+		hi, pl, err := EstimateHiSVSIM(c, "dagp", 4, 1, net, cpu)
 		if err != nil {
 			t.Fatalf("%s: %v", fam, err)
 		}
@@ -197,27 +182,5 @@ func TestEstimatesImprovementShape(t *testing.T) {
 		if hi.CommRatio() < 0 || hi.CommRatio() > 1 {
 			t.Errorf("%s: comm ratio %v out of range", fam, hi.CommRatio())
 		}
-	}
-}
-
-func TestEstimateMultiLevelReducesCompute(t *testing.T) {
-	// With the scaled cache (8 KB = 9 cache-resident qubits), QFT(14) on 4
-	// ranks has 12 local qubits, so single-level parts (64 KB inner
-	// vectors) overflow the cache; a second level at Lm2 = 8 brings the
-	// inner vectors back under it, reducing modeled compute (the paper's
-	// Fig. 10 mechanism).
-	c := circuit.QFT(14)
-	net := mpi.HDR100()
-	cpu := perfmodel.ScaledNode()
-	single, _, err := EstimateHiSVSIM(c, "dagp", 4, 1, net, cpu, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, _, err := EstimateHiSVSIM(c, "dagp", 4, 1, net, cpu, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.ComputeSeconds >= single.ComputeSeconds {
-		t.Fatalf("multi-level compute %v >= single %v", multi.ComputeSeconds, single.ComputeSeconds)
 	}
 }

@@ -40,7 +40,7 @@ func TestZeroNoiseMatchesIdealBitForBit(t *testing.T) {
 		{Strategy: "dfs", Lm: 5, Seed: 3},
 		{Strategy: "dagp", Lm: 5, Seed: 3},
 		{Strategy: "dagp", Ranks: 2, Seed: 3},
-		{Strategy: "dagp", Ranks: 4, SecondLevelLm: 4, Seed: 3},
+		{Strategy: "dagp", Ranks: 4, Seed: 3},
 		{Strategy: "dagp", Fuse: FuseOff, Seed: 3},
 	}
 	for _, opts := range cases {

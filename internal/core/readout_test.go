@@ -130,7 +130,7 @@ func TestPauliObservablesAcrossBackendsAndRanks(t *testing.T) {
 		{Backend: "hier", Strategy: "dagp", Lm: 5, Seed: 3},
 		{Backend: "hier", Strategy: "nat", Lm: 4, Fuse: FuseOff},
 		{Backend: "dist", Ranks: 2, Seed: 3},
-		{Backend: "dist", Ranks: 4, SecondLevelLm: 4, Seed: 3},
+		{Backend: "dist", Ranks: 4, Seed: 3},
 		{Backend: "baseline", Ranks: 2},
 		{Ranks: 4, Seed: 3}, // default resolution → dist
 	}

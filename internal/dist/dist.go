@@ -19,7 +19,6 @@ import (
 	"hisvsim/internal/dag"
 	"hisvsim/internal/fuse"
 	"hisvsim/internal/gate"
-	"hisvsim/internal/hier"
 	"hisvsim/internal/mpi"
 	"hisvsim/internal/partition"
 	"hisvsim/internal/prof"
@@ -40,9 +39,6 @@ type Config struct {
 	Ranks int
 	// Model is the communication cost model (default mpi.HDR100()).
 	Model mpi.CostModel
-	// SecondLevelLm > 0 re-partitions each part locally with this tighter
-	// limit (multi-level execution on the slab).
-	SecondLevelLm int
 	// Workers bounds per-rank kernel parallelism.
 	Workers int
 	// GatherResult collects the full state at rank 0.
@@ -68,8 +64,7 @@ type Result struct {
 type step struct {
 	oldPos, newPos []int // non-nil when this part needs a relayout
 	gates          []gate.Gate
-	ops            []sv.Op         // fused form of gates, lowered for the l-qubit slab (nil when fusion off)
-	subPlan        *partition.Plan // second-level plan (nil when single-level)
+	ops            []sv.Op // fused form of gates, lowered for the l-qubit slab (nil when fusion off)
 }
 
 // Run executes the plan over simulated MPI ranks.
@@ -150,13 +145,7 @@ func Run(pl *partition.Plan, cfg Config) (*Result, error) {
 			slab.Workers = cfg.Workers
 			slab.Prof = recorder
 			t0 := time.Now()
-			if st.subPlan != nil {
-				if _, err := hier.ExecutePlan(st.subPlan, slab, hier.Options{
-					Workers: cfg.Workers, Fuse: !cfg.NoFuse, MaxFuseQubits: cfg.MaxFuseQubits,
-				}); err != nil {
-					return err
-				}
-			} else if st.ops != nil {
+			if st.ops != nil {
 				slab.ApplyOps(st.ops)
 			} else if err := slab.ApplyGates(st.gates); err != nil {
 				return err
@@ -221,8 +210,7 @@ func RunCircuit(c *circuit.Circuit, s partition.Strategy, cfg Config) (*Result, 
 }
 
 // schedule precomputes the deterministic per-part schedule shared by every
-// rank: layout evolution, gate remapping onto positions, fusion, and
-// second-level plans.
+// rank: layout evolution, gate remapping onto positions, and fusion.
 func schedule(pl *partition.Plan, l int, cfg Config) ([]step, []int, int, error) {
 	c := pl.Circuit
 	n := c.NumQubits
@@ -250,16 +238,7 @@ func schedule(pl *partition.Plan, l int, cfg Config) ([]step, []int, int, error)
 			gates = append(gates, c.Gates[gi].Remap(func(q int) int { return cur[q] }))
 		}
 		st.gates = gates
-		w := part.WorkingSetSize()
-		if cfg.SecondLevelLm > 0 && cfg.SecondLevelLm < w {
-			sub := circuit.New(fmt.Sprintf("%s_part%d", c.Name, part.Index), l)
-			sub.Gates = gates
-			pl2, err := partition.Nat{}.Partition(dag.FromCircuit(sub), cfg.SecondLevelLm)
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("dist: second-level partition of part %d: %w", part.Index, err)
-			}
-			st.subPlan = pl2
-		} else if !cfg.NoFuse {
+		if !cfg.NoFuse {
 			blocks, err := fuse.Fuse(gates, fuse.Options{MaxQubits: cfg.MaxFuseQubits})
 			if err != nil {
 				return nil, nil, 0, fmt.Errorf("dist: part %d: %w", part.Index, err)

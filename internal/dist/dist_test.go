@@ -62,11 +62,6 @@ func TestDistUnfusedMatchesFlat(t *testing.T) {
 	}
 }
 
-func TestDistSecondLevelMatchesFlat(t *testing.T) {
-	distVsFlat(t, circuit.QFT(9), 2, Config{SecondLevelLm: 3})
-	distVsFlat(t, circuit.QAOA(9, 2, 5), 4, Config{SecondLevelLm: 3})
-}
-
 func TestDistVirtualRanksNonPowerOfTwo(t *testing.T) {
 	res := distVsFlat(t, circuit.QFT(8), 3, Config{})
 	if res.VirtualRanks != 4 {

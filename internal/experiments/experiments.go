@@ -45,8 +45,6 @@ type Config struct {
 	Net mpi.CostModel
 	// CPU is the per-rank compute model. Default ScaledNode.
 	CPU perfmodel.CPUModel
-	// SecondLevelLm for the multi-level experiment (Fig. 10). Default 8.
-	SecondLevelLm int
 }
 
 // WithDefaults fills the zero values.
@@ -65,9 +63,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.CPU == (perfmodel.CPUModel{}) {
 		c.CPU = perfmodel.ScaledNode()
-	}
-	if c.SecondLevelLm == 0 {
-		c.SecondLevelLm = 8
 	}
 	return c
 }
@@ -121,7 +116,7 @@ func RunGrid(cfg Config) (*Grid, error) {
 			}
 			in.IQS = iqs
 			for _, s := range Strategies {
-				est, pl, err := core.EstimateHiSVSIM(c, s, r, cfg.Seed, cfg.Net, cfg.CPU, 0)
+				est, pl, err := core.EstimateHiSVSIM(c, s, r, cfg.Seed, cfg.Net, cfg.CPU)
 				if err != nil {
 					return nil, fmt.Errorf("%s %s/%d: %w", s, spec.Name, r, err)
 				}

@@ -207,7 +207,6 @@ func TestTableIVOrdering(t *testing.T) {
 func TestFig10MultiLevelHelps(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Base = 12
-	cfg.SecondLevelLm = 7
 	_, rows, err := Fig10(cfg)
 	if err != nil {
 		t.Fatal(err)

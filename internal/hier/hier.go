@@ -2,9 +2,9 @@
 // model (§III-B/C, Algorithm 1): for each part of an acyclic partitioning,
 // the amplitudes addressed by the part's qubits are gathered from the outer
 // state vector into a small inner state vector, all of the part's gates are
-// applied to the inner vector, and the results are scattered back. With a
-// second-level limit set, each part is recursively partitioned so the
-// innermost vectors stay cache-resident (the paper's multi-level HiSVSIM).
+// applied to the inner vector, and the results are scattered back. The
+// paper's second, cache-sized level (§III-C) is the tile blocking of
+// sv.State.ApplyOps, which every part's inner vector already runs.
 //
 // With Options.Fuse set, each part's gates are additionally coalesced into
 // dense/diagonal fused blocks (see internal/fuse) once per part, so every
@@ -67,18 +67,9 @@ type Options struct {
 	// the context's error. Carried in Options (rather than a parameter) so
 	// the existing ExecutePlan/Run call surface stays stable.
 	Ctx context.Context
-	// SecondLevelLm, when > 0, re-partitions each part's gates with this
-	// tighter working-set limit and executes them through a second
-	// gather/execute/scatter level (multi-level HiSVSIM). The second level
-	// uses the same strategy kind as the plan when possible.
-	SecondLevelLm int
-	// SecondLevel is the partitioner used for the second level; nil selects
-	// partition.Nat{} (cheap, and inner circuits are small).
-	SecondLevel partition.Strategy
 	// Workers bounds kernel and sweep parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Fuse enables gate fusion within each part (and each second-level
-	// sub-part).
+	// Fuse enables gate fusion within each part.
 	Fuse bool
 	// MaxFuseQubits caps fused-block support (0 = fuse default).
 	MaxFuseQubits int
@@ -100,9 +91,8 @@ type PartStats struct {
 	// SkippedSweeps are the sweeps whose outer index sets a qubit still
 	// clear at the part's start: they hold only zeros and are not run.
 	SkippedSweeps int64
-	BytesMoved    int64 // bytes gather and scatter copied, nested levels included; 0 for a view
-	SubParts      int   // second-level part count (1 when single-level)
-	Blocks        int   // fused blocks per sweep (0 when fusion off or multi-level)
+	BytesMoved    int64 // bytes gather and scatter copied; 0 for a view
+	Blocks        int   // fused blocks per sweep (0 when fusion off)
 }
 
 // Metrics aggregates execution statistics.
@@ -171,10 +161,9 @@ const lineAmps = 4
 
 // prepared is one part's precomputed execution recipe: its gates remapped
 // onto inner slots and lowered to kernel ops (one per fused block, or one per
-// gate with fusion off) pinned to the support of its clear slots, or the
-// prepared second-level sub-parts, plus the gather/scatter layout and the
-// live sweeps. Preparing once per part keeps fusion, gate lowering and
-// second-level partitioning out of the sweep loop.
+// gate with fusion off) pinned to the support of its clear slots, plus the
+// gather/scatter layout and the live sweeps. Preparing once per part keeps
+// fusion and gate lowering out of the sweep loop.
 //
 // The live sweeps are those whose outer index sets no dead qubit — one that
 // is clear at the part's start and not the part's own. Live sweep f has the
@@ -194,14 +183,13 @@ const lineAmps = 4
 //     and each line of the outer vector is read and written once.
 type prepared struct {
 	part       partition.Part
-	skip       int        // outer bits every live sweep holds at 0: the part's qubits and its dead ones
-	clearAfter int        // the qubits still clear after the part
-	run        int        // 2^j: contiguous amplitudes per run
-	offs       []int      // outer offset of each run (nil for a view)
-	batch      int        // adjacent sweeps moved together (1, 2 or 4)
-	ops        []sv.Op    // lowered for w-qubit inner states (nil when multi-level)
-	blocks     int        // fused blocks per sweep (0 when fusion off or multi-level)
-	sub        []prepared // second-level prepared parts
+	skip       int     // outer bits every live sweep holds at 0: the part's qubits and its dead ones
+	clearAfter int     // the qubits still clear after the part
+	run        int     // 2^j: contiguous amplitudes per run
+	offs       []int   // outer offset of each run (nil for a view)
+	batch      int     // adjacent sweeps moved together (1, 2 or 4)
+	ops        []sv.Op // lowered for w-qubit inner states
+	blocks     int     // fused blocks per sweep (0 when fusion off)
 }
 
 // isView reports whether sweeps run in place on slices of the outer vector.
@@ -211,8 +199,8 @@ func (pp *prepared) isView() bool { return pp.run == 1<<uint(len(pp.part.Qubits)
 func (pp *prepared) sweeps(n int) int { return 1 << uint(n-bits.OnesCount(uint(pp.skip))) }
 
 // preparePart remaps the part's gates onto inner slots and precomputes the
-// layout and the kernel ops or the second-level plan for a state whose
-// clear qubits are the bits of clearBits.
+// layout and the kernel ops for a state whose clear qubits are the bits of
+// clearBits.
 func preparePart(c *circuit.Circuit, part partition.Part, clearBits int, opts Options) (prepared, error) {
 	w := part.WorkingSetSize()
 	pp := prepared{part: part, batch: 1}
@@ -256,28 +244,6 @@ func preparePart(c *circuit.Circuit, part partition.Part, clearBits int, opts Op
 		gates = append(gates, c.Gates[gi].Remap(func(q int) int { return slot[q] }))
 	}
 
-	if opts.SecondLevelLm > 0 && opts.SecondLevelLm < w {
-		sub := circuit.New(fmt.Sprintf("%s_part%d", c.Name, part.Index), w)
-		sub.Gates = gates
-		strat := opts.SecondLevel
-		if strat == nil {
-			strat = partition.Nat{}
-		}
-		pl2, err := strat.Partition(dag.FromCircuit(sub), opts.SecondLevelLm)
-		if err != nil {
-			return pp, fmt.Errorf("second-level partition: %w", err)
-		}
-		subOpts := opts
-		subOpts.SecondLevelLm = 0
-		for _, p2 := range pl2.Parts { // sub-parts run unpinned
-			sp, err := preparePart(sub, p2, 0, subOpts)
-			if err != nil {
-				return pp, err
-			}
-			pp.sub = append(pp.sub, sp)
-		}
-		return pp, nil
-	}
 	var ops []sv.Op
 	var err error
 	if !opts.Fuse {
@@ -303,35 +269,13 @@ func preparePart(c *circuit.Circuit, part partition.Part, clearBits int, opts Op
 	return pp, nil
 }
 
-// applyPrepared runs one prepared part's compute against an inner state
-// whose qubits are the part's slots and returns the bytes its second-level
-// sweeps copied. workers bounds sub-part sweep parallelism.
-func applyPrepared(ctx context.Context, pp *prepared, inner *sv.State, workers int) (int64, error) {
-	if pp.sub == nil {
-		inner.ApplyOps(pp.ops)
-		return 0, nil
-	}
-	var moved int64
-	for i := range pp.sub {
-		b, err := executeSweeps(ctx, &pp.sub[i], inner, workers)
-		moved += b
-		if err != nil {
-			return moved, err
-		}
-	}
-	return moved, nil
-}
-
 // executePart performs the Gather-Execute-Scatter cycle of Algorithm 1 for
 // one prepared part.
 func executePart(ctx context.Context, pp prepared, outer *sv.State, workers int) (PartStats, error) {
 	part := pp.part
 	w := part.WorkingSetSize()
 	ps := PartStats{Index: part.Index, Gates: len(part.GateIndices), Qubits: w,
-		SubParts: 1, Blocks: pp.blocks}
-	if pp.sub != nil {
-		ps.SubParts = len(pp.sub)
-	}
+		Blocks: pp.blocks}
 	if w == 0 {
 		return ps, nil
 	}
@@ -343,8 +287,8 @@ func executePart(ctx context.Context, pp prepared, outer *sv.State, workers int)
 }
 
 // executeSweeps runs the live gather/execute/scatter iterations of one
-// prepared part against the outer state and returns the bytes it copied
-// (here and in nested levels). Independent sweeps touch disjoint slices of
+// prepared part against the outer state and returns the bytes it copied.
+// Independent sweeps touch disjoint slices of
 // the outer vector, so up to workers goroutines claim them a few batches at
 // a time from a shared counter — a goroutine whose CPU is slow or preempted
 // takes fewer, instead of holding a fixed half back; workers left over when
@@ -403,12 +347,7 @@ func executeSweeps(ctx context.Context, pp *prepared, outer *sv.State, workers i
 					moved += pp.transfer(outer.Amps, base, amps, false)
 				}
 				for t := range inners {
-					var nested int64
-					nested, err = applyPrepared(ctx, pp, &inners[t], innerWorkers)
-					moved += nested
-					if err != nil {
-						break sweeping
-					}
+					inners[t].ApplyOps(pp.ops)
 				}
 				if !view {
 					moved += pp.transfer(outer.Amps, base, amps, true)

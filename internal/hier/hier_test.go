@@ -83,46 +83,6 @@ func maxArity(c *circuit.Circuit) int {
 	return m
 }
 
-func TestMultiLevelMatchesFlat(t *testing.T) {
-	for _, c := range []*circuit.Circuit{
-		circuit.QFT(9),
-		circuit.QAOA(9, 2, 5),
-		circuit.Grover(5, 2),
-	} {
-		want := flat(t, c)
-		got, m, err := Run(c, 6, dagp.Partitioner{}, Options{SecondLevelLm: 3})
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		if f := got.Fidelity(want); math.Abs(f-1) > 1e-8 {
-			t.Errorf("%s: multi-level fidelity = %v", c.Name, f)
-		}
-		anySub := false
-		for _, ps := range m.PerPart {
-			if ps.SubParts > 1 {
-				anySub = true
-			}
-		}
-		if !anySub {
-			t.Errorf("%s: second level never split", c.Name)
-		}
-	}
-}
-
-func TestMultiLevelWithDagPSecondLevel(t *testing.T) {
-	c := circuit.QFT(8)
-	want := flat(t, c)
-	got, _, err := Run(c, 6, dagp.Partitioner{}, Options{
-		SecondLevelLm: 3, SecondLevel: dagp.Partitioner{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := got.Fidelity(want); math.Abs(f-1) > 1e-8 {
-		t.Errorf("fidelity = %v", f)
-	}
-}
-
 func TestMetricsAccounting(t *testing.T) {
 	c := circuit.CC(8) // Nat at Lm=4 cuts it into view, run and batched parts
 	pl, err := partition.Nat{}.Partition(dag.FromCircuit(c), 4)
@@ -330,12 +290,7 @@ func oracleSweeps(pp *prepared, outer *sv.State) {
 			base = insertBit(base, q)
 		}
 		gather(outer.Amps, qubits, base, inner.Amps)
-		if pp.sub == nil {
-			inner.ApplyOps(pp.ops)
-		}
-		for i := range pp.sub {
-			oracleSweeps(&pp.sub[i], inner)
-		}
+		inner.ApplyOps(pp.ops)
 		scatter(outer.Amps, qubits, base, inner.Amps)
 	}
 }
@@ -376,7 +331,7 @@ func randomState(n int, seed int64) *sv.State {
 }
 
 // TestExecutorMatchesOracle drives every gather/scatter layout — view, runs,
-// batches of 2 and 4, parts with only two sweeps, second-level plans — at
+// batches of 2 and 4, parts with only two sweeps, a dagP plan — at
 // every worker split and with fusion on and off, from a dense state, from
 // |0…0⟩, from a state with a few qubits clear and from one whose qubits 2
 // and 6 are never set alone (amplitudes 1<<2 and 1<<6 are zero, yet neither
@@ -387,11 +342,10 @@ func randomState(n int, seed int64) *sv.State {
 func TestExecutorMatchesOracle(t *testing.T) {
 	const n = 9
 	type tc struct {
-		name   string
-		pl     *partition.Plan
-		second int
-		batch  int  // expected batch of the first part, 0 = don't check
-		view   bool // expected layout of the first part
+		name  string
+		pl    *partition.Plan
+		batch int  // expected batch of the first part, 0 = don't check
+		view  bool // expected layout of the first part
 	}
 	qft, err := dagp.Partitioner{}.Partition(dag.FromCircuit(circuit.QFT(n)), 6)
 	if err != nil {
@@ -410,9 +364,8 @@ func TestExecutorMatchesOracle(t *testing.T) {
 		{name: "w = n-1 hole", pl: onQubits(n, []int{0, 1, 2, 4, 5, 6, 7, 8}, 10), batch: 1},
 		{name: "w = n", pl: onQubits(n, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, 11), batch: 1, view: true},
 		{name: "qft dagp", pl: qft},
-		{name: "qft dagp second level", pl: qft, second: 3},
-		{name: "second level under a view", pl: onQubits(n, []int{0, 1, 2, 3, 4, 5}, 12), second: 3, view: true, batch: 1},
-		{name: "second level under a batch", pl: onQubits(n, []int{2, 3, 5, 6, 7, 8}, 13), second: 4, batch: 4},
+		{name: "six-qubit prefix", pl: onQubits(n, []int{0, 1, 2, 3, 4, 5}, 12), view: true, batch: 1},
+		{name: "six qubits, two free low bits", pl: onQubits(n, []int{2, 3, 5, 6, 7, 8}, 13), batch: 4},
 	}
 	sparse := randomState(n, 43) // qubits 1, 3, 5 and 8 clear
 	for i := range sparse.Amps {
@@ -443,7 +396,7 @@ func TestExecutorMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, fused := range []bool{false, true} {
-				opts := Options{Fuse: fused, SecondLevelLm: c.second}
+				opts := Options{Fuse: fused}
 				want := start.Clone()
 				oracleExecute(t, c.pl, want, opts)
 				for i := range want.Amps {

@@ -38,7 +38,7 @@ func TestExecutePlanOnPreparedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := prep.Clone()
-	if _, err := ExecutePlan(pl, got, Options{SecondLevelLm: 3}); err != nil {
+	if _, err := ExecutePlan(pl, got, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if f := got.Fidelity(want); math.Abs(f-1) > 1e-8 {

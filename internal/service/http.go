@@ -270,7 +270,6 @@ type wireOptions struct {
 	Strategy      string `json:"strategy,omitempty"`
 	Lm            int    `json:"lm,omitempty"`
 	Ranks         int    `json:"ranks,omitempty"`
-	SecondLevelLm int    `json:"second_level_lm,omitempty"`
 	Workers       int    `json:"workers,omitempty"`
 	Fuse          string `json:"fuse,omitempty"` // "auto" (default), "on", "off"
 	MaxFuseQubits int    `json:"max_fuse_qubits,omitempty"`
@@ -281,8 +280,7 @@ func (o wireOptions) toCore() (core.Options, error) {
 	out := core.Options{
 		Backend:  o.Backend,
 		Strategy: o.Strategy, Lm: o.Lm, Ranks: o.Ranks,
-		SecondLevelLm: o.SecondLevelLm, Workers: o.Workers,
-		MaxFuseQubits: o.MaxFuseQubits, Seed: o.Seed,
+		Workers: o.Workers, MaxFuseQubits: o.MaxFuseQubits, Seed: o.Seed,
 	}
 	switch o.Fuse {
 	case "", "auto":

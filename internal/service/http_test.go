@@ -140,6 +140,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run", "readouts": {"shots": 4}, "unknown": true}`,         // unknown field
 		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run", "readouts": {"shots": 4},
 		  "options": {"fuse": "sometimes"}}`, // bad fuse policy
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run", "readouts": {"shots": 4},
+		  "options": {"second_level_lm": 4}}`, // removed option
 	}
 	for _, body := range cases {
 		resp, got := postJSON(t, srv.URL+"/v1/jobs", body)

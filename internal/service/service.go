@@ -1531,6 +1531,6 @@ func noisePlanKey(c *circuit.Circuit, o core.Options, m *noise.Model) string {
 // default share entries while e.g. "flat" (whose float schedule differs)
 // gets its own.
 func cacheKey(c *circuit.Circuit, o core.Options, backendName string) string {
-	return fmt.Sprintf("%s|b=%s s=%s lm=%d r=%d lm2=%d f=%t mf=%d seed=%d",
-		c.Fingerprint(), backendName, o.Strategy, o.Lm, o.Ranks, o.SecondLevelLm, o.Fuse.Enabled(), o.MaxFuseQubits, o.Seed)
+	return fmt.Sprintf("%s|b=%s s=%s lm=%d r=%d f=%t mf=%d seed=%d",
+		c.Fingerprint(), backendName, o.Strategy, o.Lm, o.Ranks, o.Fuse.Enabled(), o.MaxFuseQubits, o.Seed)
 }

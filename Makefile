@@ -26,6 +26,10 @@ lint:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 	$(GO) vet ./...
+	@found=$$(grep -rnE '^[[:space:]]*go[[:space:]]' --include='*.go' --exclude='*_test.go' internal/sv internal/hier internal/noise internal/core internal/partition || true); \
+	if [ -n "$$found" ]; then \
+		echo "go statement in an engine package; use par.Each:" >&2; echo "$$found" >&2; exit 1; \
+	fi
 
 # Regenerates BENCH_fusion.json (fused vs. unfused, qft/ising/random at 16-20 qubits).
 # CI smokes it narrow: make fusion-bench FUSION_REPS=1.

@@ -7,13 +7,12 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/fuse"
 	"hisvsim/internal/noise"
+	"hisvsim/internal/par"
 	"hisvsim/internal/prof"
 	"hisvsim/internal/sv"
 )
@@ -26,10 +25,10 @@ import (
 // rather than to the kernels:
 //
 //   - Points are the unit of parallelism. P = min(width, points) workers
-//     each own one state (Workers = width/P inside it) and claim work from
-//     an atomic counter; at the sizes sweeps run at a state fits one core's
-//     cache, so a worker replays a whole point without a barrier, where a
-//     kernel-parallel replay meets one per op. A state too large for 2·P
+//     each own one state (Workers = width/P inside it) and claim chunks of
+//     points as the lanes of one par.Each; at the sizes sweeps run at a
+//     state fits one core's cache, so a worker replays a whole point without
+//     a barrier, where a kernel-parallel replay meets one per op. A state too large for 2·P
 //     copies inside sweepStateBudget, or a 1-point sweep, gets P = 1 and the
 //     kernel-parallel replay of the same loop.
 //
@@ -316,75 +315,49 @@ func (w *sweepWorker) replay(vals []float64, c int, fresh bool) error {
 
 // sweepRun is one sweep in flight.
 type sweepRun struct {
-	ctx context.Context
 	tpl *fuse.Template // nil: the evaluator replays for itself
 	// eval turns point i — replayed into w.st when there is a template —
 	// into its read-outs.
-	eval func(w *sweepWorker, i int) (*Readouts, error)
+	eval func(ctx context.Context, w *sweepWorker, i int) (*Readouts, error)
 	rep  *SweepReport
 	// order lists the point indices with equal prefix bindings adjacent;
 	// chunk k is order[chunks[k]:chunks[k+1]], the unit workers claim: its
 	// first point recomputes the checkpoint, the rest reuse it.
 	order, chunks []int
-	next          atomic.Int64
-
-	failed atomic.Bool
-	mu     sync.Mutex
-	err    error
 }
 
-// fail records the first error and stops every worker at its next point.
-func (r *sweepRun) fail(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.mu.Unlock()
-	r.failed.Store(true)
-	r.next.Store(int64(len(r.chunks)))
-}
-
-// work is the one sweep loop: claim a chunk, and for each of its points
-// poll the context, replay, evaluate, store the row.
-func (r *sweepRun) work(w *sweepWorker) {
+// chunk is the one sweep loop: for each point of chunk k poll the context,
+// replay, evaluate, store the row.
+func (r *sweepRun) chunk(ctx context.Context, w *sweepWorker, k int) error {
 	ns := len(r.rep.Symbols)
-	for {
-		k := int(r.next.Add(1)) - 1
-		if k >= len(r.chunks)-1 {
-			return
+	for j, i := range r.order[r.chunks[k]:r.chunks[k+1]] {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		for j, i := range r.order[r.chunks[k]:r.chunks[k+1]] {
-			if r.failed.Load() {
-				return
-			}
-			if err := r.ctx.Err(); err != nil {
-				r.fail(err)
-				return
-			}
-			var err error
-			if r.tpl != nil {
-				err = w.replay(r.rep.Params[i*ns:(i+1)*ns], r.rep.Checkpoint, j == 0)
-			}
-			var ro *Readouts
-			if err == nil {
-				ro, err = r.eval(w, i)
-			}
-			if err != nil {
-				r.fail(fmt.Errorf("binding %d: %w", i, err))
-				return
-			}
-			r.rep.setRow(i, ro)
+		var err error
+		if r.tpl != nil {
+			err = w.replay(r.rep.Params[i*ns:(i+1)*ns], r.rep.Checkpoint, j == 0)
 		}
+		var ro *Readouts
+		if err == nil {
+			ro, err = r.eval(ctx, w, i)
+		}
+		if err != nil {
+			return fmt.Errorf("binding %d: %w", i, err)
+		}
+		r.rep.setRow(i, ro)
 	}
+	return nil
 }
 
 // RunSweep evaluates spec under every binding of eng, dividing width (≤ 0:
-// GOMAXPROCS) between point workers and the kernels inside each worker's
-// state (see the file comment). Rows are in request order; the first failing point's error names
-// its binding index, a cancelled context is returned as is, and either stops
-// the other workers at their next point. A prof.Recorder on ctx receives the
-// workers' kernel rows, seconds divided by the worker count. Bindings must
-// bind exactly the circuit's symbols (circuit.CheckBinding).
+// GOMAXPROCS) between point workers — the lanes of one par.Each — and the
+// kernels inside each worker's state (see the file comment). Rows are in
+// request order; the first failing point's error names its binding index, a
+// cancelled context is returned as is, and either stops the other workers at
+// their next point, where each polls the lane context. A prof.Recorder on
+// ctx receives the workers' kernel rows, seconds divided by the worker count.
+// Bindings must bind exactly the circuit's symbols (circuit.CheckBinding).
 func RunSweep(ctx context.Context, eng SweepEngine, spec ReadoutSpec, bindings []map[string]float64, width int) (*SweepReport, error) {
 	if len(bindings) == 0 {
 		return nil, fmt.Errorf("core: sweep needs at least one binding")
@@ -429,18 +402,18 @@ func RunSweep(ctx context.Context, eng SweepEngine, spec ReadoutSpec, bindings [
 		rep.Detail = make([]Readouts, points)
 	}
 
-	r := &sweepRun{ctx: ctx, tpl: eng.Template, rep: rep}
+	r := &sweepRun{tpl: eng.Template, rep: rep}
 	workers, perState := 1, width
 	switch cfg := spec.NoisyRunConfig(width); {
 	case eng.Plan == nil:
-		r.eval = func(w *sweepWorker, _ int) (*Readouts, error) {
+		r.eval = func(_ context.Context, w *sweepWorker, _ int) (*Readouts, error) {
 			ro, passes := evaluateState(w.st, nil, spec)
 			w.passes += passes
 			return ro, nil
 		}
 	case eng.Template != nil:
 		ro := eng.Plan.Readout()
-		r.eval = func(w *sweepWorker, _ int) (*Readouts, error) {
+		r.eval = func(ctx context.Context, w *sweepWorker, _ int) (*Readouts, error) {
 			ens, err := noise.RunEnsembleFromState(ctx, w.st, ro, cfg)
 			if err != nil {
 				return nil, err
@@ -450,7 +423,7 @@ func RunSweep(ctx context.Context, eng SweepEngine, spec ReadoutSpec, bindings [
 		}
 	default:
 		rep.StdErr = make([]float64, len(rep.Values))
-		r.eval = func(w *sweepWorker, i int) (*Readouts, error) {
+		r.eval = func(ctx context.Context, w *sweepWorker, i int) (*Readouts, error) {
 			bound, err := eng.Plan.Specialize(bindings[i])
 			if err != nil {
 				return nil, err
@@ -484,23 +457,19 @@ func RunSweep(ctx context.Context, eng SweepEngine, spec ReadoutSpec, bindings [
 		mine = prof.NewRecorder()
 	}
 	ws := make([]*sweepWorker, workers)
-	var wg sync.WaitGroup
 	for k := range ws {
 		if r.tpl != nil {
 			ws[k] = newSweepWorker(r.tpl, perState, mine, rep.Checkpoint > 0)
 		} else {
 			ws[k] = &sweepWorker{}
 		}
-		wg.Add(1)
-		go func(w *sweepWorker) {
-			defer wg.Done()
-			r.work(w)
-		}(ws[k])
 	}
-	wg.Wait()
+	err := par.Each(ctx, workers, len(r.chunks)-1, func(ctx context.Context, lane, k int) error {
+		return r.chunk(ctx, ws[lane], k)
+	})
 	rec.Fold(mine, workers)
-	if r.err != nil {
-		return nil, r.err
+	if err != nil {
+		return nil, err
 	}
 	for _, w := range ws {
 		rep.ReplayedBlocks += w.replayed

@@ -48,13 +48,12 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/dag"
 	"hisvsim/internal/fuse"
 	"hisvsim/internal/gate"
+	"hisvsim/internal/par"
 	"hisvsim/internal/partition"
 	"hisvsim/internal/prof"
 	"hisvsim/internal/sv"
@@ -126,7 +125,7 @@ func ExecutePlan(pl *partition.Plan, outer *sv.State, opts Options) (*Metrics, e
 		if err != nil {
 			return nil, fmt.Errorf("hier: part %d: %w", part.Index, err)
 		}
-		ps, err := executePart(ctx, pp, outer, opts.workers())
+		ps, err := executePart(ctx, &pp, outer, opts.workers())
 		if err != nil {
 			return nil, fmt.Errorf("hier: part %d: %w", part.Index, err)
 		}
@@ -270,121 +269,103 @@ func preparePart(c *circuit.Circuit, part partition.Part, clearBits int, opts Op
 }
 
 // executePart performs the Gather-Execute-Scatter cycle of Algorithm 1 for
-// one prepared part.
-func executePart(ctx context.Context, pp prepared, outer *sv.State, workers int) (PartStats, error) {
-	part := pp.part
-	w := part.WorkingSetSize()
-	ps := PartStats{Index: part.Index, Gates: len(part.GateIndices), Qubits: w,
-		Blocks: pp.blocks}
+// one prepared part. Its live sweeps touch disjoint slices of the outer
+// vector, so up to workers lanes of par.Each claim them a few batches at a
+// time — a lane whose CPU is slow or preempted takes fewer, instead of
+// holding a fixed half back; workers left over when there are fewer sweeps
+// than that go to the inner states' kernels. A part spanning the whole outer
+// register is its one sweep, applied in place. ctx is polled once per batch
+// of sweeps.
+func executePart(ctx context.Context, pp *prepared, outer *sv.State, workers int) (PartStats, error) {
+	w := pp.part.WorkingSetSize()
+	ps := PartStats{Index: pp.part.Index, Gates: len(pp.part.GateIndices), Qubits: w, Blocks: pp.blocks}
 	if w == 0 {
 		return ps, nil
 	}
-	ps.Sweeps = int64(pp.sweeps(outer.N))
-	ps.SkippedSweeps = int64(1)<<uint(outer.N-w) - ps.Sweeps
-	var err error
-	ps.BytesMoved, err = executeSweeps(ctx, &pp, outer, workers)
-	return ps, err
-}
-
-// executeSweeps runs the live gather/execute/scatter iterations of one
-// prepared part against the outer state and returns the bytes it copied.
-// Independent sweeps touch disjoint slices of
-// the outer vector, so up to workers goroutines claim them a few batches at
-// a time from a shared counter — a goroutine whose CPU is slow or preempted
-// takes fewer, instead of holding a fixed half back; workers left over when
-// there are fewer sweeps than that go to the inner states' kernels. A part
-// spanning the whole outer register is its one sweep, applied in place. ctx
-// is polled once per batch of sweeps.
-func executeSweeps(ctx context.Context, pp *prepared, outer *sv.State, workers int) (int64, error) {
-	w := pp.part.WorkingSetSize()
 	sweeps := pp.sweeps(outer.N)
+	ps.Sweeps, ps.SkippedSweeps = int64(sweeps), int64(1)<<uint(outer.N-w)-int64(sweeps)
 	batch := pp.batch
 	for batch > 1 && sweeps/batch < workers {
 		batch /= 2 // never trade sweep-level parallelism for wider batches
 	}
 	ranges := min(workers, sweeps/batch)
-	innerWorkers := workers / ranges
-	// About eight claims per goroutine: the last one to finish overruns the
-	// others by at most an eighth of a share.
-	claim := max(1, sweeps/batch/(8*ranges)) * batch
-	var next atomic.Int64
-
-	work := func() (ops, moved int64, err error) {
-		inners := make([]sv.State, batch)
-		for t := range inners {
-			inners[t] = sv.State{N: w, Workers: innerWorkers, Prof: outer.Prof}
-		}
-		view := pp.isView()
-		var vectors [lineAmps][]complex128
-		amps := vectors[:batch] // the inner vectors, as the transfer loops want them
-		if !view {
-			buf := make([]complex128, batch<<uint(w))
-			for t := range inners {
-				amps[t] = buf[t<<uint(w) : (t+1)<<uint(w)]
-				inners[t].Amps = amps[t]
-			}
-		}
-	sweeping:
-		for {
-			lo := int(next.Add(int64(claim))) - claim
-			if lo >= sweeps {
-				break
-			}
-			for f := lo; f < min(lo+claim, sweeps); f += batch {
-				select {
-				case <-ctx.Done():
-					err = ctx.Err()
-					break sweeping
-				default:
-				}
-				base := f
-				for m := pp.skip; m != 0; m &= m - 1 { // ascending: insert zeros at skip bits
-					base = insertBit(base, bits.TrailingZeros(uint(m)))
-				}
-				if view {
-					inners[0].Amps = outer.Amps[base : base+pp.run]
-				} else {
-					moved += pp.transfer(outer.Amps, base, amps, false)
-				}
-				for t := range inners {
-					inners[t].ApplyOps(pp.ops)
-				}
-				if !view {
-					moved += pp.transfer(outer.Amps, base, amps, true)
-				}
-			}
-		}
-		for t := range inners {
-			ops += inners[t].Ops
-		}
-		return ops, moved, err
-	}
-
+	lanes := make([]sweepLane, ranges)
+	var err error
 	if ranges == 1 {
-		ops, moved, err := work()
-		outer.Ops += ops
-		return moved, err
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var total int64
-	var firstErr error
-	for g := 0; g < ranges; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ops, moved, err := work()
-			mu.Lock()
-			outer.Ops += ops
-			total += moved
-			if err != nil && firstErr == nil {
-				firstErr = err
+		lanes[0].init(pp, batch, workers, outer.Prof)
+		err = lanes[0].run(ctx, pp, outer.Amps, 0, sweeps)
+	} else {
+		// About eight claims per lane: the last one to finish overruns the
+		// others by at most an eighth of a share.
+		claim := max(1, sweeps/batch/(8*ranges)) * batch
+		err = par.Each(ctx, ranges, (sweeps+claim-1)/claim, func(ctx context.Context, lane, k int) error {
+			l := &lanes[lane]
+			if l.inners == nil {
+				l.init(pp, batch, workers/ranges, outer.Prof)
 			}
-			mu.Unlock()
-		}()
+			return l.run(ctx, pp, outer.Amps, k*claim, min((k+1)*claim, sweeps))
+		})
 	}
-	wg.Wait()
-	return total, firstErr
+	for _, l := range lanes {
+		for t := range l.inners {
+			outer.Ops += l.inners[t].Ops
+		}
+		ps.BytesMoved += l.moved
+	}
+	return ps, err
+}
+
+// sweepLane is one lane's scratch: an inner state per sweep of a batch and,
+// unless the part is a view, the vectors they run on.
+type sweepLane struct {
+	inners  []sv.State
+	vectors [lineAmps][]complex128 // the inner vectors, as the transfer loops want them
+	moved   int64                  // bytes gather and scatter copied
+}
+
+// init gives the lane batch inner states, workers kernel goroutines each.
+func (l *sweepLane) init(pp *prepared, batch, workers int, rec *prof.Recorder) {
+	w := uint(pp.part.WorkingSetSize())
+	l.inners = make([]sv.State, batch)
+	var buf []complex128 // a view's inner states are slices of the outer vector
+	if !pp.isView() {
+		buf = make([]complex128, batch<<w)
+	}
+	for t := range l.inners {
+		if buf != nil {
+			l.vectors[t] = buf[t<<w : (t+1)<<w]
+		}
+		l.inners[t] = sv.State{N: int(w), Workers: workers, Prof: rec, Amps: l.vectors[t]}
+	}
+}
+
+// run gathers, executes and scatters live sweeps [lo, hi), polling ctx
+// before each batch.
+func (l *sweepLane) run(ctx context.Context, pp *prepared, outer []complex128, lo, hi int) error {
+	view, inners, amps := pp.isView(), l.inners, l.vectors[:len(l.inners)]
+	for f := lo; f < hi; f += len(inners) {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		default:
+		}
+		base := f
+		for m := pp.skip; m != 0; m &= m - 1 { // ascending: insert zeros at skip bits
+			base = insertBit(base, bits.TrailingZeros(uint(m)))
+		}
+		if view {
+			inners[0].Amps = outer[base : base+pp.run]
+		} else {
+			l.moved += pp.transfer(outer, base, amps, false)
+		}
+		for t := range inners {
+			inners[t].ApplyOps(pp.ops)
+		}
+		if !view {
+			l.moved += pp.transfer(outer, base, amps, true)
+		}
+	}
+	return nil
 }
 
 // transfer is the one gather/scatter routine: it copies len(inners)

@@ -276,8 +276,8 @@ func TestAllocationsIndependentOfSweepCount(t *testing.T) {
 	}
 }
 
-// oracleSweeps is executeSweeps the slow way: every sweep of the prepared
-// part through gather and scatter, one amplitude at a time, on one
+// oracleSweeps is executePart's sweep loop the slow way: every sweep of the
+// prepared part through gather and scatter, one amplitude at a time, on one
 // goroutine. It shares the prepared ops with the executor, so the two must
 // agree bit for bit.
 func oracleSweeps(pp *prepared, outer *sv.State) {

@@ -108,6 +108,7 @@ func RunMapped(size int, realOf []int, model CostModel, fn func(c *Comm) error) 
 		copy(w.realOf, realOf)
 	}
 	errs := make([]error, size)
+	// Not par.Each: ranks block on each other, so an unclaimed rank would strand its peers.
 	var wg sync.WaitGroup
 	for r := 0; r < size; r++ {
 		wg.Add(1)

@@ -30,11 +30,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"hisvsim/internal/obs"
+	"hisvsim/internal/par"
 	"hisvsim/internal/prof"
 	"hisvsim/internal/sv"
 )
@@ -104,17 +104,31 @@ func (c RunConfig) withDefaults() RunConfig {
 	return c
 }
 
-// validateRange rejects malformed sub-range placements (called after
-// withDefaults, so Total is resolved).
-func (c RunConfig) validateRange() error {
-	if c.Offset < 0 {
+// validate rejects a malformed sub-range placement (called after
+// withDefaults, so Total is resolved) and malformed observables or marginals
+// over n qubits up front, with an error instead of a kernel panic inside a
+// trajectory (the service validates its own requests; this guards direct
+// library callers of the ensemble API).
+func (c RunConfig) validate(n int) error {
+	switch {
+	case c.Offset < 0:
 		return fmt.Errorf("noise: negative trajectory offset %d", c.Offset)
-	}
-	if c.Offset%MomentChunk != 0 {
+	case c.Offset%MomentChunk != 0:
 		return fmt.Errorf("noise: trajectory offset %d is not a multiple of the moment chunk %d", c.Offset, MomentChunk)
-	}
-	if c.Offset+c.Trajectories > c.Total {
+	case c.Offset+c.Trajectories > c.Total:
 		return fmt.Errorf("noise: trajectory range [%d,%d) exceeds ensemble total %d", c.Offset, c.Offset+c.Trajectories, c.Total)
+	}
+	for k, ob := range c.Observables {
+		if err := ob.Validate(n); err != nil {
+			return fmt.Errorf("noise: observable %d: %w", k, err)
+		}
+	}
+	for k, qs := range c.Marginals {
+		for _, q := range qs {
+			if q < 0 || q >= n {
+				return fmt.Errorf("noise: marginal %d: qubit %d out of range [0,%d)", k, q, n)
+			}
+		}
 	}
 	return nil
 }
@@ -253,26 +267,6 @@ func sampleCounts(counts map[int]int, sp *sv.Sampler, shots, n int, ro *Readout,
 	}
 }
 
-// validateReadouts rejects malformed observables/marginals up front with
-// an error, instead of letting the state kernels panic inside a trajectory
-// goroutine (the service validates its own requests; this guards direct
-// library callers of the ensemble API).
-func (c RunConfig) validateReadouts(n int) error {
-	for k, ob := range c.Observables {
-		if err := ob.Validate(n); err != nil {
-			return fmt.Errorf("noise: observable %d: %w", k, err)
-		}
-	}
-	for k, qs := range c.Marginals {
-		for _, q := range qs {
-			if q < 0 || q >= n {
-				return fmt.Errorf("noise: marginal %d: qubit %d out of range [0,%d)", k, q, n)
-			}
-		}
-	}
-	return nil
-}
-
 // RunEnsemble executes cfg.Trajectories stochastic trajectories of the plan
 // in parallel and aggregates counts and/or expectation values. Counts are
 // identical for a fixed (plan, Seed, Trajectories, Shots) regardless of
@@ -280,10 +274,7 @@ func (c RunConfig) validateReadouts(n int) error {
 // bit-stable across worker counts.
 func RunEnsemble(ctx context.Context, p *Plan, cfg RunConfig) (*Ensemble, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validateRange(); err != nil {
-		return nil, err
-	}
-	if err := cfg.validateReadouts(p.n); err != nil {
+	if err := cfg.validate(p.n); err != nil {
 		return nil, err
 	}
 	return runTrajectories(ctx, cfg, p)
@@ -297,10 +288,7 @@ func RunEnsemble(ctx context.Context, p *Plan, cfg RunConfig) (*Ensemble, error)
 // sampling and per-trajectory seeded RNGs of the noisy path.
 func RunEnsembleFromState(ctx context.Context, st *sv.State, ro *Readout, cfg RunConfig) (*Ensemble, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validateRange(); err != nil {
-		return nil, err
-	}
-	if err := cfg.validateReadouts(st.N); err != nil {
+	if err := cfg.validate(st.N); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -325,25 +313,12 @@ func RunEnsembleFromState(ctx context.Context, st *sv.State, ro *Readout, cfg Ru
 			sampleCounts(ens.Counts, sampler, shots, st.N, ro, trajRNG(cfg.Seed, g))
 		}
 	}
-	if cfg.Qubits != nil {
-		// Every trajectory is the same pure state: the mean is exact and the
-		// trajectory spread is identically zero.
-		ens.HasExpectation = true
-		ens.Expectation = st.ExpectationPauliZString(cfg.Qubits)
-		ens.StdErr = 0
-	}
-	if len(cfg.Observables) > 0 {
-		// Same exactness argument: one shared pure state, zero spread.
-		ens.Observables = make([]ObservableStat, len(cfg.Observables))
-		for k, ob := range cfg.Observables {
-			ens.Observables[k] = ObservableStat{Mean: st.ExpectationPauliString(ob)}
-		}
-	}
-	if len(cfg.Marginals) > 0 {
-		ens.Marginals = make([][]float64, len(cfg.Marginals))
-		for k, qs := range cfg.Marginals {
-			ens.Marginals[k] = st.Marginal(qs)
-		}
+	// Every trajectory is the same pure state: the means are exact and the
+	// trajectory spread is identically zero.
+	r := measure(&cfg, st)
+	ens.HasExpectation, ens.Expectation, ens.Marginals = cfg.Qubits != nil, r.exp, r.marg
+	for _, v := range r.obs {
+		ens.Observables = append(ens.Observables, ObservableStat{Mean: v})
 	}
 	ens.Elapsed = time.Since(start)
 	return ens, nil
@@ -464,7 +439,7 @@ func (w *ensembleWorker) run(t int, ev event) (trajResult, error) {
 		stats.EventFree = 1
 		if !w.atEnd {
 			w.atEnd = true
-			w.idealRead = w.measure(w.ideal)
+			w.idealRead = measure(w.cfg, w.ideal)
 			if cfg.Shots > 0 {
 				w.sampler.Reset(w.ideal)
 			}
@@ -478,7 +453,7 @@ func (w *ensembleWorker) run(t int, ev event) (trajResult, error) {
 		if shots > 0 {
 			w.sampler.Reset(w.fork)
 		}
-		r = w.measure(w.fork) // draws nothing, so measuring before sampling is free
+		r = measure(w.cfg, w.fork) // draws nothing, so measuring before sampling is free
 	}
 	if shots > 0 {
 		sampleCounts(w.counts, &w.sampler, shots, p.n, p.Readout(), w.rng)
@@ -490,8 +465,7 @@ func (w *ensembleWorker) run(t int, ev event) (trajResult, error) {
 
 // measure evaluates the configured read-outs on one trajectory's final
 // state (they draw nothing from the rng).
-func (w *ensembleWorker) measure(st *sv.State) trajResult {
-	cfg := w.cfg
+func measure(cfg *RunConfig, st *sv.State) trajResult {
 	var r trajResult
 	if cfg.Qubits != nil {
 		r.exp = st.ExpectationPauliZString(cfg.Qubits)
@@ -513,10 +487,10 @@ func (w *ensembleWorker) measure(st *sv.State) trajResult {
 
 // runTrajectories drives the ensemble event-first. A state-free pre-pass
 // finds each trajectory's first event and sorts the trajectories by it;
-// workers then claim them in that order from a shared counter, each
-// advancing one ideal state that every claimed trajectory forks from. The
-// per-trajectory read-outs land in trajectory-indexed slots and are merged
-// deterministically, so nothing depends on which worker ran what.
+// par.Each's lanes then claim them in that order — each claim polls ctx —
+// every lane advancing one ideal state that each trajectory it claims forks
+// from. The per-trajectory read-outs land in trajectory-indexed slots and
+// are merged deterministically, so nothing depends on which lane ran what.
 func runTrajectories(ctx context.Context, cfg RunConfig, p *Plan) (*Ensemble, error) {
 	// Mark the trajectories stage on a context-carried trace (no-op
 	// without one); consecutive ensembles in a sweep coalesce into one span.
@@ -535,40 +509,28 @@ func runTrajectories(ctx context.Context, cfg RunConfig, p *Plan) (*Ensemble, er
 	if jobRec != nil {
 		rec = prof.NewRecorder()
 	}
+	// A lane makes its worker at its first claim: one that claims nothing
+	// leaves a nil slot.
 	ws := make([]*ensembleWorker, workers)
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := range ws {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := newEnsembleWorker(p, &cfg, rec)
-			ws[i] = w
-			for k := int(next.Add(1)) - 1; k < T; k = int(next.Add(1)) - 1 {
-				t := int(order[k])
-				if errs[i] = ctx.Err(); errs[i] == nil {
-					results[t], errs[i] = w.run(t, events[t])
-				}
-				if errs[i] != nil {
-					next.Store(int64(T)) // nothing more to claim: the ensemble has failed
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	jobRec.Fold(rec, workers)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	err := par.Each(ctx, workers, T, func(_ context.Context, lane, k int) error {
+		if ws[lane] == nil {
+			ws[lane] = newEnsembleWorker(p, &cfg, rec)
 		}
+		t := int(order[k])
+		var err error
+		results[t], err = ws[lane].run(t, events[t])
+		return err
+	})
+	jobRec.Fold(rec, workers)
+	if err != nil {
+		return nil, err
 	}
 
 	ens := foldResults(cfg, results)
 	ens.Blocks = p.blocks
 	if cfg.Shots > 0 {
 		// Integer payloads merge exactly by addition, whatever the order.
+		ws = slices.DeleteFunc(ws, func(w *ensembleWorker) bool { return w == nil })
 		ens.Counts, ens.Shots = ws[0].counts, ws[0].shots
 		for _, w := range ws[1:] {
 			for x, c := range w.counts {

@@ -25,14 +25,15 @@
 package dagp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/dag"
+	"hisvsim/internal/par"
 	"hisvsim/internal/partition"
 )
 
@@ -123,27 +124,20 @@ func (p Partitioner) Partition(g *dag.Graph, lm int) (*partition.Plan, error) {
 		return nil, err
 	}
 	if len(best) > bound && opts.Restarts > 1 {
+		// One running restart per CPU; results by restart index, so the
+		// earliest still wins a tie however they interleave.
 		results := make([][][]int, opts.Restarts)
-		errs := make([]error, opts.Restarts)
-		results[0] = best
-		var pending sync.WaitGroup
-		slots := make(chan struct{}, runtime.GOMAXPROCS(0)) // semaphore: one running restart per CPU
-		for r := 1; r < opts.Restarts; r++ {
-			pending.Add(1)
-			go func() {
-				defer pending.Done()
-				slots <- struct{}{}
-				results[r], errs[r] = restart(r)
-				<-slots
-			}()
+		err := par.Each(context.TODO(), runtime.GOMAXPROCS(0), opts.Restarts-1, func(_ context.Context, _, i int) error {
+			var err error
+			results[i+1], err = restart(i + 1)
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
-		pending.Wait()
-		for r := 1; r < opts.Restarts; r++ {
-			if errs[r] != nil {
-				return nil, errs[r]
-			}
-			if len(results[r]) < len(best) {
-				best = results[r]
+		for _, res := range results[1:] {
+			if len(res) < len(best) {
+				best = res
 			}
 		}
 	}

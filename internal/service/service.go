@@ -50,6 +50,7 @@ import (
 	"hisvsim/internal/lru"
 	"hisvsim/internal/noise"
 	"hisvsim/internal/obs"
+	"hisvsim/internal/par"
 	"hisvsim/internal/partition"
 	"hisvsim/internal/prof"
 	"hisvsim/internal/qasm"
@@ -1015,13 +1016,19 @@ func (s *Service) run(j *job) {
 		s.finish(j, nil, err)
 		return
 	}
-	// A panic — say in an engine added with backend.Register — fails this
-	// job alone, instead of the daemon and every job it has queued.
+	// A panic — say in an engine added with backend.Register, or on one of
+	// an engine's par.Each lanes — fails this job alone, instead of the
+	// daemon and every job it has queued. A lane's panic is logged with the
+	// lane's stack, which names the bug; this goroutine's names the re-raise.
 	defer func() {
 		if p := recover(); p != nil {
 			s.m.jobPanics.Inc()
+			stack := debug.Stack()
+			if pe, ok := p.(*par.PanicError); ok {
+				stack = pe.Stack
+			}
 			s.log.LogAttrs(j.ctx, slog.LevelError, "job panicked", slog.String("job", j.id),
-				slog.Any("panic", p), slog.String("stack", string(debug.Stack())))
+				slog.Any("panic", p), slog.String("stack", string(stack)))
 			s.finish(j, nil, fmt.Errorf("internal error: %v", p))
 		}
 	}()

@@ -1,15 +1,16 @@
 package sv
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"math/cmplx"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"hisvsim/internal/gate"
+	"hisvsim/internal/par"
 	"hisvsim/internal/prof"
 )
 
@@ -390,7 +391,7 @@ const tileBits = 15
 
 // tiles is how many tiles a tiled op group of this state is replayed in, or
 // 1 when the state is too small to block: under four tiles it is L2-sized
-// already, and under two tiles per worker the shared counter cannot balance
+// already, and under two tiles per worker par.Each's claims cannot balance
 // the workers.
 func (s *State) tiles() int {
 	t := len(s.Amps) >> tileBits
@@ -440,7 +441,7 @@ func (s *State) ApplyOps(ops []Op) {
 // replay is the one replay routine: it applies a group of ops part by part,
 // part t of an op being its items [t·items/parts, (t+1)·items/parts) — a
 // tile of a tiled group, a worker's share of a whole-state op. Workers claim
-// parts from a shared counter and meet at one barrier. With a profile
+// parts through par.Each and meet at one barrier. With a profile
 // attached every op's sweep of every part is timed; the op reports the sum
 // divided by the workers that ran, its share of the group's wall time.
 func (s *State) replay(ops []Op, parts int) {
@@ -459,20 +460,13 @@ func (s *State) replay(ops []Op, parts int) {
 		}
 	} else {
 		// The workers get their own copy of the group, so a caller's
-		// stack-held op (Apply) stays off the heap on the serial path.
+		// stack-held op (Apply) stays off the heap on the serial path. No
+		// lane fails and the context is never done: Each returns nil.
 		amps, ops, nanos := s.Amps, slices.Clone(ops), nanos
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for t := int(next.Add(1)) - 1; t < parts; t = int(next.Add(1)) - 1 {
-					sweepPart(amps, ops, t, parts, nanos)
-				}
-			}()
-		}
-		wg.Wait()
+		_ = par.Each(context.TODO(), workers, parts, func(_ context.Context, _, t int) error {
+			sweepPart(amps, ops, t, parts, nanos)
+			return nil
+		})
 	}
 	for i := range nanos {
 		op := &ops[i]
@@ -529,28 +523,22 @@ func (s *State) Norm2(op *Op) float64 {
 	}
 	t0 := s.profStart()
 	n := op.items()
-	shares := s.shares(n)
+	shares, allocs := s.shares(n), s.ScratchAllocs(op)
 	var total float64
 	if shares == 1 {
 		total = op.plan.denseK(s.Amps, op.mat, 0, n, true)
 	} else {
-		partial := make([]float64, shares)
-		var wg sync.WaitGroup
-		for i := range partial {
-			wg.Add(1)
-			go func(op Op, amps []complex128, i int) {
-				defer wg.Done()
-				partial[i] = op.plan.denseK(amps, op.mat, i*n/shares, (i+1)*n/shares, true)
-			}(*op, s.Amps, i)
-		}
-		wg.Wait()
+		allocs++ // the partial-sum slice
+		// The shares get their own copy of the op, so a caller's stack-held
+		// op stays off the heap on the serial path; as in replay, Each returns nil.
+		partial, op, amps := make([]float64, shares), *op, s.Amps
+		_ = par.Each(context.TODO(), shares, shares, func(_ context.Context, _, i int) error {
+			partial[i] = op.plan.denseK(amps, op.mat, i*n/shares, (i+1)*n/shares, true)
+			return nil
+		})
 		for _, p := range partial {
 			total += p
 		}
-	}
-	allocs := s.ScratchAllocs(op)
-	if shares > 1 {
-		allocs++ // the partial-sum slice
 	}
 	s.profRecord(prof.Kraus, op.width, t0, int64(len(s.Amps)), int64(len(s.Amps))*bytesPerAmpRead, allocs)
 	return total

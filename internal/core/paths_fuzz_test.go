@@ -103,6 +103,9 @@ func FuzzPathsAgree(f *testing.F) {
 	f.Add([]byte{4, 2, 0, 0, 6, 0, 0, 9, 1, 1, 11, 2, 2, 10, 3, 0}) // dense start
 	f.Add([]byte{8, 1, 3, 0x81, 13, 1, 0, 5, 6, 0, 7, 7, 4, 2, 0, 6})
 	f.Add([]byte{4, 1, 5, 0x31, 4, 4, 3, 0, 4, 0, 12, 5, 2}) // GHZ on 0, 4, 5: amps[1<<q] all zero
+	// ising-6 from |0⟩ (h layer, rzz chain, rx layer): the support-first
+	// order interleaves the layers.
+	f.Add([]byte{4, 0, 2, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5, 0, 11, 0, 1, 11, 1, 1, 11, 2, 1, 11, 3, 1, 11, 4, 1, 1, 0, 2, 1, 1, 2, 1, 2, 2, 1, 3, 2, 1, 4, 2, 1, 5, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 || len(data) > 4+3*64 {
 			return

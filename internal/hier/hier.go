@@ -39,8 +39,20 @@
 // nonzero. A sweep whose outer index sets such a qubit holds only zeros and
 // is never run (Metrics.SkippedSweeps), and each part's ops are pinned to
 // the support of its still-clear slots (sv.PinZero), so their kernels walk
-// only amplitudes that can be nonzero. Every amplitude that is computed gets
-// the arithmetic it gets without this, so results are == either way.
+// only amplitudes that can be nonzero. Skipping and pinning change no
+// amplitude's arithmetic.
+//
+// Gate order decides how much of a part runs on a small support, so a part
+// with a clear slot is also lowered in support-first order (supportFirst):
+// each qubit's gates keep their sequence, a ready gate that clears no slot
+// (diagonal, controlled on a clear slot, or dense on live slots only) runs
+// before any that does, and otherwise the ready gate that clears the fewest
+// slots runs, lowest circuit index first. The part keeps whichever lowering's
+// pinned ops walk fewer amplitudes (sv.Op.Amps), the circuit order on a tie,
+// provided it leaves the same slots clear. Both orders apply the same
+// unitary, but fusion groups the gates differently, so a reordered part's
+// results agree with the circuit order's to rounding, not bit for bit. A
+// part with no clear slot runs in circuit order.
 package hier
 
 import (
@@ -187,6 +199,7 @@ type prepared struct {
 	run        int     // 2^j: contiguous amplitudes per run
 	offs       []int   // outer offset of each run (nil for a view)
 	batch      int     // adjacent sweeps moved together (1, 2 or 4)
+	order      []int   // the part's circuit gate indices, in the order ops lowers them
 	ops        []sv.Op // lowered for w-qubit inner states
 	blocks     int     // fused blocks per sweep (0 when fusion off)
 }
@@ -199,7 +212,8 @@ func (pp *prepared) sweeps(n int) int { return 1 << uint(n-bits.OnesCount(uint(p
 
 // preparePart remaps the part's gates onto inner slots and precomputes the
 // layout and the kernel ops for a state whose clear qubits are the bits of
-// clearBits.
+// clearBits, in circuit or support-first order, whichever walks fewer
+// amplitudes (see the package doc).
 func preparePart(c *circuit.Circuit, part partition.Part, clearBits int, opts Options) (prepared, error) {
 	w := part.WorkingSetSize()
 	pp := prepared{part: part, batch: 1}
@@ -232,40 +246,145 @@ func preparePart(c *circuit.Circuit, part partition.Part, clearBits int, opts Op
 		}
 	}
 
-	// Remap the part's gates onto inner qubit slots 0..w-1 (the paper's
-	// consistent-layout rule: ascending global qubit -> ascending slot).
-	slot := make(map[int]int, w)
-	for j, q := range part.Qubits {
-		slot[q] = j
-	}
-	gates := make([]gate.Gate, 0, len(part.GateIndices))
-	for _, gi := range part.GateIndices {
-		gates = append(gates, c.Gates[gi].Remap(func(q int) int { return slot[q] }))
-	}
-
-	var ops []sv.Op
-	var err error
-	if !opts.Fuse {
-		ops, err = sv.GateOps(w, gates)
-	} else {
-		var blocks []fuse.Block
-		if blocks, err = fuse.Fuse(gates, fuse.Options{MaxQubits: opts.MaxFuseQubits}); err == nil {
-			pp.blocks = len(blocks)
-			ops, err = fuse.Plan(blocks, w)
-		}
-	}
-	if err != nil {
-		return pp, err
-	}
 	slots := 0 // the part's clear qubits, as inner slots
 	for s, q := range part.Qubits {
 		slots |= (clearBits >> uint(q) & 1) << uint(s)
 	}
-	pp.ops, slots = sv.PinZero(ops, slots)
+	gates := slotGates(c, part, part.GateIndices)
+	ops, blocks, err := lower(w, gates, opts)
+	if err != nil {
+		return pp, err
+	}
+	var after int // the slots still clear after the part
+	pp.order, pp.blocks = part.GateIndices, blocks
+	pp.ops, after = sv.PinZero(ops, slots)
+	if pos := supportFirst(w, gates, slots); pos != nil {
+		order, moved := make([]int, len(pos)), make([]gate.Gate, len(pos))
+		for i, p := range pos {
+			order[i], moved[i] = part.GateIndices[p], gates[p]
+		}
+		if ops, blocks, err = lower(w, moved, opts); err != nil {
+			return pp, err
+		}
+		// Fused blocks of the two orders may hold different qubits, so the
+		// reordered ops must also leave the same slots clear: then every
+		// later part runs as it would after the circuit order.
+		if pinned, left := sv.PinZero(ops, slots); left == after && walked(pinned) < walked(pp.ops) {
+			pp.order, pp.ops, pp.blocks, after = order, pinned, blocks, left
+		}
+	}
 	for s, q := range part.Qubits {
-		pp.clearAfter |= (slots >> uint(s) & 1) << uint(q)
+		pp.clearAfter |= (after >> uint(s) & 1) << uint(q)
 	}
 	return pp, nil
+}
+
+// slotGates remaps the gates (circuit indices, in the order given) onto the
+// part's inner slots 0..w-1 — the paper's consistent-layout rule: ascending
+// global qubit -> ascending slot.
+func slotGates(c *circuit.Circuit, part partition.Part, order []int) []gate.Gate {
+	slot := make(map[int]int, len(part.Qubits))
+	for j, q := range part.Qubits {
+		slot[q] = j
+	}
+	gates := make([]gate.Gate, 0, len(order))
+	for _, gi := range order {
+		gates = append(gates, c.Gates[gi].Remap(func(q int) int { return slot[q] }))
+	}
+	return gates
+}
+
+// lower lowers the gates, unpinned, for w-qubit states: one op per fused
+// block, or one per gate with fusion off. It returns the ops and the fused
+// block count (0 when fusion is off).
+func lower(w int, gates []gate.Gate, opts Options) ([]sv.Op, int, error) {
+	if !opts.Fuse {
+		ops, err := sv.GateOps(w, gates)
+		return ops, 0, err
+	}
+	blocks, err := fuse.Fuse(gates, fuse.Options{MaxQubits: opts.MaxFuseQubits})
+	if err != nil {
+		return nil, 0, err
+	}
+	ops, err := fuse.Plan(blocks, w)
+	return ops, len(blocks), err
+}
+
+// walked is how many amplitudes one replay of the ops walks.
+func walked(ops []sv.Op) int64 {
+	var a int64
+	for i := range ops {
+		a += ops[i].Amps()
+	}
+	return a
+}
+
+// clears is the mask of clear qubits gate g takes out of the support: its
+// targets, unless it is diagonal or controlled on a clear qubit (then it acts
+// only where every amplitude is zero).
+func clears(g gate.Gate, clear int) int {
+	m := 0
+	for _, q := range g.Controls() {
+		m |= 1 << uint(q)
+	}
+	if m&clear != 0 || gate.IsDiagonal(g) {
+		return 0
+	}
+	m = 0
+	for _, q := range g.Targets() {
+		m |= 1 << uint(q)
+	}
+	return m & clear
+}
+
+// supportFirst returns the positions of gates, a sequence on n qubits, in
+// support-first topological order from a state whose clear qubits are the
+// bits of clear, or nil when that order is the given one. Each qubit's gates
+// keep their sequence. Of the gates ready to run, one that clears no qubit
+// runs first; otherwise the one that clears the fewest does, lowest position
+// first. So whatever the still-clear qubits allow is finished before the
+// support widens.
+func supportFirst(n int, gates []gate.Gate, clear int) []int {
+	if clear == 0 {
+		return nil
+	}
+	pending := make([][]int, n) // per qubit, the positions of its gates not yet ordered
+	for i, g := range gates {
+		for _, q := range g.Qubits {
+			pending[q] = append(pending[q], i)
+		}
+	}
+	order, moved := make([]int, 0, len(gates)), false
+	for len(order) < len(gates) {
+		best, bestCleared := -1, 0
+		for _, queue := range pending {
+			if len(queue) == 0 {
+				continue
+			}
+			i := queue[0]
+			ready := true
+			for _, q := range gates[i].Qubits {
+				ready = ready && pending[q][0] == i
+			}
+			if !ready {
+				continue
+			}
+			cleared := bits.OnesCount(uint(clears(gates[i], clear)))
+			if best < 0 || cleared < bestCleared || cleared == bestCleared && i < best {
+				best, bestCleared = i, cleared
+			}
+		}
+		clear &^= clears(gates[best], clear)
+		for _, q := range gates[best].Qubits {
+			pending[q] = pending[q][1:]
+		}
+		moved = moved || best != len(order)
+		order = append(order, best)
+	}
+	if !moved {
+		return nil
+	}
+	return order
 }
 
 // executePart performs the Gather-Execute-Scatter cycle of Algorithm 1 for

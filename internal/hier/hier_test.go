@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -276,12 +277,10 @@ func TestAllocationsIndependentOfSweepCount(t *testing.T) {
 	}
 }
 
-// oracleSweeps is executePart's sweep loop the slow way: every sweep of the
-// prepared part through gather and scatter, one amplitude at a time, on one
-// goroutine. It shares the prepared ops with the executor, so the two must
-// agree bit for bit.
-func oracleSweeps(pp *prepared, outer *sv.State) {
-	qubits := pp.part.Qubits
+// oracleSweeps is executePart's sweep loop the slow way: every sweep of a
+// part on the qubits through gather and scatter, one amplitude at a time, on
+// one goroutine, replaying ops.
+func oracleSweeps(qubits []int, ops []sv.Op, outer *sv.State) {
 	inner := sv.NewState(len(qubits))
 	inner.Workers = 1
 	for f := 0; f < 1<<uint(outer.N-len(qubits)); f++ {
@@ -290,20 +289,34 @@ func oracleSweeps(pp *prepared, outer *sv.State) {
 			base = insertBit(base, q)
 		}
 		gather(outer.Amps, qubits, base, inner.Amps)
-		inner.ApplyOps(pp.ops)
+		inner.ApplyOps(ops)
 		scatter(outer.Amps, qubits, base, inner.Amps)
 	}
 }
 
-func oracleExecute(t *testing.T, pl *partition.Plan, outer *sv.State, opts Options) {
+// oracleExecute runs the plan through oracleSweeps, each part's gates
+// lowered unpinned in the order the executor lowers them (prepared.order)
+// from the state's clear qubits. It returns how many parts run out of
+// circuit order.
+func oracleExecute(t *testing.T, pl *partition.Plan, outer *sv.State, opts Options) (reordered int) {
 	t.Helper()
+	clearBits := outer.ClearQubits()
 	for _, part := range pl.Parts {
-		pp, err := preparePart(pl.Circuit, part, 0, opts)
+		pp, err := preparePart(pl.Circuit, part, clearBits, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracleSweeps(&pp, outer)
+		ops, _, err := lower(len(part.Qubits), slotGates(pl.Circuit, part, pp.order), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracleSweeps(part.Qubits, ops, outer)
+		clearBits = pp.clearAfter
+		if !slices.Equal(pp.order, part.GateIndices) {
+			reordered++
+		}
 	}
+	return reordered
 }
 
 // onQubits builds a one-part plan whose working set is exactly qubits: a
@@ -335,10 +348,11 @@ func randomState(n int, seed int64) *sv.State {
 // every worker split and with fusion on and off, from a dense state, from
 // |0…0⟩, from a state with a few qubits clear and from one whose qubits 2
 // and 6 are never set alone (amplitudes 1<<2 and 1<<6 are zero, yet neither
-// qubit is clear). The executor must equal
-// the literal Algorithm 1 loop over unpinned ops and every sweep amplitude
-// for amplitude (==: the layouts move data and the support skips only
-// zeros, neither changes arithmetic) and the per-gate flat sweep to 1e-12.
+// qubit is clear). The executor must equal the literal Algorithm 1 loop over
+// every sweep, replaying unpinned ops lowered in the gate order the executor
+// chose, amplitude for amplitude (==: the layouts move data and the support
+// skips only zeros, neither changes arithmetic), and the per-gate flat sweep
+// to 1e-12 (a support-first order regroups commuting gates).
 func TestExecutorMatchesOracle(t *testing.T) {
 	const n = 9
 	type tc struct {
@@ -380,6 +394,7 @@ func TestExecutorMatchesOracle(t *testing.T) {
 		}
 	}
 	starts := []*sv.State{randomState(n, 42), sv.NewState(n), sparse, paired}
+	reordered := 0 // parts the oracle ran in support-first order
 	for _, c := range cases {
 		if c.batch != 0 {
 			pp, err := preparePart(c.pl.Circuit, c.pl.Parts[0], 0, Options{})
@@ -398,7 +413,7 @@ func TestExecutorMatchesOracle(t *testing.T) {
 			for _, fused := range []bool{false, true} {
 				opts := Options{Fuse: fused}
 				want := start.Clone()
-				oracleExecute(t, c.pl, want, opts)
+				reordered += oracleExecute(t, c.pl, want, opts)
 				for i := range want.Amps {
 					if d := want.Amps[i] - flat.Amps[i]; math.Hypot(real(d), imag(d)) > 1e-12 {
 						t.Fatalf("%s start %d fuse=%v: oracle amplitude %d off the flat sweep by %g", c.name, si, fused, i, math.Hypot(real(d), imag(d)))
@@ -419,6 +434,9 @@ func TestExecutorMatchesOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+	if reordered == 0 {
+		t.Error("no part ran in support-first order: the oracle's order is untested")
 	}
 }
 

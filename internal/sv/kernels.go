@@ -325,6 +325,17 @@ func (op Op) TableBytes() int64 {
 	return int64(8*(len(op.plan.below)+len(op.plan.offs)) + 4*len(op.plan.lowTab))
 }
 
+// Amps is the amplitudes one replay of the op is charged, as replay reports
+// them to the profile: of the state's 2^n, those that set no pinned-zero bit
+// (controls are not discounted), and half of those for a swap.
+func (op *Op) Amps() int64 {
+	a := int64(1) << uint(op.plan.n-bits.OnesCount(uint(op.plan.zero)))
+	if op.mat == nil && op.diag == nil {
+		a /= 2 // a swap moves only the two mixed-bit quarters
+	}
+	return a
+}
+
 // items is the op's sweep length: 2^lowBits blocks for a diagonal, free
 // indices (one group of 2^k amplitudes each) otherwise.
 func (op *Op) items() int {
@@ -361,12 +372,23 @@ func (s *State) shares(n int) int {
 	return min(s.workers(), n)
 }
 
+// opShares is how many worker shares a sweep of op alone splits into: as
+// shares, but one when the op walks too few amplitudes (Amps) to pay for
+// goroutines whatever the state's size — a pinned op on a small support,
+// as most ops early in a cold run are.
+func (s *State) opShares(op *Op) int {
+	if op.Amps() < parallelThreshold {
+		return 1
+	}
+	return s.shares(op.items())
+}
+
 // ScratchAllocs reports what one Apply of op heap-allocates on this state
 // for gather scratch — one buffer per share above maxStackK targets, nothing
 // otherwise — the figure the kernels report to the profile. Engines that
 // re-attribute kernel calls at their own layer (dm) reuse it.
 func (s *State) ScratchAllocs(op *Op) int64 {
-	return op.scratchAllocs(s.shares(op.items()))
+	return op.scratchAllocs(s.opShares(op))
 }
 
 // scratchAllocs is the gather scratch a replay of the op in the given number
@@ -411,22 +433,23 @@ func (op *Op) tileable() bool {
 }
 
 // Apply runs one lowered op against the state, split across the state's
-// workers, and counts it in Ops. The serial path allocates nothing.
+// workers when it walks enough amplitudes to pay for them (opShares), and
+// counts it in Ops. The serial path allocates nothing.
 func (s *State) Apply(op *Op) {
 	one := [1]Op{*op}
-	s.replay(one[:], s.shares(op.items()))
+	s.replay(one[:], s.opShares(op))
 }
 
 // ApplyOps runs the lowered ops in order. Consecutive tileable ops form a
 // group that is replayed tile by tile — every op of the group on one
 // cache-resident tile before the next tile is touched, one barrier per group
-// — and every other op is a group of its own over the whole state. Each
-// amplitude's arithmetic is the op's alone, so the result is == whatever the
-// grouping.
+// — and every other op is a group of its own over the whole state, split as
+// Apply splits it. Each amplitude's arithmetic is the op's alone, so the
+// result is == whatever the grouping.
 func (s *State) ApplyOps(ops []Op) {
 	tiles := s.tiles()
 	for len(ops) > 0 {
-		n, parts := 1, s.shares(ops[0].items())
+		n, parts := 1, s.opShares(&ops[0])
 		if tiles > 1 && ops[0].tileable() {
 			for n < len(ops) && ops[n].tileable() {
 				n++
@@ -470,10 +493,7 @@ func (s *State) replay(ops []Op, parts int) {
 	}
 	for i := range nanos {
 		op := &ops[i]
-		touched := int64(len(s.Amps)) >> bits.OnesCount(uint(op.plan.zero))
-		if op.mat == nil && op.diag == nil {
-			touched /= 2 // a swap moves only the two mixed-bit quarters
-		}
+		touched := op.Amps()
 		s.Prof.Record(op.kind, op.width, time.Duration(nanos[i].Load()/int64(workers)),
 			touched, touched*bytesPerAmpRW, op.scratchAllocs(parts))
 	}

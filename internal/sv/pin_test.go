@@ -2,6 +2,7 @@ package sv
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -184,5 +185,77 @@ func TestPinZeroDense(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(5, func() { PinZero(ops, 0) }); a != 0 {
 		t.Errorf("%v allocations", a)
+	}
+}
+
+// TestOpAmpsCountsTheSupport pins Op.Amps, the figure executors compare
+// lowerings by, to what the kernel does: with a payload that doubles every
+// amplitude it acts on, a pinned op changes Amps amplitudes — 2^-c of them
+// under c controls, which Amps does not discount — and the profile row
+// records Amps.
+func TestOpAmpsCountsTheSupport(t *testing.T) {
+	const n = 12
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range pinCases(rng, n) {
+		for _, zero := range append([]int{0}, c.zeros...) {
+			pinned, _ := PinZero([]Op{c.op}, zero)
+			op := pinned[0]
+			switch k := len(op.plan.qubits); {
+			case op.diag != nil:
+				d := make([]complex128, 1<<uint(k))
+				for i := range d {
+					d[i] = 2
+				}
+				op = op.WithDiagonal(d)
+			case op.mat != nil:
+				m := gate.Identity(k)
+				for i := range m.Data {
+					m.Data[i] *= 2
+				}
+				op = op.WithMatrix(m)
+			}
+			in := randomState(n, 5)
+			got := in.Clone()
+			got.Prof = prof.NewRecorder()
+			got.Apply(&op)
+			changed := int64(0)
+			for i := range got.Amps {
+				if got.Amps[i] != in.Amps[i] {
+					changed++
+				}
+			}
+			var recorded int64
+			for _, k := range got.Prof.Snapshot() {
+				recorded += k.Amps
+			}
+			ctrl := bits.OnesCount(uint(op.plan.ctrl))
+			if changed<<uint(ctrl) != op.Amps() || recorded != op.Amps() {
+				t.Errorf("%s/%b: Amps %d, kernel changed %d under %d controls, profile recorded %d", c.name, zero, op.Amps(), changed, ctrl, recorded)
+			}
+		}
+	}
+}
+
+// TestSmallSupportRunsSerially: an op pinned to a support below
+// parallelThreshold runs as one share on a state above it, so it costs no
+// goroutine hand-off, and reports the one gather scratch that share takes;
+// the unpinned op still splits across the workers.
+func TestSmallSupportRunsSerially(t *testing.T) {
+	const n = 16
+	s := NewState(n)
+	s.Workers = 2
+	op := DenseOp(n, []int{0, 1, 2, 3, 4, 5}, nil, testMatrix(rand.New(rand.NewSource(4)), 6, false, false), prof.Dense)
+	if got := s.opShares(&op); got != 2 {
+		t.Errorf("unpinned: %d shares, want 2", got)
+	}
+	for _, zero := range []int{1 << 15, 0xf << 12} { // support 2^15, 2^12
+		pinned, _ := PinZero([]Op{op}, zero)
+		want := 2
+		if pinned[0].Amps() < parallelThreshold {
+			want = 1
+		}
+		if got, allocs := s.opShares(&pinned[0]), s.ScratchAllocs(&pinned[0]); got != want || allocs != int64(want) {
+			t.Errorf("pinned to %b (%d amplitudes): %d shares, %d scratch allocs; want %d of each", zero, pinned[0].Amps(), got, allocs, want)
+		}
 	}
 }

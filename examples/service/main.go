@@ -42,7 +42,7 @@ func main() {
 	fmt.Printf("cold run: %d parts, %v (cache hit: %v)\n", cold.Parts, cold.Elapsed.Round(time.Microsecond), cold.CacheHit)
 
 	// A burst of repeat requests: one simulation total, the rest sample the
-	// cached state through a shared CDF.
+	// cached state through one shared sampler.
 	start := time.Now()
 	for seed := int64(2); seed <= 9; seed++ {
 		res, err := svc.Do(ctx, shots(seed))

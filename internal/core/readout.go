@@ -264,7 +264,8 @@ func (h Histogram) Add(o Histogram) Histogram {
 // EvaluateState derives every requested read-out from an already-simulated
 // state. The sampler may be nil (one is built if shots are requested);
 // callers holding a prebuilt sampler for the state (the service cache)
-// pass it to skip the CDF pass. The state is never mutated.
+// pass it to skip the block-sum pass. The state is never mutated, which the
+// sampler, reading it at every draw, relies on.
 func EvaluateState(st *sv.State, sampler *sv.Sampler, spec ReadoutSpec) *Readouts {
 	out, _ := evaluateState(st, sampler, spec)
 	return out

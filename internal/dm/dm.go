@@ -473,9 +473,9 @@ func (d *Density) MaxAbsDiffPure(st *sv.State) float64 {
 // Sample draws seeded shots from the (readout-error-adjusted) basis
 // distribution, returning the per-shot basis indices: deterministic in
 // (ρ, shots, seed, readout), independent of workers — the DM engine's
-// replacement for per-trajectory sampling. It shares the sv.Sampler
-// inverse-CDF draw, so the same seed over the same distribution yields the
-// same shot stream as the state-vector engines.
+// replacement for per-trajectory sampling. It shares the sv.Sampler draw,
+// so the same seed over the same distribution yields the same shot stream
+// as the state-vector engines.
 func (d *Density) Sample(shots int, seed int64, ro *noise.Readout) []int {
 	if shots <= 0 {
 		return nil

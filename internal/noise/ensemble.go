@@ -282,7 +282,8 @@ func RunEnsemble(ctx context.Context, p *Plan, cfg RunConfig) (*Ensemble, error)
 
 // RunEnsembleFromState is the noise-free fast path: every trajectory shares
 // one already-simulated ideal state, so the trajectory loop only samples
-// (with readout error, through one shared CDF) and measures. core's
+// (with readout error, through one shared sampler, which reads st at every
+// draw — nothing here writes it) and measures. core's
 // SimulateNoisy routes zero-noise ensembles here, keeping them bit-for-bit
 // identical to ideal simulation while still honoring the trajectory-split
 // sampling and per-trajectory seeded RNGs of the noisy path.
@@ -295,7 +296,7 @@ func RunEnsembleFromState(ctx context.Context, st *sv.State, ro *Readout, cfg Ru
 	T := cfg.Trajectories
 	ens := &Ensemble{Trajectories: T, NoiseFree: true}
 	if cfg.Shots > 0 {
-		sampler := sv.NewSampler(st) // one CDF pass serves every trajectory
+		sampler := sv.NewSampler(st) // one block-sum pass serves every trajectory
 		ens.Counts = make(map[int]int)
 		for t := 0; t < T; t++ {
 			if err := ctx.Err(); err != nil {
@@ -372,7 +373,7 @@ func findEvents(cfg RunConfig, p *Plan) (events []event, order []int32) {
 // ensembleWorker is one trajectory goroutine's private memory, allocated
 // once per ensemble whatever the trajectory count: the ideal state it
 // advances, the state it forks trajectories into, one reseedable rng, one
-// CDF buffer and one counts histogram.
+// sampler's block sums and guide and one counts histogram.
 type ensembleWorker struct {
 	p   *Plan
 	cfg *RunConfig
@@ -382,10 +383,12 @@ type ensembleWorker struct {
 	// forward: trajectories are claimed in ascending event step.
 	ideal *sv.State
 	pos   int
-	// atEnd is set once ideal is the finished ideal state, sampler holds its
-	// CDF and idealRead its read-outs — shared by every event-free
-	// trajectory this worker claims (they sort last, so the sampler is never
-	// rebuilt afterwards).
+	// atEnd is set once ideal is the finished ideal state, sampler is built
+	// over it and idealRead holds its read-outs — shared by every event-free
+	// trajectory this worker claims. They sort last, so the sampler is never
+	// rebuilt afterwards and ideal, which it reads at every draw, never moves
+	// again; a forked trajectory samples fork before the next claim
+	// overwrites it.
 	atEnd     bool
 	idealRead trajResult
 

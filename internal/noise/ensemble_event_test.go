@@ -362,8 +362,9 @@ func TestEnsembleCancelMidRun(t *testing.T) {
 	}
 }
 
-// An ensemble's large allocations are per worker — two states and one CDF —
-// whatever the trajectory count: nothing of size 2^n is made per trajectory.
+// An ensemble's large allocations are per worker — two states and one
+// sampler's block sums and guide — whatever the trajectory count: nothing of
+// size 2^n is made per trajectory.
 func TestEnsembleAllocatesPerWorkerNotPerTrajectory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
@@ -373,7 +374,7 @@ func TestEnsembleAllocatesPerWorkerNotPerTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const perWorker = 2*(16<<n) + 8<<n // two states, one CDF
+	const perWorker = 2*(16<<n) + 8<<n/8 + 4<<n/16 // two states, one sampler
 	allocated := func(T, workers int) uint64 {
 		cfg := RunConfig{
 			Trajectories: T, Seed: 3, Workers: workers, Shots: 4 * T,
@@ -392,7 +393,7 @@ func TestEnsembleAllocatesPerWorkerNotPerTrajectory(t *testing.T) {
 			// Beyond the per-worker buffers: the recorder-free bookkeeping,
 			// and a few hundred bytes per trajectory (its result slot, its
 			// sample slice, its share of the counts histogram) — far below
-			// the 32 KiB a per-trajectory CDF alone would cost.
+			// the 5 KiB a per-trajectory sampler alone would cost.
 			limit := uint64(workers*perWorker + 64<<10 + T*512)
 			if got := allocated(T, workers); got > limit {
 				t.Errorf("workers=%d T=%d: ensemble allocated %d bytes, limit %d (%d per worker)",

@@ -174,10 +174,15 @@ func writeErr(w http.ResponseWriter, err error) {
 	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// WriteJSON writes v as the JSON response body with the given status.
+// WriteJSON writes v as the JSON response body with the given status: the
+// bytes json.NewEncoder(w).Encode(v) writes, a WireJob's in one pass
+// (appendJob).
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	if j, ok := v.(WireJob); ok && writeJob(w, &j) {
+		return
+	}
 	_ = json.NewEncoder(w).Encode(v)
 }
 

@@ -525,21 +525,7 @@ type WireCounts struct {
 
 // MarshalJSON writes the keys straight from the indices.
 func (c *WireCounts) MarshalJSON() ([]byte, error) {
-	n := max(c.Qubits, 1)
-	b := make([]byte, 0, 2+len(c.Outcomes)*(n+12))
-	b = append(b, '{')
-	for i, oc := range c.Outcomes {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, '"')
-		for q := n - 1; q >= 0; q-- {
-			b = append(b, byte('0'+(oc.Basis>>uint(q))&1))
-		}
-		b = append(b, '"', ':')
-		b = strconv.AppendInt(b, int64(oc.N), 10)
-	}
-	return append(b, '}'), nil
+	return appendCounts(make([]byte, 0, 2+len(c.Outcomes)*(max(c.Qubits, 1)+12)), c), nil
 }
 
 // UnmarshalJSON reads what MarshalJSON writes: keys of one width, ascending.

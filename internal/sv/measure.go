@@ -8,9 +8,11 @@ import (
 )
 
 // Sample draws n basis-state samples from the state's Born distribution
-// using the given RNG. It builds a one-shot Sampler (single CDF pass, then
-// O(log N) per draw); callers sampling the same state repeatedly should hold
-// a NewSampler and reuse it.
+// using the given RNG. It builds a one-shot Sampler (one pass storing a
+// running sum per 8 amplitudes, then a guide lookup and at most one block
+// per draw) and draws all n before returning, so the state is untouched
+// while the sampler reads it; callers sampling the same state repeatedly
+// should hold a NewSampler and reuse it.
 func (s *State) Sample(n int, rng *rand.Rand) []int {
 	return NewSampler(s).Sample(n, rng)
 }

@@ -247,13 +247,12 @@ func TestSamplerMatchesStateSample(t *testing.T) {
 			t.Fatalf("sampler diverged from State.Sample at shot %d", i)
 		}
 	}
-	// The sampler is a snapshot: mutating the state afterwards must not
-	// change what it draws.
-	_ = s.ApplyGate(gate.X(0))
-	after := sp.Sample(300, rand.New(rand.NewSource(5)))
+	// Every shot is the one the flat running sum's bisection draws.
+	flat := newFlatSampler(s)
+	rng := rand.New(rand.NewSource(5))
 	for i := range reused {
-		if after[i] != reused[i] {
-			t.Fatalf("sampler aliased the mutated state at shot %d", i)
+		if want := flat.draw(rng.Float64() * flat.total); reused[i] != want {
+			t.Fatalf("shot %d: sampler drew %d, the flat CDF %d", i, reused[i], want)
 		}
 	}
 }

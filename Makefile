@@ -30,6 +30,10 @@ lint:
 	if [ -n "$$found" ]; then \
 		echo "go statement in an engine package; use par.Each:" >&2; echo "$$found" >&2; exit 1; \
 	fi
+	@found=$$($(GO) list -deps ./cmd/hisvsimd ./cmd/hisvsim | grep -E '^hisvsim/internal/(repro|mpi|perfmodel)(/|$$)' || true); \
+	if [ -n "$$found" ]; then \
+		echo "the serving path links the modelled reproduction (internal/repro, mpi, perfmodel):" >&2; echo "$$found" >&2; exit 1; \
+	fi
 
 # Regenerates BENCH_fusion.json (fused vs. unfused, qft/ising/random at 16-20 qubits).
 # CI smokes it narrow: make fusion-bench FUSION_REPS=1.

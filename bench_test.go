@@ -20,11 +20,11 @@ import (
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/core"
 	"hisvsim/internal/dag"
-	"hisvsim/internal/experiments"
 	"hisvsim/internal/gate"
 	"hisvsim/internal/hier"
 	"hisvsim/internal/partition"
 	"hisvsim/internal/partition/dagp"
+	"hisvsim/internal/repro/experiments"
 	"hisvsim/internal/sv"
 )
 

@@ -7,8 +7,12 @@
 //	benchtables -only fig5,table2
 //	benchtables -base 12 -ranks 2,4,8
 //
-// The -only flag lists the table and figure names; internal/experiments
-// documents each one's expected qualitative shape.
+// It is the one command that reaches the modelled reproduction under
+// internal/repro (simulated MPI ranks, the distributed executor, the
+// IQS-style baseline, the exact partitioner, the cache and roofline
+// models). The -only flag lists the table and figure names;
+// internal/repro/experiments documents each one's expected qualitative
+// shape.
 package main
 
 import (
@@ -19,7 +23,7 @@ import (
 	"strings"
 
 	"hisvsim/internal/bench"
-	"hisvsim/internal/experiments"
+	"hisvsim/internal/repro/experiments"
 )
 
 func main() {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	hisvsim -circuit qft -n 16 -strategy dagp -lm 12
-//	hisvsim -qasm file.qasm -strategy dagp -ranks 4 -verify
+//	hisvsim -qasm file.qasm -strategy dagp -lm 12 -verify
 //	hisvsim -circuit grover -n 15 -plan-only
 //	hisvsim -circuit ising -n 12 -depolarizing 0.01 -trajectories 500 -shots 4096
 //	hisvsim -circuit ising -n 8 -observables '-1*ZZ@0,1; 0.5*X@2'
@@ -15,7 +15,8 @@
 //
 // It prints the plan summary (parts and working sets), execution metrics,
 // and optionally verifies the result against flat simulation. -backend
-// picks the execution engine from the registry (-backends lists them);
+// picks the execution engine from the registry (-backends lists them:
+// flat, hier and dm);
 // -observables evaluates weighted Pauli strings (X/Y/Z Hamiltonian terms)
 // on the final state — or as trajectory means under noise. Any of the
 // noise flags (-depolarizing, -depolarizing2, -bit-flip, -phase-flip,
@@ -52,12 +53,11 @@ func main() {
 		paramsF   = flag.String("params", "", "bind a parameterized circuit's symbols for one run: \"gamma0=0.4,beta0=0.2\"")
 		sweepF    = flag.String("sweep", "", "evaluate -observables over a binding grid (one template compile): per-symbol comma list or lo:hi:count linspace, semicolons between symbols, cartesian product — \"gamma0=0:1.2:7; beta0=0.1,0.3,0.5\"")
 		qasmFile  = flag.String("qasm", "", "OpenQASM 2.0 file to simulate instead of -circuit")
-		backendN  = flag.String("backend", "", "execution backend: "+strings.Join(hisvsim.BackendNames(), ", ")+" (default: by rank count)")
+		backendN  = flag.String("backend", "", "execution backend: "+strings.Join(hisvsim.BackendNames(), ", ")+" (default: hier)")
 		backends  = flag.Bool("backends", false, "list the registered execution backends and exit")
 		observes  = flag.String("observables", "", "semicolon-separated Pauli observables to evaluate, e.g. '-1*ZZ@0,1; 0.5*X@2'")
 		strategy  = flag.String("strategy", "dagp", "partitioner: "+strings.Join(hisvsim.Strategies(), ", "))
-		lm        = flag.Int("lm", 0, "working-set limit per part (0 = local qubit count)")
-		ranks     = flag.Int("ranks", 1, "simulated MPI ranks (power of two; 1 = single node)")
+		lm        = flag.Int("lm", 0, "working-set limit per part (0 = the full register)")
 		seed      = flag.Int64("seed", 1, "seed for randomized partitioners")
 		fuse      = flag.String("fuse", "auto", "gate fusion: auto, on, off")
 		fuseMax   = flag.Int("fuse-max", 0, "max fused-block support in qubits (0 = default 5)")
@@ -84,15 +84,9 @@ func main() {
 	if *backends {
 		for _, b := range hisvsim.Backends() {
 			caps := b.Capabilities
-			ranksDoc := "single-node"
-			switch {
-			case caps.SingleRank && caps.MultiRank:
-				ranksDoc = "1..N ranks"
-			case caps.MultiRank:
-				ranksDoc = "multi-rank"
-			}
+			planDoc := "unpartitioned"
 			if caps.Partitioned {
-				ranksDoc += ", partitioned"
+				planDoc = "partitioned"
 			}
 			noiseDoc := "noise: none"
 			if caps.Noise != hisvsim.NoiseCapabilityNone {
@@ -103,12 +97,16 @@ func main() {
 				// would shift every column after it.
 				noiseDoc += fmt.Sprintf(", <=%d qubits", caps.MaxQubits)
 			}
-			fmt.Printf("%-10s %-27s %-28s %s\n", b.Name, "("+ranksDoc+")", "("+noiseDoc+")", caps.Description)
+			fmt.Printf("%-10s %-15s %-28s %s\n", b.Name, "("+planDoc+")", "("+noiseDoc+")", caps.Description)
 		}
 		return
 	}
 
 	obs, err := parseObservables(*observes)
+	if err != nil {
+		fatal(err)
+	}
+	zQubits, err := parseQubits(*zString)
 	if err != nil {
 		fatal(err)
 	}
@@ -143,7 +141,11 @@ func main() {
 	}
 
 	if *planOnly {
-		pl, err := hisvsim.Partition(c, lmOrDefault(*lm, c.NumQubits, *ranks), *strategy)
+		width := *lm
+		if width <= 0 {
+			width = c.NumQubits
+		}
+		pl, err := hisvsim.Partition(c, width, *strategy)
 		if err != nil {
 			fatal(err)
 		}
@@ -187,20 +189,20 @@ func main() {
 		}
 		opts := hisvsim.Options{
 			Backend:  *backendN,
-			Strategy: *strategy, Lm: *lm, Ranks: *ranks, Seed: *seed,
+			Strategy: *strategy, Lm: *lm, Seed: *seed,
 			Fuse: fp, MaxFuseQubits: *fuseMax, Noise: model,
 		}
 		if isExactBackend(*backendN) {
-			runExact(c, opts, *shots, *zString, *noiseSeed, obs)
+			runExact(c, opts, *shots, zQubits, *noiseSeed, obs)
 		} else {
-			runNoisy(c, opts, *traj, *shots, *zString, *noiseSeed, obs)
+			runNoisy(c, opts, *traj, *shots, zQubits, *noiseSeed, obs)
 		}
 		return
 	}
 
 	res, err := hisvsim.Simulate(c, hisvsim.Options{
 		Backend:  *backendN,
-		Strategy: *strategy, Lm: *lm, Ranks: *ranks, Seed: *seed,
+		Strategy: *strategy, Lm: *lm, Seed: *seed,
 		Fuse: fp, MaxFuseQubits: *fuseMax,
 	})
 	if err != nil {
@@ -214,18 +216,6 @@ func main() {
 	if res.Hier != nil {
 		fmt.Printf("single-node: %d parts, %d gather/scatter sweeps, %.1f MB moved, %d sweeps skipped, %d inner kernel ops\n",
 			res.Hier.Parts, res.Hier.Sweeps, float64(res.Hier.BytesMoved)/(1<<20), res.Hier.SkippedSweeps, res.Hier.InnerOps)
-	}
-	if res.Dist != nil {
-		fmt.Printf("distributed: %d ranks, %d relayouts, %.1f MB over network\n",
-			*ranks, res.Dist.Relayouts, float64(res.Dist.BytesComm)/(1<<20))
-		for _, s := range res.Dist.Stats {
-			fmt.Printf("  rank %d: sent %d msgs / %.1f MB, modeled comm %.3g s, compute %.3g s\n",
-				s.Rank, s.MsgsSent, float64(s.BytesSent)/(1<<20), s.CommSeconds, s.ComputeSeconds)
-		}
-	}
-	if res.Baseline != nil {
-		fmt.Printf("baseline: %d ranks, %d pair exchanges, %.1f MB over network\n",
-			*ranks, res.Baseline.Exchanges, float64(res.Baseline.BytesComm)/(1<<20))
 	}
 	if res.State != nil {
 		top := res.State.MostLikely()
@@ -387,23 +377,32 @@ func parseObservables(s string) ([]hisvsim.PauliString, error) {
 	return out, nil
 }
 
+// parseQubits parses -expect-z: comma-separated qubit indices (empty = no
+// Z-string read-out).
+func parseQubits(s string) ([]int, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, nil
+	}
+	var qs []int
+	for _, f := range strings.Split(s, ",") {
+		q, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return nil, fmt.Errorf("bad -expect-z qubit %q", f)
+		}
+		qs = append(qs, q)
+	}
+	return qs, nil
+}
+
 // runExact executes a noisy run on an exact-noise backend ("dm"): one
 // deterministic density-matrix evolution answers counts and observables —
 // no trajectory count, no standard errors, observable values independent
 // of the sampling seed.
-func runExact(c *hisvsim.Circuit, opts hisvsim.Options, shots int, zString string, seed int64, obs []hisvsim.PauliString) {
+func runExact(c *hisvsim.Circuit, opts hisvsim.Options, shots int, zQubits []int, seed int64, obs []hisvsim.PauliString) {
 	spec := hisvsim.ReadoutSpec{Shots: shots, Seed: seed}
-	if zString != "" {
-		p := hisvsim.PauliString{}
-		for _, f := range strings.Split(zString, ",") {
-			var q int
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &q); err != nil {
-				fatal(fmt.Errorf("bad -expect-z qubit %q", f))
-			}
-			p.Ops += "Z"
-			p.Qubits = append(p.Qubits, q)
-		}
-		obs = append([]hisvsim.PauliString{p}, obs...)
+	if len(zQubits) > 0 {
+		z := hisvsim.PauliString{Ops: strings.Repeat("Z", len(zQubits)), Qubits: zQubits}
+		obs = append([]hisvsim.PauliString{z}, obs...)
 	}
 	for _, p := range obs {
 		spec.Observables = append(spec.Observables, hisvsim.Observable{
@@ -423,17 +422,8 @@ func runExact(c *hisvsim.Circuit, opts hisvsim.Options, shots int, zString strin
 }
 
 // runNoisy executes and reports a trajectory ensemble.
-func runNoisy(c *hisvsim.Circuit, opts hisvsim.Options, traj, shots int, zString string, seed int64, obs []hisvsim.PauliString) {
-	run := hisvsim.NoisyRun{Trajectories: traj, Seed: seed, Shots: shots, Observables: obs}
-	if zString != "" {
-		for _, f := range strings.Split(zString, ",") {
-			var q int
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &q); err != nil {
-				fatal(fmt.Errorf("bad -expect-z qubit %q", f))
-			}
-			run.Qubits = append(run.Qubits, q)
-		}
-	}
+func runNoisy(c *hisvsim.Circuit, opts hisvsim.Options, traj, shots int, zQubits []int, seed int64, obs []hisvsim.PauliString) {
+	run := hisvsim.NoisyRun{Trajectories: traj, Seed: seed, Shots: shots, Observables: obs, Qubits: zQubits}
 	ens, err := hisvsim.SimulateNoisy(c, opts, run)
 	if err != nil {
 		fatal(err)
@@ -520,7 +510,8 @@ func parseParams(s string) (map[string]float64, error) {
 
 // parseSweepGrid parses -sweep into the cartesian binding list. Each
 // semicolon-separated entry is name=spec where spec is either a comma list
-// of values or a lo:hi:count linspace (count points, endpoints included).
+// of values or a lo:hi:count linspace (count points, endpoints included);
+// the points expand exactly as a "sweep" job's grid does.
 func parseSweepGrid(s string) ([]map[string]float64, error) {
 	grid := map[string][]float64{}
 	for _, raw := range strings.Split(s, ";") {
@@ -570,37 +561,7 @@ func parseSweepGrid(s string) ([]map[string]float64, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("-sweep is empty")
 	}
-	// Cartesian product in sorted symbol order, last symbol fastest —
-	// matching the service's grid expansion.
-	syms := make([]string, 0, len(grid))
-	for name := range grid {
-		syms = append(syms, name)
-	}
-	sort.Strings(syms)
-	total := 1
-	for _, name := range syms {
-		total *= len(grid[name])
-	}
-	bindings := make([]map[string]float64, 0, total)
-	idx := make([]int, len(syms))
-	for {
-		env := make(map[string]float64, len(syms))
-		for i, name := range syms {
-			env[name] = grid[name][idx[i]]
-		}
-		bindings = append(bindings, env)
-		i := len(syms) - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(grid[syms[i]]) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
-			return bindings, nil
-		}
-	}
+	return (&hisvsim.SweepSpec{Grid: grid}).Expand(math.MaxInt)
 }
 
 // runSweep evaluates the observables on every grid point from one template
@@ -660,17 +621,6 @@ func fusePolicy(s string) (hisvsim.FusePolicy, error) {
 	default:
 		return 0, fmt.Errorf("unknown -fuse value %q (want auto, on, or off)", s)
 	}
-}
-
-func lmOrDefault(lm, n, ranks int) int {
-	if lm > 0 {
-		return lm
-	}
-	p := 0
-	for 1<<uint(p) < ranks {
-		p++
-	}
-	return n - p
 }
 
 func printPlan(pl *hisvsim.Plan, detail bool) {

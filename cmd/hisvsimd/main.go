@@ -1,7 +1,8 @@
 // Command hisvsimd serves the HiSVSIM simulation service over HTTP/JSON:
 // an async job queue with a bounded worker pool in front of the fused
-// hierarchical/distributed executors, plus a content-addressed plan/state
-// cache so repeat circuits cost sampling, not simulation.
+// hierarchical, trajectory and density-matrix engines, plus a
+// content-addressed plan/state cache so repeat circuits cost sampling, not
+// simulation.
 //
 // Usage:
 //

@@ -1,6 +1,6 @@
 // Package hisvsim is the public API of the HiSVSIM reproduction: a
-// hierarchical, distributed state-vector quantum-circuit simulator driven by
-// acyclic graph partitioning (Fang, Özkaya, Li, Çatalyürek, Krishnamoorthy —
+// hierarchical state-vector quantum-circuit simulator driven by acyclic
+// graph partitioning (Fang, Özkaya, Li, Çatalyürek, Krishnamoorthy —
 // IEEE CLUSTER 2022).
 //
 // Quick start:
@@ -11,8 +11,10 @@
 //
 // The heavy lifting lives in the internal packages; this façade re-exports
 // the stable surface: circuit construction (generators + OpenQASM 2.0),
-// partitioning plans, single-node hierarchical execution, and the simulated
-// multi-rank distributed executor with its IQS-style baseline.
+// partitioning plans, hierarchical execution, noisy and exact
+// density-matrix simulation, and parameter sweeps. The paper's modelled
+// multi-rank results (simulated MPI ranks, the IQS-style baseline) are
+// regenerated by cmd/benchtables, not served here.
 //
 // For serving many requests, NewService starts the asynchronous simulation
 // service (job queue, worker pool, content-addressed plan/state cache,
@@ -26,13 +28,11 @@ import (
 	"net/http"
 
 	"hisvsim/internal/backend"
-	"hisvsim/internal/baseline"
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/core"
 	"hisvsim/internal/dag"
 	"hisvsim/internal/dm"
 	"hisvsim/internal/gate"
-	"hisvsim/internal/mpi"
 	"hisvsim/internal/noise"
 	"hisvsim/internal/partition"
 	"hisvsim/internal/qasm"
@@ -60,7 +60,7 @@ type Options = core.Options
 // FusePolicy selects gate fusion for Simulate (Options.Fuse). Fusion is on
 // by default (FuseAuto, the zero value): runs of adjacent gates whose
 // combined support stays within Options.MaxFuseQubits (default 5) execute
-// as single fused kernels between communication points.
+// as single fused kernels between gather/scatter points.
 type FusePolicy = core.FusePolicy
 
 // Fusion policies for Options.Fuse.
@@ -72,9 +72,6 @@ const (
 
 // Result bundles the plan, final state and execution metrics.
 type Result = core.Result
-
-// CostModel is the α–β communication model used by distributed runs.
-type CostModel = mpi.CostModel
 
 // NewCircuit returns an empty named circuit on n qubits.
 func NewCircuit(name string, n int) *Circuit { return circuit.New(name, n) }
@@ -126,17 +123,16 @@ const (
 	NoiseCapabilityExact = backend.NoiseExact
 )
 
-// Backends lists every registered execution backend ("flat", "hier",
-// "dist", "baseline", "dm") with its capabilities. Options.Backend selects
-// one by name; an empty name picks by rank count ("hier" single-node,
-// "dist" beyond), exactly the pre-registry behavior.
+// Backends lists every registered execution backend ("flat", "hier", "dm")
+// with its capabilities. Options.Backend selects one by name; an empty
+// name picks "hier".
 func Backends() []BackendInfo { return core.Backends() }
 
 // BackendNames lists just the registered backend names, sorted.
 func BackendNames() []string { return core.BackendNames() }
 
 // Partition builds an acyclic plan for the circuit with working-set limit
-// lm using the named strategy ("nat", "dfs", "dagp", or "exact").
+// lm using the named strategy ("nat", "dfs" or "dagp").
 func Partition(c *Circuit, lm int, strategy string) (*Plan, error) {
 	s, err := core.NewStrategy(strategy, 0)
 	if err != nil {
@@ -184,9 +180,8 @@ func DotDAG(c *Circuit, pl *Plan) string {
 	return dag.FromCircuit(c).Dot(opts)
 }
 
-// Simulate partitions and executes a circuit from |0…0⟩. With Ranks > 1 it
-// runs the distributed executor over simulated MPI ranks; otherwise the
-// single-node hierarchical executor.
+// Simulate partitions and executes a circuit from |0…0⟩ on the engine
+// Options.Backend names (the hierarchical executor by default).
 func Simulate(c *Circuit, opts Options) (*Result, error) { return core.Simulate(c, opts) }
 
 // SimulateContext is Simulate under a context: cancellation or deadline
@@ -273,7 +268,7 @@ func CorrelatedDepolarizing2(p float64) NoiseChannel { return noise.CorrelatedDe
 // trajectory plan, run.Trajectories seeded trajectories replay it in
 // parallel, and the ensemble aggregates sampled counts (run.Shots) and/or a
 // Z-string expectation with standard error (run.Qubits). A zero-effect
-// model reduces to ONE ideal simulation (strategy/ranks honored,
+// model reduces to ONE ideal simulation (strategy and Lm honored,
 // bit-for-bit identical to Simulate) plus sampling.
 //
 //	model := hisvsim.GlobalNoise(hisvsim.Depolarizing(0.01)).WithReadout(0.02, 0.02)
@@ -362,21 +357,6 @@ func Fingerprint(c *Circuit) string { return c.Fingerprint() }
 
 // Run simulates a circuit flat (no partitioning) — the reference result.
 func Run(c *Circuit) (*State, error) { return sv.Run(c) }
-
-// BaselineResult reports the IQS-style baseline run.
-type BaselineResult = baseline.Result
-
-// RunBaseline simulates the circuit with the IQS/qHiPSTER-style distributed
-// scheme (fixed layout, pairwise exchange per global-qubit gate) for
-// comparison against Simulate with the same rank count. Runs of fully-local
-// gates between exchanges are fused, matching Simulate's default.
-func RunBaseline(c *Circuit, ranks int) (*BaselineResult, error) {
-	return baseline.Run(c, baseline.Config{Ranks: ranks, GatherResult: true, Fuse: true})
-}
-
-// HDR100 returns the InfiniBand HDR-100-class communication model used in
-// the paper's evaluation.
-func HDR100() CostModel { return mpi.HDR100() }
 
 // Service is the asynchronous simulation service: a bounded worker pool
 // draining a job queue, with a content-addressed plan/state cache so repeat

@@ -31,9 +31,6 @@ func TestFacadeQuickstart(t *testing.T) {
 func TestFacadePartitionAndValidate(t *testing.T) {
 	c := MustCircuit("bv", 10)
 	for _, s := range Strategies() {
-		if s == "exact" && c.NumQubits > 12 {
-			continue
-		}
 		pl, err := Partition(c, 5, s)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
@@ -44,31 +41,6 @@ func TestFacadePartitionAndValidate(t *testing.T) {
 	}
 	if _, err := Partition(c, 5, "nope"); err == nil {
 		t.Fatal("unknown strategy accepted")
-	}
-}
-
-func TestFacadeDistributedVsBaseline(t *testing.T) {
-	c := MustCircuit("ising", 9)
-	want, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Simulate(c, Options{Strategy: "dagp", Ranks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := res.State.Fidelity(want); math.Abs(f-1) > 1e-8 {
-		t.Fatalf("distributed fidelity = %v", f)
-	}
-	base, err := RunBaseline(c, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := base.State.Fidelity(want); math.Abs(f-1) > 1e-8 {
-		t.Fatalf("baseline fidelity = %v", f)
-	}
-	if res.Dist.BytesComm >= base.BytesComm {
-		t.Fatalf("HiSVSIM comm %d >= baseline %d", res.Dist.BytesComm, base.BytesComm)
 	}
 }
 
@@ -114,30 +86,9 @@ func TestFacadeOptimizeAndMetrics(t *testing.T) {
 	}
 }
 
-func TestFacadeNonPowerOfTwoRanks(t *testing.T) {
-	c := MustCircuit("qft", 9)
-	want, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Simulate(c, Options{Strategy: "dagp", Ranks: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := res.State.Fidelity(want); math.Abs(f-1) > 1e-8 {
-		t.Fatalf("fidelity = %v", f)
-	}
-	if res.Dist.VirtualRanks != 4 {
-		t.Fatalf("virtual ranks = %d", res.Dist.VirtualRanks)
-	}
-}
-
 func TestFacadeFamiliesAndModels(t *testing.T) {
 	if len(Families()) < 10 {
 		t.Fatal("families missing")
-	}
-	if HDR100().Bandwidth <= 0 {
-		t.Fatal("bad model")
 	}
 	if !strings.Contains(strings.Join(Strategies(), ","), "dagp") {
 		t.Fatal("dagp missing")
@@ -378,8 +329,8 @@ func TestFacadeParameterizedSweepOptimize(t *testing.T) {
 
 func TestFacadeBackendsAndEvaluate(t *testing.T) {
 	names := BackendNames()
-	if len(names) < 4 {
-		t.Fatalf("BackendNames() = %v, want the four built-ins", names)
+	if strings.Join(names, ",") != "dm,flat,hier" {
+		t.Fatalf("BackendNames() = %v, want the three built-ins", names)
 	}
 	for _, info := range Backends() {
 		if info.Name == "" || info.Capabilities.Description == "" {

@@ -4,17 +4,17 @@
 // executor never again means threading a new fork through core, the
 // service, the HTTP layer and the CLI.
 //
-// Five engines register at init:
+// Three engines register at init:
 //
 //	flat      per-gate reference sweep on one dense state (sv.Run)
 //	hier      single-node hierarchical executor over a partition plan
-//	dist      simulated multi-rank distributed executor (one relayout/part)
-//	baseline  IQS/qHiPSTER-style fixed-layout comparison system
 //	dm        exact density-matrix engine for small noisy registers
 //
 // Callers normally go through core.Simulate, which resolves
-// Options.Backend against this registry (defaulting by rank count); the
-// service and daemon expose the same selection per request.
+// Options.Backend against this registry (empty selects hier); the service
+// and daemon expose the same selection per request. The paper's modelled
+// multi-rank executor and its IQS-style baseline are not engines here:
+// they live under internal/repro and are reached through cmd/benchtables.
 package backend
 
 import (
@@ -24,63 +24,50 @@ import (
 	"sync"
 	"time"
 
-	"hisvsim/internal/baseline"
 	"hisvsim/internal/circuit"
-	"hisvsim/internal/dist"
 	"hisvsim/internal/dm"
 	"hisvsim/internal/hier"
-	"hisvsim/internal/mpi"
 	"hisvsim/internal/partition"
 	"hisvsim/internal/partition/dagp"
-	"hisvsim/internal/partition/exact"
 	"hisvsim/internal/sv"
 )
 
 // Spec is the execution request a backend receives: every core.Options
 // field that can shape how (not what) the circuit is executed. Backends
-// ignore fields outside their capabilities (flat ignores partitioning,
-// single-rank engines reject Ranks > 1).
+// ignore fields outside their capabilities (flat ignores partitioning).
 type Spec struct {
-	// Strategy names the partitioner ("nat", "dfs", "dagp", "exact";
-	// "" = dagp). Only partitioned backends consult it.
+	// Strategy names the partitioner ("nat", "dfs", "dagp"; "" = dagp).
+	// Only partitioned backends consult it.
 	Strategy string
-	// Lm is the working-set limit of a part (0 = local qubit count).
+	// Lm is the working-set limit of a part (0 = the full register).
 	Lm int
-	// Ranks is the simulated MPI rank count (0 or 1 = single node).
-	Ranks int
 	// Workers bounds kernel parallelism (0 = GOMAXPROCS).
 	Workers int
 	// Seed drives the randomized partitioners.
 	Seed int64
-	// Model is the distributed communication model (zero = HDR-100).
-	Model mpi.CostModel
-	// SkipState skips gathering the distributed state (metrics only).
-	SkipState bool
 	// Fuse enables gate fusion; MaxFuseQubits caps fused-block support.
 	Fuse          bool
 	MaxFuseQubits int
 }
 
 // Execution is what a backend produces: the final state plus whatever
-// plan/metrics the engine computes. Plan is nil for unpartitioned engines
-// (flat, baseline); exactly one of Hier/Dist/Baseline is set when the
-// engine reports metrics. The density-matrix engine sets DM instead of
-// State (ρ has no single amplitude vector).
+// plan/metrics the engine computes. Plan and Hier are nil for
+// unpartitioned engines (flat, dm). The density-matrix engine sets DM
+// instead of State (ρ has no single amplitude vector).
 type Execution struct {
-	Plan     *partition.Plan
-	State    *sv.State   // nil when SkipState on a distributed engine, or for the dm engine
-	DM       *dm.Density // exact density matrix (dm engine only)
-	Hier     *hier.Metrics
-	Dist     *dist.Result
-	Baseline *baseline.Result
-	Elapsed  time.Duration // execution phase (partitioning excluded)
+	Plan    *partition.Plan
+	State   *sv.State   // nil for the dm engine
+	DM      *dm.Density // exact density matrix (dm engine only)
+	Hier    *hier.Metrics
+	Elapsed time.Duration // execution phase (partitioning excluded)
 }
 
 // Noise capability values: how an engine serves requests that carry an
 // effective noise model.
 const (
 	// NoiseNone marks engines with no noisy path at all; the service and
-	// core reject noisy requests naming them at submit time.
+	// core reject noisy requests naming them at submit time. No built-in
+	// engine has it; a Register-ed one may.
 	NoiseNone = ""
 	// NoiseTrajectory marks engines whose noisy requests run as stochastic
 	// Kraus/Pauli trajectory ensembles (on the flat fused engine).
@@ -93,10 +80,6 @@ const (
 // Capabilities describes what execution specs a backend accepts, so
 // callers can validate and pick defaults without knowing the engine.
 type Capabilities struct {
-	// SingleRank / MultiRank report which rank counts the engine accepts
-	// (Ranks ≤ 1 and Ranks > 1 respectively).
-	SingleRank bool `json:"single_rank"`
-	MultiRank  bool `json:"multi_rank"`
 	// Partitioned reports whether the engine builds a partition plan
 	// (and therefore consults Strategy/Lm/Seed).
 	Partitioned bool `json:"partitioned"`
@@ -115,7 +98,7 @@ type Capabilities struct {
 
 // Backend is one execution engine.
 type Backend interface {
-	// Name is the registry key ("flat", "hier", "dist", "baseline", …).
+	// Name is the registry key ("flat", "hier", "dm", …).
 	Name() string
 	// Capabilities reports what specs the engine accepts.
 	Capabilities() Capabilities
@@ -180,28 +163,18 @@ func List() []Info {
 	return out
 }
 
-// DefaultName returns the backend an empty Options.Backend selects: the
-// hierarchical engine on a single node, the distributed engine beyond
-// (exactly the pre-registry rank fork).
-func DefaultName(ranks int) string {
-	if ranks > 1 {
-		return NameDist
-	}
-	return NameHier
-}
-
-// Resolve returns the backend for name, defaulting by rank count when name
-// is empty, plus the resolved name (for cache keys and stats).
-func Resolve(name string, ranks int) (Backend, string, error) {
+// Resolve returns the backend for name, with an empty name selecting the
+// hierarchical engine, plus the resolved name (for cache keys and stats).
+func Resolve(name string) (Backend, string, error) {
 	if name == "" {
-		name = DefaultName(ranks)
+		name = NameHier
 	}
 	b, err := Get(name)
 	return b, name, err
 }
 
 // StrategyNames lists the accepted partitioning strategy names.
-func StrategyNames() []string { return []string{"nat", "dfs", "dagp", "exact"} }
+func StrategyNames() []string { return []string{"nat", "dfs", "dagp"} }
 
 // NewStrategy builds a partitioner by name ("" selects dagp, the default).
 func NewStrategy(name string, seed int64) (partition.Strategy, error) {
@@ -212,8 +185,6 @@ func NewStrategy(name string, seed int64) (partition.Strategy, error) {
 		return partition.Nat{}, nil
 	case "dfs":
 		return partition.DFS{Trials: 10, Seed: seed}, nil
-	case "exact":
-		return exact.Solver{}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %q (want one of %v)", name, StrategyNames())
 	}

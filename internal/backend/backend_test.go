@@ -10,7 +10,7 @@ import (
 
 func TestRegistryNamesAndDefaults(t *testing.T) {
 	names := Names()
-	for _, want := range []string{NameFlat, NameHier, NameDist, NameBaseline} {
+	for _, want := range []string{NameFlat, NameHier, NameDM} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -21,27 +21,18 @@ func TestRegistryNamesAndDefaults(t *testing.T) {
 			t.Fatalf("backend %q not registered (have %v)", want, names)
 		}
 	}
-	if got := DefaultName(1); got != NameHier {
-		t.Errorf("DefaultName(1) = %q, want %q", got, NameHier)
-	}
-	if got := DefaultName(0); got != NameHier {
-		t.Errorf("DefaultName(0) = %q, want %q", got, NameHier)
-	}
-	if got := DefaultName(4); got != NameDist {
-		t.Errorf("DefaultName(4) = %q, want %q", got, NameDist)
-	}
 	if _, err := Get("no-such-engine"); err == nil || !strings.Contains(err.Error(), "unknown backend") {
 		t.Errorf("Get(unknown) error = %v, want unknown-backend error", err)
 	}
-	if _, name, err := Resolve("", 2); err != nil || name != NameDist {
-		t.Errorf("Resolve(\"\", 2) = %q, %v", name, err)
+	if _, name, err := Resolve(""); err != nil || name != NameHier {
+		t.Errorf("Resolve(\"\") = %q, %v", name, err)
 	}
 	for _, info := range List() {
 		if info.Capabilities.Description == "" {
 			t.Errorf("backend %q has no description", info.Name)
 		}
-		if !info.Capabilities.SingleRank && !info.Capabilities.MultiRank {
-			t.Errorf("backend %q accepts no rank count at all", info.Name)
+		if info.Capabilities.Noise == NoiseNone {
+			t.Errorf("built-in backend %q has no noisy path", info.Name)
 		}
 	}
 }
@@ -65,10 +56,7 @@ func TestBackendsAgreeOnState(t *testing.T) {
 	}{
 		{NameHier, Spec{Strategy: "dagp", Lm: 5, Seed: 3, Fuse: true}},
 		{NameHier, Spec{Strategy: "nat", Lm: 4}},
-		{NameDist, Spec{Ranks: 2, Seed: 3, Fuse: true}},
-		{NameDist, Spec{Ranks: 4, Seed: 3}},
-		{NameBaseline, Spec{Ranks: 2, Fuse: true}},
-		{NameBaseline, Spec{Ranks: 1}},
+		{NameHier, Spec{Strategy: "dfs", Lm: 3, Seed: 3}},
 	}
 	for _, tc := range cases {
 		b, err := Get(tc.name)
@@ -87,19 +75,6 @@ func TestBackendsAgreeOnState(t *testing.T) {
 		}
 		if b.Capabilities().Partitioned && got.Plan == nil {
 			t.Errorf("%s: partitioned backend returned no plan", tc.name)
-		}
-	}
-}
-
-func TestSingleRankBackendsRejectMultiRank(t *testing.T) {
-	c, err := circuit.Named("bv", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{NameFlat, NameHier} {
-		b, _ := Get(name)
-		if _, err := b.Run(context.Background(), c, Spec{Ranks: 4}); err == nil {
-			t.Errorf("%s accepted 4 ranks", name)
 		}
 	}
 }

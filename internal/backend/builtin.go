@@ -5,60 +5,25 @@ import (
 	"fmt"
 	"time"
 
-	"hisvsim/internal/baseline"
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/dag"
-	"hisvsim/internal/dist"
 	"hisvsim/internal/dm"
 	"hisvsim/internal/hier"
-	"hisvsim/internal/partition"
 	"hisvsim/internal/prof"
 	"hisvsim/internal/sv"
 )
 
 // Registered backend names.
 const (
-	NameFlat     = "flat"
-	NameHier     = "hier"
-	NameDist     = "dist"
-	NameBaseline = "baseline"
-	NameDM       = "dm"
+	NameFlat = "flat"
+	NameHier = "hier"
+	NameDM   = "dm"
 )
 
 func init() {
 	Register(flatBackend{})
 	Register(hierBackend{})
-	Register(distBackend{})
-	Register(baselineBackend{})
 	Register(dmBackend{})
-}
-
-// log2 returns ⌈log₂ x⌉ for x ≥ 1.
-func log2(x int) int {
-	n := 0
-	for 1<<uint(n) < x {
-		n++
-	}
-	return n
-}
-
-// plan partitions the circuit for a partitioned backend: resolve the
-// strategy, default/cap the working-set limit to the local qubit count, and
-// run the partitioner. localQubits is the per-rank slab width (the full
-// register on a single node).
-func plan(c *circuit.Circuit, spec Spec, localQubits int, capLm bool) (*partition.Plan, error) {
-	strat, err := NewStrategy(spec.Strategy, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	lm := spec.Lm
-	if lm <= 0 || (capLm && lm > localQubits) {
-		// Lm is a performance knob, not a semantics knob: a distributed
-		// executor can never place a working set wider than one rank's
-		// slab, so an over-wide request degrades to the local qubit count.
-		lm = localQubits
-	}
-	return strat.Partition(dag.FromCircuit(c), lm)
 }
 
 // flatBackend is the per-gate reference sweep: one dense state, no
@@ -70,7 +35,6 @@ func (flatBackend) Name() string { return NameFlat }
 
 func (flatBackend) Capabilities() Capabilities {
 	return Capabilities{
-		SingleRank: true,
 		// The trajectory engine IS the flat fused sweep, so noisy requests
 		// naming this backend run as ensembles.
 		Noise:       NoiseTrajectory,
@@ -79,9 +43,6 @@ func (flatBackend) Capabilities() Capabilities {
 }
 
 func (flatBackend) Run(ctx context.Context, c *circuit.Circuit, spec Spec) (*Execution, error) {
-	if spec.Ranks > 1 {
-		return nil, fmt.Errorf("backend: flat runs single-node only (got %d ranks; use %q)", spec.Ranks, NameDist)
-	}
 	start := time.Now()
 	st := sv.NewState(c.NumQubits)
 	st.Workers = spec.Workers
@@ -106,7 +67,7 @@ func (hierBackend) Name() string { return NameHier }
 
 func (hierBackend) Capabilities() Capabilities {
 	return Capabilities{
-		SingleRank: true, Partitioned: true,
+		Partitioned: true,
 		// The single-node default: effective-noise requests degrade to the
 		// flat trajectory engine (the zero-noise fast path stays hier).
 		Noise:       NoiseTrajectory,
@@ -115,15 +76,26 @@ func (hierBackend) Capabilities() Capabilities {
 }
 
 func (hierBackend) Run(ctx context.Context, c *circuit.Circuit, spec Spec) (*Execution, error) {
-	if spec.Ranks > 1 {
-		return nil, fmt.Errorf("backend: hier runs single-node only (got %d ranks; use %q)", spec.Ranks, NameDist)
-	}
-	pl, err := plan(c, spec, c.NumQubits, false)
+	strat, err := NewStrategy(spec.Strategy, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
+	lm := spec.Lm
+	if lm <= 0 {
+		lm = c.NumQubits
+	}
+	// The state is allocated before the plan is built. Built after the
+	// plan's objects, it left back-to-back cold calls with a resident peak
+	// that jumped by one or two whole states from run to run, as the
+	// collector's cycles fell differently against the calls.
 	start := time.Now()
 	st := sv.NewState(c.NumQubits)
+	alloc := time.Since(start)
+	pl, err := strat.Partition(dag.FromCircuit(c), lm)
+	if err != nil {
+		return nil, err
+	}
+	start = time.Now()
 	st.Workers = spec.Workers
 	st.Prof = prof.FromContext(ctx)
 	m, err := hier.ExecutePlan(pl, st, hier.Options{
@@ -133,74 +105,7 @@ func (hierBackend) Run(ctx context.Context, c *circuit.Circuit, spec Spec) (*Exe
 	if err != nil {
 		return nil, err
 	}
-	return &Execution{Plan: pl, State: st, Hier: m, Elapsed: time.Since(start)}, nil
-}
-
-// distBackend is the simulated multi-rank executor: the state shards over
-// 2^p rank slabs and each part triggers at most one collective relayout.
-type distBackend struct{}
-
-func (distBackend) Name() string { return NameDist }
-
-func (distBackend) Capabilities() Capabilities {
-	return Capabilities{
-		SingleRank: true, MultiRank: true, Partitioned: true,
-		Description: "distributed executor over simulated MPI ranks (one relayout per part)",
-	}
-}
-
-func (distBackend) Run(ctx context.Context, c *circuit.Circuit, spec Spec) (*Execution, error) {
-	ranks := spec.Ranks
-	if ranks < 1 {
-		ranks = 1
-	}
-	pl, err := plan(c, spec, c.NumQubits-log2(ranks), ranks > 1)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	dr, err := dist.Run(pl, dist.Config{
-		Ctx:   ctx,
-		Ranks: ranks, Model: spec.Model,
-		Workers: spec.Workers, GatherResult: !spec.SkipState,
-		NoFuse: !spec.Fuse, MaxFuseQubits: spec.MaxFuseQubits,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Execution{Plan: pl, State: dr.State, Dist: dr, Elapsed: time.Since(start)}, nil
-}
-
-// baselineBackend is the IQS/qHiPSTER-style comparison system: fixed qubit
-// layout, pairwise slab exchange per global-qubit gate, circuits lowered to
-// the {1q, CX} basis.
-type baselineBackend struct{}
-
-func (baselineBackend) Name() string { return NameBaseline }
-
-func (baselineBackend) Capabilities() Capabilities {
-	return Capabilities{
-		SingleRank: true, MultiRank: true,
-		Description: "IQS-style fixed-layout baseline (pairwise exchange per global-qubit gate)",
-	}
-}
-
-func (baselineBackend) Run(ctx context.Context, c *circuit.Circuit, spec Spec) (*Execution, error) {
-	ranks := spec.Ranks
-	if ranks < 1 {
-		ranks = 1
-	}
-	start := time.Now()
-	br, err := baseline.Run(c, baseline.Config{
-		Ctx:   ctx,
-		Ranks: ranks, Model: spec.Model, Workers: spec.Workers,
-		GatherResult: !spec.SkipState,
-		Fuse:         spec.Fuse, MaxFuseQubits: spec.MaxFuseQubits,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Execution{State: br.State, Baseline: br, Elapsed: time.Since(start)}, nil
+	return &Execution{Plan: pl, State: st, Hier: m, Elapsed: alloc + time.Since(start)}, nil
 }
 
 // dmBackend is the exact density-matrix engine: ρ over ≤ dm.MaxQubits
@@ -214,18 +119,14 @@ func (dmBackend) Name() string { return NameDM }
 
 func (dmBackend) Capabilities() Capabilities {
 	return Capabilities{
-		SingleRank: true,
-		Noise:      NoiseExact,
-		MaxQubits:  dm.MaxQubits,
+		Noise:     NoiseExact,
+		MaxQubits: dm.MaxQubits,
 		Description: fmt.Sprintf("exact density-matrix engine (≤ %d qubits; noisy runs are one deterministic superoperator evolution)",
 			dm.MaxQubits),
 	}
 }
 
 func (dmBackend) Run(ctx context.Context, c *circuit.Circuit, spec Spec) (*Execution, error) {
-	if spec.Ranks > 1 {
-		return nil, fmt.Errorf("backend: dm runs single-node only (got %d ranks)", spec.Ranks)
-	}
 	if c.NumQubits > dm.MaxQubits {
 		return nil, fmt.Errorf("backend: dm holds at most %d qubits (ρ is 4^n amplitudes); circuit has %d", dm.MaxQubits, c.NumQubits)
 	}

@@ -289,7 +289,6 @@ type wireCluster struct {
 type wireWorker struct {
 	URL   string `json:"url"`
 	State string `json:"state"`
-	Fails int    `json:"fails,omitempty"` // deprecated: same as consecutive_failures
 	// LastProbeMS is the latest /readyz probe round trip; together with
 	// ConsecutiveFailures and BackoffUntil it says *why* a worker is
 	// draining, dead or being avoided, not just that it is.
@@ -326,7 +325,7 @@ func handleCluster(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	out := wireCluster{Jobs: len(c.jobs)}
 	for _, wk := range c.workers {
 		ww := wireWorker{
-			URL: wk.url, State: wk.state, Fails: wk.fails,
+			URL: wk.url, State: wk.state,
 			LastProbeMS:         service.DurationMS(wk.lastProbe),
 			ConsecutiveFailures: wk.fails,
 		}

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"hisvsim/internal/circuit"
-	"hisvsim/internal/mpi"
-	"hisvsim/internal/perfmodel"
 	"hisvsim/internal/sv"
 )
 
@@ -38,7 +36,7 @@ func TestSimulateSingleNodeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Hier == nil || res.Dist != nil {
+	if res.Hier == nil {
 		t.Fatal("expected single-node metrics")
 	}
 	if f := res.State.Fidelity(want); math.Abs(f-1) > 1e-8 {
@@ -70,34 +68,6 @@ func TestSimulateWithLmAndStrategies(t *testing.T) {
 	}
 }
 
-func TestSimulateDistributed(t *testing.T) {
-	c := circuit.QFT(8)
-	want, err := sv.Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Simulate(c, Options{Strategy: "dagp", Ranks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Dist == nil || res.Hier != nil {
-		t.Fatal("expected distributed metrics")
-	}
-	if f := res.State.Fidelity(want); math.Abs(f-1) > 1e-8 {
-		t.Fatalf("fidelity = %v", f)
-	}
-}
-
-func TestSimulateDistributedSkipState(t *testing.T) {
-	res, err := Simulate(circuit.QFT(8), Options{Ranks: 2, SkipState: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.State != nil {
-		t.Fatal("state gathered despite SkipState")
-	}
-}
-
 func TestSimulateRejectsInvalid(t *testing.T) {
 	bad := circuit.New("bad", 2)
 	bad.Append(circuit.QFT(4).Gates...) // out-of-range gates
@@ -113,10 +83,7 @@ func TestSimulateContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := SimulateContext(ctx, circuit.QFT(8), Options{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("single-node: err = %v, want context.Canceled", err)
-	}
-	if _, err := SimulateContext(ctx, circuit.QFT(8), Options{Ranks: 2}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("distributed: err = %v, want context.Canceled", err)
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
@@ -148,39 +115,6 @@ func TestSimulateSeedDeterminism(t *testing.T) {
 	for i, amp := range a.State.Amps {
 		if amp != b.State.Amps[i] {
 			t.Fatalf("seeded runs diverged at amplitude %d", i)
-		}
-	}
-}
-
-func TestEstimatesImprovementShape(t *testing.T) {
-	// The paper's headline (Fig. 5): dagP end-to-end beats IQS. Check the
-	// modeled estimate reproduces that on communication-heavy circuits.
-	net := mpi.HDR100()
-	cpu := perfmodel.Xeon8280()
-	for _, fam := range []string{"qft", "ising", "bv"} {
-		c, err := circuit.Named(fam, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hi, pl, err := EstimateHiSVSIM(c, "dagp", 4, 1, net, cpu)
-		if err != nil {
-			t.Fatalf("%s: %v", fam, err)
-		}
-		iqs, err := EstimateIQS(c, 4, net, cpu)
-		if err != nil {
-			t.Fatalf("%s: %v", fam, err)
-		}
-		if pl.NumParts() < 1 {
-			t.Fatalf("%s: empty plan", fam)
-		}
-		if hi.BytesComm >= iqs.BytesComm && iqs.BytesComm > 0 {
-			t.Errorf("%s: HiSVSIM bytes %d >= IQS bytes %d", fam, hi.BytesComm, iqs.BytesComm)
-		}
-		if hi.Total() <= 0 || iqs.Total() <= 0 {
-			t.Errorf("%s: non-positive totals", fam)
-		}
-		if hi.CommRatio() < 0 || hi.CommRatio() > 1 {
-			t.Errorf("%s: comm ratio %v out of range", fam, hi.CommRatio())
 		}
 	}
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"hisvsim/internal/backend"
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/dm"
 	"hisvsim/internal/noise"
@@ -147,22 +149,40 @@ func TestDMCapabilityErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "Evaluate") {
 		t.Errorf("SimulateNoisy on dm: %v", err)
 	}
-	// Engines with no noisy path reject effective models.
-	if _, err := Evaluate(small, Options{Backend: "baseline", Noise: model}, ReadoutSpec{Shots: 1}); err == nil ||
+	// Engines with no noisy path reject effective models, on both entry
+	// points. No built-in engine lacks one, so the test registers its own.
+	backend.Register(noiselessBackend{})
+	if _, err := Evaluate(small, Options{Backend: noiselessBackend{}.Name(), Noise: model}, ReadoutSpec{Shots: 1}); err == nil ||
 		!strings.Contains(err.Error(), "no noisy path") {
-		t.Errorf("noisy on baseline: %v", err)
+		t.Errorf("noisy Evaluate on a noiseless engine: %v", err)
 	}
-	// But the rank-count DEFAULT only steers the zero-noise fast path: a
-	// multi-rank noisy request with no explicit backend still runs as a
-	// trajectory ensemble (the pre-registry behavior), not a rejection.
-	if ens, err := SimulateNoisy(small, Options{Ranks: 2, Noise: model},
+	if _, err := SimulateNoisy(small, Options{Backend: noiselessBackend{}.Name(), Noise: model},
+		noise.RunConfig{Trajectories: 5}); err == nil || !strings.Contains(err.Error(), "no noisy path") {
+		t.Errorf("SimulateNoisy on a noiseless engine: %v", err)
+	}
+	// The default backend runs noisy requests as a trajectory ensemble.
+	if ens, err := SimulateNoisy(small, Options{Noise: model},
 		noise.RunConfig{Trajectories: 5, Qubits: []int{0}}); err != nil {
-		t.Errorf("default-backend multi-rank noisy run rejected: %v", err)
+		t.Errorf("default-backend noisy run rejected: %v", err)
 	} else if ens.Trajectories != 5 {
-		t.Errorf("default-backend multi-rank noisy run: %d trajectories, want 5", ens.Trajectories)
+		t.Errorf("default-backend noisy run: %d trajectories, want 5", ens.Trajectories)
 	}
-	if _, err := Evaluate(small, Options{Ranks: 2, Noise: model},
-		ReadoutSpec{Shots: 5, Trajectories: 5}); err != nil {
-		t.Errorf("default-backend multi-rank noisy Evaluate rejected: %v", err)
+}
+
+// noiselessBackend is the flat sweep registered under another name with no
+// noisy path, so tests can pin how such an engine's noisy requests fail.
+type noiselessBackend struct{}
+
+func (noiselessBackend) Name() string { return "test-noiseless" }
+
+func (noiselessBackend) Capabilities() backend.Capabilities {
+	return backend.Capabilities{Description: "flat sweep without a noisy path"}
+}
+
+func (noiselessBackend) Run(ctx context.Context, c *circuit.Circuit, spec backend.Spec) (*backend.Execution, error) {
+	flat, err := backend.Get(backend.NameFlat)
+	if err != nil {
+		return nil, err
 	}
+	return flat.Run(ctx, c, spec)
 }

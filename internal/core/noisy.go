@@ -24,7 +24,7 @@ func SimulateNoisy(c *circuit.Circuit, opts Options, run noise.RunConfig) (*nois
 //
 //   - Zero-effect models (nil, no rules, or every probability 0) take the
 //     ideal fast path: the circuit is simulated ONCE through the ordinary
-//     executors (strategy, Lm, ranks, fusion all honored), so the ensemble
+//     executors (strategy, Lm, fusion all honored), so the ensemble
 //     is bit-for-bit consistent with Simulate under the same options, and
 //     only sampling/readout work scales with the trajectory count.
 //
@@ -33,8 +33,8 @@ func SimulateNoisy(c *circuit.Circuit, opts Options, run noise.RunConfig) (*nois
 //     counts are reproducible and independent of run.Workers.
 //
 // Noisy trajectories execute on the flat fused state vector (trajectories,
-// not partitions, are the parallelism axis); Strategy/Lm/Ranks only shape
-// the zero-noise fast path.
+// not partitions, are the parallelism axis); Strategy/Lm only shape the
+// zero-noise fast path.
 func SimulateNoisyContext(ctx context.Context, c *circuit.Circuit, opts Options, run noise.RunConfig) (*noise.Ensemble, error) {
 	if c.Parametric() {
 		return nil, fmt.Errorf("core: circuit %s has unbound symbols %v; bind a parameter environment (or submit a sweep/optimize job)", c.Name, c.Symbols())
@@ -43,9 +43,9 @@ func SimulateNoisyContext(ctx context.Context, c *circuit.Circuit, opts Options,
 	// Options.Backend only steers the zero-noise fast path — but the name
 	// is still validated here, not silently ignored: a typo'd backend
 	// cannot return results from a different engine than requested, and a
-	// backend without a noisy path (dist, baseline) is rejected up front
-	// instead of silently misreporting a flat trajectory run as its own.
-	_, caps, err := ResolveBackendFor(opts.Backend, opts.Ranks, c.NumQubits, !opts.Noise.IsZero())
+	// backend without a noisy path is rejected up front instead of silently
+	// misreporting a flat trajectory run as its own.
+	_, caps, err := ResolveBackendFor(opts.Backend, c.NumQubits, !opts.Noise.IsZero())
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +65,6 @@ func SimulateNoisyContext(ctx context.Context, c *circuit.Circuit, opts Options,
 	if plan.NoiseFree() {
 		ideal := opts
 		ideal.Noise = nil // the remaining model (readout only) applies at sampling
-		ideal.SkipState = false
 		res, err := SimulateContext(ctx, c, ideal)
 		if err != nil {
 			return nil, err

@@ -9,6 +9,7 @@ import (
 	"hisvsim/internal/dag"
 	"hisvsim/internal/gate"
 	"hisvsim/internal/hier"
+	"hisvsim/internal/repro/dist"
 	"hisvsim/internal/sv"
 )
 
@@ -93,7 +94,8 @@ func pathsCheck(t *testing.T, name string, got, want *sv.State) {
 // within pathsTol of the per-gate flat sweep: the flagless default (one
 // part), the hier backend under nat, DFS and dagP at a random Lm with fusion
 // on and off and one or two workers, the hier executor run on the prefix's
-// state, and dist at two ranks. The support-aware executor skips work by
+// state, and the modelled distributed executor (internal/repro/dist) at
+// two ranks. The support-aware executor skips work by
 // what the input state holds, so the start matters as much as the gates.
 // Byte 0 picks the width (2–8), byte 1 the start, byte 2 Lm, byte 3 the
 // prefix's qubits, and every 3 after that one gate (kind, qubit seed, angle).
@@ -159,8 +161,16 @@ func FuzzPathsAgree(f *testing.F) {
 				}
 			}
 		}
+		strat, err := NewStrategy("dagp", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if arity <= n-1 {
-			run("dist/2", Options{Backend: "dist", Ranks: 2, Seed: 1})
+			res, _, err := dist.RunCircuit(full, strat, dist.Config{Ranks: 2})
+			if err != nil {
+				t.Fatalf("dist/2: %v", err)
+			}
+			pathsCheck(t, "dist/2", res.State, want)
 		}
 
 		// The executor on the prefix's state: its support is read off the
@@ -169,10 +179,6 @@ func FuzzPathsAgree(f *testing.F) {
 			return
 		}
 		start := pathsWant(t, sv.NewState(n), prefix)
-		strat, err := NewStrategy("dagp", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		pl, err := strat.Partition(dag.FromCircuit(body), lm)
 		if err != nil {
 			t.Fatal(err)

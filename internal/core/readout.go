@@ -411,7 +411,7 @@ func EvaluateContext(ctx context.Context, c *circuit.Circuit, opts Options, spec
 		return nil, fmt.Errorf("core: circuit %s has unbound symbols %v; bind a parameter environment (or submit a sweep/optimize job)", c.Name, c.Symbols())
 	}
 	noisy := !opts.Noise.IsZero()
-	_, caps, err := ResolveBackendFor(opts.Backend, opts.Ranks, c.NumQubits, noisy)
+	_, caps, err := ResolveBackendFor(opts.Backend, c.NumQubits, noisy)
 	if err != nil {
 		return nil, err
 	}
@@ -431,7 +431,6 @@ func EvaluateContext(ctx context.Context, c *circuit.Circuit, opts Options, spec
 	if !noisy {
 		ideal := opts
 		ideal.Noise = nil
-		ideal.SkipState = false
 		res, err := SimulateContext(ctx, c, ideal)
 		if err != nil {
 			return nil, err

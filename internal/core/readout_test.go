@@ -103,8 +103,9 @@ func TestEvaluateMatchesSingleReadouts(t *testing.T) {
 }
 
 // TestPauliObservablesAcrossBackendsAndRanks is the satellite differential
-// test: X/Y/Z mixes evaluated through every backend and rank count agree
-// with the flat reference to 1e-9.
+// test: X/Y/Z mixes evaluated through every state-vector backend and the
+// default agree with the flat reference to 1e-9. (The distributed
+// executor's states are pinned to flat in internal/repro/dist.)
 func TestPauliObservablesAcrossBackendsAndRanks(t *testing.T) {
 	c, err := circuit.Named("qft", 8)
 	if err != nil {
@@ -129,10 +130,7 @@ func TestPauliObservablesAcrossBackendsAndRanks(t *testing.T) {
 		{Backend: "flat"},
 		{Backend: "hier", Strategy: "dagp", Lm: 5, Seed: 3},
 		{Backend: "hier", Strategy: "nat", Lm: 4, Fuse: FuseOff},
-		{Backend: "dist", Ranks: 2, Seed: 3},
-		{Backend: "dist", Ranks: 4, Seed: 3},
-		{Backend: "baseline", Ranks: 2},
-		{Ranks: 4, Seed: 3}, // default resolution → dist
+		{Strategy: "dfs", Lm: 6, Seed: 3}, // default resolution → hier
 	}
 	for _, opts := range cases {
 		rep, err := Evaluate(c, opts, ReadoutSpec{Observables: obs})

@@ -181,9 +181,6 @@ func validateSweep(c *circuit.Circuit, opts Options, bindings []map[string]float
 	if opts.Backend != "" && opts.Backend != "flat" {
 		return fmt.Errorf("core: parameterized jobs run on the flat template engine (got backend %q)", opts.Backend)
 	}
-	if opts.Ranks > 1 {
-		return fmt.Errorf("core: parameterized jobs run single-node (got %d ranks)", opts.Ranks)
-	}
 	for i, env := range bindings {
 		if err := c.CheckBinding(env); err != nil {
 			return fmt.Errorf("binding %d: %w", i, err)

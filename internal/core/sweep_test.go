@@ -57,11 +57,7 @@ func TestTemplateMatchesConcreteAcrossBackends(t *testing.T) {
 			if caps.Noise == backend.NoiseExact {
 				continue // ρ engine: no amplitude vector to compare
 			}
-			ranks := 0
-			if !caps.SingleRank {
-				ranks = 4
-			}
-			res, err := Simulate(bound, Options{Backend: name, Ranks: ranks})
+			res, err := Simulate(bound, Options{Backend: name})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -274,7 +274,8 @@ func Segment(c *circuit.Circuit, order []int, lm int) ([]Part, error) {
 
 // Strategy is a circuit partitioner.
 type Strategy interface {
-	// Name identifies the strategy ("nat", "dfs", "dagp", "exact").
+	// Name identifies the strategy ("nat", "dfs", "dagp"; "exact" for the
+	// reproduction's exact solver).
 	Name() string
 	// Partition produces a plan for the circuit with limit Lm: parts in
 	// dependency order, working sets within Lm. Strategies do not run

@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 
 	"hisvsim/internal/circuit"
-	"hisvsim/internal/dist"
 	"hisvsim/internal/partition/dagp"
+	"hisvsim/internal/repro/dist"
 	"hisvsim/internal/sv"
 )
 

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"hisvsim/internal/circuit"
-	"hisvsim/internal/core"
 	"hisvsim/internal/mpi"
 	"hisvsim/internal/perfmodel"
 )
@@ -81,8 +80,8 @@ func bigRow(specName string, base int) bool {
 type Instance struct {
 	Spec   circuit.Spec
 	Ranks  int
-	IQS    core.Estimate
-	ByStrg map[string]core.Estimate // strategy -> estimate
+	IQS    Estimate
+	ByStrg map[string]Estimate // strategy -> estimate
 	Parts  map[string]int
 }
 
@@ -109,14 +108,14 @@ func RunGrid(cfg Config) (*Grid, error) {
 			if c.NumQubits-log2(r) < minLocalQubits(c) {
 				continue // too many ranks for this circuit at repro scale
 			}
-			in := Instance{Spec: spec, Ranks: r, ByStrg: map[string]core.Estimate{}, Parts: map[string]int{}}
-			iqs, err := core.EstimateIQS(c, r, cfg.Net, cfg.CPU)
+			in := Instance{Spec: spec, Ranks: r, ByStrg: map[string]Estimate{}, Parts: map[string]int{}}
+			iqs, err := EstimateIQS(c, r, cfg.Net, cfg.CPU)
 			if err != nil {
 				return nil, fmt.Errorf("iqs %s/%d: %w", spec.Name, r, err)
 			}
 			in.IQS = iqs
 			for _, s := range Strategies {
-				est, pl, err := core.EstimateHiSVSIM(c, s, r, cfg.Seed, cfg.Net, cfg.CPU)
+				est, pl, err := EstimateHiSVSIM(c, s, r, cfg.Seed, cfg.Net, cfg.CPU)
 				if err != nil {
 					return nil, fmt.Errorf("%s %s/%d: %w", s, spec.Name, r, err)
 				}

@@ -11,6 +11,8 @@ import (
 	"hisvsim/internal/dag"
 	"hisvsim/internal/fuse"
 	"hisvsim/internal/gate"
+	"hisvsim/internal/mpi"
+	"hisvsim/internal/perfmodel"
 )
 
 // smallCfg keeps the test-time grid cheap.
@@ -401,6 +403,39 @@ func TestHierBenchWorkRows(t *testing.T) {
 			if rows[p+s+"/sweeps"] != sweeps || rows[p+s+"/bytes_moved"] != moved {
 				t.Errorf("%s%s: %v sweeps, bytes_moved %v; want %v, %v", p, s, rows[p+s+"/sweeps"], rows[p+s+"/bytes_moved"], sweeps, moved)
 			}
+		}
+	}
+}
+
+func TestEstimatesImprovementShape(t *testing.T) {
+	// The paper's headline (Fig. 5): dagP end-to-end beats IQS. Check the
+	// modeled estimate reproduces that on communication-heavy circuits.
+	net := mpi.HDR100()
+	cpu := perfmodel.Xeon8280()
+	for _, fam := range []string{"qft", "ising", "bv"} {
+		c, err := circuit.Named(fam, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hi, pl, err := EstimateHiSVSIM(c, "dagp", 4, 1, net, cpu)
+		if err != nil {
+			t.Fatalf("%s: %v", fam, err)
+		}
+		iqs, err := EstimateIQS(c, 4, net, cpu)
+		if err != nil {
+			t.Fatalf("%s: %v", fam, err)
+		}
+		if pl.NumParts() < 1 {
+			t.Fatalf("%s: empty plan", fam)
+		}
+		if hi.BytesComm >= iqs.BytesComm && iqs.BytesComm > 0 {
+			t.Errorf("%s: HiSVSIM bytes %d >= IQS bytes %d", fam, hi.BytesComm, iqs.BytesComm)
+		}
+		if hi.Total() <= 0 || iqs.Total() <= 0 {
+			t.Errorf("%s: non-positive totals", fam)
+		}
+		if hi.CommRatio() < 0 || hi.CommRatio() > 1 {
+			t.Errorf("%s: comm ratio %v out of range", fam, hi.CommRatio())
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"hisvsim/internal/bench"
 	"hisvsim/internal/circuit"
-	"hisvsim/internal/core"
 	"hisvsim/internal/dag"
 	"hisvsim/internal/hier"
 	"hisvsim/internal/partition/dagp"
@@ -149,7 +148,7 @@ func Fig10(cfg Config) (*bench.Table, []Fig10Row, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		single, pl, err := core.EstimateHiSVSIM(c, "dagp", ranks, cfg.Seed, cfg.Net, cfg.CPU)
+		single, pl, err := EstimateHiSVSIM(c, "dagp", ranks, cfg.Seed, cfg.Net, cfg.CPU)
 		if err != nil {
 			return nil, nil, err
 		}

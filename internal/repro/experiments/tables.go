@@ -4,16 +4,17 @@ import (
 	"fmt"
 	"time"
 
-	"hisvsim/internal/baseline"
 	"hisvsim/internal/bench"
-	"hisvsim/internal/cache"
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/core"
 	"hisvsim/internal/dag"
-	"hisvsim/internal/dist"
 	"hisvsim/internal/hier"
 	"hisvsim/internal/partition"
 	"hisvsim/internal/perfmodel"
+	"hisvsim/internal/repro/baseline"
+	"hisvsim/internal/repro/cache"
+	"hisvsim/internal/repro/dist"
+	"hisvsim/internal/repro/exact"
 	"hisvsim/internal/sv"
 )
 
@@ -252,7 +253,7 @@ func Optimality(cfg Config) (*bench.Table, int, int, error) {
 			if err != nil {
 				return nil, 0, 0, err
 			}
-			opt, err := mustStrategy("exact", cfg.Seed).Partition(g, lm)
+			opt, err := exact.Solver{}.Partition(g, lm)
 			if err != nil {
 				return nil, 0, 0, err
 			}

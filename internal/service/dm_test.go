@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"hisvsim/internal/backend"
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/core"
 	"hisvsim/internal/dm"
@@ -161,15 +162,10 @@ func TestCapabilityEnforcementAtSubmit(t *testing.T) {
 		req  Request
 		want string
 	}{
-		{"noisy on baseline", Request{
+		{"noisy on an engine without a noisy path", Request{
 			Circuit: small, Kind: KindRun, Noise: model,
 			Readouts: core.ReadoutSpec{Shots: 10},
-			Options:  core.Options{Backend: "baseline"},
-		}, "no noisy path"},
-		{"noisy on dist", Request{
-			Circuit: small, Kind: KindRun, Noise: model,
-			Readouts: core.ReadoutSpec{Shots: 10},
-			Options:  core.Options{Backend: "dist", Ranks: 2},
+			Options:  core.Options{Backend: panickingBackend{}.Name()},
 		}, "no noisy path"},
 		{"dm over the qubit cap", Request{
 			Circuit: circuit.MustNamed("cat_state", dm.MaxQubits+1), Kind: KindRun,
@@ -181,12 +177,10 @@ func TestCapabilityEnforcementAtSubmit(t *testing.T) {
 			Readouts: core.ReadoutSpec{Statevector: true},
 			Options:  core.Options{Backend: "dm"},
 		}, "statevector"},
-		{"dm multi-rank", Request{
-			Circuit: small, Kind: KindRun,
-			Readouts: core.ReadoutSpec{Shots: 10},
-			Options:  core.Options{Backend: "dm", Ranks: 4},
-		}, "single-node"},
 	}
+	// No built-in engine lacks a noisy path, so the test registers one; it
+	// panics if it ever runs, and a rejected request never does.
+	backend.Register(panickingBackend{})
 	for _, tc := range cases {
 		if _, err := s.Submit(tc.req); err == nil {
 			t.Errorf("%s: Submit accepted the request", tc.name)
@@ -238,13 +232,16 @@ func TestHTTPDMNoisyRunAndCapability400s(t *testing.T) {
 		t.Fatalf("exact observable carries stderr %v", se)
 	}
 
-	// Capability mismatches are 400s.
+	// Capability mismatches are 400s. The engine without a noisy path is
+	// registered by the test (no built-in engine lacks one) and panics if it
+	// ever runs.
+	backend.Register(panickingBackend{})
 	for name, reqBody := range map[string]string{
-		"noisy on baseline": `{
+		"noisy on an engine without a noisy path": `{
 			"circuit": {"family": "ising", "qubits": 6},
 			"kind": "run", "readouts": {"shots": 10},
 			"noise": {"rules": [{"channel": "depolarizing", "p": 0.01}]},
-			"options": {"backend": "baseline"}
+			"options": {"backend": "test-panics"}
 		}`,
 		"dm over cap": `{
 			"circuit": {"family": "cat_state", "qubits": 14},
@@ -286,7 +283,7 @@ func TestHTTPDMNoisyRunAndCapability400s(t *testing.T) {
 			t.Errorf("dm max_qubits = %d, want %d", info.Capabilities.MaxQubits, dm.MaxQubits)
 		}
 	}
-	for name, want := range map[string]string{"dm": "exact", "flat": "trajectory", "hier": "trajectory", "baseline": "", "dist": ""} {
+	for name, want := range map[string]string{"dm": "exact", "flat": "trajectory", "hier": "trajectory", "test-panics": ""} {
 		if got := found[name]; got != want {
 			t.Errorf("/v1/backends %s noise = %q, want %q", name, got, want)
 		}

@@ -266,10 +266,9 @@ func (w *wireNoise) toModel() (*noise.Model, error) {
 
 // wireOptions mirrors the semantically relevant core.Options fields.
 type wireOptions struct {
-	Backend       string `json:"backend,omitempty"` // "flat", "hier", "dist", "baseline", "dm" ("" = by rank count)
+	Backend       string `json:"backend,omitempty"` // "flat", "hier", "dm" ("" = "hier")
 	Strategy      string `json:"strategy,omitempty"`
 	Lm            int    `json:"lm,omitempty"`
-	Ranks         int    `json:"ranks,omitempty"`
 	Workers       int    `json:"workers,omitempty"`
 	Fuse          string `json:"fuse,omitempty"` // "auto" (default), "on", "off"
 	MaxFuseQubits int    `json:"max_fuse_qubits,omitempty"`
@@ -279,7 +278,7 @@ type wireOptions struct {
 func (o wireOptions) toCore() (core.Options, error) {
 	out := core.Options{
 		Backend:  o.Backend,
-		Strategy: o.Strategy, Lm: o.Lm, Ranks: o.Ranks,
+		Strategy: o.Strategy, Lm: o.Lm,
 		Workers: o.Workers, MaxFuseQubits: o.MaxFuseQubits, Seed: o.Seed,
 	}
 	switch o.Fuse {

@@ -142,6 +142,14 @@ func TestHTTPBadRequests(t *testing.T) {
 		  "options": {"fuse": "sometimes"}}`, // bad fuse policy
 		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run", "readouts": {"shots": 4},
 		  "options": {"second_level_lm": 4}}`, // removed option
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run", "readouts": {"shots": 4},
+		  "options": {"ranks": 2}}`, // removed option
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run", "readouts": {"shots": 4},
+		  "options": {"backend": "dist"}}`, // removed engine
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run", "readouts": {"shots": 4},
+		  "options": {"backend": "baseline"}}`, // removed engine
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run", "readouts": {"shots": 4},
+		  "options": {"strategy": "exact"}}`, // removed strategy
 	}
 	for _, body := range cases {
 		resp, got := postJSON(t, srv.URL+"/v1/jobs", body)

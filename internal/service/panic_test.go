@@ -22,7 +22,7 @@ type panickingBackend struct{}
 
 func (panickingBackend) Name() string { return "test-panics" }
 func (panickingBackend) Capabilities() backend.Capabilities {
-	return backend.Capabilities{SingleRank: true, Description: "panics in Run"}
+	return backend.Capabilities{Description: "panics in Run"}
 }
 func (panickingBackend) Run(context.Context, *circuit.Circuit, backend.Spec) (*backend.Execution, error) {
 	panic("engine bug")
@@ -34,7 +34,7 @@ type lanePanickingBackend struct{}
 
 func (lanePanickingBackend) Name() string { return "test-lane-panics" }
 func (lanePanickingBackend) Capabilities() backend.Capabilities {
-	return backend.Capabilities{SingleRank: true, Description: "panics on one par.Each lane"}
+	return backend.Capabilities{Description: "panics on one par.Each lane"}
 }
 func (lanePanickingBackend) Run(ctx context.Context, _ *circuit.Circuit, _ backend.Spec) (*backend.Execution, error) {
 	return nil, par.Each(ctx, 4, 16, func(_ context.Context, _, i int) error {

@@ -146,7 +146,7 @@ func TestBackendSelectionPerRequest(t *testing.T) {
 	c := circuit.MustNamed("qft", 6)
 	spec := core.ReadoutSpec{Observables: []core.Observable{{Paulis: "XY", Qubits: []int{0, 3}}}}
 	var vals []float64
-	for _, b := range []string{"flat", "hier", "baseline"} {
+	for _, b := range []string{"flat", "hier", "dm"} {
 		res, err := s.Do(context.Background(), Request{
 			Circuit: c, Kind: KindRun, Readouts: spec,
 			Options: core.Options{Backend: b},
@@ -168,7 +168,7 @@ func TestBackendSelectionPerRequest(t *testing.T) {
 	if st.Simulations != 3 {
 		t.Errorf("3 distinct backends should be 3 cache misses, got %d simulations", st.Simulations)
 	}
-	for _, b := range []string{"flat", "hier", "baseline"} {
+	for _, b := range []string{"flat", "hier", "dm"} {
 		if st.Backends[b] != 1 {
 			t.Errorf("stats.Backends[%q] = %d, want 1", b, st.Backends[b])
 		}
@@ -262,8 +262,8 @@ func TestRunKindValidation(t *testing.T) {
 		{Circuit: c, Kind: KindRun,
 			Readouts: core.ReadoutSpec{Observables: []core.Observable{{Paulis: "XX", Qubits: []int{0, 0}}}}},
 		{Circuit: c, Kind: KindOptimize, Readouts: core.ReadoutSpec{Shots: 5}}, // spec on a kind that takes none
-		{Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Observables: obs},
-			Options: core.Options{Backend: "flat", Ranks: 4}}, // capability mismatch
+		{Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Statevector: true},
+			Options: core.Options{Backend: "dm"}}, // capability mismatch
 	}
 	for i, req := range bad {
 		if _, err := s.Submit(req); err == nil {

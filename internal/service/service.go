@@ -125,8 +125,8 @@ type Request struct {
 	// Noise is the noise model (nil = ideal). The ensemble size is
 	// Readouts.Trajectories (default 256, capped by Config.MaxTrajectories).
 	Noise *noise.Model
-	// Options forwards to core.Simulate (backend, strategy, Lm, ranks,
-	// fusion, …). Options.Backend selects the execution engine per request
+	// Options forwards to core.Simulate (backend, strategy, Lm, fusion,
+	// …). Options.Backend selects the execution engine per request
 	// (validated against the registry at submit).
 	Options core.Options
 	// Timeout, when > 0, bounds the job from submission to completion.
@@ -176,7 +176,7 @@ type Result struct {
 	// NumQubits is the simulated register width.
 	NumQubits int
 	// Backend is the engine that executed the job: a registry name
-	// ("flat", "hier", "dist", "baseline", …) or BackendTrajectory for
+	// ("flat", "hier", "dm", …) or BackendTrajectory for
 	// effective-noise ensembles.
 	Backend string
 	// CacheHit reports whether the job reused a cached simulation.
@@ -267,10 +267,6 @@ type Config struct {
 	// MaxShots rejects sample requests above this shot count (default
 	// 1e6), bounding per-job result memory.
 	MaxShots int
-	// MaxRanks rejects requests asking for more simulated MPI ranks than
-	// this (default 64): each virtual rank costs a goroutine plus mailbox,
-	// so an unbounded Options.Ranks would let one request exhaust memory.
-	MaxRanks int
 	// MaxTrajectories rejects noisy requests above this ensemble size
 	// (default 4096): each trajectory is a full 2^n sweep of the circuit,
 	// so the bound plays the same backpressure role MaxShots does for
@@ -323,9 +319,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetainBytes <= 0 {
 		c.RetainBytes = 256 << 20
-	}
-	if c.MaxRanks <= 0 {
-		c.MaxRanks = 64
 	}
 	if c.MaxTrajectories <= 0 {
 		c.MaxTrajectories = 4096
@@ -547,7 +540,7 @@ func (e *cacheEntry) readouts(spec core.ReadoutSpec) *core.Readouts {
 }
 
 // parts returns the plan's part count (0 for unpartitioned backends such
-// as flat and baseline, which simulate without a plan).
+// as flat, which simulate without a plan).
 func (e *cacheEntry) parts() int {
 	if e.plan == nil {
 		return 0
@@ -653,7 +646,7 @@ func (s *Service) SubmitContext(ctx context.Context, req Request) (string, error
 		return "", err
 	}
 	// Capability enforcement happens here, at submit: an unknown backend, a
-	// rank/width mismatch, a noisy request on an engine with no noisy path,
+	// noisy request on an engine with no noisy path,
 	// or a register over the engine's qubit cap is a submit error (an HTTP
 	// 400), never a worker-time failure.
 	if req.Kind.Parameterized() && req.Options.Backend == "" {
@@ -661,7 +654,7 @@ func (s *Service) SubmitContext(ctx context.Context, req Request) (string, error
 		// explicit non-flat backend is a submit error below.
 		req.Options.Backend = "flat"
 	}
-	idealBackend, caps, err := core.ResolveBackendFor(req.Options.Backend, req.Options.Ranks, req.Circuit.NumQubits, !req.Noise.IsZero())
+	idealBackend, caps, err := core.ResolveBackendFor(req.Options.Backend, req.Circuit.NumQubits, !req.Noise.IsZero())
 	if err != nil {
 		return "", fmt.Errorf("service: %w", err)
 	}
@@ -674,7 +667,7 @@ func (s *Service) SubmitContext(ctx context.Context, req Request) (string, error
 	}
 	if req.Kind == KindRun && req.Circuit.Parametric() && (exact || (req.Noise.IsZero() && idealBackend != "flat")) {
 		// The template engine is flat-only; engines that execute a plain
-		// concrete circuit (hier/dist/baseline ideal paths, the exact DM
+		// concrete circuit (the hier ideal path, the exact DM
 		// engine) get the circuit bound here, once, so their cache keys and
 		// executors stay binding-correct without knowing about symbols.
 		bound, err := req.Circuit.Bind(req.Params)
@@ -753,11 +746,11 @@ func (s *Service) validate(req Request) error {
 	if req.Circuit.NumQubits > s.cfg.MaxQubits {
 		return fmt.Errorf("service: circuit has %d qubits, limit %d", req.Circuit.NumQubits, s.cfg.MaxQubits)
 	}
-	if req.Options.Ranks > s.cfg.MaxRanks {
-		return fmt.Errorf("service: %d ranks exceeds limit %d", req.Options.Ranks, s.cfg.MaxRanks)
-	}
 	if req.Options.Workers > maxJobWorkers {
 		return fmt.Errorf("service: %d workers exceeds limit %d", req.Options.Workers, maxJobWorkers)
+	}
+	if _, err := core.NewStrategy(req.Options.Strategy, 0); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
 	if !req.Options.Noise.IsZero() {
 		// The noise model rides on the Request (so it can be validated and
@@ -1364,9 +1357,7 @@ grab:
 func (s *Service) stateFor(j *job, c *circuit.Circuit) (*cacheEntry, bool, error) {
 	return cachedCompute(s, j, s.cache, cacheKey(c, j.req.Options, j.idealBackend), func() (*cacheEntry, error) {
 		s.m.simulations.Inc()
-		opts := j.req.Options
-		opts.SkipState = false // the cache entry IS the state
-		res, err := core.SimulateContext(j.ctx, c, opts)
+		res, err := core.SimulateContext(j.ctx, c, j.req.Options)
 		if err != nil {
 			return nil, err
 		}
@@ -1462,7 +1453,7 @@ func (s *Service) densityFor(j *job, plan *noise.Plan) (*dm.Density, bool, error
 // fingerprint with the noise digest folded in (exactly the trajectory-plan
 // digest) plus the fusion options that shape the compiled blocks. Seeds are
 // excluded — ρ is seed-free; only sampling consumes the request seed — and
-// so are Strategy/Lm/Ranks, which the unpartitioned engine never reads.
+// so are Strategy/Lm, which the unpartitioned engine never reads.
 func dmKey(c *circuit.Circuit, o core.Options, m *noise.Model) string {
 	return fmt.Sprintf("dm|%s|f=%t mf=%d", c.FingerprintWith(m.Hash()), o.Fuse.Enabled(), o.MaxFuseQubits)
 }
@@ -1529,7 +1520,7 @@ func (s *Service) parseProgram(src string) (*circuit.Circuit, error) {
 // circuit fingerprint with the noise model's digest folded in, plus the
 // fusion options that shape the compiled blocks. The request seed is
 // excluded — differently-seeded ensembles replay one plan — and so are
-// Strategy/Lm/Ranks, which only steer the zero-noise ideal path (keyed
+// Strategy/Lm, which only steer the zero-noise ideal path (keyed
 // separately by cacheKey).
 func noisePlanKey(c *circuit.Circuit, o core.Options, m *noise.Model) string {
 	return fmt.Sprintf("noise|%s|f=%t mf=%d", c.FingerprintWith(m.Hash()), o.Fuse.Enabled(), o.MaxFuseQubits)
@@ -1537,13 +1528,13 @@ func noisePlanKey(c *circuit.Circuit, o core.Options, m *noise.Model) string {
 
 // cacheKey is the content address of one simulation: the circuit
 // fingerprint plus every option that can change the produced state or plan.
-// Workers, Model and SkipState are excluded — they affect speed and
-// metrics, never the amplitudes — and the fuse policy collapses to its
+// Workers is excluded — it affects speed, never the amplitudes — and the
+// fuse policy collapses to its
 // Enabled bit (FuseAuto and FuseOn execute identically). The backend is
 // keyed by its RESOLVED name, so an explicit "hier" and the single-node
 // default share entries while e.g. "flat" (whose float schedule differs)
 // gets its own.
 func cacheKey(c *circuit.Circuit, o core.Options, backendName string) string {
-	return fmt.Sprintf("%s|b=%s s=%s lm=%d r=%d f=%t mf=%d seed=%d",
-		c.Fingerprint(), backendName, o.Strategy, o.Lm, o.Ranks, o.Fuse.Enabled(), o.MaxFuseQubits, o.Seed)
+	return fmt.Sprintf("%s|b=%s s=%s lm=%d f=%t mf=%d seed=%d",
+		c.Fingerprint(), backendName, o.Strategy, o.Lm, o.Fuse.Enabled(), o.MaxFuseQubits, o.Seed)
 }

@@ -115,25 +115,6 @@ func TestExpectationAndProbabilitiesMatchDirect(t *testing.T) {
 	}
 }
 
-func TestDistributedRequestThroughService(t *testing.T) {
-	s := newTest(t, Config{Workers: 1})
-	c := circuit.MustNamed("qft", 8)
-	opts := core.Options{Strategy: "dagp", Ranks: 4}
-	res, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindRun, Readouts: statevector, Options: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := core.Simulate(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range direct.State.Amps {
-		if res.Amplitudes[i] != a {
-			t.Fatalf("distributed service result diverges at amplitude %d", i)
-		}
-	}
-}
-
 func TestCacheHitSkipsSimulationBitIdentical(t *testing.T) {
 	// The acceptance-criterion check: a repeat circuit must NOT re-simulate
 	// (execution counter pinned at 1) and must return bit-identical results.
@@ -359,7 +340,6 @@ func TestValidationErrors(t *testing.T) {
 		{"too wide", Request{Circuit: circuit.MustNamed("bv", 12), Kind: KindRun, Readouts: shots(10, 0)}},
 		{"too many shots", Request{Circuit: good, Kind: KindRun, Readouts: shots(1<<62, 0)}},
 		{"duplicate marginal qubit", Request{Circuit: good, Kind: KindRun, Readouts: marginal(1, 1)}},
-		{"too many ranks", Request{Circuit: good, Kind: KindRun, Readouts: shots(10, 0), Options: core.Options{Ranks: 1 << 24}}},
 		{"too many workers", Request{Circuit: good, Kind: KindRun, Readouts: shots(10, 0), Options: core.Options{Workers: 1 << 30}}},
 	}
 	for _, tc := range cases {

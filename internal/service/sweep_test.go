@@ -200,7 +200,7 @@ func TestRunWithParamsOnOtherBackends(t *testing.T) {
 	env := map[string]float64{"gamma0": 0.35, "beta0": -0.6}
 	spec := core.ReadoutSpec{Observables: isingObjective(4)}
 	var vals [][]core.ObservableValue
-	for _, b := range []string{"flat", "hier", "baseline"} {
+	for _, b := range []string{"flat", "hier", "dm"} {
 		res, err := s.Do(context.Background(), Request{
 			Circuit: c, Kind: KindRun, Readouts: spec, Params: env,
 			Options: core.Options{Backend: b},

@@ -16,9 +16,9 @@ LOG="$(mktemp)"
 go build -o "$BIN" ./cmd/hisvsimd
 go build -o "$CLI" ./cmd/hisvsim
 
-# CLI smoke: the backend registry listing must name all five engines.
+# CLI smoke: the backend registry listing must name all three engines.
 BACKENDS="$("$CLI" -backends)"
-for want in flat hier dist baseline dm; do
+for want in flat hier dm; do
     if ! printf '%s\n' "$BACKENDS" | grep -q "^$want"; then
         echo "serve-smoke: hisvsim -backends is missing $want:" >&2
         printf '%s\n' "$BACKENDS" >&2
@@ -222,13 +222,13 @@ if [ "$((SIMS_AFTER - SIMS_BEFORE))" != 1 ] || [ "$((TRAJ_AFTER - TRAJ_BEFORE))"
     exit 1
 fi
 
-# Capability mismatches are 400s at submit: a noisy job on a backend with
-# no noisy path, and a dm register over the qubit cap.
+# Backend mismatches are 400s at submit: a backend the registry does not
+# hold (the modelled distributed executor is not served), and a dm register
+# over the qubit cap.
 CCODE="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/jobs" -d '{
     "circuit": {"family": "ising", "qubits": 8},
     "kind": "run", "readouts": {"shots": 10},
-    "noise": {"rules": [{"channel": "depolarizing", "p": 0.01}]},
-    "options": {"backend": "baseline"}
+    "options": {"backend": "dist"}
 }')"
 WCODE="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/jobs" -d '{
     "circuit": {"family": "cat_state", "qubits": 14},
@@ -236,7 +236,7 @@ WCODE="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/jobs" -d '{
     "options": {"backend": "dm"}
 }')"
 if [ "$CCODE" != 400 ] || [ "$WCODE" != 400 ]; then
-    echo "serve-smoke: capability mismatches returned $CCODE/$WCODE, want 400/400" >&2
+    echo "serve-smoke: unknown backend / dm over cap returned $CCODE/$WCODE, want 400/400" >&2
     exit 1
 fi
 
@@ -370,4 +370,4 @@ if ! wait "$PID"; then
     exit 1
 fi
 trap - EXIT
-echo "serve-smoke: OK (backends listing, readyz, submit, poll, sample, cache hit, multi-readout run, v1 kinds 400, noisy ensemble, exact dm run, capability 400s, parameterized sweep, unbound-symbol 400, /metrics scrape, stage trace, kernel profile, graceful shutdown)"
+echo "serve-smoke: OK (backends listing, readyz, submit, poll, sample, cache hit, multi-readout run, v1 kinds 400, noisy ensemble, exact dm run, unknown-backend and capability 400s, parameterized sweep, unbound-symbol 400, /metrics scrape, stage trace, kernel profile, graceful shutdown)"

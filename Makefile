@@ -228,13 +228,16 @@ benchmark-smoke:
 	$(GO) run ./benchmark -workload cluster-fanout -toy -seconds 1
 	$(GO) run ./benchmark -workload service-sweep -toy -seconds 1
 
-# The last run drives the hierarchical executor through the CLI and
+# The third run drives the hierarchical executor through the CLI and
 # cross-checks it against flat simulation (-verify exits nonzero on a
-# mismatch).
+# mismatch). The last two take the CLI's noisy route, one Evaluate call: a
+# trajectory ensemble, then the exact density-matrix engine.
 cli-smoke:
 	$(GO) run ./cmd/hisvsim -backends
 	$(GO) run ./cmd/hisvsim -circuit ising -n 8 -backend flat -observables '-1*ZZ@0,1; 0.5*X@2'
 	$(GO) run ./cmd/hisvsim -circuit qft -n 14 -strategy dagp -lm 10 -verify
+	$(GO) run ./cmd/hisvsim -circuit ising -n 8 -depolarizing 0.01 -trajectories 64 -shots 256 -expect-z 0,1
+	$(GO) run ./cmd/hisvsim -circuit ising -n 8 -backend dm -depolarizing 0.01 -shots 256 -expect-z 0,1
 
 # Boots hisvsimd and exercises submit → poll → sample over HTTP (curl + jq).
 serve-smoke:

@@ -60,7 +60,6 @@ func main() {
 		lm        = flag.Int("lm", 0, "working-set limit per part (0 = the full register)")
 		seed      = flag.Int64("seed", 1, "seed for randomized partitioners")
 		fuse      = flag.String("fuse", "auto", "gate fusion: auto, on, off")
-		fuseMax   = flag.Int("fuse-max", 0, "max fused-block support in qubits (0 = default 5)")
 		verify    = flag.Bool("verify", false, "cross-check against flat simulation (doubles memory)")
 		planOnly  = flag.Bool("plan-only", false, "partition only; skip execution")
 		showParts = flag.Bool("parts", false, "print every part's gates and working set")
@@ -76,7 +75,7 @@ func main() {
 		readout10  = flag.Float64("readout10", 0, "readout flip probability P(read 0 | true 1)")
 		traj       = flag.Int("trajectories", 256, "trajectory count for noisy mode")
 		shots      = flag.Int("shots", 4096, "total sampled shots for noisy mode (0 = none)")
-		zString    = flag.String("expect-z", "0", "comma-separated qubits for the noisy ⟨∏ Z_q⟩ estimate (empty = skip)")
+		zString    = flag.String("expect-z", "0", "comma-separated qubits for the noisy ⟨∏ Z_q⟩ estimate, reported as the first observable (empty = skip)")
 		noiseSeed  = flag.Int64("noise-seed", 1, "trajectory RNG seed")
 	)
 	flag.Parse()
@@ -174,9 +173,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		runSweep(c, hisvsim.Options{
-			Noise: model, Fuse: fp, MaxFuseQubits: *fuseMax,
-		}, obs, bindings, *traj, *noiseSeed)
+		runSweep(c, hisvsim.Options{Noise: model, Fuse: fp}, obs, bindings, *traj, *noiseSeed)
 		return
 	}
 
@@ -187,23 +184,18 @@ func main() {
 		if *showParts {
 			fatal(fmt.Errorf("-parts is a partition-plan report; noisy trajectories execute unpartitioned (drop -parts or the noise flags)"))
 		}
-		opts := hisvsim.Options{
+		runNoisy(c, hisvsim.Options{
 			Backend:  *backendN,
 			Strategy: *strategy, Lm: *lm, Seed: *seed,
-			Fuse: fp, MaxFuseQubits: *fuseMax, Noise: model,
-		}
-		if isExactBackend(*backendN) {
-			runExact(c, opts, *shots, zQubits, *noiseSeed, obs)
-		} else {
-			runNoisy(c, opts, *traj, *shots, zQubits, *noiseSeed, obs)
-		}
+			Fuse: fp, Noise: model,
+		}, *traj, *shots, zQubits, *noiseSeed, obs)
 		return
 	}
 
 	res, err := hisvsim.Simulate(c, hisvsim.Options{
 		Backend:  *backendN,
 		Strategy: *strategy, Lm: *lm, Seed: *seed,
-		Fuse: fp, MaxFuseQubits: *fuseMax,
+		Fuse: fp,
 	})
 	if err != nil {
 		fatal(err)
@@ -326,18 +318,6 @@ func twoQubitGateNames(c *hisvsim.Circuit) []string {
 	return out
 }
 
-// isExactBackend reports whether the named backend serves noisy requests
-// exactly (one density-matrix evolution) instead of as trajectory
-// ensembles. The empty default never resolves to an exact engine.
-func isExactBackend(name string) bool {
-	for _, b := range hisvsim.Backends() {
-		if b.Name == name {
-			return b.Capabilities.Noise == hisvsim.NoiseCapabilityExact
-		}
-	}
-	return false
-}
-
 // parseObservables parses the -observables flag: semicolon-separated
 // weighted Pauli strings of the form "[coeff*]OPS@q0,q1,…", e.g.
 // "-1*ZZ@0,1; 0.5*X@2; Y@3".
@@ -394,16 +374,18 @@ func parseQubits(s string) ([]int, error) {
 	return qs, nil
 }
 
-// runExact executes a noisy run on an exact-noise backend ("dm"): one
-// deterministic density-matrix evolution answers counts and observables —
-// no trajectory count, no standard errors, observable values independent
-// of the sampling seed.
-func runExact(c *hisvsim.Circuit, opts hisvsim.Options, shots int, zQubits []int, seed int64, obs []hisvsim.PauliString) {
-	spec := hisvsim.ReadoutSpec{Shots: shots, Seed: seed}
+// runNoisy executes a noisy run through Evaluate (-expect-z's Z-string is
+// the first observable) and reports whichever engine ran: a trajectory
+// ensemble — counts and observable means ± standard errors over traj seeded
+// trajectories — or, on an exact-noise backend ("dm"), one deterministic
+// density-matrix evolution, with no trajectory count, no standard errors and
+// observable values independent of the sampling seed.
+func runNoisy(c *hisvsim.Circuit, opts hisvsim.Options, traj, shots int, zQubits []int, seed int64, obs []hisvsim.PauliString) {
 	if len(zQubits) > 0 {
 		z := hisvsim.PauliString{Ops: strings.Repeat("Z", len(zQubits)), Qubits: zQubits}
 		obs = append([]hisvsim.PauliString{z}, obs...)
 	}
+	spec := hisvsim.ReadoutSpec{Shots: shots, Seed: seed, Trajectories: traj}
 	for _, p := range obs {
 		spec.Observables = append(spec.Observables, hisvsim.Observable{
 			Coeff: p.Coeff, Paulis: p.Ops, Qubits: p.Qubits,
@@ -413,21 +395,16 @@ func runExact(c *hisvsim.Circuit, opts hisvsim.Options, shots int, zQubits []int
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("exact density-matrix evolution (backend %s): purity %.6f\n",
-		opts.Backend, rep.Density.Purity())
-	for k, ov := range rep.Observables {
-		fmt.Printf("  observable %s = %.9f (exact)\n", obs[k], ov.Value)
+	if rep.Density != nil {
+		fmt.Printf("exact density-matrix evolution (backend %s): purity %.6f\n",
+			opts.Backend, rep.Density.Purity())
+		for k, ov := range rep.Observables {
+			fmt.Printf("  observable %s = %.9f (exact)\n", obs[k], ov.Value)
+		}
+		printTopCounts(c, rep.Counts, shots)
+		return
 	}
-	printTopCounts(c, rep.Counts, shots)
-}
-
-// runNoisy executes and reports a trajectory ensemble.
-func runNoisy(c *hisvsim.Circuit, opts hisvsim.Options, traj, shots int, zQubits []int, seed int64, obs []hisvsim.PauliString) {
-	run := hisvsim.NoisyRun{Trajectories: traj, Seed: seed, Shots: shots, Observables: obs, Qubits: zQubits}
-	ens, err := hisvsim.SimulateNoisy(c, opts, run)
-	if err != nil {
-		fatal(err)
-	}
+	ens := rep.Ensemble
 	fmt.Printf("noisy ensemble: %s in %s\n", ens, ens.Elapsed)
 	fmt.Printf("  channel draws: %d (pauli insertions %d, kraus applications %d)\n",
 		ens.Stats.Locations, ens.Stats.PauliApplied, ens.Stats.KrausApplied)
@@ -439,17 +416,10 @@ func runNoisy(c *hisvsim.Circuit, opts hisvsim.Options, traj, shots int, zQubits
 			ens.Stats.GateOps, ens.Blocks*ens.Trajectories, ens.Blocks, ens.Trajectories, ens.Stats.EventFree,
 			ens.Stats.SegmentsFused, ens.Stats.SegmentsReplayed)
 	}
-	if ens.HasExpectation {
-		fmt.Printf("  ⟨∏ Z_%v⟩ = %.6f ± %.6f\n", run.Qubits, ens.Expectation, ens.StdErr)
+	for k, ov := range rep.Observables {
+		fmt.Printf("  observable %s = %.6f ± %.6f\n", obs[k], ov.Value, ov.StdErr)
 	}
-	for k, st := range ens.Observables {
-		fmt.Printf("  observable %s = %.6f ± %.6f\n", obs[k], st.Mean, st.StdErr)
-	}
-	counts := make(hisvsim.Histogram, 0, len(ens.Counts))
-	for b, n := range ens.Counts {
-		counts = append(counts, hisvsim.Outcome{Basis: b, N: n})
-	}
-	printTopCounts(c, counts, ens.Shots)
+	printTopCounts(c, rep.Counts, ens.Shots)
 }
 
 // printTopCounts prints the 8 most frequent sampled outcomes (it reorders

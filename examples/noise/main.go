@@ -27,21 +27,28 @@ func main() {
 	model.AddRule(hisvsim.NoiseRule{Channel: hisvsim.Depolarizing(0.01), Gates: []string{"cx"}})
 	model.WithReadout(0.01, 0.02)
 
-	ens, err := hisvsim.SimulateNoisy(ghz,
-		hisvsim.Options{Noise: model},
-		hisvsim.NoisyRun{Trajectories: 400, Seed: 7, Shots: 8192})
+	// One Evaluate call runs the trajectory ensemble and answers every
+	// read-out from it: the counts and the end-to-end ZZ correlation, which
+	// is exactly 1 on the ideal GHZ state.
+	rep, err := hisvsim.Evaluate(ghz, hisvsim.Options{Noise: model}, hisvsim.ReadoutSpec{
+		Trajectories: 400, Seed: 7, Shots: 8192,
+		Observables: []hisvsim.Observable{{Name: "zz", Paulis: "ZZ", Qubits: []int{0, n - 1}}},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	ens := rep.Ensemble
 	ideal := 0
-	for basis, count := range ens.Counts {
-		if basis == 0 || basis == (1<<n)-1 {
-			ideal += count
+	for _, o := range rep.Counts {
+		if o.Basis == 0 || o.Basis == (1<<n)-1 {
+			ideal += o.N
 		}
 	}
 	fmt.Printf("noisy GHZ: %s\n", ens)
 	fmt.Printf("  GHZ outcomes |0…0⟩+|1…1⟩: %.1f%% of shots (ideal: 100%%)\n",
 		100*float64(ideal)/float64(ens.Shots))
+	zz := rep.Observables[0]
+	fmt.Printf("  ⟨Z_0 Z_%d⟩ = %.4f ± %.4f (ideal: 1)\n", n-1, zz.Value, zz.StdErr)
 	fmt.Printf("  stochastic work: %d channel draws, %d Pauli insertions, %d Kraus applications\n",
 		ens.Stats.Locations, ens.Stats.PauliApplied, ens.Stats.KrausApplied)
 	fmt.Printf("  shared ideal prefix: %d of %d gate ops ran on forked states (segments %d fused / %d replayed), %d of %d trajectories never left the ideal state\n",
@@ -55,14 +62,15 @@ func main() {
 	for i := 0; i < k; i++ {
 		chain.Append(hisvsim.Gate{Name: "id", Qubits: []int{0}})
 	}
-	dec, err := hisvsim.SimulateNoisy(chain,
+	dec, err := hisvsim.Evaluate(chain,
 		hisvsim.Options{Noise: hisvsim.GlobalNoise(hisvsim.Depolarizing(p))},
-		hisvsim.NoisyRun{Trajectories: 4000, Seed: 1, Qubits: []int{0}})
+		hisvsim.ReadoutSpec{Trajectories: 4000, Seed: 1,
+			Observables: []hisvsim.Observable{{Paulis: "Z", Qubits: []int{0}}}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("depolarizing decay: ⟨Z⟩ = %.4f ± %.4f, analytic (1-4p/3)^%d = %.4f\n",
-		dec.Expectation, dec.StdErr, k, math.Pow(1-4*p/3, k))
+		dec.Observables[0].Value, dec.Observables[0].StdErr, k, math.Pow(1-4*p/3, k))
 
 	// The same ensembles run as service jobs: the compiled circuit+noise
 	// plan is cached, so repeat requests skip compilation and replay it.

@@ -59,24 +59,6 @@ func TestFusedMatchesUnfusedAllFamilies(t *testing.T) {
 	}
 }
 
-// TestFusedMatchesUnfusedMaxFuseQubits sweeps the support cap.
-func TestFusedMatchesUnfusedMaxFuseQubits(t *testing.T) {
-	c := MustCircuit("qft", 10)
-	flat, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 2, 3, 4, 5, 7} {
-		res, err := Simulate(c, Options{Strategy: "dagp", MaxFuseQubits: k})
-		if err != nil {
-			t.Fatalf("MaxFuseQubits=%d: %v", k, err)
-		}
-		if !equalAmps(res.State, flat, 1e-9) {
-			t.Errorf("MaxFuseQubits=%d: fused state diverges", k)
-		}
-	}
-}
-
 // TestQuickFusedEqualsUnfused is the randomized-circuit differential fuzz:
 // seeded random circuits must execute identically fused and unfused under
 // the hierarchical executor at working-set limits of 6, 7 and 8 qubits.

@@ -59,13 +59,13 @@ type Options = core.Options
 
 // FusePolicy selects gate fusion for Simulate (Options.Fuse). Fusion is on
 // by default (FuseAuto, the zero value): runs of adjacent gates whose
-// combined support stays within Options.MaxFuseQubits (default 5) execute
-// as single fused kernels between gather/scatter points.
+// combined support stays within 5 qubits (10 for runs of diagonal gates)
+// execute as single fused kernels between gather/scatter points.
 type FusePolicy = core.FusePolicy
 
 // Fusion policies for Options.Fuse.
 const (
-	FuseAuto = core.FuseAuto // fusion on with default caps (zero value)
+	FuseAuto = core.FuseAuto // fusion on (zero value)
 	FuseOn   = core.FuseOn   // fusion forced on
 	FuseOff  = core.FuseOff  // per-gate execution
 )
@@ -195,7 +195,7 @@ func SimulateContext(ctx context.Context, c *Circuit, opts Options) (*Result, er
 // (which single-qubit channel fires after which gates on which qubits) plus
 // an optional classical readout error. Build with NewNoiseModel /
 // GlobalNoise / NoiseOnGates and the channel constructors, then pass it via
-// Options.Noise to SimulateNoisy.
+// Options.Noise to Evaluate.
 type NoiseModel = noise.Model
 
 // NoiseRule attaches one channel to a class of gate applications.
@@ -211,19 +211,14 @@ type NoiseChannel = noise.Channel
 // probabilities applied to sampled bitstrings).
 type Readout = noise.Readout
 
-// NoisyRun configures a trajectory ensemble: size, seed, parallelism, and
-// the requested read-outs (Shots for counts, Qubits for a Z-string
-// expectation).
-type NoisyRun = noise.RunConfig
-
-// NoisyEnsemble is the aggregated result of a trajectory run: counts,
-// expectation ± standard error, and stochastic-work statistics.
+// NoisyEnsemble is the aggregated result of a trajectory run
+// (RunReport.Ensemble): counts, observable means ± standard errors, and
+// stochastic-work statistics.
 type NoisyEnsemble = noise.Ensemble
 
 // PauliString is a weighted Pauli operator in the state-kernel form
-// (NoisyRun.Observables and State.ExpectationPauliString). Observable is
-// the same concept on the request surface; prefer it with Evaluate /
-// KindRun.
+// (State.ExpectationPauliString). Observable is the same concept on the
+// request surface; prefer it with Evaluate / KindRun.
 type PauliString = sv.PauliString
 
 // NewNoiseModel builds a noise model from rules.
@@ -262,28 +257,6 @@ func PhaseDamping(gamma float64) NoiseChannel { return noise.PhaseDamping(gamma)
 // two-qubit gate classes (NoiseOnGates(…, "cx")); the compiler rejects
 // rules that match gates of any other arity.
 func CorrelatedDepolarizing2(p float64) NoiseChannel { return noise.CorrelatedDepolarizing2(p) }
-
-// SimulateNoisy runs a stochastic trajectory ensemble of the circuit under
-// opts.Noise: the circuit plus noise model compiles once into a fused
-// trajectory plan, run.Trajectories seeded trajectories replay it in
-// parallel, and the ensemble aggregates sampled counts (run.Shots) and/or a
-// Z-string expectation with standard error (run.Qubits). A zero-effect
-// model reduces to ONE ideal simulation (strategy and Lm honored,
-// bit-for-bit identical to Simulate) plus sampling.
-//
-//	model := hisvsim.GlobalNoise(hisvsim.Depolarizing(0.01)).WithReadout(0.02, 0.02)
-//	ens, err := hisvsim.SimulateNoisy(c,
-//		hisvsim.Options{Noise: model},
-//		hisvsim.NoisyRun{Trajectories: 500, Seed: 7, Shots: 4096})
-func SimulateNoisy(c *Circuit, opts Options, run NoisyRun) (*NoisyEnsemble, error) {
-	return core.SimulateNoisy(c, opts, run)
-}
-
-// SimulateNoisyContext is SimulateNoisy under a context: cancellation
-// aborts the ensemble at the next trajectory boundary.
-func SimulateNoisyContext(ctx context.Context, c *Circuit, opts Options, run NoisyRun) (*NoisyEnsemble, error) {
-	return core.SimulateNoisyContext(ctx, c, opts, run)
-}
 
 // ReadoutSpec is the unified multi-readout request of the v2 surface: any
 // mix of statevector, seeded shots, marginal distributions and weighted

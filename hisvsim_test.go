@@ -162,40 +162,41 @@ func TestFacadeFingerprintAndContext(t *testing.T) {
 	}
 }
 
-func TestFacadeSimulateNoisy(t *testing.T) {
+func TestFacadeEvaluateNoisy(t *testing.T) {
 	c := MustCircuit("ising", 8)
 	model := GlobalNoise(Depolarizing(0.01)).WithReadout(0.01, 0.01)
-	ens, err := SimulateNoisy(c, Options{Noise: model}, NoisyRun{
-		Trajectories: 50, Seed: 2, Shots: 500, Qubits: []int{0, 1},
+	rep, err := Evaluate(c, Options{Noise: model}, ReadoutSpec{
+		Trajectories: 50, Seed: 2, Shots: 500,
+		Observables: []Observable{{Paulis: "ZZ", Qubits: []int{0, 1}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ens.Trajectories != 50 || ens.NoiseFree {
+	if ens := rep.Ensemble; ens == nil || ens.Trajectories != 50 || ens.NoiseFree {
 		t.Fatalf("ensemble: %+v", ens)
 	}
 	total := 0
-	for _, n := range ens.Counts {
-		total += n
+	for _, o := range rep.Counts {
+		total += o.N
 	}
 	if total != 500 {
 		t.Fatalf("counts sum to %d", total)
 	}
-	if !ens.HasExpectation || math.Abs(ens.Expectation) > 1 {
-		t.Fatalf("expectation %v (has=%v)", ens.Expectation, ens.HasExpectation)
+	if len(rep.Observables) != 1 || math.Abs(rep.Observables[0].Value) > 1 {
+		t.Fatalf("expectation %v", rep.Observables)
 	}
 
-	// Ideal Simulate refuses the model; SimulateNoisy without noise takes
-	// the one-simulation fast path.
+	// Ideal Simulate refuses the model; Evaluate without noise takes the
+	// one-simulation fast path.
 	if _, err := Simulate(c, Options{Noise: model}); err == nil {
 		t.Fatal("Simulate accepted a noise model")
 	}
-	free, err := SimulateNoisy(c, Options{}, NoisyRun{Trajectories: 8, Shots: 100})
+	free, err := Evaluate(c, Options{}, ReadoutSpec{Trajectories: 8, Shots: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !free.NoiseFree {
-		t.Fatal("ideal ensemble missed the noise-free fast path")
+	if free.Sim == nil || free.Ensemble != nil {
+		t.Fatal("ideal run missed the one-simulation fast path")
 	}
 
 	// The service runs noisy ensembles too.

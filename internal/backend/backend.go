@@ -45,9 +45,8 @@ type Spec struct {
 	Workers int
 	// Seed drives the randomized partitioners.
 	Seed int64
-	// Fuse enables gate fusion; MaxFuseQubits caps fused-block support.
-	Fuse          bool
-	MaxFuseQubits int
+	// Fuse enables gate fusion.
+	Fuse bool
 }
 
 // Execution is what a backend produces: the final state plus whatever

@@ -99,8 +99,7 @@ func (hierBackend) Run(ctx context.Context, c *circuit.Circuit, spec Spec) (*Exe
 	st.Workers = spec.Workers
 	st.Prof = prof.FromContext(ctx)
 	m, err := hier.ExecutePlan(pl, st, hier.Options{
-		Ctx: ctx, Workers: spec.Workers,
-		Fuse: spec.Fuse, MaxFuseQubits: spec.MaxFuseQubits,
+		Ctx: ctx, Workers: spec.Workers, Fuse: spec.Fuse,
 	})
 	if err != nil {
 		return nil, err
@@ -131,9 +130,7 @@ func (dmBackend) Run(ctx context.Context, c *circuit.Circuit, spec Spec) (*Execu
 		return nil, fmt.Errorf("backend: dm holds at most %d qubits (ρ is 4^n amplitudes); circuit has %d", dm.MaxQubits, c.NumQubits)
 	}
 	start := time.Now()
-	d, _, err := dm.Run(ctx, c, nil, dm.Options{
-		Fuse: spec.Fuse, MaxFuseQubits: spec.MaxFuseQubits, Workers: spec.Workers,
-	})
+	d, _, err := dm.Run(ctx, c, nil, dm.Options{Fuse: spec.Fuse, Workers: spec.Workers})
 	if err != nil {
 		return nil, err
 	}

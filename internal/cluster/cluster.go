@@ -75,8 +75,10 @@ type Config struct {
 	// MaxAttempts bounds per-sub-job delivery attempts (default 4).
 	MaxAttempts int
 	// RetryBase/RetryCap shape the capped exponential backoff between
-	// attempts (defaults 100ms / 3s); each delay gets ±50% jitter so a
-	// thundering herd of retries against a recovering worker spreads out.
+	// attempts (defaults 100ms / 3s): with d = min(RetryBase·2^attempt,
+	// RetryCap), each delay is drawn uniformly from [d/2, d], so it never
+	// exceeds RetryCap and a thundering herd of retries against a recovering
+	// worker spreads out.
 	RetryBase time.Duration
 	RetryCap  time.Duration
 	// PollWait is the long-poll window per result request (default 30s).
@@ -490,11 +492,13 @@ func retryAfter(resp *http.Response) time.Duration {
 	return time.Second
 }
 
-// backoffDelay is the capped exponential retry delay with ±50% jitter.
+// backoffDelay is the capped exponential retry delay: uniform in [d/2, d]
+// for d = min(RetryBase·2^attempt, RetryCap). The cap is compared before
+// shifting, so a large attempt cannot overflow past it.
 func (c *Coordinator) backoffDelay(attempt int) time.Duration {
-	d := c.cfg.RetryBase << uint(attempt)
-	if d > c.cfg.RetryCap || d <= 0 {
-		d = c.cfg.RetryCap
+	d := c.cfg.RetryCap
+	if attempt < 63 && c.cfg.RetryBase <= d>>uint(attempt) {
+		d = c.cfg.RetryBase << uint(attempt)
 	}
 	half := int64(d) / 2
 	return time.Duration(half + rand.Int63n(int64(d)-half+1))

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -525,5 +527,37 @@ func TestClusterDrainingWorkerLeavesRing(t *testing.T) {
 	res := submitAndWait(t, csrv.URL, routedBody)
 	if res["kind"] != "run" {
 		t.Fatalf("unexpected result %v", res)
+	}
+}
+
+// TestBackoffDelayBounds pins the retry delay to [d/2, d] for d =
+// min(RetryBase·2^attempt, RetryCap), computed here on 128-bit products so a
+// shift that overflows int64 cannot hide: on the wide config the shift wraps
+// to a positive value below the cap from attempt 62 on.
+func TestBackoffDelayBounds(t *testing.T) {
+	configs := []Config{
+		{RetryBase: 100 * time.Millisecond, RetryCap: 3 * time.Second}, // the defaults
+		{RetryBase: 50 * time.Millisecond, RetryCap: 300 * time.Millisecond},
+		{RetryBase: 5, RetryCap: 3 << 61},
+		{RetryBase: 1, RetryCap: math.MaxInt64},
+		{RetryBase: 5 * time.Second, RetryCap: time.Second}, // base above the cap
+	}
+	for _, cfg := range configs {
+		c := &Coordinator{cfg: cfg}
+		for attempt := 0; attempt <= 70; attempt++ {
+			want := cfg.RetryCap
+			if attempt < 64 {
+				hi, lo := bits.Mul64(uint64(cfg.RetryBase), 1<<uint(attempt))
+				if hi == 0 && lo <= uint64(cfg.RetryCap) {
+					want = time.Duration(lo)
+				}
+			}
+			for draw := 0; draw < 20; draw++ {
+				if d := c.backoffDelay(attempt); d < want/2 || d > want {
+					t.Fatalf("base %v cap %v attempt %d: delay %v outside [%v, %v]",
+						cfg.RetryBase, cfg.RetryCap, attempt, d, want/2, want)
+				}
+			}
+		}
 	}
 }

@@ -38,7 +38,7 @@ func Backends() []backend.Info { return backend.List() }
 type FusePolicy int
 
 const (
-	// FuseAuto (the zero value) enables fusion with the default caps.
+	// FuseAuto (the zero value) enables fusion.
 	FuseAuto FusePolicy = iota
 	// FuseOn forces fusion on.
 	FuseOn
@@ -63,13 +63,10 @@ type Options struct {
 	// Seed drives the randomized partitioners.
 	Seed int64
 	// Fuse selects gate fusion (on unless FuseOff): runs of adjacent gates
-	// whose combined support stays within MaxFuseQubits execute as single
-	// fused kernels between gather/scatter points.
+	// whose combined support stays within 5 qubits (10 for runs of diagonal
+	// gates) execute as single fused kernels between gather/scatter points.
 	Fuse FusePolicy
-	// MaxFuseQubits caps fused-block support (0 = defaults: 5 for dense
-	// blocks, 10 for diagonal runs; an explicit value caps both).
-	MaxFuseQubits int
-	// Noise attaches a noise model for SimulateNoisy (nil = ideal). Plain
+	// Noise attaches a noise model for Evaluate (nil = ideal). Plain
 	// Simulate rejects an effective (non-zero) noise model rather than
 	// silently returning ideal amplitudes.
 	Noise *noise.Model
@@ -111,7 +108,7 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Re
 		return nil, fmt.Errorf("core: circuit %s has unbound symbols %v; bind a parameter environment (or submit a sweep/optimize job)", c.Name, c.Symbols())
 	}
 	if !opts.Noise.IsZero() {
-		return nil, fmt.Errorf("core: options carry a noise model; use SimulateNoisy for noisy runs")
+		return nil, fmt.Errorf("core: options carry a noise model; use Evaluate for noisy runs")
 	}
 	b, name, err := backend.Resolve(opts.Backend)
 	if err != nil {
@@ -135,7 +132,7 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Re
 func specFor(opts Options) backend.Spec {
 	return backend.Spec{
 		Strategy: opts.Strategy, Lm: opts.Lm, Workers: opts.Workers, Seed: opts.Seed,
-		Fuse: opts.Fuse.Enabled(), MaxFuseQubits: opts.MaxFuseQubits,
+		Fuse: opts.Fuse.Enabled(),
 	}
 }
 

@@ -143,29 +143,20 @@ func TestDMCapabilityErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "at most") {
 		t.Errorf("dm over cap: %v", err)
 	}
-	// The trajectory entry point refuses the exact engine (its results are
-	// not an ensemble) and points at Evaluate.
-	if _, err := SimulateNoisy(small, Options{Backend: "dm", Noise: model}, noise.RunConfig{Trajectories: 5}); err == nil ||
-		!strings.Contains(err.Error(), "Evaluate") {
-		t.Errorf("SimulateNoisy on dm: %v", err)
-	}
-	// Engines with no noisy path reject effective models, on both entry
-	// points. No built-in engine lacks one, so the test registers its own.
+	// Engines with no noisy path reject effective models. No built-in
+	// engine lacks one, so the test registers its own.
 	backend.Register(noiselessBackend{})
 	if _, err := Evaluate(small, Options{Backend: noiselessBackend{}.Name(), Noise: model}, ReadoutSpec{Shots: 1}); err == nil ||
 		!strings.Contains(err.Error(), "no noisy path") {
 		t.Errorf("noisy Evaluate on a noiseless engine: %v", err)
 	}
-	if _, err := SimulateNoisy(small, Options{Backend: noiselessBackend{}.Name(), Noise: model},
-		noise.RunConfig{Trajectories: 5}); err == nil || !strings.Contains(err.Error(), "no noisy path") {
-		t.Errorf("SimulateNoisy on a noiseless engine: %v", err)
-	}
 	// The default backend runs noisy requests as a trajectory ensemble.
-	if ens, err := SimulateNoisy(small, Options{Noise: model},
-		noise.RunConfig{Trajectories: 5, Qubits: []int{0}}); err != nil {
+	if rep, err := Evaluate(small, Options{Noise: model}, ReadoutSpec{
+		Trajectories: 5, Observables: []Observable{{Paulis: "Z", Qubits: []int{0}}},
+	}); err != nil {
 		t.Errorf("default-backend noisy run rejected: %v", err)
-	} else if ens.Trajectories != 5 {
-		t.Errorf("default-backend noisy run: %d trajectories, want 5", ens.Trajectories)
+	} else if rep.Ensemble == nil || rep.Ensemble.Trajectories != 5 {
+		t.Errorf("default-backend noisy run: ensemble %v, want 5 trajectories", rep.Ensemble)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hisvsim/internal/circuit"
@@ -25,10 +26,9 @@ func zeroModel() *noise.Model {
 
 // TestZeroNoiseMatchesIdealBitForBit is the differential acceptance test:
 // for every strategy and fusion setting, a zero-probability noise model must
-// reproduce ideal simulation exactly — the same final state serves the
-// ensemble, so the Z-string expectation matches ideal bit-for-bit (T = 4
-// identical trajectory values average exactly) and the sampled counts are
-// reproducible functions of the seed alone.
+// reproduce ideal simulation exactly — Evaluate runs the ideal path, so the
+// Z-string observable matches ideal bit-for-bit with zero standard error and
+// the sampled counts are reproducible functions of the seed alone.
 func TestZeroNoiseMatchesIdealBitForBit(t *testing.T) {
 	c, err := circuit.Named("qft", 8)
 	if err != nil {
@@ -51,36 +51,47 @@ func TestZeroNoiseMatchesIdealBitForBit(t *testing.T) {
 
 		noisyOpts := opts
 		noisyOpts.Noise = zeroModel()
-		run := noise.RunConfig{Trajectories: 4, Seed: 11, Shots: 64, Qubits: qubits}
-		a, err := SimulateNoisy(c, noisyOpts, run)
+		spec := ReadoutSpec{Trajectories: 4, Seed: 11, Shots: 64,
+			Observables: []Observable{{Paulis: "ZZZ", Qubits: qubits}}}
+		a, err := Evaluate(c, noisyOpts, spec)
 		if err != nil {
 			t.Fatalf("%+v: noisy: %v", opts, err)
 		}
-		if !a.NoiseFree {
+		if a.Sim == nil || a.Ensemble != nil {
 			t.Fatalf("%+v: zero model missed the ideal fast path", opts)
 		}
-		if a.Expectation != want {
+		if got := a.Observables[0]; got.Value != want {
 			t.Fatalf("%+v: zero-noise ⟨Z⟩ = %v, ideal = %v (must be identical)",
-				opts, a.Expectation, want)
-		}
-		if a.StdErr != 0 {
-			t.Fatalf("%+v: zero-noise stderr %v, want exactly 0", opts, a.StdErr)
+				opts, got.Value, want)
+		} else if got.StdErr != 0 {
+			t.Fatalf("%+v: zero-noise stderr %v, want exactly 0", opts, got.StdErr)
 		}
 
 		// Same seed ⇒ identical counts; and a nil model agrees with the
 		// zero-probability model exactly (same elision, same fast path).
-		nilOpts := opts
-		b, err := SimulateNoisy(c, nilOpts, run)
+		b, err := Evaluate(c, opts, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a.Counts) == 0 || len(a.Counts) != len(b.Counts) {
+		if len(a.Counts) == 0 || !slices.Equal(a.Counts, b.Counts) {
 			t.Fatalf("%+v: counts differ between zero model and nil model", opts)
 		}
-		for k, v := range a.Counts {
-			if b.Counts[k] != v {
-				t.Fatalf("%+v: count[%d] = %d vs %d", opts, k, v, b.Counts[k])
-			}
+
+		// A model whose rules match no gate of the circuit is not zero, but
+		// its plan has no channel site: the ensemble samples one ideal
+		// simulation, so the observable is still ideal bit-for-bit.
+		idle := opts
+		idle.Noise = noise.OnGates(noise.Depolarizing(0.1), "ccx")
+		e, err := Evaluate(c, idle, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Ensemble == nil || !e.Ensemble.NoiseFree {
+			t.Fatalf("%+v: channel-free plan missed the noise-free ensemble path", opts)
+		}
+		if got := e.Observables[0]; got.Value != want || got.StdErr != 0 {
+			t.Fatalf("%+v: channel-free ⟨Z⟩ = %v ± %v, ideal = %v (must be identical)",
+				opts, got.Value, got.StdErr, want)
 		}
 	}
 }
@@ -101,56 +112,56 @@ func TestSimulateRejectsNoiseModel(t *testing.T) {
 	}
 }
 
-// TestSimulateNoisySeededReproducibility: fixed (circuit, model, config)
-// reproduces counts and expectation exactly, across repeated runs and
+// TestEvaluateNoisySeededReproducibility: fixed (circuit, model, spec)
+// reproduces counts and observables exactly, across repeated runs and
 // worker counts.
-func TestSimulateNoisySeededReproducibility(t *testing.T) {
+func TestEvaluateNoisySeededReproducibility(t *testing.T) {
 	c, err := circuit.Named("ising", 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Noise: noise.Global(noise.Depolarizing(0.02)).WithReadout(0.01, 0.01)}
-	run := func(workers int) *noise.Ensemble {
-		e, err := SimulateNoisy(c, opts, noise.RunConfig{
-			Trajectories: 30, Seed: 42, Workers: workers, Shots: 300, Qubits: []int{0, 1},
+	model := noise.Global(noise.Depolarizing(0.02)).WithReadout(0.01, 0.01)
+	run := func(workers int) *RunReport {
+		rep, err := Evaluate(c, Options{Noise: model, Workers: workers}, ReadoutSpec{
+			Trajectories: 30, Seed: 42, Shots: 300,
+			Observables: []Observable{{Paulis: "ZZ", Qubits: []int{0, 1}}},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e
+		return rep
 	}
 	a, b, c8 := run(2), run(2), run(8)
-	if a.Expectation != b.Expectation || a.Expectation != c8.Expectation {
+	if a.Observables[0] != b.Observables[0] || a.Observables[0] != c8.Observables[0] {
 		t.Fatal("expectation not reproducible across runs/workers")
 	}
-	for k, v := range a.Counts {
-		if b.Counts[k] != v || c8.Counts[k] != v {
-			t.Fatalf("count[%d] not reproducible", k)
-		}
+	if !slices.Equal(a.Counts, b.Counts) || !slices.Equal(a.Counts, c8.Counts) {
+		t.Fatal("counts not reproducible across runs/workers")
 	}
-	if a.NoiseFree {
+	if a.Ensemble == nil || a.Ensemble.NoiseFree {
 		t.Fatal("noisy run took the noise-free path")
 	}
-	if a.Stats.Locations == 0 {
+	if a.Ensemble.Stats.Locations == 0 {
 		t.Fatal("no channel draws recorded")
 	}
 }
 
-// TestSimulateNoisyDecay reruns the analytic depolarizing check through the
+// TestEvaluateNoisyDecay reruns the analytic depolarizing check through the
 // public core surface (id-gate anchors, ⟨Z⟩ = (1−4p/3)^k).
-func TestSimulateNoisyDecay(t *testing.T) {
+func TestEvaluateNoisyDecay(t *testing.T) {
 	const p, k = 0.08, 6
 	c := circuit.New("decay", 2)
 	for i := 0; i < k; i++ {
 		c.Append(gate.ID(0))
 	}
 	opts := Options{Noise: noise.OnGates(noise.Depolarizing(p), "id")}
-	ens, err := SimulateNoisy(c, opts, noise.RunConfig{Trajectories: 3000, Seed: 5, Qubits: []int{0}})
+	rep, err := Evaluate(c, opts, ReadoutSpec{Trajectories: 3000, Seed: 5,
+		Observables: []Observable{{Paulis: "Z", Qubits: []int{0}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := math.Pow(1-4*p/3, k)
-	if math.Abs(ens.Expectation-want) > 6*ens.StdErr+1e-9 {
-		t.Fatalf("⟨Z⟩ = %.4f ± %.4f, analytic %.4f", ens.Expectation, ens.StdErr, want)
+	if z := rep.Observables[0]; math.Abs(z.Value-want) > 6*z.StdErr+1e-9 {
+		t.Fatalf("⟨Z⟩ = %.4f ± %.4f, analytic %.4f", z.Value, z.StdErr, want)
 	}
 }

@@ -215,11 +215,11 @@ func buildObjective(ctx context.Context, c *circuit.Circuit, opts Options, roSpe
 		return t
 	}
 	if !opts.Noise.IsZero() {
-		plan, err := noise.Compile(c, opts.Noise, noise.CompileOptions{Fuse: true, MaxFuseQubits: opts.MaxFuseQubits})
+		plan, err := noise.Compile(c, opts.Noise, noise.CompileOptions{Fuse: true})
 		if err != nil {
 			return nil, err
 		}
-		cfg := roSpec.NoisyRunConfig(opts.Workers)
+		cfg := roSpec.EnsembleConfig(opts.Workers)
 		if !plan.NoiseFree() {
 			return func(env map[string]float64) (float64, error) {
 				sp, err := plan.Specialize(env)
@@ -238,7 +238,7 @@ func buildObjective(ctx context.Context, c *circuit.Circuit, opts Options, roSpe
 		// error never perturbs observables — they measure the state, not
 		// sampled bits).
 	}
-	tpl, err := fuse.CompileTemplate(c, fuse.Options{MaxQubits: opts.MaxFuseQubits})
+	tpl, err := fuse.CompileTemplate(c, fuse.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -325,9 +325,9 @@ func (o Observable) zMask() (mask int, ok bool) {
 	return sign, flip == 0
 }
 
-// NoisyRunConfig lowers the spec to the trajectory-ensemble config (the
+// EnsembleConfig lowers the spec to the trajectory-ensemble config (the
 // service layer calls it with its own worker-pool width).
-func (s ReadoutSpec) NoisyRunConfig(workers int) noise.RunConfig {
+func (s ReadoutSpec) EnsembleConfig(workers int) noise.RunConfig {
 	cfg := noise.RunConfig{
 		Trajectories: s.Trajectories, Seed: s.Seed, Workers: workers,
 		Offset: s.TrajOffset, Total: s.TrajTotal,
@@ -420,9 +420,7 @@ func EvaluateContext(ctx context.Context, c *circuit.Circuit, opts Options, spec
 		return nil, fmt.Errorf("core: statevector readout is not available on the exact density-matrix backend (ρ has no single amplitude vector)")
 	}
 	if noisy && exact {
-		d, plan, err := dm.Run(ctx, c, opts.Noise, dm.Options{
-			Fuse: opts.Fuse.Enabled(), MaxFuseQubits: opts.MaxFuseQubits, Workers: opts.Workers,
-		})
+		d, plan, err := dm.Run(ctx, c, opts.Noise, dm.Options{Fuse: opts.Fuse.Enabled(), Workers: opts.Workers})
 		if err != nil {
 			return nil, err
 		}
@@ -443,11 +441,36 @@ func EvaluateContext(ctx context.Context, c *circuit.Circuit, opts Options, spec
 	if spec.Statevector {
 		return nil, fmt.Errorf("core: statevector readout is undefined under an effective noise model (a trajectory ensemble has no single state)")
 	}
-	ens, err := SimulateNoisyContext(ctx, c, opts, spec.NoisyRunConfig(opts.Workers))
+	ens, err := runEnsemble(ctx, c, opts, spec.EnsembleConfig(opts.Workers))
 	if err != nil {
 		return nil, err
 	}
 	return &RunReport{Readouts: *ReadoutsFromEnsemble(ens, spec), Ensemble: ens}, nil
+}
+
+// runEnsemble is EvaluateContext's trajectory step: the circuit plus
+// opts.Noise compile to one trajectory plan (gate runs fused between
+// channel-insertion points) and run.Trajectories seeded trajectories run
+// over it, deterministic in (circuit, model, run) whatever run.Workers. A
+// plan without channel insertions (a readout-only model) simulates the
+// circuit ONCE through the selected backend instead — strategy, Lm and
+// fusion honored — and every trajectory samples that state, so only the
+// sampling work scales with the trajectory count.
+func runEnsemble(ctx context.Context, c *circuit.Circuit, opts Options, run noise.RunConfig) (*noise.Ensemble, error) {
+	plan, err := noise.Compile(c, opts.Noise, noise.CompileOptions{Fuse: opts.Fuse.Enabled()})
+	if err != nil {
+		return nil, err
+	}
+	if !plan.NoiseFree() {
+		return noise.RunEnsemble(ctx, plan, run)
+	}
+	ideal := opts
+	ideal.Noise = nil // the remaining model (readout only) applies at sampling
+	res, err := SimulateContext(ctx, c, ideal)
+	if err != nil {
+		return nil, err
+	}
+	return noise.RunEnsembleFromState(ctx, res.State, plan.Readout(), run)
 }
 
 // EvaluateDensity derives every requested read-out from an exact density

@@ -202,8 +202,8 @@ func Sweep(c *circuit.Circuit, opts Options, spec ReadoutSpec, bindings []map[st
 // aggregation included). The spec's Seed is reused at every point, so each
 // point's read-outs are bit-identical to an independent concrete-circuit run
 // of the bound circuit. Fusion is inherent to the template engine: FuseOff
-// is ignored, MaxFuseQubits still caps block support. opts.Workers is the
-// width the runner divides between point workers and their kernels.
+// is ignored. opts.Workers is the width the runner divides between point
+// workers and their kernels.
 func SweepContext(ctx context.Context, c *circuit.Circuit, opts Options, spec ReadoutSpec, bindings []map[string]float64) (*SweepReport, error) {
 	start := time.Now()
 	if len(bindings) == 0 {
@@ -220,16 +220,14 @@ func SweepContext(ctx context.Context, c *circuit.Circuit, opts Options, spec Re
 		if spec.Statevector {
 			return nil, fmt.Errorf("core: statevector readout is undefined under an effective noise model (a trajectory ensemble has no single state)")
 		}
-		plan, err := noise.Compile(c, opts.Noise, noise.CompileOptions{
-			Fuse: true, MaxFuseQubits: opts.MaxFuseQubits,
-		})
+		plan, err := noise.Compile(c, opts.Noise, noise.CompileOptions{Fuse: true})
 		if err != nil {
 			return nil, err
 		}
 		eng.Plan = plan
 	}
 	if eng.Plan == nil || eng.Plan.NoiseFree() {
-		tpl, err := fuse.CompileTemplate(c, fuse.Options{MaxQubits: opts.MaxFuseQubits})
+		tpl, err := fuse.CompileTemplate(c, fuse.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -401,7 +399,7 @@ func RunSweep(ctx context.Context, eng SweepEngine, spec ReadoutSpec, bindings [
 
 	r := &sweepRun{tpl: eng.Template, rep: rep}
 	workers, perState := 1, width
-	switch cfg := spec.NoisyRunConfig(width); {
+	switch cfg := spec.EnsembleConfig(width); {
 	case eng.Plan == nil:
 		r.eval = func(_ context.Context, w *sweepWorker, _ int) (*Readouts, error) {
 			ro, passes := evaluateState(w.st, nil, spec)

@@ -243,8 +243,6 @@ type Options struct {
 	// Fuse coalesces noise-free gate runs into dense/diagonal blocks
 	// before evolution (the same compiler the trajectory engine uses).
 	Fuse bool
-	// MaxFuseQubits caps fused-block support (0 = fuse defaults).
-	MaxFuseQubits int
 	// Workers bounds kernel parallelism (0 = GOMAXPROCS).
 	Workers int
 }
@@ -253,7 +251,7 @@ type Options struct {
 // evolves ρ from |0…0⟩⟨0…0| through it, returning the final density matrix
 // and the compiled plan (whose Readout the sampling layer consumes).
 func Run(ctx context.Context, c *circuit.Circuit, m *noise.Model, opts Options) (*Density, *noise.Plan, error) {
-	plan, err := noise.Compile(c, m, noise.CompileOptions{Fuse: opts.Fuse, MaxFuseQubits: opts.MaxFuseQubits})
+	plan, err := noise.Compile(c, m, noise.CompileOptions{Fuse: opts.Fuse})
 	if err != nil {
 		return nil, nil, err
 	}

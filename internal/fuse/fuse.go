@@ -81,8 +81,8 @@ const DefaultMaxDiagQubits = 10
 
 func (o Options) withDefaults() Options {
 	if o.MaxDiagQubits <= 0 {
-		// An explicit dense cap bounds diagonal tables too (the documented
-		// MaxFuseQubits contract); only the full defaults split 5/10.
+		// An explicit dense cap bounds diagonal tables too; only the full
+		// defaults split 5/10.
 		if o.MaxQubits > 0 {
 			o.MaxDiagQubits = o.MaxQubits
 		} else {

@@ -93,13 +93,12 @@ func TestFuseDiagonalRunsStayDiagonal(t *testing.T) {
 	}
 }
 
+// TestFuseRespectsSupportCap sweeps the support cap: at every cap no fused
+// block is wider than the cap, and the fused state equals the unfused one.
 func TestFuseRespectsSupportCap(t *testing.T) {
 	c := circuit.QFT(9)
-	for _, cap := range []int{2, 3, 5} {
-		blocks, err := Fuse(c.Gates, Options{MaxQubits: cap, MaxDiagQubits: cap})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, cap := range []int{1, 2, 3, 4, 5, 7} {
+		blocks := applyBoth(t, c.NumQubits, c.Gates, Options{MaxQubits: cap, MaxDiagQubits: cap}, int64(cap))
 		for _, b := range blocks {
 			if b.Kind != Single && len(b.Qubits) > cap {
 				t.Fatalf("cap %d: block support %v", cap, b.Qubits)

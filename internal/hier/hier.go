@@ -82,8 +82,6 @@ type Options struct {
 	Workers int
 	// Fuse enables gate fusion within each part.
 	Fuse bool
-	// MaxFuseQubits caps fused-block support (0 = fuse default).
-	MaxFuseQubits int
 }
 
 func (o Options) workers() int {
@@ -302,7 +300,7 @@ func lower(w int, gates []gate.Gate, opts Options) ([]sv.Op, int, error) {
 		ops, err := sv.GateOps(w, gates)
 		return ops, 0, err
 	}
-	blocks, err := fuse.Fuse(gates, fuse.Options{MaxQubits: opts.MaxFuseQubits})
+	blocks, err := fuse.Fuse(gates, fuse.Options{})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -52,7 +52,7 @@ func supportFormula(t *testing.T, pl *partition.Plan, opts Options) (run, skippe
 		}
 		if opts.Fuse {
 			var err error
-			if blocks, err = fuse.Fuse(gates, fuse.Options{MaxQubits: opts.MaxFuseQubits}); err != nil {
+			if blocks, err = fuse.Fuse(gates, fuse.Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}

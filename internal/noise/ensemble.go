@@ -76,10 +76,6 @@ type RunConfig struct {
 	// Shots, when > 0, draws this many basis-state samples in total,
 	// distributed across trajectories (readout error applied per shot).
 	Shots int
-	// Qubits, when non-nil, also estimates ⟨∏ Z_q⟩ over the listed qubits:
-	// the trajectory mean with its standard error (the legacy Z-string
-	// read-out; Observables is the general form).
-	Qubits []int
 	// Observables, when non-empty, estimates each weighted Pauli string
 	// (Coeff·⟨∏ σ⟩) as a trajectory mean with standard error. Measuring
 	// draws nothing from the trajectory RNGs, so adding observables never
@@ -145,9 +141,6 @@ type Moment struct {
 	// Count is how many trajectories contributed (MomentChunk except for a
 	// tail chunk).
 	Count int
-	// Exp is the [sum, sum of squares] of the legacy Z-string expectation
-	// (RunConfig.Qubits); zero unless that readout was requested.
-	Exp [2]float64
 	// Obs is one [sum, sum of squares] per RunConfig.Observables entry.
 	Obs [][2]float64
 	// Marg is one per-entry probability sum vector per RunConfig.Marginals
@@ -167,20 +160,15 @@ type Ensemble struct {
 	// Counts is the basis-index histogram across all trajectories, with
 	// readout error applied (nil unless Shots > 0).
 	Counts map[int]int
-	// Expectation and StdErr are the trajectory mean of ⟨∏ Z_q⟩ and its
-	// standard error (sample stddev / √T); valid iff HasExpectation.
-	Expectation    float64
-	StdErr         float64
-	HasExpectation bool
 	// Observables holds one trajectory-mean ± stderr per requested
 	// RunConfig.Observables entry, in request order.
 	Observables []ObservableStat
 	// Marginals holds one trajectory-mean probability distribution per
 	// requested RunConfig.Marginals entry, in request order.
 	Marginals [][]float64
-	// Moments are the per-chunk partial sums behind Expectation/Observables/
-	// Marginals (noisy path only; the noise-free fast path computes exact
-	// values and carries none). They let MergeEnsembles — or a cluster
+	// Moments are the per-chunk partial sums behind Observables/Marginals
+	// (noisy path only; the noise-free fast path computes exact values and
+	// carries none). They let MergeEnsembles — or a cluster
 	// coordinator working from wire data — reproduce the full-ensemble
 	// statistics bit for bit from sub-range runs.
 	Moments []Moment
@@ -268,10 +256,10 @@ func sampleCounts(counts map[int]int, sp *sv.Sampler, shots, n int, ro *Readout,
 }
 
 // RunEnsemble executes cfg.Trajectories stochastic trajectories of the plan
-// in parallel and aggregates counts and/or expectation values. Counts are
+// in parallel and aggregates counts, observables and marginals. Counts are
 // identical for a fixed (plan, Seed, Trajectories, Shots) regardless of
-// Workers; the expectation is reduced in trajectory order, so it too is
-// bit-stable across worker counts.
+// Workers; observables and marginals are reduced in trajectory order, so
+// they too are bit-stable across worker counts.
 func RunEnsemble(ctx context.Context, p *Plan, cfg RunConfig) (*Ensemble, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(p.n); err != nil {
@@ -283,10 +271,11 @@ func RunEnsemble(ctx context.Context, p *Plan, cfg RunConfig) (*Ensemble, error)
 // RunEnsembleFromState is the noise-free fast path: every trajectory shares
 // one already-simulated ideal state, so the trajectory loop only samples
 // (with readout error, through one shared sampler, which reads st at every
-// draw — nothing here writes it) and measures. core's
-// SimulateNoisy routes zero-noise ensembles here, keeping them bit-for-bit
-// identical to ideal simulation while still honoring the trajectory-split
-// sampling and per-trajectory seeded RNGs of the noisy path.
+// draw — nothing here writes it) and measures. core's Evaluate routes
+// ensembles whose plan has no channel insertions (a readout-only model)
+// here, keeping their state bit-for-bit identical to ideal simulation while
+// still honoring the trajectory-split sampling and per-trajectory seeded
+// RNGs of the noisy path.
 func RunEnsembleFromState(ctx context.Context, st *sv.State, ro *Readout, cfg RunConfig) (*Ensemble, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(st.N); err != nil {
@@ -317,7 +306,7 @@ func RunEnsembleFromState(ctx context.Context, st *sv.State, ro *Readout, cfg Ru
 	// Every trajectory is the same pure state: the means are exact and the
 	// trajectory spread is identically zero.
 	r := measure(&cfg, st)
-	ens.HasExpectation, ens.Expectation, ens.Marginals = cfg.Qubits != nil, r.exp, r.marg
+	ens.Marginals = r.marg
 	for _, v := range r.obs {
 		ens.Observables = append(ens.Observables, ObservableStat{Mean: v})
 	}
@@ -329,7 +318,6 @@ func RunEnsembleFromState(ctx context.Context, st *sv.State, ro *Readout, cfg Ru
 // Event-free trajectories of one worker alias the same obs/marg slices (the
 // ideal state's), so the fold only reads them.
 type trajResult struct {
-	exp   float64
 	obs   []float64
 	marg  [][]float64
 	stats TrajStats
@@ -470,9 +458,6 @@ func (w *ensembleWorker) run(t int, ev event) (trajResult, error) {
 // state (they draw nothing from the rng).
 func measure(cfg *RunConfig, st *sv.State) trajResult {
 	var r trajResult
-	if cfg.Qubits != nil {
-		r.exp = st.ExpectationPauliZString(cfg.Qubits)
-	}
 	if len(cfg.Observables) > 0 {
 		r.obs = make([]float64, len(cfg.Observables))
 		for k, ob := range cfg.Observables {
@@ -553,7 +538,6 @@ func runTrajectories(ctx context.Context, cfg RunConfig, p *Plan) (*Ensemble, er
 // chunking; the caller adds the counts.
 func foldResults(cfg RunConfig, results []trajResult) *Ensemble {
 	ens := &Ensemble{Trajectories: len(results)}
-	wantExp := cfg.Qubits != nil
 	numObs := len(cfg.Observables)
 	var cur *Moment
 	for t := range results {
@@ -575,10 +559,6 @@ func foldResults(cfg RunConfig, results []trajResult) *Ensemble {
 			cur = &ens.Moments[len(ens.Moments)-1]
 		}
 		cur.Count++
-		if wantExp {
-			cur.Exp[0] += r.exp
-			cur.Exp[1] += r.exp * r.exp
-		}
 		for k, v := range r.obs {
 			cur.Obs[k][0] += v
 			cur.Obs[k][1] += v * v
@@ -591,11 +571,6 @@ func foldResults(cfg RunConfig, results []trajResult) *Ensemble {
 		}
 	}
 	agg := AggregateMoments(ens.Moments)
-	if wantExp {
-		ens.HasExpectation = true
-		ens.Expectation = agg.Expectation.Mean
-		ens.StdErr = agg.Expectation.StdErr
-	}
 	ens.Observables = agg.Observables
 	ens.Marginals = agg.Marginals
 	return ens
@@ -606,9 +581,6 @@ func foldResults(cfg RunConfig, results []trajResult) *Ensemble {
 type MomentStats struct {
 	// Trajectories is the summed chunk Count.
 	Trajectories int
-	// Expectation is the legacy Z-string mean ± stderr (meaningful only
-	// when that readout was tracked by the run).
-	Expectation ObservableStat
 	// Observables and Marginals follow the request order the moments were
 	// built with.
 	Observables []ObservableStat
@@ -627,7 +599,6 @@ func AggregateMoments(ms []Moment) MomentStats {
 		return out
 	}
 	numObs := len(ms[0].Obs)
-	var expSum, expSq float64
 	obsSum := make([]float64, numObs)
 	obsSq := make([]float64, numObs)
 	margSum := make([][]float64, len(ms[0].Marg))
@@ -636,8 +607,6 @@ func AggregateMoments(ms []Moment) MomentStats {
 	}
 	for _, m := range ms {
 		out.Trajectories += m.Count
-		expSum += m.Exp[0]
-		expSq += m.Exp[1]
 		for k := range m.Obs {
 			obsSum[k] += m.Obs[k][0]
 			obsSq[k] += m.Obs[k][1]
@@ -649,7 +618,6 @@ func AggregateMoments(ms []Moment) MomentStats {
 		}
 	}
 	T := out.Trajectories
-	out.Expectation = meanStdErr(expSum, expSq, T)
 	if numObs > 0 {
 		out.Observables = make([]ObservableStat, numObs)
 		for k := range out.Observables {
@@ -729,25 +697,15 @@ func MergeEnsembles(parts []*Ensemble) (*Ensemble, error) {
 		}
 		out.Moments = append(out.Moments, p.Moments...)
 	}
-	first := parts[0]
 	if out.NoiseFree {
 		// Every part evaluated the same ideal state, so the exact readouts
 		// are identical across parts; only the sampled counts differ.
-		out.HasExpectation = first.HasExpectation
-		out.Expectation = first.Expectation
-		out.StdErr = first.StdErr
-		out.Observables = first.Observables
-		out.Marginals = first.Marginals
+		out.Observables, out.Marginals = parts[0].Observables, parts[0].Marginals
 		return out, nil
 	}
 	agg := AggregateMoments(out.Moments)
 	if agg.Trajectories != out.Trajectories {
 		return nil, fmt.Errorf("noise: merged moments cover %d trajectories, parts report %d", agg.Trajectories, out.Trajectories)
-	}
-	out.HasExpectation = first.HasExpectation
-	if out.HasExpectation {
-		out.Expectation = agg.Expectation.Mean
-		out.StdErr = agg.Expectation.StdErr
 	}
 	out.Observables = agg.Observables
 	out.Marginals = agg.Marginals
@@ -762,9 +720,6 @@ func (e *Ensemble) String() string {
 	}
 	if e.Shots > 0 {
 		s += fmt.Sprintf(", %d shots over %d outcomes", e.Shots, len(e.Counts))
-	}
-	if e.HasExpectation {
-		s += fmt.Sprintf(", ⟨Z…⟩ = %.6f ± %.6f", e.Expectation, e.StdErr)
 	}
 	return s
 }

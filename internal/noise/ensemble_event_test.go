@@ -43,7 +43,6 @@ func eventTestConfig(offset, n, total, workers int) RunConfig {
 	return RunConfig{
 		Trajectories: n, Offset: offset, Total: total,
 		Seed: 7, Workers: workers, Shots: 3 * total,
-		Qubits:      []int{0, 1},
 		Observables: []sv.PauliString{{Ops: "ZZ", Qubits: []int{0, 1}}, {Coeff: -0.5, Ops: "XY", Qubits: []int{2, 4}}},
 		Marginals:   [][]int{{0, 3}, {5}},
 	}
@@ -73,7 +72,7 @@ func independentReplays(t *testing.T, p *Plan, cfg RunConfig) *Ensemble {
 			}
 			shots += n
 		}
-		r := trajResult{stats: stats, exp: st.ExpectationPauliZString(cfg.Qubits)}
+		r := trajResult{stats: stats}
 		for _, ob := range cfg.Observables {
 			r.obs = append(r.obs, st.ExpectationPauliString(ob))
 		}

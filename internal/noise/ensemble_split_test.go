@@ -27,7 +27,6 @@ func splitTestConfig(offset, n, total int) RunConfig {
 	return RunConfig{
 		Trajectories: n, Offset: offset, Total: total,
 		Seed: 42, Workers: 3, Shots: 2048,
-		Qubits:      []int{0, 1},
 		Observables: []sv.PauliString{{Ops: "ZZ", Qubits: []int{0, 1}}, {Coeff: 0.5, Ops: "X", Qubits: []int{2}}},
 		Marginals:   [][]int{{0, 2}},
 	}
@@ -36,8 +35,8 @@ func splitTestConfig(offset, n, total int) RunConfig {
 // TestEnsembleSplitMergeBitIdentical is the cluster fan-out contract at
 // the noise layer: chunk-aligned sub-range runs merged with
 // MergeEnsembles reproduce the full single run bit-for-bit — counts,
-// executed shots, mean ± stderr for the Z-string and every observable,
-// and marginal distributions.
+// executed shots, mean ± stderr for every observable, and marginal
+// distributions.
 func TestEnsembleSplitMergeBitIdentical(t *testing.T) {
 	plan := splitTestPlan(t)
 	const total = 512
@@ -68,10 +67,6 @@ func TestEnsembleSplitMergeBitIdentical(t *testing.T) {
 	}
 	if !sameCounts(merged.Counts, full.Counts) {
 		t.Fatal("merged counts differ from the full run")
-	}
-	if merged.Expectation != full.Expectation || merged.StdErr != full.StdErr {
-		t.Fatalf("merged expectation %v±%v, full %v±%v",
-			merged.Expectation, merged.StdErr, full.Expectation, full.StdErr)
 	}
 	if len(merged.Observables) != len(full.Observables) {
 		t.Fatalf("merged %d observables, full %d", len(merged.Observables), len(full.Observables))

@@ -107,7 +107,7 @@ func (m *Model) AddRule(r Rule) *Model {
 
 // IsZero reports whether the model has no effect at all: every channel is
 // the identity and there is no (effective) readout error. Simulate accepts
-// zero models; SimulateNoisy with one reduces to ideal simulation.
+// zero models; Evaluate with one reduces to ideal simulation.
 func (m *Model) IsZero() bool {
 	if m == nil {
 		return true

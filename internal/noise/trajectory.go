@@ -20,8 +20,6 @@ type CompileOptions struct {
 	// only decorates e.g. cx gates still fuses the single-qubit stretches
 	// between them. Default off; executors pass their own policy.
 	Fuse bool
-	// MaxFuseQubits caps fused-block support (0 = fuse defaults).
-	MaxFuseQubits int
 	// ForceKraus disables the Pauli fast path: every channel runs through
 	// exact norm-weighted Kraus selection. The two unravelings agree in
 	// distribution; this knob exists for differential tests and the
@@ -83,8 +81,8 @@ func (p *Plan) Blocks() int { return p.blocks }
 
 // NoiseFree reports whether the plan has no channel insertions at all —
 // every trajectory would produce the ideal state, so callers should run the
-// ideal executors once instead (core.SimulateNoisy does exactly that,
-// keeping zero-noise runs bit-for-bit identical to ideal simulation).
+// ideal executors once instead (core.Evaluate does exactly that, keeping
+// zero-noise runs bit-for-bit identical to ideal simulation).
 func (p *Plan) NoiseFree() bool { return p.locations == 0 }
 
 // Readout returns the effective readout error (nil when absent).
@@ -145,7 +143,7 @@ func Compile(c *circuit.Circuit, m *Model, opts CompileOptions) (*Plan, error) {
 		st := step{}
 		var err error
 		if opts.Fuse {
-			if st.blocks, err = fuse.Fuse(run, fuse.Options{MaxQubits: opts.MaxFuseQubits}); err != nil {
+			if st.blocks, err = fuse.Fuse(run, fuse.Options{}); err != nil {
 				return err
 			}
 			st.ops, err = fuse.Plan(st.blocks, c.NumQubits)
@@ -181,7 +179,7 @@ func Compile(c *circuit.Circuit, m *Model, opts CompileOptions) (*Plan, error) {
 		return nil, err
 	}
 	if opts.Fuse {
-		if err := p.segment(opts.MaxFuseQubits); err != nil {
+		if err := p.segment(); err != nil {
 			return nil, err
 		}
 	}
@@ -193,7 +191,7 @@ func Compile(c *circuit.Circuit, m *Model, opts CompileOptions) (*Plan, error) {
 // of gate steps between them is fused in gate order, and every fused block
 // that starts and ends on gate-step boundaries and spans two or more gate
 // steps — so Pauli-type sites lie between its gates — becomes a segment.
-func (p *Plan) segment(maxQubits int) error {
+func (p *Plan) segment() error {
 	var gates []gate.Gate
 	var at, bounds []int // a stretch's gate steps, and where each one's gates start in gates
 	stretch := func() error {
@@ -202,7 +200,7 @@ func (p *Plan) segment(maxQubits int) error {
 			return nil
 		}
 		bounds = append(bounds, len(gates))
-		blocks, err := fuse.Fuse(gates, fuse.Options{MaxQubits: maxQubits, NoReorder: true})
+		blocks, err := fuse.Fuse(gates, fuse.Options{NoReorder: true})
 		if err != nil {
 			return err
 		}

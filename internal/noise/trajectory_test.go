@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/gate"
+	"hisvsim/internal/sv"
 )
 
 // idChain returns a circuit of k identity gates on qubit 0 of an n-qubit
@@ -19,6 +21,11 @@ func idChain(n, k int) *circuit.Circuit {
 		c.Append(gate.ID(0))
 	}
 	return c
+}
+
+// zString is the one observable ⟨∏ Z_q⟩ over the listed qubits.
+func zString(qubits ...int) []sv.PauliString {
+	return []sv.PauliString{{Ops: strings.Repeat("Z", len(qubits)), Qubits: qubits}}
 }
 
 func TestCompileStructure(t *testing.T) {
@@ -93,7 +100,7 @@ func TestEnsembleSeededDeterminism(t *testing.T) {
 	}
 	run := func(workers int) *Ensemble {
 		e, err := RunEnsemble(context.Background(), plan, RunConfig{
-			Trajectories: 40, Seed: 99, Workers: workers, Shots: 400, Qubits: []int{0, 1},
+			Trajectories: 40, Seed: 99, Workers: workers, Shots: 400, Observables: zString(0, 1),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +114,7 @@ func TestEnsembleSeededDeterminism(t *testing.T) {
 	if !sameCounts(a.Counts, c4.Counts) {
 		t.Fatal("worker count changed the counts")
 	}
-	if a.Expectation != c4.Expectation || a.StdErr != c4.StdErr {
+	if a.Observables[0] != c4.Observables[0] {
 		t.Fatal("worker count changed the expectation reduction")
 	}
 	total := 0
@@ -159,21 +166,22 @@ func TestDepolarizingZDecay(t *testing.T) {
 			t.Fatal(err)
 		}
 		ens, err := RunEnsemble(context.Background(), plan, RunConfig{
-			Trajectories: traj, Seed: 7, Qubits: []int{0},
+			Trajectories: traj, Seed: 7, Observables: zString(0),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ens.HasExpectation {
+		if len(ens.Observables) != 1 {
 			t.Fatal("no expectation computed")
 		}
-		tol := 6 * ens.StdErr
+		z := ens.Observables[0]
+		tol := 6 * z.StdErr
 		if tol < 1e-6 {
-			t.Fatalf("suspicious stderr %g", ens.StdErr)
+			t.Fatalf("suspicious stderr %g", z.StdErr)
 		}
-		if math.Abs(ens.Expectation-want) > tol {
+		if math.Abs(z.Mean-want) > tol {
 			t.Fatalf("forceKraus=%v: ⟨Z⟩ = %.4f ± %.4f, analytic %.4f (off by > 6σ)",
-				force, ens.Expectation, ens.StdErr, want)
+				force, z.Mean, z.StdErr, want)
 		}
 		if force && ens.Stats.PauliApplied != 0 {
 			t.Fatal("ForceKraus still used the Pauli path")
@@ -204,7 +212,7 @@ func TestAmplitudeDampingDecay(t *testing.T) {
 		t.Fatal(err)
 	}
 	ens, err := RunEnsemble(context.Background(), plan, RunConfig{
-		Trajectories: traj, Seed: 13, Qubits: []int{0},
+		Trajectories: traj, Seed: 13, Observables: zString(0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,9 +220,9 @@ func TestAmplitudeDampingDecay(t *testing.T) {
 	if ens.Stats.KrausApplied != int64(traj*k) {
 		t.Fatalf("KrausApplied = %d, want %d", ens.Stats.KrausApplied, traj*k)
 	}
-	if math.Abs(ens.Expectation-want) > 6*ens.StdErr+1e-9 {
+	if z := ens.Observables[0]; math.Abs(z.Mean-want) > 6*z.StdErr+1e-9 {
 		t.Fatalf("⟨Z⟩ = %.4f ± %.4f, analytic %.4f (off by > 6σ)",
-			ens.Expectation, ens.StdErr, want)
+			z.Mean, z.StdErr, want)
 	}
 }
 
@@ -261,32 +269,32 @@ func TestPhaseDampingUnravelingsAgree(t *testing.T) {
 	}
 	c.Append(gate.H(0)) // H·(dephasing)·H: Z-decay becomes visible in ⟨Z⟩
 	model := OnGates(PhaseDamping(0.2), "id")
-	run := func(force bool) *Ensemble {
+	run := func(force bool) ObservableStat {
 		plan, err := Compile(c, model, CompileOptions{Fuse: true, ForceKraus: force})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ens, err := RunEnsemble(context.Background(), plan, RunConfig{
-			Trajectories: 3000, Seed: 21, Qubits: []int{0},
+			Trajectories: 3000, Seed: 21, Observables: zString(0),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ens
+		return ens.Observables[0]
 	}
 	pauli, kraus := run(false), run(true)
 	// Analytic: after 6 dephasing steps the coherence scales by (1−γ)^(6/2)
 	// = √(1−γ)^6, and the final H maps it to ⟨Z⟩.
 	want := math.Pow(math.Sqrt(1-0.2), 6)
-	for _, e := range []*Ensemble{pauli, kraus} {
-		if math.Abs(e.Expectation-want) > 6*e.StdErr+1e-9 {
-			t.Fatalf("⟨Z⟩ = %.4f ± %.4f, analytic %.4f", e.Expectation, e.StdErr, want)
+	for _, z := range []ObservableStat{pauli, kraus} {
+		if math.Abs(z.Mean-want) > 6*z.StdErr+1e-9 {
+			t.Fatalf("⟨Z⟩ = %.4f ± %.4f, analytic %.4f", z.Mean, z.StdErr, want)
 		}
 	}
 	tol := 6 * math.Hypot(pauli.StdErr, kraus.StdErr)
-	if math.Abs(pauli.Expectation-kraus.Expectation) > tol {
+	if math.Abs(pauli.Mean-kraus.Mean) > tol {
 		t.Fatalf("unravelings disagree: Pauli %.4f ± %.4f vs Kraus %.4f ± %.4f",
-			pauli.Expectation, pauli.StdErr, kraus.Expectation, kraus.StdErr)
+			pauli.Mean, pauli.StdErr, kraus.Mean, kraus.StdErr)
 	}
 }
 

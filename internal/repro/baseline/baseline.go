@@ -55,8 +55,6 @@ type Config struct {
 	// Fuse coalesces runs of fully-local gates between communication points
 	// into fused blocks (gates touching a global qubit stay per-gate).
 	Fuse bool
-	// MaxFuseQubits caps fused-block support (0 = fuse default).
-	MaxFuseQubits int
 }
 
 // Result of a baseline run.
@@ -110,7 +108,7 @@ func Run(c *circuit.Circuit, cfg Config) (*Result, error) {
 			if runStart < 0 {
 				return nil
 			}
-			blocks, err := fuse.Fuse(gates[runStart:end], fuse.Options{MaxQubits: cfg.MaxFuseQubits})
+			blocks, err := fuse.Fuse(gates[runStart:end], fuse.Options{})
 			if err != nil {
 				return err
 			}

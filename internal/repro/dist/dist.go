@@ -45,8 +45,6 @@ type Config struct {
 	GatherResult bool
 	// NoFuse disables gate fusion between communication points.
 	NoFuse bool
-	// MaxFuseQubits caps fused-block support (0 = fuse default).
-	MaxFuseQubits int
 }
 
 // Result of a distributed run.
@@ -239,7 +237,7 @@ func schedule(pl *partition.Plan, l int, cfg Config) ([]step, []int, int, error)
 		}
 		st.gates = gates
 		if !cfg.NoFuse {
-			blocks, err := fuse.Fuse(gates, fuse.Options{MaxQubits: cfg.MaxFuseQubits})
+			blocks, err := fuse.Fuse(gates, fuse.Options{})
 			if err != nil {
 				return nil, nil, 0, fmt.Errorf("dist: part %d: %w", part.Index, err)
 			}

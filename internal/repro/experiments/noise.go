@@ -15,6 +15,7 @@ import (
 	"hisvsim/internal/bench"
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/noise"
+	"hisvsim/internal/sv"
 )
 
 // NoiseConfig scales the noise benchmark.
@@ -149,7 +150,7 @@ func NoiseBench(cfg NoiseConfig) (*NoiseReport, error) {
 			start := time.Now()
 			ens, err := noise.RunEnsemble(ctx, p, noise.RunConfig{
 				Trajectories: cfg.Trajectories, Seed: cfg.Seed, Workers: workers,
-				Qubits: []int{0},
+				Observables: []sv.PauliString{{Ops: "Z", Qubits: []int{0}}},
 			})
 			if err != nil {
 				return 0, 0, err

@@ -193,11 +193,11 @@ func TestCapabilityEnforcementAtSubmit(t *testing.T) {
 	}
 }
 
-// TestHTTPDMNoisyRunAndCapability400s: the dm engine over the wire — a
+// TestHTTPDMNoisyJobAndCapability400s: the dm engine over the wire — a
 // noisy "run" job with the correlated two-qubit channel succeeds with
 // trajectories 0, capability mismatches are 400s at submit, and
 // /v1/backends surfaces the noise capability and qubit cap.
-func TestHTTPDMNoisyRunAndCapability400s(t *testing.T) {
+func TestHTTPDMNoisyJobAndCapability400s(t *testing.T) {
 	s, srv := newHTTPTest(t)
 	resp, body := postJSON(t, srv.URL+"/v1/jobs", `{
 		"circuit": {"family": "ising", "qubits": 6},

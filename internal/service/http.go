@@ -266,20 +266,19 @@ func (w *wireNoise) toModel() (*noise.Model, error) {
 
 // wireOptions mirrors the semantically relevant core.Options fields.
 type wireOptions struct {
-	Backend       string `json:"backend,omitempty"` // "flat", "hier", "dm" ("" = "hier")
-	Strategy      string `json:"strategy,omitempty"`
-	Lm            int    `json:"lm,omitempty"`
-	Workers       int    `json:"workers,omitempty"`
-	Fuse          string `json:"fuse,omitempty"` // "auto" (default), "on", "off"
-	MaxFuseQubits int    `json:"max_fuse_qubits,omitempty"`
-	Seed          int64  `json:"seed,omitempty"`
+	Backend  string `json:"backend,omitempty"` // "flat", "hier", "dm" ("" = "hier")
+	Strategy string `json:"strategy,omitempty"`
+	Lm       int    `json:"lm,omitempty"`
+	Workers  int    `json:"workers,omitempty"`
+	Fuse     string `json:"fuse,omitempty"` // "auto" (default), "on", "off"
+	Seed     int64  `json:"seed,omitempty"`
 }
 
 func (o wireOptions) toCore() (core.Options, error) {
 	out := core.Options{
 		Backend:  o.Backend,
 		Strategy: o.Strategy, Lm: o.Lm,
-		Workers: o.Workers, MaxFuseQubits: o.MaxFuseQubits, Seed: o.Seed,
+		Workers: o.Workers, Seed: o.Seed,
 	}
 	switch o.Fuse {
 	case "", "auto":

@@ -145,6 +145,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run", "readouts": {"shots": 4},
 		  "options": {"ranks": 2}}`, // removed option
 		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run", "readouts": {"shots": 4},
+		  "options": {"max_fuse_qubits": 3}}`, // removed option
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run", "readouts": {"shots": 4},
 		  "options": {"backend": "dist"}}`, // removed engine
 		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run", "readouts": {"shots": 4},
 		  "options": {"backend": "baseline"}}`, // removed engine

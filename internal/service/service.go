@@ -1274,7 +1274,7 @@ func (s *Service) resolveEnsemble(j *job) (source, error) {
 	req := j.req
 	width, release := s.widen(0)
 	defer release()
-	run := req.Readouts.NoisyRunConfig(width)
+	run := req.Readouts.EnsembleConfig(width)
 	j.trace.Begin(stageCompile)
 	plan, hit, err := s.noisePlanFor(j)
 	if err != nil {
@@ -1455,7 +1455,7 @@ func (s *Service) densityFor(j *job, plan *noise.Plan) (*dm.Density, bool, error
 // excluded — ρ is seed-free; only sampling consumes the request seed — and
 // so are Strategy/Lm, which the unpartitioned engine never reads.
 func dmKey(c *circuit.Circuit, o core.Options, m *noise.Model) string {
-	return fmt.Sprintf("dm|%s|f=%t mf=%d", c.FingerprintWith(m.Hash()), o.Fuse.Enabled(), o.MaxFuseQubits)
+	return fmt.Sprintf("dm|%s|f=%t", c.FingerprintWith(m.Hash()), o.Fuse.Enabled())
 }
 
 // noisePlanEntry wraps a compiled trajectory plan for the LRU cache.
@@ -1472,9 +1472,7 @@ func (e *noisePlanEntry) cost() int64 { return e.plan.MemoryBytes() }
 // burst of statevector jobs evict every compiled plan.
 func (s *Service) noisePlanFor(j *job) (*noise.Plan, bool, error) {
 	e, hit, err := cachedCompute(s, j, s.planCache, noisePlanKey(j.req.Circuit, j.req.Options, j.req.Noise), func() (*noisePlanEntry, error) {
-		plan, err := noise.Compile(j.req.Circuit, j.req.Noise, noise.CompileOptions{
-			Fuse: j.req.Options.Fuse.Enabled(), MaxFuseQubits: j.req.Options.MaxFuseQubits,
-		})
+		plan, err := noise.Compile(j.req.Circuit, j.req.Noise, noise.CompileOptions{Fuse: j.req.Options.Fuse.Enabled()})
 		if err != nil {
 			return nil, err
 		}
@@ -1523,7 +1521,7 @@ func (s *Service) parseProgram(src string) (*circuit.Circuit, error) {
 // Strategy/Lm, which only steer the zero-noise ideal path (keyed
 // separately by cacheKey).
 func noisePlanKey(c *circuit.Circuit, o core.Options, m *noise.Model) string {
-	return fmt.Sprintf("noise|%s|f=%t mf=%d", c.FingerprintWith(m.Hash()), o.Fuse.Enabled(), o.MaxFuseQubits)
+	return fmt.Sprintf("noise|%s|f=%t", c.FingerprintWith(m.Hash()), o.Fuse.Enabled())
 }
 
 // cacheKey is the content address of one simulation: the circuit
@@ -1535,6 +1533,6 @@ func noisePlanKey(c *circuit.Circuit, o core.Options, m *noise.Model) string {
 // default share entries while e.g. "flat" (whose float schedule differs)
 // gets its own.
 func cacheKey(c *circuit.Circuit, o core.Options, backendName string) string {
-	return fmt.Sprintf("%s|b=%s s=%s lm=%d f=%t mf=%d seed=%d",
-		c.Fingerprint(), backendName, o.Strategy, o.Lm, o.Fuse.Enabled(), o.MaxFuseQubits, o.Seed)
+	return fmt.Sprintf("%s|b=%s s=%s lm=%d f=%t seed=%d",
+		c.Fingerprint(), backendName, o.Strategy, o.Lm, o.Fuse.Enabled(), o.Seed)
 }

@@ -182,10 +182,9 @@ func (e *templateEntry) cost() int64 {
 // Every real compile bumps Stats.TemplateCompiles — the counter the sweep
 // acceptance gate watches — and concurrent misses share one compile.
 func (s *Service) templateFor(j *job) (*fuse.Template, bool, error) {
-	mf := j.req.Options.MaxFuseQubits
-	e, hit, err := cachedCompute(s, j, s.planCache, fmt.Sprintf("tpl|%s|mf=%d", j.req.Circuit.Fingerprint(), mf), func() (*templateEntry, error) {
+	e, hit, err := cachedCompute(s, j, s.planCache, "tpl|"+j.req.Circuit.Fingerprint(), func() (*templateEntry, error) {
 		s.m.templateCompiles.Inc()
-		tpl, err := fuse.CompileTemplate(j.req.Circuit, fuse.Options{MaxQubits: mf})
+		tpl, err := fuse.CompileTemplate(j.req.Circuit, fuse.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -203,8 +202,7 @@ func (s *Service) templateFor(j *job) (*fuse.Template, bool, error) {
 // economics stateFor gives concrete circuits. Options.Workers is not part
 // of the key: every kernel is bit-identical across worker counts.
 func (s *Service) templateEntryFor(j *job, env map[string]float64) (*cacheEntry, bool, error) {
-	key := fmt.Sprintf("tplrun|%s|%s|mf=%d",
-		j.req.Circuit.Fingerprint(), circuit.BindingDigest(env), j.req.Options.MaxFuseQubits)
+	key := fmt.Sprintf("tplrun|%s|%s", j.req.Circuit.Fingerprint(), circuit.BindingDigest(env))
 	return cachedCompute(s, j, s.cache, key, func() (*cacheEntry, error) {
 		j.trace.Begin(stageCompile)
 		tpl, _, err := s.templateFor(j)

@@ -11,11 +11,16 @@ W1_ADDR="${HISVSIM_W1_ADDR:-127.0.0.1:8795}"
 W2_ADDR="${HISVSIM_W2_ADDR:-127.0.0.1:8796}"
 CO_ADDR="${HISVSIM_CO_ADDR:-127.0.0.1:8797}"
 BASE="http://$CO_ADDR"
-BINDIR="$(mktemp -d)"
-BIN="$BINDIR/hisvsimd"
-LOG1="$(mktemp)"
-LOG2="$(mktemp)"
-LOGC="$(mktemp)"
+# The binary and the three daemon logs live in one scratch directory,
+# removed on exit whether the run passes or fails (a failure prints the logs
+# it needs first).
+WORK="$(mktemp -d)"
+BIN="$WORK/hisvsimd"
+LOG1="$WORK/worker1.log"
+LOG2="$WORK/worker2.log"
+LOGC="$WORK/coordinator.log"
+W1_PID= W2_PID= CO_PID=
+trap 'for p in $W1_PID $W2_PID $CO_PID; do kill "$p" 2>/dev/null || true; done; rm -rf "$WORK"' EXIT
 
 go build -o "$BIN" ./cmd/hisvsimd
 
@@ -23,7 +28,6 @@ go build -o "$BIN" ./cmd/hisvsimd
 W1_PID=$!
 "$BIN" -addr "$W2_ADDR" -workers 2 >"$LOG2" 2>&1 &
 W2_PID=$!
-trap 'kill "$W1_PID" "$W2_PID" "$CO_PID" 2>/dev/null || true' EXIT
 
 wait_healthy() {
     i=0
@@ -199,6 +203,7 @@ FAULT_BODY='{
 FID="$(curl -fsS "$BASE/v1/jobs" -d "$FAULT_BODY" | jq -r .id)"
 sleep 0.5
 kill -9 "$W2_PID" 2>/dev/null || true
+W2_PID=
 echo "cluster-smoke: killed worker2 mid-ensemble"
 
 FRES="$(curl -fsS --max-time 300 "$BASE/v1/jobs/$FID/result?wait=240s")"
@@ -247,5 +252,5 @@ if ! wait "$CO_PID"; then
 fi
 kill -TERM "$W1_PID" 2>/dev/null || true
 wait "$W1_PID" 2>/dev/null || true
-trap - EXIT
+W1_PID= CO_PID=
 echo "cluster-smoke: OK (2-worker ring, split ensemble, stitched trace, sticky routing, metrics federation, backends listing, cancel reaching every sub-job, mid-ensemble worker kill survived via retry, dead worker evicted, graceful drain)"

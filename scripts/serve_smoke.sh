@@ -8,10 +8,15 @@ set -eu
 
 ADDR="${HISVSIMD_ADDR:-127.0.0.1:8791}"
 BASE="http://$ADDR"
-BINDIR="$(mktemp -d)"
-BIN="$BINDIR/hisvsimd"
-CLI="$BINDIR/hisvsim"
-LOG="$(mktemp)"
+# Binaries, the daemon log and response bodies all live in one scratch
+# directory, removed on exit whether the run passes or fails (a failure
+# prints what it needs first).
+WORK="$(mktemp -d)"
+BIN="$WORK/hisvsimd"
+CLI="$WORK/hisvsim"
+LOG="$WORK/hisvsimd.log"
+PID=
+trap 'if [ -n "$PID" ]; then kill "$PID" 2>/dev/null || true; fi; rm -rf "$WORK"' EXIT
 
 go build -o "$BIN" ./cmd/hisvsimd
 go build -o "$CLI" ./cmd/hisvsim
@@ -28,7 +33,6 @@ done
 
 "$BIN" -addr "$ADDR" -workers 2 >"$LOG" 2>&1 &
 PID=$!
-trap 'kill "$PID" 2>/dev/null || true' EXIT
 
 # Wait for liveness.
 i=0
@@ -155,7 +159,7 @@ fi
 
 # The v1 single-readout kinds are gone: the old body shape is a 400 naming
 # the kinds that exist, and /v1/stats no longer carries shim_hits.
-V1BODY="$(mktemp)"
+V1BODY="$WORK/v1-body.json"
 V1CODE="$(curl -s -o "$V1BODY" -w '%{http_code}' "$BASE/v1/jobs" -d '{
     "circuit": {"family": "ising", "qubits": 10},
     "kind": "expectation", "qubits": [0, 1]
@@ -170,7 +174,6 @@ if [ "$V1CODE" != 400 ] || [ "$V1KIND" != 400 ] || [ "$SHIM" != false ]; then
     cat "$V1BODY" >&2
     exit 1
 fi
-rm -f "$V1BODY"
 
 # A noisy trajectory-ensemble job: counts add up and the shot total holds.
 NID="$(curl -fsS "$BASE/v1/jobs" -d '{
@@ -279,7 +282,7 @@ fi
 
 # Binding validation is a 400 at submit: running the same template with
 # only gamma bound must be rejected naming the unbound symbol.
-UBODY="$(mktemp)"
+UBODY="$WORK/unbound-body.json"
 UCODE="$(curl -s -o "$UBODY" -w '%{http_code}' "$BASE/v1/jobs" -d '{
     "circuit": {"qasm": "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\nrz(gamma) q[0];\nrx(beta) q[1];\n"},
     "kind": "run",
@@ -291,12 +294,11 @@ if [ "$UCODE" != 400 ] || ! grep -q beta "$UBODY"; then
     cat "$UBODY" >&2
     exit 1
 fi
-rm -f "$UBODY"
 
 # The Prometheus exposition reflects everything this script just did:
 # submits by kind, state-cache hits, stage-latency observations, and the
 # queue/worker/HTTP series.
-METRICS="$(mktemp)"
+METRICS="$WORK/metrics.txt"
 curl -fsS "$BASE/metrics" >"$METRICS"
 msum() {
     # Sum the values of every sample whose name (incl. labels) matches $1.
@@ -317,7 +319,6 @@ for series in hisvsim_queue_depth hisvsim_workers hisvsim_workers_busy \
         exit 1
     fi
 done
-rm -f "$METRICS"
 
 # The per-job stage trace: non-empty, starts in queue_wait, and the stage
 # durations tile the job's wall time (within 5%).
@@ -369,5 +370,5 @@ if ! wait "$PID"; then
     cat "$LOG" >&2
     exit 1
 fi
-trap - EXIT
+PID=
 echo "serve-smoke: OK (backends listing, readyz, submit, poll, sample, cache hit, multi-readout run, v1 kinds 400, noisy ensemble, exact dm run, unknown-backend and capability 400s, parameterized sweep, unbound-symbol 400, /metrics scrape, stage trace, kernel profile, graceful shutdown)"

@@ -42,11 +42,12 @@ RACE_REPEATS += ./internal/noise 5 'TestEnsembleEqualsIndependentReplays|TestGat
 # dispatched; those paths race the fan-out.
 RACE_REPEATS += ./internal/cluster 5 'TestClusterCancelPropagates|TestClusterSiblingFailureCancelsSiblings|TestClusterCloseCancelsRunningJobs|TestClusterRejectsRaggedMoments|TestClusterJobPanicIsContained|TestJobAPIParity'
 # The support-aware executor skips sweeps and pins kernels by what the input
-# state holds, in the support-first gate order where that walks fewer
-# amplitudes; its sweep workers share pinned ops read-only. Its equality,
-# formula, order, work and kernel-property tests.
-RACE_REPEATS += ./internal/hier 3 'TestSupportIsTheFormula|TestSupportFormulaSmall|TestExecutorMatchesOracle|TestMetricsAccounting|TestSupportFirstKeepsQubitSequences|TestSupportFirstWithoutClearSlotIsIdentity|TestSupportFirstNeverWalksMore'
-RACE_REPEATS += ./internal/sv 3 'TestClearQubits|TestPinnedKernelsEqualUnpinned|TestPinZeroReplaysEqual|TestPinZeroDense'
+# state holds (read off it, or named by the caller that made it), in the
+# support-first gate order where that walks fewer amplitudes; its sweep
+# workers share pinned ops and their live-run lists read-only. Its equality,
+# formula, order, work, clear-mask and kernel-property tests.
+RACE_REPEATS += ./internal/hier 3 'TestSupportIsTheFormula|TestSupportFormulaSmall|TestExecutorMatchesOracle|TestMetricsAccounting|TestSupportFirstKeepsQubitSequences|TestSupportFirstWithoutClearSlotIsIdentity|TestSupportFirstNeverWalksMore|TestExecutePlanFromKnownClearQubits'
+RACE_REPEATS += ./internal/sv 3 'TestClearQubits|TestPinnedKernelsEqualUnpinned|TestPinZeroReplaysEqual|TestPinZeroDense|TestDiagonalLiveRuns'
 # A cache hit draws its shots through one sampler shared by every job on the
 # entry, each with its own RNG, and writes its body through pooled buffers:
 # the sampler's flat-CDF oracle and the body appender's encoding/json

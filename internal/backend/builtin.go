@@ -98,7 +98,9 @@ func (hierBackend) Run(ctx context.Context, c *circuit.Circuit, spec Spec) (*Exe
 	start = time.Now()
 	st.Workers = spec.Workers
 	st.Prof = prof.FromContext(ctx)
-	m, err := hier.ExecutePlan(pl, st, hier.Options{
+	// The state is |0…0⟩: every qubit is clear, and the executor need not
+	// read 2^n amplitudes to learn that.
+	m, err := hier.ExecutePlanFrom(pl, st, 1<<uint(st.N)-1, hier.Options{
 		Ctx: ctx, Workers: spec.Workers, Fuse: spec.Fuse,
 	})
 	if err != nil {

@@ -34,13 +34,16 @@
 // a view part.
 //
 // Execution follows the state's support. A qubit that every nonzero
-// amplitude of the input has clear (sv.State.ClearQubits), and that no
-// non-diagonal op has targeted since, still reads 0 wherever the state is
-// nonzero. A sweep whose outer index sets such a qubit holds only zeros and
-// is never run (Metrics.SkippedSweeps), and each part's ops are pinned to
-// the support of its still-clear slots (sv.PinZero), so their kernels walk
-// only amplitudes that can be nonzero. Skipping and pinning change no
-// amplitude's arithmetic.
+// amplitude of the input has clear, and that no non-diagonal op has targeted
+// since, still reads 0 wherever the state is nonzero. ExecutePlan reads the
+// input's clear qubits off its amplitudes (sv.State.ClearQubits);
+// ExecutePlanFrom takes them from a caller that knows them, so a state fresh
+// from sv.NewState — every qubit clear — is not read at all. A sweep whose
+// outer index sets such a qubit holds only zeros and is never run
+// (Metrics.SkippedSweeps), and each part's ops are pinned to the support of
+// its still-clear slots (sv.PinZero), so their kernels walk only amplitudes
+// that can be nonzero: a pinned diagonal walks only its live runs. Skipping
+// and pinning change no amplitude's arithmetic.
 //
 // Gate order decides how much of a part runs on a small support, so a part
 // with a clear slot is also lowered in support-first order (supportFirst):
@@ -116,17 +119,29 @@ type Metrics struct {
 
 // ExecutePlan runs every part of the plan against the given outer state.
 // The state must span the plan's circuit; its support is read off its
-// amplitudes, so any state is a valid input.
+// amplitudes (sv.State.ClearQubits), so any state is a valid input.
 func ExecutePlan(pl *partition.Plan, outer *sv.State, opts Options) (*Metrics, error) {
+	return ExecutePlanFrom(pl, outer, outer.ClearQubits(), opts)
+}
+
+// ExecutePlanFrom is ExecutePlan for a caller that knows qubits of the outer
+// state to be clear: every qubit in clearBits must read 0 in every nonzero
+// amplitude of outer. Any subset of outer.ClearQubits() is valid — all
+// qubits for a state fresh from sv.NewState, 0 for any state — and a
+// smaller mask only skips and pins less. The state's amplitudes are not read
+// to check it.
+func ExecutePlanFrom(pl *partition.Plan, outer *sv.State, clearBits int, opts Options) (*Metrics, error) {
 	if pl.Circuit.NumQubits > outer.N {
 		return nil, fmt.Errorf("hier: circuit needs %d qubits, state has %d", pl.Circuit.NumQubits, outer.N)
+	}
+	if clearBits < 0 || clearBits>>uint(outer.N) != 0 {
+		return nil, fmt.Errorf("hier: clear mask %#x names a qubit outside the %d-qubit state", clearBits, outer.N)
 	}
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	m := &Metrics{Parts: pl.NumParts()}
-	clearBits := outer.ClearQubits()
 	for _, part := range pl.Parts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -158,7 +173,7 @@ func Run(c *circuit.Circuit, lm int, s partition.Strategy, opts Options) (*sv.St
 	outer := sv.NewState(c.NumQubits)
 	outer.Workers = opts.Workers
 	outer.Prof = prof.FromContext(opts.Ctx)
-	m, err := ExecutePlan(pl, outer, opts)
+	m, err := ExecutePlanFrom(pl, outer, 1<<uint(outer.N)-1, opts)
 	if err != nil {
 		return nil, nil, err
 	}

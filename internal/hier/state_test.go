@@ -1,12 +1,17 @@
 package hier
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/dag"
+	"hisvsim/internal/gate"
+	"hisvsim/internal/partition"
 	"hisvsim/internal/partition/dagp"
 	"hisvsim/internal/sv"
 )
@@ -70,5 +75,78 @@ func TestExecutePlanOnWiderState(t *testing.T) {
 	}
 	if math.Abs(p-1) > 1e-9 {
 		t.Fatalf("spectator qubits disturbed: subspace probability %v", p)
+	}
+}
+
+// ExecutePlanFrom with every qubit named clear on a fresh |0…0⟩ is
+// ExecutePlan, which reads the same mask off the amplitudes: == amplitudes
+// and == metrics. Any smaller mask is valid too — it skips and pins less
+// (mask 0 skips no sweep), and may change the gate order inside a part
+// (support-first), so the state agrees with the flat reference to rounding.
+func TestExecutePlanFromKnownClearQubits(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, c := range []*circuit.Circuit{circuit.QFT(10), circuit.Ising(10, 2), circuit.CC(10), circuit.Random(9, 60, 3)} {
+		for _, s := range []partition.Strategy{partition.Nat{}, dagp.Partitioner{}} {
+			pl, err := s.Partition(dag.FromCircuit(c), 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := c.NumQubits
+			for _, opts := range []Options{{Fuse: true, Workers: 1}, {Workers: 2}} {
+				name := fmt.Sprintf("%s/%s/fuse=%v", c.Name, s.Name(), opts.Fuse)
+				read, known := sv.NewState(n), sv.NewState(n)
+				mr, err := ExecutePlan(pl, read, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mk, err := ExecutePlanFrom(pl, known, 1<<uint(n)-1, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(read.Amps, known.Amps) || !reflect.DeepEqual(mr, mk) {
+					t.Errorf("%s: the full mask differs from the mask read off |0…0⟩", name)
+				}
+
+				// From |0…0⟩ and from a prepared state clear on some qubits,
+				// with mask 0 and random subsets of its clear qubits.
+				prep := sv.NewState(n)
+				for q := range n {
+					if rng.Intn(2) == 0 {
+						if err := prep.ApplyGate(gate.U3(rng.Float64()*3, rng.Float64()*6, rng.Float64()*6, q)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for _, start := range []*sv.State{sv.NewState(n), prep} {
+					want := start.Clone()
+					if err := want.ApplyCircuit(c); err != nil {
+						t.Fatal(err)
+					}
+					clearBits := start.ClearQubits()
+					for _, mask := range []int{0, clearBits & rng.Int(), clearBits & rng.Int(), clearBits} {
+						got := start.Clone()
+						m, err := ExecutePlanFrom(pl, got, mask, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !got.EqualTol(want, 1e-9) {
+							t.Errorf("%s: clear mask %b of %b: state off the flat reference", name, mask, clearBits)
+						}
+						if mask == 0 && m.SkippedSweeps != 0 {
+							t.Errorf("%s: %d sweeps skipped with no qubit named clear", name, m.SkippedSweeps)
+						}
+					}
+				}
+			}
+		}
+	}
+	pl, err := partition.Nat{}.Partition(dag.FromCircuit(circuit.QFT(4)), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mask := range []int{1 << 5, -1} {
+		if _, err := ExecutePlanFrom(pl, sv.NewState(5), mask, Options{}); err == nil {
+			t.Errorf("clear mask %#x outside a 5-qubit state accepted", mask)
+		}
 	}
 }

@@ -57,9 +57,13 @@ type plan struct {
 	// 2^runBits-amplitude runs that share one diagonal entry; lowTab maps a
 	// run's index within its block to the low bits' share of the diagonal
 	// index (−1 where a low control bit is clear or a low pinned-zero bit
-	// set), the high share is computed once per block.
+	// set), the high share is computed once per block. When some entry is
+	// −1, live lists the other runs in ascending order and the sweep walks
+	// only those: 2^(lowBits−runBits−k) of them under k low control and
+	// pinned-zero bits. It is nil when no entry is −1.
 	lowBits, runBits uint
 	lowTab           []int32
+	live             []int32
 }
 
 // newPlan validates the qubit lists (in range, pairwise distinct) and
@@ -105,9 +109,15 @@ func newPlan(n int, targets, controls []int, diagonal bool, zero int) plan {
 		for i := 1; i < len(p.lowTab); i++ {
 			p.lowTab[i] = p.lowTab[i&(i-1)] | bitOf[bits.TrailingZeros(uint(i))]
 		}
+		if lowCtrl|lowZero == 0 {
+			return p
+		}
+		p.live = make([]int32, 0, len(p.lowTab)>>bits.OnesCount(uint(lowCtrl|lowZero)))
 		for i := range p.lowTab {
 			if i&lowCtrl != lowCtrl || i&lowZero != 0 {
 				p.lowTab[i] = -1
+			} else {
+				p.live = append(p.live, int32(i))
 			}
 		}
 		return p
@@ -322,7 +332,7 @@ func (op Op) Conj() Op {
 
 // TableBytes estimates the resident size of the op's index tables.
 func (op Op) TableBytes() int64 {
-	return int64(8*(len(op.plan.below)+len(op.plan.offs)) + 4*len(op.plan.lowTab))
+	return int64(8*(len(op.plan.below)+len(op.plan.offs)) + 4*(len(op.plan.lowTab)+len(op.plan.live)))
 }
 
 // Amps is the amplitudes one replay of the op is charged, as replay reports
@@ -684,7 +694,8 @@ func (p *plan) swap(amps []complex128, lo, hi int) {
 // diagonal is the streaming phase sweep over blocks [lo, hi) of 2^lowBits
 // amplitudes: amps[i] *= d[high(i) | lowTab[run of i in its block]], with the high
 // share of the diagonal index (and the high control and pinned-zero bits)
-// resolved once per block.
+// resolved once per block. A plan with live runs walks only those; the
+// others hold −1 and are left alone.
 func (p *plan) diagonal(amps, d []complex128, lo, hi int) {
 	hiCtrl, hiZero := p.ctrl&^(1<<p.lowBits-1), p.zero&^(1<<p.lowBits-1)
 	for blk := lo; blk < hi; blk++ {
@@ -699,23 +710,32 @@ func (p *plan) diagonal(amps, d []complex128, lo, hi int) {
 			}
 		}
 		dd := d[h:]
-		if p.runBits == 0 {
+		switch {
+		case p.runBits == 0 && p.live == nil:
 			a := amps[start : start+len(p.lowTab)]
 			for i, t := range p.lowTab {
-				if t >= 0 {
-					a[i] *= dd[t]
-				}
+				a[i] *= dd[t]
 			}
-			continue
-		}
-		for r, t := range p.lowTab {
-			if t >= 0 {
-				c := dd[t]
-				run := amps[start+r<<p.runBits : start+(r+1)<<p.runBits]
-				for i := range run {
-					run[i] *= c
-				}
+		case p.runBits == 0:
+			a := amps[start : start+len(p.lowTab)]
+			for _, i := range p.live {
+				a[i] *= dd[p.lowTab[i]]
+			}
+		case p.live == nil:
+			for r, t := range p.lowTab {
+				scale(amps[start+r<<p.runBits:][:1<<p.runBits], dd[t])
+			}
+		default:
+			for _, r := range p.live {
+				scale(amps[start+int(r)<<p.runBits:][:1<<p.runBits], dd[p.lowTab[r]])
 			}
 		}
+	}
+}
+
+// scale multiplies every amplitude of a run by c.
+func scale(run []complex128, c complex128) {
+	for i := range run {
+		run[i] *= c
 	}
 }

@@ -1,6 +1,7 @@
 package sv
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -34,12 +35,55 @@ func TestClearQubits(t *testing.T) {
 		{"support off qubits 1 and 4", onSupport(6, 1<<1|1<<4, 2), 1<<1 | 1<<4},
 		{"zero vector", NewStateRaw(make([]complex128, 16)), 0b1111},
 		{"no qubits", NewState(0), 0},
+		{"−0 amplitudes read as zero", withAmps(NewState(12), map[int]complex128{
+			3: complex(math.Copysign(0, -1), 0), 1 << 11: complex(0, math.Copysign(0, -1)), 4095: complex(math.Copysign(0, -1), math.Copysign(0, -1)),
+		}), 1<<12 - 1},
+		{"NaN amplitudes read as set", withAmps(NewState(12), map[int]complex128{
+			5: complex(math.NaN(), 0), 1<<10 | 1<<2: complex(0, math.NaN()),
+		}), (1<<12 - 1) &^ (5 | 1<<10 | 1<<2)},
+	}
+	// A lone nonzero at either edge of a chunk, and at the last index.
+	for _, i := range []int{clearChunk - 1, clearChunk, 1<<12 - 1} {
+		s := NewState(12)
+		s.Amps[0], s.Amps[i] = 0, complex(0, 1e-300)
+		cases = append(cases, struct {
+			name string
+			s    *State
+			want int
+		}{fmt.Sprintf("lone nonzero at %d", i), s, (1<<12 - 1) &^ i})
 	}
 	for _, c := range cases {
 		if got := c.s.ClearQubits(); got != c.want {
 			t.Errorf("%s: ClearQubits = %b, want %b", c.name, got, c.want)
 		}
 	}
+	// Random sparse supports against the per-amplitude definition.
+	rng := rand.New(rand.NewSource(9))
+	for n := 0; n <= 14; n++ {
+		for trial := 0; trial < 8; trial++ {
+			s := NewStateRaw(make([]complex128, 1<<uint(n)))
+			for k := rng.Intn(4); k > 0; k-- {
+				s.Amps[rng.Intn(len(s.Amps))] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			set := 0
+			for i, a := range s.Amps {
+				if a != 0 {
+					set |= i
+				}
+			}
+			if got, want := s.ClearQubits(), (1<<uint(n)-1)&^set; got != want {
+				t.Errorf("n%d/trial %d: ClearQubits = %b, want %b", n, trial, got, want)
+			}
+		}
+	}
+}
+
+// withAmps returns s with the given amplitudes overwritten.
+func withAmps(s *State, amps map[int]complex128) *State {
+	for i, a := range amps {
+		s.Amps[i] = a
+	}
+	return s
 }
 
 // pinCases are one op of every kernel shape on n ≥ 12 qubits, with the
@@ -59,6 +103,12 @@ func pinCases(rng *rand.Rand, n int) []struct {
 		}
 		return DiagonalOp(n, qs, d)
 	}
+	// ctrlDiag is a diagonal on qs acting where every control bit is 1.
+	ctrlDiag := func(qs, controls []int) Op {
+		op := diag(qs)
+		op.plan = newPlan(n, qs, controls, true, 0)
+		return op
+	}
 	swap, _ := GateOp(n, gate.SWAP(2, n-2))
 	top := n - 1
 	return []struct {
@@ -76,6 +126,13 @@ func pinCases(rng *rand.Rand, n int) []struct {
 		{"diagonal high pins", diag([]int{1, 7}), []int{1 << 10, 1<<top | 1<<11 | 1<<0}},
 		{"diagonal pinned targets", diag([]int{3, top}), []int{1 << 3, 1 << top, 1<<3 | 1<<top | 1<<5}},
 		{"diagonal runs", diag([]int{5, 11}), []int{1 << 0, 1 << 2, 1<<4 | 1<<10}},
+		// Low control bits mark runs −1 before any pin; pinned low bits
+		// below them walk single amplitudes (runBits 0), above them whole
+		// runs.
+		{"controlled diagonal low", ctrlDiag([]int{6}, []int{1}), []int{1 << 0, 1<<2 | 1<<4, 1<<3 | 1<<top}},
+		{"controlled diagonal runs", ctrlDiag([]int{5}, []int{3}), []int{1 << 2, 1<<4 | 1<<10, 1 << 7}},
+		{"controlled diagonal high control", ctrlDiag([]int{2}, []int{top}), []int{1 << 5, 1 << 0, 1<<3 | 1<<10}},
+		{"controlled diagonal two controls", ctrlDiag([]int{4, 8}, []int{2, 9}), []int{1 << 0, 1<<3 | 1<<11, 1<<6 | 1<<8}},
 		{"swap", swap, []int{1 << 0, 1<<3 | 1<<top, 1 << 11}},
 	}
 }
@@ -122,6 +179,66 @@ func TestPinnedKernelsEqualUnpinned(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestDiagonalLiveRuns pins the live-run list the diagonal sweep walks: nil
+// when no low control or pinned-zero bit marks a run −1, otherwise the runs
+// whose table entry is not −1, ascending — 2^(lowBits−runBits−k) of them for
+// k such bits — and counted in TableBytes.
+func TestDiagonalLiveRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{4, 9, 12, 15} {
+		for trial := 0; trial < 40; trial++ {
+			perm := rng.Perm(n)
+			k, nc := 1+rng.Intn(min(3, n-1)), rng.Intn(min(3, n-3)+1)
+			targets, controls := perm[:k], perm[k:k+nc]
+			zero := 0
+			for _, q := range perm[k+nc:] {
+				if rng.Intn(3) == 0 {
+					zero |= 1 << uint(q)
+				}
+			}
+			if rng.Intn(2) == 0 { // a diagonal is pinned on its own qubits too
+				zero |= 1 << uint(targets[0])
+			}
+			if trial%4 == 0 {
+				controls, zero = nil, 0
+			}
+			p := newPlan(n, targets, controls, true, zero)
+			lowMask := (1<<p.lowBits - 1) &^ (1<<p.runBits - 1)
+			low := bits.OnesCount(uint((p.ctrl | p.zero) & lowMask))
+			name := fmt.Sprintf("n%d targets %v controls %v zero %b (runBits %d)", n, targets, controls, zero, p.runBits)
+			if low == 0 {
+				if p.live != nil {
+					t.Errorf("%s: %d live runs listed with no run marked −1", name, len(p.live))
+				}
+				continue
+			}
+			if want := 1 << (p.lowBits - p.runBits - uint(low)); len(p.live) != want {
+				t.Errorf("%s: %d live runs, want %d", name, len(p.live), want)
+			}
+			next := 0
+			for r, e := range p.lowTab {
+				if e < 0 {
+					continue
+				}
+				if next >= len(p.live) || p.live[next] != int32(r) {
+					t.Fatalf("%s: live runs %v miss run %d", name, p.live, r)
+				}
+				next++
+			}
+			op := Op{plan: p}
+			if got, want := op.TableBytes(), int64(4*(len(p.lowTab)+len(p.live))); got != want {
+				t.Errorf("%s: TableBytes %d, want %d", name, got, want)
+			}
+		}
+	}
+	// The unpinned diagonals every executor lowers keep the plain walk.
+	for _, qs := range [][]int{{0}, {3, 7}, {11, 2, 5}, {14}} {
+		if op := DiagonalOp(15, qs, make([]complex128, 1<<uint(len(qs)))); op.plan.live != nil {
+			t.Errorf("unpinned diagonal on %v lists %d live runs", qs, len(op.plan.live))
 		}
 	}
 }

@@ -61,10 +61,13 @@ func NewStateRaw(amps []complex128) *State {
 
 // ClearQubits returns, as a bit mask, the qubits that read 0 in every
 // nonzero amplitude: all of them for |0…0⟩, none once every qubit is 1 in
-// some nonzero amplitude. It probes amps[1<<q] first, so a dense state costs N reads, and
-// otherwise makes one read pass that stops once every qubit has been seen
-// set. Amps is written directly by callers, so the answer is read off the
-// amplitudes each time rather than remembered.
+// some nonzero amplitude. It probes amps[1<<q] first, so a dense state costs
+// N reads; otherwise it reads the amplitudes in chunks of clearChunk until
+// every qubit has been seen set, and looks at the amplitudes of a chunk one
+// by one only when the chunk holds a nonzero. Amps is written directly by
+// callers, so the answer is read off the amplitudes each time rather than
+// remembered. A caller that has just made |0…0⟩ with NewState knows the
+// answer, every qubit, without the read (see hier.ExecutePlanFrom).
 func (s *State) ClearQubits() int {
 	all := 1<<uint(s.N) - 1
 	set := 0
@@ -73,13 +76,29 @@ func (s *State) ClearQubits() int {
 			set |= 1 << uint(q)
 		}
 	}
-	for i := 0; i < len(s.Amps) && set != all; i++ {
-		if s.Amps[i] != 0 {
-			set |= i
+	for lo := 0; lo < len(s.Amps) && set != all; lo += clearChunk {
+		chunk := s.Amps[lo:min(lo+clearChunk, len(s.Amps))]
+		// The shift drops each part's sign bit, so −0 reads as zero, as it
+		// does to the != test below; a NaN keeps mantissa bits and reads as
+		// set.
+		var or uint64
+		for _, a := range chunk {
+			or |= math.Float64bits(real(a))<<1 | math.Float64bits(imag(a))<<1
+		}
+		if or == 0 {
+			continue
+		}
+		for i, a := range chunk {
+			if a != 0 {
+				set |= lo + i
+			}
 		}
 	}
 	return all &^ set
 }
+
+// clearChunk is how many amplitudes ClearQubits tests for zero at once.
+const clearChunk = 1024
 
 // Clone deep-copies the state.
 func (s *State) Clone() *State {

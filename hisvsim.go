@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"hisvsim/internal/backend"
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/core"
 	"hisvsim/internal/dag"
@@ -104,23 +103,23 @@ func Strategies() []string { return core.StrategyNames() }
 
 // BackendInfo pairs a registered execution backend's name with its
 // capabilities.
-type BackendInfo = backend.Info
+type BackendInfo = core.Info
 
 // BackendCapabilities describes which execution specs a backend accepts.
-type BackendCapabilities = backend.Capabilities
+type BackendCapabilities = core.Capabilities
 
 // Noise capability values for BackendCapabilities.Noise: how an engine
 // serves requests that carry an effective noise model.
 const (
 	// NoiseCapabilityNone marks engines with no noisy path: noisy requests
 	// naming them are rejected at submit.
-	NoiseCapabilityNone = backend.NoiseNone
+	NoiseCapabilityNone = core.NoiseNone
 	// NoiseCapabilityTrajectory marks engines whose noisy requests run as
 	// stochastic trajectory ensembles.
-	NoiseCapabilityTrajectory = backend.NoiseTrajectory
+	NoiseCapabilityTrajectory = core.NoiseTrajectory
 	// NoiseCapabilityExact marks engines that evolve the exact density
 	// matrix: one deterministic superoperator evolution, no ensemble.
-	NoiseCapabilityExact = backend.NoiseExact
+	NoiseCapabilityExact = core.NoiseExact
 )
 
 // Backends lists every registered execution backend ("flat", "hier", "dm")

@@ -1,6 +1,8 @@
 // Package core is the top of the HiSVSIM stack: it wires the partitioners,
 // the execution backends, the noise engines and the read-outs into one
-// engine with a single options surface.
+// engine with a single options surface. It holds the engine table
+// (engine.go) and the one check of what a request may ask (Admit), which
+// the library entry points and the service's submit share.
 package core
 
 import (
@@ -8,7 +10,6 @@ import (
 	"fmt"
 	"time"
 
-	"hisvsim/internal/backend"
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/dm"
 	"hisvsim/internal/hier"
@@ -17,21 +18,6 @@ import (
 	"hisvsim/internal/partition"
 	"hisvsim/internal/sv"
 )
-
-// StrategyNames lists the accepted partitioning strategy names.
-func StrategyNames() []string { return backend.StrategyNames() }
-
-// NewStrategy builds a partitioner by name ("" selects dagp).
-func NewStrategy(name string, seed int64) (partition.Strategy, error) {
-	return backend.NewStrategy(name, seed)
-}
-
-// BackendNames lists the registered execution backends ("flat", "hier",
-// "dm", plus anything Register-ed on top).
-func BackendNames() []string { return backend.Names() }
-
-// Backends lists every registered backend with its capabilities.
-func Backends() []backend.Info { return backend.List() }
 
 // FusePolicy selects whether executors fuse runs of adjacent gates into
 // dense/diagonal blocks. The zero value enables fusion.
@@ -110,63 +96,17 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Re
 	if !opts.Noise.IsZero() {
 		return nil, fmt.Errorf("core: options carry a noise model; use Evaluate for noisy runs")
 	}
-	b, name, err := backend.Resolve(opts.Backend)
+	b, name, err := resolve(opts.Backend)
 	if err != nil {
 		return nil, err
 	}
 	// Mark the simulate stage on a context-carried trace (a no-op without
 	// one): service jobs that miss the cache split their execute span here.
 	obs.TraceFromContext(ctx).Begin("simulate")
-	exec, err := b.Run(ctx, c, specFor(opts))
+	res, err := b.Run(ctx, c, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Backend: name,
-		Plan:    exec.Plan, State: exec.State, DM: exec.DM, Hier: exec.Hier,
-		Elapsed: exec.Elapsed,
-	}, nil
-}
-
-// specFor lowers the public options into the backend execution spec.
-func specFor(opts Options) backend.Spec {
-	return backend.Spec{
-		Strategy: opts.Strategy, Lm: opts.Lm, Workers: opts.Workers, Seed: opts.Seed,
-		Fuse: opts.Fuse.Enabled(),
-	}
-}
-
-// ResolveBackendFor validates a backend name against the registry and the
-// request shape — register width and whether the request carries an
-// effective noise model — returning the resolved (defaulted) name and the
-// engine's capabilities. The service layer uses it to reject
-// unknown or capability-mismatched backends at submit time (a 400, not a
-// worker-time failure) and to key its cache/stats on the engine that will
-// actually execute. numQubits 0 skips the width check.
-func ResolveBackendFor(name string, numQubits int, noisy bool) (string, backend.Capabilities, error) {
-	b, resolved, err := backend.Resolve(name)
-	if err != nil {
-		return "", backend.Capabilities{}, err
-	}
-	caps := b.Capabilities()
-	if caps.MaxQubits > 0 && numQubits > caps.MaxQubits {
-		return "", caps, fmt.Errorf("core: backend %q holds at most %d qubits (circuit has %d)", resolved, caps.MaxQubits, numQubits)
-	}
-	if noisy && caps.Noise == backend.NoiseNone {
-		// The results could never come from the engine the caller asked for.
-		return "", caps, fmt.Errorf("core: backend %q has no noisy path (engines with noise support: %v)", resolved, NoisyBackendNames())
-	}
-	return resolved, caps, nil
-}
-
-// NoisyBackendNames lists the registered backends that accept requests
-// carrying an effective noise model.
-func NoisyBackendNames() []string {
-	var out []string
-	for _, info := range backend.List() {
-		if info.Capabilities.Noise != backend.NoiseNone {
-			out = append(out, info.Name)
-		}
-	}
-	return out
+	res.Backend = name
+	return res, nil
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"hisvsim/internal/backend"
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/dm"
 	"hisvsim/internal/noise"
@@ -145,7 +144,7 @@ func TestDMCapabilityErrors(t *testing.T) {
 	}
 	// Engines with no noisy path reject effective models. No built-in
 	// engine lacks one, so the test registers its own.
-	backend.Register(noiselessBackend{})
+	Register(noiselessBackend{})
 	if _, err := Evaluate(small, Options{Backend: noiselessBackend{}.Name(), Noise: model}, ReadoutSpec{Shots: 1}); err == nil ||
 		!strings.Contains(err.Error(), "no noisy path") {
 		t.Errorf("noisy Evaluate on a noiseless engine: %v", err)
@@ -166,14 +165,10 @@ type noiselessBackend struct{}
 
 func (noiselessBackend) Name() string { return "test-noiseless" }
 
-func (noiselessBackend) Capabilities() backend.Capabilities {
-	return backend.Capabilities{Description: "flat sweep without a noisy path"}
+func (noiselessBackend) Capabilities() Capabilities {
+	return Capabilities{Description: "flat sweep without a noisy path"}
 }
 
-func (noiselessBackend) Run(ctx context.Context, c *circuit.Circuit, spec backend.Spec) (*backend.Execution, error) {
-	flat, err := backend.Get(backend.NameFlat)
-	if err != nil {
-		return nil, err
-	}
-	return flat.Run(ctx, c, spec)
+func (noiselessBackend) Run(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
+	return flatBackend{}.Run(ctx, c, opts)
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -77,6 +79,34 @@ func (s OptimizeSpec) withDefaults() OptimizeSpec {
 	return s
 }
 
+// Validate checks the spec against the circuit it optimizes: a known
+// method, at least one observable, and an Init that binds only the
+// circuit's symbols, each to a finite value. (That the circuit has symbols
+// at all is Admit's check, shared with sweeps.)
+func (s OptimizeSpec) Validate(c *circuit.Circuit) error {
+	if s.Method != "" && s.Method != MethodSPSA && s.Method != MethodNelderMead {
+		return fmt.Errorf("core: unknown optimizer %q (have %q, %q)", s.Method, MethodSPSA, MethodNelderMead)
+	}
+	if len(s.Observables) == 0 {
+		return fmt.Errorf("core: optimize needs at least one observable (the objective is their weighted sum)")
+	}
+	syms := c.Symbols()
+	for _, k := range slices.Sorted(maps.Keys(s.Init)) {
+		if !slices.Contains(syms, k) {
+			return fmt.Errorf("core: init binds unknown symbol %q", k)
+		}
+		if v := s.Init[k]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: non-finite init value %v for symbol %q", v, k)
+		}
+	}
+	return nil
+}
+
+// readouts is what every objective evaluation reads out.
+func (s OptimizeSpec) readouts() ReadoutSpec {
+	return ReadoutSpec{Observables: s.Observables, Seed: s.Seed, Trajectories: s.Trajectories}
+}
+
 // OptimizeIteration is one entry of the per-iteration trace.
 type OptimizeIteration struct {
 	// Iter is the iteration index (0-based).
@@ -126,39 +156,12 @@ type objectiveFn func(env map[string]float64) (float64, error)
 // a consistent noisy landscape rather than fresh sampling jitter per step).
 func OptimizeContext(ctx context.Context, c *circuit.Circuit, opts Options, spec OptimizeSpec) (*OptimizeReport, error) {
 	start := time.Now()
+	if _, _, err := Admit(Request{Circuit: c, Options: opts, Optimize: &spec}); err != nil {
+		return nil, err
+	}
 	spec = spec.withDefaults()
-	if spec.Method != MethodSPSA && spec.Method != MethodNelderMead {
-		return nil, fmt.Errorf("core: unknown optimizer %q (have %q, %q)", spec.Method, MethodSPSA, MethodNelderMead)
-	}
-	if len(spec.Observables) == 0 {
-		return nil, fmt.Errorf("core: optimize needs at least one observable (the objective is their weighted sum)")
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateSweep(c, opts, nil); err != nil {
-		return nil, err
-	}
 	syms := c.Symbols()
-	if len(syms) == 0 {
-		return nil, fmt.Errorf("core: circuit %s has no symbols to optimize", c.Name)
-	}
-	for k := range spec.Init {
-		found := false
-		for _, s := range syms {
-			if s == k {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("core: init binds unknown symbol %q", k)
-		}
-	}
-	roSpec := ReadoutSpec{Observables: spec.Observables, Seed: spec.Seed, Trajectories: spec.Trajectories}
-	if err := roSpec.Validate(c.NumQubits); err != nil {
-		return nil, err
-	}
+	roSpec := spec.readouts()
 
 	rep := &OptimizeReport{Compiles: 1, Method: spec.Method}
 	objective, err := buildObjective(ctx, c, opts, roSpec, rep)

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"hisvsim/internal/backend"
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/dm"
 	"hisvsim/internal/noise"
@@ -401,24 +400,11 @@ func Evaluate(c *circuit.Circuit, opts Options, spec ReadoutSpec) (*RunReport, e
 // under effective noise (neither an ensemble nor ρ has a single amplitude
 // vector) and on the dm backend generally.
 func EvaluateContext(ctx context.Context, c *circuit.Circuit, opts Options, spec ReadoutSpec) (*RunReport, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := spec.Validate(c.NumQubits); err != nil {
-		return nil, err
-	}
-	if c.Parametric() {
-		return nil, fmt.Errorf("core: circuit %s has unbound symbols %v; bind a parameter environment (or submit a sweep/optimize job)", c.Name, c.Symbols())
-	}
-	noisy := !opts.Noise.IsZero()
-	_, caps, err := ResolveBackendFor(opts.Backend, c.NumQubits, noisy)
+	_, exact, err := Admit(Request{Circuit: c, Options: opts, Readouts: spec})
 	if err != nil {
 		return nil, err
 	}
-	exact := caps.Noise == backend.NoiseExact
-	if spec.Statevector && exact {
-		return nil, fmt.Errorf("core: statevector readout is not available on the exact density-matrix backend (ρ has no single amplitude vector)")
-	}
+	noisy := !opts.Noise.IsZero()
 	if noisy && exact {
 		d, plan, err := dm.Run(ctx, c, opts.Noise, dm.Options{Fuse: opts.Fuse.Enabled(), Workers: opts.Workers})
 		if err != nil {
@@ -437,9 +423,6 @@ func EvaluateContext(ctx context.Context, c *circuit.Circuit, opts Options, spec
 			return &RunReport{Readouts: *EvaluateDensity(res.DM, nil, spec), Sim: res, Density: res.DM}, nil
 		}
 		return &RunReport{Readouts: *EvaluateState(res.State, nil, spec), Sim: res}, nil
-	}
-	if spec.Statevector {
-		return nil, fmt.Errorf("core: statevector readout is undefined under an effective noise model (a trajectory ensemble has no single state)")
 	}
 	ens, err := runEnsemble(ctx, c, opts, spec.EnsembleConfig(opts.Workers))
 	if err != nil {

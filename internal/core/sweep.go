@@ -171,24 +171,6 @@ func (r *SweepReport) setRow(i int, ro *Readouts) {
 	}
 }
 
-// validateSweep checks the request shape shared by Sweep and Optimize:
-// a parameterized circuit, a backend the template engine can honor, and
-// well-formed bindings. Errors name the offending symbol or point.
-func validateSweep(c *circuit.Circuit, opts Options, bindings []map[string]float64) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	if opts.Backend != "" && opts.Backend != "flat" {
-		return fmt.Errorf("core: parameterized jobs run on the flat template engine (got backend %q)", opts.Backend)
-	}
-	for i, env := range bindings {
-		if err := c.CheckBinding(env); err != nil {
-			return fmt.Errorf("binding %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // Sweep evaluates the template under every binding. See SweepContext.
 func Sweep(c *circuit.Circuit, opts Options, spec ReadoutSpec, bindings []map[string]float64) (*SweepReport, error) {
 	return SweepContext(context.Background(), c, opts, spec, bindings)
@@ -209,17 +191,11 @@ func SweepContext(ctx context.Context, c *circuit.Circuit, opts Options, spec Re
 	if len(bindings) == 0 {
 		return nil, fmt.Errorf("core: sweep needs at least one binding")
 	}
-	if err := validateSweep(c, opts, bindings); err != nil {
-		return nil, err
-	}
-	if err := spec.Validate(c.NumQubits); err != nil {
+	if _, _, err := Admit(Request{Circuit: c, Options: opts, Readouts: spec, Bindings: bindings}); err != nil {
 		return nil, err
 	}
 	var eng SweepEngine
 	if !opts.Noise.IsZero() {
-		if spec.Statevector {
-			return nil, fmt.Errorf("core: statevector readout is undefined under an effective noise model (a trajectory ensemble has no single state)")
-		}
 		plan, err := noise.Compile(c, opts.Noise, noise.CompileOptions{Fuse: true})
 		if err != nil {
 			return nil, err

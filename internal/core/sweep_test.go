@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"hisvsim/internal/backend"
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/fuse"
 	"hisvsim/internal/noise"
@@ -48,15 +47,11 @@ func TestTemplateMatchesConcreteAcrossBackends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range backend.Names() {
-			b, err := backend.Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			caps := b.Capabilities()
-			if caps.Noise == backend.NoiseExact {
+		for _, info := range Backends() {
+			if info.Capabilities.Noise == NoiseExact {
 				continue // ρ engine: no amplitude vector to compare
 			}
+			name := info.Name
 			res, err := Simulate(bound, Options{Backend: name})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

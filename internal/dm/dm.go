@@ -87,10 +87,6 @@ func FromState(st *sv.State) (*Density, error) {
 	return d, nil
 }
 
-// SetWorkers bounds the parallel sweep width of the underlying kernels
-// (0 = GOMAXPROCS).
-func (d *Density) SetWorkers(w int) { d.vec.Workers = w }
-
 // Dim returns 2^N.
 func (d *Density) Dim() int { return 1 << uint(d.N) }
 
@@ -203,7 +199,7 @@ func (d *Density) ApplyDiagonal(qubits []int, diag []complex128) {
 
 // Superoperator returns the vectorized form of the channel: the 2k-qubit
 // matrix Σ_i conj(K_i) ⊗ K_i whose low k index bits address the ket side
-// and high k bits the bra side — exactly the bit layout ApplyKrausK feeds.
+// and high k bits the bra side — exactly the bit layout applySuper feeds.
 func Superoperator(ks gate.Kraus) gate.Matrix {
 	k := ks.NumQubits()
 	s := gate.NewMatrix(2 * k)
@@ -216,17 +212,8 @@ func Superoperator(ks gate.Kraus) gate.Matrix {
 	return s
 }
 
-// ApplyKrausK applies the k-qubit channel ρ → Σ_i K_i ρ K_i† exactly, as
-// one superoperator sweep over the channel's ket and bra bit pairs.
-func (d *Density) ApplyKrausK(qubits []int, ks gate.Kraus) error {
-	if len(qubits) != ks.NumQubits() {
-		return fmt.Errorf("dm: %d-qubit Kraus set on %d qubits %v", ks.NumQubits(), len(qubits), qubits)
-	}
-	d.applySuper(qubits, Superoperator(ks))
-	return nil
-}
-
-// applySuper applies a prebuilt superoperator over the channel qubits.
+// applySuper applies the channel ρ → Σ_i K_i ρ K_i† exactly, given as its
+// prebuilt superoperator: one sweep over the channel's ket and bra bit pairs.
 func (d *Density) applySuper(qubits []int, super gate.Matrix) {
 	targets := make([]int, 0, 2*len(qubits))
 	targets = append(targets, qubits...)

@@ -12,24 +12,9 @@ import (
 // holds. The noise layer unravels such channels into stochastic trajectory
 // insertions over the state-vector kernels, and the density-matrix engine
 // applies them exactly as superoperators. k = 1 is the common case; k > 1
-// expresses correlated multi-qubit channels (KrausK builds them safely).
+// expresses correlated multi-qubit channels (Validate rejects a set whose
+// operators act on different qubit counts).
 type Kraus []Matrix
-
-// KrausK validates and returns a k-qubit Kraus set: every operator must act
-// on exactly k qubits. It exists so multi-qubit channel constructors fail
-// loudly on a mixed-arity operator list instead of producing a set whose
-// Validate error surfaces much later at compile time.
-func KrausK(k int, ops ...Matrix) (Kraus, error) {
-	if len(ops) == 0 {
-		return nil, fmt.Errorf("gate: empty Kraus set")
-	}
-	for i, m := range ops {
-		if m.K != k {
-			return nil, fmt.Errorf("gate: Kraus operator %d acts on %d qubits, want %d", i, m.K, k)
-		}
-	}
-	return Kraus(ops), nil
-}
 
 // NumQubits returns the qubit count the operators act on (0 for an empty set).
 func (k Kraus) NumQubits() int {

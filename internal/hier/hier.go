@@ -65,7 +65,6 @@ import (
 	"runtime"
 
 	"hisvsim/internal/circuit"
-	"hisvsim/internal/dag"
 	"hisvsim/internal/fuse"
 	"hisvsim/internal/gate"
 	"hisvsim/internal/par"
@@ -79,7 +78,7 @@ type Options struct {
 	// Ctx, when non-nil, is polled before every part and every batch of
 	// sweeps within one: a cancelled or timed-out context aborts the run with
 	// the context's error. Carried in Options (rather than a parameter) so
-	// the existing ExecutePlan/Run call surface stays stable.
+	// the ExecutePlan/ExecutePlanFrom call surface stays stable.
 	Ctx context.Context
 	// Workers bounds kernel and sweep parallelism (0 = GOMAXPROCS).
 	Workers int
@@ -162,22 +161,6 @@ func ExecutePlanFrom(pl *partition.Plan, outer *sv.State, clearBits int, opts Op
 	}
 	m.InnerOps = outer.Ops
 	return m, nil
-}
-
-// Run partitions the circuit with the strategy and executes it from |0…0⟩.
-func Run(c *circuit.Circuit, lm int, s partition.Strategy, opts Options) (*sv.State, *Metrics, error) {
-	pl, err := s.Partition(dag.FromCircuit(c), lm)
-	if err != nil {
-		return nil, nil, err
-	}
-	outer := sv.NewState(c.NumQubits)
-	outer.Workers = opts.Workers
-	outer.Prof = prof.FromContext(opts.Ctx)
-	m, err := ExecutePlanFrom(pl, outer, 1<<uint(outer.N)-1, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return outer, m, nil
 }
 
 // lineAmps is how many amplitudes share one 64-byte cache line.

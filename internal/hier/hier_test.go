@@ -59,7 +59,7 @@ func TestHierMatchesFlatAllStrategies(t *testing.T) {
 				if lm < maxArity(c) {
 					continue
 				}
-				got, m, err := Run(c, lm, s, Options{})
+				got, m, err := runCold(c, lm, s)
 				if err != nil {
 					t.Fatalf("%s/%s/Lm=%d: %v", c.Name, s.Name(), lm, err)
 				}
@@ -72,6 +72,18 @@ func TestHierMatchesFlatAllStrategies(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runCold partitions the circuit and executes the plan from |0…0⟩, naming
+// every qubit clear, as the hier engine does.
+func runCold(c *circuit.Circuit, lm int, s partition.Strategy) (*sv.State, *Metrics, error) {
+	pl, err := s.Partition(dag.FromCircuit(c), lm)
+	if err != nil {
+		return nil, nil, err
+	}
+	outer := sv.NewState(c.NumQubits)
+	m, err := ExecutePlanFrom(pl, outer, 1<<uint(outer.N)-1, Options{})
+	return outer, m, err
 }
 
 func maxArity(c *circuit.Circuit) int {
@@ -241,7 +253,7 @@ func TestQuickHierEqualsFlat(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, _, err := Run(c, lm, dagp.Partitioner{Opts: dagp.Options{Seed: seed}}, Options{})
+		got, _, err := runCold(c, lm, dagp.Partitioner{Opts: dagp.Options{Seed: seed}})
 		if err != nil {
 			return false
 		}

@@ -87,6 +87,3 @@ func (c *Cache) Len() int { return c.ll.Len() }
 
 // Size returns the summed cost of stored entries.
 func (c *Cache) Size() int64 { return c.size }
-
-// Capacity returns the configured budget.
-func (c *Cache) Capacity() int64 { return c.capacity }

@@ -168,9 +168,9 @@ type Ensemble struct {
 	Marginals [][]float64
 	// Moments are the per-chunk partial sums behind Observables/Marginals
 	// (noisy path only; the noise-free fast path computes exact values and
-	// carries none). They let MergeEnsembles — or a cluster
-	// coordinator working from wire data — reproduce the full-ensemble
-	// statistics bit for bit from sub-range runs.
+	// carries none). They let a cluster coordinator working from wire
+	// data reproduce the full-ensemble statistics bit for bit from
+	// sub-range runs.
 	Moments []Moment
 	// Stats sums the stochastic work across trajectories.
 	Stats TrajStats
@@ -589,9 +589,8 @@ type MomentStats struct {
 
 // AggregateMoments folds chunk moments in list order into trajectory-mean
 // statistics. This is THE canonical reduction: runTrajectories finalizes
-// every ensemble through it, and MergeEnsembles — or a cluster coordinator
-// working from wire moments — re-runs it over concatenated sub-range
-// moments. One shared fold is exactly what makes a split ensemble
+// every ensemble through it, and a cluster coordinator working from wire
+// moments re-runs it over concatenated sub-range moments. One shared fold is exactly what makes a split ensemble
 // bit-identical to its single-node run.
 func AggregateMoments(ms []Moment) MomentStats {
 	var out MomentStats
@@ -651,65 +650,6 @@ func meanStdErr(sum, sumsq float64, T int) ObservableStat {
 		st.StdErr = math.Sqrt(variance / float64(T))
 	}
 	return st
-}
-
-// MergeEnsembles combines contiguous sub-range ensembles — produced with
-// the same (plan, seed, shots, readouts) against one logical ensemble,
-// passed in ascending offset order and together covering [0, Total) — into
-// the ensemble a single full-range run would have produced. Counts and
-// stats merge exactly (integer sums); mean ± stderr statistics re-reduce
-// from the concatenated chunk moments via AggregateMoments, making them
-// bit-identical to the single-node values. Noise-free parts (the fast path
-// carries exact readouts and no moments) merge by summing counts and
-// copying the exact values from the first part.
-func MergeEnsembles(parts []*Ensemble) (*Ensemble, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("noise: merge of zero ensembles")
-	}
-	out := &Ensemble{NoiseFree: parts[0].NoiseFree, Blocks: parts[0].Blocks}
-	lastChunk := -1
-	for i, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("noise: merge part %d is nil", i)
-		}
-		if p.NoiseFree != out.NoiseFree {
-			return nil, fmt.Errorf("noise: merge mixes noise-free and noisy parts")
-		}
-		out.Trajectories += p.Trajectories
-		out.Shots += p.Shots
-		out.Stats.add(p.Stats)
-		if p.Counts != nil {
-			if out.Counts == nil {
-				out.Counts = make(map[int]int, len(p.Counts))
-			}
-			for x, c := range p.Counts {
-				out.Counts[x] += c
-			}
-		}
-		if p.Elapsed > out.Elapsed {
-			out.Elapsed = p.Elapsed // parts run concurrently: wall ≈ slowest part
-		}
-		for _, m := range p.Moments {
-			if m.Chunk <= lastChunk {
-				return nil, fmt.Errorf("noise: merge parts out of order (chunk %d after %d — pass sub-ranges in ascending offset order)", m.Chunk, lastChunk)
-			}
-			lastChunk = m.Chunk
-		}
-		out.Moments = append(out.Moments, p.Moments...)
-	}
-	if out.NoiseFree {
-		// Every part evaluated the same ideal state, so the exact readouts
-		// are identical across parts; only the sampled counts differ.
-		out.Observables, out.Marginals = parts[0].Observables, parts[0].Marginals
-		return out, nil
-	}
-	agg := AggregateMoments(out.Moments)
-	if agg.Trajectories != out.Trajectories {
-		return nil, fmt.Errorf("noise: merged moments cover %d trajectories, parts report %d", agg.Trajectories, out.Trajectories)
-	}
-	out.Observables = agg.Observables
-	out.Marginals = agg.Marginals
-	return out, nil
 }
 
 // String summarizes the ensemble for logs and CLI output.

@@ -33,10 +33,11 @@ func splitTestConfig(offset, n, total int) RunConfig {
 }
 
 // TestEnsembleSplitMergeBitIdentical is the cluster fan-out contract at
-// the noise layer: chunk-aligned sub-range runs merged with
-// MergeEnsembles reproduce the full single run bit-for-bit — counts,
-// executed shots, mean ± stderr for every observable, and marginal
-// distributions.
+// the noise layer: chunk-aligned sub-range runs, folded as the cluster
+// coordinator folds them — counts and tallies summed, the chunk moments
+// concatenated in offset order and re-reduced by AggregateMoments —
+// reproduce the full single run bit-for-bit: counts, executed shots,
+// mean ± stderr for every observable, and marginal distributions.
 func TestEnsembleSplitMergeBitIdentical(t *testing.T) {
 	plan := splitTestPlan(t)
 	const total = 512
@@ -47,25 +48,29 @@ func TestEnsembleSplitMergeBitIdentical(t *testing.T) {
 
 	// Three unequal chunk-aligned ranges, as a 3-worker split would make.
 	bounds := []int{0, 160, 352, total}
-	var parts []*Ensemble
+	trajectories, shots := 0, 0
+	counts := map[int]int{}
+	var moments []Moment
 	for i := 0; i+1 < len(bounds); i++ {
 		p, err := RunEnsemble(context.Background(), plan,
 			splitTestConfig(bounds[i], bounds[i+1]-bounds[i], total))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts = append(parts, p)
+		trajectories += p.Trajectories
+		shots += p.Shots
+		for x, n := range p.Counts {
+			counts[x] += n
+		}
+		moments = append(moments, p.Moments...)
 	}
-	merged, err := MergeEnsembles(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged := AggregateMoments(moments)
 
-	if merged.Trajectories != full.Trajectories || merged.Shots != full.Shots {
-		t.Fatalf("merged %d trajectories / %d shots, full %d / %d",
-			merged.Trajectories, merged.Shots, full.Trajectories, full.Shots)
+	if merged.Trajectories != full.Trajectories || trajectories != full.Trajectories || shots != full.Shots {
+		t.Fatalf("merged %d trajectories (%d by moments) / %d shots, full %d / %d",
+			trajectories, merged.Trajectories, shots, full.Trajectories, full.Shots)
 	}
-	if !sameCounts(merged.Counts, full.Counts) {
+	if !sameCounts(counts, full.Counts) {
 		t.Fatal("merged counts differ from the full run")
 	}
 	if len(merged.Observables) != len(full.Observables) {
@@ -89,15 +94,15 @@ func TestEnsembleSplitMergeBitIdentical(t *testing.T) {
 	}
 	// The moment chunks themselves must agree: the sub-ranges computed
 	// exactly the partial sums the full run did.
-	if len(merged.Moments) != len(full.Moments) {
-		t.Fatalf("merged %d moment chunks, full %d", len(merged.Moments), len(full.Moments))
+	if len(moments) != len(full.Moments) {
+		t.Fatalf("merged %d moment chunks, full %d", len(moments), len(full.Moments))
 	}
 	for i := range full.Moments {
-		if merged.Moments[i].Chunk != full.Moments[i].Chunk || merged.Moments[i].Count != full.Moments[i].Count {
+		if moments[i].Chunk != full.Moments[i].Chunk || moments[i].Count != full.Moments[i].Count {
 			t.Fatalf("moment chunk %d header mismatch", i)
 		}
 		for k := range full.Moments[i].Obs {
-			if merged.Moments[i].Obs[k] != full.Moments[i].Obs[k] {
+			if moments[i].Obs[k] != full.Moments[i].Obs[k] {
 				t.Fatalf("moment chunk %d obs %d mismatch", i, k)
 			}
 		}
@@ -105,8 +110,7 @@ func TestEnsembleSplitMergeBitIdentical(t *testing.T) {
 }
 
 // TestEnsembleSubRangeValidation pins the sub-range error cases: offsets
-// off the chunk grid, ranges past the total, and merges of out-of-order
-// or incompatible parts are all rejected.
+// off the chunk grid and ranges past the total are rejected.
 func TestEnsembleSubRangeValidation(t *testing.T) {
 	plan := splitTestPlan(t)
 	ctx := context.Background()
@@ -115,22 +119,5 @@ func TestEnsembleSubRangeValidation(t *testing.T) {
 	}
 	if _, err := RunEnsemble(ctx, plan, RunConfig{Trajectories: 64, Offset: 32, Total: 64, Seed: 1}); err == nil {
 		t.Fatal("range past total accepted")
-	}
-	a, err := RunEnsemble(ctx, plan, RunConfig{Trajectories: 32, Offset: 0, Total: 64, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunEnsemble(ctx, plan, RunConfig{Trajectories: 32, Offset: 32, Total: 64, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeEnsembles([]*Ensemble{b, a}); err == nil {
-		t.Fatal("out-of-order merge accepted")
-	}
-	if _, err := MergeEnsembles(nil); err == nil {
-		t.Fatal("empty merge accepted")
-	}
-	if _, err := MergeEnsembles([]*Ensemble{a, b}); err != nil {
-		t.Fatalf("in-order merge rejected: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -333,10 +332,4 @@ func WriteFamilies(w io.Writer, fams []*MetricFamily) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// SortFamilies orders families by name in place — scraped expositions are
-// already sorted per worker, but a federated merge interleaves sources.
-func SortFamilies(fams []*MetricFamily) {
-	sort.Slice(fams, func(i, j int) bool { return fams[i].Name < fams[j].Name })
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"hisvsim/internal/backend"
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/core"
 	"hisvsim/internal/dm"
@@ -180,7 +179,7 @@ func TestCapabilityEnforcementAtSubmit(t *testing.T) {
 	}
 	// No built-in engine lacks a noisy path, so the test registers one; it
 	// panics if it ever runs, and a rejected request never does.
-	backend.Register(panickingBackend{})
+	core.Register(panickingBackend{})
 	for _, tc := range cases {
 		if _, err := s.Submit(tc.req); err == nil {
 			t.Errorf("%s: Submit accepted the request", tc.name)
@@ -235,7 +234,7 @@ func TestHTTPDMNoisyJobAndCapability400s(t *testing.T) {
 	// Capability mismatches are 400s. The engine without a noisy path is
 	// registered by the test (no built-in engine lacks one) and panics if it
 	// ever runs.
-	backend.Register(panickingBackend{})
+	core.Register(panickingBackend{})
 	for name, reqBody := range map[string]string{
 		"noisy on an engine without a noisy path": `{
 			"circuit": {"family": "ising", "qubits": 6},

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -63,8 +64,10 @@ func TestJobTraceTiles(t *testing.T) {
 	if diff > wall/20 {
 		t.Errorf("stage durations sum to %v, wall is %v (diff %v > 5%%)", sum, wall, diff)
 	}
-	if info.Result == nil || len(info.Result.Stages) != len(info.Trace) {
-		t.Errorf("Result.Stages not attached: %+v", info.Result)
+	// A terminal job's trace is final: every later snapshot serves the
+	// same spans beside the result.
+	if again, err := s.Job(id); err != nil || again.Result == nil || !reflect.DeepEqual(again.Trace, info.Trace) {
+		t.Errorf("terminal trace changed between snapshots: %v then %v (%v)", info.Trace, again.Trace, err)
 	}
 	if info.RequestID == "" {
 		t.Error("job has no request ID")

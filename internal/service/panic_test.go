@@ -11,8 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"hisvsim/internal/backend"
 	"hisvsim/internal/circuit"
+	"hisvsim/internal/core"
 	"hisvsim/internal/obs"
 	"hisvsim/internal/par"
 )
@@ -21,10 +21,10 @@ import (
 type panickingBackend struct{}
 
 func (panickingBackend) Name() string { return "test-panics" }
-func (panickingBackend) Capabilities() backend.Capabilities {
-	return backend.Capabilities{Description: "panics in Run"}
+func (panickingBackend) Capabilities() core.Capabilities {
+	return core.Capabilities{Description: "panics in Run"}
 }
-func (panickingBackend) Run(context.Context, *circuit.Circuit, backend.Spec) (*backend.Execution, error) {
+func (panickingBackend) Run(context.Context, *circuit.Circuit, core.Options) (*core.Result, error) {
 	panic("engine bug")
 }
 
@@ -33,10 +33,10 @@ func (panickingBackend) Run(context.Context, *circuit.Circuit, backend.Spec) (*b
 type lanePanickingBackend struct{}
 
 func (lanePanickingBackend) Name() string { return "test-lane-panics" }
-func (lanePanickingBackend) Capabilities() backend.Capabilities {
-	return backend.Capabilities{Description: "panics on one par.Each lane"}
+func (lanePanickingBackend) Capabilities() core.Capabilities {
+	return core.Capabilities{Description: "panics on one par.Each lane"}
 }
-func (lanePanickingBackend) Run(ctx context.Context, _ *circuit.Circuit, _ backend.Spec) (*backend.Execution, error) {
+func (lanePanickingBackend) Run(ctx context.Context, _ *circuit.Circuit, _ core.Options) (*core.Result, error) {
 	return nil, par.Each(ctx, 4, 16, func(_ context.Context, _, i int) error {
 		if i == 5 {
 			panicOnLane()
@@ -55,14 +55,14 @@ func panicOnLane() { panic("engine bug on a lane") }
 // behind.
 func TestPanickingBackendFailsOnlyItsJob(t *testing.T) {
 	for _, tc := range []struct {
-		engine backend.Backend
+		engine core.Backend
 		frame  string // must appear in the logged stack
 	}{
 		{panickingBackend{}, "service.panickingBackend.Run"},
 		{lanePanickingBackend{}, "service.panicOnLane"},
 	} {
 		t.Run(tc.engine.Name(), func(t *testing.T) {
-			backend.Register(tc.engine)
+			core.Register(tc.engine)
 			before := runtime.NumGoroutine()
 			var logs bytes.Buffer // written only by the job's worker before the job ends
 			s := New(Config{Workers: 1, Logger: obs.NewLogger(&logs, slog.LevelError, false)})

@@ -164,8 +164,8 @@ func TestSweepProfileHasKernelRows(t *testing.T) {
 	if p.KernelMS <= 0 || p.UnattributedMS < 0 || p.WindowMS < p.KernelMS {
 		t.Fatalf("window %g ms, kernels %g ms, unattributed %g ms", p.WindowMS, p.KernelMS, p.UnattributedMS)
 	}
-	if len(res.Profile) != len(p.Kernels) {
-		t.Fatalf("result carries %d profile rows, endpoint %d", len(res.Profile), len(p.Kernels))
+	if info, err := s.Job(id); err != nil || len(info.Profile) != len(p.Kernels) {
+		t.Fatalf("job info carries %d profile rows, endpoint %d (%v)", len(info.Profile), len(p.Kernels), err)
 	}
 }
 

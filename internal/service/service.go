@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hisvsim/internal/backend"
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/core"
 	"hisvsim/internal/dm"
@@ -94,10 +93,6 @@ const BackendTrajectory = "trajectory"
 func Kinds() []Kind {
 	return []Kind{KindRun, KindSweep, KindOptimize}
 }
-
-// Parameterized reports whether the kind is a v3 template job (binding
-// grids or optimization loops over a parameterized circuit).
-func (k Kind) Parameterized() bool { return k == KindSweep || k == KindOptimize }
 
 // Request describes one simulation job.
 type Request struct {
@@ -150,7 +145,9 @@ func (s Status) Terminal() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCanceled
 }
 
-// Result is a completed job's payload.
+// Result is a completed job's payload. The job's stage trace and kernel
+// profile are on its JobInfo (Trace, Profile), served over HTTP at GET
+// /v1/jobs/{id}/trace and /profile.
 type Result struct {
 	Kind Kind
 	// Readouts are the KindRun read-outs, in ReadoutSpec order. Amplitudes
@@ -187,18 +184,6 @@ type Result struct {
 	// the time spent queued.
 	Elapsed time.Duration
 	Waited  time.Duration
-	// Stages is the job's completed stage trace: sequential spans
-	// (queue_wait, compile, execute, sample, …) that tile the
-	// submitted→finished window, so their durations sum to the job's wall
-	// time. Served over HTTP at GET /v1/jobs/{id}/trace.
-	Stages []obs.Span
-	// Profile is the job's kernel-level execution profile: per (kernel
-	// class, block width) time, amplitudes touched, bytes moved and scratch
-	// allocations, attributed by the engines while the job ran. The rows
-	// tile the execute/simulate stage (ensemble kernels sum across
-	// concurrent trajectories). Served over HTTP at
-	// GET /v1/jobs/{id}/profile.
-	Profile []prof.KernelStat
 }
 
 // JobInfo is a point-in-time snapshot of a job.
@@ -645,27 +630,24 @@ func (s *Service) SubmitContext(ctx context.Context, req Request) (string, error
 	if err := s.validate(req); err != nil {
 		return "", err
 	}
-	// Capability enforcement happens here, at submit: an unknown backend, a
-	// noisy request on an engine with no noisy path,
-	// or a register over the engine's qubit cap is a submit error (an HTTP
-	// 400), never a worker-time failure.
-	if req.Kind.Parameterized() && req.Options.Backend == "" {
-		// Template jobs default to the engine that runs them; only an
-		// explicit non-flat backend is a submit error below.
-		req.Options.Backend = "flat"
+	// Every engine-facing rule — a known backend and strategy, the engine's
+	// qubit cap and noisy path, complete bindings, read-outs the engine can
+	// give — is core's admission check, the one the library entry points
+	// run: a request it refuses is a submit error (an HTTP 400), never a
+	// worker-time failure.
+	admit := core.Request{
+		Circuit: req.Circuit, Options: req.Options, Readouts: req.Readouts,
+		Params: req.Params, Optimize: req.Optimize,
 	}
-	idealBackend, caps, err := core.ResolveBackendFor(req.Options.Backend, req.Circuit.NumQubits, !req.Noise.IsZero())
+	admit.Options.Noise = req.Noise
+	if req.Sweep != nil {
+		admit.Bindings = req.Sweep.Bindings
+	}
+	idealBackend, exact, err := core.Admit(admit)
 	if err != nil {
 		return "", fmt.Errorf("service: %w", err)
 	}
-	exact := caps.Noise == backend.NoiseExact
-	if exact && req.Readouts.Statevector {
-		return "", fmt.Errorf("service: statevector readout is not available on backend %q (ρ has no single amplitude vector)", idealBackend)
-	}
-	if req.Kind.Parameterized() && (exact || idealBackend != "flat") {
-		return "", fmt.Errorf("service: parameterized jobs run on the flat template engine (got backend %q)", idealBackend)
-	}
-	if req.Kind == KindRun && req.Circuit.Parametric() && (exact || (req.Noise.IsZero() && idealBackend != "flat")) {
+	if req.Kind == KindRun && req.Circuit.Parametric() && (exact || (req.Noise.IsZero() && idealBackend != core.NameFlat)) {
 		// The template engine is flat-only; engines that execute a plain
 		// concrete circuit (the hier ideal path, the exact DM
 		// engine) get the circuit bound here, once, so their cache keys and
@@ -736,12 +718,12 @@ func (s *Service) SubmitContext(ctx context.Context, req Request) (string, error
 	return j.id, nil
 }
 
+// validate checks what is the service's own to check: the wire shape of
+// the request (which kind carries which spec, the noise model on the
+// Request) and the Config limits. Everything else is core.Admit's.
 func (s *Service) validate(req Request) error {
 	if req.Circuit == nil {
 		return errors.New("service: nil circuit")
-	}
-	if err := req.Circuit.Validate(); err != nil {
-		return fmt.Errorf("service: %w", err)
 	}
 	if req.Circuit.NumQubits > s.cfg.MaxQubits {
 		return fmt.Errorf("service: circuit has %d qubits, limit %d", req.Circuit.NumQubits, s.cfg.MaxQubits)
@@ -749,34 +731,16 @@ func (s *Service) validate(req Request) error {
 	if req.Options.Workers > maxJobWorkers {
 		return fmt.Errorf("service: %d workers exceeds limit %d", req.Options.Workers, maxJobWorkers)
 	}
-	if _, err := core.NewStrategy(req.Options.Strategy, 0); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
 	if !req.Options.Noise.IsZero() {
 		// The noise model rides on the Request (so it can be validated and
 		// cache-keyed uniformly), never on the forwarded simulation options.
 		return fmt.Errorf("service: set Request.Noise, not Options.Noise")
 	}
-	// Symbol discipline first: every parameterized shape resolves to a
-	// complete, finite binding at submit (per grid point for sweeps), and
-	// symbols never leak into kinds that cannot bind them. The errors come
-	// from circuit.CheckBinding and name the offending symbol.
-	switch req.Kind {
-	case KindRun:
-		if req.Circuit.Parametric() || len(req.Params) > 0 {
-			if err := req.Circuit.CheckBinding(req.Params); err != nil {
-				return fmt.Errorf("service: %w", err)
-			}
-		}
-	case KindSweep, KindOptimize:
-		if len(req.Params) > 0 {
-			return fmt.Errorf("service: kind %q takes bindings from its %s spec, not Params", req.Kind, req.Kind)
-		}
-		if !req.Circuit.Parametric() {
-			return fmt.Errorf("service: kind %q needs a parameterized circuit (circuit %s has no symbols)", req.Kind, req.Circuit.Name)
-		}
-	default:
+	if req.Kind != KindRun && req.Kind != KindSweep && req.Kind != KindOptimize {
 		return fmt.Errorf("service: unknown kind %q (want one of %v)", req.Kind, Kinds())
+	}
+	if len(req.Params) > 0 && req.Kind != KindRun {
+		return fmt.Errorf("service: kind %q takes bindings from its %s spec, not Params", req.Kind, req.Kind)
 	}
 	if req.Sweep != nil && req.Kind != KindSweep {
 		return fmt.Errorf("service: kind %q does not accept a sweep spec (use %q)", req.Kind, KindSweep)
@@ -784,24 +748,22 @@ func (s *Service) validate(req Request) error {
 	if req.Optimize != nil && req.Kind != KindOptimize {
 		return fmt.Errorf("service: kind %q does not accept an optimize spec (use %q)", req.Kind, KindOptimize)
 	}
-	if req.Noise != nil {
-		if err := req.Noise.Validate(req.Circuit.NumQubits); err != nil {
-			return fmt.Errorf("service: %w", err)
-		}
-		if !req.Noise.IsZero() && req.Readouts.Statevector {
-			return fmt.Errorf("service: statevector readout is undefined under an effective noise model")
-		}
-	}
-	if req.Kind == KindOptimize {
+	switch req.Kind {
+	case KindOptimize:
 		if !req.Readouts.Empty() {
 			return fmt.Errorf("service: kind %q drives its objective from the optimize spec, not a readout spec", KindOptimize)
 		}
 		if req.Optimize == nil {
 			return fmt.Errorf("service: optimize needs an optimize spec (observables + method)")
 		}
-		return s.validateOptimize(req)
-	}
-	if req.Kind == KindSweep {
+		if req.Optimize.MaxIters > s.cfg.MaxOptimizeIters {
+			return fmt.Errorf("service: %d iterations exceeds limit %d", req.Optimize.MaxIters, s.cfg.MaxOptimizeIters)
+		}
+		if req.Optimize.Trajectories > s.cfg.MaxTrajectories {
+			return fmt.Errorf("service: %d trajectories exceeds limit %d", req.Optimize.Trajectories, s.cfg.MaxTrajectories)
+		}
+		return nil
+	case KindSweep:
 		if req.Readouts.TrajOffset != 0 || req.Readouts.TrajTotal != 0 || req.Readouts.Moments {
 			return fmt.Errorf("service: kind %q is split by sweep points, not trajectory ranges (drop traj_offset/traj_total/moments)", KindSweep)
 		}
@@ -811,17 +773,6 @@ func (s *Service) validate(req Request) error {
 		if len(req.Sweep.Bindings) > s.cfg.MaxSweepPoints {
 			return fmt.Errorf("service: sweep has %d points, limit %d", len(req.Sweep.Bindings), s.cfg.MaxSweepPoints)
 		}
-		for i, env := range req.Sweep.Bindings {
-			if err := req.Circuit.CheckBinding(env); err != nil {
-				return fmt.Errorf("service: binding %d: %w", i, err)
-			}
-		}
-	}
-	// KindRun and KindSweep share one read-out spec. ReadoutSpec.Validate
-	// rejects negative counts, out-of-range qubits and duplicate marginal
-	// qubits (Z-only observable strings may repeat a qubit: Z² = I).
-	if err := req.Readouts.Validate(req.Circuit.NumQubits); err != nil {
-		return fmt.Errorf("service: %w", err)
 	}
 	if req.Readouts.Shots > s.cfg.MaxShots {
 		return fmt.Errorf("service: %d shots exceeds limit %d", req.Readouts.Shots, s.cfg.MaxShots)
@@ -1015,7 +966,7 @@ func (s *Service) run(j *job) {
 		s.finish(j, nil, err)
 		return
 	}
-	// A panic — say in an engine added with backend.Register, or on one of
+	// A panic — say in an engine added with core.Register, or on one of
 	// an engine's par.Each lanes — fails this job alone, instead of the
 	// daemon and every job it has queued. A lane's panic is logged with the
 	// lane's stack, which names the bug; this goroutine's names the re-raise.
@@ -1036,17 +987,12 @@ func (s *Service) run(j *job) {
 }
 
 func (s *Service) finish(j *job, res *Result, err error) {
-	// Close the trace at the exact finished timestamp (before res is
-	// published under the lock — observers of j.result must never see
-	// Stages still being written) so the spans tile submitted→finished.
+	// Close the trace at the exact finished timestamp so the spans tile
+	// submitted→finished.
 	now := time.Now()
 	j.trace.FinishAt(now)
 	spans := j.trace.Spans()
 	profile := j.profr.Snapshot()
-	if res != nil {
-		res.Stages = spans
-		res.Profile = profile
-	}
 	s.mu.Lock()
 	if j.status.Terminal() {
 		s.mu.Unlock()

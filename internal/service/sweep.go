@@ -114,49 +114,6 @@ func (sp *SweepSpec) Expand(limit int) ([]map[string]float64, error) {
 	}
 }
 
-// validateOptimize checks a KindOptimize request at submit: known method,
-// a well-formed objective, a complete-and-known Init, and bounded work —
-// all the failures a worker could hit become 400s naming the problem.
-func (s *Service) validateOptimize(req Request) error {
-	spec := *req.Optimize
-	if spec.Method != "" && spec.Method != core.MethodSPSA && spec.Method != core.MethodNelderMead {
-		return fmt.Errorf("service: unknown optimizer %q (have %q, %q)", spec.Method, core.MethodSPSA, core.MethodNelderMead)
-	}
-	if len(spec.Observables) == 0 {
-		return fmt.Errorf("service: optimize needs at least one observable (the objective is their weighted sum)")
-	}
-	roSpec := core.ReadoutSpec{Observables: spec.Observables}
-	if err := roSpec.Validate(req.Circuit.NumQubits); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	syms := req.Circuit.Symbols()
-	for k, v := range spec.Init {
-		known := false
-		for _, s := range syms {
-			if s == k {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("service: init binds unknown symbol %q", k)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("service: non-finite init value %v for symbol %q", v, k)
-		}
-	}
-	if spec.MaxIters > s.cfg.MaxOptimizeIters {
-		return fmt.Errorf("service: %d iterations exceeds limit %d", spec.MaxIters, s.cfg.MaxOptimizeIters)
-	}
-	if spec.Trajectories < 0 {
-		return fmt.Errorf("service: negative trajectory count %d", spec.Trajectories)
-	}
-	if spec.Trajectories > s.cfg.MaxTrajectories {
-		return fmt.Errorf("service: %d trajectories exceeds limit %d", spec.Trajectories, s.cfg.MaxTrajectories)
-	}
-	return nil
-}
-
 // templateEntry wraps a compiled fuse.Template for the plan LRU.
 type templateEntry struct {
 	tpl *fuse.Template

@@ -232,14 +232,19 @@ benchmark-smoke:
 
 # The third run drives the hierarchical executor through the CLI and
 # cross-checks it against flat simulation (-verify exits nonzero on a
-# mismatch). The last two take the CLI's noisy route, one Evaluate call: a
-# trajectory ensemble, then the exact density-matrix engine.
+# mismatch). The next two take the CLI's noisy route, one Evaluate call: a
+# trajectory ensemble, then the exact density-matrix engine. Then an ideal
+# dm run (Simulate returning ρ) and an -lm 1 run, which admission must refuse
+# before any work.
 cli-smoke:
 	$(GO) run ./cmd/hisvsim -backends
 	$(GO) run ./cmd/hisvsim -circuit ising -n 8 -backend flat -observables '-1*ZZ@0,1; 0.5*X@2'
 	$(GO) run ./cmd/hisvsim -circuit qft -n 14 -strategy dagp -lm 10 -verify
 	$(GO) run ./cmd/hisvsim -circuit ising -n 8 -depolarizing 0.01 -trajectories 64 -shots 256 -expect-z 0,1
 	$(GO) run ./cmd/hisvsim -circuit ising -n 8 -backend dm -depolarizing 0.01 -shots 256 -expect-z 0,1
+	$(GO) run ./cmd/hisvsim -circuit qft -n 6 -backend dm -verify
+	out=$$($(GO) run ./cmd/hisvsim -circuit qft -n 6 -lm 1 2>&1); status=$$?; echo "$$out"; \
+	test $$status -ne 0 && echo "$$out" | grep -q 'Lm=1 is not a tile width'
 
 # Boots hisvsimd and exercises submit → poll → sample over HTTP (curl + jq).
 serve-smoke:

@@ -12,6 +12,7 @@
 package hisvsim
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -329,7 +330,7 @@ func benchFusion(b *testing.B, fam string, fp core.FusePolicy) {
 	b.SetBytes(int64(c.NumGates()) * (32 << 16))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Simulate(c, opts); err != nil {
+		if _, err := core.SimulateContext(context.Background(), c, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

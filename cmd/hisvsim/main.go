@@ -135,10 +135,6 @@ func main() {
 		}
 		c = bound
 	}
-	if c.Parametric() && *sweepF == "" && !*planOnly {
-		fatal(fmt.Errorf("circuit has unbound symbols %v (bind them with -params or sweep them with -sweep)", c.Symbols()))
-	}
-
 	if *planOnly {
 		width := *lm
 		if width <= 0 {

@@ -180,8 +180,11 @@ func DotDAG(c *Circuit, pl *Plan) string {
 }
 
 // Simulate partitions and executes a circuit from |0…0⟩ on the engine
-// Options.Backend names (the hierarchical executor by default).
-func Simulate(c *Circuit, opts Options) (*Result, error) { return core.Simulate(c, opts) }
+// Options.Backend names (the hierarchical executor by default), after the
+// admission check Evaluate and the service run.
+func Simulate(c *Circuit, opts Options) (*Result, error) {
+	return core.SimulateContext(context.Background(), c, opts)
+}
 
 // SimulateContext is Simulate under a context: cancellation or deadline
 // expiry aborts the run at the next part/step boundary with the context's
@@ -311,7 +314,7 @@ type RunReport = core.RunReport
 // seed-independent observables; see the Backends listing for the engine's
 // qubit cap).
 func Evaluate(c *Circuit, opts Options, spec ReadoutSpec) (*RunReport, error) {
-	return core.Evaluate(c, opts, spec)
+	return core.EvaluateContext(context.Background(), c, opts, spec)
 }
 
 // EvaluateContext is Evaluate under a context.
@@ -456,7 +459,7 @@ const (
 //		{"gamma0": 0.2, "beta0": 0.3},
 //	})
 func Sweep(c *Circuit, opts Options, spec ReadoutSpec, bindings []map[string]float64) (*SweepReport, error) {
-	return core.Sweep(c, opts, spec, bindings)
+	return core.SweepContext(context.Background(), c, opts, spec, bindings)
 }
 
 // SweepContext is Sweep under a context: cancellation stops every point
@@ -470,7 +473,7 @@ func SweepContext(ctx context.Context, c *Circuit, opts Options, spec ReadoutSpe
 // binding against the once-compiled template. (Optimize, by contrast, is
 // the gate-level circuit rewriter.)
 func OptimizeParams(c *Circuit, opts Options, spec OptimizeSpec) (*OptimizeReport, error) {
-	return core.Optimize(c, opts, spec)
+	return core.OptimizeContext(context.Background(), c, opts, spec)
 }
 
 // OptimizeParamsContext is OptimizeParams under a context: cancellation

@@ -6,18 +6,41 @@ import (
 	"hisvsim/internal/circuit"
 )
 
+// Kind is what a request computes. The service's wire kinds are these.
+type Kind string
+
+// Request kinds.
+const (
+	// KindRun is one simulation: the engine's state (SimulateContext), or
+	// any mix of read-outs from one simulation or, under an effective noise
+	// model, one trajectory ensemble (EvaluateContext).
+	KindRun Kind = "run"
+	// KindSweep evaluates one parameterized template over a binding grid:
+	// it compiles once (Stats.TemplateCompiles in the service) and every
+	// point re-binds it; the result is one table, rows in request order
+	// (SweepContext).
+	KindSweep Kind = "sweep"
+	// KindOptimize minimizes a weighted Pauli observable sum over the
+	// template's symbols with an SPSA or Nelder-Mead loop, with a
+	// per-iteration trace in the result (OptimizeContext).
+	KindOptimize Kind = "optimize"
+)
+
 // Request is one request as core admits it: a circuit, how to run it and
-// what to read out. The library's Evaluate, Sweep and Optimize and the
-// service's submit each build one and call Admit before any work, so a
-// malformed request is refused by the same rule, in the same words,
-// whichever way it arrived.
+// what to read out. Every library entry point (SimulateContext,
+// EvaluateContext, SweepContext, OptimizeContext) and the service's submit
+// build one and call Admit before any work, so a malformed request is
+// refused by the same rule, in the same words, whichever way it arrived.
 type Request struct {
 	Circuit *circuit.Circuit
+	// Kind is what the request computes; the zero value is a run.
+	Kind Kind
 	// Options selects the engine and carries the noise model.
 	Options Options
-	// Readouts is what a run or a sweep reads out. An optimize request
-	// reads out its objective instead (OptimizeSpec.Observables).
-	Readouts ReadoutSpec
+	// Readouts is what a run or a sweep reads out; nil asks for the
+	// engine's state itself (SimulateContext). An optimize request reads
+	// out its objective instead (OptimizeSpec.Observables).
+	Readouts *ReadoutSpec
 	// Params binds a parameterized circuit for a run.
 	Params map[string]float64
 	// Bindings is a sweep's grid, one environment per point.
@@ -29,32 +52,47 @@ type Request struct {
 // Admit checks every rule the request's circuit, options and read-outs
 // must keep and resolves the engine that runs it: its registry name, and
 // whether it evolves ρ exactly (capability NoiseExact). A sweep or an
-// optimize request (Bindings or Optimize set) runs on the flat template
-// engine, which an empty Options.Backend selects for it; a run's empty
-// Options.Backend selects hier.
+// optimize request runs on the flat template engine, which an empty
+// Options.Backend selects for it; a run's empty Options.Backend selects
+// hier.
 func Admit(r Request) (engine string, exact bool, err error) {
 	c := r.Circuit
 	if err := c.Validate(); err != nil {
 		return "", false, err
 	}
-	spec, template := r.Readouts, r.Bindings != nil || r.Optimize != nil
+	spec, template := r.Readouts, r.Kind == KindSweep || r.Kind == KindOptimize
 	if template && !c.Parametric() {
 		return "", false, fmt.Errorf("core: sweep and optimize requests need a parameterized circuit (circuit %s has no symbols)", c.Name)
 	}
-	if r.Optimize != nil {
+	switch r.Kind {
+	case KindSweep:
+		if len(r.Bindings) == 0 {
+			return "", false, fmt.Errorf("core: sweep needs at least one binding (set Bindings or Grid)")
+		}
+	case KindOptimize:
+		if r.Optimize == nil {
+			return "", false, fmt.Errorf("core: optimize needs an optimize spec (observables + method)")
+		}
 		if err := r.Optimize.Validate(c); err != nil {
 			return "", false, err
 		}
-		spec = r.Optimize.readouts()
+		objective := r.Optimize.readouts()
+		spec = &objective
 	}
-	if err := spec.Validate(c.NumQubits); err != nil {
-		return "", false, err
+	if spec != nil {
+		if err := spec.Validate(c.NumQubits); err != nil {
+			return "", false, err
+		}
 	}
 	noisy := !r.Options.Noise.IsZero()
 	if r.Options.Noise != nil {
 		if err := r.Options.Noise.Validate(c.NumQubits); err != nil {
 			return "", false, err
 		}
+	}
+	// A bare simulation returns the state, which a noisy run does not have.
+	if noisy && (spec == nil || spec.Statevector) {
+		return "", false, fmt.Errorf("core: the state (a statevector readout or a bare simulation) is undefined under an effective noise model (a trajectory ensemble has no single state)")
 	}
 	if _, err := NewStrategy(r.Options.Strategy, 0); err != nil {
 		return "", false, err
@@ -90,14 +128,24 @@ func Admit(r Request) (engine string, exact bool, err error) {
 	if template && engine != NameFlat {
 		return "", false, fmt.Errorf("core: parameterized jobs run on the flat template engine (got backend %q)", engine)
 	}
+	if lm, widest := r.Options.Lm, widestGate(c); caps.Partitioned && (lm < 0 || lm > 0 && lm < widest) {
+		// A part holds every gate it runs.
+		return "", false, fmt.Errorf("core: Lm=%d is not a tile width for backend %q (want 0 for the full register, or at least %d, the widest gate's qubit count)", lm, engine, widest)
+	}
 	exact = caps.Noise == NoiseExact
-	if spec.Statevector && exact {
+	if spec != nil && spec.Statevector && exact {
 		return "", false, fmt.Errorf("core: statevector readout is not available on backend %q (ρ has no single amplitude vector)", engine)
 	}
-	if spec.Statevector && noisy {
-		return "", false, fmt.Errorf("core: statevector readout is undefined under an effective noise model (a trajectory ensemble has no single state)")
-	}
 	return engine, exact, nil
+}
+
+// widestGate is the largest qubit count of one gate of c (at least 1).
+func widestGate(c *circuit.Circuit) int {
+	w := 1
+	for _, g := range c.Gates {
+		w = max(w, g.Arity())
+	}
+	return w
 }
 
 // noisyBackendNames lists the registered backends that accept requests

@@ -7,7 +7,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"hisvsim/internal/circuit"
@@ -43,6 +42,8 @@ type Options struct {
 	// Strategy is the partitioner name ("nat", "dfs", "dagp").
 	Strategy string
 	// Lm is the working-set limit of a part; 0 selects the full register.
+	// On a partitioned engine Admit refuses a negative Lm, or one below
+	// the widest gate's qubit count.
 	Lm int
 	// Workers bounds kernel parallelism (0 = GOMAXPROCS).
 	Workers int
@@ -52,9 +53,9 @@ type Options struct {
 	// whose combined support stays within 5 qubits (10 for runs of diagonal
 	// gates) execute as single fused kernels between gather/scatter points.
 	Fuse FusePolicy
-	// Noise attaches a noise model for Evaluate (nil = ideal). Plain
-	// Simulate rejects an effective (non-zero) noise model rather than
-	// silently returning ideal amplitudes.
+	// Noise attaches a noise model for EvaluateContext (nil = ideal).
+	// Admit refuses an effective (non-zero) model on a bare simulation
+	// (SimulateContext) rather than silently returning ideal amplitudes.
 	Noise *noise.Model
 }
 
@@ -70,33 +71,31 @@ type Result struct {
 	Elapsed time.Duration   // wall time of the execution phase
 }
 
-// Simulate partitions and executes the circuit per the options.
-func Simulate(c *circuit.Circuit, opts Options) (*Result, error) {
-	return SimulateContext(context.Background(), c, opts)
-}
-
-// SimulateContext is Simulate under a context: cancellation or deadline
-// expiry aborts the run at the next batch of sweeps within a part with the
-// context's error. Options.Seed makes the randomized partitioners — and
-// therefore the produced plan and state — deterministic for a fixed
-// (circuit, options) pair.
+// SimulateContext partitions and executes the circuit per the options and
+// returns the engine's state: a bare simulation, admitted like every other
+// request (Admit with no read-outs). Cancellation or deadline expiry aborts
+// the run at the next batch of sweeps within a part with the context's
+// error. Options.Seed makes the randomized partitioners — and therefore the
+// produced plan and state — deterministic for a fixed (circuit, options)
+// pair.
 //
 // The execution engine is a registry lookup: Options.Backend names it, and
 // an empty name resolves to "hier".
 func SimulateContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
-	if err := c.Validate(); err != nil {
+	engine, _, err := Admit(Request{Circuit: c, Options: opts})
+	if err != nil {
 		return nil, err
 	}
+	return simulate(ctx, c, opts, engine)
+}
+
+// simulate is the step after admission: it runs the admitted engine on c
+// under opts, ignoring opts.Noise (as every engine does).
+func simulate(ctx context.Context, c *circuit.Circuit, opts Options, engine string) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if c.Parametric() {
-		return nil, fmt.Errorf("core: circuit %s has unbound symbols %v; bind a parameter environment (or submit a sweep/optimize job)", c.Name, c.Symbols())
-	}
-	if !opts.Noise.IsZero() {
-		return nil, fmt.Errorf("core: options carry a noise model; use Evaluate for noisy runs")
-	}
-	b, name, err := resolve(opts.Backend)
+	b, engine, err := resolve(engine)
 	if err != nil {
 		return nil, err
 	}
@@ -107,6 +106,6 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Re
 	if err != nil {
 		return nil, err
 	}
-	res.Backend = name
+	res.Backend = engine
 	return res, nil
 }

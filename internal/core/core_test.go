@@ -32,7 +32,7 @@ func TestSimulateSingleNodeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(c, Options{})
+	res, err := SimulateContext(context.Background(), c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSimulateWithLmAndStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []string{"nat", "dfs", "dagp"} {
-		res, err := Simulate(c, Options{Strategy: s, Lm: 4, Seed: 3})
+		res, err := SimulateContext(context.Background(), c, Options{Strategy: s, Lm: 4, Seed: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -71,10 +71,10 @@ func TestSimulateWithLmAndStrategies(t *testing.T) {
 func TestSimulateRejectsInvalid(t *testing.T) {
 	bad := circuit.New("bad", 2)
 	bad.Append(circuit.QFT(4).Gates...) // out-of-range gates
-	if _, err := Simulate(bad, Options{}); err == nil {
+	if _, err := SimulateContext(context.Background(), bad, Options{}); err == nil {
 		t.Fatal("invalid circuit accepted")
 	}
-	if _, err := Simulate(circuit.QFT(6), Options{Strategy: "nope"}); err == nil {
+	if _, err := SimulateContext(context.Background(), circuit.QFT(6), Options{Strategy: "nope"}); err == nil {
 		t.Fatal("invalid strategy accepted")
 	}
 }
@@ -101,11 +101,11 @@ func TestSimulateSeedDeterminism(t *testing.T) {
 	// A fixed Seed pins the randomized partitioners, so the plan shape and
 	// the final state are reproducible run to run.
 	c := circuit.Random(8, 60, 2)
-	a, err := Simulate(c, Options{Strategy: "dfs", Lm: 4, Seed: 7})
+	a, err := SimulateContext(context.Background(), c, Options{Strategy: "dfs", Lm: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(c, Options{Strategy: "dfs", Lm: 4, Seed: 7})
+	b, err := SimulateContext(context.Background(), c, Options{Strategy: "dfs", Lm: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

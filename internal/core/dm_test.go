@@ -17,14 +17,14 @@ import (
 // zero-noise differential bound), with no amplitude vector.
 func TestSimulateDMBackendZeroNoise(t *testing.T) {
 	c := circuit.MustNamed("qft", 6)
-	res, err := Simulate(c, Options{Backend: "dm"})
+	res, err := SimulateContext(context.Background(), c, Options{Backend: "dm"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Backend != "dm" || res.DM == nil || res.State != nil {
 		t.Fatalf("dm result: backend=%q DM=%v State=%v", res.Backend, res.DM != nil, res.State != nil)
 	}
-	flat, err := Simulate(c, Options{Backend: "flat"})
+	flat, err := SimulateContext(context.Background(), c, Options{Backend: "flat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ func TestEvaluateDMMatchesIdealReadouts(t *testing.T) {
 			{Name: "xy", Paulis: "XY", Qubits: []int{2, 4}},
 		},
 	}
-	want, err := Evaluate(c, Options{Backend: "flat"}, spec)
+	want, err := EvaluateContext(context.Background(), c, Options{Backend: "flat"}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Evaluate(c, Options{Backend: "dm"}, spec)
+	got, err := EvaluateContext(context.Background(), c, Options{Backend: "dm"}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestEvaluateDMNoisySeedIndependentObservables(t *testing.T) {
 		Shots: 100, Seed: 1, Trajectories: 7,
 		Observables: []Observable{{Name: "z0", Paulis: "Z", Qubits: []int{0}}},
 	}
-	a, err := Evaluate(c, Options{Backend: "dm", Noise: model}, spec)
+	a, err := EvaluateContext(context.Background(), c, Options{Backend: "dm", Noise: model}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestEvaluateDMNoisySeedIndependentObservables(t *testing.T) {
 	}
 	spec2 := spec
 	spec2.Seed, spec2.Trajectories = 99, 500
-	b, err := Evaluate(c, Options{Backend: "dm", Noise: model}, spec2)
+	b, err := EvaluateContext(context.Background(), c, Options{Backend: "dm", Noise: model}, spec2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestEvaluateDMNoisySeedIndependentObservables(t *testing.T) {
 		t.Fatalf("exact observable moved with seed/trajectories: %g vs %g",
 			a.Observables[0].Value, b.Observables[0].Value)
 	}
-	ens, err := Evaluate(c, Options{Backend: "flat", Noise: model},
+	ens, err := EvaluateContext(context.Background(), c, Options{Backend: "flat", Noise: model},
 		ReadoutSpec{Trajectories: 1200, Seed: 5, Observables: spec.Observables})
 	if err != nil {
 		t.Fatal(err)
@@ -132,25 +132,25 @@ func TestDMCapabilityErrors(t *testing.T) {
 	model := noise.Global(noise.Depolarizing(0.01))
 
 	// Statevector read-out of ρ.
-	if _, err := Evaluate(small, Options{Backend: "dm"}, ReadoutSpec{Statevector: true}); err == nil ||
+	if _, err := EvaluateContext(context.Background(), small, Options{Backend: "dm"}, ReadoutSpec{Statevector: true}); err == nil ||
 		!strings.Contains(err.Error(), "statevector") {
 		t.Errorf("statevector on dm: %v", err)
 	}
 	// Register over the cap.
 	wide := circuit.MustNamed("cat_state", dm.MaxQubits+1)
-	if _, err := Evaluate(wide, Options{Backend: "dm"}, ReadoutSpec{Shots: 1}); err == nil ||
+	if _, err := EvaluateContext(context.Background(), wide, Options{Backend: "dm"}, ReadoutSpec{Shots: 1}); err == nil ||
 		!strings.Contains(err.Error(), "at most") {
 		t.Errorf("dm over cap: %v", err)
 	}
 	// Engines with no noisy path reject effective models. No built-in
 	// engine lacks one, so the test registers its own.
 	Register(noiselessBackend{})
-	if _, err := Evaluate(small, Options{Backend: noiselessBackend{}.Name(), Noise: model}, ReadoutSpec{Shots: 1}); err == nil ||
+	if _, err := EvaluateContext(context.Background(), small, Options{Backend: noiselessBackend{}.Name(), Noise: model}, ReadoutSpec{Shots: 1}); err == nil ||
 		!strings.Contains(err.Error(), "no noisy path") {
 		t.Errorf("noisy Evaluate on a noiseless engine: %v", err)
 	}
 	// The default backend runs noisy requests as a trajectory ensemble.
-	if rep, err := Evaluate(small, Options{Noise: model}, ReadoutSpec{
+	if rep, err := EvaluateContext(context.Background(), small, Options{Noise: model}, ReadoutSpec{
 		Trajectories: 5, Observables: []Observable{{Paulis: "Z", Qubits: []int{0}}},
 	}); err != nil {
 		t.Errorf("default-backend noisy run rejected: %v", err)

@@ -82,9 +82,10 @@ type Backend interface {
 	Capabilities() Capabilities
 	// Run executes the circuit from |0…0⟩ under opts, ignoring the fields
 	// outside its capabilities (flat ignores partitioning) and opts.Noise,
-	// which Evaluate serves. Result.Backend may be left empty: Simulate
-	// sets it. Implementations must honor ctx at their natural boundaries
-	// (part, step, gate run).
+	// which EvaluateContext serves. Core calls it only on a request Admit
+	// accepted, so the engine's qubit cap and tile width already hold.
+	// Result.Backend may be left empty: core sets it. Implementations must
+	// honor ctx at their natural boundaries (part, step, gate run).
 	Run(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error)
 }
 
@@ -256,7 +257,7 @@ func (hierBackend) Run(ctx context.Context, c *circuit.Circuit, opts Options) (*
 
 // dmBackend is the exact density-matrix engine: ρ over ≤ dm.MaxQubits
 // qubits evolves as UρU† per fused gate block, and — under a noise model —
-// channels apply exactly as superoperators (Evaluate routes noisy "dm"
+// channels apply exactly as superoperators (EvaluateContext routes noisy "dm"
 // requests through dm.Run directly; this Run covers the ideal case, e.g.
 // the zero-noise elision path).
 type dmBackend struct{}
@@ -273,9 +274,6 @@ func (dmBackend) Capabilities() Capabilities {
 }
 
 func (dmBackend) Run(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
-	if c.NumQubits > dm.MaxQubits {
-		return nil, fmt.Errorf("core: dm holds at most %d qubits (ρ is 4^n amplitudes); circuit has %d", dm.MaxQubits, c.NumQubits)
-	}
 	start := time.Now()
 	d, _, err := dm.Run(ctx, c, nil, dm.Options{Fuse: opts.Fuse.Enabled(), Workers: opts.Workers})
 	if err != nil {

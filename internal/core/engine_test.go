@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hisvsim/internal/circuit"
+	"hisvsim/internal/sv"
 )
 
 func TestRegistryNamesAndDefaults(t *testing.T) {
@@ -90,6 +91,42 @@ func TestCanceledContext(t *testing.T) {
 		}
 		if _, err := b.Run(ctx, c, Options{}); err == nil {
 			t.Errorf("%s ignored a canceled context", name)
+		}
+	}
+}
+
+// TestAdmittedSimulateKeepsEveryEngine runs every registered engine through
+// SimulateContext, admission included: an ideal run returns the engine's
+// artifact — the state, or ρ on the exact engine — names the engine, and
+// agrees with the flat reference sweep.
+func TestAdmittedSimulateKeepsEveryEngine(t *testing.T) {
+	c := circuit.MustNamed("qft", 8)
+	ref, err := sv.Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range Backends() {
+		res, err := SimulateContext(context.Background(), c, Options{Backend: info.Name, Strategy: "dagp", Lm: 4, Seed: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", info.Name, err)
+		}
+		if res.Backend != info.Name {
+			t.Errorf("%s: Result.Backend = %q", info.Name, res.Backend)
+		}
+		if info.Capabilities.Noise == NoiseExact {
+			if res.DM == nil || res.State != nil {
+				t.Fatalf("%s: DM=%v State=%v, want ρ only", info.Name, res.DM != nil, res.State != nil)
+			}
+			if diff := res.DM.MaxAbsDiffPure(ref); diff > 1e-9 {
+				t.Errorf("%s: max |ρ − ψψ†| = %g", info.Name, diff)
+			}
+			continue
+		}
+		if res.State == nil || res.DM != nil {
+			t.Fatalf("%s: State=%v DM=%v, want the state only", info.Name, res.State != nil, res.DM != nil)
+		}
+		if !res.State.EqualTol(ref, 1e-9) {
+			t.Errorf("%s: state diverges from the flat reference", info.Name)
 		}
 	}
 }

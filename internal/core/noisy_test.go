@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -43,7 +44,7 @@ func TestZeroNoiseMatchesIdealBitForBit(t *testing.T) {
 		{Strategy: "dagp", Fuse: FuseOff, Seed: 3},
 	}
 	for _, opts := range cases {
-		ideal, err := Simulate(c, opts)
+		ideal, err := SimulateContext(context.Background(), c, opts)
 		if err != nil {
 			t.Fatalf("%+v: ideal: %v", opts, err)
 		}
@@ -53,7 +54,7 @@ func TestZeroNoiseMatchesIdealBitForBit(t *testing.T) {
 		noisyOpts.Noise = zeroModel()
 		spec := ReadoutSpec{Trajectories: 4, Seed: 11, Shots: 64,
 			Observables: []Observable{{Paulis: "ZZZ", Qubits: qubits}}}
-		a, err := Evaluate(c, noisyOpts, spec)
+		a, err := EvaluateContext(context.Background(), c, noisyOpts, spec)
 		if err != nil {
 			t.Fatalf("%+v: noisy: %v", opts, err)
 		}
@@ -69,7 +70,7 @@ func TestZeroNoiseMatchesIdealBitForBit(t *testing.T) {
 
 		// Same seed ⇒ identical counts; and a nil model agrees with the
 		// zero-probability model exactly (same elision, same fast path).
-		b, err := Evaluate(c, opts, spec)
+		b, err := EvaluateContext(context.Background(), c, opts, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +83,7 @@ func TestZeroNoiseMatchesIdealBitForBit(t *testing.T) {
 		// simulation, so the observable is still ideal bit-for-bit.
 		idle := opts
 		idle.Noise = noise.OnGates(noise.Depolarizing(0.1), "ccx")
-		e, err := Evaluate(c, idle, spec)
+		e, err := EvaluateContext(context.Background(), c, idle, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +104,11 @@ func TestSimulateRejectsNoiseModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Simulate(c, Options{Noise: noise.Global(noise.Depolarizing(0.01))}); err == nil {
+	if _, err := SimulateContext(context.Background(), c, Options{Noise: noise.Global(noise.Depolarizing(0.01))}); err == nil {
 		t.Fatal("Simulate accepted a noisy model")
 	}
 	// A zero model is fine (it IS ideal).
-	if _, err := Simulate(c, Options{Noise: zeroModel()}); err != nil {
+	if _, err := SimulateContext(context.Background(), c, Options{Noise: zeroModel()}); err != nil {
 		t.Fatalf("Simulate rejected a zero model: %v", err)
 	}
 }
@@ -122,7 +123,7 @@ func TestEvaluateNoisySeededReproducibility(t *testing.T) {
 	}
 	model := noise.Global(noise.Depolarizing(0.02)).WithReadout(0.01, 0.01)
 	run := func(workers int) *RunReport {
-		rep, err := Evaluate(c, Options{Noise: model, Workers: workers}, ReadoutSpec{
+		rep, err := EvaluateContext(context.Background(), c, Options{Noise: model, Workers: workers}, ReadoutSpec{
 			Trajectories: 30, Seed: 42, Shots: 300,
 			Observables: []Observable{{Paulis: "ZZ", Qubits: []int{0, 1}}},
 		})
@@ -155,7 +156,7 @@ func TestEvaluateNoisyDecay(t *testing.T) {
 		c.Append(gate.ID(0))
 	}
 	opts := Options{Noise: noise.OnGates(noise.Depolarizing(p), "id")}
-	rep, err := Evaluate(c, opts, ReadoutSpec{Trajectories: 3000, Seed: 5,
+	rep, err := EvaluateContext(context.Background(), c, opts, ReadoutSpec{Trajectories: 3000, Seed: 5,
 		Observables: []Observable{{Paulis: "Z", Qubits: []int{0}}}})
 	if err != nil {
 		t.Fatal(err)

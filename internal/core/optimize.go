@@ -139,11 +139,6 @@ type OptimizeReport struct {
 	Elapsed time.Duration
 }
 
-// Optimize runs the variational loop. See OptimizeContext.
-func Optimize(c *circuit.Circuit, opts Options, spec OptimizeSpec) (*OptimizeReport, error) {
-	return OptimizeContext(context.Background(), c, opts, spec)
-}
-
 // objectiveFn evaluates Σ c_k⟨P_k⟩ for one binding. Implementations hold
 // the template compiled once up front.
 type objectiveFn func(env map[string]float64) (float64, error)
@@ -156,7 +151,7 @@ type objectiveFn func(env map[string]float64) (float64, error)
 // a consistent noisy landscape rather than fresh sampling jitter per step).
 func OptimizeContext(ctx context.Context, c *circuit.Circuit, opts Options, spec OptimizeSpec) (*OptimizeReport, error) {
 	start := time.Now()
-	if _, _, err := Admit(Request{Circuit: c, Options: opts, Optimize: &spec}); err != nil {
+	if _, _, err := Admit(Request{Circuit: c, Kind: KindOptimize, Options: opts, Optimize: &spec}); err != nil {
 		return nil, err
 	}
 	spec = spec.withDefaults()

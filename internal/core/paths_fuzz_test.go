@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/cmplx"
 	"testing"
@@ -146,7 +147,7 @@ func FuzzPathsAgree(f *testing.F) {
 		want := pathsWant(t, sv.NewState(n), full.Gates)
 
 		run := func(name string, opts Options) {
-			res, err := Simulate(full, opts)
+			res, err := SimulateContext(context.Background(), full, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -362,7 +362,7 @@ func ReadoutsFromEnsemble(ens *noise.Ensemble, spec ReadoutSpec) *Readouts {
 	return out
 }
 
-// RunReport is Evaluate's result: the read-outs plus whichever execution
+// RunReport is EvaluateContext's result: the read-outs plus whichever execution
 // artifact produced them.
 type RunReport struct {
 	Readouts
@@ -377,12 +377,6 @@ type RunReport struct {
 	// Density is the exact density matrix behind the read-outs (backend
 	// "dm" only; set for both ideal and noisy runs on that engine).
 	Density *dm.Density
-}
-
-// Evaluate runs one simulation and derives every read-out the spec asks
-// for. See EvaluateContext.
-func Evaluate(c *circuit.Circuit, opts Options, spec ReadoutSpec) (*RunReport, error) {
-	return EvaluateContext(context.Background(), c, opts, spec)
 }
 
 // EvaluateContext is the unified entry point of the v2 surface: one
@@ -400,7 +394,7 @@ func Evaluate(c *circuit.Circuit, opts Options, spec ReadoutSpec) (*RunReport, e
 // under effective noise (neither an ensemble nor ρ has a single amplitude
 // vector) and on the dm backend generally.
 func EvaluateContext(ctx context.Context, c *circuit.Circuit, opts Options, spec ReadoutSpec) (*RunReport, error) {
-	_, exact, err := Admit(Request{Circuit: c, Options: opts, Readouts: spec})
+	engine, exact, err := Admit(Request{Circuit: c, Options: opts, Readouts: &spec})
 	if err != nil {
 		return nil, err
 	}
@@ -413,9 +407,7 @@ func EvaluateContext(ctx context.Context, c *circuit.Circuit, opts Options, spec
 		return &RunReport{Readouts: *EvaluateDensity(d, plan.Readout(), spec), Density: d}, nil
 	}
 	if !noisy {
-		ideal := opts
-		ideal.Noise = nil
-		res, err := SimulateContext(ctx, c, ideal)
+		res, err := simulate(ctx, c, opts, engine)
 		if err != nil {
 			return nil, err
 		}
@@ -424,7 +416,7 @@ func EvaluateContext(ctx context.Context, c *circuit.Circuit, opts Options, spec
 		}
 		return &RunReport{Readouts: *EvaluateState(res.State, nil, spec), Sim: res}, nil
 	}
-	ens, err := runEnsemble(ctx, c, opts, spec.EnsembleConfig(opts.Workers))
+	ens, err := runEnsemble(ctx, c, opts, engine, spec.EnsembleConfig(opts.Workers))
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +431,7 @@ func EvaluateContext(ctx context.Context, c *circuit.Circuit, opts Options, spec
 // circuit ONCE through the selected backend instead — strategy, Lm and
 // fusion honored — and every trajectory samples that state, so only the
 // sampling work scales with the trajectory count.
-func runEnsemble(ctx context.Context, c *circuit.Circuit, opts Options, run noise.RunConfig) (*noise.Ensemble, error) {
+func runEnsemble(ctx context.Context, c *circuit.Circuit, opts Options, engine string, run noise.RunConfig) (*noise.Ensemble, error) {
 	plan, err := noise.Compile(c, opts.Noise, noise.CompileOptions{Fuse: opts.Fuse.Enabled()})
 	if err != nil {
 		return nil, err
@@ -447,9 +439,8 @@ func runEnsemble(ctx context.Context, c *circuit.Circuit, opts Options, run nois
 	if !plan.NoiseFree() {
 		return noise.RunEnsemble(ctx, plan, run)
 	}
-	ideal := opts
-	ideal.Noise = nil // the remaining model (readout only) applies at sampling
-	res, err := SimulateContext(ctx, c, ideal)
+	// The remaining model (readout only) applies at sampling.
+	res, err := simulate(ctx, c, opts, engine)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -59,7 +60,7 @@ func TestEvaluateMatchesSingleReadouts(t *testing.T) {
 			{Name: "y5z6", Coeff: 0.25, Paulis: "YZ", Qubits: []int{5, 6}},
 		},
 	}
-	rep, err := Evaluate(c, Options{}, spec)
+	rep, err := EvaluateContext(context.Background(), c, Options{}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestPauliObservablesAcrossBackendsAndRanks(t *testing.T) {
 		{Strategy: "dfs", Lm: 6, Seed: 3}, // default resolution → hier
 	}
 	for _, opts := range cases {
-		rep, err := Evaluate(c, opts, ReadoutSpec{Observables: obs})
+		rep, err := EvaluateContext(context.Background(), c, opts, ReadoutSpec{Observables: obs})
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
@@ -157,7 +158,7 @@ func TestEvaluateNoisyXDecayUnderPhaseDamping(t *testing.T) {
 		c.Append(gate.ID(0)) // each gate fires the global channel once more
 	}
 	model := noise.Global(noise.PhaseDamping(gamma))
-	rep, err := Evaluate(c, Options{Noise: model}, ReadoutSpec{
+	rep, err := EvaluateContext(context.Background(), c, Options{Noise: model}, ReadoutSpec{
 		Observables:  []Observable{{Name: "x", Paulis: "X", Qubits: []int{0}}},
 		Trajectories: 3000, Seed: 5,
 	})
@@ -186,7 +187,7 @@ func TestEvaluateNoisyXDecayUnderPhaseDamping(t *testing.T) {
 func TestEvaluateStatevectorRejectedUnderNoise(t *testing.T) {
 	c, _ := circuit.Named("bv", 4)
 	model := noise.Global(noise.Depolarizing(0.01))
-	if _, err := Evaluate(c, Options{Noise: model}, ReadoutSpec{Statevector: true}); err == nil {
+	if _, err := EvaluateContext(context.Background(), c, Options{Noise: model}, ReadoutSpec{Statevector: true}); err == nil {
 		t.Fatal("statevector readout accepted under an effective noise model")
 	}
 }
@@ -197,7 +198,7 @@ func TestNoisyPathRejectsUnknownBackend(t *testing.T) {
 	c, _ := circuit.Named("bv", 4)
 	model := noise.Global(noise.Depolarizing(0.01))
 	spec := ReadoutSpec{Observables: []Observable{{Paulis: "Z", Qubits: []int{0}}}, Trajectories: 2}
-	if _, err := Evaluate(c, Options{Backend: "warp-drive", Noise: model}, spec); err == nil {
+	if _, err := EvaluateContext(context.Background(), c, Options{Backend: "warp-drive", Noise: model}, spec); err == nil {
 		t.Fatal("unknown backend accepted on the noisy path")
 	}
 }
@@ -205,14 +206,14 @@ func TestNoisyPathRejectsUnknownBackend(t *testing.T) {
 // TestEvaluateZeroNoiseIsIdeal: a zero-effect model rides the ideal path.
 func TestEvaluateZeroNoiseIsIdeal(t *testing.T) {
 	c, _ := circuit.Named("bv", 5)
-	rep, err := Evaluate(c, Options{Noise: zeroModelNoReadout()}, ReadoutSpec{Statevector: true})
+	rep, err := EvaluateContext(context.Background(), c, Options{Noise: zeroModelNoReadout()}, ReadoutSpec{Statevector: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Sim == nil {
 		t.Fatal("zero-effect model did not take the ideal path")
 	}
-	want, _ := Simulate(c, Options{})
+	want, _ := SimulateContext(context.Background(), c, Options{})
 	for i := range want.State.Amps {
 		if rep.Amplitudes[i] != want.State.Amps[i] {
 			t.Fatalf("amplitude %d differs from ideal Simulate", i)

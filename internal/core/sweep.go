@@ -171,11 +171,6 @@ func (r *SweepReport) setRow(i int, ro *Readouts) {
 	}
 }
 
-// Sweep evaluates the template under every binding. See SweepContext.
-func Sweep(c *circuit.Circuit, opts Options, spec ReadoutSpec, bindings []map[string]float64) (*SweepReport, error) {
-	return SweepContext(context.Background(), c, opts, spec, bindings)
-}
-
 // SweepContext compiles the parameterized circuit once and evaluates the
 // ReadoutSpec under every binding; rows are in request order. Ideal sweeps
 // replay the fused template on the flat engine; sweeps under an effective
@@ -188,10 +183,7 @@ func Sweep(c *circuit.Circuit, opts Options, spec ReadoutSpec, bindings []map[st
 // workers and their kernels.
 func SweepContext(ctx context.Context, c *circuit.Circuit, opts Options, spec ReadoutSpec, bindings []map[string]float64) (*SweepReport, error) {
 	start := time.Now()
-	if len(bindings) == 0 {
-		return nil, fmt.Errorf("core: sweep needs at least one binding")
-	}
-	if _, _, err := Admit(Request{Circuit: c, Options: opts, Readouts: spec, Bindings: bindings}); err != nil {
+	if _, _, err := Admit(Request{Circuit: c, Kind: KindSweep, Options: opts, Readouts: &spec, Bindings: bindings}); err != nil {
 		return nil, err
 	}
 	var eng SweepEngine
@@ -328,11 +320,9 @@ func (r *sweepRun) chunk(ctx context.Context, w *sweepWorker, k int) error {
 // cancelled context is returned as is, and either stops the other workers at
 // their next point, where each polls the lane context. A prof.Recorder on
 // ctx receives the workers' kernel rows, seconds divided by the worker count.
-// Bindings must bind exactly the circuit's symbols (circuit.CheckBinding).
+// The caller admits the sweep first (Admit with KindSweep): at least one
+// binding, each binding exactly the circuit's symbols.
 func RunSweep(ctx context.Context, eng SweepEngine, spec ReadoutSpec, bindings []map[string]float64, width int) (*SweepReport, error) {
-	if len(bindings) == 0 {
-		return nil, fmt.Errorf("core: sweep needs at least one binding")
-	}
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)
 	}
@@ -358,11 +348,7 @@ func RunSweep(ctx context.Context, eng SweepEngine, spec ReadoutSpec, bindings [
 	rep.Params, rep.Values = cells[:points*ns:points*ns], cells[points*ns:]
 	for i, env := range bindings {
 		for s, name := range rep.Symbols {
-			v, ok := env[name]
-			if !ok {
-				return nil, fmt.Errorf("binding %d: unbound symbol %q", i, name)
-			}
-			rep.Params[i*ns+s] = v
+			rep.Params[i*ns+s] = env[name]
 		}
 	}
 	rep.Observables = make([]string, no)

@@ -400,7 +400,7 @@ func TestOptimizeTracesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, method := range []string{MethodSPSA, MethodNelderMead} {
-		rep, err := Optimize(c, Options{}, OptimizeSpec{Observables: obs, Method: method, MaxIters: 30, Seed: 4})
+		rep, err := OptimizeContext(context.Background(), c, Options{}, OptimizeSpec{Observables: obs, Method: method, MaxIters: 30, Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -52,7 +53,7 @@ func TestTemplateMatchesConcreteAcrossBackends(t *testing.T) {
 				continue // ρ engine: no amplitude vector to compare
 			}
 			name := info.Name
-			res, err := Simulate(bound, Options{Backend: name})
+			res, err := SimulateContext(context.Background(), bound, Options{Backend: name})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -84,7 +85,7 @@ func TestSweepMatchesConcreteRuns(t *testing.T) {
 		},
 	}
 	bindings := qaoaEnvs(c, 5)
-	rep, err := Sweep(c, Options{}, spec, bindings)
+	rep, err := SweepContext(context.Background(), c, Options{}, spec, bindings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestSweepMatchesConcreteRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Evaluate(bound, Options{Backend: "flat"}, spec)
+		want, err := EvaluateContext(context.Background(), bound, Options{Backend: "flat"}, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func TestSweepNoisyMatchesConcrete(t *testing.T) {
 		Observables: []Observable{{Paulis: "ZZ", Qubits: []int{0, 1}}},
 	}
 	bindings := qaoaEnvs(c, 3)
-	rep, err := Sweep(c, Options{Noise: m, Workers: 1}, spec, bindings)
+	rep, err := SweepContext(context.Background(), c, Options{Noise: m, Workers: 1}, spec, bindings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestSweepNoisyMatchesConcrete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Evaluate(bound, Options{Noise: m, Workers: 1}, spec)
+		want, err := EvaluateContext(context.Background(), bound, Options{Noise: m, Workers: 1}, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,22 +167,22 @@ func TestSweepValidation(t *testing.T) {
 	spec := ReadoutSpec{Observables: []Observable{{Paulis: "Z", Qubits: []int{0}}}}
 	good := qaoaEnvs(c, 1)[0]
 
-	if _, err := Sweep(c, Options{}, spec, nil); err == nil {
+	if _, err := SweepContext(context.Background(), c, Options{}, spec, nil); err == nil {
 		t.Fatal("empty binding list accepted")
 	}
 	missing := map[string]float64{"gamma0": 0.1}
-	if _, err := Sweep(c, Options{}, spec, []map[string]float64{missing}); err == nil || !contains(err.Error(), "beta0") {
+	if _, err := SweepContext(context.Background(), c, Options{}, spec, []map[string]float64{missing}); err == nil || !contains(err.Error(), "beta0") {
 		t.Fatalf("unbound symbol not named: %v", err)
 	}
 	unknown := map[string]float64{"gamma0": 1, "beta0": 1, "delta": 2}
-	if _, err := Sweep(c, Options{}, spec, []map[string]float64{unknown}); err == nil || !contains(err.Error(), "delta") {
+	if _, err := SweepContext(context.Background(), c, Options{}, spec, []map[string]float64{unknown}); err == nil || !contains(err.Error(), "delta") {
 		t.Fatalf("unknown symbol not named: %v", err)
 	}
 	nan := map[string]float64{"gamma0": math.NaN(), "beta0": 1}
-	if _, err := Sweep(c, Options{}, spec, []map[string]float64{nan}); err == nil || !contains(err.Error(), "gamma0") {
+	if _, err := SweepContext(context.Background(), c, Options{}, spec, []map[string]float64{nan}); err == nil || !contains(err.Error(), "gamma0") {
 		t.Fatalf("non-finite value not named: %v", err)
 	}
-	if _, err := Sweep(c, Options{Backend: "hier"}, spec, []map[string]float64{good}); err == nil {
+	if _, err := SweepContext(context.Background(), c, Options{Backend: "hier"}, spec, []map[string]float64{good}); err == nil {
 		t.Fatal("non-flat backend accepted for a sweep")
 	}
 }
@@ -199,7 +200,7 @@ func TestOptimizeFindsIsingGroundDirection(t *testing.T) {
 		},
 		Method: MethodSPSA, MaxIters: 40, Seed: 3, A: 0.4, C: 0.15,
 	}
-	rep, err := Optimize(c, Options{}, spec)
+	rep, err := OptimizeContext(context.Background(), c, Options{}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestOptimizeFindsIsingGroundDirection(t *testing.T) {
 
 	nm := spec
 	nm.Method = MethodNelderMead
-	nmRep, err := Optimize(c, Options{}, nm)
+	nmRep, err := OptimizeContext(context.Background(), c, Options{}, nm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,17 +233,17 @@ func TestOptimizeFindsIsingGroundDirection(t *testing.T) {
 func TestOptimizeValidation(t *testing.T) {
 	c := circuit.QAOAAnsatz(3, 1)
 	obs := []Observable{{Paulis: "Z", Qubits: []int{0}}}
-	if _, err := Optimize(c, Options{}, OptimizeSpec{Observables: obs, Method: "newton"}); err == nil {
+	if _, err := OptimizeContext(context.Background(), c, Options{}, OptimizeSpec{Observables: obs, Method: "newton"}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
-	if _, err := Optimize(c, Options{}, OptimizeSpec{}); err == nil {
+	if _, err := OptimizeContext(context.Background(), c, Options{}, OptimizeSpec{}); err == nil {
 		t.Fatal("empty objective accepted")
 	}
-	if _, err := Optimize(c, Options{}, OptimizeSpec{Observables: obs, Init: map[string]float64{"nope": 1}}); err == nil || !contains(err.Error(), "nope") {
+	if _, err := OptimizeContext(context.Background(), c, Options{}, OptimizeSpec{Observables: obs, Init: map[string]float64{"nope": 1}}); err == nil || !contains(err.Error(), "nope") {
 		t.Fatalf("unknown init symbol not named: %v", err)
 	}
 	concrete := circuit.MustNamed("ising", 3)
-	if _, err := Optimize(concrete, Options{}, OptimizeSpec{Observables: obs}); err == nil {
+	if _, err := OptimizeContext(context.Background(), concrete, Options{}, OptimizeSpec{Observables: obs}); err == nil {
 		t.Fatal("symbol-free circuit accepted")
 	}
 }

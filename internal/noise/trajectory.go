@@ -81,7 +81,7 @@ func (p *Plan) Blocks() int { return p.blocks }
 
 // NoiseFree reports whether the plan has no channel insertions at all —
 // every trajectory would produce the ideal state, so callers should run the
-// ideal executors once instead (core.Evaluate does exactly that, keeping
+// ideal executors once instead (core.EvaluateContext does exactly that, keeping
 // zero-noise runs bit-for-bit identical to ideal simulation).
 func (p *Plan) NoiseFree() bool { return p.locations == 0 }
 

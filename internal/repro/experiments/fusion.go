@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -121,7 +122,7 @@ func timeRun(c *circuit.Circuit, opts core.Options, reps int) (time.Duration, *c
 	var best time.Duration
 	var last *core.Result
 	for i := 0; i < reps; i++ {
-		res, err := core.Simulate(c, opts)
+		res, err := core.SimulateContext(context.Background(), c, opts)
 		if err != nil {
 			return 0, nil, err
 		}

@@ -13,6 +13,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -130,7 +131,7 @@ func hierRow(c *circuit.Circuit, lm int, cfg HierConfig) (HierRow, error) {
 		var dagp float64
 		for _, name := range hierVariants {
 			t0 := time.Now()
-			res, err := core.Simulate(c, opts[name])
+			res, err := core.SimulateContext(context.Background(), c, opts[name])
 			ms := time.Since(t0).Seconds() * 1e3
 			if err != nil {
 				return row, fmt.Errorf("%s: %w", name, err)

@@ -1,5 +1,5 @@
 // Parameter-sweep benchmark: one compiled template swept across M bindings
-// by the sweep runner (core.Sweep: point-parallel replay from a shared
+// by the sweep runner (core.SweepContext: point-parallel replay from a shared
 // prefix, memoised re-binding, one read-out pass for all diagonal terms)
 // versus M per-point pipelines (bind + full fusion compile + kernel planning
 // + run + read-out) on the same engine. This is the evaluation
@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -132,7 +133,7 @@ func SweepBench(cfg SweepConfig) (*SweepReport, error) {
 
 	for r := 0; r < cfg.Reps; r++ {
 		start := time.Now()
-		sw, err := core.Sweep(c, core.Options{Workers: sweepBenchWorkers}, spec, bindings)
+		sw, err := core.SweepContext(context.Background(), c, core.Options{Workers: sweepBenchWorkers}, spec, bindings)
 		if err != nil {
 			return nil, fmt.Errorf("sweep bench: %w", err)
 		}
@@ -147,7 +148,7 @@ func SweepBench(cfg SweepConfig) (*SweepReport, error) {
 		rep.RebuiltPayloads, rep.ReadoutPasses = sw.RebuiltPayloads, sw.ReadoutPasses
 
 		start = time.Now()
-		if _, err := core.Sweep(c, core.Options{Workers: 1}, spec, bindings); err != nil {
+		if _, err := core.SweepContext(context.Background(), c, core.Options{Workers: 1}, spec, bindings); err != nil {
 			return nil, fmt.Errorf("sweep bench: %w", err)
 		}
 		if ms := time.Since(start).Seconds() * 1e3; r == 0 || ms < rep.Template1MS {

@@ -162,7 +162,7 @@ func TestSharedProgramIsNeverWritten(t *testing.T) {
 func TestObservableMemoEqualsFreshEvaluation(t *testing.T) {
 	s := newTest(t, Config{Workers: 4})
 	c := circuit.Random(8, 80, 5)
-	ref, err := core.Simulate(c, core.Options{})
+	ref, err := core.SimulateContext(context.Background(), c, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

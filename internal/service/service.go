@@ -1,6 +1,9 @@
 // Package service is the production front of the simulator: an asynchronous
-// simulation service that turns the one-shot core.Simulate library call into
-// a job-oriented API suitable for sustained traffic.
+// simulation service that turns the one-shot core library calls into a
+// job-oriented API suitable for sustained traffic. Submit admits each
+// request through core.Admit, the check every library entry point runs
+// (core.SimulateContext included), so what the library refuses is a submit
+// error here.
 //
 // Three mechanisms carry the load:
 //
@@ -57,31 +60,15 @@ import (
 	"hisvsim/internal/sv"
 )
 
-// Kind selects what a job computes from the simulated state.
-type Kind string
+// Kind selects what a job computes: one of core's request kinds, which
+// core.Admit checks every request against.
+type Kind = core.Kind
 
-// Request kinds.
+// Request kinds (see core.KindRun, core.KindSweep, core.KindOptimize).
 const (
-	// KindRun is the unified kind: Request.Readouts (core.ReadoutSpec)
-	// names any mix of statevector, seeded shots, marginal distributions
-	// and weighted Pauli-string observables, all derived from ONE
-	// simulation (or, when Request.Noise is effective, one trajectory
-	// ensemble).
-	KindRun Kind = "run"
-
-	// KindSweep is the v3 grid kind: one parameterized circuit template,
-	// one ReadoutSpec, and a binding grid (Request.Sweep). The template
-	// compiles ONCE (asserted by Stats.TemplateCompiles) and every grid
-	// point re-binds the compiled plan, so M bindings cost one fusion
-	// compile plus M cheap runs, split across the job's width by point.
-	// The result is one table, rows in request order.
-	KindSweep Kind = "sweep"
-
-	// KindOptimize is the v3 variational kind: a server-side SPSA or
-	// Nelder-Mead loop (Request.Optimize) minimizing a weighted Pauli
-	// observable sum over the template's symbols, with a per-iteration
-	// trace in the result — the whole VQE/QAOA outer loop in one job.
-	KindOptimize Kind = "optimize"
+	KindRun      = core.KindRun
+	KindSweep    = core.KindSweep
+	KindOptimize = core.KindOptimize
 )
 
 // BackendTrajectory is the backend name reported for jobs whose effective
@@ -120,9 +107,9 @@ type Request struct {
 	// Noise is the noise model (nil = ideal). The ensemble size is
 	// Readouts.Trajectories (default 256, capped by Config.MaxTrajectories).
 	Noise *noise.Model
-	// Options forwards to core.Simulate (backend, strategy, Lm, fusion,
-	// …). Options.Backend selects the execution engine per request
-	// (validated against the registry at submit).
+	// Options forwards to the engine (backend, strategy, Lm, fusion, …).
+	// Options.Backend selects the execution engine per request (admitted
+	// against the registry at submit).
 	Options core.Options
 	// Timeout, when > 0, bounds the job from submission to completion.
 	Timeout time.Duration
@@ -323,7 +310,7 @@ type Stats struct {
 	Completed    int64 `json:"completed"`
 	Failed       int64 `json:"failed"`
 	Canceled     int64 `json:"canceled"`
-	Simulations  int64 `json:"simulations"`  // actual core.Simulate executions
+	Simulations  int64 `json:"simulations"`  // engine runs that computed a state or ρ (cache misses)
 	Trajectories int64 `json:"trajectories"` // stochastic trajectories executed
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
@@ -631,13 +618,13 @@ func (s *Service) SubmitContext(ctx context.Context, req Request) (string, error
 		return "", err
 	}
 	// Every engine-facing rule — a known backend and strategy, the engine's
-	// qubit cap and noisy path, complete bindings, read-outs the engine can
-	// give — is core's admission check, the one the library entry points
-	// run: a request it refuses is a submit error (an HTTP 400), never a
-	// worker-time failure.
+	// qubit cap, tile width and noisy path, a non-empty sweep, complete
+	// bindings, read-outs the engine can give — is core's admission check,
+	// the one the library entry points run: a request it refuses is a
+	// submit error (an HTTP 400), never a worker-time failure.
 	admit := core.Request{
-		Circuit: req.Circuit, Options: req.Options, Readouts: req.Readouts,
-		Params: req.Params, Optimize: req.Optimize,
+		Circuit: req.Circuit, Kind: req.Kind, Options: req.Options,
+		Readouts: &req.Readouts, Params: req.Params, Optimize: req.Optimize,
 	}
 	admit.Options.Noise = req.Noise
 	if req.Sweep != nil {
@@ -654,7 +641,7 @@ func (s *Service) SubmitContext(ctx context.Context, req Request) (string, error
 		// executors stay binding-correct without knowing about symbols.
 		bound, err := req.Circuit.Bind(req.Params)
 		if err != nil {
-			return "", fmt.Errorf("service: %w", err) // unreachable: validate checked the binding
+			return "", fmt.Errorf("service: %w", err) // unreachable: Admit checked the binding
 		}
 		req.Circuit = bound
 		req.Params = nil
@@ -753,24 +740,18 @@ func (s *Service) validate(req Request) error {
 		if !req.Readouts.Empty() {
 			return fmt.Errorf("service: kind %q drives its objective from the optimize spec, not a readout spec", KindOptimize)
 		}
-		if req.Optimize == nil {
-			return fmt.Errorf("service: optimize needs an optimize spec (observables + method)")
+		if o := req.Optimize; o != nil && o.MaxIters > s.cfg.MaxOptimizeIters {
+			return fmt.Errorf("service: %d iterations exceeds limit %d", o.MaxIters, s.cfg.MaxOptimizeIters)
 		}
-		if req.Optimize.MaxIters > s.cfg.MaxOptimizeIters {
-			return fmt.Errorf("service: %d iterations exceeds limit %d", req.Optimize.MaxIters, s.cfg.MaxOptimizeIters)
-		}
-		if req.Optimize.Trajectories > s.cfg.MaxTrajectories {
-			return fmt.Errorf("service: %d trajectories exceeds limit %d", req.Optimize.Trajectories, s.cfg.MaxTrajectories)
+		if o := req.Optimize; o != nil && o.Trajectories > s.cfg.MaxTrajectories {
+			return fmt.Errorf("service: %d trajectories exceeds limit %d", o.Trajectories, s.cfg.MaxTrajectories)
 		}
 		return nil
 	case KindSweep:
 		if req.Readouts.TrajOffset != 0 || req.Readouts.TrajTotal != 0 || req.Readouts.Moments {
 			return fmt.Errorf("service: kind %q is split by sweep points, not trajectory ranges (drop traj_offset/traj_total/moments)", KindSweep)
 		}
-		if req.Sweep == nil || len(req.Sweep.Bindings) == 0 {
-			return fmt.Errorf("service: sweep needs a binding grid (set Sweep.Bindings or Sweep.Grid)")
-		}
-		if len(req.Sweep.Bindings) > s.cfg.MaxSweepPoints {
+		if req.Sweep != nil && len(req.Sweep.Bindings) > s.cfg.MaxSweepPoints {
 			return fmt.Errorf("service: sweep has %d points, limit %d", len(req.Sweep.Bindings), s.cfg.MaxSweepPoints)
 		}
 	}

@@ -50,7 +50,7 @@ func TestSampleMatchesDirectSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := core.Simulate(c, opts)
+	direct, err := core.SimulateContext(context.Background(), c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestExpectationAndProbabilitiesMatchDirect(t *testing.T) {
 	s := newTest(t, Config{Workers: 1})
 	c := circuit.MustNamed("ising", 7)
 	opts := core.Options{Strategy: "nat", Lm: 4}
-	direct, err := core.Simulate(c, opts)
+	direct, err := core.SimulateContext(context.Background(), c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,19 +34,17 @@ type SweepSpec struct {
 }
 
 // Expand resolves the spec to its explicit binding list, rejecting
-// malformed grids (both/neither form set, zip length mismatch, products
-// over limit) with errors that name the offending symbols. Exported so a
-// cluster coordinator can expand a grid once and split the points into
-// contiguous sub-ranges.
+// malformed grids (both forms set, zip length mismatch, products over
+// limit) with errors that name the offending symbols. An empty spec
+// expands to no points, which core.Admit refuses as an empty sweep.
+// Exported so a cluster coordinator can expand a grid once and split the
+// points into contiguous sub-ranges.
 func (sp *SweepSpec) Expand(limit int) ([]map[string]float64, error) {
 	if len(sp.Bindings) > 0 && len(sp.Grid) > 0 {
 		return nil, fmt.Errorf("sweep: set Bindings or Grid, not both")
 	}
-	if len(sp.Bindings) > 0 {
+	if len(sp.Bindings) > 0 || len(sp.Grid) == 0 {
 		return sp.Bindings, nil
-	}
-	if len(sp.Grid) == 0 {
-		return nil, fmt.Errorf("sweep: empty binding grid (set Bindings or Grid)")
 	}
 	syms := make([]string, 0, len(sp.Grid))
 	for s := range sp.Grid {

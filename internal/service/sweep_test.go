@@ -66,7 +66,7 @@ func TestSweep50BindingsOneCompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.Evaluate(bound, core.Options{Backend: "flat"}, spec)
+		want, err := core.EvaluateContext(context.Background(), bound, core.Options{Backend: "flat"}, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestRunWithParamsMatchesBoundCircuit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.Evaluate(bound, core.Options{Backend: "flat"}, spec)
+		want, err := core.EvaluateContext(context.Background(), bound, core.Options{Backend: "flat"}, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestSweepNoisyService(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.Evaluate(bound, core.Options{Noise: m, Workers: 1}, spec)
+		want, err := core.EvaluateContext(context.Background(), bound, core.Options{Noise: m, Workers: 1}, spec)
 		if err != nil {
 			t.Fatal(err)
 		}

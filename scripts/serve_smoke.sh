@@ -225,9 +225,10 @@ if [ "$((SIMS_AFTER - SIMS_BEFORE))" != 1 ] || [ "$((TRAJ_AFTER - TRAJ_BEFORE))"
     exit 1
 fi
 
-# Backend mismatches are 400s at submit: a backend the registry does not
-# hold (the modelled distributed executor is not served), and a dm register
-# over the qubit cap.
+# Requests admission refuses are 400s at submit: a backend the registry
+# does not hold (the modelled distributed executor is not served), a dm
+# register over the qubit cap, an Lm narrower than a gate, and a sweep whose
+# grid has no points.
 CCODE="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/jobs" -d '{
     "circuit": {"family": "ising", "qubits": 8},
     "kind": "run", "readouts": {"shots": 10},
@@ -238,8 +239,23 @@ WCODE="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/jobs" -d '{
     "kind": "run", "readouts": {"shots": 10},
     "options": {"backend": "dm"}
 }')"
-if [ "$CCODE" != 400 ] || [ "$WCODE" != 400 ]; then
-    echo "serve-smoke: unknown backend / dm over cap returned $CCODE/$WCODE, want 400/400" >&2
+LBODY="$WORK/lm-body.json"
+LCODE="$(curl -s -o "$LBODY" -w '%{http_code}' "$BASE/v1/jobs" -d '{
+    "circuit": {"family": "qft", "qubits": 6},
+    "kind": "run", "readouts": {"shots": 10},
+    "options": {"lm": 1}
+}')"
+EBODY="$WORK/empty-sweep-body.json"
+ECODE="$(curl -s -o "$EBODY" -w '%{http_code}' "$BASE/v1/jobs" -d '{
+    "circuit": {"qasm": "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\nrz(gamma) q[0];\nrx(beta) q[1];\n"},
+    "kind": "sweep",
+    "readouts": {"observables": [{"name": "zz01", "paulis": "ZZ", "qubits": [0, 1]}]},
+    "sweep": {"grid": {}}
+}')"
+if [ "$CCODE" != 400 ] || [ "$WCODE" != 400 ] || [ "$LCODE" != 400 ] || [ "$ECODE" != 400 ] ||
+    ! grep -q 'not a tile width' "$LBODY" || ! grep -q 'at least one binding' "$EBODY"; then
+    echo "serve-smoke: unknown backend / dm over cap / lm 1 / empty sweep returned $CCODE/$WCODE/$LCODE/$ECODE, want 400s naming the rule:" >&2
+    cat "$LBODY" "$EBODY" >&2
     exit 1
 fi
 
@@ -371,4 +387,4 @@ if ! wait "$PID"; then
     exit 1
 fi
 PID=
-echo "serve-smoke: OK (backends listing, readyz, submit, poll, sample, cache hit, multi-readout run, v1 kinds 400, noisy ensemble, exact dm run, unknown-backend and capability 400s, parameterized sweep, unbound-symbol 400, /metrics scrape, stage trace, kernel profile, graceful shutdown)"
+echo "serve-smoke: OK (backends listing, readyz, submit, poll, sample, cache hit, multi-readout run, v1 kinds 400, noisy ensemble, exact dm run, unknown-backend, capability, lm and empty-sweep 400s, parameterized sweep, unbound-symbol 400, /metrics scrape, stage trace, kernel profile, graceful shutdown)"

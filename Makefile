@@ -30,6 +30,10 @@ test:
 # The sweep runner's point workers share one read-only template and write one
 # table: its equality, cancel and failure tests.
 RACE_REPEATS += ./internal/core 5 'TestSweepRunnerEqualsPrivateReplays|TestSweepCancelMidRun|TestSweepFailingBindingNamesItsIndex'
+# Sweep and optimize jobs run the same runner over the service's cached
+# engine: their numbers equal the library's own compile for every noise shape,
+# with fusion on and off.
+RACE_REPEATS += ./internal/service 5 'TestTemplateKindsLibraryEqualsService'
 # par.Each is every engine fan-out: its claims, first-error stop and panic
 # re-raise race the lanes.
 RACE_REPEATS += ./internal/par 5 ''
@@ -235,7 +239,8 @@ benchmark-smoke:
 # mismatch). The next two take the CLI's noisy route, one Evaluate call: a
 # trajectory ensemble, then the exact density-matrix engine. Then an ideal
 # dm run (Simulate returning ρ) and an -lm 1 run, which admission must refuse
-# before any work.
+# before any work. Last, the documented -sweep example through the sweep
+# runner, ideal and then under noise with an unfused trajectory plan.
 cli-smoke:
 	$(GO) run ./cmd/hisvsim -backends
 	$(GO) run ./cmd/hisvsim -circuit ising -n 8 -backend flat -observables '-1*ZZ@0,1; 0.5*X@2'
@@ -245,6 +250,8 @@ cli-smoke:
 	$(GO) run ./cmd/hisvsim -circuit qft -n 6 -backend dm -verify
 	out=$$($(GO) run ./cmd/hisvsim -circuit qft -n 6 -lm 1 2>&1); status=$$?; echo "$$out"; \
 	test $$status -ne 0 && echo "$$out" | grep -q 'Lm=1 is not a tile width'
+	$(GO) run ./cmd/hisvsim -circuit qaoa_ansatz -n 8 -observables 'ZZ@0,1; ZZ@1,2' -sweep 'gamma0=0:1.2:7; beta0=0.1,0.3,0.5'
+	$(GO) run ./cmd/hisvsim -circuit qaoa_ansatz -n 8 -observables 'ZZ@0,1; ZZ@1,2' -sweep 'gamma0=0:1.2:7; beta0=0.1,0.3,0.5' -depolarizing 0.01 -trajectories 32 -fuse off
 
 # Boots hisvsimd and exercises submit → poll → sample over HTTP (curl + jq).
 serve-smoke:

@@ -451,7 +451,8 @@ const (
 // that a group of points shares is replayed once per group; every point is
 // still bit-identical to a private run of its bound circuit. Under
 // Options.Noise each point runs a trajectory ensemble from the same
-// re-bound plan.
+// re-bound plan, compiled fused or not as Options.Fuse says (the template
+// itself is always fused).
 //
 //	c := hisvsim.QAOAAnsatz(6, 1)
 //	rep, err := hisvsim.Sweep(c, hisvsim.Options{}, spec, []map[string]float64{
@@ -469,9 +470,12 @@ func SweepContext(ctx context.Context, c *Circuit, opts Options, spec ReadoutSpe
 }
 
 // OptimizeParams minimizes Σ c_k⟨P_k⟩ over a parameterized circuit's
-// symbols server-side (SPSA or Nelder-Mead), evaluating every candidate
-// binding against the once-compiled template. (Optimize, by contrast, is
-// the gate-level circuit rewriter.)
+// symbols server-side (SPSA or Nelder-Mead). It compiles the engine Sweep
+// would — the fused template, or under Options.Noise the trajectory plan
+// fused as Options.Fuse says — once, and evaluates every candidate binding
+// as one point of the sweep runner, so an objective value is the energy
+// Sweep reports at that binding. (Optimize, by contrast, is the gate-level
+// circuit rewriter.)
 func OptimizeParams(c *Circuit, opts Options, spec OptimizeSpec) (*OptimizeReport, error) {
 	return core.OptimizeContext(context.Background(), c, opts, spec)
 }

@@ -6,23 +6,21 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"time"
 
 	"hisvsim/internal/circuit"
-	"hisvsim/internal/fuse"
-	"hisvsim/internal/noise"
+	"hisvsim/internal/prof"
 )
 
 // This file is the v3 optimize surface: a server-side variational loop
 // that minimizes the summed weighted Pauli observables (the energy
-// ⟨H⟩ = Σ c_k⟨P_k⟩) over a parameterized circuit's symbols. The template
-// compiles once; every objective evaluation is the sweep runner's
-// single-binding replay (memoised re-binding, one-pass diagonal read-out), so
-// the whole loop costs 1 compile + E evaluations — the request pattern a
-// VQE/QAOA client would otherwise drive with E round trips of concrete
-// circuits.
+// ⟨H⟩ = Σ c_k⟨P_k⟩) over a parameterized circuit's symbols. Every objective
+// evaluation is one point of the sweep runner over one compiled engine, so
+// the loop costs 1 compile + E evaluations — the request pattern a VQE/QAOA
+// client would otherwise drive with E round trips of concrete circuits.
 
 // Optimizer method names accepted by OptimizeSpec.Method.
 const (
@@ -126,43 +124,60 @@ type OptimizeReport struct {
 	// Trace records one entry per iteration, in order.
 	Trace []OptimizeIteration
 	// Evaluations counts objective evaluations (each one template
-	// specialization + run); Compiles is always 1.
+	// specialization + run). Compiles is 1 from OptimizeContext, which
+	// compiles its own engine; from a service job, the compiles that job
+	// missed the template and plan caches for (0 when both were cached).
 	Evaluations int
 	Compiles    int
 	// Method echoes the resolved optimizer name.
 	Method string
 	// Converged reports whether Tol stopped the loop before MaxIters.
 	Converged bool
-	// Trajectories is the per-evaluation ensemble size (0 for ideal).
+	// Trajectories is the per-evaluation ensemble size (0 for ideal and
+	// zero-effect objectives, which run no trajectories).
 	Trajectories int
 	// Elapsed is the wall time of the whole loop, compile included.
 	Elapsed time.Duration
 }
 
-// objectiveFn evaluates Σ c_k⟨P_k⟩ for one binding. Implementations hold
-// the template compiled once up front.
-type objectiveFn func(env map[string]float64) (float64, error)
-
 // OptimizeContext minimizes the spec's observable sum over the circuit's
-// symbols with a server-side SPSA or Nelder-Mead loop. The template — ideal
-// fused plan or trajectory-noise plan — compiles exactly once; every
-// objective evaluation re-binds it. Noisy objectives are trajectory means
-// (same seed every evaluation: common random numbers, so the optimizer sees
-// a consistent noisy landscape rather than fresh sampling jitter per step).
+// symbols: Admit, compile the engine once (compileEngine), RunOptimize.
 func OptimizeContext(ctx context.Context, c *circuit.Circuit, opts Options, spec OptimizeSpec) (*OptimizeReport, error) {
 	start := time.Now()
 	if _, _, err := Admit(Request{Circuit: c, Kind: KindOptimize, Options: opts, Optimize: &spec}); err != nil {
 		return nil, err
 	}
-	spec = spec.withDefaults()
-	syms := c.Symbols()
-	roSpec := spec.readouts()
-
-	rep := &OptimizeReport{Compiles: 1, Method: spec.Method}
-	objective, err := buildObjective(ctx, c, opts, roSpec, rep)
+	eng, err := compileEngine(c, opts)
 	if err != nil {
 		return nil, err
 	}
+	rep, err := RunOptimize(ctx, eng, spec, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	rep.Compiles = 1
+	rep.Elapsed = time.Since(start)
+	return rep, nil
+}
+
+// RunOptimize is RunSweep's twin: the spec's SPSA or Nelder-Mead loop over
+// eng, each objective evaluation one binding replayed by one point worker
+// (kernels and ensembles width wide, ≤ 0: GOMAXPROCS) and read out by
+// RunSweep's evaluator. Noisy objectives reuse the seed every evaluation —
+// common random numbers, a consistent noisy landscape. The caller admits the
+// request first (Admit with KindOptimize) and sets Compiles and Elapsed.
+func RunOptimize(ctx context.Context, eng SweepEngine, spec OptimizeSpec, width int) (*OptimizeReport, error) {
+	if width <= 0 {
+		width = runtime.GOMAXPROCS(0)
+	}
+	spec = spec.withDefaults()
+	evaluate, err := eng.evaluator(spec.readouts(), width)
+	if err != nil {
+		return nil, err
+	}
+	w := newSweepWorker(eng.Template, width, prof.FromContext(ctx), false)
+	syms := eng.symbols()
+	rep := &OptimizeReport{Method: spec.Method}
 
 	x := make([]float64, len(syms))
 	for i, s := range syms {
@@ -179,11 +194,16 @@ func OptimizeContext(ctx context.Context, c *circuit.Circuit, opts Options, spec
 	rep.BestValue = math.Inf(1)
 	eval := func(x []float64) (float64, error) {
 		env := envOf(x)
-		v, err := objective(env)
+		ro, err := w.point(ctx, evaluate, env, x, 0, false)
 		if err != nil {
 			return 0, err
 		}
+		v := 0.0
+		for _, ov := range ro.Observables {
+			v += ov.Value
+		}
 		rep.Evaluations++
+		rep.Trajectories = ro.Trajectories
 		if v < rep.BestValue {
 			rep.BestValue, rep.Best = v, env
 		}
@@ -199,62 +219,7 @@ func OptimizeContext(ctx context.Context, c *circuit.Circuit, opts Options, spec
 	if err != nil {
 		return nil, err
 	}
-	rep.Elapsed = time.Since(start)
 	return rep, nil
-}
-
-// buildObjective compiles the template once and returns the evaluator.
-func buildObjective(ctx context.Context, c *circuit.Circuit, opts Options, roSpec ReadoutSpec, rep *OptimizeReport) (objectiveFn, error) {
-	sum := func(ro *Readouts) float64 {
-		t := 0.0
-		for _, ov := range ro.Observables {
-			t += ov.Value
-		}
-		return t
-	}
-	if !opts.Noise.IsZero() {
-		plan, err := noise.Compile(c, opts.Noise, noise.CompileOptions{Fuse: true})
-		if err != nil {
-			return nil, err
-		}
-		cfg := roSpec.EnsembleConfig(opts.Workers)
-		if !plan.NoiseFree() {
-			return func(env map[string]float64) (float64, error) {
-				sp, err := plan.Specialize(env)
-				if err != nil {
-					return 0, err
-				}
-				ens, err := noise.RunEnsemble(ctx, sp, cfg)
-				if err != nil {
-					return 0, err
-				}
-				rep.Trajectories = ens.Trajectories
-				return sum(ReadoutsFromEnsemble(ens, roSpec)), nil
-			}, nil
-		}
-		// Zero-effect model: fall through to the ideal template (readout
-		// error never perturbs observables — they measure the state, not
-		// sampled bits).
-	}
-	tpl, err := fuse.CompileTemplate(c, fuse.Options{})
-	if err != nil {
-		return nil, err
-	}
-	// One sweep worker, one binding at a time: the payload memo pays when
-	// consecutive evaluations share symbol values (Nelder–Mead's initial
-	// simplex moves one coordinate per vertex; an SPSA ±Δ probe changes
-	// every symbol).
-	w := newSweepWorker(tpl, opts.Workers, nil, false)
-	vals := make([]float64, len(tpl.Symbols))
-	return func(env map[string]float64) (float64, error) {
-		for s, name := range tpl.Symbols {
-			vals[s] = env[name]
-		}
-		if err := w.replay(vals, 0, false); err != nil {
-			return 0, err
-		}
-		return sum(EvaluateState(w.st, nil, roSpec)), nil
-	}, nil
 }
 
 // runSPSA is simultaneous-perturbation stochastic approximation: each

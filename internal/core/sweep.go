@@ -18,11 +18,11 @@ import (
 )
 
 // This file is the v3 sweep surface: evaluate one parameterized circuit
-// template over many symbol bindings with a single fusion compile, through
-// the one sweep runner (RunSweep) that the library entry (SweepContext), the
-// service's sweep jobs and — as its single-binding form — the optimizer's
-// objective all use. The runner applies the paper's two levers to the grid
-// rather than to the kernels:
+// template over many symbol bindings with a single compile. RunSweep walks a
+// binding grid and its twin RunOptimize the bindings an optimizer chooses,
+// over one SweepEngine — compiled by compileEngine in the library, taken from
+// the caches in the service. The runner applies the paper's two levers to the
+// grid rather than to the kernels:
 //
 //   - Points are the unit of parallelism. P = min(width, points) workers
 //     each own one state (Workers = width/P inside it) and claim chunks of
@@ -171,35 +171,19 @@ func (r *SweepReport) setRow(i int, ro *Readouts) {
 	}
 }
 
-// SweepContext compiles the parameterized circuit once and evaluates the
-// ReadoutSpec under every binding; rows are in request order. Ideal sweeps
-// replay the fused template on the flat engine; sweeps under an effective
-// noise model compile one trajectory plan and re-bind its gate runs per
-// point, running a full seeded ensemble each (counts / mean±stderr
-// aggregation included). The spec's Seed is reused at every point, so each
-// point's read-outs are bit-identical to an independent concrete-circuit run
-// of the bound circuit. Fusion is inherent to the template engine: FuseOff
-// is ignored. opts.Workers is the width the runner divides between point
-// workers and their kernels.
+// SweepContext admits the sweep, compiles its engine once (compileEngine)
+// and evaluates the ReadoutSpec under every binding through RunSweep, as wide
+// as opts.Workers; rows are in request order. The spec's Seed is reused at
+// every point, so each point's read-outs are bit-identical to an independent
+// concrete-circuit run of the bound circuit.
 func SweepContext(ctx context.Context, c *circuit.Circuit, opts Options, spec ReadoutSpec, bindings []map[string]float64) (*SweepReport, error) {
 	start := time.Now()
 	if _, _, err := Admit(Request{Circuit: c, Kind: KindSweep, Options: opts, Readouts: &spec, Bindings: bindings}); err != nil {
 		return nil, err
 	}
-	var eng SweepEngine
-	if !opts.Noise.IsZero() {
-		plan, err := noise.Compile(c, opts.Noise, noise.CompileOptions{Fuse: true})
-		if err != nil {
-			return nil, err
-		}
-		eng.Plan = plan
-	}
-	if eng.Plan == nil || eng.Plan.NoiseFree() {
-		tpl, err := fuse.CompileTemplate(c, fuse.Options{})
-		if err != nil {
-			return nil, err
-		}
-		eng.Template = tpl
+	eng, err := compileEngine(c, opts)
+	if err != nil {
+		return nil, err
 	}
 	rep, err := RunSweep(ctx, eng, spec, bindings, opts.Workers)
 	if err != nil {
@@ -210,16 +194,16 @@ func SweepContext(ctx context.Context, c *circuit.Circuit, opts Options, spec Re
 	return rep, nil
 }
 
-// SweepEngine is what a sweep replays, compiled by the caller (SweepContext
-// compiles its own; the service passes its cached ones). The three shapes
-// differ only in the evaluator RunSweep derives from them:
+// SweepEngine is what RunSweep and RunOptimize replay, compiled by the
+// caller. The three shapes differ only in the evaluator derived from them:
 //
-//   - Template alone: an ideal sweep — each point is a template replay read
+//   - Template alone: no noise model — each point is a template replay read
 //     out by EvaluateState.
 //   - Template and a NoiseFree Plan: a zero-effect model — the same replay,
 //     read out through noise.RunEnsembleFromState so the plan's readout error
-//     reaches the sampled bits (NoiseFree is structural — an insertion count
-//     — so one check covers every binding).
+//     reaches the sampled bits (never the observables, which measure the
+//     state; NoiseFree is structural — an insertion count — so one check
+//     covers every binding).
 //   - Plan alone (effective noise): each point re-binds the trajectory plan
 //     and runs a full seeded ensemble, which replays for itself.
 type SweepEngine struct {
@@ -227,10 +211,83 @@ type SweepEngine struct {
 	Plan     *noise.Plan
 }
 
+// compileEngine is the one compile rule of the template kinds: under a noise
+// model a trajectory plan, fused as opts.Fuse says (as EvaluateContext's
+// ensembles are); without one, or when that plan is NoiseFree, the template,
+// which is always fused.
+func compileEngine(c *circuit.Circuit, opts Options) (SweepEngine, error) {
+	var eng SweepEngine
+	if !opts.Noise.IsZero() {
+		plan, err := noise.Compile(c, opts.Noise, noise.CompileOptions{Fuse: opts.Fuse.Enabled()})
+		if err != nil {
+			return eng, err
+		}
+		eng.Plan = plan
+	}
+	if eng.Plan == nil || eng.Plan.NoiseFree() {
+		tpl, err := fuse.CompileTemplate(c, fuse.Options{})
+		if err != nil {
+			return eng, err
+		}
+		eng.Template = tpl
+	}
+	return eng, nil
+}
+
+// symbols names the engine's symbols, sorted.
+func (e SweepEngine) symbols() []string {
+	if e.Template != nil {
+		return e.Template.Symbols
+	}
+	return e.Plan.Symbols()
+}
+
+// evaluator turns one binding, replayed into w.st when there is a template,
+// into its read-outs.
+type evaluator func(ctx context.Context, w *sweepWorker, env map[string]float64) (*Readouts, error)
+
+// evaluator derives the engine's evaluator for spec, its ensembles run width
+// wide.
+func (e SweepEngine) evaluator(spec ReadoutSpec, width int) (evaluator, error) {
+	cfg := spec.EnsembleConfig(width)
+	switch {
+	case e.Template == nil && e.Plan == nil:
+		return nil, fmt.Errorf("core: sweep engine has neither a template nor a trajectory plan")
+	case e.Plan == nil:
+		return func(_ context.Context, w *sweepWorker, _ map[string]float64) (*Readouts, error) {
+			ro, passes := evaluateState(w.st, nil, spec)
+			w.passes += passes
+			return ro, nil
+		}, nil
+	case e.Template != nil:
+		ro := e.Plan.Readout()
+		return func(ctx context.Context, w *sweepWorker, _ map[string]float64) (*Readouts, error) {
+			ens, err := noise.RunEnsembleFromState(ctx, w.st, ro, cfg)
+			if err != nil {
+				return nil, err
+			}
+			w.trajectories = ens.Trajectories
+			return ReadoutsFromEnsemble(ens, spec), nil
+		}, nil
+	}
+	return func(ctx context.Context, w *sweepWorker, env map[string]float64) (*Readouts, error) {
+		bound, err := e.Plan.Specialize(env)
+		if err != nil {
+			return nil, err
+		}
+		ens, err := noise.RunEnsemble(ctx, bound, cfg)
+		if err != nil {
+			return nil, err
+		}
+		w.trajectories = ens.Trajectories
+		return ReadoutsFromEnsemble(ens, spec), nil
+	}, nil
+}
+
 // sweepWorker is one point worker: a memoised binding of the template, the
 // state points are replayed into and, when the sweep has a checkpoint, the
-// state holding the current chunk's prefix. The optimizer's objective owns
-// one too — the runner with one worker and one binding at a time.
+// state holding the current chunk's prefix (none of them without a template:
+// the evaluator replays for itself). RunOptimize owns one worker.
 type sweepWorker struct {
 	bind     *fuse.Binder
 	st, ckpt *sv.State
@@ -241,9 +298,12 @@ type sweepWorker struct {
 	trajectories int
 }
 
-// newSweepWorker allocates a worker's states: kernels inside them split
-// across workers goroutines and report to rec (nil: unprofiled).
+// newSweepWorker allocates a worker's states (none for a nil tpl): kernels
+// inside them split across workers goroutines and report to rec (nil: off).
 func newSweepWorker(tpl *fuse.Template, workers int, rec *prof.Recorder, checkpoint bool) *sweepWorker {
+	if tpl == nil {
+		return &sweepWorker{}
+	}
 	w := &sweepWorker{bind: tpl.NewBinder(), st: sv.NewState(tpl.N)}
 	w.st.Workers, w.st.Prof = workers, rec
 	if checkpoint {
@@ -252,37 +312,38 @@ func newSweepWorker(tpl *fuse.Template, workers int, rec *prof.Recorder, checkpo
 	return w
 }
 
-// replay leaves the template's final state for vals (one value per template
-// symbol) in w.st. With c > 0 blocks [0, c) come from the checkpoint, which
-// is recomputed first when fresh — the caller's promise otherwise is that
-// every symbol first used before block c has the value it had then.
-func (w *sweepWorker) replay(vals []float64, c int, fresh bool) error {
-	if err := w.bind.Bind(vals); err != nil {
-		return err
-	}
-	ops := w.bind.Ops()
-	if c == 0 {
-		w.st.Reset()
-	} else {
-		if fresh {
-			w.ckpt.Reset()
-			w.ckpt.ApplyOps(ops[:c])
-			w.replayed += c
+// point evaluates binding env, first replaying the template for vals (env's
+// values in symbol order) into w.st. With c > 0 blocks [0, c) come from the
+// checkpoint, recomputed first when fresh — the caller's promise otherwise is
+// that every symbol first used before block c has the value it had then.
+func (w *sweepWorker) point(ctx context.Context, eval evaluator, env map[string]float64, vals []float64, c int, fresh bool) (*Readouts, error) {
+	if w.bind != nil {
+		if err := w.bind.Bind(vals); err != nil {
+			return nil, err
 		}
-		copy(w.st.Amps, w.ckpt.Amps)
+		ops := w.bind.Ops()
+		if c == 0 {
+			w.st.Reset()
+		} else {
+			if fresh {
+				w.ckpt.Reset()
+				w.ckpt.ApplyOps(ops[:c])
+				w.replayed += c
+			}
+			copy(w.st.Amps, w.ckpt.Amps)
+		}
+		w.st.ApplyOps(ops[c:])
+		w.replayed += len(ops) - c
 	}
-	w.st.ApplyOps(ops[c:])
-	w.replayed += len(ops) - c
-	return nil
+	return eval(ctx, w, env)
 }
 
 // sweepRun is one sweep in flight.
 type sweepRun struct {
-	tpl *fuse.Template // nil: the evaluator replays for itself
-	// eval turns point i — replayed into w.st when there is a template —
-	// into its read-outs.
-	eval func(ctx context.Context, w *sweepWorker, i int) (*Readouts, error)
-	rep  *SweepReport
+	tpl      *fuse.Template // nil: the evaluator replays for itself
+	eval     evaluator
+	bindings []map[string]float64
+	rep      *SweepReport
 	// order lists the point indices with equal prefix bindings adjacent;
 	// chunk k is order[chunks[k]:chunks[k+1]], the unit workers claim: its
 	// first point recomputes the checkpoint, the rest reuse it.
@@ -290,21 +351,14 @@ type sweepRun struct {
 }
 
 // chunk is the one sweep loop: for each point of chunk k poll the context,
-// replay, evaluate, store the row.
+// evaluate, store the row.
 func (r *sweepRun) chunk(ctx context.Context, w *sweepWorker, k int) error {
 	ns := len(r.rep.Symbols)
 	for j, i := range r.order[r.chunks[k]:r.chunks[k+1]] {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var err error
-		if r.tpl != nil {
-			err = w.replay(r.rep.Params[i*ns:(i+1)*ns], r.rep.Checkpoint, j == 0)
-		}
-		var ro *Readouts
-		if err == nil {
-			ro, err = r.eval(ctx, w, i)
-		}
+		ro, err := w.point(ctx, r.eval, r.bindings[i], r.rep.Params[i*ns:(i+1)*ns], r.rep.Checkpoint, j == 0)
 		if err != nil {
 			return fmt.Errorf("binding %d: %w", i, err)
 		}
@@ -326,20 +380,15 @@ func RunSweep(ctx context.Context, eng SweepEngine, spec ReadoutSpec, bindings [
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)
 	}
-	if eng.Template == nil && eng.Plan == nil {
-		return nil, fmt.Errorf("core: sweep engine has neither a template nor a trajectory plan")
+	eval, err := eng.evaluator(spec, width)
+	if err != nil {
+		return nil, err
 	}
 	points := len(bindings)
-	rep := &SweepReport{Points: points}
+	rep := &SweepReport{Points: points, Symbols: eng.symbols()}
 	if tpl := eng.Template; tpl != nil {
-		rep.Symbols = tpl.Symbols
 		rep.TouchedBlocks = tpl.TouchedBlocks()
 		rep.SharedBlocks = len(tpl.Blocks) - tpl.TouchedBlocks()
-	} else {
-		for name := range bindings[0] {
-			rep.Symbols = append(rep.Symbols, name)
-		}
-		slices.Sort(rep.Symbols)
 	}
 	// One allocation holds both float64 tables (a size class less retained
 	// per job than two).
@@ -358,42 +407,12 @@ func RunSweep(ctx context.Context, eng SweepEngine, spec ReadoutSpec, bindings [
 	if spec.Statevector || spec.Shots > 0 || len(spec.Marginals) > 0 {
 		rep.Detail = make([]Readouts, points)
 	}
-
-	r := &sweepRun{tpl: eng.Template, rep: rep}
-	workers, perState := 1, width
-	switch cfg := spec.EnsembleConfig(width); {
-	case eng.Plan == nil:
-		r.eval = func(_ context.Context, w *sweepWorker, _ int) (*Readouts, error) {
-			ro, passes := evaluateState(w.st, nil, spec)
-			w.passes += passes
-			return ro, nil
-		}
-	case eng.Template != nil:
-		ro := eng.Plan.Readout()
-		r.eval = func(ctx context.Context, w *sweepWorker, _ int) (*Readouts, error) {
-			ens, err := noise.RunEnsembleFromState(ctx, w.st, ro, cfg)
-			if err != nil {
-				return nil, err
-			}
-			w.trajectories = ens.Trajectories
-			return ReadoutsFromEnsemble(ens, spec), nil
-		}
-	default:
+	if eng.Template == nil {
 		rep.StdErr = make([]float64, len(rep.Values))
-		r.eval = func(ctx context.Context, w *sweepWorker, i int) (*Readouts, error) {
-			bound, err := eng.Plan.Specialize(bindings[i])
-			if err != nil {
-				return nil, err
-			}
-			ens, err := noise.RunEnsemble(ctx, bound, cfg)
-			if err != nil {
-				return nil, err
-			}
-			w.trajectories = ens.Trajectories
-			return ReadoutsFromEnsemble(ens, spec), nil
-		}
 	}
 
+	r := &sweepRun{tpl: eng.Template, eval: eval, bindings: bindings, rep: rep}
+	workers, perState := 1, width
 	room := false
 	if tpl := eng.Template; tpl != nil {
 		// fit is how many workers' state-plus-checkpoint pairs the budget
@@ -415,13 +434,9 @@ func RunSweep(ctx context.Context, eng SweepEngine, spec ReadoutSpec, bindings [
 	}
 	ws := make([]*sweepWorker, workers)
 	for k := range ws {
-		if r.tpl != nil {
-			ws[k] = newSweepWorker(r.tpl, perState, mine, rep.Checkpoint > 0)
-		} else {
-			ws[k] = &sweepWorker{}
-		}
+		ws[k] = newSweepWorker(r.tpl, perState, mine, rep.Checkpoint > 0)
 	}
-	err := par.Each(ctx, workers, len(r.chunks)-1, func(ctx context.Context, lane, k int) error {
+	err = par.Each(ctx, workers, len(r.chunks)-1, func(ctx context.Context, lane, k int) error {
 		return r.chunk(ctx, ws[lane], k)
 	})
 	rec.Fold(mine, workers)

@@ -68,6 +68,7 @@ type Plan struct {
 	gateCount  int
 	readout    *Readout
 	forceKraus bool
+	symbols    []string // the compiled circuit's symbols, sorted
 }
 
 // NumQubits returns the register width the plan executes on.
@@ -84,6 +85,10 @@ func (p *Plan) Blocks() int { return p.blocks }
 // ideal executors once instead (core.EvaluateContext does exactly that, keeping
 // zero-noise runs bit-for-bit identical to ideal simulation).
 func (p *Plan) NoiseFree() bool { return p.locations == 0 }
+
+// Symbols returns the sorted symbols of the circuit the plan was compiled
+// from (a specialized plan keeps its template's list).
+func (p *Plan) Symbols() []string { return p.symbols }
 
 // Readout returns the effective readout error (nil when absent).
 func (p *Plan) Readout() *Readout { return p.readout }
@@ -130,7 +135,7 @@ func Compile(c *circuit.Circuit, m *Model, opts CompileOptions) (*Plan, error) {
 	if err := m.Validate(c.NumQubits); err != nil {
 		return nil, err
 	}
-	p := &Plan{n: c.NumQubits, gateCount: c.NumGates(), forceKraus: opts.ForceKraus}
+	p := &Plan{n: c.NumQubits, gateCount: c.NumGates(), forceKraus: opts.ForceKraus, symbols: c.Symbols()}
 	if m != nil {
 		p.readout = m.effectiveReadout()
 	}

@@ -314,9 +314,9 @@ type Stats struct {
 	Trajectories int64 `json:"trajectories"` // stochastic trajectories executed
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
-	// TemplateCompiles counts parameterized-template fusion compiles. This
-	// is the compile-amortization scoreboard: a sweep of M bindings over a
-	// cold template bumps it by exactly 1.
+	// TemplateCompiles counts template-cache misses: a sweep or an optimize
+	// job over a cold template bumps it by exactly 1, and neither a repeat
+	// nor a job under effective noise (a trajectory plan) bumps it.
 	TemplateCompiles int64 `json:"template_compiles"`
 
 	CacheEntries int   `json:"cache_entries"`

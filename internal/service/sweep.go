@@ -174,52 +174,51 @@ func (s *Service) templateEntryFor(j *job, env map[string]float64) (*cacheEntry,
 	})
 }
 
-// executeSweep evaluates a binding grid through core.RunSweep against the
-// cached template (ideal and zero-effect-noise sweeps) or the cached
-// trajectory plan (effective noise: one full seeded ensemble per point).
-// The job's width — its own worker slot plus what the shared token pool can
-// spare, capped by Options.Workers — is the runner's to divide between point
-// workers and the kernels inside each. Result.Sweep.Compiles counts the
-// fusion compiles THIS job caused (0 when the template was already cached),
-// which with a cold cache is exactly 1 for any grid size.
-func (s *Service) executeSweep(j *job) (*Result, error) {
-	start := time.Now()
-	req := j.req
-	res := &Result{
-		Kind: KindSweep, Backend: j.idealBackend, NumQubits: req.Circuit.NumQubits,
-		Waited: j.started.Sub(j.submitted),
-	}
+// engineFor takes a template job's engine from the caches under the rule the
+// library's compile keeps: the trajectory plan under a noise model, the
+// template unless that plan has effective noise. compiles counts the caches
+// this job missed.
+func (s *Service) engineFor(j *job) (eng core.SweepEngine, compiles int, err error) {
 	j.trace.Begin(stageCompile)
-	width, release := s.widen(req.Options.Workers)
-	defer release()
-
-	var eng core.SweepEngine
-	compiles := 0
-	if !req.Noise.IsZero() {
-		var err error
-		if eng.Plan, res.CacheHit, err = s.noisePlanFor(j); err != nil {
-			return nil, err
-		}
-		if !res.CacheHit {
-			compiles++
-		}
-	}
-	if eng.Plan != nil && !eng.Plan.NoiseFree() {
-		res.Backend = BackendTrajectory
-	} else {
-		tpl, hit, err := s.templateFor(j)
-		if err != nil {
-			return nil, err
+	var hit bool
+	if !j.req.Noise.IsZero() {
+		if eng.Plan, hit, err = s.noisePlanFor(j); err != nil {
+			return eng, 0, err
 		}
 		if !hit {
 			compiles++
 		}
-		if eng.Plan == nil {
-			res.CacheHit = hit
+		if !eng.Plan.NoiseFree() {
+			return eng, compiles, nil
 		}
-		eng.Template = tpl
 	}
-	s.setBackend(j, res.Backend)
+	if eng.Template, hit, err = s.templateFor(j); err != nil {
+		return eng, 0, err
+	}
+	if !hit {
+		compiles++
+	}
+	return eng, compiles, nil
+}
+
+// executeSweep evaluates a binding grid through core.RunSweep over the job's
+// engine, as wide as the token pool allows (widen). Result.Sweep.Compiles is
+// 1 on a cold cache for any grid size (2 under a zero-effect model: plan and
+// template), 0 over a cached engine.
+func (s *Service) executeSweep(j *job) (*Result, error) {
+	start := time.Now()
+	req := j.req
+	width, release := s.widen(req.Options.Workers)
+	defer release()
+	eng, compiles, err := s.engineFor(j)
+	if err != nil {
+		return nil, err
+	}
+	backend := j.idealBackend
+	if eng.Template == nil {
+		backend = BackendTrajectory
+	}
+	s.setBackend(j, backend)
 	j.trace.Begin(stageExecute)
 	rep, err := core.RunSweep(j.ctx, eng, req.Readouts, req.Sweep.Bindings, width)
 	if err != nil {
@@ -230,39 +229,42 @@ func (s *Service) executeSweep(j *job) (*Result, error) {
 	}
 	rep.Compiles = compiles
 	rep.Elapsed = time.Since(start)
-	res.Sweep = rep
-	res.Trajectories = rep.Trajectories
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return &Result{
+		Kind: KindSweep, Backend: backend, NumQubits: req.Circuit.NumQubits,
+		CacheHit: compiles == 0, Sweep: rep,
+		Readouts: core.Readouts{Trajectories: rep.Trajectories},
+		Waited:   j.started.Sub(j.submitted), Elapsed: rep.Elapsed,
+	}, nil
 }
 
-// executeOptimize runs the server-side variational loop. The loop owns its
-// template (compiled once inside core.OptimizeContext — counted here so
-// the stats ledger stays truthful); its trajectory work is credited like
-// any ensemble's.
+// executeOptimize runs the variational loop through core.RunOptimize over
+// the job's engine, as wide as a sweep; Compiles counts as a sweep's does.
 func (s *Service) executeOptimize(j *job) (*Result, error) {
 	start := time.Now()
 	req := j.req
-	backendName := j.idealBackend
-	if !req.Noise.IsZero() {
-		backendName = BackendTrajectory
-	}
-	s.setBackend(j, backendName)
-	opts := req.Options
-	opts.Noise = req.Noise
-	s.m.templateCompiles.Inc()
-	rep, err := core.OptimizeContext(j.ctx, req.Circuit, opts, *req.Optimize)
+	width, release := s.widen(req.Options.Workers)
+	defer release()
+	eng, compiles, err := s.engineFor(j)
 	if err != nil {
 		return nil, err
 	}
-	if rep.Trajectories > 0 {
-		s.m.trajectories.Add(int64(rep.Trajectories) * int64(rep.Evaluations))
+	backend := j.idealBackend
+	if !req.Noise.IsZero() {
+		backend = BackendTrajectory
 	}
+	s.setBackend(j, backend)
+	j.trace.Begin(stageExecute)
+	rep, err := core.RunOptimize(j.ctx, eng, *req.Optimize, width)
+	if err != nil {
+		return nil, err
+	}
+	s.m.trajectories.Add(int64(rep.Trajectories) * int64(rep.Evaluations))
+	rep.Compiles = compiles
+	rep.Elapsed = time.Since(start)
 	return &Result{
-		Kind: KindOptimize, Backend: backendName, NumQubits: req.Circuit.NumQubits,
-		Optimize: rep,
+		Kind: KindOptimize, Backend: backend, NumQubits: req.Circuit.NumQubits,
+		CacheHit: compiles == 0, Optimize: rep,
 		Readouts: core.Readouts{Trajectories: rep.Trajectories},
-		Waited:   j.started.Sub(j.submitted),
-		Elapsed:  time.Since(start),
+		Waited:   j.started.Sub(j.submitted), Elapsed: rep.Elapsed,
 	}, nil
 }

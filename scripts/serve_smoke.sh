@@ -296,6 +296,32 @@ if [ "$((TC_AFTER - TC_BEFORE))" != 1 ]; then
     exit 1
 fi
 
+# An optimize job runs over the same cached engine: submitted twice on a
+# template no earlier job used, the pair costs exactly one template compile
+# and the repeat reports none of its own.
+OPT_BODY='{
+    "circuit": {"qasm": "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nry(theta) q[0];\ncx q[0],q[1];\nrx(phi) q[1];\n"},
+    "kind": "optimize",
+    "optimize": {"observables": [{"paulis": "ZZ", "qubits": [0, 1]}, {"coeff": 0.5, "paulis": "X", "qubits": [1]}], "max_iters": 5, "seed": 3}
+}'
+TC_BEFORE="$(curl -fsS "$BASE/v1/stats" | jq .template_compiles)"
+for run in first repeat; do
+    OPTID="$(curl -fsS "$BASE/v1/jobs" -d "$OPT_BODY" | jq -r .id)"
+    OPTRES="$(curl -fsS "$BASE/v1/jobs/$OPTID/result?wait=30s")"
+    OPTSTATUS="$(printf '%s' "$OPTRES" | jq -r .status)"
+    OPTCOMP="$(printf '%s' "$OPTRES" | jq '.result.optimize.compiles')"
+    if [ "$OPTSTATUS" != done ] || { [ "$run" = repeat ] && [ "$OPTCOMP" != 0 ]; }; then
+        echo "serve-smoke: $run optimize job wrong (status=$OPTSTATUS compiles=$OPTCOMP)" >&2
+        printf '%s\n' "$OPTRES" >&2
+        exit 1
+    fi
+done
+TC_AFTER="$(curl -fsS "$BASE/v1/stats" | jq .template_compiles)"
+if [ "$((TC_AFTER - TC_BEFORE))" != 1 ]; then
+    echo "serve-smoke: two optimize jobs cost $((TC_AFTER - TC_BEFORE)) template compiles, want 1" >&2
+    exit 1
+fi
+
 # Binding validation is a 400 at submit: running the same template with
 # only gamma bound must be rejected naming the unbound symbol.
 UBODY="$WORK/unbound-body.json"
@@ -387,4 +413,4 @@ if ! wait "$PID"; then
     exit 1
 fi
 PID=
-echo "serve-smoke: OK (backends listing, readyz, submit, poll, sample, cache hit, multi-readout run, v1 kinds 400, noisy ensemble, exact dm run, unknown-backend, capability, lm and empty-sweep 400s, parameterized sweep, unbound-symbol 400, /metrics scrape, stage trace, kernel profile, graceful shutdown)"
+echo "serve-smoke: OK (backends listing, readyz, submit, poll, sample, cache hit, multi-readout run, v1 kinds 400, noisy ensemble, exact dm run, unknown-backend, capability, lm and empty-sweep 400s, parameterized sweep, cached optimize pair, unbound-symbol 400, /metrics scrape, stage trace, kernel profile, graceful shutdown)"

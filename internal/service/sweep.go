@@ -15,10 +15,11 @@ import (
 // expansion (SweepSpec), the template-fingerprint-keyed compile cache that
 // makes "M bindings = 1 fusion compile" hold ACROSS jobs as well as within
 // one, and the executors for KindSweep, KindOptimize and bound KindRun. A
-// sweep job owns no loop: it resolves its cached template or trajectory plan
-// and a width from the token pool, and hands both to core.RunSweep; what it
-// retains when it finishes is the runner's table (core.SweepReport), from
-// which the wire encoder renders points.
+// sweep or optimize job owns no loop: it resolves its cached template or
+// trajectory plan (engineFor) and a width from the token pool, and hands both
+// to core.RunSweep or core.RunOptimize; what a sweep retains when it finishes
+// is the runner's table (core.SweepReport), from which the wire encoder
+// renders points.
 
 // SweepSpec names a sweep job's binding grid. Exactly one of Bindings or
 // Grid must be set.

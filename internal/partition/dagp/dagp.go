@@ -83,6 +83,14 @@ func restartEpsilons(base float64) []float64 {
 	return []float64{base, 1.15, 2.5, 1.05}
 }
 
+// restartOptions returns the options restart r runs the pipeline with.
+func restartOptions(opts Options, r int) Options {
+	eps := restartEpsilons(opts.Epsilon)
+	opts.Epsilon = eps[r%len(eps)]
+	opts.Seed += int64(r) * 7919
+	return opts
+}
+
 // Partitioner is the dagP strategy.
 type Partitioner struct {
 	Opts Options
@@ -112,12 +120,8 @@ func (p Partitioner) Partition(g *dag.Graph, lm int) (*partition.Plan, error) {
 	if lm > 0 {
 		bound = (wg.totalWset() + lm - 1) / lm
 	}
-	eps := restartEpsilons(opts.Epsilon)
 	restart := func(r int) ([][]int, error) {
-		ro := opts
-		ro.Epsilon = eps[r%len(eps)]
-		ro.Seed = opts.Seed + int64(r)*7919
-		return runPipeline(c, wg, lm, ro)
+		return runPipeline(c, wg, lm, restartOptions(opts, r))
 	}
 	best, err := restart(0)
 	if err != nil {
@@ -152,6 +156,17 @@ func (p Partitioner) Partition(g *dag.Graph, lm int) (*partition.Plan, error) {
 // circuit's gate graph and returns the parts as ordered groups of ascending
 // gate indices.
 func runPipeline(c *circuit.Circuit, wg *wgraph, lm int, opts Options) ([][]int, error) {
+	groups, err := bisectGroups(c, wg, lm, opts)
+	if err != nil || opts.DisableMerge {
+		return groups, err
+	}
+	return mergeGroups(wg, lm, groups)
+}
+
+// bisectGroups bisects the gate graph recursively until every subgraph's
+// working set fits lm and returns the subgraphs' gates, the groups the merge
+// phase starts from, in topological order.
+func bisectGroups(c *circuit.Circuit, wg *wgraph, lm int, opts Options) ([][]int, error) {
 	rng := rand.New(rand.NewSource(opts.Seed + 1))
 
 	var groups [][]int // each group = original gate indices of one part
@@ -189,8 +204,5 @@ func runPipeline(c *circuit.Circuit, wg *wgraph, lm int, opts Options) ([][]int,
 	if err := recurse(wg); err != nil {
 		return nil, err
 	}
-	if opts.DisableMerge {
-		return groups, nil
-	}
-	return mergeGroups(wg, lm, groups)
+	return groups, nil
 }

@@ -3,6 +3,7 @@ package dagp
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 )
 
 // bitset is a fixed-width set of small non-negative ints.
@@ -80,8 +81,9 @@ func mergeGroups(wg *wgraph, lm int, groups [][]int) ([][]int, error) {
 			owner[gi] = i
 		}
 	}
-	sets := bitsets(2*n, n)
-	reach, reachTo := sets[:n], sets[n:] // strict descendants / ancestors in the quotient graph
+	sets := bitsets(3*n, n)
+	reach, reachTo := sets[:n], sets[n:2*n] // strict descendants / ancestors in the quotient graph
+	direct := sets[2*n:]                    // direct successors
 	wsets := bitsets(n, wg.nq)
 	wsize := make([]int, n)
 	for gi := 0; gi < wg.n; gi++ {
@@ -90,15 +92,27 @@ func mergeGroups(wg *wgraph, lm int, groups [][]int) ([][]int, error) {
 		}
 		for _, p := range wg.pred[gi] {
 			if owner[p] != owner[gi] {
-				reach[owner[p]].set(owner[gi])
+				direct[owner[p]].set(owner[gi])
 			}
 		}
 	}
-	for k := 0; k < n; k++ { // Warshall closure over the direct edges
-		for i := 0; i < n; i++ {
-			if reach[i].has(k) {
-				reach[i].or(reach[k])
+	// Close depth first: a group reaches its direct successors and all they
+	// reach, each closed before it.
+	closed := make([]bool, n)
+	var closure func(i int)
+	closure = func(i int) {
+		closed[i] = true
+		direct[i].forEach(func(j int) {
+			if !closed[j] {
+				closure(j)
 			}
+			reach[i].set(j)
+			reach[i].or(reach[j])
+		})
+	}
+	for i := 0; i < n; i++ {
+		if !closed[i] {
+			closure(i)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -112,36 +126,88 @@ func mergeGroups(wg *wgraph, lm int, groups [][]int) ([][]int, error) {
 	}
 	into := make([]int, n) // into[j] = group that absorbed j, or j itself
 	copy(into, alive)
-	for len(alive) >= 2 {
-		bestI, bestJ, bestOv, bestW := -1, -1, -1, lm+1
-		for a, i := range alive {
-			for _, j := range alive[a+1:] {
-				uw := unionCount(wsets[i], wsets[j])
-				if uw > lm {
-					continue
-				}
-				ov := wsize[i] + wsize[j] - uw
-				if ov < bestOv || (ov == bestOv && uw >= bestW) {
-					continue
-				}
-				// Merging i and j keeps the quotient graph acyclic unless a
-				// path between them passes through a third group.
-				if reach[i].intersects(reachTo[j]) || reach[j].intersects(reachTo[i]) {
-					continue
-				}
-				bestI, bestJ, bestOv, bestW = i, j, ov, uw
+
+	// Instead of rescanning every live pair per merge, each group caches its
+	// best later partner (-1 for none) with the pair's overlap and union
+	// width. A merge only adds paths to the quotient graph, so a pair of two
+	// groups it left unchanged keeps its overlap and width, and a cyclic pair
+	// stays cyclic. A cached pair is therefore its group's best or has turned
+	// cyclic, an upper bound on the best either way, and the top entry is the
+	// scan's pick once it is checked to be acyclic.
+	partner := make([]int, 3*n)
+	pov, puw := partner[n:2*n], partner[2*n:]
+	acyclic := func(i, j int) bool {
+		// Merging i and j keeps the quotient graph acyclic unless a path
+		// between them passes through a third group.
+		return !reach[i].intersects(reachTo[j]) && !reach[j].intersects(reachTo[i])
+	}
+	// offer makes j (> i) group i's partner if the pair fits, beats the
+	// cached one and is acyclic.
+	offer := func(i, j int) {
+		uw := unionCount(wsets[i], wsets[j])
+		if uw > lm {
+			return
+		}
+		ov := wsize[i] + wsize[j] - uw
+		if p := partner[i]; p >= 0 && (ov < pov[i] || ov == pov[i] && (uw > puw[i] || uw == puw[i] && j > p)) {
+			return
+		}
+		if acyclic(i, j) {
+			partner[i], pov[i], puw[i] = j, ov, uw
+		}
+	}
+	// A partner that shares a qubit beats every one that shares none, so
+	// those are scanned only when no sharing pair fits.
+	qgroups := bitsets(wg.nq, n) // live groups whose working set holds q
+	for i := 0; i < n; i++ {
+		wsets[i].forEach(func(q int) { qgroups[q].set(i) })
+	}
+	sharing := make(bitset, (n+63)/64)
+	repartner := func(i int) {
+		partner[i] = -1
+		clear(sharing)
+		wsets[i].forEach(func(q int) { sharing.or(qgroups[q]) })
+		sharing.forEach(func(j int) {
+			if j > i {
+				offer(i, j)
+			}
+		})
+		if partner[i] == -1 {
+			for _, j := range alive[sort.SearchInts(alive, i+1):] {
+				offer(i, j)
 			}
 		}
-		if bestI == -1 {
+	}
+	for _, i := range alive {
+		repartner(i)
+	}
+	for {
+		// Largest overlap, then smallest union, then the first group; within
+		// a group the first partner already won its ties.
+		i := -1
+		for _, k := range alive {
+			if partner[k] >= 0 && (i == -1 || pov[k] > pov[i] || pov[k] == pov[i] && puw[k] < puw[i]) {
+				i = k
+			}
+		}
+		if i == -1 {
 			break
 		}
-		i, j := bestI, bestJ
+		j := partner[i]
+		if !acyclic(i, j) {
+			repartner(i)
+			continue
+		}
 		into[j] = i
 		if key[j] < key[i] {
 			key[i] = key[j]
 		}
+		wsets[j].forEach(func(q int) {
+			qgroups[q].clear(j)
+			qgroups[q].set(i)
+		})
 		wsets[i].or(wsets[j])
-		wsize[i] = bestW
+		wsize[i] = puw[i]
 		// The merged node reaches what either did and is reached by what
 		// reached either; its ancestors gain its descendants and vice versa.
 		reach[i].or(reach[j])
@@ -160,11 +226,28 @@ func mergeGroups(wg *wgraph, lm int, groups [][]int) ([][]int, error) {
 			reachTo[k].set(i)
 			reachTo[k].or(reachTo[i])
 		})
-		at := 0
-		for alive[at] != j {
-			at++
-		}
+		at := sort.SearchInts(alive, j)
 		alive = append(alive[:at], alive[at+1:]...)
+		// i changed, so did every pair naming it or j; earlier groups gain
+		// the merged group as a candidate.
+		for _, k := range alive {
+			switch p := partner[k]; {
+			case k == i || p == j && k > i:
+				repartner(k)
+			case p == i || p == j:
+				// The merged group overlaps k at least as much as the part k
+				// chose, so if the union did not widen it still beats every
+				// other candidate; acyclicity is checked at the top.
+				uw := unionCount(wsets[k], wsets[i])
+				if ov := wsize[k] + wsize[i] - uw; uw <= lm && (ov > pov[k] || uw <= puw[k]) {
+					partner[k], pov[k], puw[k] = i, ov, uw
+				} else {
+					repartner(k)
+				}
+			case k < i:
+				offer(k, i)
+			}
+		}
 	}
 
 	// Emit the survivors in topological order (Kahn over the closure: a group

@@ -60,6 +60,10 @@ RACE_REPEATS += ./internal/sv 3 'TestClearQubits|TestPinnedKernelsEqualUnpinned|
 # the tests' names on purpose.
 RACE_REPEATS += ./internal/sv 3 'TestSamplerMatchesFlat|TestSamplerMatchesStateSample|TestSamplerConcurrentDraws|TestSamplerResetReusesItsBuffer'
 RACE_REPEATS += ./internal/service 3 'TestAppendJob|TestAppendCounts|TestWriteJobConcurrent'
+# dagP's restarts after the first run concurrently over one read-only gate
+# graph: the determinism test, and the merge phase against its pair-scan
+# oracle.
+RACE_REPEATS += ./internal/partition/dagp 3 'TestDagPConcurrentRestartsDeterministic|TestMergeGroupsMatchesScan'
 
 race-repeat:
 	@set -- $(RACE_REPEATS); \
@@ -240,7 +244,8 @@ benchmark-smoke:
 # trajectory ensemble, then the exact density-matrix engine. Then an ideal
 # dm run (Simulate returning ρ) and an -lm 1 run, which admission must refuse
 # before any work. Last, the documented -sweep example through the sweep
-# runner, ideal and then under noise with an unfused trajectory plan.
+# runner, ideal and then under noise with an unfused trajectory plan. Last, a
+# dagP plan that needs all three restarts must list each with its part count.
 cli-smoke:
 	$(GO) run ./cmd/hisvsim -backends
 	$(GO) run ./cmd/hisvsim -circuit ising -n 8 -backend flat -observables '-1*ZZ@0,1; 0.5*X@2'
@@ -252,6 +257,11 @@ cli-smoke:
 	test $$status -ne 0 && echo "$$out" | grep -q 'Lm=1 is not a tile width'
 	$(GO) run ./cmd/hisvsim -circuit qaoa_ansatz -n 8 -observables 'ZZ@0,1; ZZ@1,2' -sweep 'gamma0=0:1.2:7; beta0=0.1,0.3,0.5'
 	$(GO) run ./cmd/hisvsim -circuit qaoa_ansatz -n 8 -observables 'ZZ@0,1; ZZ@1,2' -sweep 'gamma0=0:1.2:7; beta0=0.1,0.3,0.5' -depolarizing 0.01 -trajectories 32 -fuse off
+	out=$$($(GO) run ./cmd/hisvsim -circuit qft -n 18 -lm 12 -plan-only) || exit 1; echo "$$out"; \
+	for r in 'restart 0 (bisection' 'restart 1 (bisection' 'restart 2 (gate merge)'; do \
+		echo "$$out" | grep -qF "$$r" || { echo "cli-smoke: no '$$r' line" >&2; exit 1; }; \
+	done; \
+	echo "$$out" | grep -q '<- plan$$'
 
 # Boots hisvsimd and exercises submit → poll → sample over HTTP (curl + jq).
 serve-smoke:

@@ -145,6 +145,13 @@ func main() {
 			fatal(err)
 		}
 		printPlan(pl, *showParts)
+		for _, r := range pl.Restarts {
+			won := ""
+			if r.Won {
+				won = "  <- plan"
+			}
+			fmt.Printf("  restart %d (%s): %d parts in %s%s\n", r.Index, r.Kind, r.Parts, r.Elapsed, won)
+		}
 		return
 	}
 

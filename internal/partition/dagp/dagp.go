@@ -7,21 +7,28 @@
 // a final part-graph merge phase (the paper's addition to the original
 // algorithm).
 //
-// Restart policy: the pipeline runs up to Options.Restarts times, each with
-// its own imbalance tolerance and tie-breaking seed, and the plan with the
-// fewest parts wins, the earliest restart on a tie. The first restart runs
+// Restart policy: Partition builds up to Options.Restarts candidate plans
+// and the one with the fewest parts wins, the earliest restart on a tie.
+// Restart 2 is the merge phase run from one group per gate (no bisection,
+// no coarsening, no random draws; skipped under DisableMerge, where it would
+// return one part per gate). Every other restart runs the pipeline with its
+// own imbalance tolerance and tie-breaking seed. The first restart runs
 // alone; if it already meets the ⌈|Q|/Lm⌉ lower bound no other can beat it
 // and the call returns (so Lm ≥ |Q| costs one pass), otherwise the rest run
 // concurrently. Neither the early stop nor the concurrency can change the
-// winner.
+// winner. The plan lists each restart that ran with its kind, part count
+// and wall time.
 //
 // Same-plan guarantee: for a given (circuit, Lm, Options) the plan is a pure
 // function of its inputs — the data structures (flat adjacency arenas,
-// incremental FM gains, bitset reachability in the merge phase) are chosen
-// for speed but replay exactly the decisions, scan orders and random draws
-// of the straightforward formulation. testdata/golden_plans.txt pins the
-// plans of five circuit families; a change that alters any of them is a
-// change of algorithm, not of implementation, and must say so.
+// incremental FM gains, bitset reachability and cached best partners in the
+// merge phase) are chosen for speed but replay exactly the decisions, scan
+// orders and random draws of the straightforward formulation.
+// testdata/golden_plans.txt pins the plans of five circuit families; a
+// change that alters any of them is a change of algorithm, not of
+// implementation, and must say so. The file was last re-recorded when the
+// third restart's ε = 2.5 bisection pipeline, which peeled off one or two
+// gates per bisection, became the gate merge: 19 of its 45 plans changed.
 package dagp
 
 import (
@@ -29,6 +36,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"time"
 
 	"hisvsim/internal/circuit"
@@ -50,9 +58,10 @@ type Options struct {
 	CoarsenMinNodes int
 	// Seed drives tie-breaking in refinement.
 	Seed int64
-	// Restarts runs the pipeline up to this many times with varied
-	// imbalance tolerances and refinement tie-breaking, keeping the plan
-	// with the fewest parts (default 3; 1 disables restarts).
+	// Restarts is how many candidate plans Partition may build, keeping
+	// the one with the fewest parts (default 3; 1 runs the first pipeline
+	// alone). Restart 2 merges single gates; the others run the pipeline
+	// with the tolerances of restartEpsilons and their own tie-breaking.
 	Restarts int
 	// DisableCoarsen, DisableRefine and DisableMerge switch off pipeline
 	// phases for ablation studies.
@@ -77,16 +86,25 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// restartEpsilons are the imbalance tolerances cycled across restarts; the
-// first entry is the configured (or default) epsilon.
+// restartEpsilons are the imbalance tolerances the pipeline restarts cycle
+// through, in restart order; the first entry is the configured (or default)
+// epsilon.
 func restartEpsilons(base float64) []float64 {
-	return []float64{base, 1.15, 2.5, 1.05}
+	return []float64{base, 1.15, 1.05}
 }
 
-// restartOptions returns the options restart r runs the pipeline with.
+// gateMerge is the restart that runs the merge phase from single gates.
+const gateMerge = 2
+
+// restartOptions returns the options pipeline restart r (not gateMerge)
+// runs with.
 func restartOptions(opts Options, r int) Options {
+	b := r // pipeline restarts before r
+	if r > gateMerge {
+		b--
+	}
 	eps := restartEpsilons(opts.Epsilon)
-	opts.Epsilon = eps[r%len(eps)]
+	opts.Epsilon = eps[b%len(eps)]
 	opts.Seed += int64(r) * 7919
 	return opts
 }
@@ -99,12 +117,12 @@ type Partitioner struct {
 // Name implements partition.Strategy.
 func (Partitioner) Name() string { return "dagp" }
 
-// Partition implements partition.Strategy. It runs the multilevel pipeline
-// up to Restarts times with varied imbalance tolerances and keeps the plan
-// with the fewest parts, the earliest restart winning a tie. No plan can
-// have fewer than ⌈|Q|/Lm⌉ parts (|Q| = qubits the circuit touches), so
-// the first restart runs alone and, when it already meets that bound, is
-// the answer; otherwise the remaining restarts run concurrently.
+// Partition implements partition.Strategy. It builds up to Restarts
+// candidate plans (see the package doc) and keeps the one with the fewest
+// parts, the earliest restart winning a tie. No plan can have fewer than
+// ⌈|Q|/Lm⌉ parts (|Q| = qubits the circuit touches), so the first restart
+// runs alone and, when it already meets that bound, is the answer;
+// otherwise the remaining restarts run concurrently.
 func (p Partitioner) Partition(g *dag.Graph, lm int) (*partition.Plan, error) {
 	start := time.Now()
 	opts := p.Opts.withDefaults()
@@ -120,36 +138,52 @@ func (p Partitioner) Partition(g *dag.Graph, lm int) (*partition.Plan, error) {
 	if lm > 0 {
 		bound = (wg.totalWset() + lm - 1) / lm
 	}
-	restart := func(r int) ([][]int, error) {
-		return runPipeline(c, wg, lm, restartOptions(opts, r))
+	// Results by restart index, so the earliest still wins a tie however
+	// the restarts interleave; a restart that did not run has no Kind.
+	results := make([][][]int, opts.Restarts)
+	reports := make([]partition.Restart, opts.Restarts)
+	restart := func(r int) (err error) {
+		t0 := time.Now()
+		kind := "gate merge"
+		if r == gateMerge {
+			results[r], err = mergeGroups(wg, lm, wg.orig)
+		} else {
+			ro := restartOptions(opts, r)
+			kind = fmt.Sprintf("bisection ε=%g", ro.Epsilon)
+			results[r], err = runPipeline(c, wg, lm, ro)
+		}
+		reports[r] = partition.Restart{Index: r, Kind: kind, Parts: len(results[r]), Elapsed: time.Since(t0)}
+		return err
 	}
-	best, err := restart(0)
-	if err != nil {
+	if err := restart(0); err != nil {
 		return nil, err
 	}
-	if len(best) > bound && opts.Restarts > 1 {
-		// One running restart per CPU; results by restart index, so the
-		// earliest still wins a tie however they interleave.
-		results := make([][][]int, opts.Restarts)
+	if len(results[0]) > bound && opts.Restarts > 1 {
+		// One running restart per CPU.
 		err := par.Each(context.TODO(), runtime.GOMAXPROCS(0), opts.Restarts-1, func(_ context.Context, _, i int) error {
-			var err error
-			results[i+1], err = restart(i + 1)
-			return err
+			if i+1 == gateMerge && opts.DisableMerge {
+				return nil
+			}
+			return restart(i + 1)
 		})
 		if err != nil {
 			return nil, err
 		}
-		for _, res := range results[1:] {
-			if len(res) < len(best) {
-				best = res
-			}
+	}
+	win := 0
+	for r, rep := range reports {
+		if rep.Kind != "" && rep.Parts < reports[win].Parts {
+			win = r
 		}
 	}
+	reports[win].Won = true
+	ran := slices.DeleteFunc(reports, func(r partition.Restart) bool { return r.Kind == "" })
+	best := results[win]
 	parts := make([]partition.Part, len(best))
 	for i, grp := range best {
 		parts[i] = partition.NewPart(c, i, grp)
 	}
-	return &partition.Plan{Circuit: c, Lm: lm, Strategy: "dagp", Parts: parts, Elapsed: time.Since(start)}, nil
+	return &partition.Plan{Circuit: c, Lm: lm, Strategy: "dagp", Parts: parts, Elapsed: time.Since(start), Restarts: ran}, nil
 }
 
 // runPipeline executes one coarsen/bisect/refine/merge pass over the

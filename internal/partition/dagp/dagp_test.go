@@ -1,6 +1,7 @@
 package dagp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -224,7 +225,9 @@ func TestSplitPartitionsNodes(t *testing.T) {
 
 // TestPartitionAllocationCeiling pins the partitioner's allocation count on
 // the cold-hier benchmark circuit: flat backing arrays and bitsets keep one
-// call in the thousands (407 252 before they replaced the per-call maps).
+// call in the hundreds (407 252 before they replaced the per-call maps, and
+// 5 446 while the third restart bisected down to single gates; 504 since it
+// merges them).
 func TestPartitionAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -235,8 +238,8 @@ func TestPartitionAllocationCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got > 20000 {
-		t.Errorf("%v allocations per Partition(qft-21, Lm=16), ceiling 20000", got)
+	if got > 1000 {
+		t.Errorf("%v allocations per Partition(qft-21, Lm=16), ceiling 1000", got)
 	}
 }
 
@@ -248,6 +251,53 @@ func TestDagPConcurrentRestartsDeterministic(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		if got := planHash(plan(t, c, 6, Options{Seed: 3})); got != want {
 			t.Fatalf("run %d: plan hash %s, first run %s", i, got, want)
+		}
+	}
+}
+
+// The plan reports every restart that ran, and the earliest one with the
+// fewest parts as the winner; the gate merge is skipped without merging,
+// and a first restart at the ⌈|Q|/Lm⌉ bound runs alone.
+func TestDagPRestartReport(t *testing.T) {
+	for _, tc := range []struct {
+		c     *circuit.Circuit
+		lm    int
+		opts  Options
+		kinds []string
+	}{
+		{circuit.QFT(18), 12, Options{}, []string{"bisection ε=1.5", "bisection ε=1.15", "gate merge"}},
+		{circuit.QFT(18), 12, Options{DisableMerge: true}, []string{"bisection ε=1.5", "bisection ε=1.15"}},
+		{circuit.QFT(18), 12, Options{Restarts: 4, Epsilon: 1.3}, []string{"bisection ε=1.3", "bisection ε=1.15", "gate merge", "bisection ε=1.05"}},
+		{circuit.Ising(21, 4), 16, Options{}, []string{"bisection ε=1.5"}},
+	} {
+		pl := plan(t, tc.c, tc.lm, tc.opts)
+		var kinds []string
+		win := -1
+		for i, r := range pl.Restarts {
+			kinds = append(kinds, r.Kind)
+			if r.Won {
+				if win != -1 {
+					t.Errorf("%s %+v: restarts %d and %d both won", tc.c.Name, tc.opts, win, i)
+				}
+				win = i
+			}
+			if r.Elapsed <= 0 {
+				t.Errorf("%s %+v: restart %d took %v", tc.c.Name, tc.opts, r.Index, r.Elapsed)
+			}
+		}
+		if !slices.Equal(kinds, tc.kinds) {
+			t.Errorf("%s %+v: restarts %q, want %q", tc.c.Name, tc.opts, kinds, tc.kinds)
+		}
+		if win == -1 {
+			t.Fatalf("%s %+v: no restart won", tc.c.Name, tc.opts)
+		}
+		for i, r := range pl.Restarts {
+			if r.Index != i || r.Parts < pl.Restarts[win].Parts || i < win && r.Parts == pl.Restarts[win].Parts {
+				t.Errorf("%s %+v: restart %+v beside winner %+v", tc.c.Name, tc.opts, r, pl.Restarts[win])
+			}
+		}
+		if pl.Restarts[win].Parts != pl.NumParts() {
+			t.Errorf("%s %+v: winner has %d parts, plan %d", tc.c.Name, tc.opts, pl.Restarts[win].Parts, pl.NumParts())
 		}
 	}
 }

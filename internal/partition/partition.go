@@ -33,6 +33,18 @@ type Plan struct {
 	Strategy string
 	Parts    []Part
 	Elapsed  time.Duration // time spent partitioning
+	// Restarts lists, in order, the candidate plans a restarting strategy
+	// (dagP) built before keeping one; nil for a single-pass strategy.
+	Restarts []Restart
+}
+
+// Restart reports one candidate plan of a restarting strategy.
+type Restart struct {
+	Index   int           // restart number
+	Kind    string        // how it was built, e.g. "bisection ε=1.5" or "gate merge"
+	Parts   int           // its part count
+	Elapsed time.Duration // its wall time
+	Won     bool          // it is the plan returned
 }
 
 // NumParts returns the number of parts (the paper's objective).

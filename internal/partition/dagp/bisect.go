@@ -7,17 +7,17 @@ import (
 
 // bisect runs the multilevel pipeline on one subgraph and returns a side
 // assignment (0 = earlier half, 1 = later half) with all cross edges
-// flowing 0 → 1.
-func bisect(wg *wgraph, opts Options, rng *rand.Rand) ([]int, error) {
+// flowing 0 → 1, each side's node weight within eps × total/2.
+func bisect(wg *wgraph, opts Options, eps float64, rng *rand.Rand) ([]int, error) {
 	levels := []*wgraph{wg}
 	var maps [][]int // maps[i]: levels[i] node -> levels[i+1] node
 	if !opts.DisableCoarsen {
 		cur := wg
-		maxW := cur.totalWeight() / opts.CoarsenMinNodes
+		maxW := cur.totalWeight() / coarsenMinNodes
 		if maxW < 2 {
 			maxW = 2
 		}
-		for cur.n > opts.CoarsenMinNodes {
+		for cur.n > coarsenMinNodes {
 			coarse, cmap := cur.coarsen(maxW)
 			if coarse == nil || coarse.n >= cur.n {
 				break
@@ -28,12 +28,12 @@ func bisect(wg *wgraph, opts Options, rng *rand.Rand) ([]int, error) {
 		}
 	}
 	coarsest := levels[len(levels)-1]
-	side := initialBisect(coarsest, opts)
+	side := initialBisect(coarsest, eps)
 	if side == nil {
 		return nil, fmt.Errorf("dagp: no feasible bisection for %d-node subgraph", coarsest.n)
 	}
 	if !opts.DisableRefine {
-		refine(coarsest, side, opts, rng)
+		refine(coarsest, side, eps, rng)
 	}
 	for i := len(levels) - 2; i >= 0; i-- {
 		fine := levels[i]
@@ -44,7 +44,7 @@ func bisect(wg *wgraph, opts Options, rng *rand.Rand) ([]int, error) {
 		}
 		side = fineSide
 		if !opts.DisableRefine {
-			refine(fine, side, opts, rng)
+			refine(fine, side, eps, rng)
 		}
 	}
 	return side, nil
@@ -53,13 +53,13 @@ func bisect(wg *wgraph, opts Options, rng *rand.Rand) ([]int, error) {
 // initialBisect splits a topological order of the graph at the position that
 // minimizes the combined working-set size of the two sides, within the
 // balance window. Returns nil only for graphs with < 2 nodes.
-func initialBisect(wg *wgraph, opts Options) []int {
+func initialBisect(wg *wgraph, eps float64) []int {
 	if wg.n < 2 {
 		return nil
 	}
 	order := wg.topoOrder()
 	total := wg.totalWeight()
-	maxSide := int(opts.Epsilon * float64(total) / 2)
+	maxSide := int(eps * float64(total) / 2)
 	if maxSide < (total+1)/2 {
 		maxSide = (total + 1) / 2
 	}
@@ -150,9 +150,9 @@ func initialBisect(wg *wgraph, opts Options) []int {
 // sharing it. The candidate scan walks the free nodes in index order and
 // draws from rng on every tie, exactly as a from-scratch evaluation of all
 // nodes would, so the chosen moves are the same.
-func refine(wg *wgraph, side []int, opts Options, rng *rand.Rand) {
+func refine(wg *wgraph, side []int, eps float64, rng *rand.Rand) {
 	total := wg.totalWeight()
-	maxSide := int(opts.Epsilon * float64(total) / 2)
+	maxSide := int(eps * float64(total) / 2)
 	if maxSide < (total+1)/2 {
 		maxSide = (total + 1) / 2
 	}
@@ -294,7 +294,7 @@ func refine(wg *wgraph, side []int, opts Options, rng *rand.Rand) {
 	if maxMoves > 512 {
 		maxMoves = 512
 	}
-	for pass := 0; pass < opts.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		if pass > 0 {
 			rebuild() // the rollback below undid sides only
 		}

@@ -7,17 +7,18 @@
 // a final part-graph merge phase (the paper's addition to the original
 // algorithm).
 //
-// Restart policy: Partition builds up to Options.Restarts candidate plans
-// and the one with the fewest parts wins, the earliest restart on a tie.
-// Restart 2 is the merge phase run from one group per gate (no bisection,
-// no coarsening, no random draws; skipped under DisableMerge, where it would
-// return one part per gate). Every other restart runs the pipeline with its
-// own imbalance tolerance and tie-breaking seed. The first restart runs
-// alone; if it already meets the ⌈|Q|/Lm⌉ lower bound no other can beat it
-// and the call returns (so Lm ≥ |Q| costs one pass), otherwise the rest run
-// concurrently. Neither the early stop nor the concurrency can change the
-// winner. The plan lists each restart that ran with its kind, part count
-// and wall time.
+// Restart policy: Partition builds the three candidate plans of the
+// restarts table and the one with the fewest parts wins, the earliest
+// restart on a tie. Restarts 0 and 1 run the pipeline at imbalance
+// tolerance ε = 1.5 and 1.15, each with its own tie-breaking seed. Restart
+// 2 is the merge phase run from one group per gate (no bisection, no
+// coarsening, no random draws; skipped under DisableMerge, where it would
+// return one part per gate). Options.DisableRestarts builds restart 0's
+// plan alone. The first restart runs alone; if it already meets the
+// ⌈|Q|/Lm⌉ lower bound no other can beat it and the call returns (so
+// Lm ≥ |Q| costs one pass), otherwise the rest run concurrently. Neither
+// the early stop nor the concurrency can change the winner. The plan lists
+// each restart that ran with its kind, part count and wall time.
 //
 // Same-plan guarantee: for a given (circuit, Lm, Options) the plan is a pure
 // function of its inputs — the data structures (flat adjacency arenas,
@@ -45,68 +46,40 @@ import (
 	"hisvsim/internal/partition"
 )
 
-// Options tunes the partitioner. The zero value gives the paper's defaults
-// (imbalance ratio 1.5, refinement and merge enabled).
+// Options selects a variant of the partitioner. The zero value is the
+// paper's pipeline: every restart, coarsening, refinement and the merge
+// phase.
 type Options struct {
-	// Epsilon is the bisection imbalance tolerance; each side's node weight
-	// may reach Epsilon × (total/2). Values < 1 select the default 1.5.
-	Epsilon float64
-	// RefinePasses bounds FM passes per level (default 4).
-	RefinePasses int
-	// CoarsenMinNodes stops coarsening once the graph is this small
-	// (default 64).
-	CoarsenMinNodes int
 	// Seed drives tie-breaking in refinement.
 	Seed int64
-	// Restarts is how many candidate plans Partition may build, keeping
-	// the one with the fewest parts (default 3; 1 runs the first pipeline
-	// alone). Restart 2 merges single gates; the others run the pipeline
-	// with the tolerances of restartEpsilons and their own tie-breaking.
-	Restarts int
-	// DisableCoarsen, DisableRefine and DisableMerge switch off pipeline
-	// phases for ablation studies.
-	DisableCoarsen bool
-	DisableRefine  bool
-	DisableMerge   bool
+	// DisableRestarts, DisableCoarsen, DisableRefine and DisableMerge
+	// switch off pipeline phases for ablation studies. DisableRestarts
+	// builds restart 0's plan alone.
+	DisableRestarts bool
+	DisableCoarsen  bool
+	DisableRefine   bool
+	DisableMerge    bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.Epsilon < 1 {
-		o.Epsilon = 1.5
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 4
-	}
-	if o.CoarsenMinNodes <= 0 {
-		o.CoarsenMinNodes = 64
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 3
-	}
-	return o
-}
+const (
+	// refinePasses bounds the FM passes per level.
+	refinePasses = 4
+	// coarsenMinNodes stops coarsening once the graph is this small.
+	coarsenMinNodes = 64
+)
 
-// restartEpsilons are the imbalance tolerances the pipeline restarts cycle
-// through, in restart order; the first entry is the configured (or default)
-// epsilon.
-func restartEpsilons(base float64) []float64 {
-	return []float64{base, 1.15, 1.05}
-}
-
-// gateMerge is the restart that runs the merge phase from single gates.
-const gateMerge = 2
-
-// restartOptions returns the options pipeline restart r (not gateMerge)
-// runs with.
-func restartOptions(opts Options, r int) Options {
-	b := r // pipeline restarts before r
-	if r > gateMerge {
-		b--
-	}
-	eps := restartEpsilons(opts.Epsilon)
-	opts.Epsilon = eps[b%len(eps)]
-	opts.Seed += int64(r) * 7919
-	return opts
+// restarts are the candidate plans Partition builds, in restart order: two
+// bisection pipelines, each with its imbalance tolerance (each side's node
+// weight may reach epsilon × total/2) and the offset added to Options.Seed
+// for its tie-breaking, then the merge phase run from one group per gate.
+var restarts = [...]struct {
+	epsilon    float64
+	seedOffset int64
+	gateMerge  bool
+}{
+	{epsilon: 1.5},
+	{epsilon: 1.15, seedOffset: 7919},
+	{gateMerge: true},
 }
 
 // Partitioner is the dagP strategy.
@@ -117,15 +90,14 @@ type Partitioner struct {
 // Name implements partition.Strategy.
 func (Partitioner) Name() string { return "dagp" }
 
-// Partition implements partition.Strategy. It builds up to Restarts
-// candidate plans (see the package doc) and keeps the one with the fewest
+// Partition implements partition.Strategy. It builds the restarts' candidate
+// plans (see the package doc) and keeps the one with the fewest
 // parts, the earliest restart winning a tie. No plan can have fewer than
 // ⌈|Q|/Lm⌉ parts (|Q| = qubits the circuit touches), so the first restart
 // runs alone and, when it already meets that bound, is the answer;
 // otherwise the remaining restarts run concurrently.
 func (p Partitioner) Partition(g *dag.Graph, lm int) (*partition.Plan, error) {
 	start := time.Now()
-	opts := p.Opts.withDefaults()
 	c := g.Circuit
 	for gi, gt := range c.Gates {
 		if gt.Arity() > lm {
@@ -140,17 +112,23 @@ func (p Partitioner) Partition(g *dag.Graph, lm int) (*partition.Plan, error) {
 	}
 	// Results by restart index, so the earliest still wins a tie however
 	// the restarts interleave; a restart that did not run has no Kind.
-	results := make([][][]int, opts.Restarts)
-	reports := make([]partition.Restart, opts.Restarts)
+	n := len(restarts)
+	if p.Opts.DisableRestarts {
+		n = 1
+	}
+	results := make([][][]int, n)
+	reports := make([]partition.Restart, n)
 	restart := func(r int) (err error) {
 		t0 := time.Now()
+		rs := restarts[r]
 		kind := "gate merge"
-		if r == gateMerge {
+		if rs.gateMerge {
 			results[r], err = mergeGroups(wg, lm, wg.orig)
 		} else {
-			ro := restartOptions(opts, r)
-			kind = fmt.Sprintf("bisection ε=%g", ro.Epsilon)
-			results[r], err = runPipeline(c, wg, lm, ro)
+			ro := p.Opts
+			ro.Seed += rs.seedOffset
+			kind = fmt.Sprintf("bisection ε=%g", rs.epsilon)
+			results[r], err = runPipeline(c, wg, lm, ro, rs.epsilon)
 		}
 		reports[r] = partition.Restart{Index: r, Kind: kind, Parts: len(results[r]), Elapsed: time.Since(t0)}
 		return err
@@ -158,10 +136,10 @@ func (p Partitioner) Partition(g *dag.Graph, lm int) (*partition.Plan, error) {
 	if err := restart(0); err != nil {
 		return nil, err
 	}
-	if len(results[0]) > bound && opts.Restarts > 1 {
+	if len(results[0]) > bound && n > 1 {
 		// One running restart per CPU.
-		err := par.Each(context.TODO(), runtime.GOMAXPROCS(0), opts.Restarts-1, func(_ context.Context, _, i int) error {
-			if i+1 == gateMerge && opts.DisableMerge {
+		err := par.Each(context.TODO(), runtime.GOMAXPROCS(0), n-1, func(_ context.Context, _, i int) error {
+			if restarts[i+1].gateMerge && p.Opts.DisableMerge {
 				return nil
 			}
 			return restart(i + 1)
@@ -187,10 +165,10 @@ func (p Partitioner) Partition(g *dag.Graph, lm int) (*partition.Plan, error) {
 }
 
 // runPipeline executes one coarsen/bisect/refine/merge pass over the
-// circuit's gate graph and returns the parts as ordered groups of ascending
-// gate indices.
-func runPipeline(c *circuit.Circuit, wg *wgraph, lm int, opts Options) ([][]int, error) {
-	groups, err := bisectGroups(c, wg, lm, opts)
+// circuit's gate graph at imbalance tolerance eps and returns the parts as
+// ordered groups of ascending gate indices.
+func runPipeline(c *circuit.Circuit, wg *wgraph, lm int, opts Options, eps float64) ([][]int, error) {
+	groups, err := bisectGroups(c, wg, lm, opts, eps)
 	if err != nil || opts.DisableMerge {
 		return groups, err
 	}
@@ -200,7 +178,7 @@ func runPipeline(c *circuit.Circuit, wg *wgraph, lm int, opts Options) ([][]int,
 // bisectGroups bisects the gate graph recursively until every subgraph's
 // working set fits lm and returns the subgraphs' gates, the groups the merge
 // phase starts from, in topological order.
-func bisectGroups(c *circuit.Circuit, wg *wgraph, lm int, opts Options) ([][]int, error) {
+func bisectGroups(c *circuit.Circuit, wg *wgraph, lm int, opts Options, eps float64) ([][]int, error) {
 	rng := rand.New(rand.NewSource(opts.Seed + 1))
 
 	var groups [][]int // each group = original gate indices of one part
@@ -213,7 +191,7 @@ func bisectGroups(c *circuit.Circuit, wg *wgraph, lm int, opts Options) ([][]int
 			groups = append(groups, sub.allOrig())
 			return nil
 		}
-		side, err := bisect(sub, opts, rng)
+		side, err := bisect(sub, opts, eps, rng)
 		if err != nil {
 			return err
 		}

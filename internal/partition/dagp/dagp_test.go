@@ -102,21 +102,38 @@ func TestDagPMergeNeverIncreasesParts(t *testing.T) {
 	}
 }
 
+// Every ablation gives a valid plan, and DisableRestarts gives the plan
+// restart 0 builds alone.
 func TestDagPAblationsValid(t *testing.T) {
-	c := circuit.QFT(10)
-	for _, opts := range []Options{
-		{DisableRefine: true},
-		{DisableCoarsen: true},
-		{DisableMerge: true},
-		{DisableRefine: true, DisableCoarsen: true, DisableMerge: true},
-		{Epsilon: 1.1},
-		{Epsilon: 2.0},
-		{RefinePasses: 1},
-		{CoarsenMinNodes: 8},
-	} {
-		pl := plan(t, c, 5, opts)
-		if pl.NumParts() < 1 {
-			t.Errorf("opts %+v: empty plan", opts)
+	for _, tc := range []struct {
+		c  *circuit.Circuit
+		lm int
+	}{{circuit.QFT(10), 5}, {circuit.QFT(18), 12}} {
+		for _, opts := range []Options{
+			{DisableRefine: true},
+			{DisableCoarsen: true},
+			{DisableMerge: true},
+			{DisableRestarts: true},
+			{DisableRefine: true, DisableCoarsen: true, DisableMerge: true},
+		} {
+			pl := plan(t, tc.c, tc.lm, opts)
+			if pl.NumParts() < 1 {
+				t.Errorf("%s opts %+v: empty plan", tc.c.Name, opts)
+			}
+			if !opts.DisableRestarts {
+				continue
+			}
+			groups, err := runPipeline(tc.c, buildWGraph(tc.c), tc.lm, Options{}, restarts[0].epsilon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := &partition.Plan{Circuit: tc.c, Lm: tc.lm}
+			for i, grp := range groups {
+				want.Parts = append(want.Parts, partition.NewPart(tc.c, i, grp))
+			}
+			if planHash(pl) != planHash(want) {
+				t.Errorf("%s DisableRestarts: %d parts, restart 0 alone %d; the plans differ", tc.c.Name, pl.NumParts(), want.NumParts())
+			}
 		}
 	}
 }
@@ -257,7 +274,8 @@ func TestDagPConcurrentRestartsDeterministic(t *testing.T) {
 
 // The plan reports every restart that ran, and the earliest one with the
 // fewest parts as the winner; the gate merge is skipped without merging,
-// and a first restart at the ⌈|Q|/Lm⌉ bound runs alone.
+// DisableRestarts runs the first restart alone, and so does a first
+// restart at the ⌈|Q|/Lm⌉ bound.
 func TestDagPRestartReport(t *testing.T) {
 	for _, tc := range []struct {
 		c     *circuit.Circuit
@@ -267,7 +285,7 @@ func TestDagPRestartReport(t *testing.T) {
 	}{
 		{circuit.QFT(18), 12, Options{}, []string{"bisection ε=1.5", "bisection ε=1.15", "gate merge"}},
 		{circuit.QFT(18), 12, Options{DisableMerge: true}, []string{"bisection ε=1.5", "bisection ε=1.15"}},
-		{circuit.QFT(18), 12, Options{Restarts: 4, Epsilon: 1.3}, []string{"bisection ε=1.3", "bisection ε=1.15", "gate merge", "bisection ε=1.05"}},
+		{circuit.QFT(18), 12, Options{DisableRestarts: true}, []string{"bisection ε=1.5"}},
 		{circuit.Ising(21, 4), 16, Options{}, []string{"bisection ε=1.5"}},
 	} {
 		pl := plan(t, tc.c, tc.lm, tc.opts)

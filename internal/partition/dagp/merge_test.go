@@ -220,7 +220,6 @@ func TestMergeGroupsMatchesScan(t *testing.T) {
 			t.Errorf("%s: %d merged groups, the scan %d; they differ", name, len(got), len(want))
 		}
 	}
-	opts := Options{}.withDefaults()
 	for _, family := range []string{"qft", "ising", "qaoa", "random", "qnn"} {
 		for _, lm := range []int{6, 10, 16} {
 			for seed := int64(1); seed <= 3; seed++ {
@@ -228,12 +227,11 @@ func TestMergeGroupsMatchesScan(t *testing.T) {
 				wg := buildWGraph(c)
 				name := fmt.Sprintf("%s Lm=%d seed=%d", family, lm, seed)
 				check(name+" single gates", wg, lm, wg.orig)
-				opts.Seed = seed
-				for r := 0; r < opts.Restarts; r++ {
-					if r == gateMerge {
+				for r, rs := range restarts {
+					if rs.gateMerge {
 						continue // its groups are the single gates
 					}
-					groups, err := bisectGroups(c, wg, lm, restartOptions(opts, r))
+					groups, err := bisectGroups(c, wg, lm, Options{Seed: seed + rs.seedOffset}, rs.epsilon)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -206,7 +206,7 @@ func Ablation(cfg Config) (*bench.Table, map[string]map[string]int, error) {
 		{"no-refine", dagp.Options{DisableRefine: true}},
 		{"no-merge", dagp.Options{DisableMerge: true}},
 		{"no-coarsen", dagp.Options{DisableCoarsen: true}},
-		{"no-restart", dagp.Options{Restarts: 1}},
+		{"no-restart", dagp.Options{DisableRestarts: true}},
 		{"bisect-only", dagp.Options{DisableRefine: true, DisableMerge: true, DisableCoarsen: true}},
 	}
 	families := []string{"bv", "ising", "qft", "qaoa"}

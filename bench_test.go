@@ -266,7 +266,7 @@ func benchPartitioner(b *testing.B, s partition.Strategy) {
 }
 
 func BenchmarkPartitionNat(b *testing.B)  { benchPartitioner(b, partition.Nat{}) }
-func BenchmarkPartitionDFS(b *testing.B)  { benchPartitioner(b, partition.DFS{Trials: 10, Seed: 1}) }
+func BenchmarkPartitionDFS(b *testing.B)  { benchPartitioner(b, partition.DFS{Seed: 1}) }
 func BenchmarkPartitionDagP(b *testing.B) { benchPartitioner(b, dagp.Partitioner{}) }
 
 // --- kernel microbenchmarks ---

@@ -166,7 +166,7 @@ func NewStrategy(name string, seed int64) (partition.Strategy, error) {
 	case "nat":
 		return partition.Nat{}, nil
 	case "dfs":
-		return partition.DFS{Trials: 10, Seed: seed}, nil
+		return partition.DFS{Seed: seed}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %q (want one of %v)", name, StrategyNames())
 	}

@@ -49,7 +49,7 @@ func TestHierMatchesFlatAllStrategies(t *testing.T) {
 	}
 	strategies := []partition.Strategy{
 		partition.Nat{},
-		partition.DFS{Trials: 5, Seed: 2},
+		partition.DFS{Seed: 2},
 		dagp.Partitioner{},
 	}
 	for _, c := range circuits {

@@ -165,7 +165,7 @@ func TestSupportFirstNeverWalksMore(t *testing.T) {
 			}{
 				{"default", dagp.Partitioner{}, n},
 				{"dagp", dagp.Partitioner{}, n - 4},
-				{"dfs", partition.DFS{Trials: 3, Seed: 1}, n - 4},
+				{"dfs", partition.DFS{Seed: 1}, n - 4},
 			} {
 				pl, err := s.strat.Partition(dag.FromCircuit(c), s.lm)
 				if err != nil {

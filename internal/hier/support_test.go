@@ -121,7 +121,7 @@ func TestSupportIsTheFormula(t *testing.T) {
 // strategy, at every worker split: the -race form of the formula test.
 func TestSupportFormulaSmall(t *testing.T) {
 	for _, c := range []*circuit.Circuit{circuit.QFT(10), circuit.Ising(10, 2), circuit.CC(10), circuit.Grover(5, 1)} {
-		for _, s := range []partition.Strategy{partition.Nat{}, partition.DFS{Trials: 3, Seed: 1}, dagp.Partitioner{}} {
+		for _, s := range []partition.Strategy{partition.Nat{}, partition.DFS{Seed: 1}, dagp.Partitioner{}} {
 			pl, err := s.Partition(dag.FromCircuit(c), 5)
 			if err != nil {
 				t.Fatal(err)

@@ -57,8 +57,8 @@ func goldenCircuit(family string, seed int64) *circuit.Circuit {
 // TestGoldenPlans pins the partitioner's output: for every (family, Lm,
 // seed) the plan's parts must hash to the value recorded before the
 // partitioner was reworked for speed, so performance work on dagP can never
-// silently change a plan. Each plan is also validated and its part-graph
-// checked for cycles.
+// silently change a plan. Each plan is also validated, which rejects any
+// dependency that runs backwards in part order.
 func TestGoldenPlans(t *testing.T) {
 	var lines []string
 	got := map[string]string{}
@@ -72,9 +72,6 @@ func TestGoldenPlans(t *testing.T) {
 				}
 				if err := partition.Validate(pl); err != nil {
 					t.Errorf("%s Lm=%d seed=%d: %v", family, lm, seed, err)
-				}
-				if !partition.BuildPartGraph(pl).IsAcyclic() {
-					t.Errorf("%s Lm=%d seed=%d: cyclic part-graph", family, lm, seed)
 				}
 				key := fmt.Sprintf("%s %d %d", family, lm, seed)
 				got[key] = fmt.Sprintf("%d %s", pl.NumParts(), planHash(pl))

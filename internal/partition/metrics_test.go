@@ -84,7 +84,7 @@ func TestChurnOrderingOnInterleaved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dfs, err := (DFS{Trials: 10, Seed: 1}).Partition(g, 5)
+	dfs, err := (DFS{Seed: 1}).Partition(g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,13 +33,15 @@ func (Nat) Partition(g *dag.Graph, lm int) (*Plan, error) {
 }
 
 // DFS implements the DFS Topological Order Cutoff strategy (§IV-B2): it
-// samples Trials random depth-first topological orders of the circuit DAG,
-// applies the same greedy cutoff to each, and keeps the order yielding the
-// fewest parts.
+// samples dfsTrials random depth-first topological orders of the circuit
+// DAG, applies the same greedy cutoff to each, and keeps the order yielding
+// the fewest parts.
 type DFS struct {
-	Trials int   // number of random orders to sample; 0 means 10
-	Seed   int64 // RNG seed for reproducible plans
+	Seed int64 // RNG seed for reproducible plans
 }
+
+// dfsTrials is the number of random orders DFS samples.
+const dfsTrials = 10
 
 // Name implements Strategy.
 func (DFS) Name() string { return "dfs" }
@@ -47,14 +49,10 @@ func (DFS) Name() string { return "dfs" }
 // Partition implements Strategy.
 func (d DFS) Partition(g *dag.Graph, lm int) (*Plan, error) {
 	start := time.Now()
-	trials := d.Trials
-	if trials <= 0 {
-		trials = 10
-	}
 	rng := rand.New(rand.NewSource(d.Seed + 1))
 	c := g.Circuit
 	var best []Part
-	for t := 0; t < trials; t++ {
+	for t := 0; t < dfsTrials; t++ {
 		nodeOrder := g.RandomDFSTopoOrder(rng)
 		order := make([]int, 0, len(c.Gates))
 		for _, v := range nodeOrder {

@@ -172,76 +172,6 @@ func Validate(pl *Plan) error {
 	return nil
 }
 
-// PartGraph is the quotient graph of a plan: one node per part, an edge
-// (i, j) when some gate in part j depends directly on a gate in part i.
-type PartGraph struct {
-	N     int
-	Succ  [][]int // deduplicated adjacency
-	Pred  [][]int
-	Reach [][]bool // Reach[i][j] = path i ~> j (i != j)
-}
-
-// BuildPartGraph constructs the quotient graph with transitive reachability.
-func BuildPartGraph(pl *Plan) *PartGraph {
-	n := pl.NumParts()
-	owner := make([]int, len(pl.Circuit.Gates))
-	for pi, part := range pl.Parts {
-		for _, gi := range part.GateIndices {
-			owner[gi] = pi
-		}
-	}
-	adj := make([]bool, n*n) // adj[i*n+j] = edge i -> j
-	for gi, deps := range gateDeps(pl.Circuit) {
-		for _, d := range deps {
-			if owner[d] != owner[gi] {
-				adj[owner[d]*n+owner[gi]] = true
-			}
-		}
-	}
-	pg := &PartGraph{N: n, Succ: make([][]int, n), Pred: make([][]int, n)}
-	for i := 0; i < n; i++ { // ascending scan keeps Succ and Pred sorted
-		for j := 0; j < n; j++ {
-			if adj[i*n+j] {
-				pg.Succ[i] = append(pg.Succ[i], j)
-				pg.Pred[j] = append(pg.Pred[j], i)
-			}
-		}
-	}
-	pg.Reach = make([][]bool, n)
-	for i := n - 1; i >= 0; i-- {
-		r := make([]bool, n)
-		for _, j := range pg.Succ[i] {
-			r[j] = true
-			for k, v := range pg.Reach[j] {
-				if v {
-					r[k] = true
-				}
-			}
-		}
-		pg.Reach[i] = r
-	}
-	return pg
-}
-
-// IsAcyclic reports whether the part-graph contains no cycle.
-func (pg *PartGraph) IsAcyclic() bool {
-	for i := 0; i < pg.N; i++ {
-		if pg.Reach[i][i] {
-			return false
-		}
-	}
-	return true
-}
-
-// EdgeCount returns the number of quotient edges.
-func (pg *PartGraph) EdgeCount() int {
-	n := 0
-	for _, s := range pg.Succ {
-		n += len(s)
-	}
-	return n
-}
-
 // Segment greedily cuts an ordered gate sequence into maximal prefix parts
 // whose working sets stay within Lm. For a fixed order this greedy is
 // optimal (working sets grow monotonically with segment extension). Returns

@@ -89,7 +89,7 @@ func TestExactLowerBoundsHeuristics(t *testing.T) {
 		opt := solve(t, tc.c, tc.lm)
 		for _, s := range []partition.Strategy{
 			partition.Nat{},
-			partition.DFS{Trials: 10, Seed: 3},
+			partition.DFS{Seed: 3},
 			dagp.Partitioner{},
 		} {
 			pl, err := s.Partition(g, tc.lm)

@@ -117,73 +117,11 @@ func (g *Graph) finishEdges() {
 	}
 }
 
-// NumNodes returns the total vertex count (entries + gates + exits).
-func (g *Graph) NumNodes() int { return len(g.Nodes) }
-
-// NumGateNodes returns the number of computational gate vertices.
-func (g *Graph) NumGateNodes() int { return len(g.Circuit.Gates) }
-
 // EntryOf returns the entry node id for qubit q.
 func (g *Graph) EntryOf(q int) int { return g.entryOf[q] }
 
 // ExitOf returns the exit node id for qubit q.
 func (g *Graph) ExitOf(q int) int { return g.exitOf[q] }
-
-// GateNode returns the node id of the gi-th gate in the circuit.
-func (g *Graph) GateNode(gi int) int { return g.Circuit.NumQubits + gi }
-
-// NodeQubits returns the qubits a node touches: the single qubit for
-// entry/exit nodes, the gate's qubits for gate nodes.
-func (g *Graph) NodeQubits(v int) []int {
-	nd := g.Nodes[v]
-	if nd.Kind == KindGate {
-		return g.Circuit.Gates[nd.GateIndex].Qubits
-	}
-	return []int{nd.Qubit}
-}
-
-// TopologicalOrder returns a deterministic topological order of all nodes
-// (Kahn's algorithm with smallest-id tie-breaking, which for gate nodes
-// coincides with original circuit order).
-func (g *Graph) TopologicalOrder() []int {
-	n := len(g.Nodes)
-	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		indeg[v] = len(g.Pred[v])
-	}
-	// Min-heap behaviour via ordered scan: node ids are already
-	// topologically compatible (entries < gates-in-order < exits), so a
-	// simple queue in id order yields a valid order.
-	order := make([]int, 0, n)
-	ready := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			ready = append(ready, v)
-		}
-	}
-	for len(ready) > 0 {
-		// pick the smallest id (keeps circuit order for gates)
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			if ready[i] < ready[best] {
-				best = i
-			}
-		}
-		v := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
-		order = append(order, v)
-		for _, e := range g.Succ[v] {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				ready = append(ready, e.To)
-			}
-		}
-	}
-	if len(order) != n {
-		panic("dag: graph has a cycle")
-	}
-	return order
-}
 
 // RandomDFSTopoOrder returns a random depth-first topological order: a DFS
 // with shuffled root and child visitation order, emitting reverse finishing
@@ -265,24 +203,6 @@ func (g *Graph) IsTopologicalOrder(order []int) bool {
 		}
 	}
 	return true
-}
-
-// Reachable computes the set of nodes reachable from v (excluding v itself
-// unless it lies on a cycle, which cannot happen in a DAG).
-func (g *Graph) Reachable(v int) []bool {
-	out := make([]bool, len(g.Nodes))
-	stack := []int{v}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.Succ[u] {
-			if !out[e.To] {
-				out[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return out
 }
 
 // CheckInvariants validates the structural properties the paper relies on:

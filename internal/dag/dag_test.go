@@ -14,21 +14,30 @@ func bellCircuit() *circuit.Circuit {
 	return c
 }
 
+// gateNode is the node id FromCircuit gives gate gi.
+func gateNode(g *Graph, gi int) int { return g.Circuit.NumQubits + gi }
+
+// idOrder lists every node id in ascending order.
+func idOrder(g *Graph) []int {
+	ids := make([]int, len(g.Nodes))
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
 func TestFromCircuitStructure(t *testing.T) {
 	g := FromCircuit(bellCircuit())
 	// 2 entries + 2 gates + 2 exits
-	if g.NumNodes() != 6 {
-		t.Fatalf("nodes = %d", g.NumNodes())
-	}
-	if g.NumGateNodes() != 2 {
-		t.Fatalf("gate nodes = %d", g.NumGateNodes())
+	if len(g.Nodes) != 6 {
+		t.Fatalf("nodes = %d", len(g.Nodes))
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// entry(q0) -> H -> CX; entry(q1) -> CX
-	h := g.GateNode(0)
-	cx := g.GateNode(1)
+	h := gateNode(g, 0)
+	cx := gateNode(g, 1)
 	if len(g.Succ[g.EntryOf(0)]) != 1 || g.Succ[g.EntryOf(0)][0].To != h {
 		t.Fatal("entry(q0) should feed H")
 	}
@@ -50,7 +59,7 @@ func TestFromCircuitStructure(t *testing.T) {
 
 func TestEdgeQubitLabels(t *testing.T) {
 	g := FromCircuit(bellCircuit())
-	cx := g.GateNode(1)
+	cx := gateNode(g, 1)
 	labels := map[int]bool{}
 	for _, e := range g.Pred[cx] {
 		labels[e.Qubit] = true
@@ -60,16 +69,8 @@ func TestEdgeQubitLabels(t *testing.T) {
 	}
 }
 
-func TestNodeQubits(t *testing.T) {
-	g := FromCircuit(bellCircuit())
-	if qs := g.NodeQubits(g.EntryOf(1)); len(qs) != 1 || qs[0] != 1 {
-		t.Fatalf("entry qubits = %v", qs)
-	}
-	if qs := g.NodeQubits(g.GateNode(1)); len(qs) != 2 {
-		t.Fatalf("cx qubits = %v", qs)
-	}
-}
-
+// FromCircuit's graph keeps the paper's invariants, and its node ids are a
+// topological order.
 func TestTopologicalOrderValid(t *testing.T) {
 	for _, c := range []*circuit.Circuit{
 		bellCircuit(),
@@ -82,20 +83,8 @@ func TestTopologicalOrderValid(t *testing.T) {
 		if err := g.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		ord := g.TopologicalOrder()
-		if !g.IsTopologicalOrder(ord) {
-			t.Fatalf("%s: invalid topological order", c.Name)
-		}
-		// Gate nodes must appear in circuit order under the deterministic
-		// tie-breaking.
-		prev := -1
-		for _, v := range ord {
-			if g.Nodes[v].Kind == KindGate {
-				if g.Nodes[v].GateIndex < prev {
-					t.Fatalf("%s: deterministic order broke circuit order", c.Name)
-				}
-				prev = g.Nodes[v].GateIndex
-			}
+		if !g.IsTopologicalOrder(idOrder(g)) {
+			t.Fatalf("%s: node ids are not a topological order", c.Name)
 		}
 	}
 }
@@ -122,7 +111,7 @@ func TestRandomDFSTopoOrders(t *testing.T) {
 
 func TestIsTopologicalOrderRejects(t *testing.T) {
 	g := FromCircuit(bellCircuit())
-	ord := g.TopologicalOrder()
+	ord := idOrder(g)
 	// Swap two dependent nodes.
 	bad := append([]int(nil), ord...)
 	bad[0], bad[len(bad)-1] = bad[len(bad)-1], bad[0]
@@ -139,31 +128,26 @@ func TestIsTopologicalOrderRejects(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	g := FromCircuit(bellCircuit())
-	r := g.Reachable(g.EntryOf(0))
-	if !r[g.GateNode(0)] || !r[g.GateNode(1)] || !r[g.ExitOf(0)] || !r[g.ExitOf(1)] {
-		t.Fatal("entry(q0) should reach everything downstream")
-	}
-	if r[g.EntryOf(1)] {
-		t.Fatal("entry(q1) is not downstream of entry(q0)")
-	}
-	// exits reach nothing
-	r = g.Reachable(g.ExitOf(0))
-	for v, ok := range r {
-		if ok {
-			t.Fatalf("exit reaches node %d", v)
-		}
-	}
-}
-
+// FromCircuit's node ids: entries in qubit order, gates in circuit order,
+// exits in qubit order.
 func TestGateNodeMapping(t *testing.T) {
 	c := circuit.QFT(5)
 	g := FromCircuit(c)
-	for gi := range c.Gates {
-		v := g.GateNode(gi)
-		if g.Nodes[v].GateIndex != gi {
-			t.Fatalf("GateNode(%d) maps to gate %d", gi, g.Nodes[v].GateIndex)
+	for v, nd := range g.Nodes {
+		switch n := c.NumQubits; {
+		case v < n:
+			if nd.Kind != KindEntry || nd.Qubit != v || g.EntryOf(v) != v {
+				t.Fatalf("node %d = %+v, want the entry of qubit %d", v, nd, v)
+			}
+		case v < n+c.NumGates():
+			if nd.Kind != KindGate || nd.GateIndex != v-n {
+				t.Fatalf("node %d = %+v, want gate %d", v, nd, v-n)
+			}
+		default:
+			q := v - n - c.NumGates()
+			if nd.Kind != KindExit || nd.Qubit != q || g.ExitOf(q) != v {
+				t.Fatalf("node %d = %+v, want the exit of qubit %d", v, nd, q)
+			}
 		}
 	}
 }

@@ -66,23 +66,3 @@ func (g *Graph) Dot(opts DotOptions) string {
 	b.WriteString("}\n")
 	return b.String()
 }
-
-// PartGraphDot renders a quotient part-graph: parts as nodes (labeled with
-// their size and working set), deduplicated dependency edges.
-func PartGraphDot(numParts int, partLabel func(int) string, edges [][2]int) string {
-	var b strings.Builder
-	b.WriteString("digraph parts {\n  rankdir=LR;\n  node [shape=ellipse, style=filled];\n")
-	for p := 0; p < numParts; p++ {
-		fmt.Fprintf(&b, "  p%d [label=%q, fillcolor=%q];\n", p, partLabel(p), dotPalette[p%len(dotPalette)])
-	}
-	seen := map[[2]int]bool{}
-	for _, e := range edges {
-		if e[0] == e[1] || seen[e] {
-			continue
-		}
-		seen[e] = true
-		fmt.Fprintf(&b, "  p%d -> p%d;\n", e[0], e[1])
-	}
-	b.WriteString("}\n")
-	return b.String()
-}

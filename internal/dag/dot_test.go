@@ -50,14 +50,3 @@ func TestDotWithEntriesAndParts(t *testing.T) {
 		t.Fatal("edge labels missing")
 	}
 }
-
-func TestPartGraphDot(t *testing.T) {
-	out := PartGraphDot(3, func(p int) string { return "P" }, [][2]int{{0, 1}, {1, 2}, {1, 2}, {2, 2}})
-	if !strings.Contains(out, "p0 -> p1") || !strings.Contains(out, "p1 -> p2") {
-		t.Fatalf("edges missing:\n%s", out)
-	}
-	// Duplicate and self edges suppressed.
-	if strings.Count(out, "p1 -> p2") != 1 || strings.Contains(out, "p2 -> p2") {
-		t.Fatalf("dedup failed:\n%s", out)
-	}
-}

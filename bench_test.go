@@ -336,9 +336,9 @@ func benchFusion(b *testing.B, fam string, fp core.FusePolicy) {
 	}
 }
 
-func BenchmarkFusedQFT(b *testing.B)     { benchFusion(b, "qft", core.FuseOn) }
+func BenchmarkFusedQFT(b *testing.B)     { benchFusion(b, "qft", core.FuseAuto) }
 func BenchmarkUnfusedQFT(b *testing.B)   { benchFusion(b, "qft", core.FuseOff) }
-func BenchmarkFusedIsing(b *testing.B)   { benchFusion(b, "ising", core.FuseOn) }
+func BenchmarkFusedIsing(b *testing.B)   { benchFusion(b, "ising", core.FuseAuto) }
 func BenchmarkUnfusedIsing(b *testing.B) { benchFusion(b, "ising", core.FuseOff) }
 
 func geomean(xs []float64) float64 { return bench.Geomean(xs) }

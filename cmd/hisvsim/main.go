@@ -59,7 +59,7 @@ func main() {
 		strategy  = flag.String("strategy", "dagp", "partitioner: "+strings.Join(hisvsim.Strategies(), ", "))
 		lm        = flag.Int("lm", 0, "working-set limit per part (0 = the full register)")
 		seed      = flag.Int64("seed", 1, "seed for randomized partitioners")
-		fuse      = flag.String("fuse", "auto", "gate fusion: auto, on, off")
+		fuse      = flag.String("fuse", "auto", "gate fusion: auto (on is the same), off")
 		verify    = flag.Bool("verify", false, "cross-check against flat simulation (doubles memory)")
 		planOnly  = flag.Bool("plan-only", false, "partition only; skip execution")
 		showParts = flag.Bool("parts", false, "print every part's gates and working set")
@@ -585,10 +585,8 @@ func runSweep(c *hisvsim.Circuit, opts hisvsim.Options, obs []hisvsim.PauliStrin
 
 func fusePolicy(s string) (hisvsim.FusePolicy, error) {
 	switch s {
-	case "auto", "":
+	case "auto", "on", "":
 		return hisvsim.FuseAuto, nil
-	case "on":
-		return hisvsim.FuseOn, nil
 	case "off":
 		return hisvsim.FuseOff, nil
 	default:

@@ -38,7 +38,7 @@ func TestFusedMatchesUnfusedAllFamilies(t *testing.T) {
 					t.Fatalf("%s/%s/lm=%d unfused: %v", fam, strategy, lm, err)
 				}
 				on := base
-				on.Fuse = FuseOn
+				on.Fuse = FuseAuto
 				got, err := Simulate(c, on)
 				if err != nil {
 					t.Fatalf("%s/%s/lm=%d fused: %v", fam, strategy, lm, err)
@@ -72,7 +72,7 @@ func TestQuickFusedEqualsUnfused(t *testing.T) {
 			return false
 		}
 		on := off
-		on.Fuse = FuseOn
+		on.Fuse = FuseAuto
 		got, err := Simulate(c, on)
 		if err != nil {
 			return false

@@ -56,16 +56,16 @@ type State = sv.State
 // Options configures Simulate. See core.Options for field documentation.
 type Options = core.Options
 
-// FusePolicy selects gate fusion for Simulate (Options.Fuse). Fusion is on
-// by default (FuseAuto, the zero value): runs of adjacent gates whose
+// FusePolicy selects gate fusion for Simulate (Options.Fuse): FuseAuto, the
+// zero value, or FuseOff. Under FuseAuto runs of adjacent gates whose
 // combined support stays within 5 qubits (10 for runs of diagonal gates)
-// execute as single fused kernels between gather/scatter points.
+// execute as single fused kernels between gather/scatter points; FuseOff
+// applies every gate in its own sweep.
 type FusePolicy = core.FusePolicy
 
 // Fusion policies for Options.Fuse.
 const (
 	FuseAuto = core.FuseAuto // fusion on (zero value)
-	FuseOn   = core.FuseOn   // fusion forced on
 	FuseOff  = core.FuseOff  // per-gate execution
 )
 

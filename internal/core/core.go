@@ -25,8 +25,6 @@ type FusePolicy int
 const (
 	// FuseAuto (the zero value) enables fusion.
 	FuseAuto FusePolicy = iota
-	// FuseOn forces fusion on.
-	FuseOn
 	// FuseOff disables fusion (per-gate execution, the pre-fusion behavior).
 	FuseOff
 )

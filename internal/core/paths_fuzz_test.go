@@ -155,7 +155,7 @@ func FuzzPathsAgree(f *testing.F) {
 		}
 		run("default", Options{})
 		for _, s := range []string{"nat", "dfs", "dagp"} {
-			for _, fuse := range []FusePolicy{FuseOn, FuseOff} {
+			for _, fuse := range []FusePolicy{FuseAuto, FuseOff} {
 				for workers := 1; workers <= 2; workers++ {
 					run(fmt.Sprintf("hier/%s/lm%d/fuse%d/w%d", s, lm, fuse, workers),
 						Options{Backend: "hier", Strategy: s, Lm: lm, Seed: 1, Fuse: fuse, Workers: workers})

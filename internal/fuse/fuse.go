@@ -13,8 +13,8 @@
 //     permutations compose to the identity, such as the cx·rz·cx phase
 //     gadget, is diagonal whatever its angles, so it joins diagonal runs as
 //     one diagonal gate. The rule reads gate names only, never a matrix;
-//   - a support cap (MaxQubits for dense blocks, MaxDiagQubits for diagonal
-//     runs, which cost one multiply per amplitude regardless of k); and
+//   - a support cap (5 qubits for dense blocks, 10 for diagonal runs, which
+//     cost one multiply per amplitude regardless of k); and
 //   - a per-amplitude cost model that only extends a dense block when the
 //     grown 2^k matrix kernel is estimated to beat applying the incoming
 //     gate in its own sweep (charging sweepOverhead per extra pass to model
@@ -57,43 +57,21 @@ type Block struct {
 	Gates  []gate.Gate  // the source gates, in application order
 }
 
-// Options configures fusion. Zero values select the defaults.
+// Options configures fusion. The zero value applies every rule.
 type Options struct {
-	// MaxQubits caps the support of dense fused blocks (default 5). When
-	// set explicitly it also caps diagonal runs unless MaxDiagQubits says
-	// otherwise, so one knob bounds every fused table.
-	MaxQubits int
-	// MaxDiagQubits caps the support of fused diagonal runs (default 10
-	// when MaxQubits is defaulted too, else MaxQubits); diagonal
-	// application costs one multiply per amplitude regardless of k, so the
-	// cap only bounds the 2^k diagonal table.
-	MaxDiagQubits int
 	// NoReorder disables the diagonal-grouping pre-pass (commuting diagonal
 	// gates left past disjoint gates to lengthen diagonal runs).
 	NoReorder bool
 }
 
-// DefaultMaxQubits is the dense fused-block support cap.
-const DefaultMaxQubits = 5
-
-// DefaultMaxDiagQubits is the diagonal-run support cap.
-const DefaultMaxDiagQubits = 10
-
-func (o Options) withDefaults() Options {
-	if o.MaxDiagQubits <= 0 {
-		// An explicit dense cap bounds diagonal tables too; only the full
-		// defaults split 5/10.
-		if o.MaxQubits > 0 {
-			o.MaxDiagQubits = o.MaxQubits
-		} else {
-			o.MaxDiagQubits = DefaultMaxDiagQubits
-		}
-	}
-	if o.MaxQubits <= 0 {
-		o.MaxQubits = DefaultMaxQubits
-	}
-	return o
-}
+const (
+	// maxQubits caps the support of dense fused blocks.
+	maxQubits = 5
+	// maxDiagQubits caps the support of fused diagonal runs. A diagonal
+	// costs one multiply per amplitude whatever its width, so the cap only
+	// bounds the 2^k diagonal table.
+	maxDiagQubits = 10
+)
 
 // sweepOverhead is the per-amplitude cost charged for every extra full-state
 // sweep a separate gate application would take (models memory traffic: each
@@ -129,7 +107,6 @@ func denseCost(k int) float64 { return float64(int(1)<<uint(k)) + 2 }
 // all blocks' unitaries equals the sequence's unitary exactly; only
 // commuting reorderings (diagonal grouping) are applied unless NoReorder.
 func Fuse(gates []gate.Gate, opts Options) ([]Block, error) {
-	opts = opts.withDefaults()
 	for i, g := range gates {
 		if err := g.Validate(); err != nil {
 			return nil, fmt.Errorf("fuse: gate %d: %w", i, err)
@@ -165,7 +142,7 @@ func Fuse(gates []gate.Gate, opts Options) ([]Block, error) {
 
 	// A window has to fit a block of either kind: it becomes a diagonal
 	// run's item, or is absorbed whole into a dense block.
-	windowCap := min(opts.MaxQubits, opts.MaxDiagQubits)
+	windowCap := min(maxQubits, maxDiagQubits)
 	for i := 0; i < len(gates); {
 		// The next item is one gate, or a closed monomial window standing
 		// as one diagonal gate over the window's support.
@@ -187,9 +164,9 @@ func Fuse(gates []gate.Gate, opts Options) ([]Block, error) {
 			continue
 		}
 		u := unionSorted(support, qs)
-		noGrowth := len(u) == len(support) && !allDiag && len(u) <= opts.MaxQubits
+		noGrowth := len(u) == len(support) && !allDiag && len(u) <= maxQubits
 		switch {
-		case allDiag && d && len(u) <= opts.MaxDiagQubits:
+		case allDiag && d && len(u) <= maxDiagQubits:
 			// Diagonal runs extend freely: cost stays one multiply/amp.
 			run, support = append(run, item...), u
 		case noGrowth:
@@ -197,7 +174,7 @@ func Fuse(gates []gate.Gate, opts Options) ([]Block, error) {
 			// kernel size is unchanged, so absorbing it saves its whole
 			// sweep for free (h·cx·h on one pair stays one 2-qubit block).
 			run = append(run, item...)
-		case len(u) <= opts.MaxQubits && denseCost(len(u)) <= curCost()+cost:
+		case len(u) <= maxQubits && denseCost(len(u)) <= curCost()+cost:
 			run, support = append(run, item...), u
 			allDiag = allDiag && d
 		default:
@@ -286,11 +263,11 @@ func (nb *numbering) at(g gate.Gate) []uint {
 const maxWindowGates = 32
 
 // closedWindow returns the length of the shortest prefix of gates that is
-// made of monomial gates on at most maxQubits qubits, starts with a
+// made of monomial gates on at most width qubits, starts with a
 // non-diagonal one and whose permutations compose to the identity — a
 // structurally diagonal window — or 0 when there is none within
 // maxWindowGates.
-func closedWindow(gates []gate.Gate, maxQubits int) int {
+func closedWindow(gates []gate.Gate, width int) int {
 	if len(gates) == 0 || gate.IsDiagonal(gates[0]) {
 		return 0
 	}
@@ -301,7 +278,7 @@ func closedWindow(gates []gate.Gate, maxQubits int) int {
 			return 0
 		}
 		at := qubits.at(g)
-		if len(qubits) > maxQubits {
+		if len(qubits) > width {
 			return 0
 		}
 		for hi := len(perm); hi < 1<<uint(len(qubits)); hi = len(perm) {
@@ -477,10 +454,6 @@ func GateCount(blocks []Block) int {
 	}
 	return n
 }
-
-// Sweeps returns the number of state-vector sweeps the blocks take (one per
-// block), the quantity fusion minimizes.
-func Sweeps(blocks []Block) int { return len(blocks) }
 
 func positionOf(qs []int) map[int]int {
 	pos := make(map[int]int, len(qs))

@@ -93,27 +93,34 @@ func TestFuseDiagonalRunsStayDiagonal(t *testing.T) {
 	}
 }
 
-// TestFuseRespectsSupportCap sweeps the support cap: at every cap no fused
-// block is wider than the cap, and the fused state equals the unfused one.
+// TestFuseRespectsSupportCap: on registers wider than both caps no dense
+// block is wider than maxQubits, a diagonal chain splits into runs of
+// exactly maxDiagQubits, and the fused state equals the unfused one.
 func TestFuseRespectsSupportCap(t *testing.T) {
-	c := circuit.QFT(9)
-	for _, cap := range []int{1, 2, 3, 4, 5, 7} {
-		blocks := applyBoth(t, c.NumQubits, c.Gates, Options{MaxQubits: cap, MaxDiagQubits: cap}, int64(cap))
-		for _, b := range blocks {
-			if b.Kind != Single && len(b.Qubits) > cap {
-				t.Fatalf("cap %d: block support %v", cap, b.Qubits)
-			}
+	n := maxDiagQubits + 2
+	var chain []gate.Gate
+	for q := 0; q+1 < n; q++ {
+		chain = append(chain, gate.CP(0.3*float64(q+1), q, q+1))
+	}
+	widest := map[Kind]int{}
+	for i, gs := range [][]gate.Gate{circuit.QFT(n).Gates, circuit.Random(n, 200, 3).Gates, chain} {
+		for _, b := range applyBoth(t, n, gs, Options{}, int64(i)) {
+			widest[b.Kind] = max(widest[b.Kind], len(b.Qubits))
 		}
+	}
+	if widest[Dense] > maxQubits || widest[Diagonal] != maxDiagQubits {
+		t.Fatalf("widest dense block %d qubits (cap %d), widest diagonal run %d (cap %d)",
+			widest[Dense], maxQubits, widest[Diagonal], maxDiagQubits)
 	}
 }
 
 func TestFuseOversizedGatePassesThrough(t *testing.T) {
 	gs := []gate.Gate{
 		gate.H(0),
-		gate.MCX([]int{0, 1, 2, 3, 4, 5}, 6), // arity 7 > both caps
-		gate.H(6),
+		gate.MCX([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 10), // arity 11 > both caps
+		gate.H(10),
 	}
-	blocks, err := Fuse(gs, Options{MaxQubits: 3, MaxDiagQubits: 3})
+	blocks, err := Fuse(gs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +136,7 @@ func TestFuseOversizedGatePassesThrough(t *testing.T) {
 	if !found {
 		t.Fatal("oversized mcx not emitted as passthrough")
 	}
-	applyBoth(t, 7, gs, Options{MaxQubits: 3, MaxDiagQubits: 3}, 5)
+	applyBoth(t, 11, gs, Options{}, 5)
 }
 
 func TestFuseSingleBlockPreservesGateOrderWithinSupport(t *testing.T) {
@@ -203,12 +210,19 @@ func TestFuseOpenWindowStaysDense(t *testing.T) {
 			}
 		}
 	}
-	// The window cap is the fused-block cap: a gadget wider than it stays
-	// per-gate, and the result is still exact.
-	wide := []gate.Gate{gate.CX(0, 1), gate.CX(1, 2), gate.RZ(0.9, 2), gate.CX(1, 2), gate.CX(0, 1)}
-	for _, b := range applyBoth(t, 3, wide, Options{MaxQubits: 2}, 6) {
-		if b.Kind != Single && len(b.Qubits) > 2 {
-			t.Errorf("cap 2: block support %v", b.Qubits)
+	// The window cap is the dense-block cap: a parity gadget wider than it
+	// does not close into one diagonal, and the result is still exact.
+	var wide []gate.Gate
+	for q := 0; q < maxQubits; q++ {
+		wide = append(wide, gate.CX(q, q+1))
+	}
+	wide = append(wide, gate.RZ(0.9, maxQubits))
+	for q := maxQubits - 1; q >= 0; q-- {
+		wide = append(wide, gate.CX(q, q+1))
+	}
+	for _, b := range applyBoth(t, maxQubits+1, wide, Options{}, 6) {
+		if b.Kind != Single && len(b.Qubits) > maxQubits {
+			t.Errorf("cap %d: block support %v", maxQubits, b.Qubits)
 		}
 	}
 }
@@ -382,7 +396,7 @@ func TestFuseReducesSweepsOnDeepCircuits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s := Sweeps(blocks); s*3 > c.NumGates()*2 {
+		if s := len(blocks); s*3 > c.NumGates()*2 { // one sweep per block
 			t.Errorf("%s: %d sweeps for %d gates, want ≤ 2/3", fam, s, c.NumGates())
 		}
 	}
@@ -392,6 +406,7 @@ func TestQuickFuseEqualsUnfused(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		c := circuit.Random(6, 50, seed)
 		applyBoth(t, 6, c.Gates, Options{}, seed+100)
-		applyBoth(t, 6, c.Gates, Options{MaxQubits: 3}, seed+200)
+		// Wider than the dense cap.
+		applyBoth(t, 8, circuit.Random(8, 80, seed).Gates, Options{}, seed+200)
 	}
 }

@@ -90,28 +90,25 @@ func FuzzFuseEquivalence(f *testing.F) {
 		if err := want.ApplyGates(gates); err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []Options{{}, {MaxQubits: 3}} {
-			blocks, err := Fuse(gates, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if GateCount(blocks) != len(gates) {
-				t.Fatalf("blocks cover %d gates of %d", GateCount(blocks), len(gates))
-			}
-			for _, b := range blocks {
-				for _, g := range b.Gates {
-					if b.Kind == Diagonal && !monomial(g) {
-						t.Fatalf("Diagonal block holds the non-monomial gate %s: %v", g, b.Gates)
-					}
+		blocks, err := Fuse(gates, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if GateCount(blocks) != len(gates) {
+			t.Fatalf("blocks cover %d gates of %d", GateCount(blocks), len(gates))
+		}
+		for _, b := range blocks {
+			for _, g := range b.Gates {
+				if b.Kind == Diagonal && !monomial(g) {
+					t.Fatalf("Diagonal block holds the non-monomial gate %s: %v", g, b.Gates)
 				}
 			}
-			st := got.Clone()
-			if err := Apply(st, blocks); err != nil {
-				t.Fatal(err)
-			}
-			if d := maxErr(st, want); d > 1e-10 {
-				t.Fatalf("fused state off the per-gate state by %g (opts %+v, gates %v)", d, opts, gates)
-			}
+		}
+		if err := Apply(got, blocks); err != nil {
+			t.Fatal(err)
+		}
+		if d := maxErr(got, want); d > 1e-10 {
+			t.Fatalf("fused state off the per-gate state by %g (gates %v)", d, gates)
 		}
 	})
 }

@@ -87,7 +87,7 @@ func FusionBench(cfg FusionConfig) (*FusionReport, error) {
 			off := base
 			off.Fuse = core.FuseOff
 			on := base
-			on.Fuse = core.FuseOn
+			on.Fuse = core.FuseAuto
 			row := FusionRow{Circuit: fam, Qubits: n, Gates: c.NumGates()}
 			unfused, _, err := timeRun(c, off, cfg.Reps)
 			if err != nil {

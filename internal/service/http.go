@@ -270,7 +270,7 @@ type wireOptions struct {
 	Strategy string `json:"strategy,omitempty"`
 	Lm       int    `json:"lm,omitempty"`
 	Workers  int    `json:"workers,omitempty"`
-	Fuse     string `json:"fuse,omitempty"` // "auto" (default), "on", "off"
+	Fuse     string `json:"fuse,omitempty"` // "auto" (default; "on" spells it too), "off"
 	Seed     int64  `json:"seed,omitempty"`
 }
 
@@ -281,10 +281,8 @@ func (o wireOptions) toCore() (core.Options, error) {
 		Workers: o.Workers, Seed: o.Seed,
 	}
 	switch o.Fuse {
-	case "", "auto":
+	case "", "auto", "on":
 		out.Fuse = core.FuseAuto
-	case "on":
-		out.Fuse = core.FuseOn
 	case "off":
 		out.Fuse = core.FuseOff
 	default:

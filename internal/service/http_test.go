@@ -170,6 +170,42 @@ func TestHTTPBadRequests(t *testing.T) {
 // TestHTTPRemovedV1BodiesAre400: the six single-readout kinds and their
 // top-level read-out fields are gone — a v1 body is rejected at submit, and
 // the kind error names what to send instead.
+// The wire keeps "on" as a spelling of the default fuse policy: "on",
+// "auto" and an absent field decode to the same options, "off" turns fusion
+// off, and any other value is refused.
+func TestFuseWireSpellings(t *testing.T) {
+	parse := func(options string) (*Request, error) {
+		return ParseRequest([]byte(`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run",
+			"readouts": {"shots": 4}, "options": {"lm": 3` + options + `}}`))
+	}
+	want, err := parse("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fuse := range []string{"auto", "on"} {
+		got, err := parse(`, "fuse": "` + fuse + `"`)
+		if err != nil {
+			t.Fatalf("fuse %q: %v", fuse, err)
+		}
+		if got.Options != want.Options {
+			t.Errorf("fuse %q: options %+v, absent field %+v", fuse, got.Options, want.Options)
+		}
+	}
+	if !want.Options.Fuse.Enabled() {
+		t.Error("an absent fuse field turned fusion off")
+	}
+	off, err := parse(`, "fuse": "off"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.Options.Fuse.Enabled() {
+		t.Error(`"fuse": "off" left fusion on`)
+	}
+	if _, err := parse(`, "fuse": "sometimes"`); err == nil {
+		t.Error(`"fuse": "sometimes" decoded`)
+	}
+}
+
 func TestHTTPRemovedV1BodiesAre400(t *testing.T) {
 	_, srv := newHTTPTest(t)
 	circuitStanza := `"circuit": {"family": "bv", "qubits": 4}`

@@ -1454,8 +1454,7 @@ func noisePlanKey(c *circuit.Circuit, o core.Options, m *noise.Model) string {
 // cacheKey is the content address of one simulation: the circuit
 // fingerprint plus every option that can change the produced state or plan.
 // Workers is excluded — it affects speed, never the amplitudes — and the
-// fuse policy collapses to its
-// Enabled bit (FuseAuto and FuseOn execute identically). The backend is
+// fuse policy enters as its Enabled bit. The backend is
 // keyed by its RESOLVED name, so an explicit "hier" and the single-node
 // default share entries while e.g. "flat" (whose float schedule differs)
 // gets its own.

@@ -149,17 +149,6 @@ func TestCacheHitSkipsSimulationBitIdentical(t *testing.T) {
 		}
 	}
 
-	// FuseAuto and FuseOn execute identically, so they share an entry.
-	req4 := req
-	req4.Options.Fuse = core.FuseOn
-	same, err := s.Do(context.Background(), req4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !same.CacheHit {
-		t.Fatal("FuseOn must share FuseAuto's cache entry")
-	}
-
 	// Different options → different key → fresh simulation.
 	req3 := req
 	req3.Options.Lm = 4

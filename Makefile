@@ -246,9 +246,16 @@ benchmark-smoke:
 # before any work. Last, the documented -sweep example through the sweep
 # runner, ideal and then under noise with an unfused trajectory plan. Last, a
 # dagP plan that needs all three restarts must list each with its part count.
+# The two runs after the flat one take the default (hier) ideal route, one
+# Evaluate call: it must print the observable, and an observable on a qubit
+# the circuit lacks must fail admission before any work.
 cli-smoke:
 	$(GO) run ./cmd/hisvsim -backends
 	$(GO) run ./cmd/hisvsim -circuit ising -n 8 -backend flat -observables '-1*ZZ@0,1; 0.5*X@2'
+	out=$$($(GO) run ./cmd/hisvsim -circuit ising -n 8 -observables 'ZZ@0,1') || exit 1; echo "$$out"; \
+	echo "$$out" | grep -q '^backend: hier$$' && echo "$$out" | grep -q '^observable Z0 Z1 = '
+	out=$$($(GO) run ./cmd/hisvsim -circuit ising -n 8 -observables 'Z@99' 2>&1); status=$$?; echo "$$out"; \
+	test $$status -ne 0 && echo "$$out" | grep -q 'core: observable 0: sv: pauli qubit 99 out of range'
 	$(GO) run ./cmd/hisvsim -circuit qft -n 14 -strategy dagp -lm 10 -verify
 	$(GO) run ./cmd/hisvsim -circuit ising -n 8 -depolarizing 0.01 -trajectories 64 -shots 256 -expect-z 0,1
 	$(GO) run ./cmd/hisvsim -circuit ising -n 8 -backend dm -depolarizing 0.01 -shots 256 -expect-z 0,1

@@ -114,11 +114,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	for _, ob := range obs {
-		if err := ob.Validate(c.NumQubits); err != nil {
-			fatal(err)
-		}
-	}
 	fmt.Printf("circuit: %s\n", c.String())
 
 	env, err := parseParams(*paramsF)
@@ -195,14 +190,24 @@ func main() {
 		return
 	}
 
-	res, err := hisvsim.Simulate(c, hisvsim.Options{
+	opts := hisvsim.Options{
 		Backend:  *backendN,
 		Strategy: *strategy, Lm: *lm, Seed: *seed,
 		Fuse: fp,
-	})
-	if err != nil {
+	}
+	var rep *hisvsim.RunReport
+	if len(obs) == 0 {
+		// Evaluate refuses an empty spec; a bare simulation returns the
+		// same engine result without copying the state into a read-out.
+		res, err := hisvsim.Simulate(c, opts)
+		if err != nil {
+			fatal(err)
+		}
+		rep = &hisvsim.RunReport{Sim: res, Density: res.DM}
+	} else if rep, err = hisvsim.Evaluate(c, opts, hisvsim.ReadoutSpec{Observables: observables(obs)}); err != nil {
 		fatal(err)
 	}
+	res := rep.Sim
 	fmt.Printf("backend: %s\n", res.Backend)
 	if res.Plan != nil {
 		printPlan(res.Plan, *showParts)
@@ -216,11 +221,8 @@ func main() {
 		top := res.State.MostLikely()
 		fmt.Printf("most likely outcome: |%0*b⟩ with probability %.4f\n",
 			c.NumQubits, top, res.State.BasisProbability(top))
-		for _, ob := range obs {
-			fmt.Printf("observable %s = %.9f\n", ob, res.State.ExpectationPauliString(ob))
-		}
-	} else if res.DM != nil {
-		probs := res.DM.Probabilities()
+	} else if rep.Density != nil {
+		probs := rep.Density.Probabilities()
 		top := 0
 		for i, p := range probs {
 			if p > probs[top] {
@@ -228,9 +230,9 @@ func main() {
 			}
 		}
 		fmt.Printf("most likely outcome: |%0*b⟩ with probability %.4f\n", c.NumQubits, top, probs[top])
-		for _, ob := range obs {
-			fmt.Printf("observable %s = %.9f\n", ob, res.DM.ExpectationPauliString(ob))
-		}
+	}
+	for k, ov := range rep.Observables {
+		fmt.Printf("observable %s = %.9f\n", obs[k], ov.Value)
 	}
 	if *verify {
 		want, err := hisvsim.Run(c)
@@ -241,8 +243,8 @@ func main() {
 		switch {
 		case res.State != nil:
 			f = res.State.Fidelity(want)
-		case res.DM != nil:
-			f = res.DM.FidelityWithState(want) // ⟨ψ|ρ|ψ⟩: 1 iff ρ = |ψ⟩⟨ψ|
+		case rep.Density != nil:
+			f = rep.Density.FidelityWithState(want) // ⟨ψ|ρ|ψ⟩: 1 iff ρ = |ψ⟩⟨ψ|
 		default:
 			fatal(fmt.Errorf("backend %s returned no verifiable state", res.Backend))
 		}
@@ -360,6 +362,16 @@ func parseObservables(s string) ([]hisvsim.PauliString, error) {
 	return out, nil
 }
 
+// observables turns the parsed Pauli strings into Evaluate's read-outs;
+// admission checks them against the circuit.
+func observables(obs []hisvsim.PauliString) []hisvsim.Observable {
+	out := make([]hisvsim.Observable, len(obs))
+	for k, p := range obs {
+		out[k] = hisvsim.Observable{Coeff: p.Coeff, Paulis: p.Ops, Qubits: p.Qubits}
+	}
+	return out
+}
+
 // parseQubits parses -expect-z: comma-separated qubit indices (empty = no
 // Z-string read-out).
 func parseQubits(s string) ([]int, error) {
@@ -388,12 +400,7 @@ func runNoisy(c *hisvsim.Circuit, opts hisvsim.Options, traj, shots int, zQubits
 		z := hisvsim.PauliString{Ops: strings.Repeat("Z", len(zQubits)), Qubits: zQubits}
 		obs = append([]hisvsim.PauliString{z}, obs...)
 	}
-	spec := hisvsim.ReadoutSpec{Shots: shots, Seed: seed, Trajectories: traj}
-	for _, p := range obs {
-		spec.Observables = append(spec.Observables, hisvsim.Observable{
-			Coeff: p.Coeff, Paulis: p.Ops, Qubits: p.Qubits,
-		})
-	}
+	spec := hisvsim.ReadoutSpec{Shots: shots, Seed: seed, Trajectories: traj, Observables: observables(obs)}
 	rep, err := hisvsim.Evaluate(c, opts, spec)
 	if err != nil {
 		fatal(err)
@@ -541,14 +548,9 @@ func parseSweepGrid(s string) ([]map[string]float64, error) {
 // compilation and prints the energy (Σ weighted terms) per point plus the
 // minimum found.
 func runSweep(c *hisvsim.Circuit, opts hisvsim.Options, obs []hisvsim.PauliString, bindings []map[string]float64, traj int, seed int64) {
-	spec := hisvsim.ReadoutSpec{Seed: seed}
+	spec := hisvsim.ReadoutSpec{Seed: seed, Observables: observables(obs)}
 	if opts.Noise != nil {
 		spec.Trajectories = traj
-	}
-	for _, p := range obs {
-		spec.Observables = append(spec.Observables, hisvsim.Observable{
-			Coeff: p.Coeff, Paulis: p.Ops, Qubits: p.Qubits,
-		})
 	}
 	rep, err := hisvsim.Sweep(c, opts, spec, bindings)
 	if err != nil {

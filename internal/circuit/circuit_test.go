@@ -247,3 +247,18 @@ func TestNamedFamilies(t *testing.T) {
 		t.Error("tiny adder accepted")
 	}
 }
+
+// Validate runs on every submit, cache hits included: on a valid circuit it
+// allocates nothing.
+func TestValidateAllocatesNothing(t *testing.T) {
+	for _, family := range []string{"random", "qaoa", "qft", "ising"} {
+		c := MustNamed(family, 16)
+		if got := testing.AllocsPerRun(10, func() {
+			if err := c.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s-16 (%d gates): %v allocations per Validate", family, c.NumGates(), got)
+		}
+	}
+}

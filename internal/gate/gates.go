@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 	"sort"
 )
 
@@ -71,23 +72,22 @@ func (g Gate) String() string {
 	return s
 }
 
-// Validate reports an error if the gate reuses a qubit or has an unknown name.
+// Validate reports an error if the gate reuses a qubit or has an unknown
+// name. It allocates nothing on a valid gate.
 func (g Gate) Validate() error {
-	seen := map[int]bool{}
-	for _, q := range g.Qubits {
+	for i, q := range g.Qubits {
 		if q < 0 {
 			return fmt.Errorf("gate %s: negative qubit %d", g.Name, q)
 		}
-		if seen[q] {
+		if slices.Contains(g.Qubits[:i], q) {
 			return fmt.Errorf("gate %s: duplicate qubit %d", g.Name, q)
 		}
-		seen[q] = true
 	}
 	if g.Args != nil && len(g.Args) != len(g.Params) {
 		return fmt.Errorf("gate %s: %d symbolic args for %d params", g.Name, len(g.Args), len(g.Params))
 	}
-	if _, err := baseMatrixFor(g); err != nil {
-		return err
+	if baseBuilder(g.Name) == nil {
+		return unknownGate(g.Name)
 	}
 	return nil
 }
@@ -149,61 +149,83 @@ func swapMatrix() Matrix {
 
 // baseMatrixFor computes the matrix on target qubits for a named gate.
 func baseMatrixFor(g Gate) (Matrix, error) {
-	p := func(i int) float64 {
-		if i < len(g.Params) {
-			return g.Params[i]
-		}
-		return 0
+	build := baseBuilder(g.Name)
+	if build == nil {
+		return Matrix{}, unknownGate(g.Name)
 	}
-	switch g.Name {
+	return build(g.Params), nil
+}
+
+func unknownGate(name string) error { return fmt.Errorf("gate: unknown gate %q", name) }
+
+// params are a gate's angles: at(i) is parameter i, 0 when absent.
+type params []float64
+
+func (p params) at(i int) float64 {
+	if i < len(p) {
+		return p[i]
+	}
+	return 0
+}
+
+// baseBuilder returns the function that builds a named gate's base matrix
+// from its parameters, or nil for an unknown name; Validate asks for it
+// without building the matrix.
+func baseBuilder(name string) func(p params) Matrix {
+	switch name {
 	case "id":
-		return Identity(1), nil
+		return func(params) Matrix { return Identity(1) }
 	case "x", "cx", "ccx", "mcx":
-		return m2(0, 1, 1, 0), nil
+		return func(params) Matrix { return m2(0, 1, 1, 0) }
 	case "y", "cy":
-		return m2(0, -iC, iC, 0), nil
+		return func(params) Matrix { return m2(0, -iC, iC, 0) }
 	case "z", "cz", "mcz":
-		return m2(1, 0, 0, -1), nil
+		return func(params) Matrix { return m2(1, 0, 0, -1) }
 	case "h", "ch":
-		return m2(invSqrt2, invSqrt2, invSqrt2, -invSqrt2), nil
+		return func(params) Matrix { return m2(invSqrt2, invSqrt2, invSqrt2, -invSqrt2) }
 	case "s":
-		return m2(1, 0, 0, iC), nil
+		return func(params) Matrix { return m2(1, 0, 0, iC) }
 	case "sdg":
-		return m2(1, 0, 0, -iC), nil
+		return func(params) Matrix { return m2(1, 0, 0, -iC) }
 	case "t":
-		return m2(1, 0, 0, cmplx.Exp(complex(0, math.Pi/4))), nil
+		return func(params) Matrix { return m2(1, 0, 0, cmplx.Exp(complex(0, math.Pi/4))) }
 	case "tdg":
-		return m2(1, 0, 0, cmplx.Exp(complex(0, -math.Pi/4))), nil
+		return func(params) Matrix { return m2(1, 0, 0, cmplx.Exp(complex(0, -math.Pi/4))) }
 	case "sx":
-		return m2(0.5+0.5i, 0.5-0.5i, 0.5-0.5i, 0.5+0.5i), nil
+		return func(params) Matrix { return m2(0.5+0.5i, 0.5-0.5i, 0.5-0.5i, 0.5+0.5i) }
 	case "rx", "crx":
-		return u3MatrixRX(p(0)), nil
+		return func(p params) Matrix { return u3MatrixRX(p.at(0)) }
 	case "ry", "cry":
-		ct := complex(math.Cos(p(0)/2), 0)
-		st := complex(math.Sin(p(0)/2), 0)
-		return m2(ct, -st, st, ct), nil
+		return func(p params) Matrix {
+			ct := complex(math.Cos(p.at(0)/2), 0)
+			st := complex(math.Sin(p.at(0)/2), 0)
+			return m2(ct, -st, st, ct)
+		}
 	case "rz", "crz":
-		return m2(cmplx.Exp(complex(0, -p(0)/2)), 0, 0, cmplx.Exp(complex(0, p(0)/2))), nil
+		return func(p params) Matrix {
+			return m2(cmplx.Exp(complex(0, -p.at(0)/2)), 0, 0, cmplx.Exp(complex(0, p.at(0)/2)))
+		}
 	case "p", "u1", "cp", "cu1", "mcp":
-		return m2(1, 0, 0, cmplx.Exp(complex(0, p(0)))), nil
+		return func(p params) Matrix { return m2(1, 0, 0, cmplx.Exp(complex(0, p.at(0)))) }
 	case "u2":
-		return u3Matrix(math.Pi/2, p(0), p(1)), nil
+		return func(p params) Matrix { return u3Matrix(math.Pi/2, p.at(0), p.at(1)) }
 	case "u3", "u", "cu3":
-		return u3Matrix(p(0), p(1), p(2)), nil
+		return func(p params) Matrix { return u3Matrix(p.at(0), p.at(1), p.at(2)) }
 	case "swap", "cswap":
-		return swapMatrix(), nil
+		return func(params) Matrix { return swapMatrix() }
 	case "rzz":
-		m := NewMatrix(2)
-		e0 := cmplx.Exp(complex(0, -p(0)/2))
-		e1 := cmplx.Exp(complex(0, p(0)/2))
-		m.Set(0, 0, e0)
-		m.Set(1, 1, e1)
-		m.Set(2, 2, e1)
-		m.Set(3, 3, e0)
-		return m, nil
-	default:
-		return Matrix{}, fmt.Errorf("gate: unknown gate %q", g.Name)
+		return func(p params) Matrix {
+			m := NewMatrix(2)
+			e0 := cmplx.Exp(complex(0, -p.at(0)/2))
+			e1 := cmplx.Exp(complex(0, p.at(0)/2))
+			m.Set(0, 0, e0)
+			m.Set(1, 1, e1)
+			m.Set(2, 2, e1)
+			m.Set(3, 3, e0)
+			return m
+		}
 	}
+	return nil
 }
 
 func u3MatrixRX(theta float64) Matrix {

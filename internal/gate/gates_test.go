@@ -1,8 +1,13 @@
 package gate
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"math/cmplx"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -104,6 +109,57 @@ func TestValidateRejectsDuplicateQubit(t *testing.T) {
 	}
 	if err := (Gate{Name: "nope", Qubits: []int{0}}).Validate(); err == nil {
 		t.Error("unknown gate validated")
+	}
+}
+
+// Validate accepts exactly the names baseMatrixFor builds: every case label
+// of baseBuilder's switch, read from the source, passes both, and names
+// outside it fail both.
+func TestValidateAcceptsExactlyTheBuiltNames(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "gates.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var known []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if fn, ok := n.(*ast.FuncDecl); ok && fn.Name.Name != "baseBuilder" {
+			return false
+		}
+		if cc, ok := n.(*ast.CaseClause); ok {
+			for _, e := range cc.List {
+				name, err := strconv.Unquote(e.(*ast.BasicLit).Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				known = append(known, name)
+			}
+		}
+		return true
+	})
+	if len(known) < 30 {
+		t.Fatalf("read %d gate names off baseBuilder: %v", len(known), known)
+	}
+	unknown := []string{"", "nope", "rxx", "u4", "mcy"}
+	for _, name := range known {
+		unknown = append(unknown, strings.ToUpper(name), name+"_", " "+name)
+	}
+	for _, name := range known {
+		g := Gate{Name: name, Qubits: []int{0, 1}, Params: []float64{0.1, 0.2, 0.3}}
+		if err := g.Validate(); err != nil {
+			t.Errorf("%q: Validate: %v", name, err)
+		}
+		if _, err := baseMatrixFor(g); err != nil {
+			t.Errorf("%q: baseMatrixFor: %v", name, err)
+		}
+	}
+	for _, name := range unknown {
+		g := Gate{Name: name, Qubits: []int{0}}
+		if g.Validate() == nil {
+			t.Errorf("%q: Validate accepted an unknown name", name)
+		}
+		if _, err := baseMatrixFor(g); err == nil {
+			t.Errorf("%q: baseMatrixFor built an unknown name", name)
+		}
 	}
 }
 

@@ -249,10 +249,11 @@ func Run(ctx context.Context, c *circuit.Circuit, m *noise.Model, opts Options) 
 	return d, plan, nil
 }
 
-// Evolve replays a compiled plan deterministically on a fresh ρ: gate runs
-// apply as UρU† (fused blocks included), channel insertions as exact
-// superoperators. The context is honored at step boundaries. One Evolve is
-// the DM engine's whole "simulation" — there is no ensemble.
+// Evolve replays a compiled plan deterministically on a fresh ρ: every gate
+// run is the plan's blocks (fused, or one Single block per gate when the plan
+// was compiled unfused), each applied as UρU†, and channel insertions apply
+// as exact superoperators. The context is honored at step boundaries. One
+// Evolve is the DM engine's whole "simulation" — there is no ensemble.
 func Evolve(ctx context.Context, plan *noise.Plan, workers int) (*Density, error) {
 	d, err := New(plan.NumQubits())
 	if err != nil {
@@ -266,28 +267,19 @@ func Evolve(ctx context.Context, plan *noise.Plan, workers int) (*Density, error
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		switch {
-		case s.Channel != nil:
-			super, ok := supers[s.Channel]
-			if !ok {
-				super = Superoperator(s.Channel.Kraus)
-				supers[s.Channel] = super
-			}
-			if len(s.Qubits) != s.Channel.NumQubits() {
-				return fmt.Errorf("dm: %d-qubit channel %s at a %d-qubit site", s.Channel.NumQubits(), s.Channel.Name, len(s.Qubits))
-			}
-			d.applySuper(s.Qubits, super)
-			return nil
-		case s.Blocks != nil:
+		if s.Channel == nil {
 			return d.applyBlocks(s.Blocks)
-		default:
-			for _, g := range s.Gates {
-				if err := d.ApplyGate(g); err != nil {
-					return err
-				}
-			}
-			return nil
 		}
+		super, ok := supers[s.Channel]
+		if !ok {
+			super = Superoperator(s.Channel.Kraus)
+			supers[s.Channel] = super
+		}
+		if len(s.Qubits) != s.Channel.NumQubits() {
+			return fmt.Errorf("dm: %d-qubit channel %s at a %d-qubit site", s.Channel.NumQubits(), s.Channel.Name, len(s.Qubits))
+		}
+		d.applySuper(s.Qubits, super)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -295,7 +287,7 @@ func Evolve(ctx context.Context, plan *noise.Plan, workers int) (*Density, error
 	return d, nil
 }
 
-// applyBlocks replays one fused gate run on both sides of ρ.
+// applyBlocks replays one lowered gate run on both sides of ρ.
 func (d *Density) applyBlocks(blocks []fuse.Block) error {
 	for _, b := range blocks {
 		switch b.Kind {

@@ -23,6 +23,13 @@
 // A block of one gate stays a passthrough so the simulator's dedicated
 // kernels (diagonal sweep, swap, 1- and 2-qubit fast paths with structural
 // controls) keep applying.
+//
+// Fusion only decides which blocks a gate run becomes; lowering them is this
+// package's too. Lower is the one place a run is lowered to kernel ops, fused
+// or not — with fusion off every gate is a Single block — and Rebind is the
+// one place a lowered run is re-bound to a parameter binding. Noise plans,
+// the density-matrix evolution, templates, the hierarchical executor and the
+// distributed schedule hold a run only as its blocks and ops.
 package fuse
 
 import (
@@ -39,7 +46,9 @@ import (
 type Kind int
 
 const (
-	// Single is a passthrough block: one gate, lowered by sv.GateOp.
+	// Single is a passthrough block: one gate, lowered by sv.GateOp. Fuse
+	// leaves a gate that merges with nothing as one; an unfused Lower makes
+	// every gate one.
 	Single Kind = iota
 	// Dense is a fused 2^k×2^k unitary over Qubits.
 	Dense
@@ -395,6 +404,34 @@ func buildMatrix(qs []int, gates []gate.Gate) gate.Matrix {
 	return u
 }
 
+// Lower is the one lowering of a gate run for n-qubit states: the run's
+// blocks and one kernel op per block. With fused set the run is fused (Fuse
+// with the default Options) and its blocks planned (Plan); otherwise every
+// gate becomes its own Single block, whose Gates alias gates, so Plan lowers
+// each with sv.GateOp. Executors that sweep, replay or re-bind a run — noise
+// plans and the density-matrix evolution that walks them, the hierarchical
+// parts, the distributed schedule — hold only these blocks and ops; both are
+// read-only and safe to share across goroutines.
+func Lower(gates []gate.Gate, n int, fused bool) ([]Block, []sv.Op, error) {
+	var blocks []Block
+	if fused {
+		var err error
+		if blocks, err = Fuse(gates, Options{}); err != nil {
+			return nil, nil, err
+		}
+	} else {
+		blocks = make([]Block, len(gates))
+		for i := range gates {
+			blocks[i] = Block{Kind: Single, Gates: gates[i : i+1 : i+1]}
+		}
+	}
+	ops, err := Plan(blocks, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	return blocks, ops, nil
+}
+
 // Plan lowers every block — fused dense and diagonal blocks and Single
 // passthroughs alike — to a kernel op for n-qubit states: index tables built
 // once, payload attached. Executors that sweep the same blocks many times
@@ -423,10 +460,10 @@ func Plan(blocks []Block, n int) ([]sv.Op, error) {
 	return ops, nil
 }
 
-// Rebind returns op — lowered from a block of the same structure — with
+// rebind returns op — lowered from a block of the same structure — with
 // this block's payload: the index tables stay shared, only the numbers
 // change. It is the per-binding step of a parameterized template.
-func (b *Block) Rebind(op sv.Op) sv.Op {
+func (b *Block) rebind(op sv.Op) sv.Op {
 	switch b.Kind {
 	case Dense:
 		return op.WithMatrix(b.Matrix)

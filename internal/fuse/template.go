@@ -20,7 +20,9 @@ import (
 // exactly the right block boundaries, supports, and kernel index tables for
 // every binding. Only the numeric payloads (dense matrices, diagonal tables,
 // Single gates) of symbol-touched blocks need re-materializing — and their
-// ops re-binding — per binding; everything else is shared read-only.
+// ops re-binding — per binding; everything else is shared read-only. Rebind
+// is that step for any lowered run, templates and noise plans alike, fused or
+// not: an unfused run's Single blocks re-bind one gate each.
 //
 // The template also records which symbols each touched block reads. A Binder
 // — one caller's private, re-bindable op list — uses that to rebuild, from
@@ -134,24 +136,42 @@ func (t *Template) TouchedBlocks() int { return len(t.touched) }
 // of them. The slice is the template's own: read-only.
 func (t *Template) FirstUse() []int { return t.first }
 
-// Specialize returns the concrete block list for one binding: a fresh slice
-// whose symbol-touched entries are rebuilt for env and whose remaining
-// entries alias the template's read-only blocks. Callers on different
-// bindings may specialize concurrently: the template itself is never
-// mutated.
-func (t *Template) Specialize(env map[string]float64) ([]Block, error) {
-	if len(t.touched) == 0 {
-		return t.Blocks, nil
-	}
-	blocks := append([]Block(nil), t.Blocks...)
-	for _, i := range t.touched {
-		b, err := t.Blocks[i].Specialize(env)
-		if err != nil {
-			return nil, err
+// Rebind binds a run lowered by Lower (or a template's Blocks and Ops) to
+// env: fresh slices in which every parametric block is re-materialized for
+// env and its op re-bound to the new payload, the index tables staying
+// shared, and every other entry aliases the input. A run with no parametric
+// block comes back as the same slices. The inputs are never written, so
+// concurrent bindings of one run are safe.
+func Rebind(blocks []Block, ops []sv.Op, env map[string]float64) ([]Block, []sv.Op, error) {
+	var outBlocks []Block
+	var outOps []sv.Op
+	for i := range blocks {
+		if !blocks[i].Parametric() {
+			continue
 		}
-		blocks[i] = b
+		b, err := blocks[i].Specialize(env)
+		if err != nil {
+			return nil, nil, err
+		}
+		if outBlocks == nil {
+			outBlocks, outOps = slices.Clone(blocks), slices.Clone(ops)
+		}
+		outBlocks[i], outOps[i] = b, b.rebind(ops[i])
 	}
-	return blocks, nil
+	if outBlocks == nil {
+		return blocks, ops, nil
+	}
+	return outBlocks, outOps, nil
+}
+
+// Specialize returns the concrete block list for one binding: Rebind's
+// blocks, a fresh slice whose symbol-touched entries are rebuilt for env and
+// whose remaining entries alias the template's read-only blocks. Callers on
+// different bindings may specialize concurrently: the template itself is
+// never mutated.
+func (t *Template) Specialize(env map[string]float64) ([]Block, error) {
+	blocks, _, err := Rebind(t.Blocks, t.Ops, env)
+	return blocks, err
 }
 
 // Binder is one caller's binding of a template: a private copy of the op
@@ -209,7 +229,7 @@ func (b *Binder) Bind(vals []float64) error {
 		if err != nil {
 			return err
 		}
-		b.ops[i] = blk.Rebind(t.Ops[i])
+		b.ops[i] = blk.rebind(t.Ops[i])
 		b.rebuilt++
 	}
 	b.bound = true

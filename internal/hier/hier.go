@@ -6,10 +6,10 @@
 // paper's second, cache-sized level (§III-C) is the tile blocking of
 // sv.State.ApplyOps, which every part's inner vector already runs.
 //
-// With Options.Fuse set, each part's gates are additionally coalesced into
-// dense/diagonal fused blocks (see internal/fuse) once per part, so every
-// gather/execute/scatter cycle sweeps the inner vector once per block
-// instead of once per gate. Independent sweeps of one part are executed in
+// Each part's gates are lowered to kernel ops once per part by fuse.Lower.
+// With Options.Fuse set they are coalesced into dense/diagonal fused blocks
+// there, so every gather/execute/scatter cycle sweeps the inner vector once
+// per block instead of once per gate; otherwise each gate is its own block. Independent sweeps of one part are executed in
 // parallel across Workers goroutines (they touch disjoint slices of the
 // outer vector); a part with fewer sweeps than workers hands the spare
 // workers to its inner states' kernels.
@@ -103,7 +103,7 @@ type PartStats struct {
 	// clear at the part's start: they hold only zeros and are not run.
 	SkippedSweeps int64
 	BytesMoved    int64 // bytes gather and scatter copied; 0 for a view
-	Blocks        int   // fused blocks per sweep (0 when fusion off)
+	Blocks        int   // blocks per sweep: fused blocks, or one per gate with fusion off
 }
 
 // Metrics aggregates execution statistics.
@@ -197,7 +197,7 @@ type prepared struct {
 	batch      int     // adjacent sweeps moved together (1, 2 or 4)
 	order      []int   // the part's circuit gate indices, in the order ops lowers them
 	ops        []sv.Op // lowered for w-qubit inner states
-	blocks     int     // fused blocks per sweep (0 when fusion off)
+	blocks     int     // blocks per sweep (PartStats.Blocks)
 }
 
 // isView reports whether sweeps run in place on slices of the outer vector.
@@ -290,19 +290,10 @@ func slotGates(c *circuit.Circuit, part partition.Part, order []int) []gate.Gate
 	return gates
 }
 
-// lower lowers the gates, unpinned, for w-qubit states: one op per fused
-// block, or one per gate with fusion off. It returns the ops and the fused
-// block count (0 when fusion is off).
+// lower lowers the gates, unpinned, for w-qubit states through fuse.Lower:
+// one op per block. It returns the ops and the block count.
 func lower(w int, gates []gate.Gate, opts Options) ([]sv.Op, int, error) {
-	if !opts.Fuse {
-		ops, err := sv.GateOps(w, gates)
-		return ops, 0, err
-	}
-	blocks, err := fuse.Fuse(gates, fuse.Options{})
-	if err != nil {
-		return nil, 0, err
-	}
-	ops, err := fuse.Plan(blocks, w)
+	blocks, ops, err := fuse.Lower(gates, w, opts.Fuse)
 	return ops, len(blocks), err
 }
 

@@ -21,7 +21,7 @@ func TestSpecializeEqualsConcreteCompile(t *testing.T) {
 	}
 	symbolic := false
 	for _, sg := range tmpl.segments {
-		symbolic = symbolic || sg.block.Parametric()
+		symbolic = symbolic || sg.blocks[0].Parametric()
 	}
 	if !symbolic {
 		t.Fatalf("no segment of the template holds a symbolic gate (%d segments)", len(tmpl.segments))

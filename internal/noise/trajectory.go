@@ -18,7 +18,9 @@ type CompileOptions struct {
 	// Fuse coalesces maximal noise-free gate runs into fused blocks
 	// (internal/fuse); channel insertions bound the runs, so a model that
 	// only decorates e.g. cx gates still fuses the single-qubit stretches
-	// between them. Default off; executors pass their own policy.
+	// between them, and enables segments. Off, each gate of a run is its
+	// own Single block. Either way fuse.Lower lowers the run. Default off;
+	// executors pass their own policy.
 	Fuse bool
 	// ForceKraus disables the Pauli fast path: every channel runs through
 	// exact norm-weighted Kraus selection. The two unravelings agree in
@@ -27,13 +29,13 @@ type CompileOptions struct {
 	ForceKraus bool
 }
 
-// step is one unit of a compiled trajectory plan: either a gate run (ops
-// non-nil; fused into blocks, or kept as gates when CompileOptions.Fuse is
-// off) or a single channel insertion (ch non-nil).
+// step is one unit of a compiled trajectory plan: either a gate run (blocks
+// and ops non-nil, as fuse.Lower returns them: fused blocks, or one Single
+// block per gate when CompileOptions.Fuse is off) or a single channel
+// insertion (ch non-nil).
 type step struct {
 	blocks []fuse.Block
-	gates  []gate.Gate
-	ops    []sv.Op // the run lowered once: one kernel op per block / gate
+	ops    []sv.Op // the run lowered once: one kernel op per block
 
 	ch     *Channel
 	qubits []int   // the channel's target qubits (len = ch.NumQubits())
@@ -47,10 +49,10 @@ type step struct {
 // event has happened, a replay reaching the segment's first step draws its
 // sites ahead and, when none fires, applies ops in place of the steps.
 type segment struct {
-	end   int        // one past the segment's last gate step
-	sites int        // channel steps inside the segment
-	block fuse.Block // every covered step's gates, fused in order
-	ops   []sv.Op    // block lowered: one kernel op
+	end    int          // one past the segment's last gate step
+	sites  int          // channel steps inside the segment
+	blocks []fuse.Block // one block: every covered step's gates, fused in order
+	ops    []sv.Op      // blocks lowered: one kernel op
 }
 
 // Plan is a compiled noisy circuit: the gate sequence pre-fused between
@@ -107,11 +109,10 @@ func (p *Plan) MemoryBytes() int64 {
 		}
 	}
 	for _, sg := range p.segments {
-		blockBytes(sg.ops, sg.block)
+		blockBytes(sg.ops, sg.blocks...)
 	}
 	for _, st := range p.steps {
 		blockBytes(st.ops, st.blocks...)
-		b += int64(len(st.gates)) * 64
 		if st.ch != nil {
 			for _, k := range st.ch.Kraus {
 				b += int64(len(k.Data)) * 16
@@ -145,19 +146,9 @@ func Compile(c *circuit.Circuit, m *Model, opts CompileOptions) (*Plan, error) {
 		if len(run) == 0 {
 			return nil
 		}
-		st := step{}
-		var err error
-		if opts.Fuse {
-			if st.blocks, err = fuse.Fuse(run, fuse.Options{}); err != nil {
-				return err
-			}
-			st.ops, err = fuse.Plan(st.blocks, c.NumQubits)
-		} else {
-			st.gates = run
-			st.ops, err = sv.GateOps(c.NumQubits, run)
-		}
-		p.blocks += len(st.ops)
-		p.steps = append(p.steps, st)
+		blocks, ops, err := fuse.Lower(run, c.NumQubits, opts.Fuse)
+		p.blocks += len(ops)
+		p.steps = append(p.steps, step{blocks: blocks, ops: ops})
 		run = nil
 		return err
 	}
@@ -218,8 +209,8 @@ func (p *Plan) segment() error {
 			if !okLo || !okHi || last-first < 2 {
 				continue
 			}
-			sg := segment{end: at[last-1] + 1, block: b}
-			if sg.ops, err = fuse.Plan([]fuse.Block{b}, p.n); err != nil {
+			sg := segment{end: at[last-1] + 1, blocks: []fuse.Block{b}}
+			if sg.ops, err = fuse.Plan(sg.blocks, p.n); err != nil {
 				return err
 			}
 			for j := at[first]; j < sg.end; j++ {
@@ -319,12 +310,11 @@ func insertionsFor(m *Model, g gate.Gate) ([]step, error) {
 // Step is the exported read-only view of one compiled plan unit, for
 // alternative evolution engines that replay a plan without unraveling it
 // stochastically (the density-matrix backend walks these and applies
-// Channel.Kraus exactly as a superoperator). Exactly one of the gate-run
-// fields (Gates or Blocks) or the channel pair (Channel + Qubits) is set.
+// Channel.Kraus exactly as a superoperator). Exactly one of Blocks or the
+// channel pair (Channel + Qubits) is set.
 type Step struct {
-	// Gates is an unfused gate run (plans compiled with Fuse off).
-	Gates []gate.Gate
-	// Blocks is a fused gate run (plans compiled with Fuse on).
+	// Blocks is a gate run as fuse.Lower lowered it: fused blocks, or one
+	// Single block per gate (plans compiled with Fuse off).
 	Blocks []fuse.Block
 	// Channel is a channel insertion over Qubits (len = channel arity,
 	// ascending).
@@ -338,7 +328,7 @@ type Step struct {
 func (p *Plan) VisitSteps(f func(Step) error) error {
 	for i := range p.steps {
 		s := &p.steps[i]
-		if err := f(Step{Gates: s.gates, Blocks: s.blocks, Channel: s.ch, Qubits: s.qubits}); err != nil {
+		if err := f(Step{Blocks: s.blocks, Channel: s.ch, Qubits: s.qubits}); err != nil {
 			return err
 		}
 	}

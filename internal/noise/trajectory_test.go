@@ -341,8 +341,8 @@ func TestSegmentsCoverWholeSteps(t *testing.T) {
 					gates = append(gates, b.Gates...)
 				}
 			}
-			if sites == 0 || sites != sg.sites || !reflect.DeepEqual(gates, sg.block.Gates) {
-				t.Fatalf("%s: segment %d holds %v over %d sites, its steps %v over %d", label, k, sg.block.Gates, sg.sites, gates, sites)
+			if sites == 0 || sites != sg.sites || !reflect.DeepEqual(gates, sg.blocks[0].Gates) {
+				t.Fatalf("%s: segment %d holds %v over %d sites, its steps %v over %d", label, k, sg.blocks[0].Gates, sg.sites, gates, sites)
 			}
 		}
 	}

@@ -108,11 +108,8 @@ func Run(c *circuit.Circuit, cfg Config) (*Result, error) {
 			if runStart < 0 {
 				return nil
 			}
-			blocks, err := fuse.Fuse(gates[runStart:end], fuse.Options{})
-			if err != nil {
-				return err
-			}
-			localRuns[runStart], err = fuse.Plan(blocks, l)
+			var err error
+			_, localRuns[runStart], err = fuse.Lower(gates[runStart:end], l, true)
 			runStart = -1
 			return err
 		}

@@ -43,8 +43,6 @@ type Config struct {
 	Workers int
 	// GatherResult collects the full state at rank 0.
 	GatherResult bool
-	// NoFuse disables gate fusion between communication points.
-	NoFuse bool
 }
 
 // Result of a distributed run.
@@ -60,9 +58,8 @@ type Result struct {
 // rank: an optional relayout followed by local block application. Shared
 // read-only across rank goroutines.
 type step struct {
-	oldPos, newPos []int // non-nil when this part needs a relayout
-	gates          []gate.Gate
-	ops            []sv.Op // fused form of gates, lowered for the l-qubit slab (nil when fusion off)
+	oldPos, newPos []int   // non-nil when this part needs a relayout
+	ops            []sv.Op // the part's gates fused and lowered for the l-qubit slab
 }
 
 // Run executes the plan over simulated MPI ranks.
@@ -88,7 +85,7 @@ func Run(pl *partition.Plan, cfg Config) (*Result, error) {
 		model = mpi.HDR100()
 	}
 
-	steps, finalPos, relayouts, err := schedule(pl, l, cfg)
+	steps, finalPos, relayouts, err := schedule(pl, l)
 	if err != nil {
 		return nil, err
 	}
@@ -143,11 +140,7 @@ func Run(pl *partition.Plan, cfg Config) (*Result, error) {
 			slab.Workers = cfg.Workers
 			slab.Prof = recorder
 			t0 := time.Now()
-			if st.ops != nil {
-				slab.ApplyOps(st.ops)
-			} else if err := slab.ApplyGates(st.gates); err != nil {
-				return err
-			}
+			slab.ApplyOps(st.ops)
 			cm.RecordCompute(time.Since(t0).Seconds())
 		}
 		if !identityLayout(finalPos) {
@@ -209,7 +202,7 @@ func RunCircuit(c *circuit.Circuit, s partition.Strategy, cfg Config) (*Result, 
 
 // schedule precomputes the deterministic per-part schedule shared by every
 // rank: layout evolution, gate remapping onto positions, and fusion.
-func schedule(pl *partition.Plan, l int, cfg Config) ([]step, []int, int, error) {
+func schedule(pl *partition.Plan, l int) ([]step, []int, int, error) {
 	c := pl.Circuit
 	n := c.NumQubits
 	pos := identityPos(n)
@@ -235,15 +228,9 @@ func schedule(pl *partition.Plan, l int, cfg Config) ([]step, []int, int, error)
 		for _, gi := range part.GateIndices {
 			gates = append(gates, c.Gates[gi].Remap(func(q int) int { return cur[q] }))
 		}
-		st.gates = gates
-		if !cfg.NoFuse {
-			blocks, err := fuse.Fuse(gates, fuse.Options{})
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("dist: part %d: %w", part.Index, err)
-			}
-			if st.ops, err = fuse.Plan(blocks, l); err != nil {
-				return nil, nil, 0, fmt.Errorf("dist: part %d: %w", part.Index, err)
-			}
+		var err error
+		if _, st.ops, err = fuse.Lower(gates, l, true); err != nil {
+			return nil, nil, 0, fmt.Errorf("dist: part %d: %w", part.Index, err)
 		}
 		steps = append(steps, st)
 	}

@@ -54,14 +54,6 @@ func TestDistMatchesFlat(t *testing.T) {
 	}
 }
 
-func TestDistUnfusedMatchesFlat(t *testing.T) {
-	for _, c := range []*circuit.Circuit{circuit.QFT(8), circuit.Ising(8, 2)} {
-		for _, ranks := range []int{2, 4} {
-			distVsFlat(t, c, ranks, Config{NoFuse: true})
-		}
-	}
-}
-
 func TestDistVirtualRanksNonPowerOfTwo(t *testing.T) {
 	res := distVsFlat(t, circuit.QFT(8), 3, Config{})
 	if res.VirtualRanks != 4 {

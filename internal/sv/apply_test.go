@@ -5,9 +5,24 @@ import (
 	"testing"
 
 	"hisvsim/internal/gate"
+	"hisvsim/internal/prof"
 )
 
 // randomState is shared with sv_test.go.
+
+// applyMatrix lowers an arbitrary (not necessarily unitary) matrix on the
+// targets to a dense op, as the trajectory engine lowers a Kraus operator,
+// and applies it.
+func applyMatrix(s *State, targets []int, m gate.Matrix) {
+	op := DenseOp(s.N, targets, nil, m, prof.Kraus)
+	s.Apply(&op)
+}
+
+// krausNorm2 returns ‖Kψ‖² through the same dense op, without mutating s.
+func krausNorm2(s *State, targets []int, m gate.Matrix) float64 {
+	op := DenseOp(s.N, targets, nil, m, prof.Kraus)
+	return s.Norm2(&op)
+}
 
 func TestApplyMatrix1NonUnitary(t *testing.T) {
 	// Amplitude-damping K1 = [[0, √γ], [0, 0]] maps |1⟩ → √γ|0⟩.
@@ -16,7 +31,7 @@ func TestApplyMatrix1NonUnitary(t *testing.T) {
 	k1.Set(0, 1, complex(math.Sqrt(g), 0))
 	s := NewState(1)
 	s.Amps[0], s.Amps[1] = 0, 1 // |1⟩
-	s.ApplyMatrix1(0, k1)
+	applyMatrix(s, []int{0}, k1)
 	if math.Abs(real(s.Amps[0])-math.Sqrt(g)) > 1e-12 || s.Amps[1] != 0 {
 		t.Fatalf("K1|1⟩ = %v, want (√γ, 0)", s.Amps)
 	}
@@ -32,18 +47,18 @@ func TestKraus1Norm2MatchesApply(t *testing.T) {
 		s := randomState(5, int64(q)+1)
 		want := func() float64 {
 			c := s.Clone()
-			c.ApplyMatrix1(q, k0)
+			applyMatrix(c, []int{q}, k0)
 			n := c.Norm()
 			return n * n
 		}()
-		got := s.Kraus1Norm2(q, k0)
+		got := krausNorm2(s, []int{q}, k0)
 		if math.Abs(got-want) > 1e-12 {
-			t.Fatalf("qubit %d: Kraus1Norm2 = %.15f, applied norm² = %.15f", q, got, want)
+			t.Fatalf("qubit %d: Norm2 = %.15f, applied norm² = %.15f", q, got, want)
 		}
 	}
 	// Unitary operators have branch probability 1.
 	s := randomState(4, 9)
-	if p := s.Kraus1Norm2(1, gate.PauliMatrix(gate.PauliY)); math.Abs(p-1) > 1e-12 {
+	if p := krausNorm2(s, []int{1}, gate.PauliMatrix(gate.PauliY)); math.Abs(p-1) > 1e-12 {
 		t.Fatalf("unitary branch probability %.15f, want 1", p)
 	}
 }
@@ -56,9 +71,9 @@ func TestKraus1Norm2Parallel(t *testing.T) {
 	k.Set(0, 0, 1)
 	k.Set(1, 1, complex(math.Sqrt(1-g), 0))
 	s.Workers = 1
-	serial := s.Kraus1Norm2(7, k)
+	serial := krausNorm2(s, []int{7}, k)
 	s.Workers = 4
-	parallel := s.Kraus1Norm2(7, k)
+	parallel := krausNorm2(s, []int{7}, k)
 	if math.Abs(serial-parallel) > 1e-12 {
 		t.Fatalf("serial %.15f vs parallel %.15f", serial, parallel)
 	}
@@ -77,14 +92,14 @@ func TestScaleRenormalizes(t *testing.T) {
 }
 
 func TestApplyMatrix1MatchesGate(t *testing.T) {
-	// For unitary matrices ApplyMatrix1 must agree with the named-gate path.
+	// For unitary matrices a dense op must agree with the named-gate path.
 	s1 := randomState(3, 21)
 	s2 := s1.Clone()
 	if err := s1.ApplyGate(gate.H(1)); err != nil {
 		t.Fatal(err)
 	}
-	s2.ApplyMatrix1(1, gate.H(1).BaseMatrix())
+	applyMatrix(s2, []int{1}, gate.H(1).BaseMatrix())
 	if !s1.EqualTol(s2, 1e-12) {
-		t.Fatal("ApplyMatrix1 disagrees with ApplyGate for H")
+		t.Fatal("dense op disagrees with ApplyGate for H")
 	}
 }

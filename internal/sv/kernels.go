@@ -18,11 +18,12 @@ import (
 // is a lowered kernel invocation: an index plan built once (fixed bits =
 // targets ∪ controls, control mask, bit-insertion masks, scatter offsets, or
 // the low-bits table of a diagonal) plus its numeric payload. Executors lower
-// their gates and fused blocks to ops once and replay them with
-// State.ApplyOps, which walks runs of ops confined below the tile boundary
-// tile by tile so a 512 KiB tile stays cache-resident across the run;
-// ApplyGate and the raw-matrix entry points lower per call and take the same
-// replay routine as a one-op group. Dense ops dispatch on k: k=1 and k=2 hold
+// a gate run to ops once (fuse.Lower builds them from GateOp, DenseOp and
+// DiagonalOp) and replay them with State.ApplyOps, which walks runs of ops
+// confined below the tile boundary tile by tile so a 512 KiB tile stays
+// cache-resident across the run; ApplyGate, the flat reference's per-gate
+// entry point, lowers per call and takes the same replay routine as a one-op
+// group. Dense ops dispatch on k: k=1 and k=2 hold
 // the matrix in locals and walk the free index by whole runs of equally
 // spaced groups (contiguous above the lowest fixed bit; adjacent pairs or
 // quads when the low bits are the targets), k≥3 gathers into stack scratch
@@ -220,20 +221,6 @@ func GateOp(n int, g gate.Gate) (Op, error) {
 		op.mat = g.BaseMatrix().Data
 	}
 	return op, nil
-}
-
-// GateOps lowers a gate list for n-qubit states, one op per gate — the
-// unfused counterpart of fuse.Plan for executors that replay the same gates
-// across many sweeps or trajectories.
-func GateOps(n int, gates []gate.Gate) ([]Op, error) {
-	ops := make([]Op, len(gates))
-	for i, g := range gates {
-		var err error
-		if ops[i], err = GateOp(n, g); err != nil {
-			return nil, err
-		}
-	}
-	return ops, nil
 }
 
 // PinZero lowers ops onto the support of a state whose clear qubits (the

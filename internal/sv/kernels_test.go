@@ -147,8 +147,8 @@ func TestKernelsMatchOracle(t *testing.T) {
 								for _, a := range want {
 									wantNorm += real(a)*real(a) + imag(a)*imag(a)
 								}
-								if got := in.KrausKNorm2(targets, m); math.Abs(got-wantNorm) > tol*wantNorm {
-									t.Errorf("%s: KrausKNorm2 = %.15g, want %.15g", name, got, wantNorm)
+								if got := krausNorm2(in, targets, m); math.Abs(got-wantNorm) > tol*wantNorm {
+									t.Errorf("%s: Norm2 = %.15g, want %.15g", name, got, wantNorm)
 								}
 							}
 							if !diagonal {

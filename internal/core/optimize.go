@@ -133,8 +133,8 @@ type OptimizeReport struct {
 	Method string
 	// Converged reports whether Tol stopped the loop before MaxIters.
 	Converged bool
-	// Trajectories is the per-evaluation ensemble size (0 for ideal and
-	// zero-effect objectives, which run no trajectories).
+	// Trajectories is the per-evaluation ensemble size, as SweepReport's:
+	// 0 for ideal and zero-effect objectives, which run no ensemble.
 	Trajectories int
 	// Elapsed is the wall time of the whole loop, compile included.
 	Elapsed time.Duration
@@ -203,7 +203,7 @@ func RunOptimize(ctx context.Context, eng SweepEngine, spec OptimizeSpec, width 
 			v += ov.Value
 		}
 		rep.Evaluations++
-		rep.Trajectories = ro.Trajectories
+		rep.Trajectories = w.trajectories
 		if v < rep.BestValue {
 			rep.BestValue, rep.Best = v, env
 		}

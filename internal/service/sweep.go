@@ -202,6 +202,26 @@ func (s *Service) engineFor(j *job) (eng core.SweepEngine, compiles int, err err
 	return eng, compiles, nil
 }
 
+// templateRun names and counts a sweep or optimize job by KindRun's rule:
+// an engine with a template replays it on the job's ideal backend (a
+// readout-only model only samples its states), one without runs every
+// evaluation as a trajectory ensemble on the trajectory engine, whose
+// trajectories the ledger counts. It records the backend, then runs run,
+// which returns its evaluation count and ensemble size.
+func (s *Service) templateRun(j *job, eng core.SweepEngine, run func() (evaluations, trajectories int, err error)) (string, error) {
+	backend := j.idealBackend
+	if eng.Template == nil {
+		backend = BackendTrajectory
+	}
+	s.setBackend(j, backend)
+	j.trace.Begin(stageExecute)
+	evaluations, trajectories, err := run()
+	if err == nil && eng.Template == nil {
+		s.m.trajectories.Add(int64(trajectories) * int64(evaluations))
+	}
+	return backend, err
+}
+
 // executeSweep evaluates a binding grid through core.RunSweep over the job's
 // engine, as wide as the token pool allows (widen). Result.Sweep.Compiles is
 // 1 on a cold cache for any grid size (2 under a zero-effect model: plan and
@@ -215,18 +235,16 @@ func (s *Service) executeSweep(j *job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	backend := j.idealBackend
-	if eng.Template == nil {
-		backend = BackendTrajectory
-	}
-	s.setBackend(j, backend)
-	j.trace.Begin(stageExecute)
-	rep, err := core.RunSweep(j.ctx, eng, req.Readouts, req.Sweep.Bindings, width)
+	var rep *core.SweepReport
+	backend, err := s.templateRun(j, eng, func() (int, int, error) {
+		var err error
+		if rep, err = core.RunSweep(j.ctx, eng, req.Readouts, req.Sweep.Bindings, width); err != nil {
+			return 0, 0, err
+		}
+		return rep.Points, rep.Trajectories, nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	if eng.Template == nil {
-		s.m.trajectories.Add(int64(rep.Trajectories) * int64(rep.Points))
 	}
 	rep.Compiles = compiles
 	rep.Elapsed = time.Since(start)
@@ -249,17 +267,17 @@ func (s *Service) executeOptimize(j *job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	backend := j.idealBackend
-	if !req.Noise.IsZero() {
-		backend = BackendTrajectory
-	}
-	s.setBackend(j, backend)
-	j.trace.Begin(stageExecute)
-	rep, err := core.RunOptimize(j.ctx, eng, *req.Optimize, width)
+	var rep *core.OptimizeReport
+	backend, err := s.templateRun(j, eng, func() (int, int, error) {
+		var err error
+		if rep, err = core.RunOptimize(j.ctx, eng, *req.Optimize, width); err != nil {
+			return 0, 0, err
+		}
+		return rep.Evaluations, rep.Trajectories, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.m.trajectories.Add(int64(rep.Trajectories) * int64(rep.Evaluations))
 	rep.Compiles = compiles
 	rep.Elapsed = time.Since(start)
 	return &Result{

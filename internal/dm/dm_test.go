@@ -3,6 +3,7 @@ package dm
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"hisvsim/internal/circuit"
@@ -327,5 +328,32 @@ func TestQubitCap(t *testing.T) {
 	}
 	if _, _, err := Run(context.Background(), c, nil, Options{}); err == nil {
 		t.Fatal("Run accepted a register over the cap")
+	}
+}
+
+// TestUnfusedRunIsThePerGateSweep: with fusion off, Run evolves ρ through
+// one Single block per gate, == to applying each gate to ρ in turn.
+func TestUnfusedRunIsThePerGateSweep(t *testing.T) {
+	for _, fam := range []string{"qft", "ising", "grover"} {
+		c, err := circuit.Named(fam, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := Run(context.Background(), c, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(c.NumQubits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range c.Gates {
+			if err := want.ApplyGate(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(got.vec.Amps, want.vec.Amps) {
+			t.Errorf("%s: unfused ρ differs from the per-gate sweep", fam)
+		}
 	}
 }

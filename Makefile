@@ -257,9 +257,12 @@ cli-smoke:
 	out=$$($(GO) run ./cmd/hisvsim -circuit ising -n 8 -observables 'Z@99' 2>&1); status=$$?; echo "$$out"; \
 	test $$status -ne 0 && echo "$$out" | grep -q 'core: observable 0: sv: pauli qubit 99 out of range'
 	$(GO) run ./cmd/hisvsim -circuit qft -n 14 -strategy dagp -lm 10 -verify
+	$(GO) run ./cmd/hisvsim -circuit qft -n 14 -strategy dagp -lm 10 -fuse off -verify
 	$(GO) run ./cmd/hisvsim -circuit ising -n 8 -depolarizing 0.01 -trajectories 64 -shots 256 -expect-z 0,1
 	$(GO) run ./cmd/hisvsim -circuit ising -n 8 -backend dm -depolarizing 0.01 -shots 256 -expect-z 0,1
+	$(GO) run ./cmd/hisvsim -circuit ising -n 8 -backend dm -depolarizing 0.01 -fuse off -shots 256 -expect-z 0,1
 	$(GO) run ./cmd/hisvsim -circuit qft -n 6 -backend dm -verify
+	$(GO) run ./cmd/hisvsim -circuit qft -n 6 -backend dm -fuse off -verify
 	out=$$($(GO) run ./cmd/hisvsim -circuit qft -n 6 -lm 1 2>&1); status=$$?; echo "$$out"; \
 	test $$status -ne 0 && echo "$$out" | grep -q 'Lm=1 is not a tile width'
 	$(GO) run ./cmd/hisvsim -circuit qaoa_ansatz -n 8 -observables 'ZZ@0,1; ZZ@1,2' -sweep 'gamma0=0:1.2:7; beta0=0.1,0.3,0.5'

@@ -9,10 +9,11 @@
 // Each part's gates are lowered to kernel ops once per part by fuse.Lower.
 // With Options.Fuse set they are coalesced into dense/diagonal fused blocks
 // there, so every gather/execute/scatter cycle sweeps the inner vector once
-// per block instead of once per gate; otherwise each gate is its own block. Independent sweeps of one part are executed in
-// parallel across Workers goroutines (they touch disjoint slices of the
-// outer vector); a part with fewer sweeps than workers hands the spare
-// workers to its inner states' kernels.
+// per block instead of once per gate; otherwise each gate is its own block.
+// Independent sweeps of one part are executed in parallel across Workers
+// goroutines (they touch disjoint slices of the outer vector); a part with
+// fewer sweeps than workers hands the spare workers to its inner states'
+// kernels.
 //
 // Gather and scatter are one run-based routine whose shape is fixed per part
 // by where the part's qubits sit (see prepared):

@@ -267,7 +267,12 @@ func TestQuickHierEqualsFlat(t *testing.T) {
 // TestAllocationsIndependentOfSweepCount pins that the gather/execute/
 // scatter loop itself allocates nothing: every part is lowered to kernel ops
 // once, so running the same plan on a wider outer state — 16× the sweeps per
-// part — costs exactly the same allocations, fused or not.
+// part — costs exactly the same allocations, fused or not. AllocsPerRun
+// counts every goroutine's mallocs, and a GC cycle running inside the window
+// adds the runtime's own (a sudog in gcMarkDone, the scavenger's timer heap,
+// an M started for the mark workers); allocating the outer state, after the
+// garbage earlier tests leave, is what starts one there, so the test
+// collects before it measures.
 func TestAllocationsIndependentOfSweepCount(t *testing.T) {
 	c := circuit.QFT(12)
 	pl, err := dagp.Partitioner{}.Partition(dag.FromCircuit(c), 6)
@@ -277,6 +282,7 @@ func TestAllocationsIndependentOfSweepCount(t *testing.T) {
 	for _, fuse := range []bool{false, true} {
 		allocs := func(n int) float64 {
 			st := sv.NewState(n)
+			runtime.GC()
 			return testing.AllocsPerRun(3, func() {
 				if _, err := ExecutePlan(pl, st, Options{Fuse: fuse, Workers: 1}); err != nil {
 					t.Fatal(err)

@@ -2,7 +2,6 @@ package noise
 
 import (
 	"fmt"
-	"slices"
 
 	"hisvsim/internal/fuse"
 )
@@ -41,7 +40,7 @@ func (p *Plan) Specialize(env map[string]float64) (*Plan, error) {
 		return p, nil
 	}
 	out := *p
-	out.segments = slices.Clone(p.segments)
+	out.segments = append([]segment(nil), p.segments...)
 	for i := range out.segments {
 		sg := &out.segments[i]
 		var err error
@@ -49,7 +48,7 @@ func (p *Plan) Specialize(env map[string]float64) (*Plan, error) {
 			return nil, fmt.Errorf("noise: %w", err)
 		}
 	}
-	out.steps = slices.Clone(p.steps)
+	out.steps = append([]step(nil), p.steps...)
 	for i := range out.steps {
 		s := &out.steps[i]
 		var err error

@@ -1116,15 +1116,12 @@ func (src source) readouts(spec core.ReadoutSpec) *core.Readouts {
 	return src.entry.readouts(spec)
 }
 
-// execute runs the job: the template kinds have their own executors; a
+// execute runs the job: the template kinds have their own executor; a
 // KindRun job resolves its source (simulating on a cache miss) and derives
 // every read-out its spec names from it.
 func (s *Service) execute(j *job) (*Result, error) {
-	switch j.req.Kind {
-	case KindSweep:
-		return s.executeSweep(j)
-	case KindOptimize:
-		return s.executeOptimize(j)
+	if k := j.req.Kind; k == KindSweep || k == KindOptimize {
+		return s.executeTemplate(j)
 	}
 	start := time.Now()
 	src, err := s.resolve(j)

@@ -202,88 +202,48 @@ func (s *Service) engineFor(j *job) (eng core.SweepEngine, compiles int, err err
 	return eng, compiles, nil
 }
 
-// templateRun names and counts a sweep or optimize job by KindRun's rule:
-// an engine with a template replays it on the job's ideal backend (a
-// readout-only model only samples its states), one without runs every
-// evaluation as a trajectory ensemble on the trajectory engine, whose
-// trajectories the ledger counts. It records the backend, then runs run,
-// which returns its evaluation count and ensemble size.
-func (s *Service) templateRun(j *job, eng core.SweepEngine, run func() (evaluations, trajectories int, err error)) (string, error) {
-	backend := j.idealBackend
+// executeTemplate runs a sweep (core.RunSweep) or an optimizer loop
+// (core.RunOptimize) over the job's engine, as wide as the token pool allows
+// (widen). Both kinds name and count the job by KindRun's rule: an engine
+// with a template replays it on the job's ideal backend (a readout-only model
+// only samples its states), one without runs every evaluation as a
+// trajectory ensemble on the trajectory engine, whose trajectories the
+// ledger counts. Compiles is 1 on a cold cache for any grid size (2 under a
+// zero-effect model: plan and template), 0 over a cached engine.
+func (s *Service) executeTemplate(j *job) (*Result, error) {
+	start := time.Now()
+	req := j.req
+	width, release := s.widen(req.Options.Workers)
+	defer release()
+	eng, compiles, err := s.engineFor(j)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Kind: req.Kind, Backend: j.idealBackend, NumQubits: req.Circuit.NumQubits, CacheHit: compiles == 0}
 	if eng.Template == nil {
-		backend = BackendTrajectory
+		res.Backend = BackendTrajectory
 	}
-	s.setBackend(j, backend)
+	s.setBackend(j, res.Backend)
 	j.trace.Begin(stageExecute)
-	evaluations, trajectories, err := run()
-	if err == nil && eng.Template == nil {
-		s.m.trajectories.Add(int64(trajectories) * int64(evaluations))
-	}
-	return backend, err
-}
-
-// executeSweep evaluates a binding grid through core.RunSweep over the job's
-// engine, as wide as the token pool allows (widen). Result.Sweep.Compiles is
-// 1 on a cold cache for any grid size (2 under a zero-effect model: plan and
-// template), 0 over a cached engine.
-func (s *Service) executeSweep(j *job) (*Result, error) {
-	start := time.Now()
-	req := j.req
-	width, release := s.widen(req.Options.Workers)
-	defer release()
-	eng, compiles, err := s.engineFor(j)
-	if err != nil {
-		return nil, err
-	}
-	var rep *core.SweepReport
-	backend, err := s.templateRun(j, eng, func() (int, int, error) {
-		var err error
-		if rep, err = core.RunSweep(j.ctx, eng, req.Readouts, req.Sweep.Bindings, width); err != nil {
-			return 0, 0, err
+	var evaluations int
+	if req.Kind == KindSweep {
+		rep, err := core.RunSweep(j.ctx, eng, req.Readouts, req.Sweep.Bindings, width)
+		if err != nil {
+			return nil, err
 		}
-		return rep.Points, rep.Trajectories, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Compiles = compiles
-	rep.Elapsed = time.Since(start)
-	return &Result{
-		Kind: KindSweep, Backend: backend, NumQubits: req.Circuit.NumQubits,
-		CacheHit: compiles == 0, Sweep: rep,
-		Readouts: core.Readouts{Trajectories: rep.Trajectories},
-		Waited:   j.started.Sub(j.submitted), Elapsed: rep.Elapsed,
-	}, nil
-}
-
-// executeOptimize runs the variational loop through core.RunOptimize over
-// the job's engine, as wide as a sweep; Compiles counts as a sweep's does.
-func (s *Service) executeOptimize(j *job) (*Result, error) {
-	start := time.Now()
-	req := j.req
-	width, release := s.widen(req.Options.Workers)
-	defer release()
-	eng, compiles, err := s.engineFor(j)
-	if err != nil {
-		return nil, err
-	}
-	var rep *core.OptimizeReport
-	backend, err := s.templateRun(j, eng, func() (int, int, error) {
-		var err error
-		if rep, err = core.RunOptimize(j.ctx, eng, *req.Optimize, width); err != nil {
-			return 0, 0, err
+		rep.Compiles, rep.Elapsed = compiles, time.Since(start)
+		res.Sweep, evaluations, res.Readouts.Trajectories, res.Elapsed = rep, rep.Points, rep.Trajectories, rep.Elapsed
+	} else {
+		rep, err := core.RunOptimize(j.ctx, eng, *req.Optimize, width)
+		if err != nil {
+			return nil, err
 		}
-		return rep.Evaluations, rep.Trajectories, nil
-	})
-	if err != nil {
-		return nil, err
+		rep.Compiles, rep.Elapsed = compiles, time.Since(start)
+		res.Optimize, evaluations, res.Readouts.Trajectories, res.Elapsed = rep, rep.Evaluations, rep.Trajectories, rep.Elapsed
 	}
-	rep.Compiles = compiles
-	rep.Elapsed = time.Since(start)
-	return &Result{
-		Kind: KindOptimize, Backend: backend, NumQubits: req.Circuit.NumQubits,
-		CacheHit: compiles == 0, Optimize: rep,
-		Readouts: core.Readouts{Trajectories: rep.Trajectories},
-		Waited:   j.started.Sub(j.submitted), Elapsed: rep.Elapsed,
-	}, nil
+	if eng.Template == nil {
+		s.m.trajectories.Add(int64(res.Readouts.Trajectories) * int64(evaluations))
+	}
+	res.Waited = j.started.Sub(j.submitted)
+	return res, nil
 }

@@ -24,12 +24,10 @@
 // kernels (diagonal sweep, swap, 1- and 2-qubit fast paths with structural
 // controls) keep applying.
 //
-// Fusion only decides which blocks a gate run becomes; lowering them is this
-// package's too. Lower is the one place a run is lowered to kernel ops, fused
-// or not — with fusion off every gate is a Single block — and Rebind is the
-// one place a lowered run is re-bound to a parameter binding. Noise plans,
-// the density-matrix evolution, templates, the hierarchical executor and the
-// distributed schedule hold a run only as its blocks and ops.
+// Lower is the one place a gate run is lowered to kernel ops, fused or not
+// (unfused, every gate is a Single block), and Rebind the one place a lowered
+// run is re-bound to a parameter binding: every engine holds a run only as
+// its blocks and ops.
 package fuse
 
 import (
@@ -46,9 +44,8 @@ import (
 type Kind int
 
 const (
-	// Single is a passthrough block: one gate, lowered by sv.GateOp. Fuse
-	// leaves a gate that merges with nothing as one; an unfused Lower makes
-	// every gate one.
+	// Single is a passthrough block: one gate, lowered by sv.GateOp (an
+	// unfused Lower makes every gate one).
 	Single Kind = iota
 	// Dense is a fused 2^k×2^k unitary over Qubits.
 	Dense
@@ -404,32 +401,26 @@ func buildMatrix(qs []int, gates []gate.Gate) gate.Matrix {
 	return u
 }
 
-// Lower is the one lowering of a gate run for n-qubit states: the run's
-// blocks and one kernel op per block. With fused set the run is fused (Fuse
-// with the default Options) and its blocks planned (Plan); otherwise every
-// gate becomes its own Single block, whose Gates alias gates, so Plan lowers
-// each with sv.GateOp. Executors that sweep, replay or re-bind a run — noise
-// plans and the density-matrix evolution that walks them, the hierarchical
-// parts, the distributed schedule — hold only these blocks and ops; both are
-// read-only and safe to share across goroutines.
+// Lower lowers a gate run for n-qubit states to its blocks and one kernel op
+// per block: with fused set, Fuse (default Options) then Plan; otherwise one
+// Single block per gate, its Gates aliasing gates, which Plan lowers with
+// sv.GateOp. Both results are read-only and safe to share across goroutines.
 func Lower(gates []gate.Gate, n int, fused bool) ([]Block, []sv.Op, error) {
 	var blocks []Block
+	var err error
 	if fused {
-		var err error
-		if blocks, err = Fuse(gates, Options{}); err != nil {
-			return nil, nil, err
-		}
+		blocks, err = Fuse(gates, Options{})
 	} else {
 		blocks = make([]Block, len(gates))
 		for i := range gates {
 			blocks[i] = Block{Kind: Single, Gates: gates[i : i+1 : i+1]}
 		}
 	}
-	ops, err := Plan(blocks, n)
 	if err != nil {
 		return nil, nil, err
 	}
-	return blocks, ops, nil
+	ops, err := Plan(blocks, n)
+	return blocks, ops, err
 }
 
 // Plan lowers every block — fused dense and diagonal blocks and Single

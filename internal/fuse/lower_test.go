@@ -1,7 +1,6 @@
 package fuse
 
 import (
-	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -11,104 +10,65 @@ import (
 	"hisvsim/internal/sv"
 )
 
-// randomParametric is circuit.Random with the angle of every other rotation
-// replaced by an affine form of one of three symbols.
+// randomParametric is circuit.Random with the angle of each rotation at an
+// even index an affine form of one of three symbols.
 func randomParametric(n, gates int, seed int64) *circuit.Circuit {
 	c := circuit.Random(n, gates, seed)
-	syms := []string{"a", "b", "c"}
-	k := 0
 	for i, g := range c.Gates {
-		if len(g.Params) != 1 {
-			continue
+		if len(g.Params) == 1 && i%2 == 0 {
+			c.Gates[i] = g.WithArgs(gate.Affine(float64(i%5)-1.5, []string{"a", "b", "c"}[i%3], g.Params[0]))
 		}
-		if k%2 == 0 {
-			c.Gates[i] = g.WithArgs(gate.Affine(float64(k%5)-1.5, syms[k/2%3], g.Params[0]))
-		}
-		k++
 	}
 	return c
 }
 
-func lowerCircuits() []*circuit.Circuit {
-	return []*circuit.Circuit{circuit.QFT(7), circuit.Random(7, 60, 3), circuit.QAOAAnsatz(6, 2), randomParametric(7, 80, 11)}
-}
-
-// TestLowerUnfusedIsOneSingleBlockPerGate: with fusion off, Lower makes one
-// Single block per gate, whose Gates alias the input, and lowers it to the
-// op sv.GateOp builds for that gate.
-func TestLowerUnfusedIsOneSingleBlockPerGate(t *testing.T) {
-	for _, c := range lowerCircuits() {
+// TestLowerIsTheOneLowering: unfused, Lower makes one Single block per gate
+// whose Gates alias the input and whose op is sv.GateOp's; fused, it is Fuse
+// with the default Options followed by Plan.
+func TestLowerIsTheOneLowering(t *testing.T) {
+	for _, c := range []*circuit.Circuit{circuit.QFT(7), circuit.Random(7, 60, 3), circuit.QAOAAnsatz(6, 2), randomParametric(7, 80, 11)} {
 		blocks, ops, err := Lower(c.Gates, c.NumQubits, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(blocks) != len(c.Gates) || len(ops) != len(c.Gates) {
-			t.Fatalf("%s: %d blocks and %d ops for %d gates", c.Name, len(blocks), len(ops), len(c.Gates))
+		if err != nil || len(blocks) != len(c.Gates) || len(ops) != len(c.Gates) {
+			t.Fatalf("%s: %d blocks, %d ops for %d gates (%v)", c.Name, len(blocks), len(ops), len(c.Gates), err)
 		}
 		for i, b := range blocks {
-			if b.Kind != Single || len(b.Gates) != 1 || &b.Gates[0] != &c.Gates[i] {
-				t.Fatalf("%s: block %d is kind %d over %d gates, not a Single block aliasing gate %d", c.Name, i, b.Kind, len(b.Gates), i)
-			}
 			want, err := sv.GateOp(c.NumQubits, c.Gates[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ops[i], want) {
-				t.Fatalf("%s: op %d differs from sv.GateOp(%s)", c.Name, i, c.Gates[i])
+			if err != nil || b.Kind != Single || len(b.Gates) != 1 || &b.Gates[0] != &c.Gates[i] || !reflect.DeepEqual(ops[i], want) {
+				t.Fatalf("%s: block %d is not a Single block aliasing gate %d with sv.GateOp's op (%v)", c.Name, i, i, err)
 			}
 		}
-	}
-	if _, _, err := Lower([]gate.Gate{gate.H(3)}, 3, false); err == nil {
-		t.Fatal("a gate outside the register lowered")
-	}
-}
-
-// TestLowerFusedIsFuseThenPlan: with fusion on, Lower is Fuse with the
-// default Options followed by Plan.
-func TestLowerFusedIsFuseThenPlan(t *testing.T) {
-	for _, c := range lowerCircuits() {
-		blocks, ops, err := Lower(c.Gates, c.NumQubits, true)
-		if err != nil {
-			t.Fatal(err)
+		blocks, ops, err = Lower(c.Gates, c.NumQubits, true)
+		wantBlocks, _ := Fuse(c.Gates, Options{})
+		wantOps, _ := Plan(wantBlocks, c.NumQubits)
+		if err != nil || !reflect.DeepEqual(blocks, wantBlocks) || !reflect.DeepEqual(ops, wantOps) {
+			t.Fatalf("%s: fused Lower differs from Fuse then Plan (%v)", c.Name, err)
 		}
-		wantBlocks, err := Fuse(c.Gates, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantOps, err := Plan(wantBlocks, c.NumQubits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(blocks, wantBlocks) || !reflect.DeepEqual(ops, wantOps) {
-			t.Fatalf("%s: Lower's %d blocks differ from Fuse then Plan's %d", c.Name, len(blocks), len(wantBlocks))
-		}
-	}
-	if _, _, err := Lower([]gate.Gate{{Name: "nope", Qubits: []int{0}}}, 1, true); err == nil {
-		t.Fatal("an invalid gate lowered")
 	}
 }
 
 // TestRebindEqualsLoweringTheBoundGates: a lowered template run re-bound to
-// a binding replays == to the lowering of the bound gates, fused or not; the
-// template run is left as it was lowered; and a run with no parametric block
-// comes back as the same slices.
+// a binding replays == to the lowering of the bound gates, fused or not, and
+// leaves the run as it was lowered; a run with no parametric block comes
+// back as the same slices.
 func TestRebindEqualsLoweringTheBoundGates(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, c := range []*circuit.Circuit{circuit.QAOAAnsatz(7, 2), randomParametric(7, 80, 11)} {
+	for _, c := range []*circuit.Circuit{circuit.QAOAAnsatz(7, 2), randomParametric(7, 80, 11), circuit.QFT(6)} {
 		n := c.NumQubits
 		for _, fused := range []bool{false, true} {
 			blocks, ops, err := Lower(c.Gates, n, fused)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for k := 0; k < 3; k++ {
+			for k := range 3 {
 				env := map[string]float64{}
-				for _, s := range c.Symbols() {
-					env[s] = 4 * (rng.Float64() - 0.5)
+				for i, s := range c.Symbols() {
+					env[s] = float64(k+1) * (0.7 - 0.3*float64(i))
 				}
-				_, gotOps, err := Rebind(blocks, ops, env)
+				gotBlocks, gotOps, err := Rebind(blocks, ops, env)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !c.Parametric() && (&gotBlocks[0] != &blocks[0] || &gotOps[0] != &ops[0]) {
+					t.Fatalf("%s fused=%v: a concrete run came back as new slices", c.Name, fused)
 				}
 				bound, err := c.Bind(env)
 				if err != nil {
@@ -125,30 +85,9 @@ func TestRebindEqualsLoweringTheBoundGates(t *testing.T) {
 					t.Fatalf("%s fused=%v binding %v: re-bound replay differs from lowering the bound gates", c.Name, fused, env)
 				}
 			}
-			againBlocks, againOps, err := Lower(c.Gates, n, fused)
-			if err != nil {
-				t.Fatal(err)
+			if again, againOps, _ := Lower(c.Gates, n, fused); !reflect.DeepEqual(blocks, again) || !reflect.DeepEqual(ops, againOps) {
+				t.Fatalf("%s fused=%v: Rebind wrote into the lowered run", c.Name, fused)
 			}
-			if !reflect.DeepEqual(blocks, againBlocks) || !reflect.DeepEqual(ops, againOps) {
-				t.Fatalf("%s fused=%v: Rebind wrote into the template run", c.Name, fused)
-			}
-			if _, _, err := Rebind(blocks, ops, map[string]float64{}); err == nil {
-				t.Fatalf("%s fused=%v: an empty binding re-bound", c.Name, fused)
-			}
-		}
-	}
-	for _, fused := range []bool{false, true} {
-		c := circuit.QFT(6)
-		blocks, ops, err := Lower(c.Gates, c.NumQubits, fused)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotBlocks, gotOps, err := Rebind(blocks, ops, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if &gotBlocks[0] != &blocks[0] || len(gotBlocks) != len(blocks) || &gotOps[0] != &ops[0] || len(gotOps) != len(ops) {
-			t.Fatalf("fused=%v: a concrete run came back as new slices", fused)
 		}
 	}
 }

@@ -21,8 +21,7 @@ import (
 // every binding. Only the numeric payloads (dense matrices, diagonal tables,
 // Single gates) of symbol-touched blocks need re-materializing — and their
 // ops re-binding — per binding; everything else is shared read-only. Rebind
-// is that step for any lowered run, templates and noise plans alike, fused or
-// not: an unfused run's Single blocks re-bind one gate each.
+// is that step for any lowered run, fused or not.
 //
 // The template also records which symbols each touched block reads. A Binder
 // — one caller's private, re-bindable op list — uses that to rebuild, from
@@ -43,12 +42,8 @@ func (b *Block) Parametric() bool {
 
 // Specialize returns a concrete copy of the block for one binding: source
 // gates bound, and the dense matrix or diagonal rebuilt from the bound
-// angles. Blocks with no symbolic gates are returned unchanged (sharing
-// their read-only payloads).
+// angles. Its callers (Rebind, Binder) call it on parametric blocks only.
 func (b *Block) Specialize(env map[string]float64) (Block, error) {
-	if !b.Parametric() {
-		return *b, nil
-	}
 	gs := make([]gate.Gate, len(b.Gates))
 	for i, g := range b.Gates {
 		bg, err := g.Bind(env)
@@ -136,15 +131,13 @@ func (t *Template) TouchedBlocks() int { return len(t.touched) }
 // of them. The slice is the template's own: read-only.
 func (t *Template) FirstUse() []int { return t.first }
 
-// Rebind binds a run lowered by Lower (or a template's Blocks and Ops) to
-// env: fresh slices in which every parametric block is re-materialized for
-// env and its op re-bound to the new payload, the index tables staying
-// shared, and every other entry aliases the input. A run with no parametric
-// block comes back as the same slices. The inputs are never written, so
-// concurrent bindings of one run are safe.
+// Rebind binds a lowered run (Lower's, or a template's Blocks and Ops) to
+// env: fresh slices whose parametric blocks are rebuilt for env, their ops
+// re-bound with the index tables shared, and whose other entries alias the
+// input. A run with no parametric block comes back as the same slices; the
+// inputs are never written.
 func Rebind(blocks []Block, ops []sv.Op, env map[string]float64) ([]Block, []sv.Op, error) {
-	var outBlocks []Block
-	var outOps []sv.Op
+	outBlocks, outOps, cloned := blocks, ops, false
 	for i := range blocks {
 		if !blocks[i].Parametric() {
 			continue
@@ -153,22 +146,17 @@ func Rebind(blocks []Block, ops []sv.Op, env map[string]float64) ([]Block, []sv.
 		if err != nil {
 			return nil, nil, err
 		}
-		if outBlocks == nil {
-			outBlocks, outOps = slices.Clone(blocks), slices.Clone(ops)
+		if !cloned {
+			outBlocks, outOps, cloned = slices.Clone(blocks), slices.Clone(ops), true
 		}
 		outBlocks[i], outOps[i] = b, b.rebind(ops[i])
-	}
-	if outBlocks == nil {
-		return blocks, ops, nil
 	}
 	return outBlocks, outOps, nil
 }
 
 // Specialize returns the concrete block list for one binding: Rebind's
-// blocks, a fresh slice whose symbol-touched entries are rebuilt for env and
-// whose remaining entries alias the template's read-only blocks. Callers on
-// different bindings may specialize concurrently: the template itself is
-// never mutated.
+// blocks. Callers on different bindings may specialize concurrently: the
+// template itself is never mutated.
 func (t *Template) Specialize(env map[string]float64) ([]Block, error) {
 	blocks, _, err := Rebind(t.Blocks, t.Ops, env)
 	return blocks, err

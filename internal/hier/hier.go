@@ -248,26 +248,26 @@ func preparePart(c *circuit.Circuit, part partition.Part, clearBits int, opts Op
 		slots |= (clearBits >> uint(q) & 1) << uint(s)
 	}
 	gates := slotGates(c, part, part.GateIndices)
-	ops, blocks, err := lower(w, gates, opts)
+	blocks, ops, err := fuse.Lower(gates, w, opts.Fuse)
 	if err != nil {
 		return pp, err
 	}
 	var after int // the slots still clear after the part
-	pp.order, pp.blocks = part.GateIndices, blocks
+	pp.order, pp.blocks = part.GateIndices, len(blocks)
 	pp.ops, after = sv.PinZero(ops, slots)
 	if pos := supportFirst(w, gates, slots); pos != nil {
 		order, moved := make([]int, len(pos)), make([]gate.Gate, len(pos))
 		for i, p := range pos {
 			order[i], moved[i] = part.GateIndices[p], gates[p]
 		}
-		if ops, blocks, err = lower(w, moved, opts); err != nil {
+		if blocks, ops, err = fuse.Lower(moved, w, opts.Fuse); err != nil {
 			return pp, err
 		}
 		// Fused blocks of the two orders may hold different qubits, so the
 		// reordered ops must also leave the same slots clear: then every
 		// later part runs as it would after the circuit order.
 		if pinned, left := sv.PinZero(ops, slots); left == after && walked(pinned) < walked(pp.ops) {
-			pp.order, pp.ops, pp.blocks, after = order, pinned, blocks, left
+			pp.order, pp.ops, pp.blocks, after = order, pinned, len(blocks), left
 		}
 	}
 	for s, q := range part.Qubits {
@@ -289,13 +289,6 @@ func slotGates(c *circuit.Circuit, part partition.Part, order []int) []gate.Gate
 		gates = append(gates, c.Gates[gi].Remap(func(q int) int { return slot[q] }))
 	}
 	return gates
-}
-
-// lower lowers the gates, unpinned, for w-qubit states through fuse.Lower:
-// one op per block. It returns the ops and the block count.
-func lower(w int, gates []gate.Gate, opts Options) ([]sv.Op, int, error) {
-	blocks, ops, err := fuse.Lower(gates, w, opts.Fuse)
-	return ops, len(blocks), err
 }
 
 // walked is how many amplitudes one replay of the ops walks.

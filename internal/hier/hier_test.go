@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/dag"
+	"hisvsim/internal/fuse"
 	"hisvsim/internal/gate"
 	"hisvsim/internal/partition"
 	"hisvsim/internal/partition/dagp"
@@ -267,12 +269,10 @@ func TestQuickHierEqualsFlat(t *testing.T) {
 // TestAllocationsIndependentOfSweepCount pins that the gather/execute/
 // scatter loop itself allocates nothing: every part is lowered to kernel ops
 // once, so running the same plan on a wider outer state — 16× the sweeps per
-// part — costs exactly the same allocations, fused or not. AllocsPerRun
-// counts every goroutine's mallocs, and a GC cycle running inside the window
-// adds the runtime's own (a sudog in gcMarkDone, the scavenger's timer heap,
-// an M started for the mark workers); allocating the outer state, after the
-// garbage earlier tests leave, is what starts one there, so the test
-// collects before it measures.
+// part — costs exactly the same allocations, fused or not. AllocsPerRun also
+// counts the runtime's mallocs: a GC cycle that allocating the outer state
+// starts inside the window (a sudog in gcMarkDone, an M) and the scavenger it
+// wakes (its timer heap). debug.FreeOSMemory runs both to completion first.
 func TestAllocationsIndependentOfSweepCount(t *testing.T) {
 	c := circuit.QFT(12)
 	pl, err := dagp.Partitioner{}.Partition(dag.FromCircuit(c), 6)
@@ -282,7 +282,7 @@ func TestAllocationsIndependentOfSweepCount(t *testing.T) {
 	for _, fuse := range []bool{false, true} {
 		allocs := func(n int) float64 {
 			st := sv.NewState(n)
-			runtime.GC()
+			debug.FreeOSMemory()
 			return testing.AllocsPerRun(3, func() {
 				if _, err := ExecutePlan(pl, st, Options{Fuse: fuse, Workers: 1}); err != nil {
 					t.Fatal(err)
@@ -324,7 +324,7 @@ func oracleExecute(t *testing.T, pl *partition.Plan, outer *sv.State, opts Optio
 		if err != nil {
 			t.Fatal(err)
 		}
-		ops, _, err := lower(len(part.Qubits), slotGates(pl.Circuit, part, pp.order), opts)
+		_, ops, err := fuse.Lower(slotGates(pl.Circuit, part, pp.order), len(part.Qubits), opts.Fuse)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,6 +436,11 @@ func TestExecutorMatchesOracle(t *testing.T) {
 					if d := want.Amps[i] - flat.Amps[i]; math.Hypot(real(d), imag(d)) > 1e-12 {
 						t.Fatalf("%s start %d fuse=%v: oracle amplitude %d off the flat sweep by %g", c.name, si, fused, i, math.Hypot(real(d), imag(d)))
 					}
+				}
+				// Unfused from the dense start, a view part runs each gate's
+				// sv.GateOp in circuit order: == the flat per-gate sweep.
+				if c.view && si == 0 && !fused && !slices.Equal(want.Amps, flat.Amps) {
+					t.Fatalf("%s: unfused view part differs from the flat per-gate sweep", c.name)
 				}
 				for workers := 1; workers <= 3; workers++ {
 					opts.Workers = workers

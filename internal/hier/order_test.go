@@ -9,6 +9,7 @@ import (
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/dag"
+	"hisvsim/internal/fuse"
 	"hisvsim/internal/gate"
 	"hisvsim/internal/partition"
 	"hisvsim/internal/partition/dagp"
@@ -119,7 +120,7 @@ func circuitOrder(t *testing.T, pl *partition.Plan, opts Options) (amps int64, s
 	n := pl.Circuit.NumQubits
 	clear := 1<<uint(n) - 1
 	for _, part := range pl.Parts {
-		ops, _, err := lower(len(part.Qubits), slotGates(pl.Circuit, part, part.GateIndices), opts)
+		_, ops, err := fuse.Lower(slotGates(pl.Circuit, part, part.GateIndices), len(part.Qubits), opts.Fuse)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -150,33 +150,3 @@ func TestExecutePlanFromKnownClearQubits(t *testing.T) {
 		}
 	}
 }
-
-// TestUnfusedViewPartIsTheFlatSweep: with fusion off, a one-part plan whose
-// part is a view runs each gate's sv.GateOp in circuit order on slices of
-// the outer vector — from a dense state no qubit is clear, so nothing is
-// pinned or reordered — so it is == to the flat per-gate sweep, at every
-// worker count.
-func TestUnfusedViewPartIsTheFlatSweep(t *testing.T) {
-	const n = 9
-	for seed, qubits := range map[int64][]int{11: {0, 1, 2, 3, 4, 5, 6, 7, 8}, 12: {0, 1, 2, 3, 4, 5}} {
-		pl := onQubits(n, qubits, seed)
-		start := randomState(n, 7)
-		want := start.Clone()
-		if err := want.ApplyCircuit(pl.Circuit); err != nil {
-			t.Fatal(err)
-		}
-		for workers := 1; workers <= 3; workers++ {
-			got := start.Clone()
-			m, err := ExecutePlan(pl, got, Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.BytesMoved != 0 {
-				t.Fatalf("part on %v moved %d bytes: not a view", qubits, m.BytesMoved)
-			}
-			if !slices.Equal(got.Amps, want.Amps) {
-				t.Fatalf("part on %v, workers=%d: unfused view differs from the flat per-gate sweep", qubits, workers)
-			}
-		}
-	}
-}

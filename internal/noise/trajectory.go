@@ -18,8 +18,7 @@ type CompileOptions struct {
 	// Fuse coalesces maximal noise-free gate runs into fused blocks
 	// (internal/fuse); channel insertions bound the runs, so a model that
 	// only decorates e.g. cx gates still fuses the single-qubit stretches
-	// between them, and enables segments. Off, each gate of a run is its
-	// own Single block. Either way fuse.Lower lowers the run. Default off;
+	// between them (fuse.Lower), and enables segments. Default off;
 	// executors pass their own policy.
 	Fuse bool
 	// ForceKraus disables the Pauli fast path: every channel runs through
@@ -30,9 +29,8 @@ type CompileOptions struct {
 }
 
 // step is one unit of a compiled trajectory plan: either a gate run (blocks
-// and ops non-nil, as fuse.Lower returns them: fused blocks, or one Single
-// block per gate when CompileOptions.Fuse is off) or a single channel
-// insertion (ch non-nil).
+// and ops as fuse.Lower returns them, fused as CompileOptions.Fuse says) or
+// a single channel insertion (ch non-nil).
 type step struct {
 	blocks []fuse.Block
 	ops    []sv.Op // the run lowered once: one kernel op per block

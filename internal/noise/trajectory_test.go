@@ -60,6 +60,17 @@ func TestCompileStructure(t *testing.T) {
 	if !zero.NoiseFree() || zero.Locations() != 0 {
 		t.Fatal("zero-probability model left insertions in the plan")
 	}
+	// Unfused, it is one Single block per gate: a trajectory is == to the
+	// flat per-gate sweep.
+	zero, err = Compile(c, Global(AmplitudeDamping(0)), CompileOptions{})
+	if err != nil || zero.Blocks() != c.NumGates() {
+		t.Fatalf("unfused zero-probability plan: %v", err)
+	}
+	got, _, err := zero.RunTrajectory(rand.New(rand.NewSource(1)))
+	want, _ := sv.Run(c)
+	if err != nil || !slices.Equal(got.Amps, want.Amps) {
+		t.Fatalf("unfused noise-free trajectory differs from the flat per-gate sweep (%v)", err)
+	}
 
 	// Invalid models are rejected at compile time.
 	if _, err := Compile(c, Global(Depolarizing(2)), CompileOptions{}); err == nil {
@@ -386,45 +397,6 @@ func TestSegmentsCoverWholeSteps(t *testing.T) {
 		}
 		if len(plan.segments) != 0 {
 			t.Fatalf("%+v: %d segments, want none", opts, len(plan.segments))
-		}
-	}
-}
-
-// TestUnfusedZeroEffectPlanIsTheFlatSweep: with fusion off, a plan under a
-// zero-effect model is one Single block per gate, so a trajectory replays
-// the flat per-gate sweep == — a template plan specialized to a binding
-// too.
-func TestUnfusedZeroEffectPlanIsTheFlatSweep(t *testing.T) {
-	model := NewModel().WithReadout(0.1, 0.05)
-	model.Rules = []Rule{{Channel: Depolarizing(0)}}
-	env := map[string]float64{"gamma0": 0.3, "beta0": -0.2, "gamma1": 0.7, "beta1": 0.4}
-	for _, c := range []*circuit.Circuit{circuit.QFT(6), circuit.Random(6, 60, 5), circuit.QAOAAnsatz(6, 2)} {
-		plan, err := Compile(c, model, CompileOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !plan.NoiseFree() || plan.Blocks() != c.NumGates() {
-			t.Fatalf("%s: %d blocks for %d gates, noise-free %v", c.Name, plan.Blocks(), c.NumGates(), plan.NoiseFree())
-		}
-		bound := c
-		if c.Parametric() {
-			if plan, err = plan.Specialize(env); err != nil {
-				t.Fatal(err)
-			}
-			if bound, err = c.Bind(env); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := sv.Run(bound)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := plan.RunTrajectory(rand.New(rand.NewSource(1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got.Amps, want.Amps) {
-			t.Fatalf("%s: unfused noise-free trajectory differs from the flat per-gate sweep", c.Name)
 		}
 	}
 }

@@ -202,14 +202,12 @@ func (s *Service) engineFor(j *job) (eng core.SweepEngine, compiles int, err err
 	return eng, compiles, nil
 }
 
-// executeTemplate runs a sweep (core.RunSweep) or an optimizer loop
-// (core.RunOptimize) over the job's engine, as wide as the token pool allows
-// (widen). Both kinds name and count the job by KindRun's rule: an engine
-// with a template replays it on the job's ideal backend (a readout-only model
-// only samples its states), one without runs every evaluation as a
-// trajectory ensemble on the trajectory engine, whose trajectories the
-// ledger counts. Compiles is 1 on a cold cache for any grid size (2 under a
-// zero-effect model: plan and template), 0 over a cached engine.
+// executeTemplate runs a sweep or an optimizer loop over the job's engine,
+// as wide as the token pool allows (widen). Both name and count the job by
+// KindRun's rule: the ideal backend when the engine replays a template, the
+// trajectory engine, whose trajectories the ledger counts, when it has none.
+// Compiles is 1 on a cold cache for any grid size (2 under a zero-effect
+// model: plan and template), 0 over a cached engine.
 func (s *Service) executeTemplate(j *job) (*Result, error) {
 	start := time.Now()
 	req := j.req

@@ -10,15 +10,13 @@ import (
 
 // randomState is shared with sv_test.go.
 
-// applyMatrix lowers an arbitrary (not necessarily unitary) matrix on the
-// targets to a dense op, as the trajectory engine lowers a Kraus operator,
-// and applies it.
+// applyMatrix applies any matrix, as the trajectory engine a Kraus operator.
 func applyMatrix(s *State, targets []int, m gate.Matrix) {
 	op := DenseOp(s.N, targets, nil, m, prof.Kraus)
 	s.Apply(&op)
 }
 
-// krausNorm2 returns ‖Kψ‖² through the same dense op, without mutating s.
+// krausNorm2 returns ‖Kψ‖² through the same dense op.
 func krausNorm2(s *State, targets []int, m gate.Matrix) float64 {
 	op := DenseOp(s.N, targets, nil, m, prof.Kraus)
 	return s.Norm2(&op)

@@ -411,7 +411,7 @@ func runNoisy(c *hisvsim.Circuit, opts hisvsim.Options, traj, shots int, zQubits
 		for k, ov := range rep.Observables {
 			fmt.Printf("  observable %s = %.9f (exact)\n", obs[k], ov.Value)
 		}
-		printTopCounts(c, rep.Counts, shots)
+		printTopCounts(c, rep.Histogram(), shots)
 		return
 	}
 	ens := rep.Ensemble
@@ -429,7 +429,7 @@ func runNoisy(c *hisvsim.Circuit, opts hisvsim.Options, traj, shots int, zQubits
 	for k, ov := range rep.Observables {
 		fmt.Printf("  observable %s = %.6f ± %.6f\n", obs[k], ov.Value, ov.StdErr)
 	}
-	printTopCounts(c, rep.Counts, ens.Shots)
+	printTopCounts(c, rep.Histogram(), ens.Shots)
 }
 
 // printTopCounts prints the 8 most frequent sampled outcomes (it reorders

@@ -39,7 +39,7 @@ func main() {
 	}
 	ens := rep.Ensemble
 	ideal := 0
-	for _, o := range rep.Counts {
+	for _, o := range rep.Histogram() {
 		if o.Basis == 0 || o.Basis == (1<<n)-1 {
 			ideal += o.N
 		}
@@ -85,6 +85,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("service job %d: %d trajectories, %d outcomes, plan cache hit: %v\n",
-			i+1, res.Trajectories, len(res.Counts), res.CacheHit)
+			i+1, res.Trajectories, len(res.Histogram()), res.CacheHit)
 	}
 }

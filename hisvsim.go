@@ -279,8 +279,11 @@ type ObservableValue = core.ObservableValue
 // Readouts bundles every read-out a ReadoutSpec produced.
 type Readouts = core.Readouts
 
-// Histogram is Readouts.Counts: the sampled outcomes ascending by basis
-// index, each Outcome a basis state with the number of shots that drew it.
+// Histogram is what Readouts.Histogram returns: the sampled outcomes
+// ascending by basis index, each Outcome a basis state with the number of
+// shots that drew it. Ideal and exact (dm) runs keep only their sample
+// stream and derive it on each call; a trajectory ensemble holds it
+// (Readouts.Counts).
 type (
 	Histogram = core.Histogram
 	Outcome   = core.Outcome

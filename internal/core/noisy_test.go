@@ -74,7 +74,7 @@ func TestZeroNoiseMatchesIdealBitForBit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a.Counts) == 0 || !slices.Equal(a.Counts, b.Counts) {
+		if len(a.Histogram()) == 0 || !slices.Equal(a.Histogram(), b.Histogram()) {
 			t.Fatalf("%+v: counts differ between zero model and nil model", opts)
 		}
 

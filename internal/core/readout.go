@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/dm"
@@ -156,12 +157,15 @@ func (s ReadoutSpec) Validate(n int) error {
 type Readouts struct {
 	// Amplitudes is the final state (Statevector; a private copy).
 	Amplitudes []complex128
-	// Samples are the drawn basis indices and Counts their histogram
-	// (Shots > 0). Noisy trajectory ensembles aggregate Counts only
-	// (Samples nil); exact density-matrix runs — ideal or noisy — have a
-	// definite seeded shot stream and return both.
+	// Samples are the drawn basis indices in draw order (Shots > 0) for
+	// every run with one seeded shot stream: ideal states and exact
+	// density-matrix runs, ideal or noisy. They are the one record of those
+	// shots; read their histogram through Histogram.
 	Samples []int
-	Counts  Histogram
+	// Counts is the held histogram of a noisy trajectory ensemble, which
+	// aggregates per-trajectory tallies and has no stream (Samples nil). It
+	// is nil wherever Samples is set.
+	Counts Histogram
 	// Marginals and Observables are in spec order.
 	Marginals   [][]float64
 	Observables []ObservableValue
@@ -169,49 +173,79 @@ type Readouts struct {
 	Trajectories int
 }
 
+// Histogram returns the shot histogram of every kind of run: Counts where it
+// is held (a trajectory ensemble's), otherwise the tally of Samples, built
+// afresh on each call (nil when no shots were requested).
+func (r *Readouts) Histogram() Histogram {
+	if r.Counts != nil || r.Samples == nil {
+		return r.Counts
+	}
+	return histogramOf(r.Samples)
+}
+
 // Outcome is one sampled basis state and the number of shots that drew it.
 type Outcome struct{ Basis, N int }
 
 // Histogram is a shot histogram: the drawn outcomes ascending by basis
 // index, each once, with a positive count. It is the one counts form from
-// the read-out to the wire — retained as is by the service (16 bytes an
-// outcome), rendered in this order by service.WireCounts (MSB-first
-// bitstring keys of one width sort like the indices) and merged on the
-// integers by the cluster coordinator.
+// the read-out to the wire — held by a trajectory ensemble's read-outs
+// (16 bytes an outcome), derived from the samples of every other run when
+// its result is read, rendered in this order by service.WireCounts
+// (MSB-first bitstring keys of one width sort like the indices) and merged
+// on the integers by the cluster coordinator.
 type Histogram []Outcome
 
-// sortedCopy returns the (non-negative) samples in ascending order: an LSD
-// radix sort, one byte a pass over as many bits as the samples use. On a
-// thousand shots it is several times cheaper than a comparison sort, and
-// cheaper than the map tally it replaces.
-func sortedCopy(samples []int) []int {
-	a, b := slices.Clone(samples), make([]int, len(samples))
+// radixScratch keeps histogramOf's sort buffers (a *[]int of twice the
+// samples) between calls: a result's histogram is derived on every read, and
+// the two buffers of the sort are most of what a fresh one would allocate.
+var radixScratch sync.Pool
+
+// maxPooledScratch bounds the buffers the pool keeps (1 MiB: the sort of
+// 65,536 shots); larger sorts allocate theirs.
+const maxPooledScratch = 1 << 17
+
+// radixSort returns the (non-negative) samples in ascending order without
+// writing them: an LSD radix sort, one byte a pass over as many bits as the
+// samples use, alternating between a and b (each as long as samples). On a
+// thousand shots it is several times cheaper than a comparison sort. The
+// result is samples itself when every sample is 0, otherwise a or b.
+func radixSort(samples, a, b []int) []int {
 	used := 0
-	for _, x := range a {
+	for _, x := range samples {
 		used |= x
 	}
+	src := samples
 	for shift := 0; used>>shift != 0; shift += 8 {
 		var next [256]int
-		for _, x := range a {
+		for _, x := range src {
 			next[x>>shift&255]++
 		}
 		at := 0
 		for d, n := range next {
 			next[d], at = at, at+n
 		}
-		for _, x := range a {
-			b[next[x>>shift&255]] = x
+		for _, x := range src {
+			a[next[x>>shift&255]] = x
 			next[x>>shift&255]++
 		}
-		a, b = b, a
+		src, a, b = a, b, a
 	}
-	return a
+	return src
 }
 
-// histogramOf tallies drawn samples by sorting a copy and run-length
-// encoding it into a slice of exactly the distinct outcomes.
+// histogramOf tallies drawn samples by sorting them through pooled scratch
+// and run-length encoding the result into a slice of exactly the distinct
+// outcomes, the one allocation it makes when the pool has a buffer.
 func histogramOf(samples []int) Histogram {
-	sorted := sortedCopy(samples)
+	buf, _ := radixScratch.Get().(*[]int)
+	if buf == nil {
+		buf = new([]int)
+	}
+	k := len(samples)
+	if cap(*buf) < 2*k {
+		*buf = make([]int, 2*k)
+	}
+	sorted := radixSort(samples, (*buf)[:k], (*buf)[k:2*k])
 	distinct := 0
 	for i, x := range sorted {
 		if i == 0 || x != sorted[i-1] {
@@ -225,6 +259,9 @@ func histogramOf(samples []int) Histogram {
 		} else {
 			h = append(h, Outcome{Basis: x, N: 1})
 		}
+	}
+	if cap(*buf) <= maxPooledScratch {
+		radixScratch.Put(buf)
 	}
 	return h
 }
@@ -283,7 +320,6 @@ func evaluateState(st *sv.State, sampler *sv.Sampler, spec ReadoutSpec) (out *Re
 		}
 		rng := rand.New(rand.NewSource(spec.Seed))
 		out.Samples = sampler.Sample(spec.Shots, rng)
-		out.Counts = histogramOf(out.Samples)
 	}
 	if len(spec.Marginals) > 0 {
 		out.Marginals = make([][]float64, len(spec.Marginals))
@@ -457,7 +493,6 @@ func EvaluateDensity(d *dm.Density, ro *noise.Readout, spec ReadoutSpec) *Readou
 	out := &Readouts{}
 	if spec.Shots > 0 {
 		out.Samples = d.Sample(spec.Shots, spec.Seed, ro)
-		out.Counts = histogramOf(out.Samples)
 	}
 	if len(spec.Marginals) > 0 {
 		out.Marginals = make([][]float64, len(spec.Marginals))

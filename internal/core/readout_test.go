@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hisvsim/internal/circuit"
@@ -74,7 +75,7 @@ func TestEvaluateMatchesSingleReadouts(t *testing.T) {
 		t.Fatalf("amplitudes: got %d", len(rep.Amplitudes))
 	}
 	total := 0
-	for _, oc := range rep.Counts {
+	for _, oc := range rep.Histogram() {
 		total += oc.N
 	}
 	if total != 200 || len(rep.Samples) != 200 {
@@ -261,5 +262,73 @@ func TestHistogramForms(t *testing.T) {
 	}
 	if HistogramFromMap(nil) != nil || len(histogramOf(nil)) != 0 {
 		t.Fatal("no samples must stay no histogram")
+	}
+	// The sort's pooled scratch carries nothing from one call to the next,
+	// whatever the sizes, and the samples are never written.
+	for _, size := range []int{2000, 7, 500, 0, 1} {
+		xs, tally := make([]int, size), map[int]int{}
+		for i := range xs {
+			xs[i] = rng.Intn(1 << 20)
+			if size == 7 {
+				xs[i] = 0 // one outcome, no pass
+			}
+			tally[xs[i]]++
+		}
+		before := slices.Clone(xs)
+		if h := histogramOf(xs); len(h) != len(tally) || (size > 0 && !reflect.DeepEqual(h, HistogramFromMap(tally))) {
+			t.Fatalf("%d samples: histogram %v, tally %v", size, h, tally)
+		}
+		if !slices.Equal(xs, before) {
+			t.Fatalf("%d samples: histogramOf wrote its input", size)
+		}
+	}
+}
+
+// TestHistogramIsTheTallyOfSamples: a run with one seeded shot stream —
+// ideal on each state engine, exact dm ideal or with a noisy channel and a
+// readout error — holds only its samples, and Histogram is their sorted
+// tally; a trajectory ensemble, readout-only or with a channel, holds its
+// Counts and no stream, and Histogram returns them as held.
+func TestHistogramIsTheTallyOfSamples(t *testing.T) {
+	c := circuit.QFT(6)
+	spec := ReadoutSpec{Shots: 400, Seed: 11}
+	withReadout := noise.Global(noise.Depolarizing(0.02)).WithReadout(0.03, 0.05)
+	streams := []Options{
+		{},
+		{Backend: "flat"},
+		{Backend: "dm"},
+		{Backend: "dm", Noise: withReadout},
+		{Backend: "dm", Noise: noise.NewModel().WithReadout(0.03, 0.05)},
+	}
+	for _, opts := range streams {
+		rep, err := EvaluateContext(context.Background(), c, opts, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Counts != nil || len(rep.Samples) != spec.Shots {
+			t.Fatalf("%+v: %d samples and held counts %v, want %d samples and none", opts, len(rep.Samples), rep.Counts, spec.Shots)
+		}
+		tally := map[int]int{}
+		for _, x := range rep.Samples {
+			tally[x]++
+		}
+		if h := rep.Histogram(); !reflect.DeepEqual(h, HistogramFromMap(tally)) || cap(h) != len(h) {
+			t.Fatalf("%+v: Histogram() = %v, the tally of the samples is %v", opts, h, HistogramFromMap(tally))
+		}
+	}
+	for _, m := range []*noise.Model{withReadout, noise.NewModel().WithReadout(0.03, 0.05)} {
+		rep, err := EvaluateContext(context.Background(), c, Options{Noise: m}, ReadoutSpec{Shots: 400, Seed: 11, Trajectories: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Ensemble == nil || rep.Samples != nil || len(rep.Counts) == 0 {
+			t.Fatalf("ensemble: %d samples, %d held outcomes", len(rep.Samples), len(rep.Counts))
+		}
+		if h := rep.Histogram(); !reflect.DeepEqual(h, rep.Counts) {
+			t.Fatalf("Histogram() = %v, the ensemble holds %v", h, rep.Counts)
+		}
+	}
+	if (&Readouts{}).Histogram() != nil {
+		t.Fatal("no shots must stay no histogram")
 	}
 }

@@ -199,11 +199,6 @@ func privateReadouts(t *testing.T, tpl *fuse.Template, env map[string]float64, s
 	}
 	if spec.Shots > 0 {
 		out.Samples = sv.NewSampler(st).Sample(spec.Shots, rand.New(rand.NewSource(spec.Seed)))
-		tally := map[int]int{}
-		for _, x := range out.Samples {
-			tally[x]++
-		}
-		out.Counts = HistogramFromMap(tally)
 	}
 	for _, qs := range spec.Marginals {
 		out.Marginals = append(out.Marginals, st.Marginal(qs))

@@ -45,7 +45,7 @@ func TestDMNoisyJobExactDeterministicCached(t *testing.T) {
 		t.Fatalf("Trajectories = %d, want 0 (exact evolution has no ensemble)", a.Trajectories)
 	}
 	total := 0
-	for _, oc := range a.Counts {
+	for _, oc := range a.Histogram() {
 		total += oc.N
 	}
 	if total != 300 {
@@ -128,7 +128,7 @@ func TestDMNoisyReadoutsServedExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, oc := range sam.Counts {
+	for _, oc := range sam.Histogram() {
 		total += oc.N
 	}
 	if total != 200 || sam.Trajectories != 0 {

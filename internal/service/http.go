@@ -509,11 +509,11 @@ func toWireResult(r *Result) *WireResult {
 
 // WireCounts is the "counts" object — bitstring → shots, qubit Qubits−1
 // leftmost (the usual ket convention; qubit 0 is the least-significant bit of
-// the index) — over the histogram a result already holds: no per-response
-// copy, and the coordinator merges sub-results on the integers. Keys of one
-// width sort like the indices they spell, so writing the outcomes in order is
-// byte for byte the sorted-key object encoding/json makes of a
-// map[string]int.
+// the index) — over a result's histogram (core.Readouts.Histogram: an
+// ensemble's held counts, or the tally of the samples), and the coordinator
+// merges sub-results on the integers. Keys of one width sort like the
+// indices they spell, so writing the outcomes in order is byte for byte the
+// sorted-key object encoding/json makes of a map[string]int.
 type WireCounts struct {
 	Qubits   int // key width
 	Outcomes core.Histogram
@@ -563,8 +563,8 @@ func toWireSweepPoint(binding map[string]float64, ro *core.Readouts, n int) Wire
 		return out
 	}
 	out.Samples = ro.Samples
-	if len(ro.Counts) > 0 {
-		out.Counts = &WireCounts{Qubits: n, Outcomes: ro.Counts}
+	if h := ro.Histogram(); len(h) > 0 {
+		out.Counts = &WireCounts{Qubits: n, Outcomes: h}
 	}
 	out.Marginals = ro.Marginals
 	for _, ov := range ro.Observables {

@@ -241,11 +241,11 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 // LRU's own ledger under churn: a small budget forces evictions, and the
 // state+rho gauges must still sum to exactly the cache's Size()/Len().
 func TestCacheGaugesTrackResidency(t *testing.T) {
-	// A 14-qubit state entry costs ~394 KiB ((16+8)·2^14 + 1 KiB), so a
-	// 1 MiB budget holds two entries and the third insert evicts.
+	// A 14-qubit state entry costs ~281 KiB (17.25·2^14 + 5 KiB), so a
+	// 1 MiB budget holds three entries and the fourth insert evicts.
 	s := New(Config{Workers: 1, CacheBytes: 1 << 20})
 	defer s.Close()
-	for _, fam := range []string{"qft", "bv", "cat_state"} {
+	for _, fam := range []string{"qft", "bv", "cat_state", "ising"} {
 		c := circuit.MustNamed(fam, 14)
 		if _, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindRun, Readouts: shots(4, 0), Options: core.Options{Strategy: "dagp"}}); err != nil {
 			t.Fatal(err)

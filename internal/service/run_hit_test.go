@@ -19,6 +19,7 @@ import (
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/core"
 	"hisvsim/internal/qasm"
+	"hisvsim/internal/sv"
 )
 
 // runOverHTTP submits one body and returns the finished job's result object.
@@ -158,7 +159,7 @@ func TestSharedProgramIsNeverWritten(t *testing.T) {
 // TestObservableMemoEqualsFreshEvaluation: goroutines asking one cached entry
 // for overlapping observable sets each get, bit for bit, what a memo-free
 // core.EvaluateState returns for their spec; and the memo stops growing at
-// its bound, which the entry's cost covers.
+// its bound, which the entry's cost covers beside the state and its sampler.
 func TestObservableMemoEqualsFreshEvaluation(t *testing.T) {
 	s := newTest(t, Config{Workers: 4})
 	c := circuit.Random(8, 80, 5)
@@ -201,8 +202,8 @@ func TestObservableMemoEqualsFreshEvaluation(t *testing.T) {
 						t.Errorf("observable %d (%s): %v from the entry, %v fresh", k, spec.Observables[k].Paulis, ov, w)
 					}
 				}
-				if !reflect.DeepEqual(res.Counts, want.Counts) {
-					t.Error("counts differ from a fresh evaluation")
+				if !reflect.DeepEqual(res.Samples, want.Samples) || res.Counts != nil {
+					t.Error("samples differ from a fresh evaluation")
 				}
 			}
 		}()
@@ -224,28 +225,18 @@ func TestObservableMemoEqualsFreshEvaluation(t *testing.T) {
 	if used != e.obsBytes || used > obsMemoBytes || len(e.obs) < obsMemoBytes/(obsMemoSlot+32) {
 		t.Fatalf("memo holds %d strings in %d bytes (accounted %d), bound %d", len(e.obs), used, e.obsBytes, obsMemoBytes)
 	}
-	if e.cost() < int64(len(e.state.Amps))*24+obsMemoBytes {
-		t.Fatalf("entry cost %d does not cover the memo bound", e.cost())
+	if e.cost() < int64(len(e.state.Amps))*16+sv.SamplerBytes(len(e.state.Amps))+obsMemoBytes {
+		t.Fatalf("entry cost %d does not cover the state, its sampler and the memo bound", e.cost())
 	}
 }
 
-// TestResultBytesIsExact: what a finished sampling job is charged against
-// RetainBytes is what its result holds — 16 bytes an outcome, 8 a sample —
-// and what the retained set really grows by per job is that plus the job
-// record, not a multiple of it.
-func TestResultBytesIsExact(t *testing.T) {
-	s := newTest(t, Config{Workers: 1})
-	req := Request{Circuit: circuit.Random(12, 96, 3), Kind: KindRun, Readouts: shots(1000, 0)}
-	res, err := s.Do(context.Background(), req)
-	if err != nil {
+// retainHits runs jobs cache hits of req, one seed each, and returns the heap
+// the finished jobs hold after a collection, per job, with what RetainBytes
+// was charged for them, per job.
+func retainHits(t *testing.T, s *Service, req Request, jobs int) (perJob, chargedPerJob float64) {
+	t.Helper()
+	if _, err := s.Do(context.Background(), req); err != nil { // the miss
 		t.Fatal(err)
-	}
-	want := int64(16*len(res.Counts) + 8*len(res.Samples))
-	if got := resultBytes(res); got != want || len(res.Samples) != 1000 || cap(res.Counts) != len(res.Counts) {
-		t.Fatalf("resultBytes = %d, want %d (16·%d outcomes + 8·%d samples)", got, want, len(res.Counts), len(res.Samples))
-	}
-	if raceEnabled {
-		return // the race detector changes what allocates
 	}
 	heap := func() uint64 {
 		var m runtime.MemStats
@@ -253,7 +244,6 @@ func TestResultBytesIsExact(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	const jobs = 200
 	before := heap()
 	var charged int64
 	for k := 1; k <= jobs; k++ {
@@ -264,10 +254,55 @@ func TestResultBytesIsExact(t *testing.T) {
 		}
 		charged += resultBytes(res)
 	}
-	perJob, chargedPerJob := float64(heap()-before)/jobs, float64(charged)/jobs
+	return float64(heap()-before) / float64(jobs), float64(charged) / float64(jobs)
+}
+
+// TestResultBytesIsExact: what a finished sampling job is charged against
+// RetainBytes is what its result holds — 8 bytes a sample, 48 an observable,
+// no histogram (it is derived when the result is read) — and what the
+// retained set really grows by per job is that plus the job record, not a
+// multiple of it.
+func TestResultBytesIsExact(t *testing.T) {
+	s := newTest(t, Config{Workers: 1})
+	spec := shots(1000, 0)
+	spec.Observables = []core.Observable{{Paulis: "ZZ", Qubits: []int{0, 1}}}
+	req := Request{Circuit: circuit.Random(12, 96, 3), Kind: KindRun, Readouts: spec}
+	res, err := s.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resultBytes(res), int64(8*1000+48); got != want || len(res.Samples) != 1000 || res.Counts != nil {
+		t.Fatalf("resultBytes = %d, want %d (8·1000 samples + 48·1 observable, no held counts: %d)", got, want, len(res.Counts))
+	}
+	if raceEnabled {
+		return // the race detector changes what allocates
+	}
+	perJob, chargedPerJob := retainHits(t, s, req, 200)
 	t.Logf("%.0f bytes retained per finished job, %.0f charged", perJob, chargedPerJob)
 	if perJob > chargedPerJob+4096 {
 		t.Fatalf("a finished job retains %.0f bytes but is charged %.0f", perJob, chargedPerJob)
+	}
+}
+
+// TestRetainedHitsHoldTheirShotsOnce: a finished 1,000-shot hit on a 16-qubit
+// QAOA keeps its 8 KB sample stream and a job record, not a histogram beside
+// the stream. 2,048 of them (half the default RetainJobs) hold at most 12 KB
+// of heap each; with the histogram held too they held ≈ 25 KB.
+func TestRetainedHitsHoldTheirShotsOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	s := newTest(t, Config{Workers: 1})
+	spec := shots(1000, 0)
+	spec.Observables = []core.Observable{{Paulis: "ZZ", Qubits: []int{0, 1}}}
+	req := Request{Circuit: circuit.QAOA(16, 2, 1), Kind: KindRun, Readouts: spec}
+	perJob, chargedPerJob := retainHits(t, s, req, 2048)
+	t.Logf("%.0f bytes retained per finished hit, %.0f charged", perJob, chargedPerJob)
+	if chargedPerJob != 8*1000+48 {
+		t.Fatalf("a hit is charged %.0f bytes, want 8·1000 + 48", chargedPerJob)
+	}
+	if perJob > 12<<10 {
+		t.Fatalf("a finished hit retains %.0f bytes of heap, want ≤ 12 KiB", perJob)
 	}
 }
 

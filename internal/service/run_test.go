@@ -35,7 +35,7 @@ func TestRunKindOneSimulationManyReadouts(t *testing.T) {
 		t.Fatalf("simulations = %d, want exactly 1 for a multi-readout request", st.Simulations)
 	}
 	total := 0
-	for _, oc := range res.Counts {
+	for _, oc := range res.Histogram() {
 		total += oc.N
 	}
 	if total != 500 {

@@ -141,9 +141,11 @@ type Result struct {
 	// is a copy of the cached state made once per job, shared by every
 	// observer of that job (Wait, Job, the HTTP snapshot): mutating it never
 	// corrupts the cache, but treat it as read-only unless you are the
-	// job's sole reader. Trajectories is the executed ensemble size (per
-	// grid point or objective evaluation on the template kinds; 0 for ideal
-	// and exact density-matrix runs).
+	// job's sole reader. Shots are held once: Samples for ideal and exact
+	// density-matrix runs, Counts for a trajectory ensemble; Histogram
+	// reads either. Trajectories is the executed ensemble size (per grid
+	// point or objective evaluation on the template kinds; 0 for ideal and
+	// exact density-matrix runs).
 	core.Readouts
 	// Moments are the per-chunk partial sums behind the ensemble's mean ±
 	// stderr readouts (KindRun with Readouts.Moments on an effective-noise
@@ -229,9 +231,11 @@ type Config struct {
 	// RetainBytes bounds the summed result payload of retained terminal
 	// jobs (default 256 MiB): big statevector results age out of the job
 	// store long before the count bound so they cannot pin memory. The
-	// payload is counted as held — 16 bytes an amplitude or histogram
-	// outcome, 8 a sample — so at the defaults this bound binds before
-	// RetainJobs from 64 KiB a result (≈ 2700 shots with their samples).
+	// payload is counted as held: 16 bytes an amplitude, 8 a sample, 48 an
+	// observable, 8 a marginal entry, and 16 a histogram outcome only for
+	// a trajectory ensemble (every other run holds its samples and derives
+	// the histogram when the result is read). At the defaults this bound
+	// binds before RetainJobs from 64 KiB a result (≈ 8000 shots).
 	RetainBytes int64
 	// MaxQubits rejects circuits wider than this at submit (default 26,
 	// a 1 GiB state).
@@ -521,15 +525,13 @@ func (e *cacheEntry) parts() int {
 }
 
 func (e *cacheEntry) cost() int64 {
-	// The charge stays at (16+8) bytes per amplitude: the 16-byte state plus
-	// the 8 a flat sampler CDF once took. The sampler now holds 1.25 bytes
-	// per amplitude (a running sum per 8, a guide entry per 16), but
-	// charging only that would let a fixed budget hold about 1.4× the
-	// states, and service-churn's peak RSS read about +19 % that way; the
-	// re-pricing is left to a change that measures it. The sampler and the
+	// The entry holds the 16-byte state and, once a hit asks for shots, the
+	// sampler over it (sv.SamplerBytes: a running sum per 8 amplitudes and a
+	// guide entry per 16, 1.25 bytes an amplitude). The sampler and the
 	// observable memo attach after Put, so both are charged up front, the
-	// memo at its bound.
-	return int64(len(e.state.Amps))*(16+8) + 1024 + obsMemoBytes // + 1 KiB plan slack
+	// memo at its bound, beside 1 KiB of plan slack.
+	amps := len(e.state.Amps)
+	return int64(amps)*16 + sv.SamplerBytes(amps) + 1024 + obsMemoBytes
 }
 
 // costed is a cacheable single-flight payload (cacheEntry's simulated
@@ -1037,6 +1039,9 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	}
 	s.log.LogAttrs(j.ctx, level, "job finished", attrs...)
 	j.cancel() // release the context's resources
+	// Only this goroutine reads the context, and nothing reads the recorder
+	// of a terminal job: a retained job pins neither.
+	j.ctx, j.profr = nil, nil
 	close(j.done)
 }
 
@@ -1066,8 +1071,10 @@ func resultBytes(r *Result) int64 {
 }
 
 // readoutsBytes is one evaluated readout set's retained payload (a run
-// result's, or the per-point unit of a sweep result): exact for the
-// amplitudes, the samples and the 16-byte outcomes of the histogram.
+// result's, or the per-point unit of a sweep result), charged as held: exact
+// for the amplitudes and the samples, and 16 bytes an outcome only where the
+// histogram is held (Counts, an ensemble's); a derived histogram is built
+// when the result is read and not retained.
 func readoutsBytes(ro *core.Readouts) int64 {
 	if ro == nil {
 		return 0

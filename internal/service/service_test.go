@@ -64,7 +64,7 @@ func TestSampleMatchesDirectSimulation(t *testing.T) {
 		}
 	}
 	total := 0
-	for _, oc := range res.Counts {
+	for _, oc := range res.Histogram() {
 		total += oc.N
 	}
 	if total != 500 {

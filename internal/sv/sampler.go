@@ -94,10 +94,23 @@ func NewSamplerFromProbs(n int, probs []float64) *Sampler {
 	return sp
 }
 
+// samplerShape is the block-sum and guide lengths of a sampler over size
+// weights.
+func samplerShape(size int) (blocks, cells int) {
+	blocks = (size + samplerBlock - 1) / samplerBlock
+	return blocks, max(1, (blocks+1)/2)
+}
+
+// SamplerBytes is the memory a sampler over size weights holds beside them:
+// 8 bytes a block sum and 4 a guide entry, 1.25 bytes a weight.
+func SamplerBytes(size int) int64 {
+	blocks, cells := samplerShape(size)
+	return int64(blocks)*8 + int64(cells)*4
+}
+
 // resize sizes sums and guide for size weights, reusing their buffers.
 func (sp *Sampler) resize(size int) {
-	blocks := (size + samplerBlock - 1) / samplerBlock
-	cells := max(1, (blocks+1)/2)
+	blocks, cells := samplerShape(size)
 	if cap(sp.sums) < blocks {
 		sp.sums = make([]float64, blocks)
 	}
@@ -181,9 +194,6 @@ func (sp *Sampler) draw(u float64) int {
 
 // NumQubits returns the register width the sampler was built over.
 func (sp *Sampler) NumQubits() int { return sp.n }
-
-// Bytes is the memory the sampler holds beside the state it reads.
-func (sp *Sampler) Bytes() int { return 8*cap(sp.sums) + 4*cap(sp.guide) }
 
 // Sample draws n basis-state indices using the given RNG (inverse-CDF).
 func (sp *Sampler) Sample(n int, rng *rand.Rand) []int {

@@ -134,11 +134,18 @@ func TestSamplerMatchesFlatOnProbs(t *testing.T) {
 }
 
 // At n = 16 the sampler holds one float64 per 8 amplitudes and one int32
-// per 16: 81,920 bytes where the flat CDF held 524,288.
+// per 16: 81,920 bytes where the flat CDF held 524,288. SamplerBytes, which
+// prices a sampler before it is built, is what a built one holds at every
+// size.
 func TestSamplerBytes(t *testing.T) {
-	sp := NewSampler(NewState(16))
-	if got, want := sp.Bytes(), 8<<16/8+4<<16/16; got != want {
-		t.Fatalf("Bytes() = %d, want %d", got, want)
+	if got, want := SamplerBytes(1<<16), int64(8<<16/8+4<<16/16); got != want {
+		t.Fatalf("SamplerBytes(2^16) = %d, want %d", got, want)
+	}
+	for n := 0; n <= 16; n++ {
+		sp := NewSampler(NewState(n))
+		if got, want := SamplerBytes(1<<n), int64(8*cap(sp.sums)+4*cap(sp.guide)); got != want {
+			t.Fatalf("n = %d: SamplerBytes = %d, a built sampler holds %d", n, got, want)
+		}
 	}
 }
 

@@ -155,11 +155,22 @@ func Rebind(blocks []Block, ops []sv.Op, env map[string]float64) ([]Block, []sv.
 }
 
 // Specialize returns the concrete block list for one binding: Rebind's
-// blocks. Callers on different bindings may specialize concurrently: the
-// template itself is never mutated.
+// blocks, built from the template's touched list alone (no op is re-bound
+// and no block is scanned for symbols). Callers on different bindings may
+// specialize concurrently: the template itself is never mutated.
 func (t *Template) Specialize(env map[string]float64) ([]Block, error) {
-	blocks, _, err := Rebind(t.Blocks, t.Ops, env)
-	return blocks, err
+	if len(t.touched) == 0 {
+		return t.Blocks, nil
+	}
+	blocks := slices.Clone(t.Blocks)
+	for _, i := range t.touched {
+		b, err := t.Blocks[i].Specialize(env)
+		if err != nil {
+			return nil, err
+		}
+		blocks[i] = b
+	}
+	return blocks, nil
 }
 
 // Binder is one caller's binding of a template: a private copy of the op

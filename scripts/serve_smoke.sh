@@ -78,17 +78,44 @@ while :; do
 done
 
 # The long-poll result endpoint agrees and the shots add up.
-TOTAL="$(curl -fsS "$BASE/v1/jobs/$ID/result?wait=30s" | jq '[.result.counts[]] | add')"
+curl -fsS "$BASE/v1/jobs/$ID/result?wait=30s" >"$WORK/result1.json"
+TOTAL="$(jq '[.result.counts[]] | add' "$WORK/result1.json")"
 if [ "$TOTAL" != 100 ]; then
     echo "serve-smoke: counts sum to $TOTAL, want 100" >&2
     exit 1
 fi
 
+# A sampled result holds its shots once, as the sample stream: "counts" is
+# derived from "samples" on every read, so it must be their tally and a
+# second read must return the same bytes.
+counts_are_tally() {
+    jq -e '(.result.counts | with_entries(.key |= (explode | reduce .[] as $c (0; 2 * . + $c - 48) | tostring)))
+        == (reduce .result.samples[] as $s ({}; .[$s | tostring] += 1))' "$1" >/dev/null
+}
+curl -fsS "$BASE/v1/jobs/$ID/result" >"$WORK/result2.json"
+if ! cmp -s "$WORK/result1.json" "$WORK/result2.json"; then
+    echo "serve-smoke: two reads of job $ID differ" >&2
+    exit 1
+fi
+if ! counts_are_tally "$WORK/result1.json"; then
+    echo "serve-smoke: job $ID counts are not the tally of its samples" >&2
+    exit 1
+fi
+
 # A repeat submission must be a cache hit with identical counts.
 ID2="$(submit)"
-HIT="$(curl -fsS "$BASE/v1/jobs/$ID2/result?wait=30s" | jq .result.cache_hit)"
+curl -fsS "$BASE/v1/jobs/$ID2/result?wait=30s" >"$WORK/hit.json"
+HIT="$(jq .result.cache_hit "$WORK/hit.json")"
 if [ "$HIT" != true ]; then
     echo "serve-smoke: repeat submission missed the cache" >&2
+    exit 1
+fi
+if ! counts_are_tally "$WORK/hit.json"; then
+    echo "serve-smoke: cache-hit job $ID2 counts are not the tally of its samples" >&2
+    exit 1
+fi
+if [ "$(jq -c .result.counts "$WORK/hit.json")" != "$(jq -c .result.counts "$WORK/result1.json")" ]; then
+    echo "serve-smoke: cache-hit job $ID2 drew other counts than job $ID at the same seed" >&2
     exit 1
 fi
 SIMS="$(curl -fsS "$BASE/v1/stats" | jq .simulations)"
@@ -413,4 +440,4 @@ if ! wait "$PID"; then
     exit 1
 fi
 PID=
-echo "serve-smoke: OK (backends listing, readyz, submit, poll, sample, cache hit, multi-readout run, v1 kinds 400, noisy ensemble, exact dm run, unknown-backend, capability, lm and empty-sweep 400s, parameterized sweep, cached optimize pair, unbound-symbol 400, /metrics scrape, stage trace, kernel profile, graceful shutdown)"
+echo "serve-smoke: OK (backends listing, readyz, submit, poll, sample, counts = tally of samples on re-read and hit, cache hit, multi-readout run, v1 kinds 400, noisy ensemble, exact dm run, unknown-backend, capability, lm and empty-sweep 400s, parameterized sweep, cached optimize pair, unbound-symbol 400, /metrics scrape, stage trace, kernel profile, graceful shutdown)"

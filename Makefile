@@ -101,6 +101,11 @@ FUZZ_TARGETS += ./internal/core FuzzPathsAgree
 # blocked sampler returns the flat CDF's bisection index at random u and at
 # every block sum and one ulp either side, over probabilities and amplitudes.
 FUZZ_TARGETS += ./internal/sv FuzzSamplerMatchesFlat
+# Registers of up to 12 qubits, one or two targets, a control, pinned-zero
+# bits, a payload of every dense1 shape and an item range: the single- and
+# two-qubit dense kernels touch exactly the amplitudes a per-pair loop does,
+# in the same groups, bit for bit.
+FUZZ_TARGETS += ./internal/sv FuzzDenseMatchesPairLoop
 # QASM sources: nothing parses into a panic, a runaway gate expansion or a
 # stack the runtime refuses to grow, and whatever parses keeps its
 # fingerprint through the writer and back.

@@ -24,10 +24,11 @@ import (
 // cache-resident across the run; ApplyGate, the flat reference's per-gate
 // entry point, lowers per call and takes the same replay routine as a one-op
 // group. Dense ops dispatch on k: k=1 and k=2 hold
-// the matrix in locals and walk the free index by whole runs of equally
-// spaced groups (contiguous above the lowest fixed bit; adjacent pairs or
-// quads when the low bits are the targets), k≥3 gathers into stack scratch
-// (heap only above maxStackK).
+// the matrix in locals and step from group base to group base over operand
+// streams re-sliced to one length, with no run bookkeeping and no
+// per-amplitude bounds check (walk); a lone target on qubit 1 or 2 walks
+// whole blocks of its span unrolled instead (blocks); k≥3 gathers into
+// stack scratch (heap only above maxStackK).
 // Every amplitude's arithmetic expression is fixed by the op alone — never
 // by worker count, share or tile boundary, or run length — so results are
 // bit-identical across them.
@@ -561,66 +562,169 @@ func (s *State) Norm2(op *Op) float64 {
 	return total
 }
 
-// dense1 is the k=1 fast path: the 2×2 matrix lives in locals and the free
-// index advances by whole contiguous runs. Two matrix shapes take half the
-// arithmetic of a complex multiply-add pair: all-real (H, X, RY and every
-// controlled-X) and axis-aligned — real diagonal, imaginary off-diagonal (RX,
-// Y, CRX). The branch is read off the payload, so a re-bound template picks
-// it per binding.
-func (p *plan) dense1(amps, m []complex128, lo, hi int) {
-	m00, m01, m10, m11 := m[0], m[1], m[2], m[3]
+// walk returns what a dense kernel needs to visit the group bases of free
+// indices [lo, hi) (lo < hi): the amplitudes up to and including the last
+// base, and the first base. A base i steps to the next with
+// ((i|fixed)+1)&^fixed | ctrl — setting every fixed bit lets the increment's
+// carry run through them, clearing them again restores the zeros of the
+// targets and pinned bits, and or-ing ctrl restores the controls' ones — so
+// the walk needs no run bookkeeping. A partner stream o above the bases is
+// amps[o:][:len(x)], the same length as x, so one loop bound covers every
+// stream with no per-amplitude bounds check.
+func (p *plan) walk(amps []complex128, lo, hi int) (x []complex128, first uint) {
+	_, b := p.next(lo, hi)
+	_, last := p.next(hi-1, hi)
+	return amps[:last+1], uint(b)
+}
+
+// blocks splits free indices [lo, hi) of a plan whose only fixed bit is its
+// target t ∈ {2, 4} (qubit 1 or 2, no control, no pinned bit) into a head
+// [lo, l), whole 2t-amplitude blocks [l, h) — t pairs (j, j+t) each, which
+// dense1Blocks walks unrolled — and a tail [h, hi), and returns the blocks'
+// amplitudes. For any other plan it returns nil with l = h = hi.
+func (p *plan) blocks(amps []complex128, lo, hi int) (a []complex128, l, h int) {
 	t := p.offs[1]
-	if imag(m00) == 0 && imag(m01) == 0 && imag(m10) == 0 && imag(m11) == 0 {
+	if p.fixed != t || t != 2 && t != 4 {
+		return nil, hi, hi
+	}
+	l = min((lo+t-1)&^(t-1), hi)
+	h = max(hi&^(t-1), l)
+	return amps[2*l : 2*h], l, h
+}
+
+// realPair, axisPair and densePair are dense1's three matrix shapes applied
+// to one pair of amplitudes: (x, y) ↦ (m00·x + m01·y, m10·x + m11·y). Two
+// shapes take half the arithmetic of a complex multiply-add pair: all-real
+// (H, X, RY and every controlled-X) and axis-aligned — real diagonal,
+// imaginary off-diagonal (RX, Y, CRX).
+func realPair(r00, r01, r10, r11 float64, x, y complex128) (complex128, complex128) {
+	return complex(r00*real(x)+r01*real(y), r00*imag(x)+r01*imag(y)),
+		complex(r10*real(x)+r11*real(y), r10*imag(x)+r11*imag(y))
+}
+
+func axisPair(r00, i01, i10, r11 float64, x, y complex128) (complex128, complex128) {
+	return complex(r00*real(x)-i01*imag(y), r00*imag(x)+i01*real(y)),
+		complex(r11*real(y)-i10*imag(x), r11*imag(y)+i10*real(x))
+}
+
+func densePair(m00, m01, m10, m11, x, y complex128) (complex128, complex128) {
+	return m00*x + m01*y, m10*x + m11*y
+}
+
+// isReal and isAxis classify a 2×2 payload for dense1's branches. The branch
+// is read off the payload, so a re-bound template picks it per binding.
+func isReal(m []complex128) bool {
+	return imag(m[0]) == 0 && imag(m[1]) == 0 && imag(m[2]) == 0 && imag(m[3]) == 0
+}
+
+func isAxis(m []complex128) bool {
+	return imag(m[0]) == 0 && real(m[1]) == 0 && real(m[2]) == 0 && imag(m[3]) == 0
+}
+
+// dense1 is the k=1 fast path: the 2×2 matrix lives in locals, and the
+// pairs are walked group base by group base (walk) or, for a lone target on
+// qubit 1 or 2, by whole blocks (blocks).
+func (p *plan) dense1(amps, m []complex128, lo, hi int) {
+	a, l, h := p.blocks(amps, lo, hi)
+	p.dense1Pairs(amps, m, lo, l)
+	dense1Blocks(a, m, p.offs[1])
+	p.dense1Pairs(amps, m, h, hi)
+}
+
+// dense1Pairs walks the pairs of free indices [lo, hi).
+func (p *plan) dense1Pairs(amps, m []complex128, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	x, first := p.walk(amps, lo, hi)
+	y := amps[p.offs[1]:][:len(x)]
+	fx, c := uint(p.fixed), uint(p.ctrl)
+	m00, m01, m10, m11 := m[0], m[1], m[2], m[3]
+	switch {
+	case isReal(m):
 		r00, r01, r10, r11 := real(m00), real(m01), real(m10), real(m11)
-		for f := lo; f < hi; {
-			r, b := p.next(f, hi)
-			for i := b; i < b+r*p.step; i += p.step {
-				x, y := amps[i], amps[i+t]
-				amps[i] = complex(r00*real(x)+r01*real(y), r00*imag(x)+r01*imag(y))
-				amps[i+t] = complex(r10*real(x)+r11*real(y), r10*imag(x)+r11*imag(y))
-			}
-			f += r
+		for i := first; i < uint(len(x)); i = ((i|fx)+1)&^fx | c {
+			x[i], y[i] = realPair(r00, r01, r10, r11, x[i], y[i])
 		}
-		return
-	}
-	if imag(m00) == 0 && real(m01) == 0 && real(m10) == 0 && imag(m11) == 0 {
+	case isAxis(m):
 		r00, i01, i10, r11 := real(m00), imag(m01), imag(m10), real(m11)
-		for f := lo; f < hi; {
-			r, b := p.next(f, hi)
-			for i := b; i < b+r*p.step; i += p.step {
-				x, y := amps[i], amps[i+t]
-				amps[i] = complex(r00*real(x)-i01*imag(y), r00*imag(x)+i01*real(y))
-				amps[i+t] = complex(r11*real(y)-i10*imag(x), r11*imag(y)+i10*real(x))
-			}
-			f += r
+		for i := first; i < uint(len(x)); i = ((i|fx)+1)&^fx | c {
+			x[i], y[i] = axisPair(r00, i01, i10, r11, x[i], y[i])
 		}
-		return
-	}
-	for f := lo; f < hi; {
-		r, b := p.next(f, hi)
-		for i := b; i < b+r*p.step; i += p.step {
-			x, y := amps[i], amps[i+t]
-			amps[i], amps[i+t] = m00*x+m01*y, m10*x+m11*y
+	default:
+		for i := first; i < uint(len(x)); i = ((i|fx)+1)&^fx | c {
+			x[i], y[i] = densePair(m00, m01, m10, m11, x[i], y[i])
 		}
-		f += r
 	}
 }
 
-// dense2 is the k=2 fast path: four operand streams per run.
+// dense1Blocks walks whole blocks of 2t amplitudes, t ∈ {2, 4}, each pair
+// (j, j+t) of a block unrolled: a lone target on qubit 1 or 2 has runs of
+// only 2 or 4 pairs, too short for a loop of their own.
+func dense1Blocks(a, m []complex128, t int) {
+	if len(a) == 0 {
+		return
+	}
+	m00, m01, m10, m11 := m[0], m[1], m[2], m[3]
+	r00, r01, r10, r11 := real(m00), real(m01), real(m10), real(m11)
+	i01, i10 := imag(m01), imag(m10)
+	switch {
+	case t == 2 && isReal(m):
+		for ; len(a) >= 4; a = a[4:] {
+			a[0], a[2] = realPair(r00, r01, r10, r11, a[0], a[2])
+			a[1], a[3] = realPair(r00, r01, r10, r11, a[1], a[3])
+		}
+	case t == 2 && isAxis(m):
+		for ; len(a) >= 4; a = a[4:] {
+			a[0], a[2] = axisPair(r00, i01, i10, r11, a[0], a[2])
+			a[1], a[3] = axisPair(r00, i01, i10, r11, a[1], a[3])
+		}
+	case t == 2:
+		for ; len(a) >= 4; a = a[4:] {
+			a[0], a[2] = densePair(m00, m01, m10, m11, a[0], a[2])
+			a[1], a[3] = densePair(m00, m01, m10, m11, a[1], a[3])
+		}
+	case isReal(m):
+		for ; len(a) >= 8; a = a[8:] {
+			a[0], a[4] = realPair(r00, r01, r10, r11, a[0], a[4])
+			a[1], a[5] = realPair(r00, r01, r10, r11, a[1], a[5])
+			a[2], a[6] = realPair(r00, r01, r10, r11, a[2], a[6])
+			a[3], a[7] = realPair(r00, r01, r10, r11, a[3], a[7])
+		}
+	case isAxis(m):
+		for ; len(a) >= 8; a = a[8:] {
+			a[0], a[4] = axisPair(r00, i01, i10, r11, a[0], a[4])
+			a[1], a[5] = axisPair(r00, i01, i10, r11, a[1], a[5])
+			a[2], a[6] = axisPair(r00, i01, i10, r11, a[2], a[6])
+			a[3], a[7] = axisPair(r00, i01, i10, r11, a[3], a[7])
+		}
+	default:
+		for ; len(a) >= 8; a = a[8:] {
+			a[0], a[4] = densePair(m00, m01, m10, m11, a[0], a[4])
+			a[1], a[5] = densePair(m00, m01, m10, m11, a[1], a[5])
+			a[2], a[6] = densePair(m00, m01, m10, m11, a[2], a[6])
+			a[3], a[7] = densePair(m00, m01, m10, m11, a[3], a[7])
+		}
+	}
+}
+
+// dense2 is the k=2 fast path: four operand streams, walked as dense1Pairs
+// walks two.
 func (p *plan) dense2(amps, m []complex128, lo, hi int) {
+	if lo >= hi {
+		return
+	}
 	var mm [16]complex128
 	copy(mm[:], m)
-	o1, o2, o3 := p.offs[1], p.offs[2], p.offs[3]
-	for f := lo; f < hi; {
-		r, b := p.next(f, hi)
-		for i := b; i < b+r*p.step; i += p.step {
-			x0, x1, x2, x3 := amps[i], amps[i+o1], amps[i+o2], amps[i+o3]
-			amps[i] = mm[0]*x0 + mm[1]*x1 + mm[2]*x2 + mm[3]*x3
-			amps[i+o1] = mm[4]*x0 + mm[5]*x1 + mm[6]*x2 + mm[7]*x3
-			amps[i+o2] = mm[8]*x0 + mm[9]*x1 + mm[10]*x2 + mm[11]*x3
-			amps[i+o3] = mm[12]*x0 + mm[13]*x1 + mm[14]*x2 + mm[15]*x3
-		}
-		f += r
+	x0, first := p.walk(amps, lo, hi)
+	x1, x2, x3 := amps[p.offs[1]:][:len(x0)], amps[p.offs[2]:][:len(x0)], amps[p.offs[3]:][:len(x0)]
+	fx, c := uint(p.fixed), uint(p.ctrl)
+	for i := first; i < uint(len(x0)); i = ((i|fx)+1)&^fx | c {
+		a0, a1, a2, a3 := x0[i], x1[i], x2[i], x3[i]
+		x0[i] = mm[0]*a0 + mm[1]*a1 + mm[2]*a2 + mm[3]*a3
+		x1[i] = mm[4]*a0 + mm[5]*a1 + mm[6]*a2 + mm[7]*a3
+		x2[i] = mm[8]*a0 + mm[9]*a1 + mm[10]*a2 + mm[11]*a3
+		x3[i] = mm[12]*a0 + mm[13]*a1 + mm[14]*a2 + mm[15]*a3
 	}
 }
 

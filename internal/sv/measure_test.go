@@ -68,15 +68,15 @@ func TestMarginalPanicsOutOfRange(t *testing.T) {
 
 func TestExpectationZ(t *testing.T) {
 	s := NewState(2)
-	if e := s.ExpectationZ(0); math.Abs(e-1) > 1e-12 {
+	if e := s.ExpectationPauliZString([]int{0}); math.Abs(e-1) > 1e-12 {
 		t.Fatalf("⟨Z⟩|0⟩ = %v", e)
 	}
 	_ = s.ApplyGate(gate.X(0))
-	if e := s.ExpectationZ(0); math.Abs(e+1) > 1e-12 {
+	if e := s.ExpectationPauliZString([]int{0}); math.Abs(e+1) > 1e-12 {
 		t.Fatalf("⟨Z⟩|1⟩ = %v", e)
 	}
 	_ = s.ApplyGate(gate.H(1))
-	if e := s.ExpectationZ(1); math.Abs(e) > 1e-12 {
+	if e := s.ExpectationPauliZString([]int{1}); math.Abs(e) > 1e-12 {
 		t.Fatalf("⟨Z⟩|+⟩ = %v", e)
 	}
 }
@@ -85,12 +85,31 @@ func TestExpectationZZBell(t *testing.T) {
 	s := NewState(2)
 	_ = s.ApplyGate(gate.H(0))
 	_ = s.ApplyGate(gate.CX(0, 1))
-	if e := s.ExpectationZZ(0, 1); math.Abs(e-1) > 1e-12 {
+	if e := s.ExpectationPauliZString([]int{0, 1}); math.Abs(e-1) > 1e-12 {
 		t.Fatalf("⟨ZZ⟩ Bell = %v", e)
 	}
-	if e := s.ExpectationZ(0); math.Abs(e) > 1e-12 {
+	if e := s.ExpectationPauliZString([]int{0}); math.Abs(e) > 1e-12 {
 		t.Fatalf("⟨Z⟩ Bell = %v", e)
 	}
+}
+
+// signedSum is the read-out written out from its definition, sharing no code
+// with the kernels: Σ_i s_i·|a_i|², where s_i is −1 when an odd number of the
+// listed qubits (counted with repeats) read 1 in i, +1 otherwise.
+func signedSum(s *State, qubits []int) float64 {
+	e := 0.0
+	for i, a := range s.Amps {
+		ones := 0
+		for _, q := range qubits {
+			ones += i >> uint(q) & 1
+		}
+		p := real(a)*real(a) + imag(a)*imag(a)
+		if ones%2 == 1 {
+			p = -p
+		}
+		e += p
+	}
+	return e
 }
 
 func TestExpectationPauliZString(t *testing.T) {
@@ -104,14 +123,17 @@ func TestExpectationPauliZString(t *testing.T) {
 	if e := s.ExpectationPauliZString([]int{0, 1}); math.Abs(e+1) > 1e-12 {
 		t.Fatalf("⟨Z0Z1⟩ = %v", e)
 	}
-	// Consistency with the pairwise form.
+	// Against the signed sum written out, on a random circuit's state:
+	// one qubit, a pair and a repeated qubit.
 	c := circuit.Random(4, 30, 5)
 	st, err := Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := st.ExpectationPauliZString([]int{1, 3}) - st.ExpectationZZ(1, 3); math.Abs(d) > 1e-12 {
-		t.Fatalf("ZZ forms disagree by %v", d)
+	for _, qs := range [][]int{{2}, {1, 3}, {0, 3, 0}} {
+		if d := st.ExpectationPauliZString(qs) - signedSum(st, qs); math.Abs(d) > 1e-12 {
+			t.Fatalf("%v: kernel and signed sum disagree by %v", qs, d)
+		}
 	}
 }
 
@@ -143,7 +165,7 @@ func TestExpectationPauliZStringRepeatedQubits(t *testing.T) {
 	}
 	// Odd repetition count reduces to a single Z.
 	got := s.ExpectationPauliZString([]int{0, 0, 0})
-	want := s.ExpectationZ(0)
+	want := s.ExpectationPauliZString([]int{0})
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("⟨Z0³⟩ = %v, want ⟨Z0⟩ = %v", got, want)
 	}
@@ -155,21 +177,34 @@ func TestExpectationPauliZStringRepeatedQubits(t *testing.T) {
 
 // TestExpectationZMasksEqualsPerStringKernel: the one-pass kernel's value
 // for every term is == the per-string kernel's — same additions in the same
-// order — on random states of 3…16 qubits (a few amplitudes zeroed, so ±0
-// terms occur), including repeated qubits (Z² = I), the empty string and no
-// terms at all; and it allocates the result slice, nothing else.
+// order — sign bit included, and it allocates the result slice, nothing
+// else. States of 1…16 qubits, so below, at and above the 2^zBlockBits-entry
+// sign rows, with a few amplitudes set to 0 and to −0; an all-zero state,
+// whose every value must be +0; strings with repeated qubits (Z² = I), the
+// empty string and no terms at all; masks on the low bits only, the high
+// bits only and both; and term counts that are not a multiple of the
+// four-mask pass or that span more than one zChunk.
 func TestExpectationZMasksEqualsPerStringKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for n := 3; n <= 16; n++ {
+	for n := 1; n <= 16; n++ {
 		s := randomState(n, int64(n))
 		for k := 0; k < 4; k++ {
 			s.Amps[rng.Intn(len(s.Amps))] = 0
+			s.Amps[rng.Intn(len(s.Amps))] = complex(math.Copysign(0, -1), math.Copysign(0, -1))
 		}
-		strings := [][]int{{}, {0}, {n - 1}, {0, 0}, {0, 1, 0}, {1, 2, n - 1, 1}}
-		for k := 0; k < 12; k++ {
+		low, high := min(n, zBlockBits), max(n-zBlockBits, 0)
+		strings := [][]int{{}, {0}, {n - 1}, {0, 0}, {0, n - 1, 0}, {n - 1, n / 2, n - 1, 0}}
+		for k := 0; k < 3*zChunk; k++ {
 			var qs []int
 			for len(qs) < 1+rng.Intn(n+2) {
-				qs = append(qs, rng.Intn(n))
+				switch q := rng.Intn(n); {
+				case k%3 == 0: // low bits only
+					qs = append(qs, q%low)
+				case k%3 == 1 && high > 0: // high bits only
+					qs = append(qs, zBlockBits+q%high)
+				default:
+					qs = append(qs, q)
+				}
 			}
 			strings = append(strings, qs)
 		}
@@ -185,10 +220,19 @@ func TestExpectationZMasksEqualsPerStringKernel(t *testing.T) {
 			}
 			masks[k] = sign
 		}
-		got := s.ExpectationZMasks(masks)
-		for k, qs := range strings {
-			if want := s.ExpectationPauliZString(qs); got[k] != want || math.Signbit(got[k]) != math.Signbit(want) {
-				t.Fatalf("n=%d string %v: one pass %x, per-string kernel %x", n, qs, got[k], want)
+		zero := NewState(n)
+		zero.Amps[0] = 0
+		zero.Amps[len(zero.Amps)-1] = complex(math.Copysign(0, -1), math.Copysign(0, -1))
+		for _, terms := range []int{1, 3, 4, 5, zChunk - 1, zChunk, zChunk + 3, len(masks)} {
+			got := s.ExpectationZMasks(masks[:terms])
+			gotZero := zero.ExpectationZMasks(masks[:terms])
+			for k, qs := range strings[:terms] {
+				if want := s.ExpectationPauliZString(qs); got[k] != want || math.Signbit(got[k]) != math.Signbit(want) {
+					t.Fatalf("n=%d %d terms, string %v: one pass %x, per-string kernel %x", n, terms, qs, got[k], want)
+				}
+				if gotZero[k] != 0 || math.Signbit(gotZero[k]) {
+					t.Fatalf("n=%d %d terms, string %v: the zero state reads %v", n, terms, qs, gotZero[k])
+				}
 			}
 		}
 		if none := s.ExpectationZMasks(nil); len(none) != 0 {

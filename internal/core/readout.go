@@ -233,11 +233,11 @@ func radixSort(samples, a, b []int) []int {
 	return src
 }
 
-// histogramOf tallies drawn samples by sorting them through pooled scratch
-// and run-length encoding the result into a slice of exactly the distinct
-// outcomes, the one allocation it makes when the pool has a buffer.
-func histogramOf(samples []int) Histogram {
-	buf, _ := radixScratch.Get().(*[]int)
+// sortedSamples returns the samples in ascending order in pooled scratch,
+// with the buffer to hand back through releaseSorted once the sorted view is
+// no longer read.
+func sortedSamples(samples []int) (sorted []int, buf *[]int) {
+	buf, _ = radixScratch.Get().(*[]int)
 	if buf == nil {
 		buf = new([]int)
 	}
@@ -245,7 +245,21 @@ func histogramOf(samples []int) Histogram {
 	if cap(*buf) < 2*k {
 		*buf = make([]int, 2*k)
 	}
-	sorted := radixSort(samples, (*buf)[:k], (*buf)[k:2*k])
+	return radixSort(samples, (*buf)[:k], (*buf)[k:2*k]), buf
+}
+
+func releaseSorted(buf *[]int) {
+	if cap(*buf) <= maxPooledScratch {
+		radixScratch.Put(buf)
+	}
+}
+
+// histogramOf tallies drawn samples by sorting them through pooled scratch
+// and run-length encoding the result into a slice of exactly the distinct
+// outcomes, the one allocation it makes when the pool has a buffer.
+func histogramOf(samples []int) Histogram {
+	sorted, buf := sortedSamples(samples)
+	defer releaseSorted(buf)
 	distinct := 0
 	for i, x := range sorted {
 		if i == 0 || x != sorted[i-1] {
@@ -253,17 +267,30 @@ func histogramOf(samples []int) Histogram {
 		}
 	}
 	h := make(Histogram, 0, distinct)
-	for i, x := range sorted {
-		if i > 0 && x == sorted[i-1] {
-			h[len(h)-1].N++
-		} else {
-			h = append(h, Outcome{Basis: x, N: 1})
-		}
-	}
-	if cap(*buf) <= maxPooledScratch {
-		radixScratch.Put(buf)
-	}
+	eachRun(sorted, func(basis, n int) { h = append(h, Outcome{Basis: basis, N: n}) })
 	return h
+}
+
+// Tally calls f(basis, n) for each distinct sample in ascending order with
+// the number of times it was drawn: the outcomes of the samples' Histogram,
+// walked over pooled sort scratch instead of built. The samples are not
+// written.
+func Tally(samples []int, f func(basis, n int)) {
+	sorted, buf := sortedSamples(samples)
+	eachRun(sorted, f)
+	releaseSorted(buf)
+}
+
+// eachRun calls f once per run of equal values of sorted, in order.
+func eachRun(sorted []int, f func(basis, n int)) {
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		f(sorted[i], j-i)
+		i = j
+	}
 }
 
 // HistogramFromMap orders a basis → count tally (the trajectory ensemble's

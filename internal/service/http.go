@@ -509,19 +509,24 @@ func toWireResult(r *Result) *WireResult {
 
 // WireCounts is the "counts" object — bitstring → shots, qubit Qubits−1
 // leftmost (the usual ket convention; qubit 0 is the least-significant bit of
-// the index) — over a result's histogram (core.Readouts.Histogram: an
-// ensemble's held counts, or the tally of the samples), and the coordinator
-// merges sub-results on the integers. Keys of one width sort like the
-// indices they spell, so writing the outcomes in order is byte for byte the
-// sorted-key object encoding/json makes of a map[string]int.
+// the index) — and the coordinator merges sub-results on the integers. Keys
+// of one width sort like the indices they spell, so writing the outcomes in
+// order is byte for byte the sorted-key object encoding/json makes of a
+// map[string]int.
+//
+// A run with a shot stream carries its Samples, and the counts are written
+// as their tally (core.Tally) while the body is appended, so a read builds no
+// histogram. Outcomes holds every other histogram: a trajectory ensemble's
+// held counts, and whatever UnmarshalJSON decodes.
 type WireCounts struct {
 	Qubits   int // key width
+	Samples  []int
 	Outcomes core.Histogram
 }
 
 // MarshalJSON writes the keys straight from the indices.
 func (c *WireCounts) MarshalJSON() ([]byte, error) {
-	return appendCounts(make([]byte, 0, 2+len(c.Outcomes)*(max(c.Qubits, 1)+12)), c), nil
+	return appendCounts(make([]byte, 0, countsSize(c)), c), nil
 }
 
 // UnmarshalJSON reads what MarshalJSON writes: keys of one width, ascending.
@@ -563,8 +568,11 @@ func toWireSweepPoint(binding map[string]float64, ro *core.Readouts, n int) Wire
 		return out
 	}
 	out.Samples = ro.Samples
-	if h := ro.Histogram(); len(h) > 0 {
-		out.Counts = &WireCounts{Qubits: n, Outcomes: h}
+	switch {
+	case len(ro.Counts) > 0:
+		out.Counts = &WireCounts{Qubits: n, Outcomes: ro.Counts}
+	case len(ro.Samples) > 0:
+		out.Counts = &WireCounts{Qubits: n, Samples: ro.Samples}
 	}
 	out.Marginals = ro.Marginals
 	for _, ov := range ro.Observables {

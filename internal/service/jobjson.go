@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"hisvsim/internal/core"
 )
 
 // appendJob appends j's JSON body — the bytes json.Marshal makes of it — to
@@ -59,11 +61,7 @@ func jobSize(j *WireJob) int {
 	n += len(r.Kind) + len(r.Backend)
 	n += len(r.Samples) * (r.NumQubits*3/10 + 2) // the digits of 2^n−1, a comma
 	if r.Counts != nil {
-		most := 0
-		for _, oc := range r.Counts.Outcomes {
-			most = max(most, oc.N)
-		}
-		n += len(r.Counts.Outcomes) * (max(r.Counts.Qubits, 1) + 4 + len(strconv.Itoa(most)))
+		n += countsSize(r.Counts)
 	}
 	for _, m := range r.Marginals {
 		n += 8 + len(m)*float
@@ -298,25 +296,48 @@ var bitChars = func() (t [256][8]byte) {
 	return t
 }()
 
+// countsSize bounds the counts object's bytes from above. A tally of
+// samples has at most as many members as draws, each drawn at most that
+// often.
+func countsSize(c *WireCounts) int {
+	members, most := len(c.Samples), len(c.Samples)
+	if c.Samples == nil {
+		members = len(c.Outcomes)
+		for _, oc := range c.Outcomes {
+			most = max(most, oc.N)
+		}
+	}
+	return 2 + members*(max(c.Qubits, 1)+4+len(strconv.Itoa(most)))
+}
+
 // appendCounts writes the counts object: one key of max(Qubits, 1) bits per
-// outcome, written 8 bits at a time from bitChars, in the histogram's
-// ascending order.
+// outcome, written 8 bits at a time from bitChars, in ascending order — the
+// tally of Samples where they are set, otherwise Outcomes.
 func appendCounts(b []byte, c *WireCounts) []byte {
-	n := max(c.Qubits, 1)
 	b = append(b, '{')
-	for i, oc := range c.Outcomes {
-		if i > 0 {
-			b = append(b, ',')
+	if c.Samples != nil {
+		core.Tally(c.Samples, func(basis, n int) { b = appendOutcome(b, max(c.Qubits, 1), basis, n) })
+	} else {
+		for _, oc := range c.Outcomes {
+			b = appendOutcome(b, max(c.Qubits, 1), oc.Basis, oc.N)
 		}
-		b = append(b, '"')
-		if r := n % 8; r > 0 {
-			b = append(b, bitChars[oc.Basis>>(n-r)&0xff][8-r:]...)
-		}
-		for q := n - n%8 - 8; q >= 0; q -= 8 {
-			b = append(b, bitChars[oc.Basis>>q&0xff][:]...)
-		}
-		b = append(b, '"', ':')
-		b = strconv.AppendInt(b, int64(oc.N), 10)
 	}
 	return append(b, '}')
+}
+
+// appendOutcome writes one "key":count member of a counts object, with the
+// comma before it unless it is the first.
+func appendOutcome(b []byte, n, basis, count int) []byte {
+	if b[len(b)-1] != '{' {
+		b = append(b, ',')
+	}
+	b = append(b, '"')
+	if r := n % 8; r > 0 {
+		b = append(b, bitChars[basis>>(n-r)&0xff][8-r:]...)
+	}
+	for q := n - n%8 - 8; q >= 0; q -= 8 {
+		b = append(b, bitChars[basis>>q&0xff][:]...)
+	}
+	b = append(b, '"', ':')
+	return strconv.AppendInt(b, int64(count), 10)
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -116,6 +117,8 @@ func TestAppendJobMatchesEncoderOnCases(t *testing.T) {
 		"typed nil": {ID: "j-3", Status: "done", Submitted: at, Result: (*WireResult)(nil)},
 		"other":     {ID: "j-4", Status: "done", Submitted: at, Result: map[string]int{"b": 2, "a": 1}},
 		"full":      {ID: "j-5", Kind: "run", Status: "done", Backend: "hier", Submitted: at, Started: at, Finished: at.Add(time.Nanosecond), Result: full},
+		"tally": {ID: "j-7", Kind: "run", Status: "done", Submitted: at, Result: &WireResult{
+			Kind: "run", NumQubits: 5, Samples: []int{31, 0, 7, 7, 31, 2}, Counts: &WireCounts{Qubits: 5, Samples: []int{31, 0, 7, 7, 31, 2}}}},
 		"bare": {ID: "j-6", Kind: "run", Status: "running", Submitted: at, Result: &WireResult{
 			Kind: "run", Samples: []int{}, Counts: &WireCounts{}, Marginals: [][]float64{}, Observables: []WireObsValue{}}},
 	}
@@ -152,6 +155,51 @@ func TestAppendCountsIsTheMapEncoding(t *testing.T) {
 		if got := appendCounts(nil, c); !bytes.Equal(got, want) {
 			t.Fatalf("%d qubits: %s, want %s", q, got, want)
 		}
+	}
+}
+
+// A counts object written from samples is the one written from their
+// histogram, at every width (0 renders as one bit) and for no draws at all;
+// the samples are left as they were, and a write into a buffer with room
+// allocates nothing (outside the race detector, which empties the sort
+// scratch's pool at random).
+func TestAppendCountsFromSamplesIsTheHistograms(t *testing.T) {
+	for q := 0; q <= 20; q++ {
+		rng := rand.New(rand.NewSource(int64(q)))
+		for _, shots := range []int{0, 1, 7, 1000} {
+			samples, tally := make([]int, shots), map[int]int{}
+			for i := range samples {
+				samples[i] = rng.Intn(1 << q)
+				if i%5 == 0 && i > 0 {
+					samples[i] = samples[i-1]
+				}
+				tally[samples[i]]++
+			}
+			before := slices.Clone(samples)
+			got := appendCounts(nil, &WireCounts{Qubits: q, Samples: samples})
+			want := appendCounts(nil, &WireCounts{Qubits: q, Outcomes: core.HistogramFromMap(tally)})
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d qubits, %d shots: %s, want %s", q, shots, got, want)
+			}
+			if !slices.Equal(samples, before) {
+				t.Fatalf("%d qubits, %d shots: the samples were written", q, shots)
+			}
+			if size := countsSize(&WireCounts{Qubits: q, Samples: samples}); len(got) > size {
+				t.Fatalf("%d qubits, %d shots: %d bytes, countsSize says at most %d", q, shots, len(got), size)
+			}
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	samples := make([]int, 1000)
+	for i := range samples {
+		samples[i] = i * 37 % 65536
+	}
+	c := &WireCounts{Qubits: 16, Samples: samples}
+	buf := make([]byte, 0, countsSize(c))
+	if allocs := testing.AllocsPerRun(20, func() { appendCounts(buf, c) }); allocs != 0 {
+		t.Fatalf("writing 1000 shots' counts allocates %v times, want 0", allocs)
 	}
 }
 
